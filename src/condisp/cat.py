@@ -18,7 +18,7 @@ from .hilbert import (HilbertLayout, Ket, NORM_TOL, _check_truncation,
                       basis_state, coherent_amplitudes)
 from .gate import analytic_unitary, beta_phi
 from .model import (DriveParams, SystemParams, effective_couplings,
-                    frame_phases, hamiltonian_fn)
+                    frame_phases, hamiltonian_fn, _require_quadrature)
 from .propagate import EvolutionConfig, evolve_columns
 
 __all__ = [
@@ -159,12 +159,14 @@ def cat_fidelity_experiment(params: SystemParams, drive: DriveParams, k: int,
     the modulation itself restarts at every step (the linear amplitude
     walk needs the drive phase re-aligned with the resonator each half
     period, and a continuous drive instead unwinds the displacement over
-    the second half).
+    the second half). The analytic target assumes phi = pi/2, so any
+    other modulation phase is rejected.
     """
     if params.n_qubits != 1:
         raise ValueError("the cat experiment needs exactly 1 qubit")
     if not isinstance(k, int) or k < 1:
         raise ValueError(f"k must be a positive integer, got {k!r}")
+    _require_quadrature(drive, "the cat experiment")
     if layout is None:
         layout = HilbertLayout(n_qubits=1, fock_dim=32)
     t0 = STEP_TIME_FACTOR / params.omega_r

@@ -26,7 +26,8 @@ from .hilbert import HilbertLayout, basis_state
 from .model import (DriveParams, SystemParams, effective_couplings,
                     validity_report)
 from .numerics import bessel_j
-from .propagate import EvolutionConfig, fidelity_trace, write_trace_csv
+from .propagate import (EvolutionConfig, PropagationAccuracyError, fidelity_trace,
+                        write_trace_csv)
 from .gate import gate_columns, gate_fidelity_trials
 from .cat import cat_fidelity_experiment, decompose_cat, multi_step_cat
 
@@ -94,7 +95,6 @@ _SCHEMA = {
     "drive.phi": (_parse_float, math.pi / 2),
     "evolution.dt": (_parse_opt_float, None),
     "evolution.method": (_choice("piecewise-exponential", "rk4"), "piecewise-exponential"),
-    "evolution.frame": (_choice("lab-driven", "rotating", "effective"), "lab-driven"),
     "trace.periods": (_parse_float, 1.0),
     "gate.trials": (_parse_int, 50),
     "gate.seed": (_parse_int, 7),
@@ -110,7 +110,6 @@ _SCHEMA = {
     "sweep.stop2": (_parse_opt_float, None),
     "sweep.points2": (_parse_int, 0),
     "output.dir": (_parse_str, "."),
-    "output.format": (_choice("csv"), "csv"),
 }
 
 PRESETS = {
@@ -213,8 +212,7 @@ def _build(cfg):
     try:
         drive = DriveParams.from_alpha(alphas, omega_d, cfg["drive.phi"])
         layout = HilbertLayout(n_qubits=nq, fock_dim=cfg["system.fock_dim"])
-        evo = EvolutionConfig(dt=cfg["evolution.dt"], method=cfg["evolution.method"],
-                              frame=cfg["evolution.frame"])
+        evo = EvolutionConfig(dt=cfg["evolution.dt"], method=cfg["evolution.method"])
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     return params, drive, layout, evo
@@ -243,6 +241,17 @@ def _out_path(cfg, name: str) -> str:
     out_dir = cfg["output.dir"]
     os.makedirs(out_dir, exist_ok=True)
     return os.path.join(out_dir, name)
+
+
+def _write_csv(path, comments, header: str, rows) -> None:
+    """Comment lines (each behind '# '), a column header, then the rows
+    with every cell at 12 significant digits."""
+    with open(path, "w", encoding="utf-8", newline="\n") as f:
+        for line in comments:
+            f.write(f"# {line}\n")
+        f.write(header + "\n")
+        for row in rows:
+            f.write(",".join(f"{v:.12g}" for v in row) + "\n")
 
 
 def _run_validate(cfg) -> int:
@@ -274,12 +283,7 @@ def _run_gate(cfg, per_trial: bool) -> int:
     print(f"stderr = {stderr:.12g}")
     if per_trial:
         path = _out_path(cfg, f"gate-fidelity-trials-seed{cfg['gate.seed']}.csv")
-        with open(path, "w", encoding="utf-8", newline="\n") as f:
-            for line in _header_lines(cfg):
-                f.write(f"# {line}\n")
-            f.write("trial,fidelity\n")
-            for i, v in enumerate(fids):
-                f.write(f"{i},{v:.12g}\n")
+        _write_csv(path, _header_lines(cfg), "trial,fidelity", enumerate(fids))
         print(f"wrote {path}")
     return 0
 
@@ -297,24 +301,14 @@ def _run_cat(cfg) -> int:
     ratio = effective_couplings(params, drive)[0] / params.omega_r
     dec = decompose_cat(multi_step_cat(ratio, k, layout, params.omega_r))
 
+    summary = [f"branch_amplitude = {abs(dec.beta):.12g}", f"p_even = {dec.p_even:.12g}",
+               f"p_odd = {dec.p_odd:.12g}", f"fidelity = {fid:.12g}"]
     print(f"steps = {k}")
-    print(f"branch_amplitude = {abs(dec.beta):.12g}")
-    print(f"p_even = {dec.p_even:.12g}")
-    print(f"p_odd = {dec.p_odd:.12g}")
-    print(f"fidelity = {fid:.12g}")
+    print("\n".join(summary))
     path = _out_path(cfg, f"cat-state-k{k}.csv")
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        for line in _header_lines(cfg):
-            f.write(f"# {line}\n")
-        f.write(f"# branch_amplitude = {abs(dec.beta):.12g}\n")
-        f.write(f"# p_even = {dec.p_even:.12g}\n")
-        f.write(f"# p_odd = {dec.p_odd:.12g}\n")
-        f.write(f"# fidelity = {fid:.12g}\n")
-        f.write("n,p_even_n,p_odd_n\n")
-        for n in range(layout.fock_dim):
-            pe = abs(dec.even_state[n]) ** 2
-            po = 0.0 if dec.odd_state is None else abs(dec.odd_state[n]) ** 2
-            f.write(f"{n},{pe:.12g},{po:.12g}\n")
+    odd = np.zeros(layout.fock_dim) if dec.odd_state is None else dec.odd_state
+    _write_csv(path, _header_lines(cfg) + summary, "n,p_even_n,p_odd_n",
+               zip(range(layout.fock_dim), abs(dec.even_state) ** 2, abs(odd) ** 2))
     print(f"wrote {path}")
     return 0
 
@@ -411,18 +405,12 @@ def _run_sweep(cfg) -> int:
 
     path = _out_path(cfg, "sweep.csv")
     axis_keys = [k for k, _ in axes]
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        for line in _header_lines(cfg):
-            f.write(f"# {line}\n")
-        f.write(f"# trend: {metric} is {trend}"
-                + (f" along {axis_keys[0]}\n" if len(axes) == 1 else "\n"))
-        f.write(",".join(axis_keys) + f",{metric}\n")
-        for overrides, value in zip(grid, values):
-            cells = [f"{v:.12g}" for _, v in overrides]
-            f.write(",".join(cells) + f",{value:.12g}\n")
+    trend_line = f"trend: {metric} is {trend}" \
+        + (f" along {axis_keys[0]}" if len(axes) == 1 else "")
+    _write_csv(path, _header_lines(cfg) + [trend_line], ",".join(axis_keys + [metric]),
+               ([v for _, v in overrides] + [value] for overrides, value in zip(grid, values)))
     print(f"points = {len(values)}")
-    print(f"trend: {metric} is {trend}"
-          + (f" along {axis_keys[0]}" if len(axes) == 1 else ""))
+    print(trend_line)
     print(f"wrote {path}")
     return 0
 
@@ -458,7 +446,6 @@ def _merge_cli(cfg, args) -> dict:
         "phi": "drive.phi",
         "dt": "evolution.dt",
         "method": "evolution.method",
-        "frame": "evolution.frame",
         "periods": "trace.periods",
         "trials": "gate.trials",
         "seed": "gate.seed",
@@ -517,16 +504,16 @@ def _load_layers(args, experiment: str) -> dict:
     return cfg
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
+def _add_config(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", metavar="PATH", help="config file of key = value lines")
+
+
+def _add_run_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--seed", type=int, help="random seed (gate trials)")
     sub.add_argument("--out", metavar="DIR", help="output directory")
     sub.add_argument("--fock-dim", dest="fock_dim", type=int,
                      help="resonator truncation dimension")
     sub.add_argument("--dt", type=float, help="integrator step, units 1/omega_r")
-
-
-def _add_physics(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--eta", type=float, help="omega_q / omega_r")
     sub.add_argument("--g", type=float, help="coupling in units of omega_r")
     sub.add_argument("--alpha", type=float, help="modulation index of qubit 1")
@@ -550,15 +537,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("validate-effective",
                         help="exact-vs-effective fidelity trace over time")
-    _add_common(p)
-    _add_physics(p)
+    _add_config(p)
+    _add_run_flags(p)
     p.add_argument("--periods", type=float, help="trace length in resonator periods")
     p.add_argument("--preset", choices=["effective-validation", "validity-breakdown"])
 
     p = subs.add_parser("gate-fidelity",
                         help="average fidelity of the two-qubit phase gate")
-    _add_common(p)
-    _add_physics(p)
+    _add_config(p)
+    _add_run_flags(p)
     p.add_argument("--trials", type=int, help="number of random trial states")
     p.add_argument("--per-trial", action="store_true",
                    help="also write a per-trial fidelity CSV")
@@ -566,19 +553,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("cat-state",
                         help="conditional-displacement cat state experiment")
-    _add_common(p)
-    _add_physics(p)
+    _add_config(p)
+    _add_run_flags(p)
     p.add_argument("--steps", type=int, help="number of half-period steps")
     p.add_argument("--preset", choices=["cat-1step", "cat-2step"])
 
     p = subs.add_parser("bessel", help="evaluate J_l(x) (debug aid)")
-    _add_common(p)
+    _add_config(p)
     p.add_argument("--order", type=int, required=True)
     p.add_argument("--x", type=float, required=True)
 
     p = subs.add_parser("sweep", help="scan a metric over 1 or 2 parameters")
-    _add_common(p)
-    _add_physics(p)
+    _add_config(p)
+    _add_run_flags(p)
     p.add_argument("--metric", choices=list(METRICS))
     p.add_argument("--axis", nargs=4, action="append",
                    metavar=("KEY", "START", "STOP", "POINTS"),
@@ -612,7 +599,7 @@ def main(argv=None) -> int:
                 status |= run(sub_cfg)
             return status
         return run(cfg)
-    except ConfigError as exc:
+    except (ValueError, PropagationAccuracyError) as exc:  # ConfigError included
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -167,6 +167,12 @@ def _check_pair(params: SystemParams, drive: DriveParams, layout: HilbertLayout)
         )
 
 
+def _require_quadrature(drive: DriveParams, what: str) -> None:
+    """Reject a modulation phase other than pi/2, where the closed forms hold."""
+    if abs(drive.phi - math.pi / 2) > _EQUALITY_TOL:
+        raise ValueError(f"{what} requires phi = pi/2, got phi = {drive.phi}")
+
+
 @lru_cache(maxsize=16)
 def _blocks(layout: HilbertLayout) -> dict:
     """Coupling blocks reused by every builder, keyed by layout."""
@@ -211,8 +217,7 @@ def lab_hamiltonian(params: SystemParams, layout: HilbertLayout) -> Operator:
     return Operator(layout, _lab_matrix(params, layout))
 
 
-def _drive_term(params: SystemParams, drive: DriveParams,
-                layout: HilbertLayout) -> np.ndarray:
+def _drive_term(drive: DriveParams, layout: HilbertLayout) -> np.ndarray:
     b = _blocks(layout)
     v = np.zeros((layout.dim, layout.dim), dtype=complex)
     for m in range(layout.n_qubits):
@@ -223,10 +228,7 @@ def _drive_term(params: SystemParams, drive: DriveParams,
 def driven_hamiltonian(params: SystemParams, drive: DriveParams, t: float,
                        layout: HilbertLayout) -> Operator:
     """Lab Hamiltonian with the modulated qubit splittings at time t."""
-    _check_pair(params, drive, layout)
-    h = _lab_matrix(params, layout) \
-        + math.sin(drive.omega_d * t - drive.phi) * _drive_term(params, drive, layout)
-    return Operator(layout, h)
+    return Operator(layout, hamiltonian_fn(params, drive, "lab-driven", layout)(t))
 
 
 def _frame_phases(params: SystemParams, drive: DriveParams, t: float,
@@ -359,12 +361,8 @@ def rotating_frame_hamiltonian(params: SystemParams, drive: DriveParams, t: floa
     l_max = 20 reproduces the closed form to better than 1e-9 for
     modulation indices up to 2.
     """
-    _check_pair(params, drive, layout)
-    if not isinstance(l_max, int) or l_max < 8:
-        raise ValueError(f"l_max must be an int >= 8, got {l_max}")
-    mats, terms = _rotating_terms(params, drive, layout, l_max)
     return Operator(layout,
-                    _rotating_matrix_at(mats, terms, drive.omega_d, drive.phi, t))
+                    hamiltonian_fn(params, drive, "rotating", layout, l_max)(t))
 
 
 def effective_couplings(params: SystemParams, drive: DriveParams) -> tuple[float, ...]:
@@ -381,17 +379,7 @@ def effective_hamiltonian(params: SystemParams, drive: DriveParams, t: float,
     from it. The remaining validity conditions are reported, not enforced:
     see validity_report.
     """
-    _check_pair(params, drive, layout)
-    if abs(drive.phi - math.pi / 2) > _EQUALITY_TOL:
-        raise ValueError(
-            f"effective model requires phi = pi/2, got phi = {drive.phi}"
-        )
-    b = _blocks(layout)
-    w = np.zeros((layout.dim, layout.dim), dtype=complex)
-    for m, geff in enumerate(effective_couplings(params, drive)):
-        w += geff * (b["ad"] @ b[f"sx{m}"])
-    ph = np.exp(1j * params.omega_r * t)
-    return Operator(layout, ph * w + np.conj(ph) * w.conj().T)
+    return Operator(layout, hamiltonian_fn(params, drive, "effective", layout)(t))
 
 
 @dataclass(frozen=True)
@@ -510,14 +498,14 @@ def hamiltonian_fn(params: SystemParams, drive: DriveParams, frame: str,
     """Time-to-matrix provider for the chosen frame, static parts prebuilt.
 
     Returns a plain-ndarray callable fit for the propagators. The public
-    single-time builders wrap the same matrices in Operator values.
+    single-time builders are thin Operator wrappers over it.
     """
     _check_pair(params, drive, layout)
     if frame not in FRAMES:
         raise ValueError(f"frame must be one of {FRAMES}, got {frame!r}")
     if frame == "lab-driven":
         h0 = _lab_matrix(params, layout)
-        v = _drive_term(params, drive, layout)
+        v = _drive_term(drive, layout)
         wd, phi = drive.omega_d, drive.phi
 
         def fn(t: float) -> np.ndarray:
@@ -533,10 +521,7 @@ def hamiltonian_fn(params: SystemParams, drive: DriveParams, frame: str,
             return _rotating_matrix_at(mats, terms, wd, phi, t)
 
     else:
-        if abs(drive.phi - math.pi / 2) > _EQUALITY_TOL:
-            raise ValueError(
-                f"effective model requires phi = pi/2, got phi = {drive.phi}"
-            )
+        _require_quadrature(drive, "effective model")
         b = _blocks(layout)
         w = np.zeros((layout.dim, layout.dim), dtype=complex)
         for m, geff in enumerate(effective_couplings(params, drive)):

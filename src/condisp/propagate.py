@@ -16,8 +16,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .hilbert import Ket, Operator, HilbertLayout, NORM_TOL
-from .model import (DriveParams, SystemParams, FRAMES, frame_phases,
-                    hamiltonian_fn)
+from .model import DriveParams, SystemParams, frame_phases, hamiltonian_fn
 
 __all__ = [
     "DEFAULT_STEPS_PER_PERIOD",
@@ -62,7 +61,7 @@ class PropagationAccuracyError(RuntimeError):
 
 @dataclass(frozen=True)
 class EvolutionConfig:
-    """How to integrate: step size, stepper, and which frame's generator.
+    """How to integrate: step size and stepper.
 
     dt is in units of 1/omega_r; None derives (2 pi / omega_max) divided
     by DEFAULT_STEPS_PER_PERIOD from the provider's own frequency scale.
@@ -71,15 +70,12 @@ class EvolutionConfig:
 
     dt: float | None = None
     method: str = "piecewise-exponential"
-    frame: str = "lab-driven"
 
     def __post_init__(self) -> None:
         if self.dt is not None and not (math.isfinite(self.dt) and self.dt > 0):
             raise ValueError(f"dt must be positive, got {self.dt}")
         if self.method not in METHODS:
             raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
-        if self.frame not in FRAMES:
-            raise ValueError(f"frame must be one of {FRAMES}, got {self.frame!r}")
 
     def resolve_dt(self, omega_max: float | None) -> float:
         if self.dt is not None:
@@ -271,8 +267,7 @@ def fidelity_trace(params: SystemParams, drive: DriveParams, psi0: Ket,
     frame (then mapped into the rotating frame, where the state it is
     compared against lives), and once under the effective
     conditional-displacement Hamiltonian. Samples default to 500 per
-    resonator period. cfg.frame is ignored: the two frames compared are
-    fixed by the construction.
+    resonator period.
     """
     if not (math.isfinite(t_end) and t_end > 0):
         raise ValueError(f"t_end must be > 0, got {t_end}")

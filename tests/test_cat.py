@@ -219,5 +219,12 @@ class TestCatExperiment:
         with pytest.raises(ValueError):
             cat_fidelity_experiment(p1, d1, 0, EvolutionConfig())
 
+    def test_rejects_phase_off_quadrature(self):
+        # the analytic target is the phi = pi/2 closed form
+        p = SystemParams(omega_q=3.0, g=0.2, n_qubits=1)
+        d = DriveParams.from_alpha((1.832,), 3.0, phi=1.0)
+        with pytest.raises(ValueError, match="phi"):
+            cat_fidelity_experiment(p, d, 1, EvolutionConfig(), layout=HilbertLayout(1, 16))
+
     def test_step_time_constant(self):
         assert STEP_TIME_FACTOR == pytest.approx(np.pi)

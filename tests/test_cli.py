@@ -106,10 +106,28 @@ class TestBadInvocations:
 
     def test_config_file_error_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
-        bad.write_text("system.not_a_key = 1\n")
-        code = main(["bessel", "--order", "0", "--x", "1.0", "--config", str(bad)])
-        assert code == 2
-        assert "error:" in capsys.readouterr().err
+        for line in ("system.not_a_key = 1", "evolution.frame = lab-driven",
+                     "output.format = csv"):
+            bad.write_text(line + "\n")
+            code = main(["bessel", "--order", "0", "--x", "1.0", "--config", str(bad)])
+            assert code == 2
+            assert "error: line 1: unknown key" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("args", [
+        ["cat-state", "--steps", "12", "--fock-dim", "8"],  # truncation budget
+        ["gate-fidelity", "--alpha2", "0.5", "--fock-dim", "8"],  # couplings not opposite
+        ["gate-fidelity", "--dt", "1.0", "--fock-dim", "8"],  # step ceiling
+        ["cat-state", "--phi", "1.0", "--fock-dim", "16"],  # off the phi = pi/2 closed form
+    ])
+    def test_library_errors_exit_2(self, tmp_path, capsys, args):
+        assert main(args + ["--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
+    def test_bessel_rejects_run_flags(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["bessel", "--order", "0", "--x", "1.0", "--seed", "5"])
+        assert exc.value.code == 2
 
     def test_config_experiment_conflict_rejected(self, tmp_path, capsys):
         cfgfile = tmp_path / "gate.cfg"
@@ -147,6 +165,7 @@ class TestValidateEffectiveCommand:
         assert any("condisp" in ln for ln in header)  # version stamp
         assert any("system.g = 0.2" in ln for ln in header)  # config echo
         assert any("validity" in ln for ln in header)
+        assert not any("evolution.frame" in ln or "output.format" in ln for ln in header)
         rows = _data_rows(out_file)
         assert rows[0] == "t_over_Tr,fidelity"
         # 0.2 periods at 500 samples/period plus the t=0 sample.

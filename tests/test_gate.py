@@ -143,7 +143,7 @@ class TestAnalyticUnitary:
         d = DriveParams.from_alpha((1.20242, -1.20242), 3.0)
         ratio = effective_couplings(p, d)[0] / p.omega_r
         fn = hamiltonian_fn(p, d, "effective", lay)
-        cfg = EvolutionConfig(frame="effective")
+        cfg = EvolutionConfig()
         cols = self._low_fock_columns(lay, 2)
         for t in (0.37 * TWO_PI, 0.81 * TWO_PI, TWO_PI):
             u_num = propagator(fn, t, cfg).mat
@@ -157,7 +157,7 @@ class TestAnalyticUnitary:
         d = DriveParams.from_alpha((1.832,), 3.0)
         ratio = effective_couplings(p, d)[0] / p.omega_r
         fn = hamiltonian_fn(p, d, "effective", lay)
-        u_num = propagator(fn, 0.6 * TWO_PI, EvolutionConfig(frame="effective")).mat
+        u_num = propagator(fn, 0.6 * TWO_PI, EvolutionConfig()).mat
         u_ana = analytic_unitary(ratio, 0.6 * TWO_PI, lay).mat
         cols = self._low_fock_columns(lay, 3)
         assert np.max(np.abs(u_num[:, cols] - u_ana[:, cols])) <= 1e-6
@@ -236,6 +236,25 @@ class TestGateFidelity:
         # Mean equals average_gate_fidelity with the same inputs.
         fid = average_gate_fidelity(p, d, 8, 11, cfg, layout=lay, columns=cols)
         assert fid == pytest.approx(float(trials.mean()), abs=1e-15)
+
+    def test_trials_follow_per_trial_draws(self):
+        """Trial i uses the i-th pair of standard_normal(4) draws (real,
+        then imaginary parts), across a trial-block boundary."""
+        p = SystemParams(omega_q=3.0, g=0.2)
+        d = DriveParams.from_alpha((1.20242, -1.20242), 3.0)
+        lay = HilbertLayout(2, 8)
+        cfg = EvolutionConfig()
+        cols = gate_columns(p, d, cfg, lay)
+        n_trials = 1100
+        trials = gate_fidelity_trials(p, d, n_trials, 5, cfg, layout=lay, columns=cols)
+        ideal = analytic_gate(effective_couplings(p, d)[0] / p.omega_r).qubit_matrix
+        rng = np.random.default_rng(5)
+        expected = np.empty(n_trials)
+        for i in range(n_trials):
+            amp = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+            amp /= np.linalg.norm(amp)
+            expected[i] = abs(np.vdot(ideal @ amp, (cols @ amp)[0::lay.fock_dim])) ** 2
+        assert np.max(np.abs(trials - expected)) <= 1e-14
 
     def test_seed_changes_trials_but_not_much(self):
         p = SystemParams(omega_q=3.0, g=0.2)

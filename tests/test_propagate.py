@@ -44,8 +44,6 @@ class TestEvolutionConfig:
         with pytest.raises(ValueError):
             EvolutionConfig(method="euler")
         with pytest.raises(ValueError):
-            EvolutionConfig(frame="interaction")
-        with pytest.raises(ValueError):
             EvolutionConfig(dt=-0.1)
         with pytest.raises(ValueError):
             EvolutionConfig(dt=0.0)
@@ -251,7 +249,7 @@ class TestFrameConsistency:
         rot = hamiltonian_fn(p, d, "rotating", lay)
         lab_final = evolve(lab, psi0, t_end, EvolutionConfig(), 4).final.vec
         rotated = np.conj(frame_phases(t_end, p, d, lay)) * lab_final
-        rot_final = evolve(rot, psi0, t_end, EvolutionConfig(frame="rotating"), 4).final.vec
+        rot_final = evolve(rot, psi0, t_end, EvolutionConfig(), 4).final.vec
         assert np.linalg.norm(rotated - rot_final) <= 1e-6
 
 
