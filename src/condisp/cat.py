@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hilbert import (HilbertLayout, Ket, NORM_TOL, _check_truncation,
-                      basis_state, coherent_amplitudes)
+from .hilbert import (HilbertLayout, Ket, _check_truncation, basis_state,
+                      coherent_amplitudes)
 from .gate import analytic_unitary, beta_phi
 from .model import (DriveParams, SystemParams, effective_couplings,
                     frame_phases, hamiltonian_fn, _require_quadrature)
@@ -175,10 +175,7 @@ def cat_fidelity_experiment(params: SystemParams, drive: DriveParams, k: int,
     vec = basis_state(layout, "g", 0).vec
     for _ in range(k):
         vec = back * evolve_columns(h, vec, t0, cfg)
-    numeric = Ket(layout, vec)
-    if abs(numeric.norm() - 1.0) > NORM_TOL:
-        raise ValueError(f"evolved state norm drifted to {numeric.norm():.9f}")
 
     ratio = effective_couplings(params, drive)[0] / params.omega_r
     target = multi_step_cat(ratio, k, layout, params.omega_r)
-    return abs(np.vdot(target.vec, numeric.vec)) ** 2
+    return abs(np.vdot(target.vec, vec)) ** 2

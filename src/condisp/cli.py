@@ -338,6 +338,20 @@ def _metric_value(cfg) -> float:
     return cat_fidelity_experiment(params, drive, cfg["cat.steps"], evo, layout)
 
 
+def _sweep_point(job) -> float:
+    """_metric_value for one (overrides, config) grid point; a library
+    error is re-raised with the point's coordinates in front (top level:
+    worker-picklable)."""
+    overrides, point = job
+    try:
+        return _metric_value(point)
+    except (ValueError, PropagationAccuracyError) as exc:
+        where = ", ".join(f"{key}={value:.12g}" for key, value in overrides)
+        err = PropagationAccuracyError if isinstance(exc, PropagationAccuracyError) \
+            else ValueError
+        raise err(f"sweep point {where}: {exc}") from exc
+
+
 def _sweep_axes(cfg):
     axes = []
     for i in ("1", "2"):
@@ -374,21 +388,21 @@ def _run_sweep(cfg) -> int:
         (k1, v1), (k2, v2) = axes
         grid = [((k1, float(a)), (k2, float(b))) for a in v1 for b in v2]
 
-    points = []
+    jobs = []
     for overrides in grid:
         point = dict(cfg)
         for key, value in overrides:
             point[key] = value
-        points.append(point)
+        jobs.append((overrides, point))
 
     workers = cfg["sweep.workers"]
     if workers < 1:
         raise ConfigError(f"sweep.workers: must be >= 1, got {workers}")
     if workers == 1:
-        values = [_metric_value(p) for p in points]
+        values = [_sweep_point(job) for job in jobs]
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            values = list(pool.map(_metric_value, points, chunksize=1))
+            values = list(pool.map(_sweep_point, jobs, chunksize=1))
 
     metric = cfg["sweep.metric"]
     trend = "n/a"

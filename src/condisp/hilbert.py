@@ -3,8 +3,10 @@
 Tensor ordering is qubit 1 (x) qubit 2 (x) resonator, with the qubit basis
 ordered (|e>, |g>) so that sigma_z = diag(1, -1) has |e> as its +1
 eigenstate. The resonator is a truncated Fock space of dimension
-``fock_dim``. Everything is dense complex128; dimensions stay small enough
-(<= 2 qubits, few hundred Fock levels) that sparsity buys nothing.
+``fock_dim``. Operators are dense complex128; dimensions stay small
+enough (<= 2 qubits, few hundred Fock levels) for that. The propagators
+apply generators part by part instead, and a part that is diagonal in this
+basis (the qubit-splitting modulation) is kept as a 1-D vector.
 """
 from __future__ import annotations
 

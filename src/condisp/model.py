@@ -217,12 +217,11 @@ def lab_hamiltonian(params: SystemParams, layout: HilbertLayout) -> Operator:
     return Operator(layout, _lab_matrix(params, layout))
 
 
-def _drive_term(drive: DriveParams, layout: HilbertLayout) -> np.ndarray:
+def _drive_diagonal(drive: DriveParams, layout: HilbertLayout) -> np.ndarray:
+    """Diagonal of the modulation term sum_m (epsilon_m/2) sigma_z^m."""
     b = _blocks(layout)
-    v = np.zeros((layout.dim, layout.dim), dtype=complex)
-    for m in range(layout.n_qubits):
-        v += 0.5 * drive.epsilon[m] * b[f"sz{m}"]
-    return v
+    return sum(0.5 * drive.epsilon[m] * np.diag(b[f"sz{m}"]).real
+               for m in range(layout.n_qubits))
 
 
 def driven_hamiltonian(params: SystemParams, drive: DriveParams, t: float,
@@ -492,6 +491,57 @@ def omega_max(params: SystemParams, drive: DriveParams, frame: str) -> float:
     return params.omega_r + 2.0 * sum(abs(x) for x in geff)
 
 
+def _apply_parts(cs: np.ndarray, parts, x: np.ndarray) -> np.ndarray:
+    """sum_k cs[k] (parts[k] @ x) for a vector or a (dim, k) block.
+
+    A 1-D part is a diagonal and acts as an elementwise multiply.
+    """
+    out = None
+    for c, m in zip(cs, parts):
+        y = m @ x if m.ndim == 2 else m.reshape((-1,) + (1,) * (x.ndim - 1)) * x
+        y *= c
+        if out is None:
+            out = y
+        else:
+            out += y
+    return out
+
+
+def _assemble_parts(cs: np.ndarray, parts) -> np.ndarray:
+    """sum_k cs[k] parts[k] as one dense matrix (1-D parts on the diagonal)."""
+    dim = len(parts[0])
+    h = np.zeros((dim, dim), dtype=complex)
+    for c, m in zip(cs, parts):
+        if m.ndim == 2:
+            h += c * m
+        else:
+            h.flat[::dim + 1] += c * m
+    return h
+
+
+def _coefficient_form(h: Callable[[float], np.ndarray], t: float):
+    """(coeffs, parts) of a provider from hamiltonian_fn, or None.
+
+    A caller that applies the parts never calls h itself, so h is
+    evaluated here once, at t, and must reproduce its parts there. A
+    wrapper that copies a provider's attributes (as functools.wraps does)
+    but changes what it returns raises ValueError instead of being
+    propagated as the provider it wraps.
+    """
+    coeffs = getattr(h, "coeffs", None)
+    if coeffs is None:
+        return None
+    parts = h.parts
+    dense = np.asarray(h(t))
+    diff = float(np.max(np.abs(dense - _assemble_parts(coeffs(t), parts))))
+    if diff > 1e-12 * max(1.0, float(np.max(np.abs(dense)))):
+        raise ValueError(
+            f"provider's H(t) differs from its coefficient form by {diff:.3e} "
+            f"at t = {t:g}"
+        )
+    return coeffs, parts
+
+
 def hamiltonian_fn(params: SystemParams, drive: DriveParams, frame: str,
                    layout: HilbertLayout,
                    l_max: int = _DEFAULT_L_MAX) -> Callable[[float], np.ndarray]:
@@ -499,17 +549,24 @@ def hamiltonian_fn(params: SystemParams, drive: DriveParams, frame: str,
 
     Returns a plain-ndarray callable fit for the propagators. The public
     single-time builders are thin Operator wrappers over it.
+
+    The lab-driven and effective providers also carry their affine
+    coefficient form H(t) = sum_k coeffs(t)[k] parts[k], with the parts
+    built once: (h0, drive diagonal) with coefficients
+    (1, sin(omega_d t - phi)), and (W, W^dag) with
+    (e^{i omega_r t}, e^{-i omega_r t}). A 1-D part is a diagonal. The
+    propagators apply this form term by term (_apply_parts) instead of
+    forming H(t), after one check against fn (_coefficient_form).
     """
     _check_pair(params, drive, layout)
     if frame not in FRAMES:
         raise ValueError(f"frame must be one of {FRAMES}, got {frame!r}")
     if frame == "lab-driven":
-        h0 = _lab_matrix(params, layout)
-        v = _drive_term(drive, layout)
+        parts = (_lab_matrix(params, layout), _drive_diagonal(drive, layout))
         wd, phi = drive.omega_d, drive.phi
 
-        def fn(t: float) -> np.ndarray:
-            return h0 + math.sin(wd * t - phi) * v
+        def coeffs(t: float) -> np.ndarray:
+            return np.array([1.0, math.sin(wd * t - phi)])
 
     elif frame == "rotating":
         if not isinstance(l_max, int) or l_max < 8:
@@ -526,13 +583,19 @@ def hamiltonian_fn(params: SystemParams, drive: DriveParams, frame: str,
         w = np.zeros((layout.dim, layout.dim), dtype=complex)
         for m, geff in enumerate(effective_couplings(params, drive)):
             w += geff * (b["ad"] @ b[f"sx{m}"])
-        wdag = w.conj().T
+        parts = (w, w.conj().T)
         wr = params.omega_r
 
-        def fn(t: float) -> np.ndarray:
+        def coeffs(t: float) -> np.ndarray:
             ph = complex(math.cos(wr * t), math.sin(wr * t))
-            return ph * w + ph.conjugate() * wdag
+            return np.array([ph, ph.conjugate()])
 
+    if frame != "rotating":
+        def fn(t: float) -> np.ndarray:
+            return _assemble_parts(coeffs(t), parts)
+
+        fn.coeffs = coeffs
+        fn.parts = parts
     # let the propagators pick a default step and size-gate a given one
     fn.omega_max = omega_max(params, drive, frame)
     fn.layout = layout

@@ -1,11 +1,23 @@
 """Time-dependent Schrodinger propagation and effective-vs-exact traces.
 
-The workhorse is a midpoint piecewise-exponential stepper: over each
-substep the generator is frozen at the midpoint and exp(-i H dt) is
-applied through an adaptive Taylor product, which never leaves the unit
-sphere beyond roundoff. A classical RK4 stepper is kept as an independent
-cross-check; it is not norm-preserving, which is exactly why it makes a
-useful disagreement detector.
+The workhorse is the fourth-order commutator-free Magnus stepper CF4:2
+(Blanes & Moan, Appl. Numer. Math. 56, 1519 (2006); used for
+time-dependent quantum problems by Alvermann & Fehske, J. Comput. Phys.
+230, 5930 (2011)). Each step samples the generator at the two Gauss points
+t + (1/2 -+ sqrt(3)/6) dt and applies two exponentials,
+
+    exp(-i dt (a1 H_1 + a2 H_2)) exp(-i dt (a2 H_1 + a1 H_2)),
+    a1, a2 = (3 -+ 2 sqrt(3)) / 12,
+
+the one weighted toward the earlier point first. Each exponential acts
+through an adaptive Taylor product, which never leaves the unit sphere
+beyond roundoff. Providers that carry a coefficient form (see
+model.hamiltonian_fn) are evaluated as a dense H(t) once per
+propagation, to check that form; each exponent then mixes the
+coefficient vectors and is applied part by part. A classical RK4 stepper
+is kept as an independent cross-check, at its own finer default step; it
+is not norm-preserving, which is exactly why it makes a useful
+disagreement detector.
 """
 from __future__ import annotations
 
@@ -16,7 +28,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .hilbert import Ket, Operator, HilbertLayout, NORM_TOL
-from .model import DriveParams, SystemParams, frame_phases, hamiltonian_fn
+from .model import (DriveParams, SystemParams, frame_phases, hamiltonian_fn,
+                    _apply_parts, _coefficient_form)
 
 __all__ = [
     "DEFAULT_STEPS_PER_PERIOD",
@@ -33,10 +46,17 @@ __all__ = [
 
 METHODS = ("piecewise-exponential", "rk4")
 
-# Substeps per shortest Hamiltonian period. 200 leaves the step-halving
-# residual at the 1e-6 acceptance edge for the strong-coupling runs; 800
-# puts it near 1e-7 at roughly linear extra cost.
-DEFAULT_STEPS_PER_PERIOD = 800
+# CF4 steps per shortest Hamiltonian period. Final-state error of the
+# k = 6 cat experiment at Fock 128 against a 400-step run, and its wall
+# time on a 2-vCPU Xeon:
+#     50 -> 8.0e-9 (0.86 s), 64 -> 3.0e-9 (1.04 s),
+#     80 -> 1.2e-9 (1.25 s), 100 -> 5.0e-10 (1.43 s),
+# a slope of 4. 64 keeps the default step under the ceiling (50 per period)
+# and criterion 8's step-halving distance at 3.4e-10, bound 1e-6.
+DEFAULT_STEPS_PER_PERIOD = 64
+# RK4 steps per shortest period. RK4 is only the cross-check, and at 64
+# steps it would sit within 2x of that check's 1e-6 bound.
+_RK4_STEPS_PER_PERIOD = 800
 # Samples per resonator period in fidelity traces, enough to resolve the
 # fast dressing oscillations.
 SAMPLES_PER_PERIOD = 500
@@ -64,7 +84,8 @@ class EvolutionConfig:
     """How to integrate: step size and stepper.
 
     dt is in units of 1/omega_r; None derives (2 pi / omega_max) divided
-    by DEFAULT_STEPS_PER_PERIOD from the provider's own frequency scale.
+    by DEFAULT_STEPS_PER_PERIOD (800 for rk4) from the provider's own
+    frequency scale.
     An explicit dt above 2 pi / (50 omega_max) is rejected outright.
     """
 
@@ -91,7 +112,9 @@ class EvolutionConfig:
                 "dt is required: provider carries no omega_max attribute "
                 "to derive a default from"
             )
-        return 2.0 * math.pi / omega_max / DEFAULT_STEPS_PER_PERIOD
+        steps = (DEFAULT_STEPS_PER_PERIOD if self.method == "piecewise-exponential"
+                 else _RK4_STEPS_PER_PERIOD)
+        return 2.0 * math.pi / omega_max / steps
 
 
 @dataclass(frozen=True)
@@ -126,16 +149,42 @@ class FidelityTrace:
         return float(np.mean(self.fidelities))
 
 
-def _expmv(h: np.ndarray, dt: float, v: np.ndarray) -> np.ndarray:
-    """exp(-i h dt) @ v by the Taylor product, adaptive term count.
+# CF4:2 Gauss nodes and exponent weights.
+_CF4_NODES = (0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0)
+_CF4_WEIGHTS = ((3.0 - 2.0 * math.sqrt(3.0)) / 12.0,
+                (3.0 + 2.0 * math.sqrt(3.0)) / 12.0)
 
-    Converges for any dt but is only accurate (and cheap) for
-    dt * ||h|| of order one or below, which the step ceiling guarantees.
+
+def _mixer(h: HamiltonianProvider, t_check: float):
+    """mix(ts, ws) -> (cs, parts) with sum_k cs[k] parts[k] = sum_i ws[i] H(ts[i]).
+
+    A provider with a coefficient form, checked against h(t_check), mixes
+    its coefficient vectors over its static parts; any other callable
+    falls back to one dense part.
+    """
+    form = _coefficient_form(h, t_check)
+    if form is not None:
+        coeffs, parts = form
+
+        def mix(ts, ws):
+            return sum(w * coeffs(t) for t, w in zip(ts, ws)), parts
+    else:
+        def mix(ts, ws):
+            return np.ones(1), (sum(w * h(t) for t, w in zip(ts, ws)),)
+    return mix
+
+
+def _expmv(cs: np.ndarray, parts, dt: float, v: np.ndarray) -> np.ndarray:
+    """exp(-i h dt) @ v, h = sum_k cs[k] parts[k], by the Taylor product.
+
+    The term count adapts to a relative 1e-16 tail. Converges for any dt
+    but is only accurate (and cheap) for dt * ||h|| of order one or below,
+    which the step ceiling guarantees.
     """
     out = v.astype(complex, copy=True)
-    term = out.copy()
+    term = out
     for k in range(1, _TAYLOR_MAX_TERMS + 1):
-        term = (-1j * dt / k) * (h @ term)
+        term = _apply_parts((-1j * dt / k) * cs, parts, term)
         out += term
         if np.linalg.norm(term) <= _TAYLOR_RTOL * np.linalg.norm(out):
             return out
@@ -145,19 +194,24 @@ def _expmv(h: np.ndarray, dt: float, v: np.ndarray) -> np.ndarray:
     )
 
 
-def _make_step(h: HamiltonianProvider, method: str):
+def _make_step(h: HamiltonianProvider, method: str, t_check: float):
+    mix = _mixer(h, t_check)
     if method == "piecewise-exponential":
+        (c1, c2), (a1, a2) = _CF4_NODES, _CF4_WEIGHTS
+
         def step(t: float, dt: float, v: np.ndarray) -> np.ndarray:
-            return _expmv(h(t + 0.5 * dt), dt, v)
+            ts = (t + c1 * dt, t + c2 * dt)
+            v = _expmv(*mix(ts, (a2, a1)), dt, v)
+            return _expmv(*mix(ts, (a1, a2)), dt, v)
     else:
         def step(t: float, dt: float, v: np.ndarray) -> np.ndarray:
-            h0 = h(t)
-            hm = h(t + 0.5 * dt)
-            h1 = h(t + dt)
-            k1 = -1j * (h0 @ v)
-            k2 = -1j * (hm @ (v + (0.5 * dt) * k1))
-            k3 = -1j * (hm @ (v + (0.5 * dt) * k2))
-            k4 = -1j * (h1 @ (v + dt * k3))
+            h0 = mix((t,), (1.0,))
+            hm = mix((t + 0.5 * dt,), (1.0,))
+            h1 = mix((t + dt,), (1.0,))
+            k1 = -1j * _apply_parts(*h0, v)
+            k2 = -1j * _apply_parts(*hm, v + (0.5 * dt) * k1)
+            k3 = -1j * _apply_parts(*hm, v + (0.5 * dt) * k2)
+            k4 = -1j * _apply_parts(*h1, v + dt * k3)
             return v + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     return step
 
@@ -172,7 +226,7 @@ def _sample_grid(t_end: float, dt: float, n_samples: int):
 
 def _run(h: HamiltonianProvider, v0: np.ndarray, times: np.ndarray,
          n_sub: int, method: str, norm_gate: bool) -> list[np.ndarray]:
-    step = _make_step(h, method)
+    step = _make_step(h, method, float(times[-1]))
     v = v0.astype(complex, copy=True)
     out = [v.copy()]
     for i in range(len(times) - 1):
@@ -224,10 +278,13 @@ def evolve(h: HamiltonianProvider, psi0: Ket, t_end: float,
 
 def evolve_columns(h: HamiltonianProvider, v0: np.ndarray, t_end: float,
                    cfg: EvolutionConfig) -> np.ndarray:
-    """Propagate a (dim, k) block of columns to t_end, no sampling.
+    """Propagate a (dim, k) block of columns (or one vector) to t_end.
 
     This is how the gate experiment gets U(T) restricted to the subspace
-    it needs without paying for the full propagator.
+    it needs without paying for the full propagator. No samples are
+    kept; instead the overlaps of the columns must be preserved, and a
+    drift of max |C^dag C - V0^dag V0| beyond 1e-6 raises
+    PropagationAccuracyError naming t_end.
     """
     if not (math.isfinite(t_end) and t_end >= 0):
         raise ValueError(f"t_end must be >= 0, got {t_end}")
@@ -235,7 +292,15 @@ def evolve_columns(h: HamiltonianProvider, v0: np.ndarray, t_end: float,
         return v0.astype(complex, copy=True)
     dt = cfg.resolve_dt(getattr(h, "omega_max", None))
     times, n_sub = _sample_grid(t_end, dt, 1)
-    return _run(h, v0, times, n_sub, cfg.method, norm_gate=False)[-1]
+    out = _run(h, v0, times, n_sub, cfg.method, norm_gate=False)[-1]
+    c, c0 = out.reshape(len(out), -1), v0.reshape(len(v0), -1)
+    drift = float(np.max(np.abs(c.conj().T @ c - c0.conj().T @ c0)))
+    if drift > NORM_TOL:
+        raise PropagationAccuracyError(
+            f"column overlaps drifted by {drift:.3e} (budget {NORM_TOL:g}) "
+            f"at t = {t_end:g}", time=float(t_end),
+        )
+    return out
 
 
 def propagator(h: HamiltonianProvider, t_end: float, cfg: EvolutionConfig,

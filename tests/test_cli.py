@@ -334,6 +334,20 @@ class TestSweepCommand:
         code = main(self.BASE + ["--out", str(tmp_path)])
         assert code == 2
 
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_failing_point_named_by_coordinates(self, tmp_path, capsys, workers):
+        # 12 cat steps at g = 0.2 overrun the Fock-8 truncation budget;
+        # the g = 0.01 point before it is fine.
+        code = main(
+            ["sweep", "--metric", "cat-fidelity", "--n-qubits", "1", "--steps", "12",
+             "--fock-dim", "8", "--axis", "system.g", "0.01", "0.2", "2",
+             "--workers", workers, "--out", str(tmp_path)]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: sweep point system.g=0.2: |beta|^2")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
     def test_cat_metric_requires_single_qubit(self, tmp_path, capsys):
         code = main(
             ["sweep", "--metric", "cat-fidelity", "--fock-dim", "8",

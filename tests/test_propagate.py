@@ -5,19 +5,24 @@ Key oracles:
 * a static Hamiltonian has a closed-form phase evolution,
 * an uncoupled driven qubit integrates to an exact accumulated phase,
 * a driven two-qubit run must agree with the same integrator at 10x finer
-  steps (self-convergence against a 10x-refined reference),
+  steps (self-convergence against a 10x-refined reference) and with
+  SciPy's DOP853 at tight tolerances,
+* the coefficient-form apply must equal the dense H(t) matvec,
 * evolving in the lab frame and rotating afterwards must agree with
   evolving directly under the rotating-frame Hamiltonian.
 """
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 from condisp import DriveParams, HilbertLayout, SystemParams
 from condisp.hilbert import Ket, basis_state
-from condisp.model import frame_phases, hamiltonian_fn
+from condisp.model import _apply_parts, frame_phases, hamiltonian_fn
 from condisp.propagate import (
     DEFAULT_STEPS_PER_PERIOD,
     EvolutionConfig,
@@ -53,6 +58,8 @@ class TestEvolutionConfig:
         wmax = 4.0
         dt = cfg.resolve_dt(wmax)
         assert dt == pytest.approx(2 * np.pi / wmax / DEFAULT_STEPS_PER_PERIOD)
+        rk4 = EvolutionConfig(method="rk4").resolve_dt(wmax)
+        assert rk4 == pytest.approx(2 * np.pi / wmax / 800)
 
     def test_resolve_explicit_dt_within_ceiling(self):
         ceiling = 2 * np.pi / (50 * 4.0)
@@ -68,6 +75,40 @@ class TestEvolutionConfig:
     def test_resolve_requires_some_scale(self):
         with pytest.raises(ValueError):
             EvolutionConfig().resolve_dt(None)
+
+
+class TestCoefficientForm:
+    @pytest.mark.parametrize("frame", ["lab-driven", "effective"])
+    @pytest.mark.parametrize("n_qubits", [1, 2])
+    @pytest.mark.parametrize("cols", [None, 4])
+    def test_apply_matches_dense_matvec(self, frame, n_qubits, cols):
+        lay = HilbertLayout(n_qubits, 10)
+        p = SystemParams(omega_q=3.0, g=0.2, n_qubits=n_qubits)
+        alpha = (1.832,) if n_qubits == 1 else (1.20242, -1.20242)
+        d = DriveParams.from_alpha(alpha, 3.0)
+        fn = hamiltonian_fn(p, d, frame, lay)
+        rng = np.random.default_rng(3)
+        shape = (lay.dim,) if cols is None else (lay.dim, cols)
+        x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        for t in (0.0, 0.37, 2.9):
+            got = _apply_parts(fn.coeffs(t), fn.parts, x)
+            assert got.shape == x.shape
+            assert np.max(np.abs(got - fn(t) @ x)) <= 1e-13
+
+    def test_wrapper_that_changes_h_is_refused(self):
+        """functools.wraps copies coeffs/parts onto a wrapper; a wrapper
+        that returns the same H(t) propagates, one that perturbs it raises
+        instead of being propagated as the unwrapped provider."""
+        lay = HilbertLayout(1, 8)
+        p = SystemParams(omega_q=3.0, g=0.2, n_qubits=1)
+        fn = hamiltonian_fn(p, DriveParams.from_alpha((1.832,), 3.0), "lab-driven", lay)
+        psi0 = basis_state(lay, "g", 0)
+        same = functools.wraps(fn)(lambda t: fn(t))
+        a = evolve(fn, psi0, 1.0, EvolutionConfig(), 2).final.vec
+        assert np.array_equal(evolve(same, psi0, 1.0, EvolutionConfig(), 2).final.vec, a)
+        shifted = functools.wraps(fn)(lambda t: fn(t) + 0.01 * np.eye(lay.dim))
+        with pytest.raises(ValueError, match="coefficient form .* t = 1"):
+            evolve(shifted, psi0, 1.0, EvolutionConfig(), 2)
 
 
 class TestEvolveStatic:
@@ -151,6 +192,33 @@ class TestEvolveDriven:
         b = evolve(fn, psi0, t_end, EvolutionConfig(method="rk4"), 4)
         assert np.max(np.abs(a.final.vec - b.final.vec)) <= 1e-6
 
+    def test_fourth_order_convergence(self):
+        """Self-convergence over dt, dt/2, dt/4 at the step ceiling: the
+        successive differences shrink by 2^p with p near 4."""
+        lay = HilbertLayout(1, 8)
+        p = SystemParams(omega_q=3.0, g=0.2, n_qubits=1)
+        d = DriveParams.from_alpha((1.832,), 3.0)
+        fn = hamiltonian_fn(p, d, "lab-driven", lay)
+        v0 = basis_state(lay, "g", 0).vec
+        dt = 2 * np.pi / (50 * fn.omega_max)
+        runs = [evolve_columns(fn, v0, 2 * np.pi, EvolutionConfig(dt=dt / 2**i))
+                for i in range(3)]
+        order = np.log2(np.linalg.norm(runs[0] - runs[1])
+                        / np.linalg.norm(runs[1] - runs[2]))
+        assert order >= 3.5
+
+    def test_default_step_matches_scipy_oracle(self):
+        lay = HilbertLayout(2, 8)
+        p = SystemParams(omega_q=3.0, g=0.2)
+        d = DriveParams.from_alpha((1.20242, -1.20242), 3.0)
+        fn = hamiltonian_fn(p, d, "lab-driven", lay)
+        psi0 = basis_state(lay, "gg", 0)
+        t_end = 2 * np.pi / p.omega_r
+        ours = evolve(fn, psi0, t_end, EvolutionConfig(), n_samples=4).final.vec
+        ref = solve_ivp(lambda t, y: -1j * (fn(t) @ y), (0.0, t_end), psi0.vec,
+                        method="DOP853", rtol=1e-12, atol=1e-12).y[:, -1]
+        assert np.max(np.abs(ours - ref)) <= 1e-8
+
     def test_step_halving_residual(self):
         lay = HilbertLayout(1, 8)
         p = SystemParams(omega_q=3.0, g=0.2, n_qubits=1)
@@ -172,6 +240,16 @@ class TestEvolveDriven:
         with pytest.raises(PropagationAccuracyError) as exc:
             evolve(fn, psi0, 5.0, EvolutionConfig(), n_samples=10)
         assert exc.value.time is not None
+
+
+class TestEvolveColumns:
+    def test_overlap_drift_raises_with_time(self, single_layout):
+        mat = -0.05j * np.eye(single_layout.dim, dtype=complex)
+        fn = _static_provider(mat, single_layout, wmax=10.0)
+        v0 = np.eye(single_layout.dim, dtype=complex)[:, :2]
+        with pytest.raises(PropagationAccuracyError, match="t = 5") as exc:
+            evolve_columns(fn, v0, 5.0, EvolutionConfig())
+        assert exc.value.time == 5.0
 
 
 class TestPropagator:
