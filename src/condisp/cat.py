@@ -14,12 +14,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hilbert import (HilbertLayout, Ket, _check_truncation, basis_state,
-                      coherent_amplitudes)
+from .hilbert import (NORM_TOL, HilbertLayout, Ket, _check_truncation,
+                      basis_state, coherent_amplitudes)
 from .gate import analytic_unitary, beta_phi
 from .model import (DriveParams, SystemParams, effective_couplings,
                     frame_phases, hamiltonian_fn, _require_quadrature)
-from .propagate import EvolutionConfig, evolve_columns
+from .propagate import EvolutionConfig, PropagationAccuracyError, evolve_columns
 
 __all__ = [
     "CatDecomposition",
@@ -175,6 +175,12 @@ def cat_fidelity_experiment(params: SystemParams, drive: DriveParams, k: int,
     vec = basis_state(layout, "g", 0).vec
     for _ in range(k):
         vec = back * evolve_columns(h, vec, t0, cfg)
+    drift = abs(float(np.linalg.norm(vec)) - 1.0)
+    if drift > NORM_TOL:
+        raise PropagationAccuracyError(
+            f"cat state norm drifted by {drift:.3e} (budget {NORM_TOL:g}) "
+            f"over {k} steps, t = {k * t0:g}", step=k, time=k * t0,
+        )
 
     ratio = effective_couplings(params, drive)[0] / params.omega_r
     target = multi_step_cat(ratio, k, layout, params.omega_r)

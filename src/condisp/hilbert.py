@@ -5,8 +5,14 @@ ordered (|e>, |g>) so that sigma_z = diag(1, -1) has |e> as its +1
 eigenstate. The resonator is a truncated Fock space of dimension
 ``fock_dim``. Operators are dense complex128; dimensions stay small
 enough (<= 2 qubits, few hundred Fock levels) for that. The propagators
-apply generators part by part instead, and a part that is diagonal in this
-basis (the qubit-splitting modulation) is kept as a 1-D vector.
+apply generators part by part instead. With one qubit, every generator
+conserves the parity exp(i pi (n + (1 + sigma_z)/2)) and only couples
+neighbours along the two parity chains |g,0>, |e,1>, |g,2>, ... and
+|e,0>, |g,1>, |e,2>, ...; its parts are kept as three bands (diagonal,
+super-, sub-diagonal) in that chain order, and states are permuted into
+it for the propagation and back. With two qubits the parts stay dense in
+this basis, and a diagonal part (the qubit-splitting modulation) is kept
+as a 1-D vector.
 """
 from __future__ import annotations
 

@@ -491,6 +491,56 @@ def omega_max(params: SystemParams, drive: DriveParams, frame: str) -> float:
     return params.omega_r + 2.0 * sum(abs(x) for x in geff)
 
 
+@dataclass(frozen=True, eq=False)
+class _Chains:
+    """Parts of a one-qubit generator as bands along its two parity chains.
+
+    Chain order lists |g,0>, |e,1>, |g,2>, ... and then |e,0>, |g,1>,
+    |e,2>, ...: every generator here flips the qubit with each photon it
+    adds or removes, so it only couples neighbours within a chain, and a
+    part is three bands. bands[k] holds part k's diagonal, super-diagonal
+    (M[i, i+1]) and sub-diagonal (M[i, i-1]); the last super entry and
+    the first sub entry are padding, and both are 0 at the seam between
+    the chains. order[i] is the product-basis index of chain position i.
+    """
+
+    bands: np.ndarray  # (parts, 3, dim), complex so mixed bands multiply fast
+    order: np.ndarray
+
+
+def _chain_basis(fock_dim: int):
+    """Photon number, sigma_z value and product-basis index per chain position."""
+    n = np.tile(np.arange(fock_dim), 2)
+    s = np.where(n % 2 == 0, -1.0, 1.0)
+    s[fock_dim:] *= -1.0
+    order = np.where(s > 0, 0, fock_dim) + n  # qubit basis (|e>, |g>)
+    return n, s, order
+
+
+def _lab_chains(params: SystemParams, drive: DriveParams, fock_dim: int) -> _Chains:
+    """(h0, drive diagonal) of one qubit from their closed forms.
+
+    h0 has diagonal omega_r n + s omega_q/2 and hops g sqrt(n+1) within a
+    chain; the drive part is the diagonal s epsilon/2.
+    """
+    n, s, order = _chain_basis(fock_dim)
+    hop = params.g * np.sqrt(n)  # sub[i] = g sqrt(n_i): 0 where a chain starts
+    zero = np.zeros(len(n))
+    return _Chains(np.array([
+        [params.omega_r * n + 0.5 * params.omega_q * s, np.roll(hop, -1), hop],
+        [0.5 * drive.epsilon[0] * s, zero, zero],
+    ], dtype=complex), order)
+
+
+def _effective_chains(g_eff: float, fock_dim: int) -> _Chains:
+    """(W, W^dag) of one qubit, W = g_eff a^dag sigma_x: hops g_eff sqrt(n+1)."""
+    n, _, order = _chain_basis(fock_dim)
+    w = g_eff * np.sqrt(n)
+    zero = np.zeros(len(n))
+    return _Chains(np.array([[zero, zero, w], [zero, np.roll(w, -1), zero]],
+                            dtype=complex), order)
+
+
 def _apply_parts(cs: np.ndarray, parts, x: np.ndarray) -> np.ndarray:
     """sum_k cs[k] (parts[k] @ x) for a vector or a (dim, k) block.
 
@@ -507,8 +557,35 @@ def _apply_parts(cs: np.ndarray, parts, x: np.ndarray) -> np.ndarray:
     return out
 
 
+def _band_operator(bands: np.ndarray):
+    """apply(x, scale) = scale * T @ x for the tridiagonal T with these bands.
+
+    x is a vector or a (dim, k) block in chain order; the band views are
+    cut once here, because each Taylor term costs only a few vector ops.
+    """
+    flat = bands[0], bands[1, :-1], bands[2, 1:]
+    cols = tuple(b[:, None] for b in flat)
+
+    def apply(x: np.ndarray, scale: complex) -> np.ndarray:
+        d, up, lo = flat if x.ndim == 1 else cols
+        y = d * x
+        y[:-1] += up * x[1:]
+        y[1:] += lo * x[:-1]
+        y *= scale
+        return y
+    return apply
+
+
 def _assemble_parts(cs: np.ndarray, parts) -> np.ndarray:
-    """sum_k cs[k] parts[k] as one dense matrix (1-D parts on the diagonal)."""
+    """sum_k cs[k] parts[k] as one dense matrix in the product basis."""
+    if isinstance(parts, _Chains):
+        d, up, lo = np.tensordot(cs, parts.bands, 1)
+        o = parts.order
+        h = np.zeros((len(o), len(o)), dtype=complex)
+        h[o, o] = d
+        h[o[:-1], o[1:]] = up[:-1]
+        h[o[1:], o[:-1]] = lo[1:]
+        return h
     dim = len(parts[0])
     h = np.zeros((dim, dim), dtype=complex)
     for c, m in zip(cs, parts):
@@ -542,6 +619,41 @@ def _coefficient_form(h: Callable[[float], np.ndarray], t: float):
     return coeffs, parts
 
 
+def _mixer(h: Callable[[float], np.ndarray], t_check: float):
+    """(mix, into, back): how a propagator applies the provider h.
+
+    mix(ts, ws) forms sum_i ws[i] H(ts[i]) once and returns
+    apply(x, scale) = scale * (that sum) @ x, for a state or a (dim, k)
+    column block held in the propagation basis; into and back copy a
+    state or block from the product basis into that basis and back. A
+    provider with a coefficient form, checked against h(t_check), mixes
+    its coefficient vectors over its parts: chain parts (one qubit) into
+    three bands, in chain order; dense parts term by term, in the product
+    basis. Any other callable falls back to one dense mixed matrix.
+    """
+    form = _coefficient_form(h, t_check)
+    if form is None:
+        def mix(ts, ws):
+            m = sum(w * h(t) for t, w in zip(ts, ws))
+            return lambda x, scale: _apply_parts((scale,), (m,), x)
+        return mix, np.copy, np.copy
+    coeffs, parts = form
+    if isinstance(parts, _Chains):
+        order = parts.order
+        inverse = np.argsort(order)
+        flat = parts.bands.reshape(len(parts.bands), -1)
+
+        def mix(ts, ws):
+            cs = sum(w * coeffs(t) for t, w in zip(ts, ws))
+            return _band_operator((cs @ flat).reshape(3, -1))
+        return mix, (lambda x: x[order]), (lambda x: x[inverse])
+
+    def mix(ts, ws):
+        cs = sum(w * coeffs(t) for t, w in zip(ts, ws))
+        return lambda x, scale: _apply_parts(scale * cs, parts, x)
+    return mix, np.copy, np.copy
+
+
 def hamiltonian_fn(params: SystemParams, drive: DriveParams, frame: str,
                    layout: HilbertLayout,
                    l_max: int = _DEFAULT_L_MAX) -> Callable[[float], np.ndarray]:
@@ -554,15 +666,21 @@ def hamiltonian_fn(params: SystemParams, drive: DriveParams, frame: str,
     coefficient form H(t) = sum_k coeffs(t)[k] parts[k], with the parts
     built once: (h0, drive diagonal) with coefficients
     (1, sin(omega_d t - phi)), and (W, W^dag) with
-    (e^{i omega_r t}, e^{-i omega_r t}). A 1-D part is a diagonal. The
-    propagators apply this form term by term (_apply_parts) instead of
-    forming H(t), after one check against fn (_coefficient_form).
+    (e^{i omega_r t}, e^{-i omega_r t}). With one qubit the parts are
+    _Chains, three bands each along the two parity chains, built from
+    their closed forms; with two qubits they are dense matrices, and a
+    1-D part is a diagonal. fn(t) assembles the dense product-basis H(t)
+    from the same parts. The propagators go through _mixer, which checks
+    the form against fn once per propagation and then never forms H(t).
     """
     _check_pair(params, drive, layout)
     if frame not in FRAMES:
         raise ValueError(f"frame must be one of {FRAMES}, got {frame!r}")
     if frame == "lab-driven":
-        parts = (_lab_matrix(params, layout), _drive_diagonal(drive, layout))
+        if layout.n_qubits == 1:
+            parts = _lab_chains(params, drive, layout.fock_dim)
+        else:
+            parts = (_lab_matrix(params, layout), _drive_diagonal(drive, layout))
         wd, phi = drive.omega_d, drive.phi
 
         def coeffs(t: float) -> np.ndarray:
@@ -579,11 +697,15 @@ def hamiltonian_fn(params: SystemParams, drive: DriveParams, frame: str,
 
     else:
         _require_quadrature(drive, "effective model")
-        b = _blocks(layout)
-        w = np.zeros((layout.dim, layout.dim), dtype=complex)
-        for m, geff in enumerate(effective_couplings(params, drive)):
-            w += geff * (b["ad"] @ b[f"sx{m}"])
-        parts = (w, w.conj().T)
+        geffs = effective_couplings(params, drive)
+        if layout.n_qubits == 1:
+            parts = _effective_chains(geffs[0], layout.fock_dim)
+        else:
+            b = _blocks(layout)
+            w = np.zeros((layout.dim, layout.dim), dtype=complex)
+            for m, geff in enumerate(geffs):
+                w += geff * (b["ad"] @ b[f"sx{m}"])
+            parts = (w, w.conj().T)
         wr = params.omega_r
 
         def coeffs(t: float) -> np.ndarray:

@@ -13,8 +13,11 @@ the one weighted toward the earlier point first. Each exponential acts
 through an adaptive Taylor product, which never leaves the unit sphere
 beyond roundoff. Providers that carry a coefficient form (see
 model.hamiltonian_fn) are evaluated as a dense H(t) once per
-propagation, to check that form; each exponent then mixes the
-coefficient vectors and is applied part by part. A classical RK4 stepper
+propagation, to check that form; each exponent then mixes the parts
+once (model._mixer). A one-qubit generator becomes one tridiagonal
+matrix along its parity chains, so the state is permuted into chain
+order for the whole propagation and every kept sample is permuted back;
+a two-qubit one is applied part by part. A classical RK4 stepper
 is kept as an independent cross-check, at its own finer default step; it
 is not norm-preserving, which is exactly why it makes a useful
 disagreement detector.
@@ -29,7 +32,7 @@ import numpy as np
 
 from .hilbert import Ket, Operator, HilbertLayout, NORM_TOL
 from .model import (DriveParams, SystemParams, frame_phases, hamiltonian_fn,
-                    _apply_parts, _coefficient_form)
+                    _mixer)
 
 __all__ = [
     "DEFAULT_STEPS_PER_PERIOD",
@@ -155,38 +158,20 @@ _CF4_WEIGHTS = ((3.0 - 2.0 * math.sqrt(3.0)) / 12.0,
                 (3.0 + 2.0 * math.sqrt(3.0)) / 12.0)
 
 
-def _mixer(h: HamiltonianProvider, t_check: float):
-    """mix(ts, ws) -> (cs, parts) with sum_k cs[k] parts[k] = sum_i ws[i] H(ts[i]).
+def _expmv(apply, dt: float, v: np.ndarray) -> np.ndarray:
+    """exp(-i h dt) @ v by the Taylor product, apply(x, scale) = scale * h @ x.
 
-    A provider with a coefficient form, checked against h(t_check), mixes
-    its coefficient vectors over its static parts; any other callable
-    falls back to one dense part.
-    """
-    form = _coefficient_form(h, t_check)
-    if form is not None:
-        coeffs, parts = form
-
-        def mix(ts, ws):
-            return sum(w * coeffs(t) for t, w in zip(ts, ws)), parts
-    else:
-        def mix(ts, ws):
-            return np.ones(1), (sum(w * h(t) for t, w in zip(ts, ws)),)
-    return mix
-
-
-def _expmv(cs: np.ndarray, parts, dt: float, v: np.ndarray) -> np.ndarray:
-    """exp(-i h dt) @ v, h = sum_k cs[k] parts[k], by the Taylor product.
-
-    The term count adapts to a relative 1e-16 tail. Converges for any dt
-    but is only accurate (and cheap) for dt * ||h|| of order one or below,
-    which the step ceiling guarantees.
+    The term count adapts to a relative 1e-16 tail, tested on squared
+    norms. Converges for any dt but is only accurate (and cheap) for
+    dt * ||h|| of order one or below, which the step ceiling guarantees.
     """
     out = v.astype(complex, copy=True)
     term = out
+    tol = _TAYLOR_RTOL ** 2
     for k in range(1, _TAYLOR_MAX_TERMS + 1):
-        term = _apply_parts((-1j * dt / k) * cs, parts, term)
+        term = apply(term, -1j * dt / k)
         out += term
-        if np.linalg.norm(term) <= _TAYLOR_RTOL * np.linalg.norm(out):
+        if np.vdot(term, term).real <= tol * np.vdot(out, out).real:
             return out
     raise PropagationAccuracyError(
         f"matrix-exponential series did not converge in {_TAYLOR_MAX_TERMS} "
@@ -195,25 +180,26 @@ def _expmv(cs: np.ndarray, parts, dt: float, v: np.ndarray) -> np.ndarray:
 
 
 def _make_step(h: HamiltonianProvider, method: str, t_check: float):
-    mix = _mixer(h, t_check)
+    """(step, into, back): one step in the propagation basis of _mixer."""
+    mix, into, back = _mixer(h, t_check)
     if method == "piecewise-exponential":
         (c1, c2), (a1, a2) = _CF4_NODES, _CF4_WEIGHTS
 
         def step(t: float, dt: float, v: np.ndarray) -> np.ndarray:
             ts = (t + c1 * dt, t + c2 * dt)
-            v = _expmv(*mix(ts, (a2, a1)), dt, v)
-            return _expmv(*mix(ts, (a1, a2)), dt, v)
+            v = _expmv(mix(ts, (a2, a1)), dt, v)
+            return _expmv(mix(ts, (a1, a2)), dt, v)
     else:
         def step(t: float, dt: float, v: np.ndarray) -> np.ndarray:
             h0 = mix((t,), (1.0,))
             hm = mix((t + 0.5 * dt,), (1.0,))
             h1 = mix((t + dt,), (1.0,))
-            k1 = -1j * _apply_parts(*h0, v)
-            k2 = -1j * _apply_parts(*hm, v + (0.5 * dt) * k1)
-            k3 = -1j * _apply_parts(*hm, v + (0.5 * dt) * k2)
-            k4 = -1j * _apply_parts(*h1, v + dt * k3)
+            k1 = h0(v, -1j)
+            k2 = hm(v + (0.5 * dt) * k1, -1j)
+            k3 = hm(v + (0.5 * dt) * k2, -1j)
+            k4 = h1(v + dt * k3, -1j)
             return v + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return step
+    return step, into, back
 
 
 def _sample_grid(t_end: float, dt: float, n_samples: int):
@@ -226,9 +212,9 @@ def _sample_grid(t_end: float, dt: float, n_samples: int):
 
 def _run(h: HamiltonianProvider, v0: np.ndarray, times: np.ndarray,
          n_sub: int, method: str, norm_gate: bool) -> list[np.ndarray]:
-    step = _make_step(h, method, float(times[-1]))
-    v = v0.astype(complex, copy=True)
-    out = [v.copy()]
+    step, into, back = _make_step(h, method, float(times[-1]))
+    v = into(np.asarray(v0, dtype=complex))
+    out = [back(v)]
     for i in range(len(times) - 1):
         t0 = times[i]
         dt = (times[i + 1] - t0) / n_sub
@@ -242,7 +228,7 @@ def _run(h: HamiltonianProvider, v0: np.ndarray, times: np.ndarray,
                     f"sample {i + 1}, t = {times[i + 1]:g}",
                     step=i + 1, time=float(times[i + 1]),
                 )
-        out.append(v.copy())
+        out.append(back(v))
     return out
 
 

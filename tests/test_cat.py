@@ -23,7 +23,7 @@ from condisp.cat import (
 )
 from condisp.gate import analytic_unitary
 from condisp.hilbert import Ket, basis_state, coherent_amplitudes, fidelity
-from condisp.propagate import EvolutionConfig
+from condisp.propagate import EvolutionConfig, PropagationAccuracyError, evolve_columns
 
 CAT_LAYOUT = HilbertLayout(n_qubits=1, fock_dim=24)
 T0 = np.pi  # one step at omega_r = 1
@@ -225,6 +225,18 @@ class TestCatExperiment:
         d = DriveParams.from_alpha((1.832,), 3.0, phi=1.0)
         with pytest.raises(ValueError, match="phi"):
             cat_fidelity_experiment(p, d, 1, EvolutionConfig(), layout=HilbertLayout(1, 16))
+
+    def test_cumulative_norm_drift_raises(self, monkeypatch):
+        # each step's own overlap check is bypassed here; the final-state
+        # check still bounds the drift accumulated over all k steps
+        monkeypatch.setattr("condisp.cat.evolve_columns",
+                            lambda *args: 1.001 * evolve_columns(*args))
+        p = SystemParams(omega_q=3.0, g=0.2, n_qubits=1)
+        d = DriveParams.from_alpha((1.832,), 3.0)
+        with pytest.raises(PropagationAccuracyError, match="over 2 steps") as err:
+            cat_fidelity_experiment(p, d, 2, EvolutionConfig(), layout=HilbertLayout(1, 16))
+        assert err.value.step == 2
+        assert err.value.time == pytest.approx(2 * np.pi)
 
     def test_step_time_constant(self):
         assert STEP_TIME_FACTOR == pytest.approx(np.pi)

@@ -252,6 +252,40 @@ class TestEffectiveHamiltonian:
             effective_hamiltonian(std_params, d, 0.0, small_layout)
 
 
+class TestSingleQubitChains:
+    """One-qubit providers keep their parts as parity-chain bands; the dense
+    H(t) they return must still be the product-basis Hamiltonian."""
+
+    @staticmethod
+    def _kron_ops(fock_dim):
+        sz = np.diag([1.0, -1.0])  # qubit basis (|e>, |g>)
+        sx = np.array([[0.0, 1.0], [1.0, 0.0]])
+        a = np.diag(np.sqrt(np.arange(1, fock_dim)), 1)
+        return sz, sx, a, np.eye(2), np.eye(fock_dim)
+
+    def test_driven_matches_kronecker(self, single_layout):
+        p = SystemParams(omega_q=3.0, g=0.2, n_qubits=1)
+        d = DriveParams.from_alpha((1.832,), 3.0)
+        sz, sx, a, i2, i_f = self._kron_ops(single_layout.fock_dim)
+        for t in (0.0, 0.37, 2.9):
+            split = p.omega_q + d.epsilon[0] * np.sin(d.omega_d * t - d.phi)
+            ref = (p.omega_r * np.kron(i2, a.T @ a) + 0.5 * split * np.kron(sz, i_f)
+                   + p.g * np.kron(sx, a + a.T))
+            h = driven_hamiltonian(p, d, t, single_layout).mat
+            assert np.max(np.abs(h - ref)) <= 1e-13
+
+    def test_effective_matches_kronecker(self, single_layout):
+        p = SystemParams(omega_q=3.0, g=0.2, n_qubits=1)
+        d = DriveParams.from_alpha((1.832,), 3.0)
+        geff = p.g * bessel_j(1, 1.832)
+        _, sx, a, _, _ = self._kron_ops(single_layout.fock_dim)
+        for t in (0.0, 0.37, 2.9):
+            ph = np.exp(1j * p.omega_r * t)
+            ref = geff * (ph * np.kron(sx, a.T) + np.conj(ph) * np.kron(sx, a))
+            h = effective_hamiltonian(p, d, t, single_layout).mat
+            assert np.max(np.abs(h - ref)) <= 1e-13
+
+
 class TestValidityReport:
     def test_reference_point_all_satisfied(self, std_params, std_drive):
         rep = validity_report(std_params, std_drive)

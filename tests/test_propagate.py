@@ -7,7 +7,8 @@ Key oracles:
 * a driven two-qubit run must agree with the same integrator at 10x finer
   steps (self-convergence against a 10x-refined reference) and with
   SciPy's DOP853 at tight tolerances,
-* the coefficient-form apply must equal the dense H(t) matvec,
+* the coefficient-form apply must equal the dense H(t) matvec, and the
+  one-qubit parity-chain path must propagate as the dense fallback does,
 * evolving in the lab frame and rotating afterwards must agree with
   evolving directly under the rotating-frame Hamiltonian.
 """
@@ -22,7 +23,7 @@ from scipy.integrate import solve_ivp
 
 from condisp import DriveParams, HilbertLayout, SystemParams
 from condisp.hilbert import Ket, basis_state
-from condisp.model import _apply_parts, frame_phases, hamiltonian_fn
+from condisp.model import _mixer, frame_phases, hamiltonian_fn
 from condisp.propagate import (
     DEFAULT_STEPS_PER_PERIOD,
     EvolutionConfig,
@@ -91,7 +92,8 @@ class TestCoefficientForm:
         shape = (lay.dim,) if cols is None else (lay.dim, cols)
         x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         for t in (0.0, 0.37, 2.9):
-            got = _apply_parts(fn.coeffs(t), fn.parts, x)
+            mix, into, back = _mixer(fn, t)
+            got = back(mix((t,), (1.0,))(into(x), 1.0))
             assert got.shape == x.shape
             assert np.max(np.abs(got - fn(t) @ x)) <= 1e-13
 
@@ -109,6 +111,49 @@ class TestCoefficientForm:
         shifted = functools.wraps(fn)(lambda t: fn(t) + 0.01 * np.eye(lay.dim))
         with pytest.raises(ValueError, match="coefficient form .* t = 1"):
             evolve(shifted, psi0, 1.0, EvolutionConfig(), 2)
+
+
+class TestChainPath:
+    """One-qubit providers propagate along their parity chains; the same
+    provider behind a plain lambda takes the dense fallback."""
+
+    @staticmethod
+    def _pair(frame):
+        lay = HilbertLayout(1, 12)
+        p = SystemParams(omega_q=3.0, g=0.2, n_qubits=1)
+        fn = hamiltonian_fn(p, DriveParams.from_alpha((1.832,), 3.0), frame, lay)
+        def dense(t: float) -> np.ndarray:  # no coeffs: the dense fallback
+            return fn(t)
+
+        dense.layout, dense.omega_max = lay, fn.omega_max
+        return fn, dense
+
+    @pytest.mark.parametrize("frame", ["lab-driven", "effective"])
+    def test_evolve_matches_dense_fallback(self, frame):
+        fn, dense = self._pair(frame)
+        psi0 = basis_state(fn.layout, "g", 1)
+        a = evolve(fn, psi0, 2.0, EvolutionConfig(), n_samples=5)
+        b = evolve(dense, psi0, 2.0, EvolutionConfig(), n_samples=5)
+        assert len(a.states) == len(b.states) == 6
+        for x, y in zip(a.states, b.states):
+            assert np.max(np.abs(x.vec - y.vec)) <= 1e-12
+
+    @pytest.mark.parametrize("frame", ["lab-driven", "effective"])
+    def test_columns_and_propagator_match_dense_fallback(self, frame):
+        fn, dense = self._pair(frame)
+        cfg = EvolutionConfig()
+        v0 = np.eye(fn.layout.dim, dtype=complex)[:, [0, 5, 13]]
+        cols = evolve_columns(fn, v0, 1.7, cfg)
+        assert np.max(np.abs(cols - evolve_columns(dense, v0, 1.7, cfg))) <= 1e-12
+        u = propagator(fn, 1.7, cfg).mat
+        assert np.max(np.abs(u - propagator(dense, 1.7, cfg).mat)) <= 1e-12
+
+    def test_rk4_matches_cf4(self):
+        fn, _ = self._pair("lab-driven")
+        psi0 = basis_state(fn.layout, "g", 0)
+        a = evolve(fn, psi0, 2 * np.pi, EvolutionConfig(), 4)
+        b = evolve(fn, psi0, 2 * np.pi, EvolutionConfig(method="rk4"), 4)
+        assert np.max(np.abs(a.final.vec - b.final.vec)) <= 1e-6
 
 
 class TestEvolveStatic:
