@@ -149,6 +149,30 @@ def multi_step_cat(g_eff_ratio: float, k: int, layout: HilbertLayout,
     return Ket(layout, vec)
 
 
+def _grow_cat(params: SystemParams, drive: DriveParams, k: int,
+              cfg: EvolutionConfig, layout: HilbertLayout) -> np.ndarray:
+    """The numerically grown k-step cat of cat_fidelity_experiment, in the
+    modulation frame, after checking its cumulative norm drift."""
+    if params.n_qubits != 1:
+        raise ValueError("the cat experiment needs exactly 1 qubit")
+    if not isinstance(k, int) or k < 1:
+        raise ValueError(f"k must be a positive integer, got {k!r}")
+    _require_quadrature(drive, "the cat experiment")
+    t0 = STEP_TIME_FACTOR / params.omega_r
+    h = hamiltonian_fn(params, drive, "lab-driven", layout)
+    back = np.conj(frame_phases(t0, params, drive, layout))
+    vec = basis_state(layout, "g", 0).vec
+    for _ in range(k):
+        vec = back * evolve_columns(h, vec, t0, cfg)
+    drift = abs(float(np.linalg.norm(vec)) - 1.0)
+    if drift > NORM_TOL:
+        raise PropagationAccuracyError(
+            f"cat state norm drifted by {drift:.3e} (budget {NORM_TOL:g}) "
+            f"over {k} steps, t = {k * t0:g}", step=k, time=k * t0,
+        )
+    return vec
+
+
 def cat_fidelity_experiment(params: SystemParams, drive: DriveParams, k: int,
                             cfg: EvolutionConfig,
                             layout: HilbertLayout | None = None) -> float:
@@ -162,26 +186,9 @@ def cat_fidelity_experiment(params: SystemParams, drive: DriveParams, k: int,
     the second half). The analytic target assumes phi = pi/2, so any
     other modulation phase is rejected.
     """
-    if params.n_qubits != 1:
-        raise ValueError("the cat experiment needs exactly 1 qubit")
-    if not isinstance(k, int) or k < 1:
-        raise ValueError(f"k must be a positive integer, got {k!r}")
-    _require_quadrature(drive, "the cat experiment")
     if layout is None:
         layout = HilbertLayout(n_qubits=1, fock_dim=32)
-    t0 = STEP_TIME_FACTOR / params.omega_r
-    h = hamiltonian_fn(params, drive, "lab-driven", layout)
-    back = np.conj(frame_phases(t0, params, drive, layout))
-    vec = basis_state(layout, "g", 0).vec
-    for _ in range(k):
-        vec = back * evolve_columns(h, vec, t0, cfg)
-    drift = abs(float(np.linalg.norm(vec)) - 1.0)
-    if drift > NORM_TOL:
-        raise PropagationAccuracyError(
-            f"cat state norm drifted by {drift:.3e} (budget {NORM_TOL:g}) "
-            f"over {k} steps, t = {k * t0:g}", step=k, time=k * t0,
-        )
-
+    vec = _grow_cat(params, drive, k, cfg, layout)
     ratio = effective_couplings(params, drive)[0] / params.omega_r
     target = multi_step_cat(ratio, k, layout, params.omega_r)
     return abs(np.vdot(target.vec, vec)) ** 2

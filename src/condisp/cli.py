@@ -26,10 +26,11 @@ from .hilbert import HilbertLayout, basis_state
 from .model import (DriveParams, SystemParams, effective_couplings,
                     validity_report)
 from .numerics import bessel_j
-from .propagate import (EvolutionConfig, PropagationAccuracyError, fidelity_trace,
-                        write_trace_csv)
+from .propagate import (EvolutionConfig, PropagationAccuracyError, _write_csv,
+                        fidelity_trace, write_trace_csv)
 from .gate import gate_columns, gate_fidelity_trials
-from .cat import cat_fidelity_experiment, decompose_cat, multi_step_cat
+from .cat import (_grow_cat, cat_fidelity_experiment, decompose_cat,
+                  multi_step_cat)
 
 __all__ = ["main", "run", "parse_config", "format_config", "PRESETS"]
 
@@ -243,17 +244,6 @@ def _out_path(cfg, name: str) -> str:
     return os.path.join(out_dir, name)
 
 
-def _write_csv(path, comments, header: str, rows) -> None:
-    """Comment lines (each behind '# '), a column header, then the rows
-    with every cell at 12 significant digits."""
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        for line in comments:
-            f.write(f"# {line}\n")
-        f.write(header + "\n")
-        for row in rows:
-            f.write(",".join(f"{v:.12g}" for v in row) + "\n")
-
-
 def _run_validate(cfg) -> int:
     params, drive, layout, evo = _build(cfg)
     psi0 = basis_state(layout, "g" * layout.n_qubits, 0)
@@ -296,10 +286,13 @@ def _run_cat(cfg) -> int:
     if k < 1:
         raise ConfigError(f"cat.steps: must be >= 1, got {k}")
     # fidelity measures how close the full evolution lands on the target;
-    # amplitude and probabilities characterize the target itself
-    fid = cat_fidelity_experiment(params, drive, k, evo, layout)
+    # amplitude and probabilities characterize the target itself. This is
+    # cat_fidelity_experiment with the dense target built once for both.
+    vec = _grow_cat(params, drive, k, evo, layout)
     ratio = effective_couplings(params, drive)[0] / params.omega_r
-    dec = decompose_cat(multi_step_cat(ratio, k, layout, params.omega_r))
+    target = multi_step_cat(ratio, k, layout, params.omega_r)
+    fid = abs(np.vdot(target.vec, vec)) ** 2
+    dec = decompose_cat(target)
 
     summary = [f"branch_amplitude = {abs(dec.beta):.12g}", f"p_even = {dec.p_even:.12g}",
                f"p_odd = {dec.p_odd:.12g}", f"fidelity = {fid:.12g}"]

@@ -541,14 +541,69 @@ def _effective_chains(g_eff: float, fock_dim: int) -> _Chains:
                             dtype=complex), order)
 
 
-def _apply_parts(cs: np.ndarray, parts, x: np.ndarray) -> np.ndarray:
-    """sum_k cs[k] (parts[k] @ x) for a vector or a (dim, k) block.
+@dataclass(frozen=True, eq=False)
+class _Blocks:
+    """Parts of a two-qubit lab generator as two real parity blocks.
 
-    A 1-D part is a diagonal and acts as an elementwise multiply.
+    The generator conserves the Rabi parity exp(i pi (n + sum_m
+    (1 + sigma_z^m)/2)) and its parts are real, so in parity order (even
+    parity first, each half in product-basis order) it is two real m x m
+    blocks, m = dim/2. h0[b] is block b of the static part, diag[b] the
+    modulation diagonal on it, and order[i] the product-basis index of
+    parity position i.
     """
+
+    h0: np.ndarray    # (2, m, m) real
+    diag: np.ndarray  # (2, m) real
+    order: np.ndarray
+
+
+def _lab_blocks(params: SystemParams, drive: DriveParams,
+                layout: HilbertLayout) -> _Blocks:
+    """(h0, drive diagonal) of two qubits, permuted once into parity order."""
+    b = _blocks(layout)
+    n = np.arange(layout.dim) % layout.fock_dim
+    excited = sum(0.5 * (1.0 + np.diag(b[f"sz{q}"]).real)
+                  for q in range(layout.n_qubits))
+    order = np.argsort((n + excited) % 2, kind="stable")
+    m = layout.dim // 2
+    h = _lab_matrix(params, layout)[np.ix_(order, order)]
+    if np.any(h[:m, m:]) or np.any(h[m:, :m]) or np.any(h.imag):
+        raise ValueError("lab generator is not real within the two parity blocks")
+    h = h.real
+    return _Blocks(np.stack((h[:m, :m], h[m:, m:])),
+                   _drive_diagonal(drive, layout)[order].reshape(2, m), order)
+
+
+def _mixed_blocks(cs: np.ndarray, parts: _Blocks) -> np.ndarray:
+    """cs[0] h0 + cs[1] diag, block by block, as a (2, m, m) stack."""
+    out = cs[0] * parts.h0
+    out.reshape(2, -1)[:, ::out.shape[-1] + 1] += cs[1] * parts.diag
+    return out
+
+
+def _block_operator(blocks: np.ndarray):
+    """apply(x, scale) = scale * B @ x for the real block-diagonal B.
+
+    x is a C-contiguous vector or (dim, k) block in parity order. Its
+    float64 view holds each row's real and imaginary parts side by side,
+    so one batched real matmul over the two blocks does the whole apply.
+    """
+    m = blocks.shape[1]
+
+    def apply(x: np.ndarray, scale: complex) -> np.ndarray:
+        y = np.matmul(blocks, x.view(np.float64).reshape(2, m, -1))
+        y = y.view(np.complex128).reshape(x.shape)
+        y *= scale
+        return y
+    return apply
+
+
+def _apply_parts(cs: np.ndarray, parts, x: np.ndarray) -> np.ndarray:
+    """sum_k cs[k] (parts[k] @ x) for a vector or a (dim, k) block."""
     out = None
     for c, m in zip(cs, parts):
-        y = m @ x if m.ndim == 2 else m.reshape((-1,) + (1,) * (x.ndim - 1)) * x
+        y = m @ x
         y *= c
         if out is None:
             out = y
@@ -578,6 +633,12 @@ def _band_operator(bands: np.ndarray):
 
 def _assemble_parts(cs: np.ndarray, parts) -> np.ndarray:
     """sum_k cs[k] parts[k] as one dense matrix in the product basis."""
+    if isinstance(parts, _Blocks):
+        o = parts.order.reshape(2, -1)
+        h = np.zeros((o.size, o.size), dtype=complex)
+        for ob, block in zip(o, _mixed_blocks(cs, parts)):
+            h[np.ix_(ob, ob)] = block
+        return h
     if isinstance(parts, _Chains):
         d, up, lo = np.tensordot(cs, parts.bands, 1)
         o = parts.order
@@ -586,14 +647,7 @@ def _assemble_parts(cs: np.ndarray, parts) -> np.ndarray:
         h[o[:-1], o[1:]] = up[:-1]
         h[o[1:], o[:-1]] = lo[1:]
         return h
-    dim = len(parts[0])
-    h = np.zeros((dim, dim), dtype=complex)
-    for c, m in zip(cs, parts):
-        if m.ndim == 2:
-            h += c * m
-        else:
-            h.flat[::dim + 1] += c * m
-    return h
+    return sum(c * m for c, m in zip(cs, parts))
 
 
 def _coefficient_form(h: Callable[[float], np.ndarray], t: float):
@@ -628,8 +682,11 @@ def _mixer(h: Callable[[float], np.ndarray], t_check: float):
     state or block from the product basis into that basis and back. A
     provider with a coefficient form, checked against h(t_check), mixes
     its coefficient vectors over its parts: chain parts (one qubit) into
-    three bands, in chain order; dense parts term by term, in the product
-    basis. Any other callable falls back to one dense mixed matrix.
+    three bands, in chain order; parity blocks (two-qubit lab frame) into
+    two real blocks, in parity order, applied as one batched real matmul
+    on the float64 view of x, and refusing complex mixed coefficients
+    with ValueError; dense parts term by term, in the product basis. Any
+    other callable falls back to one dense mixed matrix.
     """
     form = _coefficient_form(h, t_check)
     if form is None:
@@ -647,6 +704,20 @@ def _mixer(h: Callable[[float], np.ndarray], t_check: float):
             cs = sum(w * coeffs(t) for t, w in zip(ts, ws))
             return _band_operator((cs @ flat).reshape(3, -1))
         return mix, (lambda x: x[order]), (lambda x: x[inverse])
+    if isinstance(parts, _Blocks):
+        order = parts.order
+        inverse = np.argsort(order)
+
+        def mix(ts, ws):
+            cs = sum(w * coeffs(t) for t, w in zip(ts, ws))
+            if np.iscomplexobj(cs):
+                if np.any(cs.imag):
+                    raise ValueError(
+                        f"parity-block parts need real coefficients, got {cs}")
+                cs = cs.real
+            return _block_operator(_mixed_blocks(cs, parts))
+        return (mix, (lambda x: np.ascontiguousarray(x[order])),
+                (lambda x: x[inverse]))
 
     def mix(ts, ws):
         cs = sum(w * coeffs(t) for t, w in zip(ts, ws))
@@ -668,8 +739,10 @@ def hamiltonian_fn(params: SystemParams, drive: DriveParams, frame: str,
     (1, sin(omega_d t - phi)), and (W, W^dag) with
     (e^{i omega_r t}, e^{-i omega_r t}). With one qubit the parts are
     _Chains, three bands each along the two parity chains, built from
-    their closed forms; with two qubits they are dense matrices, and a
-    1-D part is a diagonal. fn(t) assembles the dense product-basis H(t)
+    their closed forms. The two-qubit lab parts are _Blocks: h0 and the
+    drive diagonal permuted once into parity order, where each is two
+    real blocks. The two-qubit effective parts have complex coefficients
+    and stay dense matrices. fn(t) assembles the dense product-basis H(t)
     from the same parts. The propagators go through _mixer, which checks
     the form against fn once per propagation and then never forms H(t).
     """
@@ -680,7 +753,7 @@ def hamiltonian_fn(params: SystemParams, drive: DriveParams, frame: str,
         if layout.n_qubits == 1:
             parts = _lab_chains(params, drive, layout.fock_dim)
         else:
-            parts = (_lab_matrix(params, layout), _drive_diagonal(drive, layout))
+            parts = _lab_blocks(params, drive, layout)
         wd, phi = drive.omega_d, drive.phi
 
         def coeffs(t: float) -> np.ndarray:

@@ -15,9 +15,10 @@ beyond roundoff. Providers that carry a coefficient form (see
 model.hamiltonian_fn) are evaluated as a dense H(t) once per
 propagation, to check that form; each exponent then mixes the parts
 once (model._mixer). A one-qubit generator becomes one tridiagonal
-matrix along its parity chains, so the state is permuted into chain
-order for the whole propagation and every kept sample is permuted back;
-a two-qubit one is applied part by part. A classical RK4 stepper
+matrix along its parity chains and the two-qubit lab generator two real
+parity blocks, so the state is permuted into that order for the whole
+propagation and every kept sample is permuted back; the two-qubit
+effective generator is applied part by part. A classical RK4 stepper
 is kept as an independent cross-check, at its own finer default step; it
 is not norm-preserving, which is exactly why it makes a useful
 disagreement detector.
@@ -344,14 +345,20 @@ def fidelity_trace(params: SystemParams, drive: DriveParams, psi0: Ket,
     return FidelityTrace(times, fids, params.omega_r)
 
 
+def _write_csv(path, comments: Sequence[str], header: str, rows) -> None:
+    """Comment lines (each behind '# '), a column header, then the rows
+    with every cell at 12 significant digits, in one write."""
+    fmt = ",".join(["%.12g"] * (header.count(",") + 1)) + "\n"
+    text = "".join([f"# {line}\n" for line in comments] + [header + "\n"]
+                   + [fmt % tuple(row) for row in rows])
+    with open(path, "w", encoding="utf-8", newline="\n") as f:
+        f.write(text)
+
+
 def write_trace_csv(trace: FidelityTrace, path, comments: Sequence[str] = ()) -> None:
     """Write a trace as `t_over_Tr,fidelity` rows, 12 significant digits.
 
     Comment lines (without the leading '#') go above the header.
     """
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        for line in comments:
-            f.write(f"# {line}\n")
-        f.write("t_over_Tr,fidelity\n")
-        for x, y in zip(trace.t_over_period, trace.fidelities):
-            f.write(f"{x:.12g},{y:.12g}\n")
+    _write_csv(path, comments, "t_over_Tr,fidelity",
+               zip(trace.t_over_period, trace.fidelities))

@@ -20,6 +20,7 @@ from condisp.cli import (
     main,
     parse_config,
 )
+from condisp.propagate import _write_csv
 
 
 def _data_rows(path) -> list[str]:
@@ -226,6 +227,35 @@ class TestGateCommand:
         assert len(rows) == 5
         fids = np.array([float(r.split(",")[1]) for r in rows[1:]])
         assert np.all((fids > 0.9) & (fids <= 1.0 + 1e-12))
+
+
+    def test_per_trial_reruns_byte_identical(self, tmp_path):
+        args = ["gate-fidelity", "--fock-dim", "8", "--trials", "300", "--seed", "5",
+                "--per-trial", "--out", str(tmp_path)]
+        per_trial = tmp_path / "gate-fidelity-trials-seed5.csv"
+        texts = []
+        for _ in range(2):
+            assert main(args) == 0
+            texts.append(per_trial.read_bytes())
+            per_trial.unlink()
+        assert texts[0] == texts[1]
+        assert texts[0].count(b"\n") > 300
+
+
+class TestCsvWriter:
+    def test_matches_per_cell_format(self, tmp_path):
+        """One-shot formatting writes the bytes of the per-row
+        ",".join(f"{v:.12g}") it replaced."""
+        values = [0.0, -0.0, 1.0, -2.5, 1e-5, -1e-5, 1.23456789012345e-7, 1e12,
+                  -1e12, 123456789012.5, 1e15, 6.02214076e23, np.pi, -np.e,
+                  np.float64(0.994743715588123), np.float64(-1e-300), np.inf, np.nan]
+        rows = [(i, v, -i) for i, v in enumerate(values)]
+        rows += [(10**12, 7, -3), (np.int64(42), 0.5, 2**53)]
+        path = tmp_path / "w.csv"
+        _write_csv(path, ["a = 1", "b"], "i,v,j", rows)
+        oracle = "# a = 1\n# b\ni,v,j\n" + "".join(
+            ",".join(f"{v:.12g}" for v in row) + "\n" for row in rows)
+        assert path.read_bytes() == oracle.encode("utf-8")
 
 
 class TestCatCommand:

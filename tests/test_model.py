@@ -21,6 +21,7 @@ from condisp import DriveParams, HilbertLayout, SystemParams
 from condisp.hilbert import basis_state, ladder, pauli_on
 from condisp.model import (
     FRAMES,
+    _assemble_parts,
     ValidityReport,
     driven_hamiltonian,
     effective_couplings,
@@ -284,6 +285,46 @@ class TestSingleQubitChains:
             ref = geff * (ph * np.kron(sx, a.T) + np.conj(ph) * np.kron(sx, a))
             h = effective_hamiltonian(p, d, t, single_layout).mat
             assert np.max(np.abs(h - ref)) <= 1e-13
+
+
+class TestTwoQubitBlocks:
+    """The two-qubit lab provider keeps its parts as two real parity blocks;
+    the dense H(t) they reassemble to must still be the product-basis
+    Hamiltonian."""
+
+    def test_driven_matches_kronecker(self, small_layout, std_params, std_drive):
+        nf = small_layout.fock_dim
+        sz = np.diag([1.0, -1.0])  # qubit basis (|e>, |g>)
+        sx = np.array([[0.0, 1.0], [1.0, 0.0]])
+        a = np.diag(np.sqrt(np.arange(1, nf)), 1)
+        i2, i_f = np.eye(2), np.eye(nf)
+        sz1, sz2 = np.kron(np.kron(sz, i2), i_f), np.kron(np.kron(i2, sz), i_f)
+        sx1, sx2 = np.kron(np.kron(sx, i2), i_f), np.kron(np.kron(i2, sx), i_f)
+        n = np.kron(np.eye(4), a.T @ a)
+        x = np.kron(np.eye(4), a + a.T)
+        p, d = std_params, std_drive
+        fn = hamiltonian_fn(p, d, "lab-driven", small_layout)
+        for t in (0.0, 0.37, 2.9):
+            s = np.sin(d.omega_d * t - d.phi)
+            ref = (p.omega_r * n
+                   + 0.5 * (p.omega_q + d.epsilon[0] * s) * sz1
+                   + 0.5 * (p.omega_q + d.epsilon[1] * s) * sz2
+                   + p.g * x @ (sx1 + sx2) + 2.0 * p.d_coupling * sx1 @ sx2)
+            assert np.max(np.abs(fn(t) - ref)) <= 1e-13
+
+    def test_blocks_are_the_parity_sectors(self, small_layout, std_params, std_drive):
+        nf = small_layout.fock_dim
+        # parity exp(i pi (n + number of excited qubits)), basis (|e>, |g>)
+        excited = np.repeat([2, 1, 1, 0], nf)
+        parity = (np.tile(np.arange(nf), 4) + excited) % 2
+        fn = hamiltonian_fn(std_params, std_drive, "lab-driven", small_layout)
+        order, m = fn.parts.order, small_layout.dim // 2
+        assert sorted(order) == list(range(small_layout.dim))
+        assert np.all(parity[order[:m]] == 0) and np.all(parity[order[m:]] == 1)
+        for cs in ([1.0, 0.0], [0.0, 1.0]):  # each part on its own
+            h = _assemble_parts(np.array(cs), fn.parts)
+            assert not np.any(h[np.ix_(parity == 0, parity == 1)])
+            assert not np.any(h[np.ix_(parity == 1, parity == 0)])
 
 
 class TestValidityReport:

@@ -8,7 +8,8 @@ Key oracles:
   steps (self-convergence against a 10x-refined reference) and with
   SciPy's DOP853 at tight tolerances,
 * the coefficient-form apply must equal the dense H(t) matvec, and the
-  one-qubit parity-chain path must propagate as the dense fallback does,
+  one-qubit parity-chain path and the two-qubit parity-block path must
+  propagate as the dense fallback does,
 * evolving in the lab frame and rotating afterwards must agree with
   evolving directly under the rotating-frame Hamiltonian.
 """
@@ -23,7 +24,7 @@ from scipy.integrate import solve_ivp
 
 from condisp import DriveParams, HilbertLayout, SystemParams
 from condisp.hilbert import Ket, basis_state
-from condisp.model import _mixer, frame_phases, hamiltonian_fn
+from condisp.model import _assemble_parts, _mixer, frame_phases, hamiltonian_fn
 from condisp.propagate import (
     DEFAULT_STEPS_PER_PERIOD,
     EvolutionConfig,
@@ -154,6 +155,64 @@ class TestChainPath:
         a = evolve(fn, psi0, 2 * np.pi, EvolutionConfig(), 4)
         b = evolve(fn, psi0, 2 * np.pi, EvolutionConfig(method="rk4"), 4)
         assert np.max(np.abs(a.final.vec - b.final.vec)) <= 1e-6
+
+
+class TestParityBlockPath:
+    """The two-qubit lab provider propagates as two real parity blocks; the
+    same provider behind a plain function takes the dense fallback."""
+
+    @staticmethod
+    def _pair():
+        lay = HilbertLayout(2, 6)
+        p = SystemParams(omega_q=3.0, g=0.5)
+        fn = hamiltonian_fn(p, DriveParams.from_alpha((1.20242, -1.20242), 3.0),
+                            "lab-driven", lay)
+        def dense(t: float) -> np.ndarray:  # no coeffs: the dense fallback
+            return fn(t)
+
+        dense.layout, dense.omega_max = lay, fn.omega_max
+        return fn, dense
+
+    def test_evolve_columns_and_propagator_match_dense_fallback(self):
+        fn, dense = self._pair()
+        cfg = EvolutionConfig()
+        psi0 = basis_state(fn.layout, "gg", 1)
+        a = evolve(fn, psi0, 2.0, cfg, n_samples=5)
+        b = evolve(dense, psi0, 2.0, cfg, n_samples=5)
+        assert len(a.states) == len(b.states) == 6
+        for x, y in zip(a.states, b.states):
+            assert np.max(np.abs(x.vec - y.vec)) <= 1e-12
+        # a column block in Fortran order
+        v0 = np.asfortranarray(np.eye(fn.layout.dim, dtype=complex)[:, [0, 6, 13, 19]])
+        cols = evolve_columns(fn, v0, 1.7, cfg)
+        assert np.max(np.abs(cols - evolve_columns(dense, v0, 1.7, cfg))) <= 1e-12
+        u = propagator(fn, 1.7, cfg).mat
+        assert np.max(np.abs(u - propagator(dense, 1.7, cfg).mat)) <= 1e-12
+
+    def test_rk4_matches_cf4(self):
+        fn, _ = self._pair()
+        psi0 = basis_state(fn.layout, "gg", 0)
+        a = evolve(fn, psi0, 2 * np.pi, EvolutionConfig(), 4)
+        b = evolve(fn, psi0, 2 * np.pi, EvolutionConfig(method="rk4"), 4)
+        assert np.max(np.abs(a.final.vec - b.final.vec)) <= 1e-6
+
+    def test_complex_mixed_coefficients_refused(self):
+        """Real blocks cannot carry an imaginary coefficient; a provider
+        whose form holds but whose coefficients are complex raises rather
+        than losing the imaginary part."""
+        fn, _ = self._pair()
+
+        def coeffs(t: float) -> np.ndarray:
+            return np.array([1.0, 1j * np.sin(3.0 * t)])
+
+        def skewed(t: float) -> np.ndarray:
+            return _assemble_parts(coeffs(t), fn.parts)
+
+        skewed.coeffs, skewed.parts = coeffs, fn.parts
+        skewed.layout, skewed.omega_max = fn.layout, fn.omega_max
+        psi0 = basis_state(fn.layout, "gg", 0)
+        with pytest.raises(ValueError, match="real coefficients"):
+            evolve(skewed, psi0, 1.0, EvolutionConfig(), 2)
 
 
 class TestEvolveStatic:
