@@ -14,10 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hilbert import (NORM_TOL, HilbertLayout, Ket, _check_truncation,
-                      basis_state, coherent_amplitudes)
-from .gate import analytic_unitary, beta_phi
-from .model import (DriveParams, SystemParams, effective_couplings,
+from .hilbert import NORM_TOL, HilbertLayout, Ket, basis_state, coherent_amplitudes
+from .model import (DriveParams, SystemParams, beta_phi, effective_couplings,
                     frame_phases, hamiltonian_fn, _require_quadrature)
 from .propagate import EvolutionConfig, PropagationAccuracyError, evolve_columns
 
@@ -67,25 +65,28 @@ class CatDecomposition:
     degenerate: bool
 
 
+def _cat_ket(beta: complex, phase: float, layout: HilbertLayout) -> Ket:
+    """e^{i phase} / 2 * [ |e>(|beta> - |-beta>) + |g>(|beta> + |-beta>) ]."""
+    if layout.n_qubits != 1:
+        raise ValueError("cat states live on a 1-qubit layout")
+    plus = coherent_amplitudes(beta, layout.fock_dim)
+    parity = (-1.0) ** np.arange(layout.fock_dim)  # |-beta> = parity * |beta>
+    vec = np.empty(layout.dim, dtype=complex)
+    half = 0.5 * complex(math.cos(phase), math.sin(phase))
+    vec[:layout.fock_dim] = half * (1.0 - parity) * plus   # qubit |e>
+    vec[layout.fock_dim:] = half * (1.0 + parity) * plus   # qubit |g>
+    return Ket(layout, vec)
+
+
 def cat_state(g_eff_ratio: float, t: float, layout: HilbertLayout,
               omega_r: float = 1.0) -> Ket:
     """Analytic entangled state grown from |g> (x) |0_c>.
 
     e^{i Phi(t)} / 2 * [ |e>(|beta> - |-beta>) + |g>(|beta> + |-beta>) ]
-    with beta(t), Phi(t) from the closed-form displacement loop. Built
-    directly from coherent amplitudes, independently of the evolution
-    operator route (analytic_unitary), so the two can cross-check.
+    with beta(t), Phi(t) from the closed-form displacement loop, built
+    directly from coherent amplitudes.
     """
-    if layout.n_qubits != 1:
-        raise ValueError("cat states live on a 1-qubit layout")
-    beta, phase = beta_phi(g_eff_ratio, t, omega_r)
-    plus = coherent_amplitudes(beta, layout.fock_dim)
-    minus = coherent_amplitudes(-beta, layout.fock_dim)
-    vec = np.empty(layout.dim, dtype=complex)
-    half = 0.5 * complex(math.cos(phase), math.sin(phase))
-    vec[:layout.fock_dim] = half * (plus - minus)   # qubit |e>
-    vec[layout.fock_dim:] = half * (plus + minus)   # qubit |g>
-    return Ket(layout, vec)
+    return _cat_ket(*beta_phi(g_eff_ratio, t, omega_r), layout)
 
 
 def decompose_cat(psi: Ket) -> CatDecomposition:
@@ -132,45 +133,14 @@ def multi_step_cat(g_eff_ratio: float, k: int, layout: HilbertLayout,
     """k repetitions of the half-period analytic evolution on |g 0_c>.
 
     The displacements share the sigma_x axis, so branch amplitudes add:
-    after k steps the branches sit at +- 2 k g_eff / omega_r with phase
-    k Phi(t0). Implemented as an actual operator power so the linearity
-    is something the closed form can be tested against.
+    after k steps the branches sit at +- k beta(t0) = +- 2 k g_eff / omega_r
+    with phase k Phi(t0), t0 = pi / omega_r. Built from coherent
+    amplitudes, as cat_state is.
     """
     if not isinstance(k, int) or k < 1:
         raise ValueError(f"k must be a positive integer, got {k!r}")
-    if layout.n_qubits != 1:
-        raise ValueError("cat states live on a 1-qubit layout")
-    _check_truncation(2.0 * k * g_eff_ratio, layout.fock_dim)
-    t0 = STEP_TIME_FACTOR / omega_r
-    u = analytic_unitary(g_eff_ratio, t0, layout, omega_r).mat
-    vec = basis_state(layout, "g", 0).vec
-    for _ in range(k):
-        vec = u @ vec
-    return Ket(layout, vec)
-
-
-def _grow_cat(params: SystemParams, drive: DriveParams, k: int,
-              cfg: EvolutionConfig, layout: HilbertLayout) -> np.ndarray:
-    """The numerically grown k-step cat of cat_fidelity_experiment, in the
-    modulation frame, after checking its cumulative norm drift."""
-    if params.n_qubits != 1:
-        raise ValueError("the cat experiment needs exactly 1 qubit")
-    if not isinstance(k, int) or k < 1:
-        raise ValueError(f"k must be a positive integer, got {k!r}")
-    _require_quadrature(drive, "the cat experiment")
-    t0 = STEP_TIME_FACTOR / params.omega_r
-    h = hamiltonian_fn(params, drive, "lab-driven", layout)
-    back = np.conj(frame_phases(t0, params, drive, layout))
-    vec = basis_state(layout, "g", 0).vec
-    for _ in range(k):
-        vec = back * evolve_columns(h, vec, t0, cfg)
-    drift = abs(float(np.linalg.norm(vec)) - 1.0)
-    if drift > NORM_TOL:
-        raise PropagationAccuracyError(
-            f"cat state norm drifted by {drift:.3e} (budget {NORM_TOL:g}) "
-            f"over {k} steps, t = {k * t0:g}", step=k, time=k * t0,
-        )
-    return vec
+    beta, phase = beta_phi(g_eff_ratio, STEP_TIME_FACTOR / omega_r, omega_r)
+    return _cat_ket(k * beta, k * phase, layout)
 
 
 def cat_fidelity_experiment(params: SystemParams, drive: DriveParams, k: int,
@@ -184,11 +154,28 @@ def cat_fidelity_experiment(params: SystemParams, drive: DriveParams, k: int,
     walk needs the drive phase re-aligned with the resonator each half
     period, and a continuous drive instead unwinds the displacement over
     the second half). The analytic target assumes phi = pi/2, so any
-    other modulation phase is rejected.
+    other modulation phase is rejected. The target is built first, so a
+    displacement beyond the truncation budget raises before anything is
+    propagated; a cumulative norm drift beyond 1e-6 raises
+    PropagationAccuracyError naming k.
     """
     if layout is None:
         layout = HilbertLayout(n_qubits=1, fock_dim=32)
-    vec = _grow_cat(params, drive, k, cfg, layout)
+    if params.n_qubits != 1:
+        raise ValueError("the cat experiment needs exactly 1 qubit")
+    _require_quadrature(drive, "the cat experiment")
     ratio = effective_couplings(params, drive)[0] / params.omega_r
     target = multi_step_cat(ratio, k, layout, params.omega_r)
+    t0 = STEP_TIME_FACTOR / params.omega_r
+    h = hamiltonian_fn(params, drive, "lab-driven", layout)
+    back = np.conj(frame_phases(t0, params, drive, layout))
+    vec = basis_state(layout, "g", 0).vec
+    for _ in range(k):
+        vec = back * evolve_columns(h, vec, t0, cfg)
+    drift = abs(float(np.linalg.norm(vec)) - 1.0)
+    if drift > NORM_TOL:
+        raise PropagationAccuracyError(
+            f"cat state norm drifted by {drift:.3e} (budget {NORM_TOL:g}) "
+            f"over {k} steps, t = {k * t0:g}", step=k, time=k * t0,
+        )
     return abs(np.vdot(target.vec, vec)) ** 2

@@ -17,7 +17,7 @@ import numpy as np
 
 from .hilbert import (HilbertLayout, Operator, _check_truncation,
                       _displacement_fock)
-from .model import (DriveParams, SystemParams, effective_couplings,
+from .model import (DriveParams, SystemParams, beta_phi, effective_couplings,
                     frame_phases, hamiltonian_fn)
 from .propagate import EvolutionConfig, evolve_columns
 
@@ -66,20 +66,6 @@ class GateAngle:
         if theta < 0:
             raise ValueError(f"theta must be >= 0, got {theta}")
         return cls(theta, math.sqrt(theta / (4.0 * math.pi)))
-
-
-def beta_phi(g_eff_ratio: float, t: float, omega_r: float = 1.0) -> tuple[complex, float]:
-    """Displacement beta(t) and accumulated phase Phi(t) of the closed form.
-
-    beta(t) = r (1 - e^{i omega_r t}), Phi(t) = r^2 (omega_r t - sin omega_r t)
-    with r = g_eff / omega_r. The loop closes at t = 2 pi / omega_r where
-    beta returns to 0 and Phi reaches 2 pi r^2.
-    """
-    r = g_eff_ratio
-    wt = omega_r * t
-    beta = r * (1.0 - complex(math.cos(wt), math.sin(wt)))
-    phase = r * r * (wt - math.sin(wt))
-    return beta, phase
 
 
 def _axis_generator(layout: HilbertLayout) -> np.ndarray:

@@ -12,8 +12,7 @@ neighbours along the two parity chains |g,0>, |e,1>, |g,2>, ... and
 super-, sub-diagonal) in that chain order, and states are permuted into
 it for the propagation and back. With two qubits the parity
 exp(i pi (n + sum_m (1 + sigma_z^m)/2)) splits the lab generator, which
-is real, into two real blocks of dim/2, kept in parity order; the
-effective generator's parts stay dense in this basis.
+is real, into two real blocks of dim/2, kept in parity order.
 """
 from __future__ import annotations
 
@@ -264,20 +263,24 @@ def displacement(beta: complex, layout: HilbertLayout) -> Operator:
     return Operator(layout, _embed(layout, {}, _displacement_fock(beta, layout.fock_dim)))
 
 
-def coherent_amplitudes(beta: complex, fock_dim: int) -> np.ndarray:
-    """Truncated coherent-state amplitudes e^{-|b|^2/2} b^n / sqrt(n!)."""
-    beta = complex(beta)
-    _check_truncation(beta, fock_dim)
-    if beta == 0:
-        amps = np.zeros(fock_dim, dtype=complex)
-        amps[0] = 1.0
-        return amps
+def coherent_amplitudes(beta, fock_dim: int) -> np.ndarray:
+    """Truncated coherent-state amplitudes e^{-|b|^2/2} b^n / sqrt(n!).
+
+    beta is a number or an array; the amplitudes run along a new last
+    axis, so the result has shape beta.shape + (fock_dim,). The largest
+    |beta| must pass the truncation budget.
+    """
+    beta = np.asarray(beta, dtype=complex)
+    _check_truncation(beta.flat[np.argmax(np.abs(beta))], fock_dim)
     n = np.arange(fock_dim)
-    log_mag = -0.5 * abs(beta) ** 2 + n * np.log(abs(beta)) \
+    mag = np.abs(beta)[..., None]
+    with np.errstate(divide="ignore", invalid="ignore"):  # log(0) at beta = 0
+        powers = np.where(n > 0, n * np.log(mag), 0.0)
+    log_mag = -0.5 * mag ** 2 + powers \
         - 0.5 * np.array([math.lgamma(k + 1) for k in n])
-    phase = np.exp(1j * n * np.angle(beta))
-    amps = np.exp(log_mag) * phase
-    return amps / np.linalg.norm(amps)  # renormalize the (tiny) truncated tail
+    amps = np.exp(log_mag) * np.exp(1j * n * np.angle(beta)[..., None])
+    # renormalize the (tiny) truncated tail
+    return amps / np.linalg.norm(amps, axis=-1, keepdims=True)
 
 
 def coherent(beta: complex, layout: HilbertLayout) -> Ket:

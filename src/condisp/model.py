@@ -47,6 +47,7 @@ __all__ = [
     "rotating_frame_hamiltonian",
     "effective_hamiltonian",
     "effective_couplings",
+    "beta_phi",
     "validity_report",
     "hamiltonian_fn",
     "omega_max",
@@ -230,33 +231,25 @@ def driven_hamiltonian(params: SystemParams, drive: DriveParams, t: float,
     return Operator(layout, hamiltonian_fn(params, drive, "lab-driven", layout)(t))
 
 
-def _frame_phases(params: SystemParams, drive: DriveParams, t: float,
+def _frame_phases(params: SystemParams, drive: DriveParams, t,
                   layout: HilbertLayout) -> np.ndarray:
-    """Diagonal of the frame transform U(t) = U_1(t) U_2(t).
+    """Diagonal of the frame transform U(t) = U_1(t) U_2(t), per time in t.
 
     U_1 removes the bare precession exp[-i(sum_m (omega_q/2) sigma_z^m
     + omega_r a^dag a) t]; U_2 carries the accumulated modulation phase
     exp[i sum_m (alpha_m/2) cos(omega_d t - phi) sigma_z^m]. Both are
-    diagonal in the product basis, so the transform is a phase vector.
+    diagonal in the product basis, so the transform is a phase vector;
+    an array of times gives one row per time.
     """
-    nf = layout.fock_dim
-    narr = np.arange(nf, dtype=float)
-    cos_term = math.cos(drive.omega_d * t - drive.phi)
-    alphas = drive.alpha
-    szvals = (1.0, -1.0)  # basis order (|e>, |g>)
-    if layout.n_qubits == 1:
-        phase = np.empty((2, nf))
-        for i, s in enumerate(szvals):
-            phase[i] = -(0.5 * params.omega_q * s + params.omega_r * narr) * t \
-                + 0.5 * alphas[0] * cos_term * s
-    else:
-        phase = np.empty((2, 2, nf))
-        for i, s1 in enumerate(szvals):
-            for j, s2 in enumerate(szvals):
-                phase[i, j] = -(0.5 * params.omega_q * (s1 + s2)
-                                + params.omega_r * narr) * t \
-                    + (0.5 * alphas[0] * s1 + 0.5 * alphas[1] * s2) * cos_term
-    return np.exp(1j * phase.reshape(-1))
+    t = np.asarray(t, dtype=float)[..., None]
+    # sigma_z^m per product-basis state: qubit m is (|e>, |g>) = (+1, -1)
+    sz = np.array([np.repeat(np.tile([1.0, -1.0], 2 ** m), layout.dim >> (m + 1))
+                   for m in range(layout.n_qubits)])
+    n = np.arange(layout.dim) % layout.fock_dim
+    bare = 0.5 * params.omega_q * sz.sum(axis=0) + params.omega_r * n
+    modulation = 0.5 * (np.array(drive.alpha) @ sz)
+    return np.exp(1j * (modulation * np.cos(drive.omega_d * t - drive.phi)
+                        - bare * t))
 
 
 def frame_transform(t: float, params: SystemParams, drive: DriveParams,
@@ -270,13 +263,14 @@ def frame_transform(t: float, params: SystemParams, drive: DriveParams,
     return Operator(layout, np.diag(_frame_phases(params, drive, t, layout)))
 
 
-def frame_phases(t: float, params: SystemParams, drive: DriveParams,
+def frame_phases(t, params: SystemParams, drive: DriveParams,
                  layout: HilbertLayout) -> np.ndarray:
     """Diagonal of frame_transform as a phase vector.
 
     The transform is diagonal in the product basis, so applying it (or its
     inverse, the conjugate) is an elementwise multiply; evolution loops use
-    this instead of a dim x dim matrix.
+    this instead of a dim x dim matrix. t may be an array of times; the
+    result then has shape t.shape + (dim,).
     """
     _check_pair(params, drive, layout)
     return _frame_phases(params, drive, t, layout)
@@ -367,6 +361,22 @@ def rotating_frame_hamiltonian(params: SystemParams, drive: DriveParams, t: floa
 def effective_couplings(params: SystemParams, drive: DriveParams) -> tuple[float, ...]:
     """First-sideband conditional-displacement rate g J_1(alpha_m) per qubit."""
     return tuple(params.g * bessel_j(1, a) for a in drive.alpha)
+
+
+def beta_phi(g_eff_ratio, t, omega_r: float = 1.0):
+    """Displacement beta(t) and accumulated phase Phi(t) of the closed form.
+
+    beta(t) = r (1 - e^{i omega_r t}), Phi(t) = r^2 (omega_r t - sin omega_r t)
+    with r = g_eff / omega_r: H_eff = g_eff (a^dag e^{i omega_r t} + h.c.)
+    takes the vacuum to e^{i Phi(t)} |beta(t)>. The loop closes at
+    t = 2 pi / omega_r where beta returns to 0 and Phi reaches 2 pi r^2.
+    r and t may be arrays; they broadcast.
+    """
+    r = np.asarray(g_eff_ratio, dtype=float)
+    wt = omega_r * np.asarray(t, dtype=float)
+    beta = r * (1.0 - (np.cos(wt) + 1j * np.sin(wt)))
+    phase = r * r * (wt - np.sin(wt))
+    return beta[()], phase[()]
 
 
 def effective_hamiltonian(params: SystemParams, drive: DriveParams, t: float,
@@ -508,37 +518,22 @@ class _Chains:
     order: np.ndarray
 
 
-def _chain_basis(fock_dim: int):
-    """Photon number, sigma_z value and product-basis index per chain position."""
-    n = np.tile(np.arange(fock_dim), 2)
-    s = np.where(n % 2 == 0, -1.0, 1.0)
-    s[fock_dim:] *= -1.0
-    order = np.where(s > 0, 0, fock_dim) + n  # qubit basis (|e>, |g>)
-    return n, s, order
-
-
 def _lab_chains(params: SystemParams, drive: DriveParams, fock_dim: int) -> _Chains:
     """(h0, drive diagonal) of one qubit from their closed forms.
 
     h0 has diagonal omega_r n + s omega_q/2 and hops g sqrt(n+1) within a
     chain; the drive part is the diagonal s epsilon/2.
     """
-    n, s, order = _chain_basis(fock_dim)
+    n = np.tile(np.arange(fock_dim), 2)  # photon number per chain position
+    s = np.where(n % 2 == 0, -1.0, 1.0)  # and its sigma_z value
+    s[fock_dim:] *= -1.0
+    order = np.where(s > 0, 0, fock_dim) + n  # qubit basis (|e>, |g>)
     hop = params.g * np.sqrt(n)  # sub[i] = g sqrt(n_i): 0 where a chain starts
     zero = np.zeros(len(n))
     return _Chains(np.array([
         [params.omega_r * n + 0.5 * params.omega_q * s, np.roll(hop, -1), hop],
         [0.5 * drive.epsilon[0] * s, zero, zero],
     ], dtype=complex), order)
-
-
-def _effective_chains(g_eff: float, fock_dim: int) -> _Chains:
-    """(W, W^dag) of one qubit, W = g_eff a^dag sigma_x: hops g_eff sqrt(n+1)."""
-    n, _, order = _chain_basis(fock_dim)
-    w = g_eff * np.sqrt(n)
-    zero = np.zeros(len(n))
-    return _Chains(np.array([[zero, zero, w], [zero, np.roll(w, -1), zero]],
-                            dtype=complex), order)
 
 
 @dataclass(frozen=True, eq=False)
@@ -599,19 +594,6 @@ def _block_operator(blocks: np.ndarray):
     return apply
 
 
-def _apply_parts(cs: np.ndarray, parts, x: np.ndarray) -> np.ndarray:
-    """sum_k cs[k] (parts[k] @ x) for a vector or a (dim, k) block."""
-    out = None
-    for c, m in zip(cs, parts):
-        y = m @ x
-        y *= c
-        if out is None:
-            out = y
-        else:
-            out += y
-    return out
-
-
 def _band_operator(bands: np.ndarray):
     """apply(x, scale) = scale * T @ x for the tridiagonal T with these bands.
 
@@ -633,12 +615,6 @@ def _band_operator(bands: np.ndarray):
 
 def _assemble_parts(cs: np.ndarray, parts) -> np.ndarray:
     """sum_k cs[k] parts[k] as one dense matrix in the product basis."""
-    if isinstance(parts, _Blocks):
-        o = parts.order.reshape(2, -1)
-        h = np.zeros((o.size, o.size), dtype=complex)
-        for ob, block in zip(o, _mixed_blocks(cs, parts)):
-            h[np.ix_(ob, ob)] = block
-        return h
     if isinstance(parts, _Chains):
         d, up, lo = np.tensordot(cs, parts.bands, 1)
         o = parts.order
@@ -647,7 +623,11 @@ def _assemble_parts(cs: np.ndarray, parts) -> np.ndarray:
         h[o[:-1], o[1:]] = up[:-1]
         h[o[1:], o[:-1]] = lo[1:]
         return h
-    return sum(c * m for c, m in zip(cs, parts))
+    o = parts.order.reshape(2, -1)
+    h = np.zeros((o.size, o.size), dtype=complex)
+    for ob, block in zip(o, _mixed_blocks(cs, parts)):
+        h[np.ix_(ob, ob)] = block
+    return h
 
 
 def _coefficient_form(h: Callable[[float], np.ndarray], t: float):
@@ -685,14 +665,14 @@ def _mixer(h: Callable[[float], np.ndarray], t_check: float):
     three bands, in chain order; parity blocks (two-qubit lab frame) into
     two real blocks, in parity order, applied as one batched real matmul
     on the float64 view of x, and refusing complex mixed coefficients
-    with ValueError; dense parts term by term, in the product basis. Any
-    other callable falls back to one dense mixed matrix.
+    with ValueError. Any other callable falls back to one dense mixed
+    matrix in the product basis.
     """
     form = _coefficient_form(h, t_check)
     if form is None:
         def mix(ts, ws):
             m = sum(w * h(t) for t, w in zip(ts, ws))
-            return lambda x, scale: _apply_parts((scale,), (m,), x)
+            return lambda x, scale: scale * (m @ x)
         return mix, np.copy, np.copy
     coeffs, parts = form
     if isinstance(parts, _Chains):
@@ -704,25 +684,19 @@ def _mixer(h: Callable[[float], np.ndarray], t_check: float):
             cs = sum(w * coeffs(t) for t, w in zip(ts, ws))
             return _band_operator((cs @ flat).reshape(3, -1))
         return mix, (lambda x: x[order]), (lambda x: x[inverse])
-    if isinstance(parts, _Blocks):
-        order = parts.order
-        inverse = np.argsort(order)
-
-        def mix(ts, ws):
-            cs = sum(w * coeffs(t) for t, w in zip(ts, ws))
-            if np.iscomplexobj(cs):
-                if np.any(cs.imag):
-                    raise ValueError(
-                        f"parity-block parts need real coefficients, got {cs}")
-                cs = cs.real
-            return _block_operator(_mixed_blocks(cs, parts))
-        return (mix, (lambda x: np.ascontiguousarray(x[order])),
-                (lambda x: x[inverse]))
+    order = parts.order
+    inverse = np.argsort(order)
 
     def mix(ts, ws):
         cs = sum(w * coeffs(t) for t, w in zip(ts, ws))
-        return lambda x, scale: _apply_parts(scale * cs, parts, x)
-    return mix, np.copy, np.copy
+        if np.iscomplexobj(cs):
+            if np.any(cs.imag):
+                raise ValueError(
+                    f"parity-block parts need real coefficients, got {cs}")
+            cs = cs.real
+        return _block_operator(_mixed_blocks(cs, parts))
+    return (mix, (lambda x: np.ascontiguousarray(x[order])),
+            (lambda x: x[inverse]))
 
 
 def hamiltonian_fn(params: SystemParams, drive: DriveParams, frame: str,
@@ -733,18 +707,19 @@ def hamiltonian_fn(params: SystemParams, drive: DriveParams, frame: str,
     Returns a plain-ndarray callable fit for the propagators. The public
     single-time builders are thin Operator wrappers over it.
 
-    The lab-driven and effective providers also carry their affine
-    coefficient form H(t) = sum_k coeffs(t)[k] parts[k], with the parts
-    built once: (h0, drive diagonal) with coefficients
-    (1, sin(omega_d t - phi)), and (W, W^dag) with
-    (e^{i omega_r t}, e^{-i omega_r t}). With one qubit the parts are
-    _Chains, three bands each along the two parity chains, built from
-    their closed forms. The two-qubit lab parts are _Blocks: h0 and the
-    drive diagonal permuted once into parity order, where each is two
-    real blocks. The two-qubit effective parts have complex coefficients
-    and stay dense matrices. fn(t) assembles the dense product-basis H(t)
-    from the same parts. The propagators go through _mixer, which checks
-    the form against fn once per propagation and then never forms H(t).
+    The lab-driven provider also carries its affine coefficient form
+    H(t) = coeffs(t)[0] parts[0] + coeffs(t)[1] parts[1], with the parts
+    (h0, drive diagonal) built once and coefficients
+    (1, sin(omega_d t - phi)). With one qubit the parts are _Chains,
+    three bands each along the two parity chains, built from their closed
+    forms; with two they are _Blocks, h0 and the drive diagonal permuted
+    once into parity order, where each is two real blocks. fn(t)
+    assembles the dense product-basis H(t) from the same parts. The
+    propagators go through _mixer, which checks the form against fn once
+    per propagation and then never forms H(t). The rotating and
+    effective providers are dense: fn(t) = e^{i omega_r t} W + h.c. for
+    the effective frame, W = sum_m g_eff,m a^dag sigma_x^m. The effective
+    evolution itself has a closed form and is not propagated here.
     """
     _check_pair(params, drive, layout)
     if frame not in FRAMES:
@@ -759,6 +734,11 @@ def hamiltonian_fn(params: SystemParams, drive: DriveParams, frame: str,
         def coeffs(t: float) -> np.ndarray:
             return np.array([1.0, math.sin(wd * t - phi)])
 
+        def fn(t: float) -> np.ndarray:
+            return _assemble_parts(coeffs(t), parts)
+
+        fn.coeffs = coeffs
+        fn.parts = parts
     elif frame == "rotating":
         if not isinstance(l_max, int) or l_max < 8:
             raise ValueError(f"l_max must be an int >= 8, got {l_max}")
@@ -770,27 +750,15 @@ def hamiltonian_fn(params: SystemParams, drive: DriveParams, frame: str,
 
     else:
         _require_quadrature(drive, "effective model")
-        geffs = effective_couplings(params, drive)
-        if layout.n_qubits == 1:
-            parts = _effective_chains(geffs[0], layout.fock_dim)
-        else:
-            b = _blocks(layout)
-            w = np.zeros((layout.dim, layout.dim), dtype=complex)
-            for m, geff in enumerate(geffs):
-                w += geff * (b["ad"] @ b[f"sx{m}"])
-            parts = (w, w.conj().T)
+        b = _blocks(layout)
+        w = sum(geff * (b["ad"] @ b[f"sx{m}"])
+                for m, geff in enumerate(effective_couplings(params, drive)))
         wr = params.omega_r
 
-        def coeffs(t: float) -> np.ndarray:
-            ph = complex(math.cos(wr * t), math.sin(wr * t))
-            return np.array([ph, ph.conjugate()])
-
-    if frame != "rotating":
         def fn(t: float) -> np.ndarray:
-            return _assemble_parts(coeffs(t), parts)
+            h = complex(math.cos(wr * t), math.sin(wr * t)) * w
+            return h + h.conj().T
 
-        fn.coeffs = coeffs
-        fn.parts = parts
     # let the propagators pick a default step and size-gate a given one
     fn.omega_max = omega_max(params, drive, frame)
     fn.layout = layout

@@ -15,25 +15,27 @@ beyond roundoff. Providers that carry a coefficient form (see
 model.hamiltonian_fn) are evaluated as a dense H(t) once per
 propagation, to check that form; each exponent then mixes the parts
 once (model._mixer). A one-qubit generator becomes one tridiagonal
-matrix along its parity chains and the two-qubit lab generator two real
-parity blocks, so the state is permuted into that order for the whole
-propagation and every kept sample is permuted back; the two-qubit
-effective generator is applied part by part. A classical RK4 stepper
+matrix along its parity chains and a two-qubit one two real parity
+blocks, so the state is permuted into that order for the whole
+propagation and every kept sample is permuted back. The effective
+conditional-displacement model is never propagated: fidelity_trace builds
+its states in closed form from coherent amplitudes. A classical RK4 stepper
 is kept as an independent cross-check, at its own finer default step; it
 is not norm-preserving, which is exactly why it makes a useful
 disagreement detector.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .hilbert import Ket, Operator, HilbertLayout, NORM_TOL
-from .model import (DriveParams, SystemParams, frame_phases, hamiltonian_fn,
-                    _mixer)
+from .hilbert import Ket, Operator, HilbertLayout, NORM_TOL, coherent_amplitudes
+from .model import (DriveParams, SystemParams, beta_phi, effective_couplings,
+                    frame_phases, hamiltonian_fn, _mixer, _require_quadrature)
 
 __all__ = [
     "DEFAULT_STEPS_PER_PERIOD",
@@ -310,38 +312,62 @@ def propagator(h: HamiltonianProvider, t_end: float, cfg: EvolutionConfig,
     return Operator(layout, u)
 
 
+def _effective_states(params: SystemParams, drive: DriveParams, psi0: Ket,
+                      times: np.ndarray) -> np.ndarray:
+    """Closed-form effective-model states, one row per time.
+
+    H_eff conserves every sigma_x^m. In the branch with eigenvalues
+    s = (s_1, ...) it drives the resonator at G_s = sum_m s_m g_eff,m, so
+    a branch that starts in the vacuum is e^{i Phi_s(t)} |beta_s(t)> with
+    beta_s, Phi_s = beta_phi(G_s / omega_r, t). psi0 must be a qubit state
+    times the resonator vacuum, and every branch's largest |beta_s|^2
+    must pass the truncation budget.
+    """
+    layout = psi0.layout
+    qubits = psi0.vec.reshape(-1, layout.fock_dim)
+    if np.any(qubits[:, 1:]):
+        raise ValueError("fidelity_trace needs psi0 in the resonator vacuum "
+                         "(a qubit state times |0>)")
+    # sigma_x eigenvectors (|e> + s|g>)/sqrt(2), s = +1, -1, as columns
+    x1 = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
+    x = x1 if layout.n_qubits == 1 else np.kron(x1, x1)
+    signs = np.array(list(itertools.product((1.0, -1.0), repeat=layout.n_qubits)))
+    g_s = signs @ np.array(effective_couplings(params, drive))
+    beta, phase = beta_phi(g_s / params.omega_r, times[:, None], params.omega_r)
+    amps = coherent_amplitudes(beta, layout.fock_dim)  # (time, branch, n)
+    weights = (x.T @ qubits[:, 0]) * np.exp(1j * phase)
+    return (x @ (weights[..., None] * amps)).reshape(len(times), -1)
+
+
 def fidelity_trace(params: SystemParams, drive: DriveParams, psi0: Ket,
                    t_end: float, cfg: EvolutionConfig,
                    n_samples: int | None = None) -> FidelityTrace:
     """Exact-vs-effective overlap trace over [0, t_end].
 
-    psi0 is evolved once under the full driven Hamiltonian in the lab
-    frame (then mapped into the rotating frame, where the state it is
-    compared against lives), and once under the effective
-    conditional-displacement Hamiltonian. Samples default to 500 per
-    resonator period.
+    psi0 is evolved under the full driven Hamiltonian in the lab frame and
+    mapped into the rotating frame, where it is compared against the
+    closed-form evolution under the effective conditional-displacement
+    Hamiltonian. psi0 must be a qubit state times the resonator vacuum.
+    Samples default to 500 per resonator period. A displacement beyond
+    the truncation budget raises ValueError before anything is propagated.
     """
     if not (math.isfinite(t_end) and t_end > 0):
         raise ValueError(f"t_end must be > 0, got {t_end}")
     layout = psi0.layout
     if abs(psi0.norm() - 1.0) > NORM_TOL:
         raise ValueError("initial state must be normalized")
+    _require_quadrature(drive, "effective model")
     if n_samples is None:
         period = 2.0 * math.pi / params.omega_r
         n_samples = max(2, math.ceil(SAMPLES_PER_PERIOD * t_end / period))
 
     h_lab = hamiltonian_fn(params, drive, "lab-driven", layout)
     times, n_sub = _sample_grid(t_end, cfg.resolve_dt(h_lab.omega_max), n_samples)
-    lab_vecs = _run(h_lab, psi0.vec, times, n_sub, cfg.method, norm_gate=True)
-
-    h_eff = hamiltonian_fn(params, drive, "effective", layout)
-    _, n_sub_eff = _sample_grid(t_end, cfg.resolve_dt(h_eff.omega_max), n_samples)
-    eff_vecs = _run(h_eff, psi0.vec, times, n_sub_eff, cfg.method, norm_gate=True)
-
-    fids = np.empty(len(times))
-    for i, t in enumerate(times):
-        rot = np.conj(frame_phases(t, params, drive, layout)) * lab_vecs[i]
-        fids[i] = abs(np.vdot(rot, eff_vecs[i])) ** 2
+    eff = _effective_states(params, drive, psi0, times)
+    lab = np.array(_run(h_lab, psi0.vec, times, n_sub, cfg.method, norm_gate=True))
+    # <U^dag lab | eff> = <lab | U eff>, U the frame transform
+    eff *= frame_phases(times, params, drive, layout)
+    fids = np.abs(np.einsum("ti,ti->t", lab.conj(), eff)) ** 2
     return FidelityTrace(times, fids, params.omega_r)
 
 

@@ -1,7 +1,7 @@
 """Unit tests for conditional-displacement cat states.
 
-cat_state is built directly from coherent amplitudes while
-multi_step_cat/analytic_unitary go through the displacement operator;
+cat_state and multi_step_cat are built directly from coherent amplitudes
+while analytic_unitary goes through the displacement operator;
 dual-route agreement is the main internal oracle. Reduced-qubit purity
 has a closed form from coherent overlaps that the numerical partial
 trace must reproduce.
@@ -167,6 +167,17 @@ class TestMultiStepCat:
         one = multi_step_cat(0.1164, 1, CAT_LAYOUT)
         ref = cat_state(0.1164, T0, CAT_LAYOUT)
         assert np.max(np.abs(one.vec - ref.vec)) <= 1e-9
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_matches_operator_power(self, k):
+        """The closed form equals k applications of the analytic evolution
+        operator over half a period."""
+        u = analytic_unitary(0.1164, T0, CAT_LAYOUT)
+        psi = basis_state(CAT_LAYOUT, "g", 0)
+        for _ in range(k):
+            psi = u @ psi
+        got = multi_step_cat(0.1164, k, CAT_LAYOUT)
+        assert np.max(np.abs(got.vec - psi.vec)) <= 1e-9
 
     def test_two_step_amplitude(self):
         two = multi_step_cat(0.1164, 2, CAT_LAYOUT)

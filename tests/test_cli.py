@@ -119,6 +119,8 @@ class TestBadInvocations:
         ["gate-fidelity", "--alpha2", "0.5", "--fock-dim", "8"],  # couplings not opposite
         ["gate-fidelity", "--dt", "1.0", "--fock-dim", "8"],  # step ceiling
         ["cat-state", "--phi", "1.0", "--fock-dim", "16"],  # off the phi = pi/2 closed form
+        # |beta|^2 = 0.996 in the trace's effective model, past Fock 8's 8/9
+        ["validate-effective", "--fock-dim", "8", "--g", "0.5", "--periods", "1"],
     ])
     def test_library_errors_exit_2(self, tmp_path, capsys, args):
         assert main(args + ["--out", str(tmp_path)]) == 2

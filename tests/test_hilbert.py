@@ -187,6 +187,20 @@ class TestResonatorOperators:
             )
 
 
+    def test_coherent_amplitudes_array_matches_scalar_calls(self):
+        betas = np.array([[0.7 + 0.1j, 0.0, -1.2], [0.5 - 0.4j, 2j, 1e-3]])
+        amps = coherent_amplitudes(betas, 40)
+        assert amps.shape == (2, 3, 40)
+        for idx in np.ndindex(betas.shape):
+            assert np.array_equal(amps[idx], coherent_amplitudes(betas[idx], 40))
+        assert amps[0, 1] == pytest.approx(np.eye(40)[0])
+
+    def test_coherent_amplitudes_array_guard(self):
+        # one entry past |beta|^2 <= fock_dim/9 rejects the whole array
+        with pytest.raises(ValueError, match="exceeds fock_dim/9"):
+            coherent_amplitudes(np.array([0.1, 1.0 + 0.1j]), 9)
+
+
 class TestFidelity:
     def test_self_and_orthogonal(self, small_layout):
         g0 = basis_state(small_layout, "gg", 0)

@@ -160,6 +160,18 @@ class TestFrameTransform:
         ph = frame_phases(t, std_params, std_drive, small_layout)
         assert np.max(np.abs(np.diag(u) - ph)) <= 1e-14
 
+    @pytest.mark.parametrize("n_qubits", [1, 2])
+    def test_frame_phases_vectorised_over_times(self, n_qubits, rng):
+        lay = HilbertLayout(n_qubits, 6)
+        p = SystemParams(omega_q=3.0, g=0.2, n_qubits=n_qubits)
+        alpha = (1.832,) if n_qubits == 1 else (1.2, -0.7)
+        d = DriveParams.from_alpha(alpha, 3.1, phi=1.1)
+        times = rng.uniform(0, 10, (3, 4))
+        ph = frame_phases(times, p, d, lay)
+        assert ph.shape == (3, 4, lay.dim)
+        for idx in np.ndindex(times.shape):
+            assert np.array_equal(ph[idx], frame_phases(float(times[idx]), p, d, lay))
+
     def test_generator_identity(self, std_params, std_drive):
         """U^dag H_driven U - i U^dag dU/dt equals the rotating-frame builder.
 
