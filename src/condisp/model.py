@@ -218,11 +218,16 @@ def lab_hamiltonian(params: SystemParams, layout: HilbertLayout) -> Operator:
     return Operator(layout, _lab_matrix(params, layout))
 
 
+def _sigma_z(layout: HilbertLayout) -> np.ndarray:
+    """sigma_z^m per product-basis state, one row per qubit m; qubit m is
+    (|e>, |g>) = (+1, -1)."""
+    return np.array([np.repeat(np.tile([1.0, -1.0], 2 ** m), layout.dim >> (m + 1))
+                     for m in range(layout.n_qubits)])
+
+
 def _drive_diagonal(drive: DriveParams, layout: HilbertLayout) -> np.ndarray:
     """Diagonal of the modulation term sum_m (epsilon_m/2) sigma_z^m."""
-    b = _blocks(layout)
-    return sum(0.5 * drive.epsilon[m] * np.diag(b[f"sz{m}"]).real
-               for m in range(layout.n_qubits))
+    return sum(0.5 * e * sz for e, sz in zip(drive.epsilon, _sigma_z(layout)))
 
 
 def driven_hamiltonian(params: SystemParams, drive: DriveParams, t: float,
@@ -242,9 +247,7 @@ def _frame_phases(params: SystemParams, drive: DriveParams, t,
     an array of times gives one row per time.
     """
     t = np.asarray(t, dtype=float)[..., None]
-    # sigma_z^m per product-basis state: qubit m is (|e>, |g>) = (+1, -1)
-    sz = np.array([np.repeat(np.tile([1.0, -1.0], 2 ** m), layout.dim >> (m + 1))
-                   for m in range(layout.n_qubits)])
+    sz = _sigma_z(layout)
     n = np.arange(layout.dim) % layout.fock_dim
     bare = 0.5 * params.omega_q * sz.sum(axis=0) + params.omega_r * n
     modulation = 0.5 * (np.array(drive.alpha) @ sz)
@@ -556,10 +559,8 @@ class _Blocks:
 def _lab_blocks(params: SystemParams, drive: DriveParams,
                 layout: HilbertLayout) -> _Blocks:
     """(h0, drive diagonal) of two qubits, permuted once into parity order."""
-    b = _blocks(layout)
     n = np.arange(layout.dim) % layout.fock_dim
-    excited = sum(0.5 * (1.0 + np.diag(b[f"sz{q}"]).real)
-                  for q in range(layout.n_qubits))
+    excited = np.sum(0.5 * (1.0 + _sigma_z(layout)), axis=0)
     order = np.argsort((n + excited) % 2, kind="stable")
     m = layout.dim // 2
     h = _lab_matrix(params, layout)[np.ix_(order, order)]
@@ -570,44 +571,86 @@ def _lab_blocks(params: SystemParams, drive: DriveParams,
                    _drive_diagonal(drive, layout)[order].reshape(2, m), order)
 
 
-def _mixed_blocks(cs: np.ndarray, parts: _Blocks) -> np.ndarray:
-    """cs[0] h0 + cs[1] diag, block by block, as a (2, m, m) stack."""
-    out = cs[0] * parts.h0
-    out.reshape(2, -1)[:, ::out.shape[-1] + 1] += cs[1] * parts.diag
-    return out
-
-
-def _block_operator(blocks: np.ndarray):
+def _block_operator(blocks: np.ndarray, scratch: dict):
     """apply(x, scale) = scale * B @ x for the real block-diagonal B.
 
-    x is a C-contiguous vector or (dim, k) block in parity order. Its
-    float64 view holds each row's real and imaginary parts side by side,
-    so one batched real matmul over the two blocks does the whole apply.
+    x is a vector or a (dim, k) block in parity order. The float64 view of
+    a C-contiguous block holds each row's real and imaginary parts side by
+    side, so one batched real matmul over the two blocks does the whole
+    apply, straight into the float64 view of the result. Buffers are
+    handled as in _band_operator, without the zero rows.
     """
     m = blocks.shape[1]
+    shape = last = bufs = staged = None
+
+    def cut(b):
+        return b, b.view(np.float64).reshape(2, m, -1)
 
     def apply(x: np.ndarray, scale: complex) -> np.ndarray:
-        y = np.matmul(blocks, x.view(np.float64).reshape(2, m, -1))
-        y = y.view(np.complex128).reshape(x.shape)
+        nonlocal shape, last, bufs, staged
+        if x.shape != shape:
+            shape, last = x.shape, 0
+            pair = np.empty((2,) + shape, dtype=complex)
+            bufs = (cut(pair[0]), cut(pair[1]))
+            if shape not in scratch:
+                scratch[shape] = cut(np.empty(shape, dtype=complex))
+            staged = scratch[shape]
+        if x is bufs[last][0]:
+            src = bufs[last][1]
+        else:
+            np.copyto(staged[0], x)
+            src = staged[1]
+        last ^= 1
+        y, out = bufs[last]
+        np.matmul(blocks, src, out=out)
         y *= scale
         return y
     return apply
 
 
-def _band_operator(bands: np.ndarray):
-    """apply(x, scale) = scale * T @ x for the tridiagonal T with these bands.
+def _cut(p: np.ndarray):
+    """Rows 1..n of a buffer with a zero row at each end, and the rows
+    after and before them."""
+    return p[1:-1], p[2:], p[:-2]
 
-    x is a vector or a (dim, k) block in chain order; the band views are
-    cut once here, because each Taylor term costs only a few vector ops.
+
+def _band_operator(d: np.ndarray, up: np.ndarray, lo: np.ndarray, scratch: dict):
+    """apply(x, scale) = scale * T @ x for the tridiagonal T with diagonal d,
+    T[i, i+1] = up[i] and T[i, i-1] = lo[i] (up[-1] = lo[0] = 0).
+
+    x is a vector or a (dim, k) block in chain order. Each result goes
+    into one of two buffers owned by this apply, in turn, so it stays
+    valid through the apply's next call and is overwritten by the one
+    after. Any other input is first copied into a staging buffer from
+    scratch, which the applies of one mixer share because it never leaves
+    a call. All these buffers carry a zero row at each end, so the
+    neighbour rows x[i+1] and x[i-1] are fixed views of them. Buffers and
+    views are made on the first call, and again if the shape of x changes.
     """
-    flat = bands[0], bands[1, :-1], bands[2, 1:]
-    cols = tuple(b[:, None] for b in flat)
+    shape = last = bufs = staged = tmp = bands = None
 
     def apply(x: np.ndarray, scale: complex) -> np.ndarray:
-        d, up, lo = flat if x.ndim == 1 else cols
-        y = d * x
-        y[:-1] += up * x[1:]
-        y[1:] += lo * x[:-1]
+        nonlocal shape, last, bufs, staged, tmp, bands
+        if x.shape != shape:
+            shape, last = x.shape, 0
+            pads = np.zeros((2, len(x) + 2) + shape[1:], dtype=complex)
+            bufs = (_cut(pads[0]), _cut(pads[1]))
+            if shape not in scratch:
+                scratch[shape] = (_cut(np.zeros_like(pads[0])),
+                                  np.empty(shape, dtype=complex))
+            staged, tmp = scratch[shape]
+            bands = (d, up, lo) if x.ndim == 1 else (d[:, None], up[:, None], lo[:, None])
+        if x is bufs[last][0]:
+            xs, xn, xp = bufs[last]
+        else:
+            xs, xn, xp = staged
+            np.copyto(xs, x)
+        last ^= 1
+        y = bufs[last][0]
+        dd, uu, ll = bands
+        np.multiply(dd, xs, out=y)
+        y += np.multiply(uu, xn, out=tmp)
+        y += np.multiply(ll, xp, out=tmp)
         y *= scale
         return y
     return apply
@@ -624,8 +667,10 @@ def _assemble_parts(cs: np.ndarray, parts) -> np.ndarray:
         h[o[1:], o[:-1]] = lo[1:]
         return h
     o = parts.order.reshape(2, -1)
+    blocks = cs[0] * parts.h0
+    blocks.reshape(2, -1)[:, ::o.shape[1] + 1] += cs[1] * parts.diag
     h = np.zeros((o.size, o.size), dtype=complex)
-    for ob, block in zip(o, _mixed_blocks(cs, parts)):
+    for ob, block in zip(o, blocks):
         h[np.ix_(ob, ob)] = block
     return h
 
@@ -659,14 +704,23 @@ def _mixer(h: Callable[[float], np.ndarray], t_check: float):
     mix(ts, ws) forms sum_i ws[i] H(ts[i]) once and returns
     apply(x, scale) = scale * (that sum) @ x, for a state or a (dim, k)
     column block held in the propagation basis; into and back copy a
-    state or block from the product basis into that basis and back. A
-    provider with a coefficient form, checked against h(t_check), mixes
-    its coefficient vectors over its parts: chain parts (one qubit) into
-    three bands, in chain order; parity blocks (two-qubit lab frame) into
-    two real blocks, in parity order, applied as one batched real matmul
-    on the float64 view of x, and refusing complex mixed coefficients
-    with ValueError. Any other callable falls back to one dense mixed
-    matrix in the product basis.
+    state or block from the product basis into that basis and back.
+
+    A provider with a coefficient form, checked against h(t_check), is
+    c0 h0 + c1 D with D diagonal (checked here for chain parts; parity
+    blocks hold D as a diagonal). mix reduces its weights to the two
+    scalars c_j = sum_i ws[i] coeffs(ts[i])[j]; c0 h0 is premixed once
+    per distinct c0 (1/2 for both CF4 exponents, 1 for RK4), so a mix
+    only writes a new diagonal.
+    Chain parts (one qubit) apply as three bands in chain order, parity
+    blocks (two-qubit lab frame) as two real blocks in parity order,
+    refusing complex mixed coefficients with ValueError. Any other
+    callable falls back to one dense mixed matrix in the product basis.
+
+    Every apply owns its mixed operator and its result buffers: a result
+    stays valid through the next call of the apply that made it and is
+    overwritten by the one after, and no apply writes where another
+    apply's results are.
     """
     form = _coefficient_form(h, t_check)
     if form is None:
@@ -675,28 +729,49 @@ def _mixer(h: Callable[[float], np.ndarray], t_check: float):
             return lambda x, scale: scale * (m @ x)
         return mix, np.copy, np.copy
     coeffs, parts = form
-    if isinstance(parts, _Chains):
-        order = parts.order
-        inverse = np.argsort(order)
-        flat = parts.bands.reshape(len(parts.bands), -1)
-
-        def mix(ts, ws):
-            cs = sum(w * coeffs(t) for t, w in zip(ts, ws))
-            return _band_operator((cs @ flat).reshape(3, -1))
-        return mix, (lambda x: x[order]), (lambda x: x[inverse])
     order = parts.order
     inverse = np.argsort(order)
+    scratch = {}  # per shape: staging buffers the applies share
+    if isinstance(parts, _Chains):
+        (d0, up, lo), drive = parts.bands
+        if np.any(drive[1:]):
+            raise ValueError("the drive part of a chain generator is not diagonal")
+        drive = drive[0]
+
+        @lru_cache(maxsize=4)
+        def premix(c0):
+            return c0 * d0, c0 * up, c0 * lo
+
+        def operator(c0, c1):
+            d, u, l = premix(c0)
+            return _band_operator(d + c1 * drive, u, l, scratch)
+    else:
+        drive = parts.diag
+
+        @lru_cache(maxsize=4)
+        def premix(c0):
+            h0 = c0 * parts.h0
+            return h0, np.diagonal(h0, axis1=1, axis2=2).copy()
+
+        def operator(c0, c1):
+            if isinstance(c0, complex) or isinstance(c1, complex):
+                if c0.imag or c1.imag:
+                    raise ValueError("parity-block parts need real coefficients, "
+                                     f"got {np.array([c0, c1])}")
+                c0, c1 = c0.real, c1.real
+            h0, d = premix(c0)
+            blocks = h0.copy()
+            blocks.reshape(2, -1)[:, ::blocks.shape[-1] + 1] = d + c1 * drive
+            return _block_operator(blocks, scratch)
 
     def mix(ts, ws):
-        cs = sum(w * coeffs(t) for t, w in zip(ts, ws))
-        if np.iscomplexobj(cs):
-            if np.any(cs.imag):
-                raise ValueError(
-                    f"parity-block parts need real coefficients, got {cs}")
-            cs = cs.real
-        return _block_operator(_mixed_blocks(cs, parts))
-    return (mix, (lambda x: np.ascontiguousarray(x[order])),
-            (lambda x: x[inverse]))
+        c0 = c1 = 0.0
+        for t, w in zip(ts, ws):
+            a, b = coeffs(t).tolist()
+            c0 += w * a
+            c1 += w * b
+        return operator(c0, c1)
+    return mix, (lambda x: x[order]), (lambda x: x[inverse])
 
 
 def hamiltonian_fn(params: SystemParams, drive: DriveParams, frame: str,

@@ -11,10 +11,14 @@ t + (1/2 -+ sqrt(3)/6) dt and applies two exponentials,
 
 the one weighted toward the earlier point first. Each exponential acts
 through an adaptive Taylor product, which never leaves the unit sphere
-beyond roundoff. Providers that carry a coefficient form (see
-model.hamiltonian_fn) are evaluated as a dense H(t) once per
-propagation, to check that form; each exponent then mixes the parts
-once (model._mixer). A one-qubit generator becomes one tridiagonal
+beyond roundoff; so the series stops once a term's squared norm falls
+below 1e-32 of the input's, taken once per exponential. Providers that
+carry a coefficient form (see model.hamiltonian_fn) are evaluated as a
+dense H(t) once per propagation, to check that form. model._mixer
+premixes their static part once per weight sum (1/2 for both CF4
+exponents), so each exponent writes only a new diagonal from two scalar
+coefficients, and each Taylor term is an apply into buffers the
+exponent's operator owns. A one-qubit generator becomes one tridiagonal
 matrix along its parity chains and a two-qubit one two real parity
 blocks, so the state is permuted into that order for the whole
 propagation and every kept sample is permuted back. The effective
@@ -53,12 +57,11 @@ __all__ = [
 METHODS = ("piecewise-exponential", "rk4")
 
 # CF4 steps per shortest Hamiltonian period. Final-state error of the
-# k = 6 cat experiment at Fock 128 against a 400-step run, and its wall
-# time on a 2-vCPU Xeon:
-#     50 -> 8.0e-9 (0.86 s), 64 -> 3.0e-9 (1.04 s),
-#     80 -> 1.2e-9 (1.25 s), 100 -> 5.0e-10 (1.43 s),
-# a slope of 4. 64 keeps the default step under the ceiling (50 per period)
-# and criterion 8's step-halving distance at 3.4e-10, bound 1e-6.
+# k = 6 cat experiment at Fock 128 against a 400-step run:
+#     50 -> 8.0e-9, 64 -> 3.0e-9, 80 -> 1.2e-9, 100 -> 5.0e-10,
+# a slope of 4; the work grows in proportion to the step count. 64 keeps
+# the default step under the ceiling (50 per period) and criterion 8's
+# step-halving distance at 3.4e-10, bound 1e-6.
 DEFAULT_STEPS_PER_PERIOD = 64
 # RK4 steps per shortest period. RK4 is only the cross-check, and at 64
 # steps it would sit within 2x of that check's 1e-6 bound.
@@ -164,17 +167,21 @@ _CF4_WEIGHTS = ((3.0 - 2.0 * math.sqrt(3.0)) / 12.0,
 def _expmv(apply, dt: float, v: np.ndarray) -> np.ndarray:
     """exp(-i h dt) @ v by the Taylor product, apply(x, scale) = scale * h @ x.
 
-    The term count adapts to a relative 1e-16 tail, tested on squared
-    norms. Converges for any dt but is only accurate (and cheap) for
-    dt * ||h|| of order one or below, which the step ceiling guarantees.
+    The series stops at the first term with ||term||^2 <= 1e-32 ||v||^2,
+    a relative 1e-16 tail; ||v||^2 is taken once, since the Taylor
+    product is unitary to roundoff. A term is held only until the apply
+    has made the next one from it, as model._mixer's buffer rule allows.
+    Converges for any dt but is only accurate (and cheap) for dt * ||h||
+    of order one or below, which the step ceiling guarantees.
     """
     out = v.astype(complex, copy=True)
     term = out
-    tol = _TAYLOR_RTOL ** 2
+    tol = _TAYLOR_RTOL ** 2 * np.vdot(out, out).real
+    scale = -1j * dt
     for k in range(1, _TAYLOR_MAX_TERMS + 1):
-        term = apply(term, -1j * dt / k)
+        term = apply(term, scale / k)
         out += term
-        if np.vdot(term, term).real <= tol * np.vdot(out, out).real:
+        if np.vdot(term, term).real <= tol:
             return out
     raise PropagationAccuracyError(
         f"matrix-exponential series did not converge in {_TAYLOR_MAX_TERMS} "

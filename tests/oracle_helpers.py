@@ -2,7 +2,8 @@
 
 Everything here reconstructs reference physics from scratch (explicit
 matrix assembly, finite differences) rather than calling back into the
-library paths under test.
+library paths under test; reference_expmv keeps the earlier Taylor loop
+to compare the library's against.
 """
 
 from __future__ import annotations
@@ -50,6 +51,23 @@ def closed_form_rotating(
             for c, op in ((c3, sp[m] @ sp[n]), (c4, sp[m] @ sm[n])):
                 h += c * op + np.conj(c) * op.conj().T
     return h
+
+
+def reference_expmv(apply, dt: float, v: np.ndarray) -> tuple[np.ndarray, int]:
+    """exp(-i h dt) @ v by the Taylor product, and the number of terms.
+
+    The earlier loop: it stops once ||term||^2 <= 1e-32 ||partial sum||^2,
+    both squared norms taken afresh at every term, and raises
+    RuntimeError after 200 terms.
+    """
+    out = v.astype(complex, copy=True)
+    term = out
+    for k in range(1, 201):
+        term = apply(term, -1j * dt / k)
+        out += term
+        if np.vdot(term, term).real <= 1e-32 * np.vdot(out, out).real:
+            return out, k
+    raise RuntimeError("Taylor series did not converge in 200 terms")
 
 
 def max_expansion_residual(

@@ -10,6 +10,9 @@ Key oracles:
 * the coefficient-form apply must equal the dense H(t) matvec, and the
   one-qubit parity-chain path and the two-qubit parity-block path must
   propagate as the dense fallback does,
+* the Taylor loop must take as many terms as the earlier two-vdot loop
+  and agree with it, and an apply's buffers must never overwrite a result
+  its caller still holds,
 * the closed-form effective states of fidelity_trace must match a
   propagation of the effective Hamiltonian,
 * evolving in the lab frame and rotating afterwards must agree with
@@ -24,12 +27,17 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from condisp import DriveParams, HilbertLayout, SystemParams
+import oracle_helpers
+from condisp import DriveParams, HilbertLayout, SystemParams, propagate
+from condisp.cat import cat_fidelity_experiment
+from condisp.gate import gate_columns
 from condisp.hilbert import Ket, basis_state
-from condisp.model import _assemble_parts, _mixer, frame_phases, hamiltonian_fn
+from condisp.model import (_Chains, _assemble_parts, _mixer, frame_phases,
+                           hamiltonian_fn)
 from condisp.propagate import (
     DEFAULT_STEPS_PER_PERIOD,
     _effective_states,
+    _expmv,
     EvolutionConfig,
     PropagationAccuracyError,
     evolve,
@@ -152,6 +160,21 @@ class TestChainPath:
         u = propagator(fn, 1.7, cfg).mat
         assert np.max(np.abs(u - propagator(dense, 1.7, cfg).mat)) <= 1e-12
 
+    def test_drive_part_with_hops_refused(self):
+        """The mixer premixes everything but the drive diagonal, so a chain
+        drive part with hops is refused rather than half applied."""
+        fn, _ = self._pair("lab-driven")
+        bands = fn.parts.bands.copy()
+        bands[1, 1:] = bands[0, 1:]  # the drive part gains the hops
+        parts = _Chains(bands, fn.parts.order)
+
+        def hopping(t: float) -> np.ndarray:
+            return _assemble_parts(fn.coeffs(t), parts)
+
+        hopping.coeffs, hopping.parts = fn.coeffs, parts
+        with pytest.raises(ValueError, match="drive part .* not diagonal"):
+            _mixer(hopping, 0.0)
+
     def test_rk4_matches_cf4(self):
         fn, _ = self._pair("lab-driven")
         psi0 = basis_state(fn.layout, "g", 0)
@@ -216,6 +239,123 @@ class TestParityBlockPath:
         psi0 = basis_state(fn.layout, "gg", 0)
         with pytest.raises(ValueError, match="real coefficients"):
             evolve(skewed, psi0, 1.0, EvolutionConfig(), 2)
+
+
+def _lab_provider(n_qubits: int, fock_dim: int):
+    lay = HilbertLayout(n_qubits, fock_dim)
+    alpha = (1.832,) if n_qubits == 1 else (1.20242, -1.20242)
+    p = SystemParams(omega_q=3.0, g=0.2, n_qubits=n_qubits)
+    return hamiltonian_fn(p, DriveParams.from_alpha(alpha, 3.0), "lab-driven", lay)
+
+
+class TestTaylorLoop:
+    """_expmv against the earlier two-vdot loop of oracle_helpers, on every
+    exponential of small cat-, gate- and trace-like propagations."""
+
+    @staticmethod
+    def _propagate(workload: str) -> None:
+        cfg = EvolutionConfig()
+        if workload == "cat":
+            p = SystemParams(omega_q=3.0, g=0.2, n_qubits=1)
+            d = DriveParams.from_alpha((1.832,), 3.0)
+            cat_fidelity_experiment(p, d, 1, cfg, HilbertLayout(1, 16))
+            return
+        p = SystemParams(omega_q=3.0, g=0.2 if workload == "gate" else 0.5)
+        d = DriveParams.from_alpha((1.20242, -1.20242), 3.0)
+        lay = HilbertLayout(2, 8)
+        if workload == "gate":
+            gate_columns(p, d, cfg, lay)
+        else:
+            fidelity_trace(p, d, basis_state(lay, "gg", 0), 0.2 * np.pi, cfg)
+
+    @pytest.mark.parametrize("workload", ["cat", "gate", "trace"])
+    def test_same_terms_as_reference_loop(self, workload, monkeypatch):
+        seen = []
+
+        def spy(apply, dt, v):
+            terms = 0
+
+            def counted(x, scale):
+                nonlocal terms
+                terms += 1
+                return apply(x, scale)
+
+            got = _expmv(counted, dt, v)
+            ref, ref_terms = oracle_helpers.reference_expmv(apply, dt, v)
+            seen.append((terms, ref_terms, float(np.max(np.abs(got - ref)))))
+            return got
+
+        monkeypatch.setattr(propagate, "_expmv", spy)
+        self._propagate(workload)
+        assert len(seen) >= 40
+        assert [n for n, _, _ in seen] == [n for _, n, _ in seen]
+        assert max(err for _, _, err in seen) <= 1e-13
+
+    def test_nonconvergence_raises(self):
+        fn = _lab_provider(1, 8)
+        mix, into, _ = _mixer(fn, 0.0)
+        v = into(basis_state(fn.layout, "g", 3).vec)
+        with pytest.raises(PropagationAccuracyError, match="did not converge in 200 terms"):
+            _expmv(mix((0.0,), (1.0,)), 20.0, v)
+
+
+class TestBufferedApply:
+    """Applies write their results into buffers of their own: what a caller
+    still holds survives later calls, in the RK4 pattern (three applies,
+    one called twice) and in the Taylor loop's (one apply fed its own
+    results)."""
+
+    @staticmethod
+    def _setup(n_qubits: int, layout: str):
+        fn = _lab_provider(n_qubits, 8)
+        mix, into, back = _mixer(fn, 0.3)
+        rng = np.random.default_rng(11)
+        shape = (fn.layout.dim,) if layout == "vector" else (fn.layout.dim, 4)
+        x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        if layout == "F":
+            x = np.asfortranarray(x)
+        return fn, mix, into, back, x
+
+    @pytest.mark.parametrize("n_qubits", [1, 2])
+    @pytest.mark.parametrize("layout", ["vector", "C", "F"])
+    def test_rk4_pattern(self, n_qubits, layout):
+        fn, mix, into, back, x = self._setup(n_qubits, layout)
+        t, dt = 0.3, 0.05
+        h0, hm, h1 = mix((t,), (1.0,)), mix((t + 0.5 * dt,), (1.0,)), mix((t + dt,), (1.0,))
+        v = into(x)
+        if layout == "F":
+            v = np.asfortranarray(v)
+        held, copies, checks = [], [], []
+        for apply, ti, inc in ((h0, t, None), (hm, t + 0.5 * dt, 0.5 * dt),
+                               (hm, t + 0.5 * dt, 0.5 * dt), (h1, t + dt, dt)):
+            arg = v if inc is None else v + inc * held[-1]
+            held.append(apply(arg, -1j))
+            copies.append(held[-1].copy())
+            checks.append((ti, back(arg)))
+        for k, c, (ti, arg) in zip(held, copies, checks):
+            assert np.array_equal(k, c)
+            assert np.max(np.abs(back(k) - (-1j) * (fn(ti) @ arg))) <= 1e-13
+
+    @pytest.mark.parametrize("n_qubits", [1, 2])
+    @pytest.mark.parametrize("layout", ["vector", "C", "F"])
+    def test_taylor_pattern(self, n_qubits, layout):
+        fn, mix, into, back, x = self._setup(n_qubits, layout)
+        ts, ws = (0.1, 0.4), (0.125, 0.375)  # weights summing to 1/2, as in CF4
+        dense = ws[0] * fn(ts[0]) + ws[1] * fn(ts[1])
+        first = mix(ts, ws)
+        later = mix((0.9,), (1.0,))  # a second apply, alive at the same time
+        term = into(x)
+        prev = None
+        for k in range(1, 6):
+            arg = back(term)
+            term = first(term, 0.5 / k)
+            assert np.max(np.abs(back(term) - (0.5 / k) * (dense @ arg))) <= 1e-13
+            if prev is not None:  # valid through the next call
+                assert np.array_equal(prev[0], prev[1])
+            prev = (term, term.copy())
+            other = later(term, 1.0)
+            assert not np.shares_memory(other, term)
+            assert np.max(np.abs(back(other) - fn(0.9) @ back(term))) <= 1e-13
 
 
 class TestEvolveStatic:
