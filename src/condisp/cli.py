@@ -359,6 +359,8 @@ def _sweep_axes(cfg):
         axes.append((key, np.linspace(start, stop, points)))
     if not axes:
         raise ConfigError("sweep.axis1: at least one sweep axis is required")
+    if len(axes) == 2 and axes[0][0] == axes[1][0]:
+        raise ConfigError(f"sweep.axis2: {axes[1][0]!r} is already swept as sweep.axis1")
     total = 1
     for _, values in axes:
         total *= len(values)

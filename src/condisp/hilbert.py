@@ -228,16 +228,19 @@ def pauli_on(m: int, axis: str, layout: HilbertLayout) -> Operator:
     return Operator(layout, _embed(layout, {m: _PAULI[axis]}, None))
 
 
+def _annihilation(fock_dim: int) -> np.ndarray:
+    """Fock-space annihilation operator, sqrt(n) on the super-diagonal."""
+    return np.diag(np.sqrt(np.arange(1, fock_dim, dtype=float)), k=1).astype(complex)
+
+
 def ladder(layout: HilbertLayout) -> Operator:
     """Resonator annihilation operator a, identity on the qubits."""
-    nf = layout.fock_dim
-    a = np.diag(np.sqrt(np.arange(1, nf, dtype=float)), k=1).astype(complex)
-    return Operator(layout, _embed(layout, {}, a))
+    return Operator(layout, _embed(layout, {}, _annihilation(layout.fock_dim)))
 
 
 def _displacement_fock(beta: complex, fock_dim: int) -> np.ndarray:
     """Fock-space displacement exp(beta a^dag - beta* a)."""
-    a = np.diag(np.sqrt(np.arange(1, fock_dim, dtype=float)), k=1).astype(complex)
+    a = _annihilation(fock_dim)
     gen = 1j * (beta * a.conj().T - np.conjugate(beta) * a)  # Hermitian
     return expm_skew_hermitian(gen, 1.0)
 

@@ -32,7 +32,7 @@ from typing import Callable
 
 import numpy as np
 
-from .hilbert import HilbertLayout, Operator, pauli_on, ladder
+from .hilbert import _PAULI, HilbertLayout, Operator, _annihilation, _embed
 from .numerics import bessel_j
 
 __all__ = [
@@ -174,40 +174,22 @@ def _require_quadrature(drive: DriveParams, what: str) -> None:
         raise ValueError(f"{what} requires phi = pi/2, got phi = {drive.phi}")
 
 
-@lru_cache(maxsize=16)
-def _blocks(layout: HilbertLayout) -> dict:
-    """Coupling blocks reused by every builder, keyed by layout."""
-    a = ladder(layout).mat
-    ad = a.conj().T
-    out = {"a": a, "ad": ad, "n": ad @ a}
-    for m in range(layout.n_qubits):
-        out[f"sz{m}"] = pauli_on(m, "z", layout).mat
-        out[f"sx{m}"] = pauli_on(m, "x", layout).mat
-        sp = pauli_on(m, "+", layout).mat
-        sm = pauli_on(m, "-", layout).mat
-        out[f"ad_sm{m}"] = ad @ sm
-        out[f"ad_sp{m}"] = ad @ sp
-        out[f"sp{m}"] = sp
-        out[f"sm{m}"] = sm
-    for m in range(layout.n_qubits):
-        for n in range(layout.n_qubits):
-            if m != n:
-                out[f"spp{m}{n}"] = out[f"sp{m}"] @ out[f"sp{n}"]
-                out[f"spm{m}{n}"] = out[f"sp{m}"] @ out[f"sm{n}"]
-    return out
-
-
 def _lab_matrix(params: SystemParams, layout: HilbertLayout) -> np.ndarray:
-    b = _blocks(layout)
-    h = params.omega_r * b["n"].astype(complex).copy()
-    x = b["a"] + b["ad"]
+    """Static Hamiltonian, each term a Pauli on its qubit(s) times a Fock
+    factor; the diagonal omega_r n + sum_m (omega_q/2) s_m is exact."""
+    diag = params.omega_r * (np.arange(layout.dim) % layout.fock_dim)
+    for sz in _sigma_z(layout):
+        diag += 0.5 * params.omega_q * sz
+    h = np.diag(diag.astype(complex))
+    x = _annihilation(layout.fock_dim)
+    x += x.T
+    sx = _PAULI["x"]
     for m in range(layout.n_qubits):
-        h += 0.5 * params.omega_q * b[f"sz{m}"]
-        h += params.g * (x @ b[f"sx{m}"])
+        h += params.g * _embed(layout, {m: sx}, x)
     for m in range(layout.n_qubits):
         for n in range(layout.n_qubits):
             if m != n:  # ordered pairs: each qubit pair enters twice
-                h += params.d_coupling * (b[f"sx{m}"] @ b[f"sx{n}"])
+                h += params.d_coupling * _embed(layout, {m: sx, n: sx}, None)
     return h
 
 
@@ -236,25 +218,6 @@ def driven_hamiltonian(params: SystemParams, drive: DriveParams, t: float,
     return Operator(layout, hamiltonian_fn(params, drive, "lab-driven", layout)(t))
 
 
-def _frame_phases(params: SystemParams, drive: DriveParams, t,
-                  layout: HilbertLayout) -> np.ndarray:
-    """Diagonal of the frame transform U(t) = U_1(t) U_2(t), per time in t.
-
-    U_1 removes the bare precession exp[-i(sum_m (omega_q/2) sigma_z^m
-    + omega_r a^dag a) t]; U_2 carries the accumulated modulation phase
-    exp[i sum_m (alpha_m/2) cos(omega_d t - phi) sigma_z^m]. Both are
-    diagonal in the product basis, so the transform is a phase vector;
-    an array of times gives one row per time.
-    """
-    t = np.asarray(t, dtype=float)[..., None]
-    sz = _sigma_z(layout)
-    n = np.arange(layout.dim) % layout.fock_dim
-    bare = 0.5 * params.omega_q * sz.sum(axis=0) + params.omega_r * n
-    modulation = 0.5 * (np.array(drive.alpha) @ sz)
-    return np.exp(1j * (modulation * np.cos(drive.omega_d * t - drive.phi)
-                        - bare * t))
-
-
 def frame_transform(t: float, params: SystemParams, drive: DriveParams,
                     layout: HilbertLayout) -> Operator:
     """Unitary mapping lab states into the modulation rotating frame.
@@ -262,21 +225,29 @@ def frame_transform(t: float, params: SystemParams, drive: DriveParams,
     A rotating-frame state is U(t)^dag |psi_lab(t)>. At phi = pi/2 the
     transform is the identity at t = 0.
     """
-    _check_pair(params, drive, layout)
-    return Operator(layout, np.diag(_frame_phases(params, drive, t, layout)))
+    return Operator(layout, np.diag(frame_phases(t, params, drive, layout)))
 
 
 def frame_phases(t, params: SystemParams, drive: DriveParams,
                  layout: HilbertLayout) -> np.ndarray:
-    """Diagonal of frame_transform as a phase vector.
+    """Diagonal of the frame transform U(t) = U_1(t) U_2(t) as a phase vector.
 
-    The transform is diagonal in the product basis, so applying it (or its
+    U_1 removes the bare precession exp[-i(sum_m (omega_q/2) sigma_z^m
+    + omega_r a^dag a) t]; U_2 carries the accumulated modulation phase
+    exp[i sum_m (alpha_m/2) cos(omega_d t - phi) sigma_z^m]. Both are
+    diagonal in the product basis, so applying the transform (or its
     inverse, the conjugate) is an elementwise multiply; evolution loops use
     this instead of a dim x dim matrix. t may be an array of times; the
     result then has shape t.shape + (dim,).
     """
     _check_pair(params, drive, layout)
-    return _frame_phases(params, drive, t, layout)
+    t = np.asarray(t, dtype=float)[..., None]
+    sz = _sigma_z(layout)
+    n = np.arange(layout.dim) % layout.fock_dim
+    bare = 0.5 * params.omega_q * sz.sum(axis=0) + params.omega_r * n
+    modulation = 0.5 * (np.array(drive.alpha) @ sz)
+    return np.exp(1j * (modulation * np.cos(drive.omega_d * t - drive.phi)
+                        - bare * t))
 
 
 def _sideband_coeffs(alpha: float, l_max: int) -> np.ndarray:
@@ -304,7 +275,8 @@ def _rotating_terms(params: SystemParams, drive: DriveParams,
     Each descriptor is (prefactor, detuning, sideband coeffs, conjugate flag):
     c_k(t) = prefactor * exp(i detuning t) * series(omega_d t - phi).
     """
-    b = _blocks(layout)
+    ad = _annihilation(layout.fock_dim).T
+    sp, sm = _PAULI["+"], _PAULI["-"]
     alphas = drive.alpha
     dm = params.omega_r - params.omega_q
     dp = params.omega_r + params.omega_q
@@ -312,18 +284,18 @@ def _rotating_terms(params: SystemParams, drive: DriveParams,
     terms: list[tuple[float, float, np.ndarray, bool]] = []
     for m in range(layout.n_qubits):
         cs = _sideband_coeffs(alphas[m], l_max)
-        mats.append(b[f"ad_sm{m}"])
+        mats.append(_embed(layout, {m: sm}, ad))
         terms.append((params.g, dm, cs, False))
-        mats.append(b[f"ad_sp{m}"])
+        mats.append(_embed(layout, {m: sp}, ad))
         terms.append((params.g, dp, cs, True))
     for m in range(layout.n_qubits):
         for n in range(layout.n_qubits):
             if m == n:
                 continue
-            mats.append(b[f"spp{m}{n}"])
+            mats.append(_embed(layout, {m: sp, n: sp}, None))
             terms.append((params.d_coupling, 2.0 * params.omega_q,
                           _sideband_coeffs(alphas[m] + alphas[n], l_max), True))
-            mats.append(b[f"spm{m}{n}"])
+            mats.append(_embed(layout, {m: sp, n: sm}, None))
             terms.append((params.d_coupling, 0.0,
                           _sideband_coeffs(alphas[m] - alphas[n], l_max), True))
     return np.array(mats), terms
@@ -825,8 +797,8 @@ def hamiltonian_fn(params: SystemParams, drive: DriveParams, frame: str,
 
     else:
         _require_quadrature(drive, "effective model")
-        b = _blocks(layout)
-        w = sum(geff * (b["ad"] @ b[f"sx{m}"])
+        ad = _annihilation(layout.fock_dim).T
+        w = sum(geff * _embed(layout, {m: _PAULI["x"]}, ad)
                 for m, geff in enumerate(effective_couplings(params, drive)))
         wr = params.omega_r
 

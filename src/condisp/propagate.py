@@ -367,6 +367,8 @@ def fidelity_trace(params: SystemParams, drive: DriveParams, psi0: Ket,
     if n_samples is None:
         period = 2.0 * math.pi / params.omega_r
         n_samples = max(2, math.ceil(SAMPLES_PER_PERIOD * t_end / period))
+    elif n_samples < 1:
+        raise ValueError(f"n_samples must be >= 1, got {n_samples}")
 
     h_lab = hamiltonian_fn(params, drive, "lab-driven", layout)
     times, n_sub = _sample_grid(t_end, cfg.resolve_dt(h_lab.omega_max), n_samples)

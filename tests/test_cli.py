@@ -344,6 +344,26 @@ class TestSweepCommand:
         firsts = [float(r.split(",")[0]) for r in rows[1:]]
         assert firsts == pytest.approx([2.5, 2.5, 3.5, 3.5])
 
+    @pytest.mark.parametrize("route", ["flags", "config"])
+    def test_repeated_axis_rejected(self, tmp_path, capsys, route):
+        # the second system.g would override the first at every point, so
+        # the rows would carry values that were never run
+        if route == "flags":
+            extra = ["--axis", "system.g", "0.1", "0.2", "2",
+                     "--axis", "system.g", "0.3", "0.4", "2"]
+        else:
+            cfgfile = tmp_path / "sweep.cfg"
+            cfgfile.write_text(
+                "sweep.axis1 = system.g\nsweep.start1 = 0.1\nsweep.stop1 = 0.2\n"
+                "sweep.points1 = 2\nsweep.axis2 = system.g\nsweep.start2 = 0.3\n"
+                "sweep.stop2 = 0.4\nsweep.points2 = 2\n")
+            extra = ["--config", str(cfgfile)]
+        code = main(self.BASE + extra + ["--out", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: sweep.axis2: 'system.g'") and err.count("\n") == 1
+        assert not (tmp_path / "sweep.csv").exists()
+
     def test_oversized_grid_rejected(self, tmp_path, capsys):
         code = main(
             self.BASE

@@ -13,6 +13,8 @@ Both are independent reconstructions, not re-executions of library code.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -95,6 +97,18 @@ class TestLabHamiltonian:
         )
         h = lab_hamiltonian(p, small_layout).mat
         assert np.max(np.abs(h - ref)) <= 1e-12
+
+    @pytest.mark.parametrize("n_qubits", [1, 2])
+    def test_uncoupled_diagonal_is_exact(self, n_qubits):
+        """omega_r n + (omega_q/2) sum_m s_m bit for bit: integer photon
+        numbers, not sqrt(n) sqrt(n) (which gives 2.0000000000000004)."""
+        nf = 9
+        p = SystemParams(omega_q=3.0, g=0.0, n_qubits=n_qubits, d_coupling=0.0)
+        expected = [p.omega_r * n + 0.5 * p.omega_q * sum(signs)
+                    for signs in itertools.product((1, -1), repeat=n_qubits)
+                    for n in range(nf)]
+        h = lab_hamiltonian(p, HilbertLayout(n_qubits, nf)).mat
+        assert np.array_equal(h.diagonal().real, expected)
 
     def test_ground_sector_energy(self, small_layout, std_params):
         gg0 = basis_state(small_layout, "gg", 0)

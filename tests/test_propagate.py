@@ -605,6 +605,14 @@ class TestFidelityTrace:
         assert tr.min() > 0.99
         assert len(tr.fidelities) == 11
 
+    @pytest.mark.parametrize("n_samples", [0, -3])
+    def test_rejects_non_positive_sample_count(self, n_samples):
+        p = SystemParams(omega_q=3.0, g=0.2)
+        d = DriveParams.from_alpha((1.20242, -1.20242), 3.0)
+        psi0 = basis_state(HilbertLayout(2, 6), "gg", 0)
+        with pytest.raises(ValueError, match=f"n_samples must be >= 1, got {n_samples}"):
+            fidelity_trace(p, d, psi0, 0.1, EvolutionConfig(), n_samples=n_samples)
+
     def test_default_sample_density(self):
         p = SystemParams(omega_q=3.0, g=0.0, d_coupling=0.0)
         d = DriveParams(epsilon=(0.0, 0.0), omega_d=3.0)
