@@ -18,7 +18,7 @@ import numpy as np
 from .hilbert import (HilbertLayout, Operator, _check_truncation,
                       _displacement_fock)
 from .model import (DriveParams, SystemParams, beta_phi, effective_couplings,
-                    frame_phases, hamiltonian_fn)
+                    frame_phases, hamiltonian_fn, _require_quadrature)
 from .propagate import EvolutionConfig, evolve_columns
 
 __all__ = [
@@ -175,10 +175,16 @@ def gate_columns(params: SystemParams, drive: DriveParams,
     Evolves the four |q1 q2> (x) |0_c> basis columns under the driven lab
     Hamiltonian over one resonator period and maps the result into the
     rotating frame. Every trial state lives in the span of these columns,
-    so this (dim, 4) block replaces the full propagator.
+    so this (dim, 4) block replaces the full propagator. The loop's
+    largest branch displacement, max_s |2 G_s / omega_r| with
+    G_s = sum_m s_m g_eff,m, must pass the truncation budget; ValueError
+    otherwise, before anything is propagated.
     """
     if params.n_qubits != 2 or layout.n_qubits != 2:
         raise ValueError("the gate experiment needs exactly 2 qubits")
+    g_eff = effective_couplings(params, drive)
+    _check_truncation(2.0 * sum(abs(g) for g in g_eff) / params.omega_r,
+                      layout.fock_dim)
     t_gate = 2.0 * math.pi / params.omega_r
     nf = layout.fock_dim
     v0 = np.zeros((layout.dim, 4), dtype=complex)
@@ -197,8 +203,11 @@ def gate_fidelity_trials(params: SystemParams, drive: DriveParams,
 
     Trial states are Gaussian-random qubit amplitudes (normalized) with
     the resonator in vacuum. Pass columns from gate_columns to reuse one
-    propagation across seeds; it is recomputed here otherwise.
+    propagation across seeds; it is recomputed here otherwise. The closed
+    form holds at phi = pi/2 only, so any other modulation phase raises
+    ValueError.
     """
+    _require_quadrature(drive, "the gate experiment")
     if n_trials < 1:
         raise ValueError(f"n_trials must be >= 1, got {n_trials}")
     if layout is None:

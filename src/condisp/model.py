@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -543,88 +542,62 @@ def _lab_blocks(params: SystemParams, drive: DriveParams,
                    _drive_diagonal(drive, layout)[order].reshape(2, m), order)
 
 
-def _block_operator(blocks: np.ndarray, scratch: dict):
-    """apply(x, scale) = scale * B @ x for the real block-diagonal B.
+def _block_operator(blocks: np.ndarray, shape: tuple):
+    """apply(x, scale) = scale * B @ x for the real parity blocks B.
 
-    x is a vector or a (dim, k) block in parity order. The float64 view of
-    a C-contiguous block holds each row's real and imaginary parts side by
-    side, so one batched real matmul over the two blocks does the whole
-    apply, straight into the float64 view of the result. Buffers are
-    handled as in _band_operator, without the zero rows.
+    blocks is (sectors, m, m) and x a packed (sectors, m, k) state from
+    _mixer. The float64 view of a C-contiguous state holds each row's real
+    and imaginary parts side by side, so one batched real matmul over the
+    sectors does the whole apply, straight into the float64 view of the
+    result. Buffers follow _band_operator's rule, without the zero rows.
     """
-    m = blocks.shape[1]
-    shape = last = bufs = staged = None
-
-    def cut(b):
-        return b, b.view(np.float64).reshape(2, m, -1)
+    bufs = [(b, b.view(np.float64)) for b in np.empty((2,) + shape, dtype=complex)]
+    last = 0
 
     def apply(x: np.ndarray, scale: complex) -> np.ndarray:
-        nonlocal shape, last, bufs, staged
-        if x.shape != shape:
-            shape, last = x.shape, 0
-            pair = np.empty((2,) + shape, dtype=complex)
-            bufs = (cut(pair[0]), cut(pair[1]))
-            if shape not in scratch:
-                scratch[shape] = cut(np.empty(shape, dtype=complex))
-            staged = scratch[shape]
-        if x is bufs[last][0]:
-            src = bufs[last][1]
-        else:
-            np.copyto(staged[0], x)
-            src = staged[1]
+        nonlocal last
+        src, src_f = bufs[last]
+        if x is not src:
+            np.copyto(src, x)
         last ^= 1
         y, out = bufs[last]
-        np.matmul(blocks, src, out=out)
+        np.matmul(blocks, src_f, out=out)
         y *= scale
         return y
     return apply
 
 
-def _cut(p: np.ndarray):
-    """Rows 1..n of a buffer with a zero row at each end, and the rows
-    after and before them."""
-    return p[1:-1], p[2:], p[:-2]
-
-
-def _band_operator(d: np.ndarray, up: np.ndarray, lo: np.ndarray, scratch: dict):
+def _band_operator(d: np.ndarray, up: np.ndarray, lo: np.ndarray, shape: tuple):
     """apply(x, scale) = scale * T @ x for the tridiagonal T with diagonal d,
-    T[i, i+1] = up[i] and T[i, i-1] = lo[i] (up[-1] = lo[0] = 0).
+    T[i, i+1] = up[i] and T[i, i-1] = lo[i].
 
-    x is a vector or a (dim, k) block in chain order. Each result goes
-    into one of two buffers owned by this apply, in turn, so it stays
-    valid through the apply's next call and is overwritten by the one
-    after. Any other input is first copied into a staging buffer from
-    scratch, which the applies of one mixer share because it never leaves
-    a call. All these buffers carry a zero row at each end, so the
-    neighbour rows x[i+1] and x[i-1] are fixed views of them. Buffers and
-    views are made on the first call, and again if the shape of x changes.
+    x is a packed (sectors, n, k) state from _mixer; T runs along its
+    sectors laid end to end, so d, up and lo are (sectors * n, 1) columns
+    and up, lo are 0 where one sector ends and the next begins. The
+    result goes into one of two buffers made here, in turn, and an input
+    other than the last result is first copied into that result's
+    buffer: a result stays valid until the next apply, which may take it
+    as its input. Both buffers carry a zero row at each end, so the
+    neighbour rows x[i+1] and x[i-1] are fixed views of them.
     """
-    shape = last = bufs = staged = tmp = bands = None
+    rows = shape[0] * shape[1]
+    pads = np.zeros((2, rows + 2, shape[2]), dtype=complex)
+    bufs = [(p[1:-1].reshape(shape), p[1:-1], p[2:], p[:-2]) for p in pads]
+    tmp = np.empty((rows, shape[2]), dtype=complex)
+    last = 0
 
     def apply(x: np.ndarray, scale: complex) -> np.ndarray:
-        nonlocal shape, last, bufs, staged, tmp, bands
-        if x.shape != shape:
-            shape, last = x.shape, 0
-            pads = np.zeros((2, len(x) + 2) + shape[1:], dtype=complex)
-            bufs = (_cut(pads[0]), _cut(pads[1]))
-            if shape not in scratch:
-                scratch[shape] = (_cut(np.zeros_like(pads[0])),
-                                  np.empty(shape, dtype=complex))
-            staged, tmp = scratch[shape]
-            bands = (d, up, lo) if x.ndim == 1 else (d[:, None], up[:, None], lo[:, None])
-        if x is bufs[last][0]:
-            xs, xn, xp = bufs[last]
-        else:
-            xs, xn, xp = staged
-            np.copyto(xs, x)
+        nonlocal last
+        x3, xs, xn, xp = bufs[last]
+        if x is not x3:
+            np.copyto(x3, x)
         last ^= 1
-        y = bufs[last][0]
-        dd, uu, ll = bands
-        np.multiply(dd, xs, out=y)
-        y += np.multiply(uu, xn, out=tmp)
-        y += np.multiply(ll, xp, out=tmp)
+        y3, y = bufs[last][:2]
+        np.multiply(d, xs, out=y)
+        y += np.multiply(up, xn, out=tmp)
+        y += np.multiply(lo, xp, out=tmp)
         y *= scale
-        return y
+        return y3
     return apply
 
 
@@ -670,80 +643,114 @@ def _coefficient_form(h: Callable[[float], np.ndarray], t: float):
     return coeffs, parts
 
 
-def _mixer(h: Callable[[float], np.ndarray], t_check: float):
-    """(mix, into, back): how a propagator applies the provider h.
+def _packing(order: np.ndarray, v0: np.ndarray):
+    """(sectors, shape, into, back): the parity sectors v0 occupies.
 
-    mix(ts, ws) forms sum_i ws[i] H(ts[i]) once and returns
-    apply(x, scale) = scale * (that sum) @ x, for a state or a (dim, k)
-    column block held in the propagation basis; into and back copy a
-    state or block from the product basis into that basis and back.
+    order lists the product-basis indices of two sectors, one half each.
+    into keeps only the sectors v0 (a state or a (dim, k) column block)
+    occupies and, of each, only the columns v0 occupies there, padded
+    with zero columns to the widest sector: a (sectors, dim/2, columns)
+    array. back scatters such an array into zeros in the product basis.
+    """
+    halves = order.reshape(2, -1)
+    cols = v0.reshape(len(v0), -1)
+    live = [np.flatnonzero(np.any(cols[half], axis=0)) for half in halves]
+    sectors = [s for s in (0, 1) if len(live[s])] or [0]
+    shape = (len(sectors), halves.shape[1], max(len(live[s]) for s in sectors))
+    cuts = [(i, np.ix_(halves[s], live[s]), len(live[s])) for i, s in enumerate(sectors)]
+
+    def into(x: np.ndarray) -> np.ndarray:
+        p = np.zeros(shape, dtype=complex)
+        x = x.reshape(len(x), -1)
+        for i, rows_cols, k in cuts:
+            p[i, :, :k] = x[rows_cols]
+        return p
+
+    def back(p: np.ndarray) -> np.ndarray:
+        out = np.zeros(v0.shape, dtype=complex)
+        flat = out.reshape(len(out), -1)
+        for i, rows_cols, k in cuts:
+            flat[rows_cols] = p[i, :, :k]
+        return out
+    return sectors, shape, into, back
+
+
+def _mixer(h: Callable[[float], np.ndarray], t_check: float, v0: np.ndarray,
+           nodes: np.ndarray, weights: np.ndarray):
+    """(ops, into, back): the plan of one propagation of v0 under h.
+
+    The propagation runs steps in order and each step's operators in
+    order; operator j of step i is sum_l weights[j, l] H(nodes[i, l]),
+    with nodes a (steps, n) array of times and weights an (operators, n)
+    array. Each next(ops) loads the next operator and returns
+    apply(x, scale) = scale * (that operator) @ x, valid until the next
+    load. into packs v0, or another array of its shape with no amplitude
+    outside v0's, from the product basis into the propagation basis, and
+    back unpacks one into the product basis.
 
     A provider with a coefficient form, checked against h(t_check), is
     c0 h0 + c1 D with D diagonal (checked here for chain parts; parity
-    blocks hold D as a diagonal). mix reduces its weights to the two
-    scalars c_j = sum_i ws[i] coeffs(ts[i])[j]; c0 h0 is premixed once
-    per distinct c0 (1/2 for both CF4 exponents, 1 for RK4), so a mix
-    only writes a new diagonal.
-    Chain parts (one qubit) apply as three bands in chain order, parity
-    blocks (two-qubit lab frame) as two real blocks in parity order,
-    refusing complex mixed coefficients with ValueError. Any other
-    callable falls back to one dense mixed matrix in the product basis.
+    blocks hold D as a diagonal). One coeffs(nodes) call gives every
+    operator's (c0, c1). c0 must be the same for all of them (it is the
+    weight sum, 1/2 for both CF4 exponents and 1 for RK4), so c0 h0 is
+    premixed once per propagation and a load only rewrites the diagonal,
+    in place, from c1. The parts split the space into two parity sectors
+    that the generator never couples: the two chains of one qubit, or
+    the two parity blocks of two. into and back come from _packing, so
+    the amplitudes that parity keeps at zero are never propagated. Chain
+    sectors apply as three bands, parity blocks as one batched real
+    matmul, refusing complex coefficients with ValueError. Any other
+    callable falls back to one dense mixed matrix per operator in the
+    product basis, unpacked.
 
-    Every apply owns its mixed operator and its result buffers: a result
-    stays valid through the next call of the apply that made it and is
-    overwritten by the one after, and no apply writes where another
-    apply's results are.
+    A propagation has one apply, and it owns the only two result
+    buffers, made here: a result stays valid until the next apply, which
+    may take it as its input.
     """
     form = _coefficient_form(h, t_check)
     if form is None:
-        def mix(ts, ws):
-            m = sum(w * h(t) for t, w in zip(ts, ws))
-            return lambda x, scale: scale * (m @ x)
-        return mix, np.copy, np.copy
+        def dense_ops():
+            for ts in nodes:
+                for ws in weights:
+                    m = sum(w * h(t) for t, w in zip(ts, ws) if w)
+                    yield lambda x, scale, m=m: scale * (m @ x)
+        return dense_ops(), np.copy, np.copy
     coeffs, parts = form
-    order = parts.order
-    inverse = np.argsort(order)
-    scratch = {}  # per shape: staging buffers the applies share
+    raw = coeffs(nodes)  # (2, steps, n)
+    c0, c1 = sum(raw[..., l, None] * weights[:, l]
+                 for l in range(weights.shape[1])).reshape(2, -1)
+    if np.any(c0 != c0[0]):
+        raise ValueError("the static part's coefficient varies between operators")
+    sectors, shape, into, back = _packing(parts.order, v0)
     if isinstance(parts, _Chains):
         (d0, up, lo), drive = parts.bands
+        n = shape[1]
         if np.any(drive[1:]):
             raise ValueError("the drive part of a chain generator is not diagonal")
-        drive = drive[0]
+        if np.any(up.reshape(2, n)[:, -1]) or np.any(lo.reshape(2, n)[:, 0]):
+            raise ValueError("the bands of a chain generator couple its two chains")
 
-        @lru_cache(maxsize=4)
-        def premix(c0):
-            return c0 * d0, c0 * up, c0 * lo
-
-        def operator(c0, c1):
-            d, u, l = premix(c0)
-            return _band_operator(d + c1 * drive, u, l, scratch)
+        def cut(band):
+            return band.reshape(2, n)[sectors].reshape(-1, 1)
+        d0, drive = c0[0] * cut(d0), cut(drive[0])
+        diag = np.empty_like(d0)
+        apply = _band_operator(diag, c0[0] * cut(up), c0[0] * cut(lo), shape)
     else:
-        drive = parts.diag
+        if np.any(np.imag(c0)) or np.any(np.imag(c1)):
+            raise ValueError("parity-block parts need real coefficients, "
+                             "got complex ones")
+        c0, c1 = np.real(c0), np.real(c1)
+        blocks = c0[0] * parts.h0[sectors]
+        diag = blocks.reshape(len(sectors), -1)[:, ::shape[1] + 1]
+        d0, drive = diag.copy(), parts.diag[sectors]
+        apply = _block_operator(blocks, shape)
 
-        @lru_cache(maxsize=4)
-        def premix(c0):
-            h0 = c0 * parts.h0
-            return h0, np.diagonal(h0, axis1=1, axis2=2).copy()
-
-        def operator(c0, c1):
-            if isinstance(c0, complex) or isinstance(c1, complex):
-                if c0.imag or c1.imag:
-                    raise ValueError("parity-block parts need real coefficients, "
-                                     f"got {np.array([c0, c1])}")
-                c0, c1 = c0.real, c1.real
-            h0, d = premix(c0)
-            blocks = h0.copy()
-            blocks.reshape(2, -1)[:, ::blocks.shape[-1] + 1] = d + c1 * drive
-            return _block_operator(blocks, scratch)
-
-    def mix(ts, ws):
-        c0 = c1 = 0.0
-        for t, w in zip(ts, ws):
-            a, b = coeffs(t).tolist()
-            c0 += w * a
-            c1 += w * b
-        return operator(c0, c1)
-    return mix, (lambda x: x[order]), (lambda x: x[inverse])
+    def ops():
+        for c in c1.tolist():
+            np.multiply(drive, c, out=diag)
+            np.add(diag, d0, out=diag)
+            yield apply
+    return ops(), into, back
 
 
 def hamiltonian_fn(params: SystemParams, drive: DriveParams, frame: str,
@@ -757,8 +764,9 @@ def hamiltonian_fn(params: SystemParams, drive: DriveParams, frame: str,
     The lab-driven provider also carries its affine coefficient form
     H(t) = coeffs(t)[0] parts[0] + coeffs(t)[1] parts[1], with the parts
     (h0, drive diagonal) built once and coefficients
-    (1, sin(omega_d t - phi)). With one qubit the parts are _Chains,
-    three bands each along the two parity chains, built from their closed
+    (1, sin(omega_d t - phi)); coeffs also takes an array of times and
+    returns one row per part. With one qubit the parts are _Chains, three
+    bands each along the two parity chains, built from their closed
     forms; with two they are _Blocks, h0 and the drive diagonal permuted
     once into parity order, where each is two real blocks. fn(t)
     assembles the dense product-basis H(t) from the same parts. The
@@ -778,8 +786,9 @@ def hamiltonian_fn(params: SystemParams, drive: DriveParams, frame: str,
             parts = _lab_blocks(params, drive, layout)
         wd, phi = drive.omega_d, drive.phi
 
-        def coeffs(t: float) -> np.ndarray:
-            return np.array([1.0, math.sin(wd * t - phi)])
+        def coeffs(t) -> np.ndarray:
+            s = np.sin(wd * np.asarray(t, dtype=float) - phi)
+            return np.stack((np.ones_like(s), s))
 
         def fn(t: float) -> np.ndarray:
             return _assemble_parts(coeffs(t), parts)

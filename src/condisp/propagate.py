@@ -12,20 +12,25 @@ t + (1/2 -+ sqrt(3)/6) dt and applies two exponentials,
 the one weighted toward the earlier point first. Each exponential acts
 through an adaptive Taylor product, which never leaves the unit sphere
 beyond roundoff; so the series stops once a term's squared norm falls
-below 1e-32 of the input's, taken once per exponential. Providers that
-carry a coefficient form (see model.hamiltonian_fn) are evaluated as a
-dense H(t) once per propagation, to check that form. model._mixer
-premixes their static part once per weight sum (1/2 for both CF4
-exponents), so each exponent writes only a new diagonal from two scalar
-coefficients, and each Taylor term is an apply into buffers the
-exponent's operator owns. A one-qubit generator becomes one tridiagonal
-matrix along its parity chains and a two-qubit one two real parity
-blocks, so the state is permuted into that order for the whole
-propagation and every kept sample is permuted back. The effective
-conditional-displacement model is never propagated: fidelity_trace builds
-its states in closed form from coherent amplitudes. A classical RK4 stepper
-is kept as an independent cross-check, at its own finer default step; it
-is not norm-preserving, which is exactly why it makes a useful
+below 1e-32 of the input's, taken once per exponential. A propagation
+lays out its whole step schedule first, the node times of every step
+and the weights of each operator over them, and model._mixer plans it
+once. Providers that carry a coefficient form (see
+model.hamiltonian_fn) are evaluated as a dense H(t) once per
+propagation, to check that form, and one coeffs call over all the node
+times gives every operator's coefficients. Their static part is
+premixed once, so loading the next operator rewrites only the diagonal
+of the propagation's one operator, in place, and each Taylor term is an
+apply into one of its two buffers. A one-qubit generator is one
+tridiagonal matrix along each parity chain and a two-qubit one a real
+block per parity; the propagation carries only the chains or blocks the
+initial state occupies (the parity keeps the rest at zero), packed
+once at the start, and every kept sample is scattered back into the
+product basis. The effective conditional-displacement model is never
+propagated: fidelity_trace builds its states in closed form from
+coherent amplitudes. A classical RK4 stepper is kept as an independent
+cross-check, on the same kind of schedule at its own finer default step;
+it is not norm-preserving, which is exactly why it makes a useful
 disagreement detector.
 """
 from __future__ import annotations
@@ -189,27 +194,29 @@ def _expmv(apply, dt: float, v: np.ndarray) -> np.ndarray:
     )
 
 
-def _make_step(h: HamiltonianProvider, method: str, t_check: float):
-    """(step, into, back): one step in the propagation basis of _mixer."""
-    mix, into, back = _mixer(h, t_check)
-    if method == "piecewise-exponential":
-        (c1, c2), (a1, a2) = _CF4_NODES, _CF4_WEIGHTS
+# Each stepper's nodes, as fractions of the step, and its operators, as
+# weights over those nodes, in the order a step applies them.
+_SCHEMES = {
+    "piecewise-exponential": (_CF4_NODES, ((_CF4_WEIGHTS[1], _CF4_WEIGHTS[0]),
+                                           _CF4_WEIGHTS)),
+    "rk4": ((0.0, 0.5, 1.0), ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))),
+}
 
-        def step(t: float, dt: float, v: np.ndarray) -> np.ndarray:
-            ts = (t + c1 * dt, t + c2 * dt)
-            v = _expmv(mix(ts, (a2, a1)), dt, v)
-            return _expmv(mix(ts, (a1, a2)), dt, v)
-    else:
-        def step(t: float, dt: float, v: np.ndarray) -> np.ndarray:
-            h0 = mix((t,), (1.0,))
-            hm = mix((t + 0.5 * dt,), (1.0,))
-            h1 = mix((t + dt,), (1.0,))
-            k1 = h0(v, -1j)
-            k2 = hm(v + (0.5 * dt) * k1, -1j)
-            k3 = hm(v + (0.5 * dt) * k2, -1j)
-            k4 = h1(v + dt * k3, -1j)
-            return v + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return step, into, back
+
+def _cf4_step(ops, dt: float, v: np.ndarray) -> np.ndarray:
+    v = _expmv(next(ops), dt, v)
+    return _expmv(next(ops), dt, v)
+
+
+def _rk4_step(ops, dt: float, v: np.ndarray) -> np.ndarray:
+    """One classical RK4 step. An apply's result is valid only until the
+    next apply, so k1..k3 are copied."""
+    k1 = next(ops)(v, -1j).copy()
+    hm = next(ops)
+    k2 = hm(v + (0.5 * dt) * k1, -1j).copy()
+    k3 = hm(v + (0.5 * dt) * k2, -1j).copy()
+    k4 = next(ops)(v + dt * k3, -1j)
+    return v + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 def _sample_grid(t_end: float, dt: float, n_samples: int):
@@ -222,14 +229,25 @@ def _sample_grid(t_end: float, dt: float, n_samples: int):
 
 def _run(h: HamiltonianProvider, v0: np.ndarray, times: np.ndarray,
          n_sub: int, method: str, norm_gate: bool) -> list[np.ndarray]:
-    step, into, back = _make_step(h, method, float(times[-1]))
-    v = into(np.asarray(v0, dtype=complex))
+    """States at every sample time, n_sub steps per sample interval.
+
+    The whole step schedule is laid out first, so model._mixer plans the
+    propagation once: its operators' coefficients, and the parity
+    sectors v0 occupies.
+    """
+    fracs, weights = _SCHEMES[method]
+    dts = np.diff(times) / n_sub
+    starts = times[:-1, None] + np.arange(n_sub) * dts[:, None]
+    nodes = starts[..., None] + np.multiply.outer(dts, fracs)[:, None, :]
+    v0 = np.asarray(v0, dtype=complex)
+    ops, into, back = _mixer(h, float(times[-1]), v0,
+                             nodes.reshape(-1, len(fracs)), np.array(weights))
+    step = _cf4_step if method == "piecewise-exponential" else _rk4_step
+    v = into(v0)
     out = [back(v)]
-    for i in range(len(times) - 1):
-        t0 = times[i]
-        dt = (times[i + 1] - t0) / n_sub
-        for j in range(n_sub):
-            v = step(t0 + j * dt, dt, v)
+    for i, dt in enumerate(dts):
+        for _ in range(n_sub):
+            v = step(ops, dt, v)
         if norm_gate:
             drift = abs(np.linalg.norm(v) - 1.0)
             if drift > NORM_TOL:

@@ -121,11 +121,15 @@ class TestBadInvocations:
         ["cat-state", "--phi", "1.0", "--fock-dim", "16"],  # off the phi = pi/2 closed form
         # |beta|^2 = 0.996 in the trace's effective model, past Fock 8's 8/9
         ["validate-effective", "--fock-dim", "8", "--g", "0.5", "--periods", "1"],
+        ["gate-fidelity", "--phi", "0", "--trials", "200", "--fock-dim", "16"],
+        # the gate loop's |2 G_s|^2 = 16 r^2 = 0.996, past Fock 4's 4/9
+        ["gate-fidelity", "--g", "0.5", "--fock-dim", "4"],
     ])
     def test_library_errors_exit_2(self, tmp_path, capsys, args):
         assert main(args + ["--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
+        assert err.count("\n") == 1
 
     def test_bessel_rejects_run_flags(self, capsys):
         with pytest.raises(SystemExit) as exc:

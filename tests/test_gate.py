@@ -278,3 +278,40 @@ class TestGateFidelity:
         d = DriveParams.from_alpha((1.2, 1.2), 3.0)
         with pytest.raises(ValueError):
             gate_fidelity_trials(p, d, 2, 1, EvolutionConfig(), layout=HilbertLayout(2, 8))
+
+    def test_rejects_off_quadrature_phase(self, monkeypatch):
+        """The closed form holds at phi = pi/2 only; any other phase is
+        refused before the columns are propagated."""
+        def no_columns(*args, **kwargs):
+            raise AssertionError("columns propagated")
+
+        monkeypatch.setattr("condisp.gate.gate_columns", no_columns)
+        p = SystemParams(omega_q=3.0, g=0.2)
+        d = DriveParams.from_alpha((1.20242, -1.20242), 3.0, phi=0.0)
+        with pytest.raises(ValueError, match="gate experiment requires phi = pi/2"):
+            gate_fidelity_trials(p, d, 2, 1, EvolutionConfig(), layout=HilbertLayout(2, 16))
+
+
+class TestGateTruncation:
+    """The loop's largest branch displacement, |2 G_s / omega_r|^2 = 16 r^2
+    for opposite couplings, must fit fock_dim / 9 before anything runs."""
+
+    @pytest.mark.parametrize("fock_dim", [4, 8])
+    def test_large_loop_refused_before_propagating(self, fock_dim, monkeypatch):
+        def no_run(*args, **kwargs):
+            raise AssertionError("columns propagated")
+
+        monkeypatch.setattr("condisp.gate.evolve_columns", no_run)
+        p = SystemParams(omega_q=3.0, g=0.5)
+        d = DriveParams.from_alpha((1.20242, -1.20242), 3.0)
+        r = effective_couplings(p, d)[0] / p.omega_r
+        budget = f"{fock_dim / 9:.3f}"
+        with pytest.raises(ValueError, match=rf"\|beta\|\^2 = {16 * r**2:.3f} exceeds "
+                                             rf"fock_dim/9 = {budget}"):
+            gate_columns(p, d, EvolutionConfig(), HilbertLayout(2, fock_dim))
+
+    def test_small_loop_runs(self):
+        p = SystemParams(omega_q=3.0, g=0.2)
+        d = DriveParams.from_alpha((1.20242, -1.20242), 3.0)
+        fid = average_gate_fidelity(p, d, 20, 7, EvolutionConfig(), layout=HilbertLayout(2, 8))
+        assert fid == pytest.approx(0.9948, abs=0.01)

@@ -9,10 +9,11 @@ Key oracles:
   SciPy's DOP853 at tight tolerances,
 * the coefficient-form apply must equal the dense H(t) matvec, and the
   one-qubit parity-chain path and the two-qubit parity-block path must
-  propagate as the dense fallback does,
+  propagate as the dense fallback does, also when they carry only the
+  parity sectors and columns the initial state occupies,
 * the Taylor loop must take as many terms as the earlier two-vdot loop
-  and agree with it, and an apply's buffers must never overwrite a result
-  its caller still holds,
+  and agree with it, and the apply's buffers must never overwrite a
+  result before its next call,
 * the closed-form effective states of fidelity_trace must match a
   propagation of the effective Hamiltonian,
 * evolving in the lab frame and rotating afterwards must agree with
@@ -104,8 +105,8 @@ class TestCoefficientForm:
         shape = (lay.dim,) if cols is None else (lay.dim, cols)
         x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         for t in (0.0, 0.37, 2.9):
-            mix, into, back = _mixer(fn, t)
-            got = back(mix((t,), (1.0,))(into(x), 1.0))
+            ops, into, back = _mixer(fn, t, x, np.array([[t]]), np.ones((1, 1)))
+            got = back(next(ops)(into(x), 1.0))
             assert got.shape == x.shape
             assert np.max(np.abs(got - fn(t) @ x)) <= 1e-13
 
@@ -172,8 +173,45 @@ class TestChainPath:
             return _assemble_parts(fn.coeffs(t), parts)
 
         hopping.coeffs, hopping.parts = fn.coeffs, parts
+        v0 = basis_state(fn.layout, "g", 0).vec
         with pytest.raises(ValueError, match="drive part .* not diagonal"):
-            _mixer(hopping, 0.0)
+            _mixer(hopping, 0.0, v0, np.zeros((1, 1)), np.ones((1, 1)))
+
+    def test_bands_coupling_the_chains_refused(self):
+        """A state in one chain is propagated without the other, so bands
+        that hop across the seam are refused rather than cut."""
+        fn, _ = self._pair("lab-driven")
+        bands = fn.parts.bands.copy()
+        n = fn.layout.fock_dim
+        bands[0, 2, n] = bands[0, 1, n - 1] = 0.1  # hop |e,11> <-> |e,0>
+        parts = _Chains(bands, fn.parts.order)
+
+        def seamed(t: float) -> np.ndarray:
+            return _assemble_parts(fn.coeffs(t), parts)
+
+        seamed.coeffs, seamed.parts = fn.coeffs, parts
+        v0 = basis_state(fn.layout, "g", 0).vec
+        with pytest.raises(ValueError, match="couple its two chains"):
+            _mixer(seamed, 0.0, v0, np.zeros((1, 1)), np.ones((1, 1)))
+
+    def test_varying_static_coefficient_refused(self):
+        """The static part is premixed once per propagation, so a form whose
+        first coefficient changes between operators is refused."""
+        fn, _ = self._pair("lab-driven")
+
+        def coeffs(t) -> np.ndarray:
+            c = fn.coeffs(t)
+            c[0] = 1.0 + 0.1 * c[1]
+            return c
+
+        def breathing(t: float) -> np.ndarray:
+            return _assemble_parts(coeffs(t), fn.parts)
+
+        breathing.coeffs, breathing.parts = coeffs, fn.parts
+        breathing.layout, breathing.omega_max = fn.layout, fn.omega_max
+        psi0 = basis_state(fn.layout, "g", 0)
+        with pytest.raises(ValueError, match="static part's coefficient varies"):
+            evolve(breathing, psi0, 1.0, EvolutionConfig(), 2)
 
     def test_rk4_matches_cf4(self):
         fn, _ = self._pair("lab-driven")
@@ -228,8 +266,9 @@ class TestParityBlockPath:
         than losing the imaginary part."""
         fn, _ = self._pair()
 
-        def coeffs(t: float) -> np.ndarray:
-            return np.array([1.0, 1j * np.sin(3.0 * t)])
+        def coeffs(t) -> np.ndarray:
+            s = np.sin(3.0 * np.asarray(t, dtype=float))
+            return np.stack((np.ones_like(s), 1j * s))
 
         def skewed(t: float) -> np.ndarray:
             return _assemble_parts(coeffs(t), fn.parts)
@@ -293,69 +332,185 @@ class TestTaylorLoop:
 
     def test_nonconvergence_raises(self):
         fn = _lab_provider(1, 8)
-        mix, into, _ = _mixer(fn, 0.0)
-        v = into(basis_state(fn.layout, "g", 3).vec)
+        v0 = basis_state(fn.layout, "g", 3).vec
+        ops, into, _ = _mixer(fn, 0.0, v0, np.zeros((1, 1)), np.ones((1, 1)))
         with pytest.raises(PropagationAccuracyError, match="did not converge in 200 terms"):
-            _expmv(mix((0.0,), (1.0,)), 20.0, v)
+            _expmv(next(ops), 20.0, into(v0))
 
 
 class TestBufferedApply:
-    """Applies write their results into buffers of their own: what a caller
-    still holds survives later calls, in the RK4 pattern (three applies,
-    one called twice) and in the Taylor loop's (one apply fed its own
-    results)."""
+    """A propagation's one apply writes its results into two buffers of its
+    own, in turn: a result fed back to it survives that call (the Taylor
+    loop's pattern), a foreign input is never written, and the RK4 step
+    copies what it holds across applies."""
 
     @staticmethod
-    def _setup(n_qubits: int, layout: str):
+    def _setup(n_qubits: int, layout: str, nodes, weights):
         fn = _lab_provider(n_qubits, 8)
-        mix, into, back = _mixer(fn, 0.3)
         rng = np.random.default_rng(11)
         shape = (fn.layout.dim,) if layout == "vector" else (fn.layout.dim, 4)
         x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         if layout == "F":
             x = np.asfortranarray(x)
-        return fn, mix, into, back, x
+        ops, into, back = _mixer(fn, 0.3, x, np.array(nodes), np.array(weights))
+        return fn, ops, into, back, x
 
     @pytest.mark.parametrize("n_qubits", [1, 2])
     @pytest.mark.parametrize("layout", ["vector", "C", "F"])
     def test_rk4_pattern(self, n_qubits, layout):
-        fn, mix, into, back, x = self._setup(n_qubits, layout)
         t, dt = 0.3, 0.05
-        h0, hm, h1 = mix((t,), (1.0,)), mix((t + 0.5 * dt,), (1.0,)), mix((t + dt,), (1.0,))
-        v = into(x)
-        if layout == "F":
-            v = np.asfortranarray(v)
-        held, copies, checks = [], [], []
-        for apply, ti, inc in ((h0, t, None), (hm, t + 0.5 * dt, 0.5 * dt),
-                               (hm, t + 0.5 * dt, 0.5 * dt), (h1, t + dt, dt)):
-            arg = v if inc is None else v + inc * held[-1]
-            held.append(apply(arg, -1j))
-            copies.append(held[-1].copy())
-            checks.append((ti, back(arg)))
-        for k, c, (ti, arg) in zip(held, copies, checks):
-            assert np.array_equal(k, c)
-            assert np.max(np.abs(back(k) - (-1j) * (fn(ti) @ arg))) <= 1e-13
+        fracs, weights = propagate._SCHEMES["rk4"]
+        fn, ops, into, back, x = self._setup(
+            n_qubits, layout, [[t + f * dt for f in fracs]], weights)
+        got = back(propagate._rk4_step(ops, dt, into(x)))
+        k1 = -1j * (fn(t) @ x)
+        k2 = -1j * (fn(t + 0.5 * dt) @ (x + 0.5 * dt * k1))
+        k3 = -1j * (fn(t + 0.5 * dt) @ (x + 0.5 * dt * k2))
+        k4 = -1j * (fn(t + dt) @ (x + dt * k3))
+        ref = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        assert got.shape == x.shape
+        assert np.max(np.abs(got - ref)) <= 1e-13
 
     @pytest.mark.parametrize("n_qubits", [1, 2])
     @pytest.mark.parametrize("layout", ["vector", "C", "F"])
     def test_taylor_pattern(self, n_qubits, layout):
-        fn, mix, into, back, x = self._setup(n_qubits, layout)
         ts, ws = (0.1, 0.4), (0.125, 0.375)  # weights summing to 1/2, as in CF4
+        fn, ops, into, back, x = self._setup(n_qubits, layout, [ts, (0.9, 0.2)], [ws])
         dense = ws[0] * fn(ts[0]) + ws[1] * fn(ts[1])
-        first = mix(ts, ws)
-        later = mix((0.9,), (1.0,))  # a second apply, alive at the same time
+        first = next(ops)
         term = into(x)
         prev = None
         for k in range(1, 6):
             arg = back(term)
             term = first(term, 0.5 / k)
             assert np.max(np.abs(back(term) - (0.5 / k) * (dense @ arg))) <= 1e-13
-            if prev is not None:  # valid through the next call
+            if prev is not None:  # fed back to the apply, valid through that call
                 assert np.array_equal(prev[0], prev[1])
             prev = (term, term.copy())
-            other = later(term, 1.0)
-            assert not np.shares_memory(other, term)
-            assert np.max(np.abs(back(other) - fn(0.9) @ back(term))) <= 1e-13
+        foreign = into(x)
+        kept = foreign.copy()
+        term = first(foreign, 1.0)
+        assert not np.shares_memory(term, foreign)
+        assert np.array_equal(foreign, kept)
+        # the next load rewrites the same operator in place
+        later = next(ops)
+        assert later is first
+        arg = back(term)
+        other = later(term, 1.0)
+        assert not np.shares_memory(other, term)
+        dense = ws[0] * fn(0.9) + ws[1] * fn(0.2)
+        assert np.max(np.abs(back(other) - dense @ arg)) <= 1e-13
+
+
+class TestPackedPlan:
+    """A propagation carries only the parity sectors its initial state
+    occupies, and of a column block only each sector's live columns; it
+    must agree with the dense fallback, which does not pack, and leave the
+    unoccupied sector exactly zero."""
+
+    @staticmethod
+    def _pair(n_qubits: int):
+        fn = _lab_provider(n_qubits, 8)
+
+        def dense(t: float) -> np.ndarray:  # no coeffs: the dense fallback
+            return fn(t)
+
+        dense.layout, dense.omega_max = fn.layout, fn.omega_max
+        return fn, dense
+
+    @staticmethod
+    def _packed_shape(fn, v0):
+        _, into, _ = _mixer(fn, 0.0, v0, np.zeros((1, 1)), np.ones((1, 1)))
+        return into(v0).shape
+
+    @staticmethod
+    def _sector(fn, s: int) -> np.ndarray:
+        """Product-basis indices of parity sector s (chain or block)."""
+        return fn.parts.order.reshape(2, -1)[s]
+
+    @pytest.mark.parametrize("label", ["g", "e"])
+    def test_one_qubit_state_in_one_chain(self, label):
+        fn, dense = self._pair(1)
+        psi0 = basis_state(fn.layout, label, 0)
+        live = 0 if label == "g" else 1  # |g,0> starts chain 0, |e,0> chain 1
+        assert self._packed_shape(fn, psi0.vec) == (1, 8, 1)
+        a = evolve(fn, psi0, 2.0, EvolutionConfig(), n_samples=5)
+        b = evolve(dense, psi0, 2.0, EvolutionConfig(), n_samples=5)
+        for x, y in zip(a.states, b.states):
+            assert np.max(np.abs(x.vec - y.vec)) <= 1e-12
+            assert not np.any(x.vec[self._sector(fn, 1 - live)])
+        assert np.max(np.abs(a.final.vec[self._sector(fn, live)])) > 0.1
+
+    def test_two_qubit_vacuum_trace(self, monkeypatch):
+        fn, _ = self._pair(2)
+        psi0 = basis_state(fn.layout, "gg", 0)
+        assert self._packed_shape(fn, psi0.vec) == (1, 16, 1)
+        p = SystemParams(omega_q=3.0, g=0.2)
+        d = DriveParams.from_alpha((1.20242, -1.20242), 3.0)
+        packed = fidelity_trace(p, d, psi0, 0.5 * np.pi, EvolutionConfig(), 20)
+
+        def unpacked(*args):
+            lab = hamiltonian_fn(*args)
+
+            def h(t: float) -> np.ndarray:  # no coeffs: the dense fallback
+                return lab(t)
+
+            h.layout, h.omega_max = lab.layout, lab.omega_max
+            return h
+
+        monkeypatch.setattr(propagate, "hamiltonian_fn", unpacked)
+        ref = fidelity_trace(p, d, psi0, 0.5 * np.pi, EvolutionConfig(), 20)
+        assert np.max(np.abs(packed.fidelities - ref.fidelities)) <= 1e-12
+        traj = evolve(fn, psi0, 1.0, EvolutionConfig(), n_samples=3)
+        for state in traj.states:
+            assert not np.any(state.vec[self._sector(fn, 1)])
+
+    @pytest.mark.parametrize("n_qubits", [1, 2])
+    def test_superposition_in_both_sectors(self, n_qubits):
+        fn, dense = self._pair(n_qubits)
+        lay = fn.layout
+        a_lbl, b_lbl = ("g", "e") if n_qubits == 1 else ("gg", "eg")
+        psi0 = Ket(lay, (basis_state(lay, a_lbl, 0).vec
+                         + 1j * basis_state(lay, b_lbl, 0).vec) / np.sqrt(2.0))
+        assert self._packed_shape(fn, psi0.vec) == (2, lay.dim // 2, 1)
+        a = evolve(fn, psi0, 2.0, EvolutionConfig(), n_samples=4)
+        b = evolve(dense, psi0, 2.0, EvolutionConfig(), n_samples=4)
+        for x, y in zip(a.states, b.states):
+            assert np.max(np.abs(x.vec - y.vec)) <= 1e-12
+
+    @pytest.mark.parametrize("method", ["piecewise-exponential", "rk4"])
+    def test_columns_with_unequal_live_counts(self, method):
+        """Even parity holds three live columns (|ee,0>, |gg,0> and half of
+        a superposition), odd parity two (|eg,0> and the other half)."""
+        fn, dense = self._pair(2)
+        lay = fn.layout
+        ket = {q: basis_state(lay, q, 0).vec for q in ("ee", "eg", "gg")}
+        v0 = np.stack([ket["ee"], ket["eg"], ket["gg"],
+                       (ket["gg"] - ket["eg"]) / np.sqrt(2.0)], axis=1)
+        assert self._packed_shape(fn, v0) == (2, lay.dim // 2, 3)
+        cfg = EvolutionConfig(method=method)
+        cols = evolve_columns(fn, v0, 1.3, cfg)
+        assert np.max(np.abs(cols - evolve_columns(dense, v0, 1.3, cfg))) <= 1e-12
+        for j, s in ((0, 1), (1, 0), (2, 1)):  # each basis column stays in its sector
+            assert not np.any(cols[self._sector(fn, s), j])
+
+    def test_gate_columns_pack_two_per_block(self):
+        fn, _ = self._pair(2)
+        nf = fn.layout.fock_dim
+        v0 = np.zeros((fn.layout.dim, 4), dtype=complex)
+        v0[np.arange(4) * nf, np.arange(4)] = 1.0
+        assert self._packed_shape(fn, v0) == (2, fn.layout.dim // 2, 2)
+
+    @pytest.mark.parametrize("n_qubits", [1, 2])
+    def test_rk4_run(self, n_qubits):
+        fn, dense = self._pair(n_qubits)
+        psi0 = basis_state(fn.layout, "g" * n_qubits, 0)
+        cfg = EvolutionConfig(method="rk4")
+        a = evolve(fn, psi0, 1.0, cfg, n_samples=3)
+        b = evolve(dense, psi0, 1.0, cfg, n_samples=3)
+        for x, y in zip(a.states, b.states):
+            assert np.max(np.abs(x.vec - y.vec)) <= 1e-12
+            assert not np.any(x.vec[self._sector(fn, 1)])
 
 
 class TestEvolveStatic:
