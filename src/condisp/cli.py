@@ -439,28 +439,10 @@ def run(cfg: dict) -> int:
 
 
 def _merge_cli(cfg, args) -> dict:
-    """Apply CLI flag overrides onto the config dict."""
-    flag_map = {
-        "eta": "system.eta",
-        "g": "system.g",
-        "n_qubits": "system.n_qubits",
-        "fock_dim": "system.fock_dim",
-        "alpha": "drive.alpha1",
-        "alpha2": "drive.alpha2",
-        "omega_d": "drive.omega_d",
-        "phi": "drive.phi",
-        "dt": "evolution.dt",
-        "method": "evolution.method",
-        "periods": "trace.periods",
-        "trials": "gate.trials",
-        "seed": "gate.seed",
-        "steps": "cat.steps",
-        "metric": "sweep.metric",
-        "workers": "sweep.workers",
-        "out": "output.dir",
-    }
-    for attr, key in flag_map.items():
-        value = getattr(args, attr, None)
+    """Apply CLI flag overrides onto the config dict; each config-backed
+    flag stores under its dotted key."""
+    for key in _SCHEMA:
+        value = getattr(args, key, None)
         if value is not None:
             cfg[key] = value
     return cfg
@@ -513,22 +495,29 @@ def _add_config(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", metavar="PATH", help="config file of key = value lines")
 
 
+def _flag(sub: argparse.ArgumentParser, flag: str, key: str, **kw) -> None:
+    """A config-backed flag stored under its dotted key; --help keeps argparse's metavar."""
+    if "choices" not in kw:
+        kw.setdefault("metavar", flag[2:].replace("-", "_").upper())
+    sub.add_argument(flag, dest=key, **kw)
+
+
 def _add_run_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--seed", type=int, help="random seed (gate trials)")
-    sub.add_argument("--out", metavar="DIR", help="output directory")
-    sub.add_argument("--fock-dim", dest="fock_dim", type=int,
-                     help="resonator truncation dimension")
-    sub.add_argument("--dt", type=float, help="integrator step, units 1/omega_r")
-    sub.add_argument("--eta", type=float, help="omega_q / omega_r")
-    sub.add_argument("--g", type=float, help="coupling in units of omega_r")
-    sub.add_argument("--alpha", type=float, help="modulation index of qubit 1")
-    sub.add_argument("--alpha2", type=float,
-                     help="modulation index of qubit 2 (default -alpha)")
-    sub.add_argument("--omega-d", dest="omega_d", type=float,
-                     help="modulation frequency (default: resonant)")
-    sub.add_argument("--phi", type=float, help="modulation phase (default pi/2)")
-    sub.add_argument("--method", choices=["piecewise-exponential", "rk4"])
-    sub.add_argument("--n-qubits", dest="n_qubits", type=int, choices=[1, 2])
+    _flag(sub, "--seed", "gate.seed", type=int, help="random seed (gate trials)")
+    _flag(sub, "--out", "output.dir", metavar="DIR", help="output directory")
+    _flag(sub, "--fock-dim", "system.fock_dim", type=int,
+          help="resonator truncation dimension")
+    _flag(sub, "--dt", "evolution.dt", type=float, help="integrator step, units 1/omega_r")
+    _flag(sub, "--eta", "system.eta", type=float, help="omega_q / omega_r")
+    _flag(sub, "--g", "system.g", type=float, help="coupling in units of omega_r")
+    _flag(sub, "--alpha", "drive.alpha1", type=float, help="modulation index of qubit 1")
+    _flag(sub, "--alpha2", "drive.alpha2", type=float,
+          help="modulation index of qubit 2 (default -alpha)")
+    _flag(sub, "--omega-d", "drive.omega_d", type=float,
+          help="modulation frequency (default: resonant)")
+    _flag(sub, "--phi", "drive.phi", type=float, help="modulation phase (default pi/2)")
+    _flag(sub, "--method", "evolution.method", choices=["piecewise-exponential", "rk4"])
+    _flag(sub, "--n-qubits", "system.n_qubits", type=int, choices=[1, 2])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -544,14 +533,15 @@ def build_parser() -> argparse.ArgumentParser:
                         help="exact-vs-effective fidelity trace over time")
     _add_config(p)
     _add_run_flags(p)
-    p.add_argument("--periods", type=float, help="trace length in resonator periods")
+    _flag(p, "--periods", "trace.periods", type=float,
+          help="trace length in resonator periods")
     p.add_argument("--preset", choices=["effective-validation", "validity-breakdown"])
 
     p = subs.add_parser("gate-fidelity",
                         help="average fidelity of the two-qubit phase gate")
     _add_config(p)
     _add_run_flags(p)
-    p.add_argument("--trials", type=int, help="number of random trial states")
+    _flag(p, "--trials", "gate.trials", type=int, help="number of random trial states")
     p.add_argument("--per-trial", action="store_true",
                    help="also write a per-trial fidelity CSV")
     p.add_argument("--preset", choices=["gate-weak", "gate-strong"])
@@ -560,7 +550,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="conditional-displacement cat state experiment")
     _add_config(p)
     _add_run_flags(p)
-    p.add_argument("--steps", type=int, help="number of half-period steps")
+    _flag(p, "--steps", "cat.steps", type=int, help="number of half-period steps")
     p.add_argument("--preset", choices=["cat-1step", "cat-2step"])
 
     p = subs.add_parser("bessel", help="evaluate J_l(x) (debug aid)")
@@ -571,14 +561,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("sweep", help="scan a metric over 1 or 2 parameters")
     _add_config(p)
     _add_run_flags(p)
-    p.add_argument("--metric", choices=list(METRICS))
+    _flag(p, "--metric", "sweep.metric", choices=list(METRICS))
     p.add_argument("--axis", nargs=4, action="append",
                    metavar=("KEY", "START", "STOP", "POINTS"),
                    help="swept parameter, e.g. --axis system.g 0.05 0.5 10")
-    p.add_argument("--workers", type=int, help="parallel workers for grid points")
-    p.add_argument("--steps", type=int, help="cat steps (cat-fidelity metric)")
-    p.add_argument("--trials", type=int, help="gate trials (gate-fidelity metric)")
-    p.add_argument("--periods", type=float, help="trace length for f1 metrics")
+    _flag(p, "--workers", "sweep.workers", type=int, help="parallel workers for grid points")
+    _flag(p, "--steps", "cat.steps", type=int, help="cat steps (cat-fidelity metric)")
+    _flag(p, "--trials", "gate.trials", type=int, help="gate trials (gate-fidelity metric)")
+    _flag(p, "--periods", "trace.periods", type=float, help="trace length for f1 metrics")
 
     return parser
 
@@ -594,7 +584,7 @@ def main(argv=None) -> int:
         if args.command == "gate-fidelity" and args.per_trial:
             cfg["_per_trial"] = True
         if args.command == "validate-effective" and getattr(args, "preset", None) \
-                == "effective-validation" and args.eta is None:
+                == "effective-validation" and getattr(args, "system.eta") is None:
             # the preset is a pair of traces: the working point and a lower
             # eta that shows the approximation degrade
             status = 0

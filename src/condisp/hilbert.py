@@ -5,16 +5,13 @@ ordered (|e>, |g>) so that sigma_z = diag(1, -1) has |e> as its +1
 eigenstate. The resonator is a truncated Fock space of dimension
 ``fock_dim``. Operators are dense complex128; dimensions stay small
 enough (<= 2 qubits, few hundred Fock levels) for that. The propagators
-apply generators part by part instead. With one qubit, every generator
-conserves the parity exp(i pi (n + (1 + sigma_z)/2)) and only couples
-neighbours along the two parity chains |g,0>, |e,1>, |g,2>, ... and
-|e,0>, |g,1>, |e,2>, ...; its parts are kept as three bands (diagonal,
-super-, sub-diagonal) in that chain order. With two qubits the parity
-exp(i pi (n + sum_m (1 + sigma_z^m)/2)) splits the lab generator, which
-is real, into two real blocks of dim/2, kept in parity order. A
-propagation carries only the chains or blocks its initial state
-occupies, packed from the product basis at the start and scattered back
-into zeros at every kept sample.
+apply the lab generator in one sector form instead, at one qubit or two:
+the parity exp(i pi (n + sum_m (1 + sigma_z^m)/2)) splits it into two
+real blocks of dim/2, each sector sorted by photon number, so one
+qubit's blocks are the tridiagonal chains |g,0>, |e,1>, |g,2>, ... and
+|e,0>, |g,1>, |e,2>, .... A propagation carries only the blocks its
+initial state occupies, packed from the product basis at the start and
+scattered back into zeros at every kept sample.
 """
 from __future__ import annotations
 

@@ -25,9 +25,10 @@ All frequencies are in units of omega_r.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -180,11 +181,12 @@ def _lab_matrix(params: SystemParams, layout: HilbertLayout) -> np.ndarray:
     for sz in _sigma_z(layout):
         diag += 0.5 * params.omega_q * sz
     h = np.diag(diag.astype(complex))
-    x = _annihilation(layout.fock_dim)
-    x += x.T
+    gx = _annihilation(layout.fock_dim)
+    gx += gx.T
+    gx *= params.g  # scaled on the Fock factor, not on the dim x dim product
     sx = _PAULI["x"]
     for m in range(layout.n_qubits):
-        h += params.g * _embed(layout, {m: sx}, x)
+        h += _embed(layout, {m: sx}, gx)
     for m in range(layout.n_qubits):
         for n in range(layout.n_qubits):
             if m != n:  # ordered pairs: each qubit pair enters twice
@@ -204,11 +206,6 @@ def _sigma_z(layout: HilbertLayout) -> np.ndarray:
     (|e>, |g>) = (+1, -1)."""
     return np.array([np.repeat(np.tile([1.0, -1.0], 2 ** m), layout.dim >> (m + 1))
                      for m in range(layout.n_qubits)])
-
-
-def _drive_diagonal(drive: DriveParams, layout: HilbertLayout) -> np.ndarray:
-    """Diagonal of the modulation term sum_m (epsilon_m/2) sigma_z^m."""
-    return sum(0.5 * e * sz for e, sz in zip(drive.epsilon, _sigma_z(layout)))
 
 
 def driven_hamiltonian(params: SystemParams, drive: DriveParams, t: float,
@@ -476,50 +473,16 @@ def omega_max(params: SystemParams, drive: DriveParams, frame: str) -> float:
 
 
 @dataclass(frozen=True, eq=False)
-class _Chains:
-    """Parts of a one-qubit generator as bands along its two parity chains.
-
-    Chain order lists |g,0>, |e,1>, |g,2>, ... and then |e,0>, |g,1>,
-    |e,2>, ...: every generator here flips the qubit with each photon it
-    adds or removes, so it only couples neighbours within a chain, and a
-    part is three bands. bands[k] holds part k's diagonal, super-diagonal
-    (M[i, i+1]) and sub-diagonal (M[i, i-1]); the last super entry and
-    the first sub entry are padding, and both are 0 at the seam between
-    the chains. order[i] is the product-basis index of chain position i.
-    """
-
-    bands: np.ndarray  # (parts, 3, dim), complex so mixed bands multiply fast
-    order: np.ndarray
-
-
-def _lab_chains(params: SystemParams, drive: DriveParams, fock_dim: int) -> _Chains:
-    """(h0, drive diagonal) of one qubit from their closed forms.
-
-    h0 has diagonal omega_r n + s omega_q/2 and hops g sqrt(n+1) within a
-    chain; the drive part is the diagonal s epsilon/2.
-    """
-    n = np.tile(np.arange(fock_dim), 2)  # photon number per chain position
-    s = np.where(n % 2 == 0, -1.0, 1.0)  # and its sigma_z value
-    s[fock_dim:] *= -1.0
-    order = np.where(s > 0, 0, fock_dim) + n  # qubit basis (|e>, |g>)
-    hop = params.g * np.sqrt(n)  # sub[i] = g sqrt(n_i): 0 where a chain starts
-    zero = np.zeros(len(n))
-    return _Chains(np.array([
-        [params.omega_r * n + 0.5 * params.omega_q * s, np.roll(hop, -1), hop],
-        [0.5 * drive.epsilon[0] * s, zero, zero],
-    ], dtype=complex), order)
-
-
-@dataclass(frozen=True, eq=False)
 class _Blocks:
-    """Parts of a two-qubit lab generator as two real parity blocks.
+    """Parts of the lab generator, one or two qubits, as two parity blocks.
 
     The generator conserves the Rabi parity exp(i pi (n + sum_m
     (1 + sigma_z^m)/2)) and its parts are real, so in parity order (even
-    parity first, each half in product-basis order) it is two real m x m
-    blocks, m = dim/2. h0[b] is block b of the static part, diag[b] the
-    modulation diagonal on it, and order[i] the product-basis index of
-    parity position i.
+    sector first, each sector by photon number, then product index) it is
+    two real m x m blocks, m = dim/2; one qubit's are the tridiagonal
+    parity chains |g,0>, |e,1>, |g,2>, ... and |e,0>, |g,1>, |e,2>, ....
+    h0[b] is block b of the static part, diag[b] the modulation diagonal
+    on it, and order[i] the product-basis index of parity position i.
     """
 
     h0: np.ndarray    # (2, m, m) real
@@ -529,17 +492,18 @@ class _Blocks:
 
 def _lab_blocks(params: SystemParams, drive: DriveParams,
                 layout: HilbertLayout) -> _Blocks:
-    """(h0, drive diagonal) of two qubits, permuted once into parity order."""
+    """h0 = _lab_matrix and the drive diagonal sum_m (epsilon_m/2) sigma_z^m,
+    permuted once into parity order."""
     n = np.arange(layout.dim) % layout.fock_dim
-    excited = np.sum(0.5 * (1.0 + _sigma_z(layout)), axis=0)
-    order = np.argsort((n + excited) % 2, kind="stable")
+    sz = _sigma_z(layout)
+    order = np.lexsort((n, (n + np.sum(0.5 * (1.0 + sz), axis=0)) % 2))
     m = layout.dim // 2
     h = _lab_matrix(params, layout)[np.ix_(order, order)]
     if np.any(h[:m, m:]) or np.any(h[m:, :m]) or np.any(h.imag):
         raise ValueError("lab generator is not real within the two parity blocks")
-    h = h.real
-    return _Blocks(np.stack((h[:m, :m], h[m:, m:])),
-                   _drive_diagonal(drive, layout)[order].reshape(2, m), order)
+    diag = sum(0.5 * e * s for e, s in zip(drive.epsilon, sz))
+    return _Blocks(np.stack((h.real[:m, :m], h.real[m:, m:])),
+                   diag[order].reshape(2, m), order)
 
 
 def _block_operator(blocks: np.ndarray, shape: tuple):
@@ -571,14 +535,15 @@ def _band_operator(d: np.ndarray, up: np.ndarray, lo: np.ndarray, shape: tuple):
     """apply(x, scale) = scale * T @ x for the tridiagonal T with diagonal d,
     T[i, i+1] = up[i] and T[i, i-1] = lo[i].
 
-    x is a packed (sectors, n, k) state from _mixer; T runs along its
-    sectors laid end to end, so d, up and lo are (sectors * n, 1) columns
-    and up, lo are 0 where one sector ends and the next begins. The
-    result goes into one of two buffers made here, in turn, and an input
-    other than the last result is first copied into that result's
-    buffer: a result stays valid until the next apply, which may take it
-    as its input. Both buffers carry a zero row at each end, so the
-    neighbour rows x[i+1] and x[i-1] are fixed views of them.
+    x is a packed (sectors, n, k) state from _mixer; T, read off its
+    tridiagonal parity blocks, runs along the sectors laid end to end, so
+    d, up and lo are (sectors * n, 1) complex columns, and up, lo are 0
+    where one sector ends and the next begins. The result goes into one
+    of two buffers made here, in turn, and an input other than the last
+    result is first copied into that result's buffer: a result stays
+    valid until the next apply, which may take it as its input. Both
+    buffers carry a zero row at each end, so the neighbour rows x[i+1]
+    and x[i-1] are fixed views of them.
     """
     rows = shape[0] * shape[1]
     pads = np.zeros((2, rows + 2, shape[2]), dtype=complex)
@@ -601,21 +566,18 @@ def _band_operator(d: np.ndarray, up: np.ndarray, lo: np.ndarray, shape: tuple):
     return apply
 
 
-def _assemble_parts(cs: np.ndarray, parts) -> np.ndarray:
-    """sum_k cs[k] parts[k] as one dense matrix in the product basis."""
-    if isinstance(parts, _Chains):
-        d, up, lo = np.tensordot(cs, parts.bands, 1)
-        o = parts.order
-        h = np.zeros((len(o), len(o)), dtype=complex)
-        h[o, o] = d
-        h[o[:-1], o[1:]] = up[:-1]
-        h[o[1:], o[:-1]] = lo[1:]
-        return h
-    o = parts.order.reshape(2, -1)
+def _sector_blocks(cs: np.ndarray, parts: _Blocks) -> np.ndarray:
+    """cs[0] h0 + cs[1] diag: the two parity blocks of sum_k cs[k] parts[k]."""
     blocks = cs[0] * parts.h0
-    blocks.reshape(2, -1)[:, ::o.shape[1] + 1] += cs[1] * parts.diag
+    blocks.reshape(2, -1)[:, ::parts.h0.shape[1] + 1] += cs[1] * parts.diag
+    return blocks
+
+
+def _assemble_parts(cs: np.ndarray, parts: _Blocks) -> np.ndarray:
+    """sum_k cs[k] parts[k] as one dense matrix in the product basis."""
+    o = parts.order.reshape(2, -1)
     h = np.zeros((o.size, o.size), dtype=complex)
-    for ob, block in zip(o, blocks):
+    for ob, block in zip(o, _sector_blocks(cs, parts)):
         h[np.ix_(ob, ob)] = block
     return h
 
@@ -624,18 +586,24 @@ def _coefficient_form(h: Callable[[float], np.ndarray], t: float):
     """(coeffs, parts) of a provider from hamiltonian_fn, or None.
 
     A caller that applies the parts never calls h itself, so h is
-    evaluated here once, at t, and must reproduce its parts there. A
-    wrapper that copies a provider's attributes (as functools.wraps does)
-    but changes what it returns raises ValueError instead of being
-    propagated as the provider it wraps.
+    evaluated here once, at t, and must reproduce its parts there: in
+    parity order, its two diagonal blocks must be c0 h0 + c1 diag and the
+    rest zero. A wrapper that copies a provider's attributes (as
+    functools.wraps does) but changes what it returns raises ValueError
+    instead of being propagated as the provider it wraps.
     """
     coeffs = getattr(h, "coeffs", None)
     if coeffs is None:
         return None
     parts = h.parts
-    dense = np.asarray(h(t))
-    diff = float(np.max(np.abs(dense - _assemble_parts(coeffs(t), parts))))
-    if diff > 1e-12 * max(1.0, float(np.max(np.abs(dense)))):
+    dense = np.asarray(h(t))[np.ix_(parts.order, parts.order)]
+    size = np.abs(dense)  # one buffer for both maxima: fresh pages are slow
+    scale = max(1.0, float(np.max(size)))
+    quarters = dense.reshape(2, len(dense) // 2, 2, -1)
+    for b, block in enumerate(_sector_blocks(coeffs(t), parts)):
+        quarters[b, :, b] -= block
+    diff = float(np.max(np.abs(dense, out=size)))
+    if diff > 1e-12 * scale:
         raise ValueError(
             f"provider's H(t) differs from its coefficient form by {diff:.3e} "
             f"at t = {t:g}"
@@ -676,32 +644,29 @@ def _packing(order: np.ndarray, v0: np.ndarray):
 
 
 def _mixer(h: Callable[[float], np.ndarray], t_check: float, v0: np.ndarray,
-           nodes: np.ndarray, weights: np.ndarray):
+           chunks: Iterable[np.ndarray], weights: np.ndarray):
     """(ops, into, back): the plan of one propagation of v0 under h.
 
     The propagation runs steps in order and each step's operators in
-    order; operator j of step i is sum_l weights[j, l] H(nodes[i, l]),
-    with nodes a (steps, n) array of times and weights an (operators, n)
-    array. Each next(ops) loads the next operator and returns
-    apply(x, scale) = scale * (that operator) @ x, valid until the next
-    load. into packs v0, or another array of its shape with no amplitude
-    outside v0's, from the product basis into the propagation basis, and
-    back unpacks one into the product basis.
+    order; chunks yields the node times of runs of consecutive steps as
+    (steps, n) arrays, and operator j of a step with node times ts is
+    sum_l weights[j, l] H(ts[l]), weights an (operators, n) array. Each
+    next(ops) loads the next operator and returns apply(x, scale) =
+    scale * (that operator) @ x, valid until the next load. into packs
+    v0, or an array of its shape with no amplitude outside v0's, into
+    the propagation basis, and back unpacks one into the product basis.
 
     A provider with a coefficient form, checked against h(t_check), is
-    c0 h0 + c1 D with D diagonal (checked here for chain parts; parity
-    blocks hold D as a diagonal). One coeffs(nodes) call gives every
-    operator's (c0, c1). c0 must be the same for all of them (it is the
-    weight sum, 1/2 for both CF4 exponents and 1 for RK4), so c0 h0 is
+    c0 h0 + c1 D on its two parity blocks, D diagonal. One coeffs call
+    per chunk, made when the propagation reaches it, gives that chunk's
+    real (c0, c1). c0 must be the first operator's for all of them (the
+    weight sum: 1/2 for both CF4 exponents, 1 for RK4), so c0 h0 is
     premixed once per propagation and a load only rewrites the diagonal,
-    in place, from c1. The parts split the space into two parity sectors
-    that the generator never couples: the two chains of one qubit, or
-    the two parity blocks of two. into and back come from _packing, so
-    the amplitudes that parity keeps at zero are never propagated. Chain
-    sectors apply as three bands, parity blocks as one batched real
-    matmul, refusing complex coefficients with ValueError. Any other
-    callable falls back to one dense mixed matrix per operator in the
-    product basis, unpacked.
+    in place, from c1. into and back come from _packing, so the sector
+    that parity keeps at zero is never propagated. Tridiagonal premixed
+    blocks (one qubit's parity chains) apply as three complex bands,
+    others as one batched real matmul. Any other callable falls back to
+    one dense mixed matrix per operator in the product basis, unpacked.
 
     A propagation has one apply, and it owns the only two result
     buffers, made here: a result stays valid until the next apply, which
@@ -710,46 +675,50 @@ def _mixer(h: Callable[[float], np.ndarray], t_check: float, v0: np.ndarray,
     form = _coefficient_form(h, t_check)
     if form is None:
         def dense_ops():
-            for ts in nodes:
-                for ws in weights:
-                    m = sum(w * h(t) for t, w in zip(ts, ws) if w)
-                    yield lambda x, scale, m=m: scale * (m @ x)
+            for nodes in chunks:
+                for ts in nodes:
+                    for ws in weights:
+                        m = sum(w * h(t) for t, w in zip(ts, ws) if w)
+                        yield lambda x, scale, m=m: scale * (m @ x)
         return dense_ops(), np.copy, np.copy
     coeffs, parts = form
-    raw = coeffs(nodes)  # (2, steps, n)
-    c0, c1 = sum(raw[..., l, None] * weights[:, l]
-                 for l in range(weights.shape[1])).reshape(2, -1)
-    if np.any(c0 != c0[0]):
-        raise ValueError("the static part's coefficient varies between operators")
-    sectors, shape, into, back = _packing(parts.order, v0)
-    if isinstance(parts, _Chains):
-        (d0, up, lo), drive = parts.bands
-        n = shape[1]
-        if np.any(drive[1:]):
-            raise ValueError("the drive part of a chain generator is not diagonal")
-        if np.any(up.reshape(2, n)[:, -1]) or np.any(lo.reshape(2, n)[:, 0]):
-            raise ValueError("the bands of a chain generator couple its two chains")
+    chunks = iter(chunks)
+    static = None
 
-        def cut(band):
-            return band.reshape(2, n)[sectors].reshape(-1, 1)
-        d0, drive = c0[0] * cut(d0), cut(drive[0])
-        diag = np.empty_like(d0)
-        apply = _band_operator(diag, c0[0] * cut(up), c0[0] * cut(lo), shape)
-    else:
-        if np.any(np.imag(c0)) or np.any(np.imag(c1)):
-            raise ValueError("parity-block parts need real coefficients, "
-                             "got complex ones")
-        c0, c1 = np.real(c0), np.real(c1)
-        blocks = c0[0] * parts.h0[sectors]
+    def drive_coeffs(nodes: np.ndarray) -> list:
+        nonlocal static
+        raw = coeffs(nodes)  # (2, steps, n)
+        mixed = sum(raw[..., l, None] * weights[:, l] for l in range(weights.shape[1]))
+        if np.any(np.imag(mixed)):
+            raise ValueError("parity-block parts need real coefficients, got complex ones")
+        c0, c1 = np.real(mixed).reshape(2, -1)
+        static = c0[0] if static is None else static
+        if np.any(c0 != static):
+            raise ValueError("the static part's coefficient varies between operators")
+        return c1.tolist()
+
+    first = drive_coeffs(next(chunks))
+    sectors, shape, into, back = _packing(parts.order, v0)
+    blocks = static * parts.h0[sectors]
+    drive = parts.diag[sectors]
+    if np.any(np.triu(blocks, 2)) or np.any(np.tril(blocks, -2)):
         diag = blocks.reshape(len(sectors), -1)[:, ::shape[1] + 1]
-        d0, drive = diag.copy(), parts.diag[sectors]
         apply = _block_operator(blocks, shape)
+    else:
+        bands = np.zeros((3,) + drive.shape, dtype=complex)
+        bands[0] = np.diagonal(blocks, 0, 1, 2)
+        bands[1, :, :-1] = np.diagonal(blocks, 1, 1, 2)
+        bands[2, :, 1:] = np.diagonal(blocks, -1, 1, 2)
+        (diag, up, lo), drive = bands.reshape(3, -1, 1), drive.reshape(-1, 1).astype(complex)
+        apply = _band_operator(diag, up, lo, shape)
+    d0 = diag.copy()
 
     def ops():
-        for c in c1.tolist():
-            np.multiply(drive, c, out=diag)
-            np.add(diag, d0, out=diag)
-            yield apply
+        for c1 in itertools.chain([first], map(drive_coeffs, chunks)):
+            for c in c1:
+                np.multiply(drive, c, out=diag)
+                np.add(diag, d0, out=diag)
+                yield apply
     return ops(), into, back
 
 
@@ -765,25 +734,21 @@ def hamiltonian_fn(params: SystemParams, drive: DriveParams, frame: str,
     H(t) = coeffs(t)[0] parts[0] + coeffs(t)[1] parts[1], with the parts
     (h0, drive diagonal) built once and coefficients
     (1, sin(omega_d t - phi)); coeffs also takes an array of times and
-    returns one row per part. With one qubit the parts are _Chains, three
-    bands each along the two parity chains, built from their closed
-    forms; with two they are _Blocks, h0 and the drive diagonal permuted
-    once into parity order, where each is two real blocks. fn(t)
-    assembles the dense product-basis H(t) from the same parts. The
-    propagators go through _mixer, which checks the form against fn once
-    per propagation and then never forms H(t). The rotating and
-    effective providers are dense: fn(t) = e^{i omega_r t} W + h.c. for
-    the effective frame, W = sum_m g_eff,m a^dag sigma_x^m. The effective
-    evolution itself has a closed form and is not propagated here.
+    returns one row per part. The parts are _Blocks at either qubit
+    count: _lab_matrix and the drive diagonal permuted once into parity
+    order, where each is two real blocks. fn(t) assembles the dense
+    product-basis H(t) from the same parts. The propagators go through
+    _mixer, which checks the form against fn once per propagation and
+    then never forms H(t). The rotating and effective providers are
+    dense: fn(t) = e^{i omega_r t} W + h.c. for the effective frame,
+    W = sum_m g_eff,m a^dag sigma_x^m. The effective evolution itself
+    has a closed form and is not propagated here.
     """
     _check_pair(params, drive, layout)
     if frame not in FRAMES:
         raise ValueError(f"frame must be one of {FRAMES}, got {frame!r}")
     if frame == "lab-driven":
-        if layout.n_qubits == 1:
-            parts = _lab_chains(params, drive, layout.fock_dim)
-        else:
-            parts = _lab_blocks(params, drive, layout)
+        parts = _lab_blocks(params, drive, layout)
         wd, phi = drive.omega_d, drive.phi
 
         def coeffs(t) -> np.ndarray:

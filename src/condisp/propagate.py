@@ -12,25 +12,24 @@ t + (1/2 -+ sqrt(3)/6) dt and applies two exponentials,
 the one weighted toward the earlier point first. Each exponential acts
 through an adaptive Taylor product, which never leaves the unit sphere
 beyond roundoff; so the series stops once a term's squared norm falls
-below 1e-32 of the input's, taken once per exponential. A propagation
-lays out its whole step schedule first, the node times of every step
-and the weights of each operator over them, and model._mixer plans it
-once. Providers that carry a coefficient form (see
-model.hamiltonian_fn) are evaluated as a dense H(t) once per
-propagation, to check that form, and one coeffs call over all the node
-times gives every operator's coefficients. Their static part is
-premixed once, so loading the next operator rewrites only the diagonal
-of the propagation's one operator, in place, and each Taylor term is an
-apply into one of its two buffers. A one-qubit generator is one
-tridiagonal matrix along each parity chain and a two-qubit one a real
-block per parity; the propagation carries only the chains or blocks the
-initial state occupies (the parity keeps the rest at zero), packed
-once at the start, and every kept sample is scattered back into the
-product basis. The effective conditional-displacement model is never
-propagated: fidelity_trace builds its states in closed form from
-coherent amplitudes. A classical RK4 stepper is kept as an independent
-cross-check, on the same kind of schedule at its own finer default step;
-it is not norm-preserving, which is exactly why it makes a useful
+below 1e-32 of the input's, taken once per exponential. model._mixer
+plans each propagation once, from its initial state, and reads its step
+schedule _PLAN_CHUNK steps at a time: node times, then one coeffs call
+per chunk for the coefficients. Providers that carry a coefficient
+form (see model.hamiltonian_fn) are evaluated as a dense H(t) once per
+propagation, to check that form. Their static part is premixed once, so
+loading the next operator rewrites only the diagonal of the
+propagation's one operator, in place, and each Taylor term is an apply
+into one of its two buffers. At either qubit count the generator is a
+real block per parity sector; the propagation carries only the blocks
+the initial state occupies (the parity keeps the rest at zero) and
+applies them as three bands where they are tridiagonal (one qubit's
+parity chains), else by one batched real matmul (two qubits). The
+effective conditional-displacement model is never propagated:
+fidelity_trace builds its states in closed form from coherent
+amplitudes. A classical RK4 stepper is kept as an independent
+cross-check, on the same kind of schedule at its own finer default
+step; it is not norm-preserving, which is exactly why it makes a useful
 disagreement detector.
 """
 from __future__ import annotations
@@ -79,6 +78,9 @@ _STEP_FRACTION = 2.0 * math.pi / 50.0  # hard ceiling: dt * omega_max
 _TAYLOR_RTOL = 1e-16
 _TAYLOR_MAX_TERMS = 200
 _UNITARITY_TOL = 1e-7
+# Steps whose node times and coefficients a propagation forms at once, so
+# that planning memory does not grow with the step count.
+_PLAN_CHUNK = 4096
 
 HamiltonianProvider = Callable[[float], np.ndarray]
 
@@ -231,17 +233,23 @@ def _run(h: HamiltonianProvider, v0: np.ndarray, times: np.ndarray,
          n_sub: int, method: str, norm_gate: bool) -> list[np.ndarray]:
     """States at every sample time, n_sub steps per sample interval.
 
-    The whole step schedule is laid out first, so model._mixer plans the
-    propagation once: its operators' coefficients, and the parity
-    sectors v0 occupies.
+    model._mixer plans the propagation once, from the parity sectors v0
+    occupies, and reads the step schedule, node times then operator
+    coefficients, _PLAN_CHUNK steps at a time as the propagation reaches
+    them.
     """
     fracs, weights = _SCHEMES[method]
     dts = np.diff(times) / n_sub
-    starts = times[:-1, None] + np.arange(n_sub) * dts[:, None]
-    nodes = starts[..., None] + np.multiply.outer(dts, fracs)[:, None, :]
+    steps = len(dts) * n_sub
+
+    def node_chunks():
+        for k in range(0, steps, _PLAN_CHUNK):
+            i, j = np.divmod(np.arange(k, min(k + _PLAN_CHUNK, steps)), n_sub)
+            starts = times[i] + j * dts[i]
+            yield starts[:, None] + np.multiply.outer(dts[i], fracs)
+
     v0 = np.asarray(v0, dtype=complex)
-    ops, into, back = _mixer(h, float(times[-1]), v0,
-                             nodes.reshape(-1, len(fracs)), np.array(weights))
+    ops, into, back = _mixer(h, float(times[-1]), v0, node_chunks(), np.array(weights))
     step = _cf4_step if method == "piecewise-exponential" else _rk4_step
     v = into(v0)
     out = [back(v)]

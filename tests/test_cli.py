@@ -15,6 +15,7 @@ from condisp.cli import (
     PRESETS,
     SWEEPABLE,
     ConfigError,
+    build_parser,
     default_config,
     format_config,
     main,
@@ -67,6 +68,37 @@ class TestConfigFormat:
         assert cfg["drive.omega_d"] is None
         assert "drive.omega_d = auto" in format_config(cfg)
         assert parse_config(format_config(cfg))["drive.omega_d"] is None
+
+
+class TestFlags:
+    """Each config-backed flag stores under its dotted config key, which is
+    all _merge_cli reads; a key outside the schema would be dropped."""
+
+    NOT_CONFIG = {"help", "version", "command", "config", "preset", "per_trial",
+                  "axis", "order", "x"}
+
+    def test_every_flag_stores_under_a_schema_key(self):
+        schema = set(default_config())
+        parser = build_parser()
+        subs = next(a for a in parser._actions if a.dest == "command").choices
+        seen = set()
+        for name, sub in subs.items():
+            for action in sub._actions:
+                if action.dest not in self.NOT_CONFIG:
+                    assert action.dest in schema, (name, action.option_strings)
+                    seen.add(action.dest)
+        assert {"system.eta", "system.fock_dim", "output.dir", "sweep.workers"} <= seen
+
+    def test_preset_pair_yields_to_an_explicit_eta(self, tmp_path):
+        args = ["validate-effective", "--preset", "effective-validation",
+                "--fock-dim", "8", "--periods", "0.05", "--out", str(tmp_path)]
+        assert main(args) == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "validate-effective-eta2.5-g0.2.csv", "validate-effective-eta3.5-g0.2.csv"]
+        for p in tmp_path.iterdir():
+            p.unlink()
+        assert main(args + ["--eta", "3.2"]) == 0
+        assert [p.name for p in tmp_path.iterdir()] == ["validate-effective-eta3.2-g0.2.csv"]
 
 
 class TestPresets:

@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 import oracle_helpers
-from condisp import DriveParams, HilbertLayout, SystemParams
+from condisp import DriveParams, HilbertLayout, SystemParams, model
 from condisp.hilbert import basis_state, ladder, pauli_on
 from condisp.model import (
     FRAMES,
@@ -280,8 +280,8 @@ class TestEffectiveHamiltonian:
 
 
 class TestSingleQubitChains:
-    """One-qubit providers keep their parts as parity-chain bands; the dense
-    H(t) they return must still be the product-basis Hamiltonian."""
+    """One-qubit providers keep their parts as the two parity chains; the
+    dense H(t) they return must still be the product-basis Hamiltonian."""
 
     @staticmethod
     def _kron_ops(fock_dim):
@@ -351,6 +351,64 @@ class TestTwoQubitBlocks:
             h = _assemble_parts(np.array(cs), fn.parts)
             assert not np.any(h[np.ix_(parity == 0, parity == 1)])
             assert not np.any(h[np.ix_(parity == 1, parity == 0)])
+
+
+class TestLabBlocks:
+    """_lab_blocks is the lab generator's one parts form at either qubit
+    count: parity sectors sorted by photon number, each a real block."""
+
+    @staticmethod
+    def _setup(n_qubits: int):
+        lay = HilbertLayout(n_qubits, 6)
+        p = SystemParams(omega_q=3.0, g=0.2, n_qubits=n_qubits)
+        alpha = (1.832,) if n_qubits == 1 else (1.20242, -1.20242)
+        d = DriveParams.from_alpha(alpha, 3.0)
+        # parity exp(i pi (n + number of excited qubits)), basis (|e>, |g>)
+        labels = ["".join(q) for q in itertools.product("eg", repeat=n_qubits)]
+        parity = np.array([(n + q.count("e")) % 2 for q in labels
+                           for n in range(lay.fock_dim)])
+        return lay, p, d, parity
+
+    def test_one_qubit_sectors_are_the_parity_chains(self):
+        lay, p, d, _ = self._setup(1)
+        fn = hamiltonian_fn(p, d, "lab-driven", lay)
+        nf = lay.fock_dim
+        even = [lay.index("ge"[n % 2], n) for n in range(nf)]  # |g,0>, |e,1>, |g,2>, ...
+        odd = [lay.index("eg"[n % 2], n) for n in range(nf)]   # |e,0>, |g,1>, |e,2>, ...
+        assert fn.parts.order.tolist() == even + odd
+        for block in fn.parts.h0:
+            assert not np.any(np.triu(block, 2)) and not np.any(np.tril(block, -2))
+            assert np.array_equal(np.diagonal(block, 1), p.g * np.sqrt(np.arange(1, nf)))
+
+    def test_two_qubit_sectors_by_photon_number(self):
+        lay, p, d, parity = self._setup(2)
+        fn = hamiltonian_fn(p, d, "lab-driven", lay)
+        order, m = fn.parts.order, lay.dim // 2
+        assert np.all(parity[order[:m]] == 0) and np.all(parity[order[m:]] == 1)
+        for half in (order[:m], order[m:]):  # photon number, then product index
+            keys = list(zip(half % lay.fock_dim, half))
+            assert keys == sorted(keys)
+        assert np.any(np.triu(fn.parts.h0[0], 2))  # two qubits are not tridiagonal
+
+    @pytest.mark.parametrize("n_qubits", [1, 2])
+    @pytest.mark.parametrize("flaw", ["coupled", "imaginary"])
+    def test_refuses_a_generator_outside_two_real_blocks(self, n_qubits, flaw,
+                                                         monkeypatch):
+        lay, p, d, parity = self._setup(n_qubits)
+        lab = model._lab_matrix
+
+        def flawed(params, layout):
+            h = lab(params, layout)
+            i = np.flatnonzero(parity == 0)[0]
+            j = np.flatnonzero(parity == (1 if flaw == "coupled" else 0))[1]
+            z = 0.1 if flaw == "coupled" else 0.1j  # Hermitian either way
+            h[i, j] += z
+            h[j, i] += np.conj(z)
+            return h
+
+        monkeypatch.setattr(model, "_lab_matrix", flawed)
+        with pytest.raises(ValueError, match="not real within the two parity blocks"):
+            hamiltonian_fn(p, d, "lab-driven", lay)
 
 
 class TestValidityReport:

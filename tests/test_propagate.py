@@ -8,9 +8,12 @@ Key oracles:
   steps (self-convergence against a 10x-refined reference) and with
   SciPy's DOP853 at tight tolerances,
 * the coefficient-form apply must equal the dense H(t) matvec, and the
-  one-qubit parity-chain path and the two-qubit parity-block path must
-  propagate as the dense fallback does, also when they carry only the
-  parity sectors and columns the initial state occupies,
+  band kernel (one qubit's tridiagonal parity chains) and the batched
+  matmul (two qubits' parity blocks) must propagate as the dense fallback
+  does, also when they carry only the parity sectors and columns the
+  initial state occupies; the blocks alone pick the kernel,
+* forming the step schedule in chunks must change no node time and no
+  output bit,
 * the Taylor loop must take as many terms as the earlier two-vdot loop
   and agree with it, and the apply's buffers must never overwrite a
   result before its next call,
@@ -29,12 +32,11 @@ import pytest
 from scipy.integrate import solve_ivp
 
 import oracle_helpers
-from condisp import DriveParams, HilbertLayout, SystemParams, propagate
+from condisp import DriveParams, HilbertLayout, SystemParams, model, propagate
 from condisp.cat import cat_fidelity_experiment
 from condisp.gate import gate_columns
 from condisp.hilbert import Ket, basis_state
-from condisp.model import (_Chains, _assemble_parts, _mixer, frame_phases,
-                           hamiltonian_fn)
+from condisp.model import _assemble_parts, _mixer, frame_phases, hamiltonian_fn
 from condisp.propagate import (
     DEFAULT_STEPS_PER_PERIOD,
     _effective_states,
@@ -105,7 +107,7 @@ class TestCoefficientForm:
         shape = (lay.dim,) if cols is None else (lay.dim, cols)
         x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         for t in (0.0, 0.37, 2.9):
-            ops, into, back = _mixer(fn, t, x, np.array([[t]]), np.ones((1, 1)))
+            ops, into, back = _mixer(fn, t, x, [np.array([[t]])], np.ones((1, 1)))
             got = back(next(ops)(into(x), 1.0))
             assert got.shape == x.shape
             assert np.max(np.abs(got - fn(t) @ x)) <= 1e-13
@@ -160,39 +162,6 @@ class TestChainPath:
         assert np.max(np.abs(cols - evolve_columns(dense, v0, 1.7, cfg))) <= 1e-12
         u = propagator(fn, 1.7, cfg).mat
         assert np.max(np.abs(u - propagator(dense, 1.7, cfg).mat)) <= 1e-12
-
-    def test_drive_part_with_hops_refused(self):
-        """The mixer premixes everything but the drive diagonal, so a chain
-        drive part with hops is refused rather than half applied."""
-        fn, _ = self._pair("lab-driven")
-        bands = fn.parts.bands.copy()
-        bands[1, 1:] = bands[0, 1:]  # the drive part gains the hops
-        parts = _Chains(bands, fn.parts.order)
-
-        def hopping(t: float) -> np.ndarray:
-            return _assemble_parts(fn.coeffs(t), parts)
-
-        hopping.coeffs, hopping.parts = fn.coeffs, parts
-        v0 = basis_state(fn.layout, "g", 0).vec
-        with pytest.raises(ValueError, match="drive part .* not diagonal"):
-            _mixer(hopping, 0.0, v0, np.zeros((1, 1)), np.ones((1, 1)))
-
-    def test_bands_coupling_the_chains_refused(self):
-        """A state in one chain is propagated without the other, so bands
-        that hop across the seam are refused rather than cut."""
-        fn, _ = self._pair("lab-driven")
-        bands = fn.parts.bands.copy()
-        n = fn.layout.fock_dim
-        bands[0, 2, n] = bands[0, 1, n - 1] = 0.1  # hop |e,11> <-> |e,0>
-        parts = _Chains(bands, fn.parts.order)
-
-        def seamed(t: float) -> np.ndarray:
-            return _assemble_parts(fn.coeffs(t), parts)
-
-        seamed.coeffs, seamed.parts = fn.coeffs, parts
-        v0 = basis_state(fn.layout, "g", 0).vec
-        with pytest.raises(ValueError, match="couple its two chains"):
-            _mixer(seamed, 0.0, v0, np.zeros((1, 1)), np.ones((1, 1)))
 
     def test_varying_static_coefficient_refused(self):
         """The static part is premixed once per propagation, so a form whose
@@ -333,7 +302,7 @@ class TestTaylorLoop:
     def test_nonconvergence_raises(self):
         fn = _lab_provider(1, 8)
         v0 = basis_state(fn.layout, "g", 3).vec
-        ops, into, _ = _mixer(fn, 0.0, v0, np.zeros((1, 1)), np.ones((1, 1)))
+        ops, into, _ = _mixer(fn, 0.0, v0, [np.zeros((1, 1))], np.ones((1, 1)))
         with pytest.raises(PropagationAccuracyError, match="did not converge in 200 terms"):
             _expmv(next(ops), 20.0, into(v0))
 
@@ -352,7 +321,7 @@ class TestBufferedApply:
         x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         if layout == "F":
             x = np.asfortranarray(x)
-        ops, into, back = _mixer(fn, 0.3, x, np.array(nodes), np.array(weights))
+        ops, into, back = _mixer(fn, 0.3, x, [np.array(nodes)], np.array(weights))
         return fn, ops, into, back, x
 
     @pytest.mark.parametrize("n_qubits", [1, 2])
@@ -420,7 +389,7 @@ class TestPackedPlan:
 
     @staticmethod
     def _packed_shape(fn, v0):
-        _, into, _ = _mixer(fn, 0.0, v0, np.zeros((1, 1)), np.ones((1, 1)))
+        _, into, _ = _mixer(fn, 0.0, v0, [np.zeros((1, 1))], np.ones((1, 1)))
         return into(v0).shape
 
     @staticmethod
@@ -511,6 +480,92 @@ class TestPackedPlan:
         for x, y in zip(a.states, b.states):
             assert np.max(np.abs(x.vec - y.vec)) <= 1e-12
             assert not np.any(x.vec[self._sector(fn, 1)])
+
+
+class TestKernelChoice:
+    """The premixed sector blocks pick the apply kernel: one qubit's
+    tridiagonal chains run on three bands, two qubits' blocks on the batched
+    real matmul. Each run makes the other kernel raise, and then its own."""
+
+    @staticmethod
+    def _refuse(*args):
+        raise AssertionError("kernel not expected here")
+
+    @pytest.mark.parametrize("n_qubits, kernel, other", [
+        (1, "_band_operator", "_block_operator"),
+        (2, "_block_operator", "_band_operator"),
+    ])
+    def test_kernel_follows_the_blocks(self, n_qubits, kernel, other, monkeypatch):
+        fn = _lab_provider(n_qubits, 8)
+        psi0 = basis_state(fn.layout, "g" * n_qubits, 0)
+        with monkeypatch.context() as m:
+            m.setattr(model, other, self._refuse)
+            a = evolve(fn, psi0, 1.0, EvolutionConfig(), 2)
+        assert np.max(np.abs(a.final.vec - psi0.vec)) > 0.1
+        monkeypatch.setattr(model, kernel, self._refuse)
+        with pytest.raises(AssertionError, match="kernel not expected"):
+            evolve(fn, psi0, 1.0, EvolutionConfig(), 2)
+
+
+class TestPlanChunks:
+    """A propagation forms its node times and coefficients propagate._PLAN_CHUNK
+    steps at a time; the chunking changes no node time and no output bit."""
+
+    @staticmethod
+    def _spied(n_qubits: int, method: str, chunk: int, monkeypatch):
+        fn = _lab_provider(n_qubits, 6)
+        seen = []
+        coeffs = fn.coeffs
+
+        def spy(t):
+            seen.append(np.array(t, dtype=float))
+            return coeffs(t)
+
+        fn.coeffs = spy
+        monkeypatch.setattr(propagate, "_PLAN_CHUNK", chunk)
+        psi0 = basis_state(fn.layout, "g" * n_qubits, 0)
+        traj = evolve(fn, psi0, 3.0, EvolutionConfig(method=method), n_samples=3)
+        nodes = [t for t in seen if t.ndim]  # the scalar one checks the form
+        return np.array([s.vec for s in traj.states]), nodes
+
+    @pytest.mark.parametrize("n_qubits", [1, 2])
+    @pytest.mark.parametrize("method", ["piecewise-exponential", "rk4"])
+    def test_chunks_change_no_bit(self, n_qubits, method, monkeypatch):
+        fracs = propagate._SCHEMES[method][0]
+        states, nodes = self._spied(n_qubits, method, 7, monkeypatch)
+        assert len(nodes) > 3
+        assert all(len(t) <= 7 for t in nodes)
+        whole, one = self._spied(n_qubits, method, 10**9, monkeypatch)
+        assert len(one) == 1
+        assert np.array_equal(np.concatenate(nodes), one[0])
+        assert np.array_equal(states, whole)
+        # elementwise the node times of the schedule laid out whole
+        cfg = EvolutionConfig(method=method)
+        dt = cfg.resolve_dt(_lab_provider(n_qubits, 6).omega_max)
+        times, n_sub = propagate._sample_grid(3.0, dt, 3)
+        dts = np.diff(times) / n_sub
+        starts = times[:-1, None] + np.arange(n_sub) * dts[:, None]
+        ref = starts[..., None] + np.multiply.outer(dts, fracs)[:, None, :]
+        assert np.array_equal(one[0], ref.reshape(-1, len(fracs)))
+
+    def test_static_coefficient_checked_in_every_chunk(self, monkeypatch):
+        """c0 may only vary in a later chunk; it is still refused there."""
+        fn = _lab_provider(1, 6)
+
+        def coeffs(t) -> np.ndarray:
+            c = fn.coeffs(t)
+            c[0] = np.where(np.asarray(t) > 2.0, 1.5, 1.0)
+            return c
+
+        def late(t: float) -> np.ndarray:
+            return _assemble_parts(coeffs(t), fn.parts)
+
+        late.coeffs, late.parts = coeffs, fn.parts
+        late.layout, late.omega_max = fn.layout, fn.omega_max
+        monkeypatch.setattr(propagate, "_PLAN_CHUNK", 5)
+        psi0 = basis_state(fn.layout, "g", 0)
+        with pytest.raises(ValueError, match="static part's coefficient varies"):
+            evolve(late, psi0, 3.0, EvolutionConfig(), 3)
 
 
 class TestEvolveStatic:
