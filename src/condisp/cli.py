@@ -28,7 +28,7 @@ from .model import (DriveParams, SystemParams, effective_couplings,
 from .numerics import bessel_j
 from .propagate import (EvolutionConfig, PropagationAccuracyError, _write_csv,
                         fidelity_trace, write_trace_csv)
-from .gate import gate_columns, gate_fidelity_trials
+from .gate import _trial_ratio, gate_columns, gate_fidelity_trials
 from .cat import cat_fidelity_experiment, decompose_cat, multi_step_cat
 
 __all__ = ["main", "run", "parse_config", "format_config", "PRESETS"]
@@ -261,6 +261,7 @@ def _run_gate(cfg, per_trial: bool) -> int:
     if cfg["system.n_qubits"] != 2:
         raise ConfigError("system.n_qubits: gate-fidelity needs 2 qubits")
     params, drive, layout, evo = _build(cfg)
+    _trial_ratio(params, drive, cfg["gate.trials"])  # refuse before propagating
     columns = gate_columns(params, drive, evo, layout)
     fids = gate_fidelity_trials(params, drive, cfg["gate.trials"],
                                 cfg["gate.seed"], evo, layout, columns=columns)

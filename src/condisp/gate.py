@@ -203,18 +203,15 @@ def gate_fidelity_trials(params: SystemParams, drive: DriveParams,
 
     Trial states are Gaussian-random qubit amplitudes (normalized) with
     the resonator in vacuum. Pass columns from gate_columns to reuse one
-    propagation across seeds; it is recomputed here otherwise. The closed
-    form holds at phi = pi/2 only, so any other modulation phase raises
-    ValueError.
+    propagation across seeds; it is recomputed here otherwise. What
+    _trial_ratio refuses raises ValueError before anything is propagated.
     """
-    _require_quadrature(drive, "the gate experiment")
-    if n_trials < 1:
-        raise ValueError(f"n_trials must be >= 1, got {n_trials}")
+    ratio = _trial_ratio(params, drive, n_trials)
     if layout is None:
         layout = HilbertLayout(n_qubits=2, fock_dim=32)
     if columns is None:
         columns = gate_columns(params, drive, cfg, layout)
-    ideal_q = analytic_gate(_gate_ratio(params, drive)).qubit_matrix
+    ideal_q = analytic_gate(ratio).qubit_matrix
     # ideal state is (qubit action) (x) |0_c>: the overlap needs only the
     # n = 0 rows of the columns, so it is the quadratic form amp^dag G amp
     g = ideal_q.conj().T @ columns[0::layout.fock_dim]
@@ -230,15 +227,20 @@ def gate_fidelity_trials(params: SystemParams, drive: DriveParams,
     return fids
 
 
-def _gate_ratio(params: SystemParams, drive: DriveParams) -> float:
-    """g_eff/omega_r for the closed form, which needs opposite couplings."""
-    g1, g2 = effective_couplings(params, drive)
-    if abs(g1 + g2) > 1e-8 * max(params.g, 1e-300):
+def _trial_ratio(params: SystemParams, drive: DriveParams, n_trials: int) -> float:
+    """g_eff/omega_r of the closed form the trials are scored against; raises
+    ValueError, before any propagation, off phi = pi/2, for couplings that
+    are not two opposite ones, or for fewer than one trial."""
+    _require_quadrature(drive, "the gate experiment")
+    if n_trials < 1:
+        raise ValueError(f"n_trials must be >= 1, got {n_trials}")
+    g_eff = effective_couplings(params, drive)
+    if len(g_eff) != 2 or abs(sum(g_eff)) > 1e-8 * max(params.g, 1e-300):
         raise ValueError(
             "closed-form gate assumes opposite effective couplings "
-            f"(alpha_2 = -alpha_1); got g_eff = ({g1:g}, {g2:g})"
+            f"(alpha_2 = -alpha_1); got g_eff = ({', '.join(f'{g:g}' for g in g_eff)})"
         )
-    return g1 / params.omega_r
+    return g_eff[0] / params.omega_r
 
 
 def average_gate_fidelity(params: SystemParams, drive: DriveParams,

@@ -9,9 +9,11 @@ apply the lab generator in one sector form instead, at one qubit or two:
 the parity exp(i pi (n + sum_m (1 + sigma_z^m)/2)) splits it into two
 real blocks of dim/2, each sector sorted by photon number, so one
 qubit's blocks are the tridiagonal chains |g,0>, |e,1>, |g,2>, ... and
-|e,0>, |g,1>, |e,2>, .... A propagation carries only the blocks its
-initial state occupies, packed from the product basis at the start and
-scattered back into zeros at every kept sample.
+|e,0>, |g,1>, |e,2>, .... Each block is built on its own sector's
+indices (_embed with an index list), without a dim x dim matrix. A
+propagation carries only the blocks its initial state occupies, packed
+from the product basis at the start and scattered back into zeros at
+every kept sample.
 """
 from __future__ import annotations
 
@@ -187,14 +189,19 @@ class Operator:
 
 
 def _embed(layout: HilbertLayout, qubit_mats: dict[int, np.ndarray],
-           fock_mat: np.ndarray | None) -> np.ndarray:
-    """Kronecker-embed per-factor matrices into the full space."""
+           fock_mat: np.ndarray | None, index: np.ndarray | None = None) -> np.ndarray:
+    """Kronecker-embed per-factor matrices into the full space. Given
+    product-basis indices, only their rows and columns: each factor
+    gathered at their digits, multiplied in np.kron's order, bit for bit."""
     eye2 = np.eye(2, dtype=complex)
     factors = [qubit_mats.get(m, eye2) for m in range(layout.n_qubits)]
     factors.append(
         np.eye(layout.fock_dim, dtype=complex) if fock_mat is None else fock_mat
     )
-    return reduce(np.kron, factors)
+    if index is None:
+        return reduce(np.kron, factors)
+    digits = np.unravel_index(index, [len(f) for f in factors])
+    return reduce(np.multiply, [f[d][:, d] for f, d in zip(factors, digits)])
 
 
 def identity(layout: HilbertLayout) -> Operator:

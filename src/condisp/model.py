@@ -25,7 +25,6 @@ All frequencies are in units of omega_r.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterable
@@ -174,11 +173,14 @@ def _require_quadrature(drive: DriveParams, what: str) -> None:
         raise ValueError(f"{what} requires phi = pi/2, got phi = {drive.phi}")
 
 
-def _lab_matrix(params: SystemParams, layout: HilbertLayout) -> np.ndarray:
+def _lab_matrix(params: SystemParams, layout: HilbertLayout,
+                index: np.ndarray | None = None) -> np.ndarray:
     """Static Hamiltonian, each term a Pauli on its qubit(s) times a Fock
-    factor; the diagonal omega_r n + sum_m (omega_q/2) s_m is exact."""
-    diag = params.omega_r * (np.arange(layout.dim) % layout.fock_dim)
-    for sz in _sigma_z(layout):
+    factor; the diagonal omega_r n + sum_m (omega_q/2) s_m is exact. Given
+    product-basis indices, only their rows and columns (see _embed)."""
+    rows = np.arange(layout.dim) if index is None else index
+    diag = params.omega_r * (rows % layout.fock_dim)
+    for sz in _sigma_z(layout)[:, rows]:
         diag += 0.5 * params.omega_q * sz
     h = np.diag(diag.astype(complex))
     gx = _annihilation(layout.fock_dim)
@@ -186,11 +188,11 @@ def _lab_matrix(params: SystemParams, layout: HilbertLayout) -> np.ndarray:
     gx *= params.g  # scaled on the Fock factor, not on the dim x dim product
     sx = _PAULI["x"]
     for m in range(layout.n_qubits):
-        h += _embed(layout, {m: sx}, gx)
+        h += _embed(layout, {m: sx}, gx, index)
     for m in range(layout.n_qubits):
         for n in range(layout.n_qubits):
             if m != n:  # ordered pairs: each qubit pair enters twice
-                h += params.d_coupling * _embed(layout, {m: sx, n: sx}, None)
+                h += params.d_coupling * _embed(layout, {m: sx, n: sx}, None, index)
     return h
 
 
@@ -474,36 +476,39 @@ def omega_max(params: SystemParams, drive: DriveParams, frame: str) -> float:
 
 @dataclass(frozen=True, eq=False)
 class _Blocks:
-    """Parts of the lab generator, one or two qubits, as two parity blocks.
+    """The lab generator, one or two qubits, as two parity blocks.
 
-    The generator conserves the Rabi parity exp(i pi (n + sum_m
-    (1 + sigma_z^m)/2)) and its parts are real, so in parity order (even
-    sector first, each sector by photon number, then product index) it is
-    two real m x m blocks, m = dim/2; one qubit's are the tridiagonal
-    parity chains |g,0>, |e,1>, |g,2>, ... and |e,0>, |g,1>, |e,2>, ....
-    h0[b] is block b of the static part, diag[b] the modulation diagonal
-    on it, and order[i] the product-basis index of parity position i.
+    H(t) = h0 + sin(omega_d t - phi) D, D = sum_m (epsilon_m/2) sigma_z^m
+    diagonal. It conserves the Rabi parity exp(i pi (n + sum_m
+    (1 + sigma_z^m)/2)) and is real, so in parity order (even sector
+    first, each sector by photon number, then product index) it is two
+    real m x m blocks, m = dim/2; one qubit's are the tridiagonal parity
+    chains |g,0>, |e,1>, |g,2>, ... and |e,0>, |g,1>, |e,2>, .... h0[b]
+    is block b of the static part, diag[b] the diagonal of D on it, and
+    order[i] the product-basis index of parity position i.
     """
 
     h0: np.ndarray    # (2, m, m) real
     diag: np.ndarray  # (2, m) real
     order: np.ndarray
+    omega_d: float
+    phi: float
 
 
 def _lab_blocks(params: SystemParams, drive: DriveParams,
                 layout: HilbertLayout) -> _Blocks:
-    """h0 = _lab_matrix and the drive diagonal sum_m (epsilon_m/2) sigma_z^m,
-    permuted once into parity order."""
+    """h0 = _lab_matrix on each parity sector's product indices, so the
+    blocks hold no entry between the sectors, and D's diagonal in parity
+    order."""
     n = np.arange(layout.dim) % layout.fock_dim
     sz = _sigma_z(layout)
     order = np.lexsort((n, (n + np.sum(0.5 * (1.0 + sz), axis=0)) % 2))
-    m = layout.dim // 2
-    h = _lab_matrix(params, layout)[np.ix_(order, order)]
-    if np.any(h[:m, m:]) or np.any(h[m:, :m]) or np.any(h.imag):
+    h = np.stack([_lab_matrix(params, layout, half) for half in order.reshape(2, -1)])
+    if np.any(h.imag):
         raise ValueError("lab generator is not real within the two parity blocks")
     diag = sum(0.5 * e * s for e, s in zip(drive.epsilon, sz))
-    return _Blocks(np.stack((h.real[:m, :m], h.real[m:, m:])),
-                   diag[order].reshape(2, m), order)
+    return _Blocks(h.real.copy(), diag[order].reshape(2, -1), order,
+                   drive.omega_d, drive.phi)
 
 
 def _block_operator(blocks: np.ndarray, shape: tuple):
@@ -566,15 +571,20 @@ def _band_operator(d: np.ndarray, up: np.ndarray, lo: np.ndarray, shape: tuple):
     return apply
 
 
-def _sector_blocks(cs: np.ndarray, parts: _Blocks) -> np.ndarray:
-    """cs[0] h0 + cs[1] diag: the two parity blocks of sum_k cs[k] parts[k]."""
+def _modulation(parts: _Blocks, t):
+    """sin(omega_d t - phi), D's coefficient, at a time or an array of times."""
+    return np.sin(parts.omega_d * np.asarray(t, dtype=float) - parts.phi)
+
+
+def _sector_blocks(cs, parts: _Blocks) -> np.ndarray:
+    """cs[0] h0 + cs[1] D: the two parity blocks of that sum."""
     blocks = cs[0] * parts.h0
     blocks.reshape(2, -1)[:, ::parts.h0.shape[1] + 1] += cs[1] * parts.diag
     return blocks
 
 
-def _assemble_parts(cs: np.ndarray, parts: _Blocks) -> np.ndarray:
-    """sum_k cs[k] parts[k] as one dense matrix in the product basis."""
+def _assemble_parts(cs, parts: _Blocks) -> np.ndarray:
+    """cs[0] h0 + cs[1] D as one dense matrix in the product basis."""
     o = parts.order.reshape(2, -1)
     h = np.zeros((o.size, o.size), dtype=complex)
     for ob, block in zip(o, _sector_blocks(cs, parts)):
@@ -582,25 +592,24 @@ def _assemble_parts(cs: np.ndarray, parts: _Blocks) -> np.ndarray:
     return h
 
 
-def _coefficient_form(h: Callable[[float], np.ndarray], t: float):
-    """(coeffs, parts) of a provider from hamiltonian_fn, or None.
+def _checked_parts(h: Callable[[float], np.ndarray], t: float) -> _Blocks | None:
+    """The _Blocks of a lab provider from hamiltonian_fn, or None.
 
     A caller that applies the parts never calls h itself, so h is
     evaluated here once, at t, and must reproduce its parts there: in
-    parity order, its two diagonal blocks must be c0 h0 + c1 diag and the
+    parity order, its blocks must be h0 + sin(omega_d t - phi) D and the
     rest zero. A wrapper that copies a provider's attributes (as
     functools.wraps does) but changes what it returns raises ValueError
     instead of being propagated as the provider it wraps.
     """
-    coeffs = getattr(h, "coeffs", None)
-    if coeffs is None:
+    parts = getattr(h, "parts", None)
+    if parts is None:
         return None
-    parts = h.parts
     dense = np.asarray(h(t))[np.ix_(parts.order, parts.order)]
     size = np.abs(dense)  # one buffer for both maxima: fresh pages are slow
     scale = max(1.0, float(np.max(size)))
     quarters = dense.reshape(2, len(dense) // 2, 2, -1)
-    for b, block in enumerate(_sector_blocks(coeffs(t), parts)):
+    for b, block in enumerate(_sector_blocks((1.0, _modulation(parts, t)), parts)):
         quarters[b, :, b] -= block
     diff = float(np.max(np.abs(dense, out=size)))
     if diff > 1e-12 * scale:
@@ -608,7 +617,7 @@ def _coefficient_form(h: Callable[[float], np.ndarray], t: float):
             f"provider's H(t) differs from its coefficient form by {diff:.3e} "
             f"at t = {t:g}"
         )
-    return coeffs, parts
+    return parts
 
 
 def _packing(order: np.ndarray, v0: np.ndarray):
@@ -656,24 +665,25 @@ def _mixer(h: Callable[[float], np.ndarray], t_check: float, v0: np.ndarray,
     v0, or an array of its shape with no amplitude outside v0's, into
     the propagation basis, and back unpacks one into the product basis.
 
-    A provider with a coefficient form, checked against h(t_check), is
-    c0 h0 + c1 D on its two parity blocks, D diagonal. One coeffs call
-    per chunk, made when the propagation reaches it, gives that chunk's
-    real (c0, c1). c0 must be the first operator's for all of them (the
-    weight sum: 1/2 for both CF4 exponents, 1 for RK4), so c0 h0 is
-    premixed once per propagation and a load only rewrites the diagonal,
-    in place, from c1. into and back come from _packing, so the sector
-    that parity keeps at zero is never propagated. Tridiagonal premixed
-    blocks (one qubit's parity chains) apply as three complex bands,
-    others as one batched real matmul. Any other callable falls back to
-    one dense mixed matrix per operator in the product basis, unpacked.
+    A lab provider, its parts checked against h(t_check), is h0 +
+    sin(omega_d t - phi) D on two parity blocks, D diagonal, so operator
+    j is c0 h0 + c1 D: c0 the weight row's sum, the same for every row
+    (1/2 for both CF4 exponents, 1 for RK4), and c1 = sum_l weights[j, l]
+    sin(omega_d ts[l] - phi), formed a chunk at a time as the propagation
+    reaches it. So c0 h0 is premixed once per propagation and a load only
+    rewrites the diagonal, in place, from c1. into and back come from
+    _packing, so the sector that parity keeps at zero is never
+    propagated. Tridiagonal premixed blocks (one qubit's parity chains)
+    apply as three complex bands, others as one batched real matmul. Any
+    other callable falls back to one dense mixed matrix per operator in
+    the product basis, unpacked.
 
     A propagation has one apply, and it owns the only two result
     buffers, made here: a result stays valid until the next apply, which
     may take it as its input.
     """
-    form = _coefficient_form(h, t_check)
-    if form is None:
+    parts = _checked_parts(h, t_check)
+    if parts is None:
         def dense_ops():
             for nodes in chunks:
                 for ts in nodes:
@@ -681,25 +691,8 @@ def _mixer(h: Callable[[float], np.ndarray], t_check: float, v0: np.ndarray,
                         m = sum(w * h(t) for t, w in zip(ts, ws) if w)
                         yield lambda x, scale, m=m: scale * (m @ x)
         return dense_ops(), np.copy, np.copy
-    coeffs, parts = form
-    chunks = iter(chunks)
-    static = None
-
-    def drive_coeffs(nodes: np.ndarray) -> list:
-        nonlocal static
-        raw = coeffs(nodes)  # (2, steps, n)
-        mixed = sum(raw[..., l, None] * weights[:, l] for l in range(weights.shape[1]))
-        if np.any(np.imag(mixed)):
-            raise ValueError("parity-block parts need real coefficients, got complex ones")
-        c0, c1 = np.real(mixed).reshape(2, -1)
-        static = c0[0] if static is None else static
-        if np.any(c0 != static):
-            raise ValueError("the static part's coefficient varies between operators")
-        return c1.tolist()
-
-    first = drive_coeffs(next(chunks))
     sectors, shape, into, back = _packing(parts.order, v0)
-    blocks = static * parts.h0[sectors]
+    blocks = weights[0].sum() * parts.h0[sectors]
     drive = parts.diag[sectors]
     if np.any(np.triu(blocks, 2)) or np.any(np.tril(blocks, -2)):
         diag = blocks.reshape(len(sectors), -1)[:, ::shape[1] + 1]
@@ -714,8 +707,10 @@ def _mixer(h: Callable[[float], np.ndarray], t_check: float, v0: np.ndarray,
     d0 = diag.copy()
 
     def ops():
-        for c1 in itertools.chain([first], map(drive_coeffs, chunks)):
-            for c in c1:
+        for nodes in chunks:
+            s = _modulation(parts, nodes)  # (steps, n)
+            c1 = sum(s[:, l, None] * weights[:, l] for l in range(weights.shape[1]))
+            for c in c1.ravel().tolist():
                 np.multiply(drive, c, out=diag)
                 np.add(diag, d0, out=diag)
                 yield apply
@@ -730,16 +725,13 @@ def hamiltonian_fn(params: SystemParams, drive: DriveParams, frame: str,
     Returns a plain-ndarray callable fit for the propagators. The public
     single-time builders are thin Operator wrappers over it.
 
-    The lab-driven provider also carries its affine coefficient form
-    H(t) = coeffs(t)[0] parts[0] + coeffs(t)[1] parts[1], with the parts
-    (h0, drive diagonal) built once and coefficients
-    (1, sin(omega_d t - phi)); coeffs also takes an array of times and
-    returns one row per part. The parts are _Blocks at either qubit
-    count: _lab_matrix and the drive diagonal permuted once into parity
-    order, where each is two real blocks. fn(t) assembles the dense
-    product-basis H(t) from the same parts. The propagators go through
-    _mixer, which checks the form against fn once per propagation and
-    then never forms H(t). The rotating and effective providers are
+    The lab-driven provider also carries its parts, the _Blocks of
+    H(t) = h0 + sin(omega_d t - phi) D at either qubit count, built once:
+    _lab_matrix on each parity sector's indices, D's diagonal, and the
+    drive's omega_d and phi. fn(t) assembles the dense product-basis
+    H(t) from the same parts. The propagators go through _mixer, which
+    checks the parts against fn once per propagation and then never
+    forms H(t). The rotating and effective providers are
     dense: fn(t) = e^{i omega_r t} W + h.c. for the effective frame,
     W = sum_m g_eff,m a^dag sigma_x^m. The effective evolution itself
     has a closed form and is not propagated here.
@@ -749,16 +741,10 @@ def hamiltonian_fn(params: SystemParams, drive: DriveParams, frame: str,
         raise ValueError(f"frame must be one of {FRAMES}, got {frame!r}")
     if frame == "lab-driven":
         parts = _lab_blocks(params, drive, layout)
-        wd, phi = drive.omega_d, drive.phi
-
-        def coeffs(t) -> np.ndarray:
-            s = np.sin(wd * np.asarray(t, dtype=float) - phi)
-            return np.stack((np.ones_like(s), s))
 
         def fn(t: float) -> np.ndarray:
-            return _assemble_parts(coeffs(t), parts)
+            return _assemble_parts((1.0, _modulation(parts, t)), parts)
 
-        fn.coeffs = coeffs
         fn.parts = parts
     elif frame == "rotating":
         if not isinstance(l_max, int) or l_max < 8:

@@ -14,22 +14,22 @@ through an adaptive Taylor product, which never leaves the unit sphere
 beyond roundoff; so the series stops once a term's squared norm falls
 below 1e-32 of the input's, taken once per exponential. model._mixer
 plans each propagation once, from its initial state, and reads its step
-schedule _PLAN_CHUNK steps at a time: node times, then one coeffs call
-per chunk for the coefficients. Providers that carry a coefficient
-form (see model.hamiltonian_fn) are evaluated as a dense H(t) once per
-propagation, to check that form. Their static part is premixed once, so
-loading the next operator rewrites only the diagonal of the
-propagation's one operator, in place, and each Taylor term is an apply
-into one of its two buffers. At either qubit count the generator is a
-real block per parity sector; the propagation carries only the blocks
-the initial state occupies (the parity keeps the rest at zero) and
-applies them as three bands where they are tridiagonal (one qubit's
-parity chains), else by one batched real matmul (two qubits). The
-effective conditional-displacement model is never propagated:
-fidelity_trace builds its states in closed form from coherent
-amplitudes. A classical RK4 stepper is kept as an independent
-cross-check, on the same kind of schedule at its own finer default
-step; it is not norm-preserving, which is exactly why it makes a useful
+schedule _PLAN_CHUNK steps at a time: node times, then the modulation
+sin(omega_d t - phi) at all of them. Lab providers, whose generator is
+h0 + sin(omega_d t - phi) D (see model.hamiltonian_fn), are evaluated as
+a dense H(t) once per propagation, to check their parts. Their static
+part is premixed once, so loading the next operator rewrites only the
+diagonal of the propagation's one operator, in place, and each Taylor
+term is an apply into one of its two buffers. At either qubit count the
+generator is a real block per parity sector; the propagation carries
+only the blocks the initial state occupies (the parity keeps the rest
+at zero) and applies them as three bands where they are tridiagonal
+(one qubit's parity chains), else by one batched real matmul (two
+qubits). The effective conditional-displacement model is never
+propagated: fidelity_trace builds its states in closed form from
+coherent amplitudes. A classical RK4 stepper is kept as an independent
+cross-check, on the same kind of schedule at its own finer default step;
+it is not norm-preserving, which is exactly why it makes a useful
 disagreement detector.
 """
 from __future__ import annotations
@@ -234,9 +234,9 @@ def _run(h: HamiltonianProvider, v0: np.ndarray, times: np.ndarray,
     """States at every sample time, n_sub steps per sample interval.
 
     model._mixer plans the propagation once, from the parity sectors v0
-    occupies, and reads the step schedule, node times then operator
-    coefficients, _PLAN_CHUNK steps at a time as the propagation reaches
-    them.
+    occupies, and reads the step schedule, node times then the
+    operators' modulation coefficients, _PLAN_CHUNK steps at a time as
+    the propagation reaches them.
     """
     fracs, weights = _SCHEMES[method]
     dts = np.diff(times) / n_sub
@@ -408,10 +408,11 @@ def fidelity_trace(params: SystemParams, drive: DriveParams, psi0: Ket,
 
 def _write_csv(path, comments: Sequence[str], header: str, rows) -> None:
     """Comment lines (each behind '# '), a column header, then the rows
-    with every cell at 12 significant digits, in one write."""
+    with every cell at 12 significant digits, formatted by one %."""
     fmt = ",".join(["%.12g"] * (header.count(",") + 1)) + "\n"
-    text = "".join([f"# {line}\n" for line in comments] + [header + "\n"]
-                   + [fmt % tuple(row) for row in rows])
+    rows = list(rows)
+    text = "".join([f"# {line}\n" for line in comments] + [header + "\n"]) \
+        + fmt * len(rows) % tuple(itertools.chain.from_iterable(rows))
     with open(path, "w", encoding="utf-8", newline="\n") as f:
         f.write(text)
 

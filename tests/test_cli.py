@@ -10,6 +10,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from condisp import cli, propagate
 from condisp.cli import (
     MAX_GRID_POINTS,
     PRESETS,
@@ -163,6 +164,22 @@ class TestBadInvocations:
         assert err.startswith("error: ") and "Traceback" not in err
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("args", [
+        ["gate-fidelity", "--phi", "0"],
+        ["gate-fidelity", "--alpha2", "0.5"],
+        ["gate-fidelity", "--trials", "0"],
+        ["sweep", "--metric", "gate-fidelity", "--axis", "drive.alpha2", "0.3", "0.5", "2"],
+    ])
+    def test_gate_refusals_come_before_propagating(self, tmp_path, capsys, monkeypatch,
+                                                   args):
+        def no_run(*args, **kwargs):
+            raise AssertionError("columns propagated")
+
+        monkeypatch.setattr("condisp.gate.evolve_columns", no_run)
+        assert main(args + ["--fock-dim", "8", "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_bessel_rejects_run_flags(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["bessel", "--order", "0", "--x", "1.0", "--seed", "5"])
@@ -294,6 +311,38 @@ class TestCsvWriter:
         oracle = "# a = 1\n# b\ni,v,j\n" + "".join(
             ",".join(f"{v:.12g}" for v in row) + "\n" for row in rows)
         assert path.read_bytes() == oracle.encode("utf-8")
+
+    @staticmethod
+    def _per_row(comments, header, rows) -> bytes:
+        """The writer's earlier form, one % per row."""
+        fmt = ",".join(["%.12g"] * (header.count(",") + 1)) + "\n"
+        return "".join([f"# {line}\n" for line in comments] + [header + "\n"]
+                       + [fmt % tuple(row) for row in rows]).encode("utf-8")
+
+    @pytest.mark.parametrize("args", [
+        ["validate-effective", "--fock-dim", "8", "--periods", "0.05"],
+        ["gate-fidelity", "--fock-dim", "8", "--trials", "300", "--per-trial"],
+        ["cat-state", "--fock-dim", "16", "--steps", "1"],
+        ["sweep", "--metric", "mean-f1", "--fock-dim", "8", "--periods", "0.05",
+         "--axis", "system.g", "0.1", "0.2", "3"],
+        ["sweep", "--metric", "mean-f1", "--fock-dim", "8", "--periods", "0.05",
+         "--axis", "system.g", "0.2", "0.2", "1"],  # one row
+    ])
+    def test_subcommand_csvs_match_per_row_format(self, tmp_path, monkeypatch, args):
+        written = []
+
+        def spy(path, comments, header, rows, real=_write_csv):
+            rows = list(rows)
+            real(path, comments, header, rows)
+            written.append((path, self._per_row(comments, header, rows), len(rows)))
+
+        monkeypatch.setattr(propagate, "_write_csv", spy)
+        monkeypatch.setattr(cli, "_write_csv", spy)
+        assert main(args + ["--out", str(tmp_path)]) == 0
+        [(path, expected, n_rows)] = written
+        assert (n_rows == 1) == (args[-3:] == ["0.2", "0.2", "1"])
+        with open(path, "rb") as f:
+            assert f.read() == expected
 
 
 class TestCatCommand:

@@ -17,6 +17,7 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracle_helpers
 from condisp import DriveParams, HilbertLayout, SystemParams, model
@@ -131,10 +132,15 @@ class TestLabHamiltonian:
 
 
 class TestDrivenHamiltonian:
-    def test_zero_modulation_reduces_to_lab(self, small_layout, std_params):
-        d = DriveParams(epsilon=(0.0, 0.0), omega_d=3.0)
-        h = driven_hamiltonian(std_params, d, 0.37, small_layout).mat
-        assert np.max(np.abs(h - lab_hamiltonian(std_params, small_layout).mat)) == 0.0
+    @pytest.mark.parametrize("n_qubits", [1, 2])
+    def test_zero_modulation_reduces_to_lab(self, n_qubits):
+        """Exact equality: the sector-built blocks hold the full product-basis
+        matrix's entries bit for bit, and it has none between the sectors."""
+        lay = HilbertLayout(n_qubits, 10)
+        p = SystemParams(omega_q=3.0, g=0.2, n_qubits=n_qubits)
+        d = DriveParams(epsilon=(0.0,) * n_qubits, omega_d=3.0)
+        h = driven_hamiltonian(p, d, 0.37, lay).mat
+        assert np.max(np.abs(h - lab_hamiltonian(p, lay).mat)) == 0.0
 
     def test_modulation_enters_as_sigma_z_shift(self, small_layout, std_params, std_drive):
         t = 1.234
@@ -391,24 +397,54 @@ class TestLabBlocks:
         assert np.any(np.triu(fn.parts.h0[0], 2))  # two qubits are not tridiagonal
 
     @pytest.mark.parametrize("n_qubits", [1, 2])
-    @pytest.mark.parametrize("flaw", ["coupled", "imaginary"])
+    @pytest.mark.parametrize("flaw", ["imaginary"])
     def test_refuses_a_generator_outside_two_real_blocks(self, n_qubits, flaw,
                                                          monkeypatch):
+        """The blocks are built per sector, so no entry between the sectors
+        can reach them; an imaginary entry within one is refused."""
         lay, p, d, parity = self._setup(n_qubits)
         lab = model._lab_matrix
+        i, j = np.flatnonzero(parity == 0)[:2]
 
-        def flawed(params, layout):
-            h = lab(params, layout)
-            i = np.flatnonzero(parity == 0)[0]
-            j = np.flatnonzero(parity == (1 if flaw == "coupled" else 0))[1]
-            z = 0.1 if flaw == "coupled" else 0.1j  # Hermitian either way
-            h[i, j] += z
-            h[j, i] += np.conj(z)
+        def flawed(params, layout, index):
+            h = lab(params, layout, index)
+            rows = list(index)
+            if i in rows and j in rows:
+                a, b = rows.index(i), rows.index(j)
+                h[a, b] += 0.1j  # Hermitian
+                h[b, a] -= 0.1j
             return h
 
         monkeypatch.setattr(model, "_lab_matrix", flawed)
         with pytest.raises(ValueError, match="not real within the two parity blocks"):
             hamiltonian_fn(p, d, "lab-driven", lay)
+
+    @settings(derandomize=True, deadline=None, max_examples=50)
+    @given(n_qubits=st.integers(1, 2), fock_dim=st.integers(4, 24),
+           omega_q=st.floats(0.5, 6.0), g=st.floats(0.0, 1.5),
+           d_coupling=st.floats(-0.5, 0.5), epsilon=st.floats(-6.0, 6.0))
+    def test_sector_build_is_the_full_matrix_gathered(self, n_qubits, fock_dim, omega_q,
+                                                      g, d_coupling, epsilon):
+        """Bit for bit: the blocks built on each sector's indices are the full
+        product-basis matrix gathered into parity order, which has no entry
+        between the sectors, and H(t) adds the drive on the diagonal."""
+        lay = HilbertLayout(n_qubits, fock_dim)
+        p = SystemParams(omega_q=omega_q, g=g, n_qubits=n_qubits, d_coupling=d_coupling)
+        d = DriveParams((epsilon, -0.5 * epsilon)[:n_qubits], omega_d=omega_q)
+        parts = hamiltonian_fn(p, d, "lab-driven", lay).parts
+        full = model._lab_matrix(p, lay)
+        gathered = full[np.ix_(parts.order, parts.order)]
+        m = lay.dim // 2
+        assert not np.any(gathered[:m, m:]) and not np.any(gathered[m:, :m])
+        assert not np.any(full.imag)
+        assert np.array_equal(parts.h0, np.stack((gathered.real[:m, :m],
+                                                  gathered.real[m:, m:])))
+        t = 0.37
+        s = np.sin(d.omega_d * t - d.phi)
+        drive = sum(0.5 * e * pauli_on(k, "z", lay).mat.real.diagonal()
+                    for k, e in enumerate(d.epsilon))
+        assert np.array_equal(driven_hamiltonian(p, d, t, lay).mat,
+                              full + np.diag(s * drive))
 
 
 class TestValidityReport:

@@ -36,7 +36,7 @@ from condisp import DriveParams, HilbertLayout, SystemParams, model, propagate
 from condisp.cat import cat_fidelity_experiment
 from condisp.gate import gate_columns
 from condisp.hilbert import Ket, basis_state
-from condisp.model import _assemble_parts, _mixer, frame_phases, hamiltonian_fn
+from condisp.model import _mixer, frame_phases, hamiltonian_fn
 from condisp.propagate import (
     DEFAULT_STEPS_PER_PERIOD,
     _effective_states,
@@ -127,6 +127,13 @@ class TestCoefficientForm:
         with pytest.raises(ValueError, match="coefficient form .* t = 1"):
             evolve(shifted, psi0, 1.0, EvolutionConfig(), 2)
 
+    @pytest.mark.parametrize("method", sorted(propagate._SCHEMES))
+    def test_operator_weight_rows_share_one_sum(self, method):
+        """_mixer premixes the static part once per propagation, scaled by
+        the first operator's weight sum, so every operator's must equal it."""
+        sums = np.array(propagate._SCHEMES[method][1]).sum(axis=1)
+        assert np.all(sums == sums[0])
+
 
 class TestChainPath:
     """One-qubit providers propagate along their parity chains; the same
@@ -137,7 +144,7 @@ class TestChainPath:
         lay = HilbertLayout(1, 12)
         p = SystemParams(omega_q=3.0, g=0.2, n_qubits=1)
         fn = hamiltonian_fn(p, DriveParams.from_alpha((1.832,), 3.0), frame, lay)
-        def dense(t: float) -> np.ndarray:  # no coeffs: the dense fallback
+        def dense(t: float) -> np.ndarray:  # no parts: the dense fallback
             return fn(t)
 
         dense.layout, dense.omega_max = lay, fn.omega_max
@@ -163,25 +170,6 @@ class TestChainPath:
         u = propagator(fn, 1.7, cfg).mat
         assert np.max(np.abs(u - propagator(dense, 1.7, cfg).mat)) <= 1e-12
 
-    def test_varying_static_coefficient_refused(self):
-        """The static part is premixed once per propagation, so a form whose
-        first coefficient changes between operators is refused."""
-        fn, _ = self._pair("lab-driven")
-
-        def coeffs(t) -> np.ndarray:
-            c = fn.coeffs(t)
-            c[0] = 1.0 + 0.1 * c[1]
-            return c
-
-        def breathing(t: float) -> np.ndarray:
-            return _assemble_parts(coeffs(t), fn.parts)
-
-        breathing.coeffs, breathing.parts = coeffs, fn.parts
-        breathing.layout, breathing.omega_max = fn.layout, fn.omega_max
-        psi0 = basis_state(fn.layout, "g", 0)
-        with pytest.raises(ValueError, match="static part's coefficient varies"):
-            evolve(breathing, psi0, 1.0, EvolutionConfig(), 2)
-
     def test_rk4_matches_cf4(self):
         fn, _ = self._pair("lab-driven")
         psi0 = basis_state(fn.layout, "g", 0)
@@ -200,7 +188,7 @@ class TestParityBlockPath:
         p = SystemParams(omega_q=3.0, g=0.5)
         fn = hamiltonian_fn(p, DriveParams.from_alpha((1.20242, -1.20242), 3.0),
                             "lab-driven", lay)
-        def dense(t: float) -> np.ndarray:  # no coeffs: the dense fallback
+        def dense(t: float) -> np.ndarray:  # no parts: the dense fallback
             return fn(t)
 
         dense.layout, dense.omega_max = lay, fn.omega_max
@@ -228,25 +216,6 @@ class TestParityBlockPath:
         a = evolve(fn, psi0, 2 * np.pi, EvolutionConfig(), 4)
         b = evolve(fn, psi0, 2 * np.pi, EvolutionConfig(method="rk4"), 4)
         assert np.max(np.abs(a.final.vec - b.final.vec)) <= 1e-6
-
-    def test_complex_mixed_coefficients_refused(self):
-        """Real blocks cannot carry an imaginary coefficient; a provider
-        whose form holds but whose coefficients are complex raises rather
-        than losing the imaginary part."""
-        fn, _ = self._pair()
-
-        def coeffs(t) -> np.ndarray:
-            s = np.sin(3.0 * np.asarray(t, dtype=float))
-            return np.stack((np.ones_like(s), 1j * s))
-
-        def skewed(t: float) -> np.ndarray:
-            return _assemble_parts(coeffs(t), fn.parts)
-
-        skewed.coeffs, skewed.parts = coeffs, fn.parts
-        skewed.layout, skewed.omega_max = fn.layout, fn.omega_max
-        psi0 = basis_state(fn.layout, "gg", 0)
-        with pytest.raises(ValueError, match="real coefficients"):
-            evolve(skewed, psi0, 1.0, EvolutionConfig(), 2)
 
 
 def _lab_provider(n_qubits: int, fock_dim: int):
@@ -381,7 +350,7 @@ class TestPackedPlan:
     def _pair(n_qubits: int):
         fn = _lab_provider(n_qubits, 8)
 
-        def dense(t: float) -> np.ndarray:  # no coeffs: the dense fallback
+        def dense(t: float) -> np.ndarray:  # no parts: the dense fallback
             return fn(t)
 
         dense.layout, dense.omega_max = fn.layout, fn.omega_max
@@ -421,7 +390,7 @@ class TestPackedPlan:
         def unpacked(*args):
             lab = hamiltonian_fn(*args)
 
-            def h(t: float) -> np.ndarray:  # no coeffs: the dense fallback
+            def h(t: float) -> np.ndarray:  # no parts: the dense fallback
                 return lab(t)
 
             h.layout, h.omega_max = lab.layout, lab.omega_max
@@ -508,24 +477,26 @@ class TestKernelChoice:
 
 
 class TestPlanChunks:
-    """A propagation forms its node times and coefficients propagate._PLAN_CHUNK
-    steps at a time; the chunking changes no node time and no output bit."""
+    """A propagation forms its node times and modulation coefficients
+    propagate._PLAN_CHUNK steps at a time; the chunking changes no node
+    time and no output bit."""
 
     @staticmethod
     def _spied(n_qubits: int, method: str, chunk: int, monkeypatch):
         fn = _lab_provider(n_qubits, 6)
         seen = []
-        coeffs = fn.coeffs
+        modulation = model._modulation
 
-        def spy(t):
+        def spy(parts, t):
             seen.append(np.array(t, dtype=float))
-            return coeffs(t)
+            return modulation(parts, t)
 
-        fn.coeffs = spy
-        monkeypatch.setattr(propagate, "_PLAN_CHUNK", chunk)
-        psi0 = basis_state(fn.layout, "g" * n_qubits, 0)
-        traj = evolve(fn, psi0, 3.0, EvolutionConfig(method=method), n_samples=3)
-        nodes = [t for t in seen if t.ndim]  # the scalar one checks the form
+        with monkeypatch.context() as m:
+            m.setattr(model, "_modulation", spy)
+            m.setattr(propagate, "_PLAN_CHUNK", chunk)
+            psi0 = basis_state(fn.layout, "g" * n_qubits, 0)
+            traj = evolve(fn, psi0, 3.0, EvolutionConfig(method=method), n_samples=3)
+        nodes = [t for t in seen if t.ndim]  # the scalar ones check the parts
         return np.array([s.vec for s in traj.states]), nodes
 
     @pytest.mark.parametrize("n_qubits", [1, 2])
@@ -547,25 +518,6 @@ class TestPlanChunks:
         starts = times[:-1, None] + np.arange(n_sub) * dts[:, None]
         ref = starts[..., None] + np.multiply.outer(dts, fracs)[:, None, :]
         assert np.array_equal(one[0], ref.reshape(-1, len(fracs)))
-
-    def test_static_coefficient_checked_in_every_chunk(self, monkeypatch):
-        """c0 may only vary in a later chunk; it is still refused there."""
-        fn = _lab_provider(1, 6)
-
-        def coeffs(t) -> np.ndarray:
-            c = fn.coeffs(t)
-            c[0] = np.where(np.asarray(t) > 2.0, 1.5, 1.0)
-            return c
-
-        def late(t: float) -> np.ndarray:
-            return _assemble_parts(coeffs(t), fn.parts)
-
-        late.coeffs, late.parts = coeffs, fn.parts
-        late.layout, late.omega_max = fn.layout, fn.omega_max
-        monkeypatch.setattr(propagate, "_PLAN_CHUNK", 5)
-        psi0 = basis_state(fn.layout, "g", 0)
-        with pytest.raises(ValueError, match="static part's coefficient varies"):
-            evolve(late, psi0, 3.0, EvolutionConfig(), 3)
 
 
 class TestEvolveStatic:
