@@ -357,18 +357,16 @@ def _sweep_axes(cfg):
             raise ConfigError(f"sweep.start{i}/sweep.stop{i}: required for axis {key}")
         if points < 1:
             raise ConfigError(f"sweep.points{i}: must be >= 1, got {points}")
-        axes.append((key, np.linspace(start, stop, points)))
+        axes.append((key, start, stop, points))
     if not axes:
         raise ConfigError("sweep.axis1: at least one sweep axis is required")
     if len(axes) == 2 and axes[0][0] == axes[1][0]:
         raise ConfigError(f"sweep.axis2: {axes[1][0]!r} is already swept as sweep.axis1")
-    total = 1
-    for _, values in axes:
-        total *= len(values)
-    if total > MAX_GRID_POINTS:
+    total = math.prod(points for *_, points in axes)
+    if total > MAX_GRID_POINTS:  # before any grid is allocated
         raise ConfigError(
             f"sweep grid has {total} points, above the limit of {MAX_GRID_POINTS}")
-    return axes
+    return [(key, np.linspace(start, stop, points)) for key, start, stop, points in axes]
 
 
 def _run_sweep(cfg) -> int:

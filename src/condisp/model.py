@@ -26,6 +26,7 @@ All frequencies are in units of omega_r.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
@@ -248,64 +249,51 @@ def frame_phases(t, params: SystemParams, drive: DriveParams,
                         - bare * t))
 
 
-def _sideband_coeffs(alpha: float, l_max: int) -> np.ndarray:
-    """i^l J_l(alpha) for l = 0..l_max, folded so that the full series
-
-        exp(i alpha cos theta) = c[0] + 2 sum_{l>=1} c[l] cos(l theta)
-
-    holds after pairing l with -l (J_{-l} = (-1)^l J_l)."""
+def _sideband_row(alpha: float, l_max: int) -> np.ndarray:
+    """r[l], l = 0..l_max, with exp(i alpha cos theta) = sum_l r[l] cos(l theta)
+    to that order: r[l] = i^l J_l(alpha), doubled for l >= 1 to pair l with
+    -l (J_{-l} = (-1)^l J_l)."""
     l = np.arange(l_max + 1)
-    units = 1j ** (l % 4)
-    return units * np.array([bessel_j(int(k), alpha) for k in l])
-
-
-def _sideband_sum(coeffs: np.ndarray, theta: float, conjugate: bool) -> complex:
-    """Evaluate the truncated series; conjugate=True gives exp(-i alpha cos)."""
-    l = np.arange(1, coeffs.size)
-    total = coeffs[0] + 2.0 * (coeffs[1:] @ np.cos(l * theta))
-    return complex(total.conjugate() if conjugate else total)
+    row = 1j ** (l % 4) * np.array([bessel_j(int(k), alpha) for k in l])
+    row[1:] *= 2.0
+    return row
 
 
 def _rotating_terms(params: SystemParams, drive: DriveParams,
                     layout: HilbertLayout, l_max: int):
-    """Static matrices and time-coefficient descriptors with H(t) = sum c_k(t) M_k + h.c.
+    """(mats, pref, det, rows) with H(t) = sum_k c_k(t) mats[k] + h.c.,
 
-    Each descriptor is (prefactor, detuning, sideband coeffs, conjugate flag):
-    c_k(t) = prefactor * exp(i detuning t) * series(omega_d t - phi).
+        c_k(t) = pref[k] exp(i det[k] t) sum_l rows[k, l] cos(l (omega_d t - phi)),
+
+    rows[k] the sideband row of exp(+-i alpha cos), conjugated here for the
+    minus sign.
     """
     ad = _annihilation(layout.fock_dim).T
     sp, sm = _PAULI["+"], _PAULI["-"]
     alphas = drive.alpha
     dm = params.omega_r - params.omega_q
     dp = params.omega_r + params.omega_q
-    mats: list[np.ndarray] = []
-    terms: list[tuple[float, float, np.ndarray, bool]] = []
+    terms = []
     for m in range(layout.n_qubits):
-        cs = _sideband_coeffs(alphas[m], l_max)
-        mats.append(_embed(layout, {m: sm}, ad))
-        terms.append((params.g, dm, cs, False))
-        mats.append(_embed(layout, {m: sp}, ad))
-        terms.append((params.g, dp, cs, True))
+        row = _sideband_row(alphas[m], l_max)
+        terms.append((_embed(layout, {m: sm}, ad), params.g, dm, row))
+        terms.append((_embed(layout, {m: sp}, ad), params.g, dp, row.conj()))
     for m in range(layout.n_qubits):
         for n in range(layout.n_qubits):
             if m == n:
                 continue
-            mats.append(_embed(layout, {m: sp, n: sp}, None))
-            terms.append((params.d_coupling, 2.0 * params.omega_q,
-                          _sideband_coeffs(alphas[m] + alphas[n], l_max), True))
-            mats.append(_embed(layout, {m: sp, n: sm}, None))
-            terms.append((params.d_coupling, 0.0,
-                          _sideband_coeffs(alphas[m] - alphas[n], l_max), True))
-    return np.array(mats), terms
+            terms.append((_embed(layout, {m: sp, n: sp}, None), params.d_coupling,
+                          2.0 * params.omega_q,
+                          _sideband_row(alphas[m] + alphas[n], l_max).conj()))
+            terms.append((_embed(layout, {m: sp, n: sm}, None), params.d_coupling, 0.0,
+                          _sideband_row(alphas[m] - alphas[n], l_max).conj()))
+    return tuple(np.array(c) for c in zip(*terms))
 
 
-def _rotating_matrix_at(mats: np.ndarray, terms, omega_d: float, phi: float,
-                        t: float) -> np.ndarray:
-    theta = omega_d * t - phi
-    cs = np.array([pref * complex(math.cos(det * t), math.sin(det * t))
-                   * _sideband_sum(coeffs, theta, conj)
-                   for pref, det, coeffs, conj in terms])
-    h = np.tensordot(cs, mats, axes=1)
+def _rotating_matrix_at(terms, omega_d: float, phi: float, t: float) -> np.ndarray:
+    mats, pref, det, rows = terms
+    series = rows @ np.cos(np.arange(rows.shape[1]) * (omega_d * t - phi))
+    h = np.tensordot(pref * np.exp(1j * det * t) * series, mats, axes=1)
     return h + h.conj().T
 
 
@@ -576,42 +564,38 @@ def _modulation(parts: _Blocks, t):
     return np.sin(parts.omega_d * np.asarray(t, dtype=float) - parts.phi)
 
 
-def _sector_blocks(cs, parts: _Blocks) -> np.ndarray:
-    """cs[0] h0 + cs[1] D: the two parity blocks of that sum."""
-    blocks = cs[0] * parts.h0
-    blocks.reshape(2, -1)[:, ::parts.h0.shape[1] + 1] += cs[1] * parts.diag
-    return blocks
-
-
 def _assemble_parts(cs, parts: _Blocks) -> np.ndarray:
     """cs[0] h0 + cs[1] D as one dense matrix in the product basis."""
     o = parts.order.reshape(2, -1)
     h = np.zeros((o.size, o.size), dtype=complex)
-    for ob, block in zip(o, _sector_blocks(cs, parts)):
-        h[np.ix_(ob, ob)] = block
+    for ob, block, d in zip(o, parts.h0, parts.diag):
+        h[np.ix_(ob, ob)] = cs[0] * block
+        h[ob, ob] += cs[1] * d
     return h
+
+
+# Each lab provider hamiltonian_fn made, to the parts it was made with.
+_OWN_PARTS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 def _checked_parts(h: Callable[[float], np.ndarray], t: float) -> _Blocks | None:
     """The _Blocks of a lab provider from hamiltonian_fn, or None.
 
-    A caller that applies the parts never calls h itself, so h is
-    evaluated here once, at t, and must reproduce its parts there: in
-    parity order, its blocks must be h0 + sin(omega_d t - phi) D and the
-    rest zero. A wrapper that copies a provider's attributes (as
-    functools.wraps does) but changes what it returns raises ValueError
-    instead of being propagated as the provider it wraps.
+    A caller that applies the parts never calls h itself. A provider that
+    hamiltonian_fn made and that still carries the parts it was made with
+    assembles H(t) from them, so it is taken as it is, unevaluated. Any
+    other callable that carries parts, such as a wrapper that copies a
+    provider's attributes (as functools.wraps does), is evaluated once, at
+    t, and must return the parts assembled there in the product basis; one
+    that changes what it returns raises ValueError instead of being
+    propagated as the provider it wraps.
     """
     parts = getattr(h, "parts", None)
-    if parts is None:
-        return None
-    dense = np.asarray(h(t))[np.ix_(parts.order, parts.order)]
-    size = np.abs(dense)  # one buffer for both maxima: fresh pages are slow
-    scale = max(1.0, float(np.max(size)))
-    quarters = dense.reshape(2, len(dense) // 2, 2, -1)
-    for b, block in enumerate(_sector_blocks((1.0, _modulation(parts, t)), parts)):
-        quarters[b, :, b] -= block
-    diff = float(np.max(np.abs(dense, out=size)))
+    if parts is None or _OWN_PARTS.get(h) is parts:
+        return parts
+    dense = np.asarray(h(t))
+    scale = max(1.0, float(np.max(np.abs(dense))))
+    diff = float(np.max(np.abs(dense - _assemble_parts((1.0, _modulation(parts, t)), parts))))
     if diff > 1e-12 * scale:
         raise ValueError(
             f"provider's H(t) differs from its coefficient form by {diff:.3e} "
@@ -665,12 +649,13 @@ def _mixer(h: Callable[[float], np.ndarray], t_check: float, v0: np.ndarray,
     v0, or an array of its shape with no amplitude outside v0's, into
     the propagation basis, and back unpacks one into the product basis.
 
-    A lab provider, its parts checked against h(t_check), is h0 +
-    sin(omega_d t - phi) D on two parity blocks, D diagonal, so operator
-    j is c0 h0 + c1 D: c0 the weight row's sum, the same for every row
-    (1/2 for both CF4 exponents, 1 for RK4), and c1 = sum_l weights[j, l]
-    sin(omega_d ts[l] - phi), formed a chunk at a time as the propagation
-    reaches it. So c0 h0 is premixed once per propagation and a load only
+    A lab provider, its parts taken by _checked_parts (a wrapper's
+    checked against h(t_check)), is h0 + sin(omega_d t - phi) D on two
+    parity blocks, D diagonal, so operator j is c0 h0 + c1 D: c0 the
+    weight row's sum, the same for every row (1/2 for both CF4
+    exponents, 1 for RK4), and c1 = sum_l weights[j, l] sin(omega_d
+    ts[l] - phi), formed a chunk at a time as the propagation reaches
+    it. So c0 h0 is premixed once per propagation and a load only
     rewrites the diagonal, in place, from c1. into and back come from
     _packing, so the sector that parity keeps at zero is never
     propagated. Tridiagonal premixed blocks (one qubit's parity chains)
@@ -729,10 +714,11 @@ def hamiltonian_fn(params: SystemParams, drive: DriveParams, frame: str,
     H(t) = h0 + sin(omega_d t - phi) D at either qubit count, built once:
     _lab_matrix on each parity sector's indices, D's diagonal, and the
     drive's omega_d and phi. fn(t) assembles the dense product-basis
-    H(t) from the same parts. The propagators go through _mixer, which
-    checks the parts against fn once per propagation and then never
-    forms H(t). The rotating and effective providers are
-    dense: fn(t) = e^{i omega_r t} W + h.c. for the effective frame,
+    H(t) from the same parts, and fn is recorded with them, so the
+    propagators, through _mixer, take the parts without evaluating fn and
+    never form H(t). The rotating provider sums its sideband series as
+    arrays (_rotating_terms); it and the effective provider are dense:
+    fn(t) = e^{i omega_r t} W + h.c. for the effective frame,
     W = sum_m g_eff,m a^dag sigma_x^m. The effective evolution itself
     has a closed form and is not propagated here.
     """
@@ -745,15 +731,15 @@ def hamiltonian_fn(params: SystemParams, drive: DriveParams, frame: str,
         def fn(t: float) -> np.ndarray:
             return _assemble_parts((1.0, _modulation(parts, t)), parts)
 
-        fn.parts = parts
+        fn.parts = _OWN_PARTS[fn] = parts
     elif frame == "rotating":
         if not isinstance(l_max, int) or l_max < 8:
             raise ValueError(f"l_max must be an int >= 8, got {l_max}")
-        mats, terms = _rotating_terms(params, drive, layout, l_max)
+        terms = _rotating_terms(params, drive, layout, l_max)
         wd, phi = drive.omega_d, drive.phi
 
         def fn(t: float) -> np.ndarray:
-            return _rotating_matrix_at(mats, terms, wd, phi, t)
+            return _rotating_matrix_at(terms, wd, phi, t)
 
     else:
         _require_quadrature(drive, "effective model")

@@ -16,9 +16,10 @@ below 1e-32 of the input's, taken once per exponential. model._mixer
 plans each propagation once, from its initial state, and reads its step
 schedule _PLAN_CHUNK steps at a time: node times, then the modulation
 sin(omega_d t - phi) at all of them. Lab providers, whose generator is
-h0 + sin(omega_d t - phi) D (see model.hamiltonian_fn), are evaluated as
-a dense H(t) once per propagation, to check their parts. Their static
-part is premixed once, so loading the next operator rewrites only the
+h0 + sin(omega_d t - phi) D (see model.hamiltonian_fn), are never
+evaluated: they are propagated from their parts, and only a wrapper that
+carries a provider's parts is evaluated, once per propagation, to check
+them. Their static part is premixed once, so loading the next operator rewrites only the
 diagonal of the propagation's one operator, in place, and each Taylor
 term is an apply into one of its two buffers. At either qubit count the
 generator is a real block per parity sector; the propagation carries

@@ -9,6 +9,7 @@ to compare the library's against.
 from __future__ import annotations
 
 import numpy as np
+import scipy.special
 
 from condisp import DriveParams, HilbertLayout, SystemParams
 from condisp.hilbert import ladder, pauli_on
@@ -51,6 +52,26 @@ def closed_form_rotating(
             for c, op in ((c3, sp[m] @ sp[n]), (c4, sp[m] @ sm[n])):
                 h += c * op + np.conj(c) * op.conj().T
     return h
+
+
+def exact_effective_states(params: SystemParams, drive: DriveParams,
+                           layout: HilbertLayout, psi0: np.ndarray, times) -> np.ndarray:
+    """States of H_eff(t) = e^{i omega_r t} W + h.c., W = sum_m g J_1(alpha_m)
+    a^dag sigma_x^m, at the given times, one row each, without a step.
+
+    H_eff(t) = e^{i omega_r N t} H_eff(0) e^{-i omega_r N t}, so in the frame
+    rotating with omega_r N the generator is the static H_eff(0) + omega_r N
+    and psi(t) = e^{i omega_r N t} e^{-i (H_eff(0) + omega_r N) t} psi0,
+    from one eigendecomposition.
+    """
+    a = ladder(layout).mat
+    w = sum(params.g * scipy.special.jv(1, alpha) * (a.conj().T @ pauli_on(m, "x", layout).mat)
+            for m, alpha in enumerate(drive.alpha))
+    n = (a.conj().T @ a).diagonal().real
+    e, v = np.linalg.eigh(w + w.conj().T + params.omega_r * np.diag(n))
+    t = np.asarray(times, dtype=float)[:, None]
+    in_frame = (np.exp(-1j * e * t) * (v.conj().T @ psi0)) @ v.T
+    return np.exp(1j * params.omega_r * n * t) * in_frame
 
 
 def reference_expmv(apply, dt: float, v: np.ndarray) -> tuple[np.ndarray, int]:

@@ -457,6 +457,13 @@ class TestSweepCommand:
         )
         assert code == 2
         assert str(MAX_GRID_POINTS) in capsys.readouterr().err
+        # refused before its grid is allocated (NumPy refuses 8 TB outright)
+        code = main(self.BASE + ["--axis", "system.g", "0.1", "0.2", "1000000000000",
+                                 "--out", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(MAX_GRID_POINTS) in err
 
     def test_non_sweepable_axis_rejected(self, tmp_path, capsys):
         code = main(

@@ -17,8 +17,8 @@ Key oracles:
 * the Taylor loop must take as many terms as the earlier two-vdot loop
   and agree with it, and the apply's buffers must never overwrite a
   result before its next call,
-* the closed-form effective states of fidelity_trace must match a
-  propagation of the effective Hamiltonian,
+* the closed-form effective states of fidelity_trace must match the exact
+  solution of the effective model and a propagation of it,
 * evolving in the lab frame and rotating afterwards must agree with
   evolving directly under the rotating-frame Hamiltonian.
 """
@@ -113,7 +113,7 @@ class TestCoefficientForm:
             assert np.max(np.abs(got - fn(t) @ x)) <= 1e-13
 
     def test_wrapper_that_changes_h_is_refused(self):
-        """functools.wraps copies coeffs/parts onto a wrapper; a wrapper
+        """functools.wraps copies the parts onto a wrapper; a wrapper
         that returns the same H(t) propagates, one that perturbs it raises
         instead of being propagated as the unwrapped provider."""
         lay = HilbertLayout(1, 8)
@@ -126,6 +126,39 @@ class TestCoefficientForm:
         shifted = functools.wraps(fn)(lambda t: fn(t) + 0.01 * np.eye(lay.dim))
         with pytest.raises(ValueError, match="coefficient form .* t = 1"):
             evolve(shifted, psi0, 1.0, EvolutionConfig(), 2)
+
+    def test_own_provider_is_not_evaluated(self, monkeypatch):
+        """A provider that hamiltonian_fn made assembles H(t) from its own
+        parts, so propagating it assembles no dense H(t); a wrapper is
+        evaluated and checked once per propagation."""
+        calls = []
+        assemble = model._assemble_parts
+
+        def spy(cs, parts):
+            calls.append(cs)
+            return assemble(cs, parts)
+
+        monkeypatch.setattr(model, "_assemble_parts", spy)
+        fn = _lab_provider(2, 6)
+        psi0 = basis_state(fn.layout, "gg", 0)
+        evolve(fn, psi0, 1.0, EvolutionConfig(), 2)
+        evolve_columns(fn, np.eye(fn.layout.dim)[:, :4], 1.0, EvolutionConfig())
+        p = SystemParams(omega_q=3.0, g=0.2, n_qubits=1)
+        cat_fidelity_experiment(p, DriveParams.from_alpha((1.832,), 3.0), 1,
+                                EvolutionConfig(), HilbertLayout(1, 16))
+        assert not calls
+        evolve(functools.wraps(fn)(lambda t: fn(t)), psi0, 1.0, EvolutionConfig(), 2)
+        assert len(calls) == 2  # the wrapper's H(t) and the parts it must equal
+
+    def test_provider_with_other_parts_is_refused(self):
+        """Parts taken from another provider are not the ones fn(t)
+        assembles, so they are checked, and refused."""
+        fn = _lab_provider(1, 8)
+        p = SystemParams(omega_q=3.0, g=0.3, n_qubits=1)
+        fn.parts = hamiltonian_fn(p, DriveParams.from_alpha((1.832,), 3.0), "lab-driven",
+                                  fn.layout).parts
+        with pytest.raises(ValueError, match="coefficient form .* t = 1"):
+            evolve(fn, basis_state(fn.layout, "g", 0), 1.0, EvolutionConfig(), 2)
 
     @pytest.mark.parametrize("method", sorted(propagate._SCHEMES))
     def test_operator_weight_rows_share_one_sum(self, method):
@@ -496,8 +529,10 @@ class TestPlanChunks:
             m.setattr(propagate, "_PLAN_CHUNK", chunk)
             psi0 = basis_state(fn.layout, "g" * n_qubits, 0)
             traj = evolve(fn, psi0, 3.0, EvolutionConfig(method=method), n_samples=3)
-        nodes = [t for t in seen if t.ndim]  # the scalar ones check the parts
-        return np.array([s.vec for s in traj.states]), nodes
+        # the provider is hamiltonian_fn's own, so its H(t) is never formed:
+        # every call is a chunk's node times
+        assert all(t.ndim for t in seen)
+        return np.array([s.vec for s in traj.states]), seen
 
     @pytest.mark.parametrize("n_qubits", [1, 2])
     @pytest.mark.parametrize("method", ["piecewise-exponential", "rk4"])
@@ -787,16 +822,29 @@ class TestFidelityTrace:
 
 class TestClosedFormEffective:
     """fidelity_trace builds the effective states in closed form; they must
-    match a propagation of the effective provider (the dense fallback)."""
+    match the exact solution of the effective model and a propagation of
+    the effective provider (the dense fallback)."""
 
-    @pytest.mark.parametrize("n_qubits,fock,g", [(2, 64, 0.5), (2, 32, 0.2),
-                                                 (1, 32, 0.2)])
-    def test_matches_propagated_effective_model(self, n_qubits, fock, g):
+    @staticmethod
+    def _case(n_qubits: int, fock: int, g: float):
         lay = HilbertLayout(n_qubits, fock)
         p = SystemParams(omega_q=3.0, g=g, n_qubits=n_qubits)
         alpha = (1.832,) if n_qubits == 1 else (1.20242, -1.20242)
         d = DriveParams.from_alpha(alpha, 3.0)
-        psi0 = basis_state(lay, "g" * n_qubits, 0)
+        return lay, p, d, basis_state(lay, "g" * n_qubits, 0)
+
+    @pytest.mark.parametrize("n_qubits,fock,g", [(2, 64, 0.5), (2, 32, 0.2),
+                                                 (1, 32, 0.2)])
+    def test_matches_exact_effective_model(self, n_qubits, fock, g):
+        lay, p, d, psi0 = self._case(n_qubits, fock, g)
+        times = np.linspace(0.0, 2 * np.pi, 501)
+        closed = _effective_states(p, d, psi0, times)
+        exact = oracle_helpers.exact_effective_states(p, d, lay, psi0.vec, times)
+        assert np.max(np.abs(exact - closed)) <= 1e-12
+
+    @pytest.mark.parametrize("n_qubits,fock,g", [(2, 32, 0.2), (1, 32, 0.2)])
+    def test_matches_propagated_effective_model(self, n_qubits, fock, g):
+        lay, p, d, psi0 = self._case(n_qubits, fock, g)
         h = hamiltonian_fn(p, d, "effective", lay)
         traj = evolve(h, psi0, 2 * np.pi, EvolutionConfig(), n_samples=500)
         closed = _effective_states(p, d, psi0, traj.times)
