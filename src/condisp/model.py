@@ -25,6 +25,7 @@ All frequencies are in units of omega_r.
 """
 from __future__ import annotations
 
+import itertools
 import math
 import weakref
 from dataclasses import dataclass
@@ -178,23 +179,31 @@ def _lab_matrix(params: SystemParams, layout: HilbertLayout,
                 index: np.ndarray | None = None) -> np.ndarray:
     """Static Hamiltonian, each term a Pauli on its qubit(s) times a Fock
     factor; the diagonal omega_r n + sum_m (omega_q/2) s_m is exact. Given
-    product-basis indices, only their rows and columns (see _embed)."""
-    rows = np.arange(layout.dim) if index is None else index
-    diag = params.omega_r * (rows % layout.fock_dim)
-    for sz in _sigma_z(layout)[:, rows]:
-        diag += 0.5 * params.omega_q * sz
-    h = np.diag(diag.astype(complex))
-    gx = _annihilation(layout.fock_dim)
-    gx += gx.T
-    gx *= params.g  # scaled on the Fock factor, not on the dim x dim product
+    rows of product-basis indices, a stack of blocks, one per row, each of
+    only that row's rows and columns (see _embed); the Fock factor is
+    built once for all of them."""
+    sz = _sigma_z(layout)
+    k = np.arange(1, layout.fock_dim)
+    gx = np.zeros((layout.fock_dim,) * 2, dtype=complex)
+    # g (a + a^dag), scaled on the Fock factor, not on the dim x dim product
+    gx[k - 1, k] = gx[k, k - 1] = params.g * np.sqrt(k)
     sx = _PAULI["x"]
-    for m in range(layout.n_qubits):
-        h += _embed(layout, {m: sx}, gx, index)
-    for m in range(layout.n_qubits):
-        for n in range(layout.n_qubits):
-            if m != n:  # ordered pairs: each qubit pair enters twice
-                h += params.d_coupling * _embed(layout, {m: sx, n: sx}, None, index)
-    return h
+    sectors = [None] if index is None else index
+    size = layout.dim if index is None else index.shape[1]
+    h = np.zeros((len(sectors), size, size), dtype=complex)
+    for block, rows in zip(h, sectors):
+        at = np.arange(layout.dim) if rows is None else rows
+        diag = params.omega_r * (at % layout.fock_dim)
+        for s in sz[:, at]:
+            diag += 0.5 * params.omega_q * s
+        np.fill_diagonal(block, diag)
+        for m in range(layout.n_qubits):
+            block += _embed(layout, {m: sx}, gx, rows)
+        for m in range(layout.n_qubits):
+            for n in range(layout.n_qubits):
+                if m != n:  # ordered pairs: each qubit pair enters twice
+                    block += params.d_coupling * _embed(layout, {m: sx, n: sx}, None, rows)
+    return h[0] if index is None else h
 
 
 def lab_hamiltonian(params: SystemParams, layout: HilbertLayout) -> Operator:
@@ -491,7 +500,7 @@ def _lab_blocks(params: SystemParams, drive: DriveParams,
     n = np.arange(layout.dim) % layout.fock_dim
     sz = _sigma_z(layout)
     order = np.lexsort((n, (n + np.sum(0.5 * (1.0 + sz), axis=0)) % 2))
-    h = np.stack([_lab_matrix(params, layout, half) for half in order.reshape(2, -1)])
+    h = _lab_matrix(params, layout, order.reshape(2, -1))
     if np.any(h.imag):
         raise ValueError("lab generator is not real within the two parity blocks")
     diag = sum(0.5 * e * s for e, s in zip(drive.epsilon, sz))
@@ -637,48 +646,63 @@ def _packing(order: np.ndarray, v0: np.ndarray):
 
 
 def _mixer(h: Callable[[float], np.ndarray], t_check: float, v0: np.ndarray,
-           chunks: Iterable[np.ndarray], weights: np.ndarray):
+           chunks: Iterable[np.ndarray], weights: np.ndarray, expmv: Callable):
     """(ops, into, back): the plan of one propagation of v0 under h.
 
     The propagation runs steps in order and each step's operators in
     order; chunks yields the node times of runs of consecutive steps as
     (steps, n) arrays, and operator j of a step with node times ts is
     sum_l weights[j, l] H(ts[l]), weights an (operators, n) array. Each
-    next(ops) loads the next operator and returns apply(x, scale) =
-    scale * (that operator) @ x, valid until the next load. into packs
-    v0, or an array of its shape with no amplitude outside v0's, into
-    the propagation basis, and back unpacks one into the product basis.
+    next(ops) loads the next operator. An operator whose weight row sums
+    to a nonzero value loads as apply(x, scale) = scale * (operator) @ x,
+    valid until the next apply is loaded; one whose row sums to zero, in
+    which h0 cancels, loads as turn(x, t) = exp(-i t (operator)) x, valid
+    until the next turn is loaded. into packs v0, or an array of its
+    shape with no amplitude outside v0's, into the propagation basis, and
+    back unpacks one into the product basis.
 
     A lab provider, its parts taken by _checked_parts (a wrapper's
     checked against h(t_check)), is h0 + sin(omega_d t - phi) D on two
     parity blocks, D diagonal, so operator j is c0 h0 + c1 D: c0 the
-    weight row's sum, the same for every row (1/2 for both CF4
-    exponents, 1 for RK4), and c1 = sum_l weights[j, l] sin(omega_d
-    ts[l] - phi), formed a chunk at a time as the propagation reaches
-    it. So c0 h0 is premixed once per propagation and a load only
-    rewrites the diagonal, in place, from c1. into and back come from
-    _packing, so the sector that parity keeps at zero is never
-    propagated. Tridiagonal premixed blocks (one qubit's parity chains)
-    apply as three complex bands, others as one batched real matmul. Any
-    other callable falls back to one dense mixed matrix per operator in
-    the product basis, unpacked.
+    weight row's sum, one value for every apply's row (1 for the Magnus
+    step's mean generator and for RK4), or zero for a turn's, and
+    c1 = sum_l weights[j, l] sin(omega_d ts[l] - phi), formed a chunk at
+    a time as the propagation reaches it. So c0 h0 is premixed once per
+    propagation, an apply's load only rewrites the diagonal, in place,
+    from c1, and a turn is the elementwise phase exp(-i t c1 D). into and
+    back come from _packing, so the sector that parity keeps at zero is
+    never propagated. Tridiagonal premixed blocks (one qubit's parity
+    chains) apply as three complex bands, others as one batched real
+    matmul. Any other callable falls back to one dense mixed matrix per
+    operator in the product basis, unpacked, and a turn of it is
+    expmv(apply, t, x) = exp(-i t A) x of its apply.
 
     A propagation has one apply, and it owns the only two result
     buffers, made here: a result stays valid until the next apply, which
     may take it as its input.
     """
+    turns = (weights.sum(axis=1) == 0).tolist()
     parts = _checked_parts(h, t_check)
     if parts is None:
         def dense_ops():
             for nodes in chunks:
                 for ts in nodes:
-                    for ws in weights:
+                    for ws, is_turn in zip(weights, turns):
                         m = sum(w * h(t) for t, w in zip(ts, ws) if w)
-                        yield lambda x, scale, m=m: scale * (m @ x)
+                        apply = lambda x, scale, m=m: scale * (m @ x)
+                        yield (lambda x, t, a=apply: expmv(a, t, x)) if is_turn else apply
         return dense_ops(), np.copy, np.copy
     sectors, shape, into, back = _packing(parts.order, v0)
-    blocks = weights[0].sum() * parts.h0[sectors]
+    blocks = weights[turns.index(False)].sum() * parts.h0[sectors]
     drive = parts.diag[sectors]
+    twist = -1j * drive[..., None]
+    phase = np.empty_like(twist)
+    kappa = 0.0
+
+    def turn(x: np.ndarray, t: float) -> np.ndarray:
+        np.multiply(twist, t * kappa, out=phase)
+        return x * np.exp(phase, out=phase)
+
     if np.any(np.triu(blocks, 2)) or np.any(np.tril(blocks, -2)):
         diag = blocks.reshape(len(sectors), -1)[:, ::shape[1] + 1]
         apply = _block_operator(blocks, shape)
@@ -692,13 +716,18 @@ def _mixer(h: Callable[[float], np.ndarray], t_check: float, v0: np.ndarray,
     d0 = diag.copy()
 
     def ops():
+        nonlocal kappa
         for nodes in chunks:
             s = _modulation(parts, nodes)  # (steps, n)
             c1 = sum(s[:, l, None] * weights[:, l] for l in range(weights.shape[1]))
-            for c in c1.ravel().tolist():
-                np.multiply(drive, c, out=diag)
-                np.add(diag, d0, out=diag)
-                yield apply
+            for c, is_turn in zip(c1.ravel().tolist(), itertools.cycle(turns)):
+                if is_turn:
+                    kappa = c
+                    yield turn
+                else:
+                    np.multiply(drive, c, out=diag)
+                    np.add(diag, d0, out=diag)
+                    yield apply
     return ops(), into, back
 
 

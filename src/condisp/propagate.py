@@ -1,34 +1,39 @@
 """Time-dependent Schrodinger propagation and effective-vs-exact traces.
 
-The workhorse is the fourth-order commutator-free Magnus stepper CF4:2
-(Blanes & Moan, Appl. Numer. Math. 56, 1519 (2006); used for
-time-dependent quantum problems by Alvermann & Fehske, J. Comput. Phys.
-230, 5930 (2011)). Each step samples the generator at the two Gauss points
-t + (1/2 -+ sqrt(3)/6) dt and applies two exponentials,
+The workhorse is a fourth-order Magnus stepper with one exponential per
+step. Its exponent is the classical fourth-order Magnus one (Blanes,
+Casas, Oteo & Ros, Phys. Rep. 470, 151 (2009)),
 
-    exp(-i dt (a1 H_1 + a2 H_2)) exp(-i dt (a2 H_1 + a1 H_2)),
-    a1, a2 = (3 -+ 2 sqrt(3)) / 12,
+    -i dt Hbar + (sqrt(3)/12) dt^2 [H_1, H_2],    Hbar = (H_1 + H_2)/2,
 
-the one weighted toward the earlier point first. Each exponential acts
-through an adaptive Taylor product, which never leaves the unit sphere
-beyond roundoff; so the series stops once a term's squared norm falls
-below 1e-32 of the input's, taken once per exponential. model._mixer
-plans each propagation once, from its initial state, and reads its step
-schedule _PLAN_CHUNK steps at a time: node times, then the modulation
-sin(omega_d t - phi) at all of them. Lab providers, whose generator is
-h0 + sin(omega_d t - phi) D (see model.hamiltonian_fn), are never
-evaluated: they are propagated from their parts, and only a wrapper that
-carries a provider's parts is evaluated, once per propagation, to check
-them. Their static part is premixed once, so loading the next operator rewrites only the
-diagonal of the propagation's one operator, in place, and each Taylor
-term is an apply into one of its two buffers. At either qubit count the
-generator is a real block per parity sector; the propagation carries
-only the blocks the initial state occupies (the parity keeps the rest
-at zero) and applies them as three bands where they are tridiagonal
-(one qubit's parity chains), else by one batched real matmul (two
-qubits). The effective conditional-displacement model is never
-propagated: fidelity_trace builds its states in closed form from
-coherent amplitudes. A classical RK4 stepper is kept as an independent
+with H_1, H_2 the generator at the two Gauss points t + (1/2 -+
+sqrt(3)/6) dt. The commutator is not formed: a step applies
+
+    e^{-iK} exp(-i dt Hbar) e^{+iK},    K = (sqrt(3)/12) dt (H_2 - H_1),
+
+whose exponent is the Magnus one up to O(dt K^2) = O(dt^5). For a lab
+provider, H_2 - H_1 is a multiple of the diagonal drive D, so e^{+-iK}
+are elementwise phases. The exponential acts through an adaptive Taylor
+product, which never leaves the unit sphere beyond roundoff; so the
+series stops once a term's squared norm falls below 1e-32 of the
+input's, taken once per exponential. model._mixer plans each
+propagation once, from its initial state, and reads its step schedule
+_PLAN_CHUNK steps at a time: node times, then the modulation
+sin(omega_d t - phi) at all of them, from which it forms each step's
+Hbar and K. Lab providers, whose generator is h0 + sin(omega_d t - phi) D
+(see model.hamiltonian_fn), are never evaluated: they are propagated
+from their parts, and only a wrapper that carries a provider's parts is
+evaluated, once per propagation, to check them. Their static part is
+premixed once, so loading the next Hbar rewrites only the diagonal of
+the propagation's one operator, in place, and each Taylor term is an
+apply into one of its two buffers. At either qubit count the generator
+is a real block per parity sector; the propagation carries only the
+blocks the initial state occupies (the parity keeps the rest at zero)
+and applies them as three bands where they are tridiagonal (one
+qubit's parity chains), else by one batched real matmul (two qubits).
+The effective conditional-displacement model is never propagated:
+fidelity_trace builds its states in closed form from coherent
+amplitudes. A classical RK4 stepper is kept as an independent
 cross-check, on the same kind of schedule at its own finer default step;
 it is not norm-preserving, which is exactly why it makes a useful
 disagreement detector.
@@ -61,12 +66,12 @@ __all__ = [
 
 METHODS = ("piecewise-exponential", "rk4")
 
-# CF4 steps per shortest Hamiltonian period. Final-state error of the
-# k = 6 cat experiment at Fock 128 against a 400-step run:
-#     50 -> 8.0e-9, 64 -> 3.0e-9, 80 -> 1.2e-9, 100 -> 5.0e-10,
+# Magnus steps per shortest Hamiltonian period. Final-state error (2-norm)
+# of the k = 6 cat experiment at Fock 128 against a 400-step run:
+#     50 -> 2.3e-8, 64 -> 8.8e-9, 80 -> 3.6e-9, 100 -> 1.5e-9,
 # a slope of 4; the work grows in proportion to the step count. 64 keeps
 # the default step under the ceiling (50 per period) and criterion 8's
-# step-halving distance at 3.4e-10, bound 1e-6.
+# step-halving distance at 2.1e-9, bound 1e-6.
 DEFAULT_STEPS_PER_PERIOD = 64
 # RK4 steps per shortest period. RK4 is only the cross-check, and at 64
 # steps it would sit within 2x of that check's 1e-6 bound.
@@ -166,10 +171,10 @@ class FidelityTrace:
         return float(np.mean(self.fidelities))
 
 
-# CF4:2 Gauss nodes and exponent weights.
-_CF4_NODES = (0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0)
-_CF4_WEIGHTS = ((3.0 - 2.0 * math.sqrt(3.0)) / 12.0,
-                (3.0 + 2.0 * math.sqrt(3.0)) / 12.0)
+# Gauss nodes of the fourth-order Magnus step, and the weight of its twist
+# K = dt (sqrt(3)/12) (H_2 - H_1) on the later node.
+_GAUSS_NODES = (0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0)
+_TWIST = math.sqrt(3.0) / 12.0
 
 
 def _expmv(apply, dt: float, v: np.ndarray) -> np.ndarray:
@@ -198,17 +203,27 @@ def _expmv(apply, dt: float, v: np.ndarray) -> np.ndarray:
 
 
 # Each stepper's nodes, as fractions of the step, and its operators, as
-# weights over those nodes, in the order a step applies them.
+# weights over those nodes, in the order a step loads them. A row whose
+# weights sum to zero loads as a turn (see model._mixer).
 _SCHEMES = {
-    "piecewise-exponential": (_CF4_NODES, ((_CF4_WEIGHTS[1], _CF4_WEIGHTS[0]),
-                                           _CF4_WEIGHTS)),
+    "piecewise-exponential": (_GAUSS_NODES, ((-_TWIST, _TWIST), (0.5, 0.5))),
     "rk4": ((0.0, 0.5, 1.0), ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))),
 }
 
 
-def _cf4_step(ops, dt: float, v: np.ndarray) -> np.ndarray:
-    v = _expmv(next(ops), dt, v)
-    return _expmv(next(ops), dt, v)
+def _m4_step(ops, dt: float, v: np.ndarray) -> np.ndarray:
+    """One fourth-order Magnus step, e^{-iK} exp(-i dt Hbar) e^{+iK} v.
+
+    The first load is the twist's turn(x, t) = exp(-i t K / dt) x, the
+    second the mean generator Hbar = (H_1 + H_2)/2, whose load leaves the
+    turn valid. Conjugating exp(-i dt Hbar) by e^{-iK} adds
+    -dt [K, Hbar] = (sqrt(3)/12) dt^2 [H_1, H_2] to its exponent, which
+    makes it the classical fourth-order Magnus exponent up to O(dt K^2) =
+    O(dt^5).
+    """
+    turn = next(ops)
+    v = _expmv(next(ops), dt, turn(v, -dt))
+    return turn(v, dt)
 
 
 def _rk4_step(ops, dt: float, v: np.ndarray) -> np.ndarray:
@@ -250,8 +265,9 @@ def _run(h: HamiltonianProvider, v0: np.ndarray, times: np.ndarray,
             yield starts[:, None] + np.multiply.outer(dts[i], fracs)
 
     v0 = np.asarray(v0, dtype=complex)
-    ops, into, back = _mixer(h, float(times[-1]), v0, node_chunks(), np.array(weights))
-    step = _cf4_step if method == "piecewise-exponential" else _rk4_step
+    ops, into, back = _mixer(h, float(times[-1]), v0, node_chunks(), np.array(weights),
+                             _expmv)
+    step = _m4_step if method == "piecewise-exponential" else _rk4_step
     v = into(v0)
     out = [back(v)]
     for i, dt in enumerate(dts):

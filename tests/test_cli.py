@@ -203,6 +203,17 @@ class TestBesselCommand:
         assert main(["bessel", "--order", "0", "--x", "0"]) == 0
         assert capsys.readouterr().out.strip() == "1"
 
+    @pytest.mark.parametrize("x", ["1e5", "1e12"])
+    def test_argument_beyond_limit_refused(self, x, capsys):
+        """Past |x| = 1e4 the recurrence would run about x steps; the
+        command refuses at once, naming the limit."""
+        assert main(["bessel", "--order", "0", "--x", x]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: ") and "|x| <= 10000" in lines[0]
+
 
 class TestValidateEffectiveCommand:
     ARGS = [

@@ -408,11 +408,11 @@ class TestLabBlocks:
 
         def flawed(params, layout, index):
             h = lab(params, layout, index)
-            rows = list(index)
-            if i in rows and j in rows:
-                a, b = rows.index(i), rows.index(j)
-                h[a, b] += 0.1j  # Hermitian
-                h[b, a] -= 0.1j
+            for block, rows in zip(h, index.tolist()):
+                if i in rows and j in rows:
+                    a, b = rows.index(i), rows.index(j)
+                    block[a, b] += 0.1j  # Hermitian
+                    block[b, a] -= 0.1j
             return h
 
         monkeypatch.setattr(model, "_lab_matrix", flawed)

@@ -36,6 +36,16 @@ class TestBesselJ:
         assert np.all(np.isfinite(got))
         assert np.max(np.abs(got - scipy.special.jv(np.array(orders)[:, None], xs))) <= 2e-15
 
+    def test_matches_scipy_at_large_arguments(self, rng):
+        """Agreement to 5e-14 on [30, 1e4], where a recurrence started too
+        close to x loses digits (1.9e-6 for J_0(1000) with a start at
+        x + 40)."""
+        xs = np.concatenate([rng.uniform(30.0, 1e4, size=20),
+                             [30.0, 60.0, 100.0, 200.0, 500.0, 1000.0, 5000.0, 1e4, -1e4]])
+        orders = [-64, 0, 1, 5, 20, 64]
+        got = np.array([[bessel_j(l, x) for x in xs] for l in orders])
+        assert np.max(np.abs(got - scipy.special.jv(np.array(orders)[:, None], xs))) <= 5e-14
+
     def test_negative_order_symmetry(self, rng):
         for l in range(1, 12):
             for x in rng.uniform(-15.0, 15.0, size=5):
@@ -80,6 +90,9 @@ class TestBesselJ:
             bessel_j(0, float("nan"))
         with pytest.raises(ValueError):
             bessel_j(0, float("inf"))
+        for x in (1.0001e4, -1e5, 1e12):
+            with pytest.raises(ValueError, match=r"\|x\| <= 10000"):
+                bessel_j(0, x)
 
 
 class TestRootFinding:

@@ -7,6 +7,9 @@ Key oracles:
 * a driven two-qubit run must agree with the same integrator at 10x finer
   steps (self-convergence against a 10x-refined reference) and with
   SciPy's DOP853 at tight tolerances,
+* one Magnus step must match SciPy's expm of the fourth-order Magnus
+  exponent to O(dt^5), a propagation must converge at fourth order, and
+  each step must take exactly one Taylor exponential,
 * the coefficient-form apply must equal the dense H(t) matvec, and the
   band kernel (one qubit's tridiagonal parity chains) and the batched
   matmul (two qubits' parity blocks) must propagate as the dense fallback
@@ -30,6 +33,7 @@ import functools
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
+from scipy.linalg import expm
 
 import oracle_helpers
 from condisp import DriveParams, HilbertLayout, SystemParams, model, propagate
@@ -107,7 +111,7 @@ class TestCoefficientForm:
         shape = (lay.dim,) if cols is None else (lay.dim, cols)
         x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         for t in (0.0, 0.37, 2.9):
-            ops, into, back = _mixer(fn, t, x, [np.array([[t]])], np.ones((1, 1)))
+            ops, into, back = _mixer(fn, t, x, [np.array([[t]])], np.ones((1, 1)), _expmv)
             got = back(next(ops)(into(x), 1.0))
             assert got.shape == x.shape
             assert np.max(np.abs(got - fn(t) @ x)) <= 1e-13
@@ -163,9 +167,11 @@ class TestCoefficientForm:
     @pytest.mark.parametrize("method", sorted(propagate._SCHEMES))
     def test_operator_weight_rows_share_one_sum(self, method):
         """_mixer premixes the static part once per propagation, scaled by
-        the first operator's weight sum, so every operator's must equal it."""
+        the first apply's weight sum, so every apply's must equal it; a
+        turn's row sums to exactly zero."""
         sums = np.array(propagate._SCHEMES[method][1]).sum(axis=1)
-        assert np.all(sums == sums[0])
+        applies = sums[sums != 0]
+        assert len(applies) and np.all(applies == applies[0])
 
 
 class TestChainPath:
@@ -203,7 +209,7 @@ class TestChainPath:
         u = propagator(fn, 1.7, cfg).mat
         assert np.max(np.abs(u - propagator(dense, 1.7, cfg).mat)) <= 1e-12
 
-    def test_rk4_matches_cf4(self):
+    def test_rk4_matches_magnus(self):
         fn, _ = self._pair("lab-driven")
         psi0 = basis_state(fn.layout, "g", 0)
         a = evolve(fn, psi0, 2 * np.pi, EvolutionConfig(), 4)
@@ -243,7 +249,7 @@ class TestParityBlockPath:
         u = propagator(fn, 1.7, cfg).mat
         assert np.max(np.abs(u - propagator(dense, 1.7, cfg).mat)) <= 1e-12
 
-    def test_rk4_matches_cf4(self):
+    def test_rk4_matches_magnus(self):
         fn, _ = self._pair()
         psi0 = basis_state(fn.layout, "gg", 0)
         a = evolve(fn, psi0, 2 * np.pi, EvolutionConfig(), 4)
@@ -304,7 +310,7 @@ class TestTaylorLoop:
     def test_nonconvergence_raises(self):
         fn = _lab_provider(1, 8)
         v0 = basis_state(fn.layout, "g", 3).vec
-        ops, into, _ = _mixer(fn, 0.0, v0, [np.zeros((1, 1))], np.ones((1, 1)))
+        ops, into, _ = _mixer(fn, 0.0, v0, [np.zeros((1, 1))], np.ones((1, 1)), _expmv)
         with pytest.raises(PropagationAccuracyError, match="did not converge in 200 terms"):
             _expmv(next(ops), 20.0, into(v0))
 
@@ -323,7 +329,7 @@ class TestBufferedApply:
         x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         if layout == "F":
             x = np.asfortranarray(x)
-        ops, into, back = _mixer(fn, 0.3, x, [np.array(nodes)], np.array(weights))
+        ops, into, back = _mixer(fn, 0.3, x, [np.array(nodes)], np.array(weights), _expmv)
         return fn, ops, into, back, x
 
     @pytest.mark.parametrize("n_qubits", [1, 2])
@@ -345,7 +351,7 @@ class TestBufferedApply:
     @pytest.mark.parametrize("n_qubits", [1, 2])
     @pytest.mark.parametrize("layout", ["vector", "C", "F"])
     def test_taylor_pattern(self, n_qubits, layout):
-        ts, ws = (0.1, 0.4), (0.125, 0.375)  # weights summing to 1/2, as in CF4
+        ts, ws = (0.1, 0.4), (0.125, 0.375)  # a premix by the row's sum, 1/2
         fn, ops, into, back, x = self._setup(n_qubits, layout, [ts, (0.9, 0.2)], [ws])
         dense = ws[0] * fn(ts[0]) + ws[1] * fn(ts[1])
         first = next(ops)
@@ -391,7 +397,7 @@ class TestPackedPlan:
 
     @staticmethod
     def _packed_shape(fn, v0):
-        _, into, _ = _mixer(fn, 0.0, v0, [np.zeros((1, 1))], np.ones((1, 1)))
+        _, into, _ = _mixer(fn, 0.0, v0, [np.zeros((1, 1))], np.ones((1, 1)), _expmv)
         return into(v0).shape
 
     @staticmethod
@@ -684,6 +690,65 @@ class TestEvolveDriven:
         with pytest.raises(PropagationAccuracyError) as exc:
             evolve(fn, psi0, 5.0, EvolutionConfig(), n_samples=10)
         assert exc.value.time is not None
+
+
+class TestMagnusStep:
+    """The piecewise-exponential step e^{-iK} exp(-i dt Hbar) e^{+iK}:
+    fourth-order Magnus to O(dt^5) per step, fourth order over a
+    propagation, one Taylor exponential per step."""
+
+    @pytest.mark.parametrize("n_qubits", [1, 2])
+    def test_one_step_matches_magnus_exponent(self, n_qubits):
+        """The difference from expm(-i dt Hbar + (sqrt(3)/12) dt^2 [H_1, H_2])
+        shrinks about 32x per halving of dt."""
+        fn = _lab_provider(n_qubits, 8)
+        fracs, weights = propagate._SCHEMES["piecewise-exponential"]
+        rng = np.random.default_rng(5)
+        x = rng.standard_normal(fn.layout.dim) + 1j * rng.standard_normal(fn.layout.dim)
+        x /= np.linalg.norm(x)
+        errs = []
+        for i in range(3):
+            dt = 2 * np.pi / (50 * fn.omega_max) / 2**i
+            ts = [0.4 + f * dt for f in fracs]
+            ops, into, back = _mixer(fn, 0.4, x, [np.array([ts])], np.array(weights), _expmv)
+            got = back(propagate._m4_step(ops, dt, into(x)))
+            h1, h2 = fn(ts[0]), fn(ts[1])
+            exponent = -0.5j * dt * (h1 + h2) + np.sqrt(3) / 12 * dt**2 * (h1 @ h2 - h2 @ h1)
+            errs.append(np.linalg.norm(got - expm(exponent) @ x))
+        ratios = np.array(errs[:-1]) / np.array(errs[1:])
+        assert np.all((26.0 <= ratios) & (ratios <= 38.0)), ratios
+
+    def test_fourth_order_on_gate_columns(self):
+        """Against a 400-step-per-period run, the gate columns' error falls
+        12x to 20x from 64 to 128 steps per period."""
+        fn = _lab_provider(2, 8)
+        v0 = np.zeros((fn.layout.dim, 4), dtype=complex)
+        v0[np.arange(4) * 8, np.arange(4)] = 1.0
+
+        def run(steps):
+            cfg = EvolutionConfig(dt=2 * np.pi / fn.omega_max / steps)
+            return evolve_columns(fn, v0, 2 * np.pi, cfg)
+
+        ref = run(400)
+        ratio = np.linalg.norm(run(64) - ref) / np.linalg.norm(run(128) - ref)
+        assert 12.0 <= ratio <= 20.0
+
+    @pytest.mark.parametrize("n_qubits", [1, 2])
+    def test_one_exponential_per_step(self, n_qubits, monkeypatch):
+        calls = []
+        expmv = propagate._expmv
+
+        def counted(apply, dt, v):
+            calls.append(dt)
+            return expmv(apply, dt, v)
+
+        monkeypatch.setattr(propagate, "_expmv", counted)
+        fn = _lab_provider(n_qubits, 8)
+        cfg = EvolutionConfig()
+        v0 = basis_state(fn.layout, "g" * n_qubits, 0).vec
+        evolve_columns(fn, v0, 2.0, cfg)
+        _, n_sub = propagate._sample_grid(2.0, cfg.resolve_dt(fn.omega_max), 1)
+        assert len(calls) == n_sub > 10
 
 
 class TestEvolveColumns:
