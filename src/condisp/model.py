@@ -28,7 +28,7 @@ from __future__ import annotations
 import itertools
 import math
 import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Iterable
 
 import numpy as np
@@ -473,30 +473,35 @@ def omega_max(params: SystemParams, drive: DriveParams, frame: str) -> float:
 
 @dataclass(frozen=True, eq=False)
 class _Blocks:
-    """The lab generator, one or two qubits, as two parity blocks.
+    """The lab generator as real parity blocks, of one provider or a stack.
 
     H(t) = h0 + sin(omega_d t - phi) D, D = sum_m (epsilon_m/2) sigma_z^m
     diagonal. It conserves the Rabi parity exp(i pi (n + sum_m
     (1 + sigma_z^m)/2)) and is real, so in parity order (even sector
-    first, each sector by photon number, then product index) it is two
-    real m x m blocks, m = dim/2; one qubit's are the tridiagonal parity
-    chains |g,0>, |e,1>, |g,2>, ... and |e,0>, |g,1>, |e,2>, .... h0[b]
-    is block b of the static part, diag[b] the diagonal of D on it, and
-    order[i] the product-basis index of parity position i.
+    first, each sector by photon number, then product index) one
+    provider's is two real m x m blocks, m = dim/2; one qubit's are the
+    tridiagonal parity chains |g,0>, |e,1>, |g,2>, ... and |e,0>, |g,1>,
+    |e,2>, .... A stack (_stack) lays its members' sectors end to end, so
+    it has any number of sectors, each with its own phi and the index of
+    the member it came from. h0[b] is sector b of the static part,
+    diag[b] the diagonal of D on it, phi[b] its modulation phase,
+    member[b] its member, and order[i] the product-basis index of parity
+    position i; a stack's product basis is its members' laid end to end.
     """
 
-    h0: np.ndarray    # (2, m, m) real
-    diag: np.ndarray  # (2, m) real
-    order: np.ndarray
+    h0: np.ndarray      # (sectors, m, m) real
+    diag: np.ndarray    # (sectors, m) real
+    order: np.ndarray   # (sectors * m,)
     omega_d: float
-    phi: float
+    phi: np.ndarray     # (sectors,)
+    member: np.ndarray  # (sectors,) int
 
 
 def _lab_blocks(params: SystemParams, drive: DriveParams,
                 layout: HilbertLayout) -> _Blocks:
     """h0 = _lab_matrix on each parity sector's product indices, so the
     blocks hold no entry between the sectors, and D's diagonal in parity
-    order."""
+    order; both sectors carry the drive's phi and are member 0."""
     n = np.arange(layout.dim) % layout.fock_dim
     sz = _sigma_z(layout)
     order = np.lexsort((n, (n + np.sum(0.5 * (1.0 + sz), axis=0)) % 2))
@@ -505,7 +510,7 @@ def _lab_blocks(params: SystemParams, drive: DriveParams,
         raise ValueError("lab generator is not real within the two parity blocks")
     diag = sum(0.5 * e * s for e, s in zip(drive.epsilon, sz))
     return _Blocks(h.real.copy(), diag[order].reshape(2, -1), order,
-                   drive.omega_d, drive.phi)
+                   drive.omega_d, np.full(2, drive.phi), np.zeros(2, dtype=int))
 
 
 def _block_operator(blocks: np.ndarray, shape: tuple):
@@ -569,35 +574,47 @@ def _band_operator(d: np.ndarray, up: np.ndarray, lo: np.ndarray, shape: tuple):
 
 
 def _modulation(parts: _Blocks, t):
-    """sin(omega_d t - phi), D's coefficient, at a time or an array of times."""
-    return np.sin(parts.omega_d * np.asarray(t, dtype=float) - parts.phi)
+    """sin(omega_d t - phi), D's coefficient, on each sector (the last
+    axis) at a time or an array of times."""
+    return np.sin(parts.omega_d * np.asarray(t, dtype=float)[..., None] - parts.phi)
 
 
 def _assemble_parts(cs, parts: _Blocks) -> np.ndarray:
-    """cs[0] h0 + cs[1] D as one dense matrix in the product basis."""
-    o = parts.order.reshape(2, -1)
+    """cs[0] h0 + cs[1] D as one dense matrix in the product basis; cs[1]
+    is one coefficient or one per sector."""
+    o = parts.order.reshape(len(parts.h0), -1)
     h = np.zeros((o.size, o.size), dtype=complex)
-    for ob, block, d in zip(o, parts.h0, parts.diag):
+    for ob, block, d, c1 in zip(o, parts.h0, parts.diag, np.broadcast_to(cs[1], len(o))):
         h[np.ix_(ob, ob)] = cs[0] * block
-        h[ob, ob] += cs[1] * d
+        h[ob, ob] += c1 * d
     return h
 
 
-# Each lab provider hamiltonian_fn made, to the parts it was made with.
+# Each lab provider hamiltonian_fn, _reversed or _stack made, to its parts.
 _OWN_PARTS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
+def _provider(parts: _Blocks) -> Callable[[float], np.ndarray]:
+    """fn(t) = H(t) assembled from parts in the product basis, recorded
+    with them, so that _checked_parts takes them without evaluating fn."""
+    def fn(t: float) -> np.ndarray:
+        return _assemble_parts((1.0, _modulation(parts, t)), parts)
+
+    fn.parts = _OWN_PARTS[fn] = parts
+    return fn
+
+
 def _checked_parts(h: Callable[[float], np.ndarray], t: float) -> _Blocks | None:
-    """The _Blocks of a lab provider from hamiltonian_fn, or None.
+    """The _Blocks of a lab provider, or None.
 
     A caller that applies the parts never calls h itself. A provider that
-    hamiltonian_fn made and that still carries the parts it was made with
-    assembles H(t) from them, so it is taken as it is, unevaluated. Any
-    other callable that carries parts, such as a wrapper that copies a
-    provider's attributes (as functools.wraps does), is evaluated once, at
-    t, and must return the parts assembled there in the product basis; one
-    that changes what it returns raises ValueError instead of being
-    propagated as the provider it wraps.
+    hamiltonian_fn, _reversed or _stack made and that still carries the
+    parts it was made with assembles H(t) from them, so it is taken as it
+    is, unevaluated. Any other callable that carries parts, such as a
+    wrapper that copies a provider's attributes (as functools.wraps does),
+    is evaluated once, at t, and must return the parts assembled there in
+    the product basis; one that changes what it returns raises ValueError
+    instead of being propagated as the provider it wraps.
     """
     parts = getattr(h, "parts", None)
     if parts is None or _OWN_PARTS.get(h) is parts:
@@ -613,21 +630,76 @@ def _checked_parts(h: Callable[[float], np.ndarray], t: float) -> _Blocks | None
     return parts
 
 
-def _packing(order: np.ndarray, v0: np.ndarray):
+def _lab_parts(h: Callable[[float], np.ndarray], t: float) -> _Blocks:
+    """_checked_parts(h, t), refusing a provider that has none."""
+    parts = _checked_parts(h, t)
+    if parts is None:
+        raise ValueError("only lab-driven providers can be reversed or stacked")
+    return parts
+
+
+def _reversed(h: Callable[[float], np.ndarray], t_end: float):
+    """The lab provider whose propagation over [0, t_end] is the adjoint
+    of h's.
+
+    Its generator is -H(t_end - tau) = -h0 + sin(omega_d tau - phi_b) D,
+    phi_b = omega_d t_end - phi: the parts (-h0, D, omega_d, phi_b). On
+    the reversed schedule each step's nodes are reflected and its
+    generator negated. A Magnus step e^{-iK} exp(-i dt Hbar) e^{+iK} keeps
+    K and negates Hbar, and the products of H in an RK4 step have weights
+    that do not change when a product is reversed and its nodes
+    reflected; so either reversed step is the Hermitian adjoint of one of
+    h's, in reverse order, and the propagation is the adjoint of h's
+    numerical one, to roundoff (and its inverse only as far as that is
+    unitary). h's parts are taken by _checked_parts at t_end.
+    """
+    parts = _lab_parts(h, t_end)
+    fn = _provider(replace(parts, h0=-parts.h0, phi=parts.omega_d * t_end - parts.phi))
+    fn.omega_max, fn.layout = h.omega_max, h.layout
+    return fn
+
+
+def _stack(members, t: float):
+    """One lab provider of several, block-diagonal in their product bases
+    laid end to end.
+
+    Its parts lay the members' sectors end to end, each with its own phi
+    and member index, so a state of the stacked basis propagates each
+    member's part as that member propagates it alone, in the same band
+    and block kernels, with one apply per Taylor term for all members.
+    Each member's parts are taken by _checked_parts at t; the members must
+    share the sector size and omega_d. fn(t) is the block-diagonal of the
+    members' H(t), and omega_max the largest of theirs.
+    """
+    parts = [_lab_parts(h, t) for h in members]
+    if len({(p.h0.shape[1], p.omega_d) for p in parts}) != 1:
+        raise ValueError("stacked providers must share the sector size and omega_d")
+    rows = np.cumsum([0] + [len(p.order) for p in parts])
+    firsts = np.cumsum([0] + [p.member.max() + 1 for p in parts])
+    fn = _provider(_Blocks(
+        np.concatenate([p.h0 for p in parts]), np.concatenate([p.diag for p in parts]),
+        np.concatenate([p.order + r for p, r in zip(parts, rows)]), parts[0].omega_d,
+        np.concatenate([p.phi for p in parts]),
+        np.concatenate([p.member + f for p, f in zip(parts, firsts)])))
+    fn.omega_max = max(h.omega_max for h in members)
+    return fn
+
+
+def _packing(parts: _Blocks, v0: np.ndarray):
     """(sectors, shape, into, back): the parity sectors v0 occupies.
 
-    order lists the product-basis indices of two sectors, one half each.
-    into keeps only the sectors v0 (a state or a (dim, k) column block)
-    occupies and, of each, only the columns v0 occupies there, padded
-    with zero columns to the widest sector: a (sectors, dim/2, columns)
+    parts.order lists the product-basis indices of its sectors, in equal
+    runs. into keeps only the sectors v0 (a state or a (dim, k) column
+    block) occupies and, of each, only the columns v0 occupies there,
+    padded with zero columns to the widest sector: a (sectors, m, columns)
     array. back scatters such an array into zeros in the product basis.
     """
-    halves = order.reshape(2, -1)
+    runs = parts.order.reshape(len(parts.h0), -1)
     cols = v0.reshape(len(v0), -1)
-    live = [np.flatnonzero(np.any(cols[half], axis=0)) for half in halves]
-    sectors = [s for s in (0, 1) if len(live[s])] or [0]
-    shape = (len(sectors), halves.shape[1], max(len(live[s]) for s in sectors))
-    cuts = [(i, np.ix_(halves[s], live[s]), len(live[s])) for i, s in enumerate(sectors)]
+    live = [np.flatnonzero(np.any(cols[run], axis=0)) for run in runs]
+    sectors = [s for s in range(len(runs)) if len(live[s])] or [0]
+    shape = (len(sectors), runs.shape[1], max(len(live[s]) for s in sectors))
+    cuts = [(i, np.ix_(runs[s], live[s]), len(live[s])) for i, s in enumerate(sectors)]
 
     def into(x: np.ndarray) -> np.ndarray:
         p = np.zeros(shape, dtype=complex)
@@ -661,21 +733,25 @@ def _mixer(h: Callable[[float], np.ndarray], t_check: float, v0: np.ndarray,
     shape with no amplitude outside v0's, into the propagation basis, and
     back unpacks one into the product basis.
 
-    A lab provider, its parts taken by _checked_parts (a wrapper's
-    checked against h(t_check)), is h0 + sin(omega_d t - phi) D on two
-    parity blocks, D diagonal, so operator j is c0 h0 + c1 D: c0 the
-    weight row's sum, one value for every apply's row (1 for the Magnus
-    step's mean generator and for RK4), or zero for a turn's, and
-    c1 = sum_l weights[j, l] sin(omega_d ts[l] - phi), formed a chunk at
-    a time as the propagation reaches it. So c0 h0 is premixed once per
-    propagation, an apply's load only rewrites the diagonal, in place,
-    from c1, and a turn is the elementwise phase exp(-i t c1 D). into and
-    back come from _packing, so the sector that parity keeps at zero is
-    never propagated. Tridiagonal premixed blocks (one qubit's parity
-    chains) apply as three complex bands, others as one batched real
-    matmul. Any other callable falls back to one dense mixed matrix per
-    operator in the product basis, unpacked, and a turn of it is
-    expmv(apply, t, x) = exp(-i t A) x of its apply.
+    A lab provider or a stack of them, its parts taken by _checked_parts
+    (a wrapper's checked against h(t_check)), is h0 + sin(omega_d t -
+    phi) D on real parity blocks, D diagonal, so operator j is
+    c0 h0 + c1 D: c0 the weight row's sum, one value for every apply's
+    row (1 for the Magnus step's mean generator and for RK4), or zero for
+    a turn's, and c1 = sum_l weights[j, l] sin(omega_d ts[l] - phi),
+    formed a chunk at a time as the propagation reaches it, per occupied
+    sector, and as one number when those sectors share phi. So c0 h0 is
+    premixed once per propagation, an apply's load only rewrites the
+    diagonal, in place, from c1, and a turn is the elementwise phase
+    exp(-i t c1 D). into and back come from _packing, so a sector that
+    parity keeps at zero is never propagated. Tridiagonal premixed blocks
+    (one qubit's parity chains) apply as three complex bands, others as
+    one batched real matmul. When the occupied sectors span several
+    stack members, the apply carries them as slices of the packed sector
+    axis (apply.members), from which expmv takes each member's norm. Any
+    other callable falls back to one dense mixed matrix per operator in
+    the product basis, unpacked, and a turn of it is expmv(apply, t, x) =
+    exp(-i t A) x of its apply.
 
     A propagation has one apply, and it owns the only two result
     buffers, made here: a result stays valid until the next apply, which
@@ -692,35 +768,43 @@ def _mixer(h: Callable[[float], np.ndarray], t_check: float, v0: np.ndarray,
                         apply = lambda x, scale, m=m: scale * (m @ x)
                         yield (lambda x, t, a=apply: expmv(a, t, x)) if is_turn else apply
         return dense_ops(), np.copy, np.copy
-    sectors, shape, into, back = _packing(parts.order, v0)
+    sectors, shape, into, back = _packing(parts, v0)
     blocks = weights[turns.index(False)].sum() * parts.h0[sectors]
-    drive = parts.diag[sectors]
-    twist = -1j * drive[..., None]
+    drive = parts.diag[sectors][..., None]
+    twist = -1j * drive
     phase = np.empty_like(twist)
     kappa = 0.0
+    # one coefficient per load when the occupied sectors share phi, else
+    # one per sector, shaped to broadcast over (sectors, m, 1)
+    shared = bool(np.all(parts.phi[sectors] == parts.phi[sectors[0]]))
+    pick = sectors[:1] if shared else sectors
 
     def turn(x: np.ndarray, t: float) -> np.ndarray:
         np.multiply(twist, t * kappa, out=phase)
         return x * np.exp(phase, out=phase)
 
     if np.any(np.triu(blocks, 2)) or np.any(np.tril(blocks, -2)):
-        diag = blocks.reshape(len(sectors), -1)[:, ::shape[1] + 1]
+        diag = blocks.reshape(len(sectors), -1)[:, ::shape[1] + 1, None]
         apply = _block_operator(blocks, shape)
     else:
-        bands = np.zeros((3,) + drive.shape, dtype=complex)
+        bands = np.zeros((3,) + shape[:2], dtype=complex)
         bands[0] = np.diagonal(blocks, 0, 1, 2)
         bands[1, :, :-1] = np.diagonal(blocks, 1, 1, 2)
         bands[2, :, 1:] = np.diagonal(blocks, -1, 1, 2)
-        (diag, up, lo), drive = bands.reshape(3, -1, 1), drive.reshape(-1, 1).astype(complex)
-        apply = _band_operator(diag, up, lo, shape)
+        diag, drive = bands[0][..., None], drive.astype(complex)
+        apply = _band_operator(*bands.reshape(3, -1, 1), shape)
     d0 = diag.copy()
+    cuts = (np.flatnonzero(np.diff(parts.member[sectors])) + 1).tolist()
+    apply.members = [slice(a, b) for a, b in zip([0] + cuts, cuts + [None])] \
+        if cuts else None
 
     def ops():
         nonlocal kappa
         for nodes in chunks:
-            s = _modulation(parts, nodes)  # (steps, n)
-            c1 = sum(s[:, l, None] * weights[:, l] for l in range(weights.shape[1]))
-            for c, is_turn in zip(c1.ravel().tolist(), itertools.cycle(turns)):
+            s = _modulation(parts, nodes)[..., pick]  # (steps, n, len(pick))
+            c1 = sum(s[:, l, None] * weights[:, l, None] for l in range(weights.shape[1]))
+            cs = c1.ravel().tolist() if shared else c1.reshape(-1, len(pick), 1, 1)
+            for c, is_turn in zip(cs, itertools.cycle(turns)):
                 if is_turn:
                     kappa = c
                     yield turn
@@ -755,12 +839,7 @@ def hamiltonian_fn(params: SystemParams, drive: DriveParams, frame: str,
     if frame not in FRAMES:
         raise ValueError(f"frame must be one of {FRAMES}, got {frame!r}")
     if frame == "lab-driven":
-        parts = _lab_blocks(params, drive, layout)
-
-        def fn(t: float) -> np.ndarray:
-            return _assemble_parts((1.0, _modulation(parts, t)), parts)
-
-        fn.parts = _OWN_PARTS[fn] = parts
+        fn = _provider(_lab_blocks(params, drive, layout))
     elif frame == "rotating":
         if not isinstance(l_max, int) or l_max < 8:
             raise ValueError(f"l_max must be an int >= 8, got {l_max}")

@@ -16,24 +16,29 @@ provider, H_2 - H_1 is a multiple of the diagonal drive D, so e^{+-iK}
 are elementwise phases. The exponential acts through an adaptive Taylor
 product, which never leaves the unit sphere beyond roundoff; so the
 series stops once a term's squared norm falls below 1e-32 of the
-input's, taken once per exponential. model._mixer plans each
-propagation once, from its initial state, and reads its step schedule
-_PLAN_CHUNK steps at a time: node times, then the modulation
-sin(omega_d t - phi) at all of them, from which it forms each step's
-Hbar and K. Lab providers, whose generator is h0 + sin(omega_d t - phi) D
-(see model.hamiltonian_fn), are never evaluated: they are propagated
-from their parts, and only a wrapper that carries a provider's parts is
-evaluated, once per propagation, to check them. Their static part is
-premixed once, so loading the next Hbar rewrites only the diagonal of
-the propagation's one operator, in place, and each Taylor term is an
-apply into one of its two buffers. At either qubit count the generator
-is a real block per parity sector; the propagation carries only the
-blocks the initial state occupies (the parity keeps the rest at zero)
-and applies them as three bands where they are tridiagonal (one
-qubit's parity chains), else by one batched real matmul (two qubits).
-The effective conditional-displacement model is never propagated:
-fidelity_trace builds its states in closed form from coherent
-amplitudes. A classical RK4 stepper is kept as an independent
+input's, taken once per exponential (of the smallest member's, for a
+stack). model._mixer plans each propagation once, from its initial
+state, and reads its step schedule _PLAN_CHUNK steps at a time: node
+times, then the modulation sin(omega_d t - phi) at all of them, from
+which it forms each step's Hbar and K. Lab providers, whose generator is
+h0 + sin(omega_d t - phi) D (see model.hamiltonian_fn), are never
+evaluated: they are propagated from their parts, and only a wrapper that
+carries a provider's parts is evaluated, once per propagation, to check
+them. Their static part is premixed once, so loading the next Hbar
+rewrites only the diagonal of the propagation's one operator, in place,
+and each Taylor term is an apply into one of its two buffers. At either
+qubit count the generator is a real block per parity sector; the
+propagation carries only the blocks the initial state occupies (the
+parity keeps the rest at zero) and applies them as three bands where
+they are tridiagonal (one qubit's parity chains), else by one batched
+real matmul (two qubits). A stack of lab providers (model._stack) lays
+their parity sectors end to end, so the same kernels propagate all its
+members at once, one apply per Taylor term; the cat experiment stacks
+its provider with the reversed one (model._reversed), whose propagation
+is the adjoint of the provider's, and so takes two of its steps per
+propagation. The effective conditional-displacement model is never
+propagated: fidelity_trace builds its states in closed form from
+coherent amplitudes. A classical RK4 stepper is kept as an independent
 cross-check, on the same kind of schedule at its own finer default step;
 it is not norm-preserving, which is exactly why it makes a useful
 disagreement detector.
@@ -182,14 +187,22 @@ def _expmv(apply, dt: float, v: np.ndarray) -> np.ndarray:
 
     The series stops at the first term with ||term||^2 <= 1e-32 ||v||^2,
     a relative 1e-16 tail; ||v||^2 is taken once, since the Taylor
-    product is unitary to roundoff. A term is held only until the apply
-    has made the next one from it, as model._mixer's buffer rule allows.
+    product is unitary to roundoff. When v holds several stack members
+    (apply.members, slices of its first axis, see model._mixer), ||v||^2
+    is the smallest member's, so that every member's own term passes its
+    own stop, and the series runs at least as far for each member as it
+    would for that member alone. A term is held only until the apply has
+    made the next one from it, as model._mixer's buffer rule allows.
     Converges for any dt but is only accurate (and cheap) for dt * ||h||
     of order one or below, which the step ceiling guarantees.
     """
     out = v.astype(complex, copy=True)
     term = out
-    tol = _TAYLOR_RTOL ** 2 * np.vdot(out, out).real
+    members = getattr(apply, "members", None)
+    if members is None:
+        tol = _TAYLOR_RTOL ** 2 * np.vdot(out, out).real
+    else:
+        tol = _TAYLOR_RTOL ** 2 * min(np.vdot(out[m], out[m]).real for m in members)
     scale = -1j * dt
     for k in range(1, _TAYLOR_MAX_TERMS + 1):
         term = apply(term, scale / k)

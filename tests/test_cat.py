@@ -23,7 +23,9 @@ from condisp.cat import (
 )
 from condisp.gate import analytic_unitary
 from condisp.hilbert import Ket, basis_state, coherent_amplitudes, fidelity
-from condisp.propagate import EvolutionConfig, PropagationAccuracyError, evolve_columns
+from condisp.model import effective_couplings, frame_phases, hamiltonian_fn
+from condisp.propagate import (DEFAULT_STEPS_PER_PERIOD, EvolutionConfig,
+                               PropagationAccuracyError, evolve_columns)
 
 CAT_LAYOUT = HilbertLayout(n_qubits=1, fock_dim=24)
 T0 = np.pi  # one step at omega_r = 1
@@ -251,3 +253,70 @@ class TestCatExperiment:
 
     def test_step_time_constant(self):
         assert STEP_TIME_FACTOR == pytest.approx(np.pi)
+
+
+class TestMeetInTheMiddle:
+    """The experiment meets in the middle: ceil(k/2) propagations, each a
+    forward step of |g,0> stacked with an adjoint step of the target."""
+
+    @staticmethod
+    def _point(eta: float):
+        return (SystemParams(omega_q=eta, g=0.2, n_qubits=1),
+                DriveParams.from_alpha((1.832,), eta))
+
+    @staticmethod
+    def _forward_chain(params, drive, cfg, k_max: int) -> list[float]:
+        """Fidelities of the k-fold forward chain, k = 1..k_max, one
+        propagation per step."""
+        h = hamiltonian_fn(params, drive, "lab-driven", CAT_LAYOUT)
+        back = np.conj(frame_phases(T0, params, drive, CAT_LAYOUT))
+        ratio = effective_couplings(params, drive)[0]
+        vec = basis_state(CAT_LAYOUT, "g", 0).vec
+        out = []
+        for k in range(1, k_max + 1):
+            vec = back * evolve_columns(h, vec, T0, cfg)
+            out.append(abs(np.vdot(multi_step_cat(ratio, k, CAT_LAYOUT).vec, vec)) ** 2)
+        return out
+
+    # Both steppers' reversed step is the adjoint of their step, so the two
+    # agree to roundoff; the largest |difference| measured at Fock 24 is
+    # 8.5e-15 for the Magnus step and 4.9e-15 for RK4 (1.2e-14 at its
+    # default 800 steps per period, which this test does not take, for time).
+    @pytest.mark.parametrize("method", ["piecewise-exponential", "rk4"])
+    @pytest.mark.parametrize("eta", [3.0, 2.5])
+    def test_equals_the_forward_chain(self, eta, method):
+        params, drive = self._point(eta)
+        steps = 200 if method == "rk4" else DEFAULT_STEPS_PER_PERIOD
+        cfg = EvolutionConfig(dt=2 * np.pi / (params.omega_q + drive.epsilon[0]) / steps,
+                              method=method)
+        chain = self._forward_chain(params, drive, cfg, 6)
+        met = [cat_fidelity_experiment(params, drive, k, cfg, CAT_LAYOUT) for k in range(1, 7)]
+        assert np.max(np.abs(np.array(met) - chain)) <= 1e-12
+
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_propagations_per_cat(self, k, monkeypatch):
+        calls = []
+
+        def counted(h, v0, t_end, cfg):
+            calls.append(len(v0))
+            return evolve_columns(h, v0, t_end, cfg)
+
+        monkeypatch.setattr("condisp.cat.evolve_columns", counted)
+        cat_fidelity_experiment(*self._point(3.0), k, EvolutionConfig(), CAT_LAYOUT)
+        dim = CAT_LAYOUT.dim
+        assert calls == [2 * dim] * (k // 2) + [dim] * (k % 2)
+
+    def test_backward_half_drift_raises(self, monkeypatch):
+        dim = CAT_LAYOUT.dim
+
+        def drifting(h, v0, t_end, cfg):
+            out = evolve_columns(h, v0, t_end, cfg)
+            out[dim:] *= 1.001  # only the adjoint member of a stack
+            return out
+
+        monkeypatch.setattr("condisp.cat.evolve_columns", drifting)
+        with pytest.raises(PropagationAccuracyError,
+                           match="over 3 steps, 1 of them in the backward half") as err:
+            cat_fidelity_experiment(*self._point(3.0), 3, EvolutionConfig(), CAT_LAYOUT)
+        assert err.value.step == 3
+        assert err.value.time == pytest.approx(3 * np.pi)

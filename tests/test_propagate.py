@@ -515,6 +515,87 @@ class TestKernelChoice:
             evolve(fn, psi0, 1.0, EvolutionConfig(), 2)
 
 
+class TestStackedPropagation:
+    """A stack of lab providers propagates each member as that member
+    propagates alone, in one apply per Taylor term; the reversed provider
+    propagates the adjoint of the Magnus propagation."""
+
+    @staticmethod
+    def _provider(n_qubits: int, eta: float, g: float = 0.2):
+        lay = HilbertLayout(n_qubits, 8 if n_qubits == 1 else 6)
+        alpha = (1.832,) if n_qubits == 1 else (1.20242, -1.20242)
+        p = SystemParams(omega_q=eta, g=g, n_qubits=n_qubits)
+        return hamiltonian_fn(p, DriveParams.from_alpha(alpha, eta), "lab-driven", lay)
+
+    @staticmethod
+    def _columns(dim: int, k: int, seed: int) -> np.ndarray:
+        rng = np.random.default_rng(seed)
+        v = rng.standard_normal((dim, k)) + 1j * rng.standard_normal((dim, k))
+        return v / np.linalg.norm(v, axis=0)
+
+    @pytest.mark.parametrize("n_qubits, eta", [(1, 2.5), (1, 3.0), (2, 3.3)])
+    def test_reversed_round_trip(self, n_qubits, eta):
+        h = self._provider(n_qubits, eta)
+        rev = model._reversed(h, np.pi)
+        assert rev.parts.phi[0] != h.parts.phi[0]
+        v0 = self._columns(h.layout.dim, 3, 21)
+        u = evolve_columns(h, v0, np.pi, EvolutionConfig())
+        assert np.max(np.abs(u - v0)) > 0.1
+        assert np.max(np.abs(evolve_columns(rev, u, np.pi, EvolutionConfig()) - v0)) <= 1e-12
+
+    @pytest.mark.parametrize("n_qubits, kernel, other", [
+        (1, "_band_operator", "_block_operator"),
+        (2, "_block_operator", "_band_operator"),
+    ])
+    def test_members_propagate_as_alone(self, n_qubits, kernel, other, monkeypatch):
+        h = self._provider(n_qubits, 2.5)
+        members = [h, model._reversed(h, 1.3), self._provider(n_qubits, 2.5, g=0.45), h]
+        dim = h.layout.dim
+        v0 = self._columns(len(members) * dim, 2, 5)
+        v0[3 * dim:] = 0.0  # an empty member is left out of the plan, and stays empty
+        monkeypatch.setattr(model, other, TestKernelChoice._refuse)
+        got = evolve_columns(model._stack(members, 1.3), v0, 1.3, EvolutionConfig())
+        assert not np.any(got[3 * dim:])
+        for i, member in enumerate(members[:3]):
+            part = slice(i * dim, (i + 1) * dim)
+            alone = evolve_columns(member, v0[part], 1.3, EvolutionConfig())
+            assert np.max(np.abs(got[part] - alone)) <= 1e-12
+
+    def test_taylor_stop_per_member(self, monkeypatch):
+        """Next to a unit member, a member of norm 1e-3 takes at least as
+        many Taylor terms as it takes alone, and gives the same result."""
+        terms = []
+        band = model._band_operator
+
+        def counting(*args):
+            apply = band(*args)
+
+            def counted(x, scale):
+                terms[-1] += 1
+                return apply(x, scale)
+            return counted
+
+        monkeypatch.setattr(model, "_band_operator", counting)
+        h = self._provider(1, 3.0)
+        dt = 2 * np.pi / (50 * h.omega_max)
+        unit = basis_state(h.layout, "g", 0).vec
+        small = 1e-3 * basis_state(h.layout, "e", 7).vec  # more terms than |g,0>
+
+        def exponential(fn, v0):
+            terms.append(0)
+            ops, into, back = _mixer(fn, 0.0, v0, [np.array([[0.3]])], np.ones((1, 1)),
+                                     _expmv)
+            return back(_expmv(next(ops), dt, into(v0)))
+
+        alone = [exponential(h, v) for v in (unit, small)]
+        stacked = exponential(model._stack([h, h], 0.0), np.concatenate([unit, small]))
+        (n_unit, n_small), n_stacked = terms[:2], terms[2]
+        assert n_unit < n_small <= n_stacked
+        dim = h.layout.dim
+        assert np.max(np.abs(stacked[:dim] - alone[0])) <= 1e-15
+        assert np.max(np.abs(stacked[dim:] - alone[1])) <= 1e-18
+
+
 class TestPlanChunks:
     """A propagation forms its node times and modulation coefficients
     propagate._PLAN_CHUNK steps at a time; the chunking changes no node
