@@ -15,9 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hilbert import NORM_TOL, HilbertLayout, Ket, basis_state, coherent_amplitudes
-from .model import (DriveParams, SystemParams, beta_phi, effective_couplings,
-                    frame_phases, hamiltonian_fn, _require_quadrature, _reversed,
-                    _stack)
+from .model import (DriveParams, SystemParams, beta_phi, _checked_parts,
+                    effective_couplings, frame_phases, hamiltonian_fn, _LabProvider,
+                    _require_quadrature, _reversed, _stack)
 from .propagate import EvolutionConfig, PropagationAccuracyError, evolve_columns
 
 __all__ = [
@@ -160,9 +160,10 @@ def cat_fidelity_experiment(params: SystemParams, drive: DriveParams, k: int,
         <target| (BU)^k |g,0> = <(U^dag B^dag)^(k//2) target | (BU)^(k - k//2) |g,0>,
 
     so each of k//2 propagations carries a forward step of |g,0> and an
-    adjoint step of the target together, as one two-member stack of the
-    provider and its reverse (model._stack, model._reversed), and an odd
-    k adds one single forward step: ceil(k/2) propagations in all. The
+    adjoint step of the target together, on the two-member stack of the
+    lab parts and their reverse (model._stack, model._reversed), and an
+    odd k adds one single forward step: ceil(k/2) propagations in all,
+    each on a model._LabProvider of parts taken once. The
     analytic target assumes phi = pi/2, so any other modulation phase is
     rejected. The target is built first, so a displacement beyond the
     truncation budget raises before anything is propagated; a norm drift
@@ -177,15 +178,16 @@ def cat_fidelity_experiment(params: SystemParams, drive: DriveParams, k: int,
     target = multi_step_cat(ratio, k, layout, params.omega_r)
     t0 = STEP_TIME_FACTOR / params.omega_r
     h = hamiltonian_fn(params, drive, "lab-driven", layout)
+    parts = _checked_parts(h, t0)
     back = np.conj(frame_phases(t0, params, drive, layout))
     fwd, bwd = basis_state(layout, "g", 0).vec, target.vec
     if k > 1:
-        pair = _stack([h, _reversed(h, t0)], t0)
+        pair = _LabProvider(_stack([parts, _reversed(parts, t0)]), h.omega_max)
     for _ in range(k // 2):
         both = evolve_columns(pair, np.concatenate([fwd, np.conj(back) * bwd]), t0, cfg)
         fwd, bwd = back * both[:layout.dim], both[layout.dim:]
     if k % 2:
-        fwd = back * evolve_columns(h, fwd, t0, cfg)
+        fwd = back * evolve_columns(_LabProvider(parts, h.omega_max, layout), fwd, t0, cfg)
     for half, vec, norm, steps in (("forward", fwd, 1.0, k - k // 2),
                                    ("backward", bwd, np.linalg.norm(target.vec), k // 2)):
         drift = abs(float(np.linalg.norm(vec)) - norm)

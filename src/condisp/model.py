@@ -21,13 +21,14 @@ conditional displacement
     H_eff(t) = sum_m g J_1(alpha_m) (a^dag e^{i omega_r t}
                + a e^{-i omega_r t}) sigma_x^m.
 
-All frequencies are in units of omega_r.
+All frequencies are in units of omega_r. The driven lab generator is
+carried as data: a _LabProvider holds its parity-block parts (_Blocks),
+from which it assembles H(t), and _reversed and _stack map parts to parts.
 """
 from __future__ import annotations
 
 import itertools
 import math
-import weakref
 from dataclasses import dataclass, replace
 from typing import Callable, Iterable
 
@@ -176,7 +177,7 @@ def _require_quadrature(drive: DriveParams, what: str) -> None:
 
 
 def _lab_matrix(params: SystemParams, layout: HilbertLayout,
-                index: np.ndarray | None = None) -> np.ndarray:
+                index: np.ndarray) -> np.ndarray:
     """Static Hamiltonian, each term a Pauli on its qubit(s) times a Fock
     factor; the diagonal omega_r n + sum_m (omega_q/2) s_m is exact. Given
     rows of product-basis indices, a stack of blocks, one per row, each of
@@ -188,13 +189,10 @@ def _lab_matrix(params: SystemParams, layout: HilbertLayout,
     # g (a + a^dag), scaled on the Fock factor, not on the dim x dim product
     gx[k - 1, k] = gx[k, k - 1] = params.g * np.sqrt(k)
     sx = _PAULI["x"]
-    sectors = [None] if index is None else index
-    size = layout.dim if index is None else index.shape[1]
-    h = np.zeros((len(sectors), size, size), dtype=complex)
-    for block, rows in zip(h, sectors):
-        at = np.arange(layout.dim) if rows is None else rows
-        diag = params.omega_r * (at % layout.fock_dim)
-        for s in sz[:, at]:
+    h = np.zeros((len(index),) + (index.shape[1],) * 2, dtype=complex)
+    for block, rows in zip(h, index):
+        diag = params.omega_r * (rows % layout.fock_dim)
+        for s in sz[:, rows]:
             diag += 0.5 * params.omega_q * s
         np.fill_diagonal(block, diag)
         for m in range(layout.n_qubits):
@@ -203,14 +201,14 @@ def _lab_matrix(params: SystemParams, layout: HilbertLayout,
             for n in range(layout.n_qubits):
                 if m != n:  # ordered pairs: each qubit pair enters twice
                     block += params.d_coupling * _embed(layout, {m: sx, n: sx}, None, rows)
-    return h[0] if index is None else h
+    return h
 
 
 def lab_hamiltonian(params: SystemParams, layout: HilbertLayout) -> Operator:
     """Static Hamiltonian of the coupled qubit(s) and resonator."""
     if params.n_qubits != layout.n_qubits:
         raise ValueError("params/layout qubit count mismatch")
-    return Operator(layout, _lab_matrix(params, layout))
+    return Operator(layout, _lab_matrix(params, layout, np.arange(layout.dim)[None])[0])
 
 
 def _sigma_z(layout: HilbertLayout) -> np.ndarray:
@@ -473,13 +471,13 @@ def omega_max(params: SystemParams, drive: DriveParams, frame: str) -> float:
 
 @dataclass(frozen=True, eq=False)
 class _Blocks:
-    """The lab generator as real parity blocks, of one provider or a stack.
+    """The lab generator as real parity blocks, of one drive or a stack.
 
     H(t) = h0 + sin(omega_d t - phi) D, D = sum_m (epsilon_m/2) sigma_z^m
     diagonal. It conserves the Rabi parity exp(i pi (n + sum_m
     (1 + sigma_z^m)/2)) and is real, so in parity order (even sector
     first, each sector by photon number, then product index) one
-    provider's is two real m x m blocks, m = dim/2; one qubit's are the
+    drive's is two real m x m blocks, m = dim/2; one qubit's are the
     tridiagonal parity chains |g,0>, |e,1>, |g,2>, ... and |e,0>, |g,1>,
     |e,2>, .... A stack (_stack) lays its members' sectors end to end, so
     it has any number of sectors, each with its own phi and the index of
@@ -590,35 +588,38 @@ def _assemble_parts(cs, parts: _Blocks) -> np.ndarray:
     return h
 
 
-# Each lab provider hamiltonian_fn, _reversed or _stack made, to its parts.
-_OWN_PARTS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+@dataclass(frozen=True, eq=False)
+class _LabProvider:
+    """A lab provider: H(t) in the product basis, assembled from its own
+    parts. omega_max sets the propagators' step; layout is None for a
+    stack, whose basis is its members' laid end to end. No __slots__: a
+    wrapper that copies the instance __dict__ (as functools.wraps does)
+    carries the fields."""
 
+    parts: _Blocks
+    omega_max: float
+    layout: HilbertLayout | None = None
 
-def _provider(parts: _Blocks) -> Callable[[float], np.ndarray]:
-    """fn(t) = H(t) assembled from parts in the product basis, recorded
-    with them, so that _checked_parts takes them without evaluating fn."""
-    def fn(t: float) -> np.ndarray:
-        return _assemble_parts((1.0, _modulation(parts, t)), parts)
-
-    fn.parts = _OWN_PARTS[fn] = parts
-    return fn
+    def __call__(self, t: float) -> np.ndarray:
+        return _assemble_parts((1.0, _modulation(self.parts, t)), self.parts)
 
 
 def _checked_parts(h: Callable[[float], np.ndarray], t: float) -> _Blocks | None:
     """The _Blocks of a lab provider, or None.
 
-    A caller that applies the parts never calls h itself. A provider that
-    hamiltonian_fn, _reversed or _stack made and that still carries the
-    parts it was made with assembles H(t) from them, so it is taken as it
-    is, unevaluated. Any other callable that carries parts, such as a
-    wrapper that copies a provider's attributes (as functools.wraps does),
-    is evaluated once, at t, and must return the parts assembled there in
+    A caller that applies the parts never calls h itself. A _LabProvider
+    assembles H(t) from its own parts, so they are taken as they are, h
+    unevaluated. Any other callable that carries parts, such as a wrapper
+    that copies a provider's attributes (as functools.wraps does), is
+    evaluated once, at t, and must return the parts assembled there in
     the product basis; one that changes what it returns raises ValueError
     instead of being propagated as the provider it wraps.
     """
+    if isinstance(h, _LabProvider):
+        return h.parts
     parts = getattr(h, "parts", None)
-    if parts is None or _OWN_PARTS.get(h) is parts:
-        return parts
+    if parts is None:
+        return None
     dense = np.asarray(h(t))
     scale = max(1.0, float(np.max(np.abs(dense))))
     diff = float(np.max(np.abs(dense - _assemble_parts((1.0, _modulation(parts, t)), parts))))
@@ -630,59 +631,44 @@ def _checked_parts(h: Callable[[float], np.ndarray], t: float) -> _Blocks | None
     return parts
 
 
-def _lab_parts(h: Callable[[float], np.ndarray], t: float) -> _Blocks:
-    """_checked_parts(h, t), refusing a provider that has none."""
-    parts = _checked_parts(h, t)
-    if parts is None:
-        raise ValueError("only lab-driven providers can be reversed or stacked")
-    return parts
+def _reversed(parts: _Blocks, t_end: float) -> _Blocks:
+    """The parts whose propagation over [0, t_end] is the adjoint of
+    parts'.
 
-
-def _reversed(h: Callable[[float], np.ndarray], t_end: float):
-    """The lab provider whose propagation over [0, t_end] is the adjoint
-    of h's.
-
-    Its generator is -H(t_end - tau) = -h0 + sin(omega_d tau - phi_b) D,
+    Their generator is -H(t_end - tau) = -h0 + sin(omega_d tau - phi_b) D,
     phi_b = omega_d t_end - phi: the parts (-h0, D, omega_d, phi_b). On
     the reversed schedule each step's nodes are reflected and its
     generator negated. A Magnus step e^{-iK} exp(-i dt Hbar) e^{+iK} keeps
     K and negates Hbar, and the products of H in an RK4 step have weights
     that do not change when a product is reversed and its nodes
     reflected; so either reversed step is the Hermitian adjoint of one of
-    h's, in reverse order, and the propagation is the adjoint of h's
-    numerical one, to roundoff (and its inverse only as far as that is
-    unitary). h's parts are taken by _checked_parts at t_end.
+    the forward ones, in reverse order, and the propagation is the
+    adjoint of the forward numerical one, to roundoff (and its inverse
+    only as far as that is unitary).
     """
-    parts = _lab_parts(h, t_end)
-    fn = _provider(replace(parts, h0=-parts.h0, phi=parts.omega_d * t_end - parts.phi))
-    fn.omega_max, fn.layout = h.omega_max, h.layout
-    return fn
+    return replace(parts, h0=-parts.h0, phi=parts.omega_d * t_end - parts.phi)
 
 
-def _stack(members, t: float):
-    """One lab provider of several, block-diagonal in their product bases
-    laid end to end.
+def _stack(members: list[_Blocks]) -> _Blocks:
+    """The parts of several lab generators as one, block-diagonal in their
+    product bases laid end to end.
 
-    Its parts lay the members' sectors end to end, each with its own phi
-    and member index, so a state of the stacked basis propagates each
+    It lays the members' sectors end to end, each with its own phi and
+    member index, so a state of the stacked basis propagates each
     member's part as that member propagates it alone, in the same band
     and block kernels, with one apply per Taylor term for all members.
-    Each member's parts are taken by _checked_parts at t; the members must
-    share the sector size and omega_d. fn(t) is the block-diagonal of the
-    members' H(t), and omega_max the largest of theirs.
+    The members must share the sector size and omega_d.
     """
-    parts = [_lab_parts(h, t) for h in members]
-    if len({(p.h0.shape[1], p.omega_d) for p in parts}) != 1:
+    if len({(p.h0.shape[1], p.omega_d) for p in members}) != 1:
         raise ValueError("stacked providers must share the sector size and omega_d")
-    rows = np.cumsum([0] + [len(p.order) for p in parts])
-    firsts = np.cumsum([0] + [p.member.max() + 1 for p in parts])
-    fn = _provider(_Blocks(
-        np.concatenate([p.h0 for p in parts]), np.concatenate([p.diag for p in parts]),
-        np.concatenate([p.order + r for p, r in zip(parts, rows)]), parts[0].omega_d,
-        np.concatenate([p.phi for p in parts]),
-        np.concatenate([p.member + f for p, f in zip(parts, firsts)])))
-    fn.omega_max = max(h.omega_max for h in members)
-    return fn
+    rows = np.cumsum([0] + [len(p.order) for p in members])
+    firsts = np.cumsum([0] + [p.member.max() + 1 for p in members])
+    return _Blocks(
+        np.concatenate([p.h0 for p in members]),
+        np.concatenate([p.diag for p in members]),
+        np.concatenate([p.order + r for p, r in zip(members, rows)]), members[0].omega_d,
+        np.concatenate([p.phi for p in members]),
+        np.concatenate([p.member + f for p, f in zip(members, firsts)]))
 
 
 def _packing(parts: _Blocks, v0: np.ndarray):
@@ -733,9 +719,9 @@ def _mixer(h: Callable[[float], np.ndarray], t_check: float, v0: np.ndarray,
     shape with no amplitude outside v0's, into the propagation basis, and
     back unpacks one into the product basis.
 
-    A lab provider or a stack of them, its parts taken by _checked_parts
-    (a wrapper's checked against h(t_check)), is h0 + sin(omega_d t -
-    phi) D on real parity blocks, D diagonal, so operator j is
+    A lab provider, of one drive's parts or a stack, its parts taken by
+    _checked_parts (a wrapper's checked against h(t_check)), is
+    h0 + sin(omega_d t - phi) D on real parity blocks, D diagonal, so operator j is
     c0 h0 + c1 D: c0 the weight row's sum, one value for every apply's
     row (1 for the Magnus step's mean generator and for RK4), or zero for
     a turn's, and c1 = sum_l weights[j, l] sin(omega_d ts[l] - phi),
@@ -823,11 +809,11 @@ def hamiltonian_fn(params: SystemParams, drive: DriveParams, frame: str,
     Returns a plain-ndarray callable fit for the propagators. The public
     single-time builders are thin Operator wrappers over it.
 
-    The lab-driven provider also carries its parts, the _Blocks of
-    H(t) = h0 + sin(omega_d t - phi) D at either qubit count, built once:
-    _lab_matrix on each parity sector's indices, D's diagonal, and the
-    drive's omega_d and phi. fn(t) assembles the dense product-basis
-    H(t) from the same parts, and fn is recorded with them, so the
+    The lab-driven provider is a _LabProvider: its parts, the _Blocks of
+    H(t) = h0 + sin(omega_d t - phi) D at either qubit count, built once
+    (_lab_matrix on each parity sector's indices, D's diagonal, and the
+    drive's omega_d and phi), with omega_max and the layout. fn(t)
+    assembles the dense product-basis H(t) from those parts, so the
     propagators, through _mixer, take the parts without evaluating fn and
     never form H(t). The rotating provider sums its sideband series as
     arrays (_rotating_terms); it and the effective provider are dense:
@@ -839,8 +825,9 @@ def hamiltonian_fn(params: SystemParams, drive: DriveParams, frame: str,
     if frame not in FRAMES:
         raise ValueError(f"frame must be one of {FRAMES}, got {frame!r}")
     if frame == "lab-driven":
-        fn = _provider(_lab_blocks(params, drive, layout))
-    elif frame == "rotating":
+        return _LabProvider(_lab_blocks(params, drive, layout),
+                            omega_max(params, drive, frame), layout)
+    if frame == "rotating":
         if not isinstance(l_max, int) or l_max < 8:
             raise ValueError(f"l_max must be an int >= 8, got {l_max}")
         terms = _rotating_terms(params, drive, layout, l_max)

@@ -11,6 +11,7 @@ arguments at |x| <= 1e4, far beyond any modulation index the model uses.
 from __future__ import annotations
 
 import math
+from typing import Callable
 
 import numpy as np
 
@@ -118,13 +119,13 @@ def bessel_j(order: int, x: float) -> float:
     return sign * _bessel_miller(order, x)
 
 
-def first_zero_j0() -> float:
-    """Location of the first positive zero of J_0, by bisection on [2, 3]."""
-    lo, hi = 2.0, 3.0
-    flo = bessel_j(0, lo)
+def _bisect(f: Callable[[float], float], lo: float, hi: float) -> float:
+    """Midpoint of a bracket of f's sign change on [lo, hi], halved until
+    it is narrower than 1e-15 (or 100 times)."""
+    flo = f(lo)
     for _ in range(100):
         mid = 0.5 * (lo + hi)
-        fmid = bessel_j(0, mid)
+        fmid = f(mid)
         if flo * fmid <= 0.0:
             hi = mid
         else:
@@ -135,28 +136,18 @@ def first_zero_j0() -> float:
     return 0.5 * (lo + hi)
 
 
+def first_zero_j0() -> float:
+    """Location of the first positive zero of J_0, by bisection on [2, 3]."""
+    return _bisect(lambda x: bessel_j(0, x), 2.0, 3.0)
+
+
 def argmax_j1() -> float:
     """Location of the first maximum of J_1 on (0, 3).
 
     Found by bisecting the derivative J_1'(x) = (J_0(x) - J_2(x)) / 2,
     which changes sign exactly once on [1, 3].
     """
-    def dj1(x: float) -> float:
-        return 0.5 * (bessel_j(0, x) - bessel_j(2, x))
-
-    lo, hi = 1.0, 3.0
-    dlo = dj1(lo)
-    for _ in range(100):
-        mid = 0.5 * (lo + hi)
-        dmid = dj1(mid)
-        if dlo * dmid <= 0.0:
-            hi = mid
-        else:
-            lo = mid
-            dlo = dmid
-        if hi - lo < 1e-15:
-            break
-    return 0.5 * (lo + hi)
+    return _bisect(lambda x: 0.5 * (bessel_j(0, x) - bessel_j(2, x)), 1.0, 3.0)
 
 
 def expm_skew_hermitian(h: np.ndarray, tau: float = 1.0) -> np.ndarray:

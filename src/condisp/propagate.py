@@ -20,22 +20,22 @@ input's, taken once per exponential (of the smallest member's, for a
 stack). model._mixer plans each propagation once, from its initial
 state, and reads its step schedule _PLAN_CHUNK steps at a time: node
 times, then the modulation sin(omega_d t - phi) at all of them, from
-which it forms each step's Hbar and K. Lab providers, whose generator is
-h0 + sin(omega_d t - phi) D (see model.hamiltonian_fn), are never
-evaluated: they are propagated from their parts, and only a wrapper that
-carries a provider's parts is evaluated, once per propagation, to check
-them. Their static part is premixed once, so loading the next Hbar
+which it forms each step's Hbar and K. Lab providers (model._LabProvider),
+whose generator is h0 + sin(omega_d t - phi) D, are never evaluated: they
+are propagated from the parts they carry, and only a wrapper that carries
+a provider's parts is evaluated, once per propagation, to check them.
+Their static part is premixed once, so loading the next Hbar
 rewrites only the diagonal of the propagation's one operator, in place,
 and each Taylor term is an apply into one of its two buffers. At either
 qubit count the generator is a real block per parity sector; the
 propagation carries only the blocks the initial state occupies (the
 parity keeps the rest at zero) and applies them as three bands where
 they are tridiagonal (one qubit's parity chains), else by one batched
-real matmul (two qubits). A stack of lab providers (model._stack) lays
+real matmul (two qubits). A stack of lab parts (model._stack) lays
 their parity sectors end to end, so the same kernels propagate all its
 members at once, one apply per Taylor term; the cat experiment stacks
-its provider with the reversed one (model._reversed), whose propagation
-is the adjoint of the provider's, and so takes two of its steps per
+its parts with the reversed ones (model._reversed), whose propagation
+is the adjoint of theirs, and so takes two of its steps per
 propagation. The effective conditional-displacement model is never
 propagated: fidelity_trace builds its states in closed form from
 coherent amplitudes. A classical RK4 stepper is kept as an independent

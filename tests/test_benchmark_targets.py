@@ -3,15 +3,19 @@
 perfbench/tracer.py lists them in TARGETS as (module, attribute, span). A
 refactor that drops or renames one would only show up as an absent
 target in the benchmark's own, slower self-tests; here it fails the main
-suite.
+suite. The tracer also wraps each provider hamiltonian_fn builds in a
+function that copies the provider's attributes; such a wrapper must still
+propagate as the provider does.
 """
 
 from __future__ import annotations
 
+import functools
 import importlib
 import importlib.util
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
@@ -28,3 +32,55 @@ def _targets():
 def test_tracer_target_resolves(module, attr, span):
     assert callable(getattr(importlib.import_module(f"condisp.{module}"), attr, None)), \
         f"condisp.{module}.{attr} (span {span}) is gone"
+
+
+def _tracer_wrapper(provider, calls: list):
+    """A counting wrapper that copies the provider's attributes the way the
+    tracer's provider wrapper does."""
+    def h_eval(t):
+        calls.append(t)
+        return provider(t)
+
+    h_eval.__dict__.update(provider.__dict__)
+    return h_eval
+
+
+def _wraps_wrapper(provider, calls: list):
+    @functools.wraps(provider)
+    def h_eval(t):
+        calls.append(t)
+        return provider(t)
+    return h_eval
+
+
+@pytest.mark.parametrize("wrap", [_tracer_wrapper, _wraps_wrapper])
+def test_wrapped_lab_provider(wrap, monkeypatch):
+    """A wrapped lab provider carries its parts, omega_max and layout,
+    propagates bit for bit as the provider does, and is evaluated once per
+    cat experiment, to check the parts it carries, whatever the step count."""
+    from condisp import DriveParams, HilbertLayout, SystemParams, cat, model
+    from condisp.hilbert import basis_state
+    from condisp.propagate import EvolutionConfig, evolve_columns
+
+    lay = HilbertLayout(1, 24)  # room for the k = 6 cat
+    p = SystemParams(omega_q=3.0, g=0.2, n_qubits=1)
+    d = DriveParams.from_alpha((1.832,), 3.0)
+    provider = model.hamiltonian_fn(p, d, "lab-driven", lay)
+    calls = []
+    h = wrap(provider, calls)
+    assert (h.parts, h.omega_max, h.layout) == (provider.parts, provider.omega_max, lay)
+    v0 = basis_state(lay, "g", 0).vec
+    cfg = EvolutionConfig()
+    assert np.array_equal(evolve_columns(h, v0, 1.0, cfg),
+                          evolve_columns(provider, v0, 1.0, cfg))
+
+    def build(*args):
+        return wrap(model.hamiltonian_fn(*args), calls)
+
+    monkeypatch.setattr(cat, "hamiltonian_fn", build)
+    evaluations = []
+    for k in (1, 2, 3, 6):
+        calls.clear()
+        cat.cat_fidelity_experiment(p, d, k, cfg, lay)
+        evaluations.append(len(calls))
+    assert evaluations == [1, 1, 1, 1]

@@ -14,6 +14,7 @@ Both are independent reconstructions, not re-executions of library code.
 from __future__ import annotations
 
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -433,7 +434,7 @@ class TestLabBlocks:
         p = SystemParams(omega_q=omega_q, g=g, n_qubits=n_qubits, d_coupling=d_coupling)
         d = DriveParams((epsilon, -0.5 * epsilon)[:n_qubits], omega_d=omega_q)
         parts = hamiltonian_fn(p, d, "lab-driven", lay).parts
-        full = model._lab_matrix(p, lay)
+        full = model._lab_matrix(p, lay, np.arange(lay.dim)[None])[0]
         gathered = full[np.ix_(parts.order, parts.order)]
         m = lay.dim // 2
         assert not np.any(gathered[:m, m:]) and not np.any(gathered[m:, :m])
@@ -449,8 +450,8 @@ class TestLabBlocks:
 
 
 class TestStack:
-    """_stack lays lab providers' parity sectors end to end, each with its
-    own phi; _reversed's generator is -H(t_end - tau)."""
+    """_stack lays lab parts' parity sectors end to end, each with its own
+    phi; _reversed's generator is -H(t_end - tau)."""
 
     @staticmethod
     def _members(n_qubits: int, eta: float):
@@ -461,47 +462,44 @@ class TestStack:
                            "lab-driven", lay)
         other = hamiltonian_fn(SystemParams(omega_q=eta, g=0.45, n_qubits=n_qubits), d,
                                "lab-driven", lay)  # a sweep point: only h0 differs
-        return h, model._reversed(h, np.pi), other
+        return h, replace(h, parts=model._reversed(h.parts, np.pi)), other
 
     @pytest.mark.parametrize("n_qubits, eta", [(1, 2.5), (2, 3.3)])
     def test_dense_is_the_block_diagonal_of_the_members(self, n_qubits, eta):
         members = self._members(n_qubits, eta)
-        stack = model._stack(members, 0.0)
+        stack = model._LabProvider(model._stack([m.parts for m in members]),
+                                   members[0].omega_max)
         phis = [m.parts.phi[0] for m in members]
         assert phis[0] != phis[1] and stack.parts.phi.tolist() == np.repeat(phis, 2).tolist()
         assert stack.parts.member.tolist() == [0, 0, 1, 1, 2, 2]
-        assert stack.omega_max == members[0].omega_max
         for t in (0.0, 0.37, 2.9):
             assert np.array_equal(stack(t), scipy.linalg.block_diag(*(m(t) for m in members)))
 
     @pytest.mark.parametrize("n_qubits, eta", [(1, 2.5), (2, 3.3)])
     def test_reversed_generator(self, n_qubits, eta):
         h, rev, _ = self._members(n_qubits, eta)
-        assert rev.layout == h.layout and rev.omega_max == h.omega_max
+        assert rev.parts.diag is h.parts.diag and rev.parts.order is h.parts.order
         for tau in (0.0, 0.37, 2.9):
             assert np.max(np.abs(rev(tau) + h(np.pi - tau))) <= 1e-13
 
     def test_a_stack_of_stacks_numbers_every_member(self):
         h, rev, other = self._members(1, 2.5)
-        nested = model._stack([model._stack([h, rev], 0.0), other], 0.0)
-        assert nested.parts.member.tolist() == [0, 0, 1, 1, 2, 2]
-        assert np.array_equal(nested(0.4), model._stack([h, rev, other], 0.0)(0.4))
+        nested = model._stack([model._stack([h.parts, rev.parts]), other.parts])
+        flat = model._stack([h.parts, rev.parts, other.parts])
+        assert nested.member.tolist() == [0, 0, 1, 1, 2, 2]
+        assert np.array_equal(model._LabProvider(nested, h.omega_max)(0.4),
+                              model._LabProvider(flat, h.omega_max)(0.4))
 
     def test_refusals(self):
         h, _, _ = self._members(1, 2.5)
-        lay = h.layout
         p = SystemParams(omega_q=2.5, g=0.2, n_qubits=1)
         wider = hamiltonian_fn(p, DriveParams.from_alpha((1.832,), 2.5), "lab-driven",
                                HilbertLayout(1, 8))
-        detuned = hamiltonian_fn(p, DriveParams.from_alpha((1.832,), 2.4), "lab-driven", lay)
+        detuned = hamiltonian_fn(p, DriveParams.from_alpha((1.832,), 2.4), "lab-driven",
+                                 h.layout)
         for other in (wider, detuned):
             with pytest.raises(ValueError, match="sector size and omega_d"):
-                model._stack([h, other], 0.0)
-        effective = hamiltonian_fn(p, DriveParams.from_alpha((1.832,), 2.5), "effective", lay)
-        with pytest.raises(ValueError, match="only lab-driven"):
-            model._stack([h, effective], 0.0)
-        with pytest.raises(ValueError, match="only lab-driven"):
-            model._reversed(effective, 1.0)
+                model._stack([h.parts, other.parts])
 
 
 class TestValidityReport:

@@ -96,6 +96,12 @@ class TestBesselJ:
 
 
 class TestRootFinding:
+    def test_both_bisections_keep_their_floats(self):
+        """first_zero_j0 and argmax_j1 share one bisection, bit for bit
+        the two loops it replaced."""
+        assert first_zero_j0() == 2.4048255576957724
+        assert argmax_j1() == 1.8411837813406593
+
     def test_first_zero_j0(self):
         root = first_zero_j0()
         assert root == pytest.approx(2.404825557695773, abs=1e-8)

@@ -29,6 +29,7 @@ Key oracles:
 from __future__ import annotations
 
 import functools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -154,15 +155,36 @@ class TestCoefficientForm:
         evolve(functools.wraps(fn)(lambda t: fn(t)), psi0, 1.0, EvolutionConfig(), 2)
         assert len(calls) == 2  # the wrapper's H(t) and the parts it must equal
 
-    def test_provider_with_other_parts_is_refused(self):
-        """Parts taken from another provider are not the ones fn(t)
-        assembles, so they are checked, and refused."""
-        fn = _lab_provider(1, 8)
+    @staticmethod
+    def _other(fn):
         p = SystemParams(omega_q=3.0, g=0.3, n_qubits=1)
-        fn.parts = hamiltonian_fn(p, DriveParams.from_alpha((1.832,), 3.0), "lab-driven",
-                                  fn.layout).parts
+        return hamiltonian_fn(p, DriveParams.from_alpha((1.832,), 3.0), "lab-driven",
+                              fn.layout)
+
+    def test_provider_with_other_parts_is_refused(self):
+        """A plain function carrying another provider's parts is not what
+        its H(t) assembles, so the parts are checked, and refused."""
+        fn = _lab_provider(1, 8)
+
+        def h(t: float) -> np.ndarray:
+            return fn(t)
+
+        h.parts, h.layout, h.omega_max = self._other(fn).parts, fn.layout, fn.omega_max
         with pytest.raises(ValueError, match="coefficient form .* t = 1"):
-            evolve(fn, basis_state(fn.layout, "g", 0), 1.0, EvolutionConfig(), 2)
+            evolve(h, basis_state(fn.layout, "g", 0), 1.0, EvolutionConfig(), 2)
+
+    def test_provider_with_replaced_parts_is_the_other_provider(self):
+        """A lab provider's H(t) is its parts', so one given another
+        provider's parts propagates exactly as that provider."""
+        fn = _lab_provider(1, 8)
+        other = self._other(fn)
+        psi0 = basis_state(fn.layout, "g", 0)
+        got = evolve(replace(fn, parts=other.parts), psi0, 1.0, EvolutionConfig(), 2)
+        want = evolve(other, psi0, 1.0, EvolutionConfig(), 2)
+        mine = evolve(fn, psi0, 1.0, EvolutionConfig(), 2)
+        assert np.max(np.abs(got.final.vec - mine.final.vec)) > 1e-3
+        for x, y in zip(got.states, want.states):
+            assert np.array_equal(x.vec, y.vec)
 
     @pytest.mark.parametrize("method", sorted(propagate._SCHEMES))
     def test_operator_weight_rows_share_one_sum(self, method):
@@ -533,10 +555,15 @@ class TestStackedPropagation:
         v = rng.standard_normal((dim, k)) + 1j * rng.standard_normal((dim, k))
         return v / np.linalg.norm(v, axis=0)
 
+    @staticmethod
+    def _stack(members) -> model._LabProvider:
+        return model._LabProvider(model._stack([m.parts for m in members]),
+                                  max(m.omega_max for m in members))
+
     @pytest.mark.parametrize("n_qubits, eta", [(1, 2.5), (1, 3.0), (2, 3.3)])
     def test_reversed_round_trip(self, n_qubits, eta):
         h = self._provider(n_qubits, eta)
-        rev = model._reversed(h, np.pi)
+        rev = replace(h, parts=model._reversed(h.parts, np.pi))
         assert rev.parts.phi[0] != h.parts.phi[0]
         v0 = self._columns(h.layout.dim, 3, 21)
         u = evolve_columns(h, v0, np.pi, EvolutionConfig())
@@ -549,12 +576,13 @@ class TestStackedPropagation:
     ])
     def test_members_propagate_as_alone(self, n_qubits, kernel, other, monkeypatch):
         h = self._provider(n_qubits, 2.5)
-        members = [h, model._reversed(h, 1.3), self._provider(n_qubits, 2.5, g=0.45), h]
+        members = [h, replace(h, parts=model._reversed(h.parts, 1.3)),
+                   self._provider(n_qubits, 2.5, g=0.45), h]
         dim = h.layout.dim
         v0 = self._columns(len(members) * dim, 2, 5)
         v0[3 * dim:] = 0.0  # an empty member is left out of the plan, and stays empty
         monkeypatch.setattr(model, other, TestKernelChoice._refuse)
-        got = evolve_columns(model._stack(members, 1.3), v0, 1.3, EvolutionConfig())
+        got = evolve_columns(self._stack(members), v0, 1.3, EvolutionConfig())
         assert not np.any(got[3 * dim:])
         for i, member in enumerate(members[:3]):
             part = slice(i * dim, (i + 1) * dim)
@@ -588,7 +616,7 @@ class TestStackedPropagation:
             return back(_expmv(next(ops), dt, into(v0)))
 
         alone = [exponential(h, v) for v in (unit, small)]
-        stacked = exponential(model._stack([h, h], 0.0), np.concatenate([unit, small]))
+        stacked = exponential(self._stack([h, h]), np.concatenate([unit, small]))
         (n_unit, n_small), n_stacked = terms[:2], terms[2]
         assert n_unit < n_small <= n_stacked
         dim = h.layout.dim
