@@ -7,19 +7,29 @@ the qubits are left with exp(i theta) exp(-i theta sigma_x sigma_x),
 theta = 4 pi (g_eff/omega_r)^2. theta = pi/4 lands in the CNOT local
 class, which makhlin_invariants verifies without chasing the local
 unitaries themselves.
+
+The numerical gate is the 4 x 4 matrix of the lab evolution over one
+period on the vacuum-resonator qubit states, in the rotating frame, which
+is all the fidelity trials read. It meets in the middle: the lab
+generator is real and the steps are palindromic, so the second half of
+the period is the transpose of the first half under the time-mirrored
+drive, and for the gate's own drive (phi = pi/2, omega_d T a multiple of
+2 pi) that mirror is the drive itself; gate_columns then propagates the
+four columns over half the period only.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .hilbert import (HilbertLayout, Operator, _check_truncation,
                       _displacement_fock)
-from .model import (DriveParams, SystemParams, beta_phi, effective_couplings,
-                    frame_phases, hamiltonian_fn, _require_quadrature)
-from .propagate import EvolutionConfig, evolve_columns
+from .model import (DriveParams, SystemParams, beta_phi, _checked_parts,
+                    effective_couplings, frame_phases, hamiltonian_fn, _LabProvider,
+                    _require_quadrature, _retimed, _stack)
+from .propagate import EvolutionConfig, _sample_grid, evolve_columns
 
 __all__ = [
     "GateAngle",
@@ -36,6 +46,11 @@ __all__ = [
 
 _ANGLE_TOL = 1e-12
 _UNITARY_TOL = 1e-8
+# Largest difference, in radians modulo 2 pi, between the mirror's and the
+# drive's modulation phases that gate_columns takes as equal: the roundoff
+# of omega_d T - phi - pi, 7.5e-14 at eta = 100. A larger one takes the
+# stacked path, which holds for any drive.
+_PHASE_TOL = 1e-13
 # Gate trials drawn and scored per block; bounds the per-block temporaries.
 _TRIAL_BLOCK = 1024
 
@@ -170,12 +185,29 @@ def makhlin_invariants(u: np.ndarray) -> tuple[complex, float]:
 
 def gate_columns(params: SystemParams, drive: DriveParams,
                  cfg: EvolutionConfig, layout: HilbertLayout) -> np.ndarray:
-    """Numerical gate restricted to the vacuum-resonator qubit subspace.
+    """Numerical gate on the vacuum-resonator qubit subspace, a 4 x 4 matrix.
 
-    Evolves the four |q1 q2> (x) |0_c> basis columns under the driven lab
-    Hamiltonian over one resonator period and maps the result into the
-    rotating frame. Every trial state lives in the span of these columns,
-    so this (dim, 4) block replaces the full propagator. The loop's
+    M = V0^T B U(T) V0: V0 holds the four |q1 q2> (x) |0_c> columns, U(T)
+    the driven lab evolution over one resonator period T = 2 pi / omega_r
+    and B = conj(frame_phases(T)) the map into the rotating frame. Every
+    trial state lives in the span of V0 and is scored there, so M is all
+    the trials read. It meets in the middle, by the drive's time mirror:
+    H(t) is real and symmetric and a step (Magnus or RK4) is palindromic
+    in its nodes, so with the full period's N steps of dt = T/N and
+    h = N // 2,
+
+        U(T) = P_m^T S P,    M = diag(b) (P_m V0)^T S (P V0),
+
+    P the first h steps under H, P_m the first h steps under the mirror
+    H(T - tau) (model._retimed), S the odd middle step on the parts
+    shifted to start at h dt (the identity when N is even), and b the
+    phases of B at V0's rows, since B V0 = V0 diag(b). When the mirror's
+    parts are the drive's own (phi = pi/2 and omega_d T a multiple of
+    2 pi, as in every gate preset), P_m = P and one propagation of the
+    four columns over half the period serves both sides; otherwise the
+    drive and its mirror propagate them together as a two-member stack
+    (model._stack). The parts are taken once (model._checked_parts), and
+    each propagation keeps evolve_columns' overlap guard. The loop's
     largest branch displacement, max_s |2 G_s / omega_r| with
     G_s = sum_m s_m g_eff,m, must pass the truncation budget; ValueError
     otherwise, before anything is propagated.
@@ -186,13 +218,30 @@ def gate_columns(params: SystemParams, drive: DriveParams,
     _check_truncation(2.0 * sum(abs(g) for g in g_eff) / params.omega_r,
                       layout.fock_dim)
     t_gate = 2.0 * math.pi / params.omega_r
-    nf = layout.fock_dim
-    v0 = np.zeros((layout.dim, 4), dtype=complex)
+    nf, dim = layout.fock_dim, layout.dim
+    v0 = np.zeros((dim, 4), dtype=complex)
     for q in range(4):
         v0[q * nf, q] = 1.0
     h = hamiltonian_fn(params, drive, "lab-driven", layout)
-    cols = evolve_columns(h, v0, t_gate, cfg)
-    return np.conj(frame_phases(t_gate, params, drive, layout))[:, None] * cols
+    parts = _checked_parts(h, t_gate)
+    n_steps = _sample_grid(t_gate, cfg.resolve_dt(h.omega_max), 1)[1]
+    dt = t_gate / n_steps
+    step = replace(cfg, dt=dt)  # the full period's step on every part
+    half = n_steps // 2
+    mirror = _retimed(parts, t_gate, mirror=True)
+    if all(abs(math.remainder(a - b, 2.0 * math.pi)) <= _PHASE_TOL
+           for a, b in zip(mirror.phi, parts.phi)):
+        fwd = bwd = evolve_columns(_LabProvider(parts, h.omega_max, layout), v0,
+                                   half * dt, step)
+    else:
+        both = evolve_columns(_LabProvider(_stack([parts, mirror]), h.omega_max),
+                              np.concatenate([v0, v0]), half * dt, step)
+        fwd, bwd = both[:dim], both[dim:]
+    if n_steps % 2:
+        fwd = evolve_columns(_LabProvider(_retimed(parts, half * dt), h.omega_max, layout),
+                             fwd, dt, step)
+    b = np.conj(frame_phases(t_gate, params, drive, layout))[0::nf]
+    return b[:, None] * (bwd.T @ fwd)
 
 
 def gate_fidelity_trials(params: SystemParams, drive: DriveParams,
@@ -202,8 +251,9 @@ def gate_fidelity_trials(params: SystemParams, drive: DriveParams,
     """Per-trial overlap of the numerical gate with the closed form.
 
     Trial states are Gaussian-random qubit amplitudes (normalized) with
-    the resonator in vacuum. Pass columns from gate_columns to reuse one
-    propagation across seeds; it is recomputed here otherwise. What
+    the resonator in vacuum. Pass the 4 x 4 matrix from gate_columns as
+    columns to reuse one propagation across seeds; it is recomputed here
+    otherwise. What
     _trial_ratio refuses raises ValueError before anything is propagated.
     """
     ratio = _trial_ratio(params, drive, n_trials)
@@ -212,9 +262,9 @@ def gate_fidelity_trials(params: SystemParams, drive: DriveParams,
     if columns is None:
         columns = gate_columns(params, drive, cfg, layout)
     ideal_q = analytic_gate(ratio).qubit_matrix
-    # ideal state is (qubit action) (x) |0_c>: the overlap needs only the
-    # n = 0 rows of the columns, so it is the quadratic form amp^dag G amp
-    g = ideal_q.conj().T @ columns[0::layout.fock_dim]
+    # ideal state is (qubit action) (x) |0_c>, so the overlap is the
+    # quadratic form amp^dag G amp on the 4 x 4 gate matrix
+    g = ideal_q.conj().T @ columns
     rng = np.random.default_rng(seed)
     fids = np.empty(n_trials)
     for lo in range(0, n_trials, _TRIAL_BLOCK):

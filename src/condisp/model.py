@@ -23,7 +23,8 @@ conditional displacement
 
 All frequencies are in units of omega_r. The driven lab generator is
 carried as data: a _LabProvider holds its parity-block parts (_Blocks),
-from which it assembles H(t), and _reversed and _stack map parts to parts.
+from which it assembles H(t), and _retimed, _reversed and _stack map parts
+to parts.
 """
 from __future__ import annotations
 
@@ -631,9 +632,28 @@ def _checked_parts(h: Callable[[float], np.ndarray], t: float) -> _Blocks | None
     return parts
 
 
+def _retimed(parts: _Blocks, shift: float, mirror: bool = False,
+             negate: bool = False) -> _Blocks:
+    """The parts of the generator +-H(+-tau + shift): H(tau + shift), or
+    H(shift - tau) if mirror, negated if negate.
+
+    Both are affine changes of time on the parts. sin(omega_d (tau +
+    shift) - phi) is the modulation at phi - omega_d shift, and
+    sin(omega_d (shift - tau) - phi) = -sin(omega_d tau - (omega_d shift
+    - phi)); a negative coefficient on D is carried as a further phase of
+    -pi, so h0, D and the parity order are shared, and h0 is negated only
+    if negate.
+    """
+    w = parts.omega_d
+    phi = w * shift - parts.phi if mirror else parts.phi - w * shift
+    if mirror != negate:
+        phi = phi - math.pi
+    return replace(parts, h0=-parts.h0 if negate else parts.h0, phi=phi)
+
+
 def _reversed(parts: _Blocks, t_end: float) -> _Blocks:
     """The parts whose propagation over [0, t_end] is the adjoint of
-    parts'.
+    parts': the mirror H(t_end - tau) with h0 and D negated (_retimed).
 
     Their generator is -H(t_end - tau) = -h0 + sin(omega_d tau - phi_b) D,
     phi_b = omega_d t_end - phi: the parts (-h0, D, omega_d, phi_b). On
@@ -646,7 +666,7 @@ def _reversed(parts: _Blocks, t_end: float) -> _Blocks:
     adjoint of the forward numerical one, to roundoff (and its inverse
     only as far as that is unitary).
     """
-    return replace(parts, h0=-parts.h0, phi=parts.omega_d * t_end - parts.phi)
+    return _retimed(parts, t_end, mirror=True, negate=True)
 
 
 def _stack(members: list[_Blocks]) -> _Blocks:
@@ -733,11 +753,11 @@ def _mixer(h: Callable[[float], np.ndarray], t_check: float, v0: np.ndarray,
     parity keeps at zero is never propagated. Tridiagonal premixed blocks
     (one qubit's parity chains) apply as three complex bands, others as
     one batched real matmul. When the occupied sectors span several
-    stack members, the apply carries them as slices of the packed sector
-    axis (apply.members), from which expmv takes each member's norm. Any
-    other callable falls back to one dense mixed matrix per operator in
-    the product basis, unpacked, and a turn of it is expmv(apply, t, x) =
-    exp(-i t A) x of its apply.
+    stack members, the apply carries the offset at which each begins in
+    the float64 view of a packed state (apply.members), from which expmv
+    takes each member's norm. Any other callable falls back to one dense
+    mixed matrix per operator in the product basis, unpacked, and a turn
+    of it is expmv(apply, t, x) = exp(-i t A) x of its apply.
 
     A propagation has one apply, and it owns the only two result
     buffers, made here: a result stays valid until the next apply, which
@@ -781,8 +801,7 @@ def _mixer(h: Callable[[float], np.ndarray], t_check: float, v0: np.ndarray,
         apply = _band_operator(*bands.reshape(3, -1, 1), shape)
     d0 = diag.copy()
     cuts = (np.flatnonzero(np.diff(parts.member[sectors])) + 1).tolist()
-    apply.members = [slice(a, b) for a, b in zip([0] + cuts, cuts + [None])] \
-        if cuts else None
+    apply.members = 2 * shape[1] * shape[2] * np.array([0] + cuts) if cuts else None
 
     def ops():
         nonlocal kappa

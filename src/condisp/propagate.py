@@ -23,7 +23,9 @@ times, then the modulation sin(omega_d t - phi) at all of them, from
 which it forms each step's Hbar and K. Lab providers (model._LabProvider),
 whose generator is h0 + sin(omega_d t - phi) D, are never evaluated: they
 are propagated from the parts they carry, and only a wrapper that carries
-a provider's parts is evaluated, once per propagation, to check them.
+a provider's parts is evaluated, once per propagation (once per
+experiment for the cat and the gate, which propagate providers built
+from the parts they take), to check them.
 Their static part is premixed once, so loading the next Hbar
 rewrites only the diagonal of the propagation's one operator, in place,
 and each Taylor term is an apply into one of its two buffers. At either
@@ -36,9 +38,12 @@ their parity sectors end to end, so the same kernels propagate all its
 members at once, one apply per Taylor term; the cat experiment stacks
 its parts with the reversed ones (model._reversed), whose propagation
 is the adjoint of theirs, and so takes two of its steps per
-propagation. The effective conditional-displacement model is never
-propagated: fidelity_trace builds its states in closed form from
-coherent amplitudes. A classical RK4 stepper is kept as an independent
+propagation; the gate propagates its four columns over half the period
+under the drive, which serves for the time-mirrored second half too, or
+under the stack of the drive and its mirror (model._retimed). The
+effective conditional-displacement model is never propagated:
+fidelity_trace builds its states in closed form from coherent
+amplitudes. A classical RK4 stepper is kept as an independent
 cross-check, on the same kind of schedule at its own finer default step;
 it is not norm-preserving, which is exactly why it makes a useful
 disagreement detector.
@@ -92,6 +97,9 @@ _UNITARITY_TOL = 1e-7
 # Steps whose node times and coefficients a propagation forms at once, so
 # that planning memory does not grow with the step count.
 _PLAN_CHUNK = 4096
+# Integer cells below this magnitude have at most 12 digits, so %d writes
+# them as %.12g does.
+_INT_LIMIT = 10**12
 
 HamiltonianProvider = Callable[[float], np.ndarray]
 
@@ -188,8 +196,9 @@ def _expmv(apply, dt: float, v: np.ndarray) -> np.ndarray:
     The series stops at the first term with ||term||^2 <= 1e-32 ||v||^2,
     a relative 1e-16 tail; ||v||^2 is taken once, since the Taylor
     product is unitary to roundoff. When v holds several stack members
-    (apply.members, slices of its first axis, see model._mixer), ||v||^2
-    is the smallest member's, so that every member's own term passes its
+    (apply.members, the offsets at which each begins in the float64 view
+    of v, see model._mixer), ||v||^2 is the smallest member's, all of them
+    summed by one reduction, so that every member's own term passes its
     own stop, and the series runs at least as far for each member as it
     would for that member alone. A term is held only until the apply has
     made the next one from it, as model._mixer's buffer rule allows.
@@ -198,11 +207,12 @@ def _expmv(apply, dt: float, v: np.ndarray) -> np.ndarray:
     """
     out = v.astype(complex, copy=True)
     term = out
-    members = getattr(apply, "members", None)
-    if members is None:
+    starts = getattr(apply, "members", None)
+    if starts is None:
         tol = _TAYLOR_RTOL ** 2 * np.vdot(out, out).real
     else:
-        tol = _TAYLOR_RTOL ** 2 * min(np.vdot(out[m], out[m]).real for m in members)
+        w = out.view(np.float64).ravel()
+        tol = _TAYLOR_RTOL ** 2 * min(np.add.reduceat(w * w, starts).tolist())
     scale = -1j * dt
     for k in range(1, _TAYLOR_MAX_TERMS + 1):
         term = apply(term, scale / k)
@@ -332,8 +342,8 @@ def evolve_columns(h: HamiltonianProvider, v0: np.ndarray, t_end: float,
                    cfg: EvolutionConfig) -> np.ndarray:
     """Propagate a (dim, k) block of columns (or one vector) to t_end.
 
-    This is how the gate experiment gets U(T) restricted to the subspace
-    it needs without paying for the full propagator. No samples are
+    This is how the gate and cat experiments propagate the subspace they
+    need without paying for the full propagator. No samples are
     kept; instead the overlaps of the columns must be preserved, and a
     drift of max |C^dag C - V0^dag V0| beyond 1e-6 raises
     PropagationAccuracyError naming t_end.
@@ -438,13 +448,29 @@ def fidelity_trace(params: SystemParams, drive: DriveParams, psi0: Ket,
 
 def _write_csv(path, comments: Sequence[str], header: str, rows) -> None:
     """Comment lines (each behind '# '), a column header, then the rows
-    with every cell at 12 significant digits, formatted by one %."""
-    fmt = ",".join(["%.12g"] * (header.count(",") + 1)) + "\n"
+    with every cell at 12 significant digits, formatted by one %.
+
+    A column whose every cell is an integer of magnitude below 1e12 is
+    formatted by %d, which writes it as %.12g does, at less cost.
+    """
     rows = list(rows)
+    width = header.count(",") + 1
+    cells = tuple(itertools.chain.from_iterable(rows))
+    fmt = ",".join("%d" if _small_ints(cells[i::width]) else "%.12g"
+                   for i in range(width)) + "\n"
     text = "".join([f"# {line}\n" for line in comments] + [header + "\n"]) \
-        + fmt * len(rows) % tuple(itertools.chain.from_iterable(rows))
+        + fmt * len(rows) % cells
     with open(path, "w", encoding="utf-8", newline="\n") as f:
         f.write(text)
+
+
+def _small_ints(cells: tuple) -> bool:
+    """True if cells is not empty and every cell is an int (or a NumPy
+    integer) with |n| < 1e12; the first cell's type decides a float
+    column at once."""
+    return bool(cells) and isinstance(cells[0], (int, np.integer)) \
+        and all(issubclass(t, (int, np.integer)) for t in set(map(type, cells))) \
+        and -_INT_LIMIT < min(cells) and max(cells) < _INT_LIMIT
 
 
 def write_trace_csv(trace: FidelityTrace, path, comments: Sequence[str] = ()) -> None:

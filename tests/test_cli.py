@@ -356,6 +356,17 @@ class TestCsvWriter:
             assert f.read() == expected
 
 
+def test_integer_columns_write_as_general_format(tmp_path):
+    """A column of small ints is written by %d, which must give the bytes of
+    %.12g; a float, a bool or a large int among the cells keeps the
+    column on %.12g, so no cell is truncated to an integer."""
+    rows = [(0, 1, 3, True, -7), (1, 2.5, 4, False, 10**12), (2, 3, np.int64(-5), 1, 8)]
+    _write_csv(tmp_path / "w.csv", [], "a,b,c,d,e", rows)
+    oracle = "a,b,c,d,e\n" + "".join(",".join(f"{v:.12g}" for v in row) + "\n"
+                                      for row in rows)
+    assert (tmp_path / "w.csv").read_bytes() == oracle.encode("utf-8")
+
+
 class TestCatCommand:
     def test_runs_and_writes_distributions(self, tmp_path, capsys):
         code = main(

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from condisp import DriveParams, HilbertLayout, SystemParams
+from condisp import DriveParams, HilbertLayout, SystemParams, model, propagate
 from condisp.gate import (
     GateAngle,
     analytic_gate,
@@ -23,9 +23,10 @@ from condisp.gate import (
     makhlin_invariants,
     phase_gate_matrix,
 )
-from condisp.model import effective_couplings, hamiltonian_fn
+from condisp.model import effective_couplings, frame_phases, hamiltonian_fn
 from condisp.numerics import bessel_j
-from condisp.propagate import EvolutionConfig, propagator
+from condisp.propagate import (EvolutionConfig, PropagationAccuracyError, evolve_columns,
+                               propagator)
 
 TWO_PI = 2 * np.pi
 
@@ -226,7 +227,7 @@ class TestGateFidelity:
         lay = HilbertLayout(2, 12)
         cfg = EvolutionConfig()
         cols = gate_columns(p, d, cfg, lay)
-        assert cols.shape == (lay.dim, 4)
+        assert cols.shape == (4, 4)
         trials = gate_fidelity_trials(p, d, 8, 11, cfg, layout=lay, columns=cols)
         assert trials.shape == (8,)
         assert np.all((0.0 <= trials) & (trials <= 1.0 + 1e-12))
@@ -253,7 +254,7 @@ class TestGateFidelity:
         for i in range(n_trials):
             amp = rng.standard_normal(4) + 1j * rng.standard_normal(4)
             amp /= np.linalg.norm(amp)
-            expected[i] = abs(np.vdot(ideal @ amp, (cols @ amp)[0::lay.fock_dim])) ** 2
+            expected[i] = abs(np.vdot(ideal @ amp, cols @ amp)) ** 2
         assert np.max(np.abs(trials - expected)) <= 1e-14
 
     def test_seed_changes_trials_but_not_much(self):
@@ -315,3 +316,87 @@ class TestGateTruncation:
         d = DriveParams.from_alpha((1.20242, -1.20242), 3.0)
         fid = average_gate_fidelity(p, d, 20, 7, EvolutionConfig(), layout=HilbertLayout(2, 8))
         assert fid == pytest.approx(0.9948, abs=0.01)
+
+
+class TestGateMeetsInTheMiddle:
+    """gate_columns gives M = V0^T B U(T) V0 from half a period of
+    propagation; the oracle is the full-period propagation of the four
+    vacuum columns, read at their vacuum rows."""
+
+    CASES = {
+        "eta3-423-steps": (3.0, 3.0, EvolutionConfig()),
+        "eta3-424-steps": (3.0, 3.0, EvolutionConfig(dt=TWO_PI / 424)),
+        "eta3.5": (3.5, 3.5, EvolutionConfig()),
+        "off-resonant": (3.0, 2.7, EvolutionConfig()),
+        "rk4-eta3": (3.0, 3.0, EvolutionConfig(method="rk4")),
+        "rk4-eta3.5": (3.5, 3.5, EvolutionConfig(method="rk4")),
+    }
+
+    @staticmethod
+    def _setup(eta: float, omega_d: float):
+        p = SystemParams(omega_q=eta, g=0.2)
+        d = DriveParams.from_alpha((1.20242, -1.20242), omega_d)
+        return p, d, HilbertLayout(2, 8)
+
+    @staticmethod
+    def _full_period(p, d, cfg, lay) -> np.ndarray:
+        v0 = np.zeros((lay.dim, 4), dtype=complex)
+        v0[np.arange(4) * lay.fock_dim, np.arange(4)] = 1.0
+        cols = evolve_columns(hamiltonian_fn(p, d, "lab-driven", lay), v0, TWO_PI, cfg)
+        back = np.conj(frame_phases(TWO_PI, p, d, lay))
+        return (back[:, None] * cols)[0::lay.fock_dim]
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_matches_the_full_period(self, case):
+        eta, omega_d, cfg = self.CASES[case]
+        p, d, lay = self._setup(eta, omega_d)
+        m = gate_columns(p, d, cfg, lay)
+        assert m.shape == (4, 4)
+        assert np.max(np.abs(m - self._full_period(p, d, cfg, lay))) <= 1e-13
+
+    # eta: (full-period steps, sectors and rows of the half propagation)
+    FORMS = {3.0: (423, 2, 1), 3.5: (494, 4, 2)}
+
+    @pytest.mark.parametrize("eta", FORMS)
+    def test_which_form_runs(self, eta, monkeypatch):
+        """At eta = 3 the mirror is the drive itself, so one provider
+        carries the four columns over half the period, and the odd middle
+        step follows; at eta = 3.5 the drive and its mirror run as a
+        two-member stack, and the even step count leaves no middle step.
+        Every part takes the full period's step."""
+        calls = []
+
+        def spy(h, v0, t_end, cfg):
+            calls.append((type(h), len(h.parts.h0), v0.shape, t_end, cfg.dt))
+            return evolve_columns(h, v0, t_end, cfg)
+
+        monkeypatch.setattr("condisp.gate.evolve_columns", spy)
+        p, d, lay = self._setup(eta, eta)
+        gate_columns(p, d, EvolutionConfig(), lay)
+        n_steps, sectors, rows = self.FORMS[eta]
+        dt = TWO_PI / n_steps
+        expected = [(model._LabProvider, sectors, (rows * lay.dim, 4), n_steps // 2 * dt, dt)]
+        if n_steps % 2:
+            expected.append((model._LabProvider, 2, (lay.dim, 4), dt, dt))
+        assert calls == expected
+
+    @pytest.mark.parametrize("eta, first_bad", [(3.0, 0), (3.0, 211), (3.5, 0)])
+    def test_corrupted_propagation_names_its_time(self, eta, first_bad, monkeypatch):
+        """Exponentials that scale their result break evolve_columns'
+        overlap guard in the propagation they belong to: the half period
+        from its first exponential, or the odd middle step, the 212th."""
+        expmv, calls = propagate._expmv, []
+
+        def scaled(apply, dt, v):
+            calls.append(None)
+            out = expmv(apply, dt, v)
+            return 1.001 * out if len(calls) > first_bad else out
+
+        monkeypatch.setattr(propagate, "_expmv", scaled)
+        p, d, lay = self._setup(eta, eta)
+        with pytest.raises(PropagationAccuracyError, match="column overlaps drifted") as exc:
+            gate_columns(p, d, EvolutionConfig(), lay)
+        n_steps = self.FORMS[eta][0]
+        dt = TWO_PI / n_steps
+        t = dt if first_bad else n_steps // 2 * dt
+        assert exc.value.time == t and f"at t = {t:g}" in str(exc.value)

@@ -482,6 +482,25 @@ class TestStack:
         for tau in (0.0, 0.37, 2.9):
             assert np.max(np.abs(rev(tau) + h(np.pi - tau))) <= 1e-13
 
+    @pytest.mark.parametrize("n_qubits, eta", [(1, 2.5), (2, 3.3)])
+    @pytest.mark.parametrize("mirror, negate", itertools.product((False, True), repeat=2))
+    def test_retimed_generator(self, n_qubits, eta, mirror, negate):
+        """_retimed(parts, s, mirror, negate) is +-H(+-tau + s): the mirror
+        H(T - tau) and the shift H(tau + t_s) the gate uses, and the
+        reverse -H(T - tau), which _reversed gives bit for bit."""
+        h, _, _ = self._members(n_qubits, eta)
+        shift = 2 * np.pi if mirror else 1.1
+        parts = model._retimed(h.parts, shift, mirror, negate)
+        assert parts.diag is h.parts.diag and parts.order is h.parts.order
+        moved = model._LabProvider(parts, h.omega_max)
+        for tau in (0.0, 0.37, 2.9):
+            want = (-1 if negate else 1) * h(shift - tau if mirror else shift + tau)
+            assert np.max(np.abs(moved(tau) - want)) <= 1e-13
+        if mirror and negate:
+            reversed_ = model._reversed(h.parts, shift)
+            assert np.array_equal(reversed_.h0, -h.parts.h0)
+            assert np.array_equal(reversed_.phi, h.parts.omega_d * shift - h.parts.phi)
+
     def test_a_stack_of_stacks_numbers_every_member(self):
         h, rev, other = self._members(1, 2.5)
         nested = model._stack([model._stack([h.parts, rev.parts]), other.parts])
