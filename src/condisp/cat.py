@@ -17,7 +17,7 @@ import numpy as np
 from .hilbert import NORM_TOL, HilbertLayout, Ket, basis_state, coherent_amplitudes
 from .model import (DriveParams, SystemParams, beta_phi, _checked_parts,
                     effective_couplings, frame_phases, hamiltonian_fn, _LabProvider,
-                    _require_quadrature, _reversed, _stack)
+                    _mirrored, _require_quadrature, _stack)
 from .propagate import EvolutionConfig, PropagationAccuracyError, evolve_columns
 
 __all__ = [
@@ -157,17 +157,20 @@ def cat_fidelity_experiment(params: SystemParams, drive: DriveParams, k: int,
     and a continuous drive instead unwinds the displacement over the
     second half). The overlap meets in the middle,
 
-        <target| (BU)^k |g,0> = <(U^dag B^dag)^(k//2) target | (BU)^(k - k//2) |g,0>,
+        <target| (BU)^k |g,0> = z^T (BU)^(k - k//2) |g,0>,
+        z = (U_m B)^(k//2) conj(target),
 
-    so each of k//2 propagations carries a forward step of |g,0> and an
-    adjoint step of the target together, on the two-member stack of the
-    lab parts and their reverse (model._stack, model._reversed), and an
-    odd k adds one single forward step: ceil(k/2) propagations in all,
-    each on a model._LabProvider of parts taken once. The
-    analytic target assumes phi = pi/2, so any other modulation phase is
-    rejected. The target is built first, so a displacement beyond the
-    truncation budget raises before anything is propagated; a norm drift
-    of either half beyond 1e-6 raises PropagationAccuracyError naming k.
+    since U^dag = conj(U_m) for the propagation U_m under the mirror
+    H(t0 - tau) (model._mirrored), the transpose of U. So each of k//2
+    propagations carries a forward step of |g,0> and a mirror step of z
+    together, on the two-member stack of the lab parts and their mirror
+    (model._stack), and an odd k adds one single forward step: ceil(k/2)
+    propagations in all, each on a model._LabProvider of parts taken
+    once. The analytic target assumes phi = pi/2, so any other
+    modulation phase is rejected. The target is built first, so a
+    displacement beyond the truncation budget raises before anything is
+    propagated; a norm drift of either half beyond 1e-6 raises
+    PropagationAccuracyError naming k.
     """
     if layout is None:
         layout = HilbertLayout(n_qubits=1, fock_dim=32)
@@ -180,11 +183,11 @@ def cat_fidelity_experiment(params: SystemParams, drive: DriveParams, k: int,
     h = hamiltonian_fn(params, drive, "lab-driven", layout)
     parts = _checked_parts(h, t0)
     back = np.conj(frame_phases(t0, params, drive, layout))
-    fwd, bwd = basis_state(layout, "g", 0).vec, target.vec
+    fwd, bwd = basis_state(layout, "g", 0).vec, np.conj(target.vec)
     if k > 1:
-        pair = _LabProvider(_stack([parts, _reversed(parts, t0)]), h.omega_max)
+        pair = _LabProvider(_stack([parts, _mirrored(parts, t0)]), h.omega_max)
     for _ in range(k // 2):
-        both = evolve_columns(pair, np.concatenate([fwd, np.conj(back) * bwd]), t0, cfg)
+        both = evolve_columns(pair, np.concatenate([fwd, back * bwd]), t0, cfg)
         fwd, bwd = back * both[:layout.dim], both[layout.dim:]
     if k % 2:
         fwd = back * evolve_columns(_LabProvider(parts, h.omega_max, layout), fwd, t0, cfg)
@@ -197,4 +200,4 @@ def cat_fidelity_experiment(params: SystemParams, drive: DriveParams, k: int,
                 f"over {k} steps, {steps} of them in the {half} half, "
                 f"t = {k * t0:g}", step=k, time=k * t0,
             )
-    return abs(np.vdot(bwd, fwd)) ** 2
+    return abs(bwd @ fwd) ** 2

@@ -231,10 +231,12 @@ def _header_lines(cfg) -> list[str]:
     return lines
 
 
-def _warn_eta(cfg) -> None:
-    if cfg["system.eta"] <= 2.0:
-        print(f"warning: eta = {cfg['system.eta']:g} <= 2; the effective model "
-              "is outside its validity window, proceeding anyway", file=sys.stderr)
+def _warn_eta(etas) -> None:
+    """One stderr warning naming each eta <= 2 of a run or a sweep's grid."""
+    low = sorted({eta for eta in etas if eta <= 2.0})
+    if low:
+        print(f"warning: eta = {', '.join(f'{eta:g}' for eta in low)} <= 2; the effective "
+              "model is outside its validity window, proceeding anyway", file=sys.stderr)
 
 
 def _out_path(cfg, name: str) -> str:
@@ -330,15 +332,15 @@ def _metric_value(cfg) -> float:
 
 def _sweep_point(job) -> float:
     """_metric_value for one (overrides, config) grid point; a library
-    error is re-raised with the point's coordinates in front (top level:
-    worker-picklable)."""
+    error, or a size too large to allocate, is re-raised with the point's
+    coordinates in front (top level: worker-picklable)."""
     overrides, point = job
     try:
         return _metric_value(point)
-    except (ValueError, PropagationAccuracyError) as exc:
+    except (ValueError, PropagationAccuracyError, MemoryError) as exc:
         where = ", ".join(f"{key}={value:.12g}" for key, value in overrides)
-        err = PropagationAccuracyError if isinstance(exc, PropagationAccuracyError) \
-            else ValueError
+        err = next(e for e in (PropagationAccuracyError, MemoryError, ValueError)
+                   if isinstance(exc, e))
         raise err(f"sweep point {where}: {exc}") from exc
 
 
@@ -384,6 +386,7 @@ def _run_sweep(cfg) -> int:
         for key, value in overrides:
             point[key] = value
         jobs.append((overrides, point))
+    _warn_eta(point["system.eta"] for _, point in jobs)
 
     workers = cfg["sweep.workers"]
     if workers < 1:
@@ -424,8 +427,9 @@ def run(cfg: dict) -> int:
     missing = [k for k in _SCHEMA if k not in cfg]
     if missing:
         raise ConfigError(f"config is missing keys: {', '.join(missing)}")
-    _warn_eta(cfg)
     experiment = cfg["experiment"]
+    if experiment != "sweep":  # a sweep warns for its grid's points
+        _warn_eta([cfg["system.eta"]])
     if experiment == "validate-effective":
         return _run_validate(cfg)
     if experiment == "gate-fidelity":
@@ -437,17 +441,18 @@ def run(cfg: dict) -> int:
     raise ConfigError(f"experiment: {experiment!r} is not runnable via run()")
 
 
-def _merge_cli(cfg, args) -> dict:
+def _merge_cli(cfg, args) -> set:
     """Apply CLI flag overrides onto the config dict; each config-backed
-    flag stores under its dotted key."""
-    for key in _SCHEMA:
-        value = getattr(args, key, None)
-        if value is not None:
-            cfg[key] = value
-    return cfg
+    flag stores under its dotted key. Returns the keys the flags set."""
+    flags = {key: getattr(args, key) for key in _SCHEMA
+             if getattr(args, key, None) is not None}
+    cfg.update(flags)
+    return set(flags)
 
 
-def _load_layers(args, experiment: str) -> dict:
+def _load_layers(args, experiment: str) -> tuple[dict, set]:
+    """The config from defaults, preset, config file and flags, in that
+    order, and the keys that the config file or a flag set."""
     cfg = default_config()
     cfg["experiment"] = experiment
     if experiment == "cat-state":
@@ -464,6 +469,7 @@ def _load_layers(args, experiment: str) -> dict:
             raise ConfigError(
                 f"preset: {preset!r} belongs to experiment {overrides['experiment']!r}")
         cfg.update(overrides)
+    given = set()
     config_path = getattr(args, "config", None)
     if config_path is not None:
         try:
@@ -478,7 +484,8 @@ def _load_layers(args, experiment: str) -> dict:
                 f"experiment: config file says {declared!r} but the "
                 f"subcommand is {experiment!r}")
         cfg.update(overrides)
-    cfg = _merge_cli(cfg, args)
+        given.update(overrides)
+    given |= _merge_cli(cfg, args)
     if getattr(args, "axis", None):
         if len(args.axis) > 2:
             raise ConfigError("--axis: at most 2 sweep axes")
@@ -487,7 +494,7 @@ def _load_layers(args, experiment: str) -> dict:
             cfg[f"sweep.start{i}"] = _parse_float(f"--axis {key} start", start)
             cfg[f"sweep.stop{i}"] = _parse_float(f"--axis {key} stop", stop)
             cfg[f"sweep.points{i}"] = _parse_int(f"--axis {key} points", points)
-    return cfg
+    return cfg, given
 
 
 def _add_config(sub: argparse.ArgumentParser) -> None:
@@ -579,11 +586,11 @@ def main(argv=None) -> int:
         if args.command == "bessel":
             _load_layers(args, args.command)  # surface config diagnostics
             return _run_bessel(args.order, args.x)
-        cfg = _load_layers(args, args.command)
+        cfg, given = _load_layers(args, args.command)
         if args.command == "gate-fidelity" and args.per_trial:
             cfg["_per_trial"] = True
         if args.command == "validate-effective" and getattr(args, "preset", None) \
-                == "effective-validation" and getattr(args, "system.eta") is None:
+                == "effective-validation" and "system.eta" not in given:
             # the preset is a pair of traces: the working point and a lower
             # eta that shows the approximation degrade
             status = 0
@@ -595,6 +602,9 @@ def main(argv=None) -> int:
         return run(cfg)
     except (ValueError, PropagationAccuracyError) as exc:  # ConfigError included
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # a size too large to allocate
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
 
 

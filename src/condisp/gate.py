@@ -11,16 +11,17 @@ unitaries themselves.
 The numerical gate is the 4 x 4 matrix of the lab evolution over one
 period on the vacuum-resonator qubit states, in the rotating frame, which
 is all the fidelity trials read. It meets in the middle: the lab
-generator is real and the steps are palindromic, so the second half of
-the period is the transpose of the first half under the time-mirrored
-drive, and for the gate's own drive (phi = pi/2, omega_d T a multiple of
-2 pi) that mirror is the drive itself; gate_columns then propagates the
-four columns over half the period only.
+generator is real and symmetric and the steps are symmetric in their
+nodes, so over an even number of steps the second half of the period is
+the transpose of the first half under the time-mirrored drive, and for
+the gate's own drive (phi = pi/2, omega_d T a multiple of 2 pi) that
+mirror is the drive itself; gate_columns then propagates the four
+columns over half the period only.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,8 +29,8 @@ from .hilbert import (HilbertLayout, Operator, _check_truncation,
                       _displacement_fock)
 from .model import (DriveParams, SystemParams, beta_phi, _checked_parts,
                     effective_couplings, frame_phases, hamiltonian_fn, _LabProvider,
-                    _require_quadrature, _retimed, _stack)
-from .propagate import EvolutionConfig, _sample_grid, evolve_columns
+                    _mirrored, _require_quadrature, _stack)
+from .propagate import EvolutionConfig, evolve_columns
 
 __all__ = [
     "GateAngle",
@@ -191,26 +192,26 @@ def gate_columns(params: SystemParams, drive: DriveParams,
     the driven lab evolution over one resonator period T = 2 pi / omega_r
     and B = conj(frame_phases(T)) the map into the rotating frame. Every
     trial state lives in the span of V0 and is scored there, so M is all
-    the trials read. It meets in the middle, by the drive's time mirror:
-    H(t) is real and symmetric and a step (Magnus or RK4) is palindromic
-    in its nodes, so with the full period's N steps of dt = T/N and
-    h = N // 2,
+    the trials read. It meets in the middle, by the drive's time mirror.
+    Each half period takes the smallest number of steps at or under the
+    configured step, so the period takes the smallest even number, and
+    the second half's propagation under H is the transpose of the first
+    half's under the mirror H(T - tau) (model._mirrored):
 
-        U(T) = P_m^T S P,    M = diag(b) (P_m V0)^T S (P V0),
+        U(T) = P_m^T P,    M = diag(b) (P_m V0)^T (P V0),
 
-    P the first h steps under H, P_m the first h steps under the mirror
-    H(T - tau) (model._retimed), S the odd middle step on the parts
-    shifted to start at h dt (the identity when N is even), and b the
-    phases of B at V0's rows, since B V0 = V0 diag(b). When the mirror's
-    parts are the drive's own (phi = pi/2 and omega_d T a multiple of
-    2 pi, as in every gate preset), P_m = P and one propagation of the
-    four columns over half the period serves both sides; otherwise the
-    drive and its mirror propagate them together as a two-member stack
-    (model._stack). The parts are taken once (model._checked_parts), and
-    each propagation keeps evolve_columns' overlap guard. The loop's
-    largest branch displacement, max_s |2 G_s / omega_r| with
-    G_s = sum_m s_m g_eff,m, must pass the truncation budget; ValueError
-    otherwise, before anything is propagated.
+    P and P_m the half-period propagations under H and the mirror, and b
+    the phases of B at V0's rows, since B V0 = V0 diag(b). When the
+    mirror's parts are the drive's own (phi = pi/2 and omega_d T a
+    multiple of 2 pi, as in every gate preset), P_m = P and one
+    propagation of the four columns over half the period serves both
+    sides; otherwise the drive and its mirror propagate them together as
+    a two-member stack (model._stack). The parts are taken once
+    (model._checked_parts), and each propagation keeps evolve_columns'
+    overlap guard. The loop's largest branch displacement,
+    max_s |2 G_s / omega_r| with G_s = sum_m s_m g_eff,m, must pass the
+    truncation budget; ValueError otherwise, before anything is
+    propagated.
     """
     if params.n_qubits != 2 or layout.n_qubits != 2:
         raise ValueError("the gate experiment needs exactly 2 qubits")
@@ -224,22 +225,15 @@ def gate_columns(params: SystemParams, drive: DriveParams,
         v0[q * nf, q] = 1.0
     h = hamiltonian_fn(params, drive, "lab-driven", layout)
     parts = _checked_parts(h, t_gate)
-    n_steps = _sample_grid(t_gate, cfg.resolve_dt(h.omega_max), 1)[1]
-    dt = t_gate / n_steps
-    step = replace(cfg, dt=dt)  # the full period's step on every part
-    half = n_steps // 2
-    mirror = _retimed(parts, t_gate, mirror=True)
+    mirror = _mirrored(parts, t_gate)
     if all(abs(math.remainder(a - b, 2.0 * math.pi)) <= _PHASE_TOL
            for a, b in zip(mirror.phi, parts.phi)):
         fwd = bwd = evolve_columns(_LabProvider(parts, h.omega_max, layout), v0,
-                                   half * dt, step)
+                                   t_gate / 2, cfg)
     else:
         both = evolve_columns(_LabProvider(_stack([parts, mirror]), h.omega_max),
-                              np.concatenate([v0, v0]), half * dt, step)
+                              np.concatenate([v0, v0]), t_gate / 2, cfg)
         fwd, bwd = both[:dim], both[dim:]
-    if n_steps % 2:
-        fwd = evolve_columns(_LabProvider(_retimed(parts, half * dt), h.omega_max, layout),
-                             fwd, dt, step)
     b = np.conj(frame_phases(t_gate, params, drive, layout))[0::nf]
     return b[:, None] * (bwd.T @ fwd)
 

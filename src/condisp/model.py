@@ -23,8 +23,8 @@ conditional displacement
 
 All frequencies are in units of omega_r. The driven lab generator is
 carried as data: a _LabProvider holds its parity-block parts (_Blocks),
-from which it assembles H(t), and _retimed, _reversed and _stack map parts
-to parts.
+from which it assembles H(t), and _mirrored and _stack map parts to
+parts.
 """
 from __future__ import annotations
 
@@ -632,41 +632,20 @@ def _checked_parts(h: Callable[[float], np.ndarray], t: float) -> _Blocks | None
     return parts
 
 
-def _retimed(parts: _Blocks, shift: float, mirror: bool = False,
-             negate: bool = False) -> _Blocks:
-    """The parts of the generator +-H(+-tau + shift): H(tau + shift), or
-    H(shift - tau) if mirror, negated if negate.
+def _mirrored(parts: _Blocks, t: float) -> _Blocks:
+    """The parts of the mirror H(t - tau), whose propagation over [0, t]
+    is the transpose of parts'.
 
-    Both are affine changes of time on the parts. sin(omega_d (tau +
-    shift) - phi) is the modulation at phi - omega_d shift, and
-    sin(omega_d (shift - tau) - phi) = -sin(omega_d tau - (omega_d shift
-    - phi)); a negative coefficient on D is carried as a further phase of
-    -pi, so h0, D and the parity order are shared, and h0 is negated only
-    if negate.
+    sin(omega_d (t - tau) - phi) = sin(omega_d tau - (omega_d t - phi -
+    pi)), so only phi changes; h0, D and the parity order are shared. H
+    is real and symmetric, and each step (Magnus or RK4) is symmetric in
+    its nodes, so a step under the mirror is the transpose of the step
+    under H at the reflected nodes, and the mirror's propagation is the
+    transpose of the forward one, to roundoff (Blanes, Casas, Oteo & Ros,
+    Phys. Rep. 470, 151 (2009)). Its adjoint is the conjugate of the
+    mirror's.
     """
-    w = parts.omega_d
-    phi = w * shift - parts.phi if mirror else parts.phi - w * shift
-    if mirror != negate:
-        phi = phi - math.pi
-    return replace(parts, h0=-parts.h0 if negate else parts.h0, phi=phi)
-
-
-def _reversed(parts: _Blocks, t_end: float) -> _Blocks:
-    """The parts whose propagation over [0, t_end] is the adjoint of
-    parts': the mirror H(t_end - tau) with h0 and D negated (_retimed).
-
-    Their generator is -H(t_end - tau) = -h0 + sin(omega_d tau - phi_b) D,
-    phi_b = omega_d t_end - phi: the parts (-h0, D, omega_d, phi_b). On
-    the reversed schedule each step's nodes are reflected and its
-    generator negated. A Magnus step e^{-iK} exp(-i dt Hbar) e^{+iK} keeps
-    K and negates Hbar, and the products of H in an RK4 step have weights
-    that do not change when a product is reversed and its nodes
-    reflected; so either reversed step is the Hermitian adjoint of one of
-    the forward ones, in reverse order, and the propagation is the
-    adjoint of the forward numerical one, to roundoff (and its inverse
-    only as far as that is unitary).
-    """
-    return _retimed(parts, t_end, mirror=True, negate=True)
+    return replace(parts, phi=parts.omega_d * t - parts.phi - math.pi)
 
 
 def _stack(members: list[_Blocks]) -> _Blocks:

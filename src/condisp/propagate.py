@@ -35,12 +35,14 @@ parity keeps the rest at zero) and applies them as three bands where
 they are tridiagonal (one qubit's parity chains), else by one batched
 real matmul (two qubits). A stack of lab parts (model._stack) lays
 their parity sectors end to end, so the same kernels propagate all its
-members at once, one apply per Taylor term; the cat experiment stacks
-its parts with the reversed ones (model._reversed), whose propagation
-is the adjoint of theirs, and so takes two of its steps per
-propagation; the gate propagates its four columns over half the period
-under the drive, which serves for the time-mirrored second half too, or
-under the stack of the drive and its mirror (model._retimed). The
+members at once, one apply per Taylor term. Both experiments meet in
+the middle by one identity: the lab generator is real and symmetric and
+each step is symmetric in its nodes, so a propagation over [0, t] under
+the time mirror H(t - tau) (model._mirrored) is the transpose of the
+one under H. The cat experiment stacks its parts with their mirror and
+so takes two of its steps per propagation; the gate propagates its four
+columns over half the period under the drive, which is its own mirror
+at the gate presets, or under the stack of the drive and its mirror. The
 effective conditional-displacement model is never propagated:
 fidelity_trace builds its states in closed form from coherent
 amplitudes. A classical RK4 stepper is kept as an independent

@@ -257,7 +257,8 @@ class TestCatExperiment:
 
 class TestMeetInTheMiddle:
     """The experiment meets in the middle: ceil(k/2) propagations, each a
-    forward step of |g,0> stacked with an adjoint step of the target."""
+    forward step of |g,0> stacked with a mirror step of the conjugated
+    target, whose conjugate is the adjoint step."""
 
     @staticmethod
     def _point(eta: float):
@@ -278,10 +279,9 @@ class TestMeetInTheMiddle:
             out.append(abs(np.vdot(multi_step_cat(ratio, k, CAT_LAYOUT).vec, vec)) ** 2)
         return out
 
-    # Both steppers' reversed step is the adjoint of their step, so the two
-    # agree to roundoff; the largest |difference| measured at Fock 24 is
-    # 8.5e-15 for the Magnus step and 4.9e-15 for RK4 (1.2e-14 at its
-    # default 800 steps per period, which this test does not take, for time).
+    # Both steppers' mirror propagation is the transpose of their forward
+    # one, so the two agree to roundoff; the largest |difference| measured
+    # at Fock 24 is 8.8e-15 for the Magnus step and 5.3e-15 for RK4.
     @pytest.mark.parametrize("method", ["piecewise-exponential", "rk4"])
     @pytest.mark.parametrize("eta", [3.0, 2.5])
     def test_equals_the_forward_chain(self, eta, method):
@@ -311,7 +311,7 @@ class TestMeetInTheMiddle:
 
         def drifting(h, v0, t_end, cfg):
             out = evolve_columns(h, v0, t_end, cfg)
-            out[dim:] *= 1.001  # only the adjoint member of a stack
+            out[dim:] *= 1.001  # only the mirror member of a stack
             return out
 
         monkeypatch.setattr("condisp.cat.evolve_columns", drifting)

@@ -91,15 +91,19 @@ class TestFlags:
         assert {"system.eta", "system.fock_dim", "output.dir", "sweep.workers"} <= seen
 
     def test_preset_pair_yields_to_an_explicit_eta(self, tmp_path):
+        out = tmp_path / "out"
         args = ["validate-effective", "--preset", "effective-validation",
-                "--fock-dim", "8", "--periods", "0.05", "--out", str(tmp_path)]
+                "--fock-dim", "8", "--periods", "0.05", "--out", str(out)]
         assert main(args) == 0
-        assert sorted(p.name for p in tmp_path.iterdir()) == [
+        assert sorted(p.name for p in out.iterdir()) == [
             "validate-effective-eta2.5-g0.2.csv", "validate-effective-eta3.5-g0.2.csv"]
-        for p in tmp_path.iterdir():
-            p.unlink()
-        assert main(args + ["--eta", "3.2"]) == 0
-        assert [p.name for p in tmp_path.iterdir()] == ["validate-effective-eta3.2-g0.2.csv"]
+        cfgfile = tmp_path / "eta.cfg"
+        cfgfile.write_text("system.eta = 4.0\n")
+        for extra, eta in ((["--eta", "3.2"], "3.2"), (["--config", str(cfgfile)], "4")):
+            for p in out.iterdir():
+                p.unlink()
+            assert main(args + extra) == 0
+            assert [p.name for p in out.iterdir()] == [f"validate-effective-eta{eta}-g0.2.csv"]
 
 
 class TestPresets:
@@ -157,6 +161,9 @@ class TestBadInvocations:
         ["gate-fidelity", "--phi", "0", "--trials", "200", "--fock-dim", "16"],
         # the gate loop's |2 G_s|^2 = 16 r^2 = 0.996, past Fock 4's 4/9
         ["gate-fidelity", "--g", "0.5", "--fock-dim", "4"],
+        # petabytes of samples or trials, which NumPy refuses at once
+        ["validate-effective", "--periods", "1e12", "--fock-dim", "8"],
+        ["gate-fidelity", "--trials", "1000000000000000", "--fock-dim", "8"],
     ])
     def test_library_errors_exit_2(self, tmp_path, capsys, args):
         assert main(args + ["--out", str(tmp_path)]) == 2
@@ -513,6 +520,26 @@ class TestSweepCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: sweep point system.g=0.2: |beta|^2")
         assert err.count("\n") == 1 and "Traceback" not in err
+
+    def test_unallocatable_point_named_by_coordinates(self, tmp_path, capsys):
+        # 5e14 samples per trace: petabytes, which NumPy refuses at once
+        code = main(
+            ["sweep", "--metric", "mean-f1", "--periods", "1e12", "--fock-dim", "8",
+             "--axis", "system.g", "0.1", "0.2", "2", "--out", str(tmp_path)]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: sweep point system.g=0.1: Unable to allocate")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+    def test_low_eta_points_warn_once(self, tmp_path, capsys):
+        code = main(
+            ["sweep", "--metric", "mean-f1", "--axis", "system.eta", "1.5", "3", "4",
+             "--periods", "0.05", "--fock-dim", "8", "--out", str(tmp_path)]
+        )
+        assert code == 0
+        err = capsys.readouterr().err
+        assert err.startswith("warning: eta = 1.5, 2 <= 2;") and err.count("\n") == 1
 
     def test_cat_metric_requires_single_qubit(self, tmp_path, capsys):
         code = main(

@@ -8,6 +8,8 @@ are checked against an explicitly assembled CNOT.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -320,10 +322,12 @@ class TestGateTruncation:
 
 class TestGateMeetsInTheMiddle:
     """gate_columns gives M = V0^T B U(T) V0 from half a period of
-    propagation; the oracle is the full-period propagation of the four
-    vacuum columns, read at their vacuum rows."""
+    propagation, the period cut into the smallest even number of steps at
+    or under the configured step; the oracle is the full-period
+    propagation of the four vacuum columns over as many steps, read at
+    their vacuum rows."""
 
-    CASES = {
+    CASES = {  # at eta = 3 the configured step fits 423 or 424 per period
         "eta3-423-steps": (3.0, 3.0, EvolutionConfig()),
         "eta3-424-steps": (3.0, 3.0, EvolutionConfig(dt=TWO_PI / 424)),
         "eta3.5": (3.5, 3.5, EvolutionConfig()),
@@ -339,10 +343,18 @@ class TestGateMeetsInTheMiddle:
         return p, d, HilbertLayout(2, 8)
 
     @staticmethod
-    def _full_period(p, d, cfg, lay) -> np.ndarray:
+    def _steps(h, t_end: float, cfg: EvolutionConfig) -> int:
+        """The fewest steps at or under cfg's step that evolve_columns takes
+        over t_end."""
+        return propagate._sample_grid(t_end, cfg.resolve_dt(h.omega_max), 1)[1]
+
+    @classmethod
+    def _full_period(cls, p, d, cfg, lay) -> np.ndarray:
         v0 = np.zeros((lay.dim, 4), dtype=complex)
         v0[np.arange(4) * lay.fock_dim, np.arange(4)] = 1.0
-        cols = evolve_columns(hamiltonian_fn(p, d, "lab-driven", lay), v0, TWO_PI, cfg)
+        h = hamiltonian_fn(p, d, "lab-driven", lay)
+        steps = 2 * cls._steps(h, TWO_PI / 2, cfg)
+        cols = evolve_columns(h, v0, TWO_PI, replace(cfg, dt=TWO_PI / steps))
         back = np.conj(frame_phases(TWO_PI, p, d, lay))
         return (back[:, None] * cols)[0::lay.fock_dim]
 
@@ -354,37 +366,38 @@ class TestGateMeetsInTheMiddle:
         assert m.shape == (4, 4)
         assert np.max(np.abs(m - self._full_period(p, d, cfg, lay))) <= 1e-13
 
-    # eta: (full-period steps, sectors and rows of the half propagation)
-    FORMS = {3.0: (423, 2, 1), 3.5: (494, 4, 2)}
+    # eta: (the period's steps at the configured step, the gate's even
+    # count, sectors and rows of the half propagation)
+    FORMS = {3.0: (423, 424, 2, 1), 3.5: (494, 494, 4, 2)}
 
     @pytest.mark.parametrize("eta", FORMS)
     def test_which_form_runs(self, eta, monkeypatch):
         """At eta = 3 the mirror is the drive itself, so one provider
-        carries the four columns over half the period, and the odd middle
-        step follows; at eta = 3.5 the drive and its mirror run as a
-        two-member stack, and the even step count leaves no middle step.
-        Every part takes the full period's step."""
+        carries the four columns over half the period; at eta = 3.5 the
+        drive and its mirror run as a two-member stack. Either way one
+        propagation takes half of the smallest even step count at or under
+        the configured step, 424 where the period alone would take 423."""
         calls = []
 
         def spy(h, v0, t_end, cfg):
-            calls.append((type(h), len(h.parts.h0), v0.shape, t_end, cfg.dt))
+            calls.append((type(h), len(h.parts.h0), v0.shape, t_end,
+                          self._steps(h, t_end, cfg)))
             return evolve_columns(h, v0, t_end, cfg)
 
         monkeypatch.setattr("condisp.gate.evolve_columns", spy)
         p, d, lay = self._setup(eta, eta)
         gate_columns(p, d, EvolutionConfig(), lay)
-        n_steps, sectors, rows = self.FORMS[eta]
-        dt = TWO_PI / n_steps
-        expected = [(model._LabProvider, sectors, (rows * lay.dim, 4), n_steps // 2 * dt, dt)]
-        if n_steps % 2:
-            expected.append((model._LabProvider, 2, (lay.dim, 4), dt, dt))
-        assert calls == expected
+        period, even, sectors, rows = self.FORMS[eta]
+        assert self._steps(hamiltonian_fn(p, d, "lab-driven", lay), TWO_PI,
+                           EvolutionConfig()) == period
+        assert calls == [(model._LabProvider, sectors, (rows * lay.dim, 4), TWO_PI / 2,
+                          even // 2)]
 
     @pytest.mark.parametrize("eta, first_bad", [(3.0, 0), (3.0, 211), (3.5, 0)])
     def test_corrupted_propagation_names_its_time(self, eta, first_bad, monkeypatch):
         """Exponentials that scale their result break evolve_columns'
-        overlap guard in the propagation they belong to: the half period
-        from its first exponential, or the odd middle step, the 212th."""
+        overlap guard in the half-period propagation, from its first
+        exponential or from its last, the 212th at eta = 3."""
         expmv, calls = propagate._expmv, []
 
         def scaled(apply, dt, v):
@@ -396,7 +409,6 @@ class TestGateMeetsInTheMiddle:
         p, d, lay = self._setup(eta, eta)
         with pytest.raises(PropagationAccuracyError, match="column overlaps drifted") as exc:
             gate_columns(p, d, EvolutionConfig(), lay)
-        n_steps = self.FORMS[eta][0]
-        dt = TWO_PI / n_steps
-        t = dt if first_bad else n_steps // 2 * dt
+        assert len(calls) == self.FORMS[eta][1] // 2
+        t = TWO_PI / 2
         assert exc.value.time == t and f"at t = {t:g}" in str(exc.value)

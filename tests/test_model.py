@@ -451,7 +451,7 @@ class TestLabBlocks:
 
 class TestStack:
     """_stack lays lab parts' parity sectors end to end, each with its own
-    phi; _reversed's generator is -H(t_end - tau)."""
+    phi; _mirrored's generator is H(t - tau)."""
 
     @staticmethod
     def _members(n_qubits: int, eta: float):
@@ -462,7 +462,7 @@ class TestStack:
                            "lab-driven", lay)
         other = hamiltonian_fn(SystemParams(omega_q=eta, g=0.45, n_qubits=n_qubits), d,
                                "lab-driven", lay)  # a sweep point: only h0 differs
-        return h, replace(h, parts=model._reversed(h.parts, np.pi)), other
+        return h, replace(h, parts=model._mirrored(h.parts, np.pi)), other
 
     @pytest.mark.parametrize("n_qubits, eta", [(1, 2.5), (2, 3.3)])
     def test_dense_is_the_block_diagonal_of_the_members(self, n_qubits, eta):
@@ -476,35 +476,22 @@ class TestStack:
             assert np.array_equal(stack(t), scipy.linalg.block_diag(*(m(t) for m in members)))
 
     @pytest.mark.parametrize("n_qubits, eta", [(1, 2.5), (2, 3.3)])
-    def test_reversed_generator(self, n_qubits, eta):
-        h, rev, _ = self._members(n_qubits, eta)
-        assert rev.parts.diag is h.parts.diag and rev.parts.order is h.parts.order
-        for tau in (0.0, 0.37, 2.9):
-            assert np.max(np.abs(rev(tau) + h(np.pi - tau))) <= 1e-13
-
-    @pytest.mark.parametrize("n_qubits, eta", [(1, 2.5), (2, 3.3)])
-    @pytest.mark.parametrize("mirror, negate", itertools.product((False, True), repeat=2))
-    def test_retimed_generator(self, n_qubits, eta, mirror, negate):
-        """_retimed(parts, s, mirror, negate) is +-H(+-tau + s): the mirror
-        H(T - tau) and the shift H(tau + t_s) the gate uses, and the
-        reverse -H(T - tau), which _reversed gives bit for bit."""
+    def test_mirrored_generator(self, n_qubits, eta):
+        """_mirrored(parts, t) is H(t - tau), for the cat's half period,
+        the gate's period and any other t, and it changes only phi."""
         h, _, _ = self._members(n_qubits, eta)
-        shift = 2 * np.pi if mirror else 1.1
-        parts = model._retimed(h.parts, shift, mirror, negate)
-        assert parts.diag is h.parts.diag and parts.order is h.parts.order
-        moved = model._LabProvider(parts, h.omega_max)
-        for tau in (0.0, 0.37, 2.9):
-            want = (-1 if negate else 1) * h(shift - tau if mirror else shift + tau)
-            assert np.max(np.abs(moved(tau) - want)) <= 1e-13
-        if mirror and negate:
-            reversed_ = model._reversed(h.parts, shift)
-            assert np.array_equal(reversed_.h0, -h.parts.h0)
-            assert np.array_equal(reversed_.phi, h.parts.omega_d * shift - h.parts.phi)
+        for t in (np.pi, 2 * np.pi, 1.1):
+            parts = model._mirrored(h.parts, t)
+            assert all(getattr(parts, f) is getattr(h.parts, f)
+                       for f in ("h0", "diag", "order", "member"))
+            mirror = model._LabProvider(parts, h.omega_max)
+            for tau in (0.0, 0.37, 2.9):
+                assert np.max(np.abs(mirror(tau) - h(t - tau))) <= 1e-13
 
     def test_a_stack_of_stacks_numbers_every_member(self):
-        h, rev, other = self._members(1, 2.5)
-        nested = model._stack([model._stack([h.parts, rev.parts]), other.parts])
-        flat = model._stack([h.parts, rev.parts, other.parts])
+        h, mirror, other = self._members(1, 2.5)
+        nested = model._stack([model._stack([h.parts, mirror.parts]), other.parts])
+        flat = model._stack([h.parts, mirror.parts, other.parts])
         assert nested.member.tolist() == [0, 0, 1, 1, 2, 2]
         assert np.array_equal(model._LabProvider(nested, h.omega_max)(0.4),
                               model._LabProvider(flat, h.omega_max)(0.4))

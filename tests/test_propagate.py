@@ -33,6 +33,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
@@ -539,15 +540,18 @@ class TestKernelChoice:
 
 class TestStackedPropagation:
     """A stack of lab providers propagates each member as that member
-    propagates alone, in one apply per Taylor term; the reversed provider
-    propagates the adjoint of the Magnus propagation."""
+    propagates alone, in one apply per Taylor term; the mirror H(t - tau)
+    propagates the transpose of the propagation over [0, t], and its
+    conjugate the adjoint."""
 
     @staticmethod
-    def _provider(n_qubits: int, eta: float, g: float = 0.2):
-        lay = HilbertLayout(n_qubits, 8 if n_qubits == 1 else 6)
+    def _provider(n_qubits: int, eta: float, g: float = 0.2, fock_dim: int | None = None,
+                  omega_d: float | None = None, phi: float = np.pi / 2):
+        lay = HilbertLayout(n_qubits, fock_dim or (8 if n_qubits == 1 else 6))
         alpha = (1.832,) if n_qubits == 1 else (1.20242, -1.20242)
         p = SystemParams(omega_q=eta, g=g, n_qubits=n_qubits)
-        return hamiltonian_fn(p, DriveParams.from_alpha(alpha, eta), "lab-driven", lay)
+        d = DriveParams.from_alpha(alpha, omega_d or eta, phi)
+        return hamiltonian_fn(p, d, "lab-driven", lay)
 
     @staticmethod
     def _columns(dim: int, k: int, seed: int) -> np.ndarray:
@@ -560,15 +564,39 @@ class TestStackedPropagation:
         return model._LabProvider(model._stack([m.parts for m in members]),
                                   max(m.omega_max for m in members))
 
+    @settings(derandomize=True, deadline=None, max_examples=16)
+    @given(n_qubits=st.integers(1, 2), fock_dim=st.integers(4, 10),
+           eta=st.floats(2.05, 4.0, exclude_min=True),
+           phi=st.floats(0.0, 2 * np.pi, exclude_max=True),
+           detuning=st.sampled_from([1.0, 0.9, 1.13]), t=st.floats(0.05, 2 * np.pi),
+           method=st.sampled_from(["piecewise-exponential", "rk4"]))
+    def test_mirror_is_the_transpose(self, n_qubits, fock_dim, eta, phi, detuning, t,
+                                     method):
+        """The identity's propagation under the mirror H(t - tau) is the
+        transpose of its propagation under H, at any phi and omega_d, for
+        either stepper. The identity holds to roundoff at any step, so the
+        Magnus step sits at the ceiling and RK4 only fine enough for the
+        overlap guard."""
+        h = self._provider(n_qubits, eta, fock_dim=fock_dim, omega_d=detuning * eta, phi=phi)
+        mirror = replace(h, parts=model._mirrored(h.parts, t))
+        per_period = 50 if method == "piecewise-exponential" else 400
+        cfg = EvolutionConfig(dt=2 * np.pi / (per_period * h.omega_max), method=method)
+        eye = np.eye(h.layout.dim, dtype=complex)
+        u = evolve_columns(h, eye, t, cfg)
+        assert np.max(np.abs(evolve_columns(mirror, eye, t, cfg) - u.T)) <= 1e-12
+
     @pytest.mark.parametrize("n_qubits, eta", [(1, 2.5), (1, 3.0), (2, 3.3)])
     def test_reversed_round_trip(self, n_qubits, eta):
+        """U^dag = conj(U_m), the conjugated mirror propagation, undoes U:
+        the backward step the cat experiment takes."""
         h = self._provider(n_qubits, eta)
-        rev = replace(h, parts=model._reversed(h.parts, np.pi))
-        assert rev.parts.phi[0] != h.parts.phi[0]
+        mirror = replace(h, parts=model._mirrored(h.parts, np.pi))
+        assert mirror.parts.phi[0] != h.parts.phi[0]
         v0 = self._columns(h.layout.dim, 3, 21)
         u = evolve_columns(h, v0, np.pi, EvolutionConfig())
         assert np.max(np.abs(u - v0)) > 0.1
-        assert np.max(np.abs(evolve_columns(rev, u, np.pi, EvolutionConfig()) - v0)) <= 1e-12
+        back = np.conj(evolve_columns(mirror, np.conj(u), np.pi, EvolutionConfig()))
+        assert np.max(np.abs(back - v0)) <= 1e-12
 
     @pytest.mark.parametrize("n_qubits, kernel, other", [
         (1, "_band_operator", "_block_operator"),
@@ -576,7 +604,7 @@ class TestStackedPropagation:
     ])
     def test_members_propagate_as_alone(self, n_qubits, kernel, other, monkeypatch):
         h = self._provider(n_qubits, 2.5)
-        members = [h, replace(h, parts=model._reversed(h.parts, 1.3)),
+        members = [h, replace(h, parts=model._mirrored(h.parts, 1.3)),
                    self._provider(n_qubits, 2.5, g=0.45), h]
         dim = h.layout.dim
         v0 = self._columns(len(members) * dim, 2, 5)
