@@ -28,7 +28,7 @@ parts.
 """
 from __future__ import annotations
 
-import itertools
+import functools
 import math
 from dataclasses import dataclass, replace
 from typing import Callable, Iterable
@@ -512,64 +512,98 @@ def _lab_blocks(params: SystemParams, drive: DriveParams,
                    drive.omega_d, np.full(2, drive.phi), np.zeros(2, dtype=int))
 
 
-def _block_operator(blocks: np.ndarray, shape: tuple):
-    """apply(x, scale) = scale * B @ x for the real parity blocks B.
+class _Powers:
+    """A loaded operator A and the power stack it owns.
 
-    blocks is (sectors, m, m) and x a packed (sectors, m, k) state from
-    _mixer. The float64 view of a C-contiguous state holds each row's real
-    and imaginary parts side by side, so one batched real matmul over the
-    sectors does the whole apply, straight into the float64 view of the
-    result. Buffers follow _band_operator's rule, without the zero rows.
+    Row j of the stack holds p_j = A p_{j-1} once power(j) has run, p_0
+    being what the caller writes into row 0; rows[j] is that row as a
+    packed state and flat[j] as one float64 vector, for its norm. stack
+    holds the rows flat, one per line, and heads[j] its first j + 1
+    lines, for combining them into out, whose packed state is result.
+    bounds[j] is the Taylor stop on row j's squared norm (see
+    propagate._expmv). buf is the stack in the kernel's own layout, and
+    state maps one of its rows (or a row-shaped array) to a packed state.
     """
-    bufs = [(b, b.view(np.float64)) for b in np.empty((2,) + shape, dtype=complex)]
-    last = 0
 
-    def apply(x: np.ndarray, scale: complex) -> np.ndarray:
-        nonlocal last
-        src, src_f = bufs[last]
-        if x is not src:
-            np.copyto(src, x)
-        last ^= 1
-        y, out = bufs[last]
-        np.matmul(blocks, src_f, out=out)
-        y *= scale
-        return y
-    return apply
+    def __init__(self, buf: np.ndarray, state: Callable, power: Callable,
+                 bounds: list) -> None:
+        self.stack = buf.reshape(len(buf), -1)
+        self.heads = [self.stack[:j + 1] for j in range(len(buf))]
+        self.flat = [line.view(np.float64) for line in self.stack]
+        self.rows = [state(b) for b in buf]
+        self.out = np.zeros_like(self.stack[0])
+        self.result = state(self.out.reshape(buf.shape[1:]))
+        self.power = power
+        self.bounds = bounds
 
 
-def _band_operator(d: np.ndarray, up: np.ndarray, lo: np.ndarray, shape: tuple):
-    """apply(x, scale) = scale * T @ x for the tridiagonal T with diagonal d,
-    T[i, i+1] = up[i] and T[i, i-1] = lo[i].
+def _block_operator(blocks: np.ndarray, shape: tuple, bounds: list) -> _Powers:
+    """A = B for the real parity blocks B, (sectors, m, m).
 
-    x is a packed (sectors, n, k) state from _mixer; T, read off its
-    tridiagonal parity blocks, runs along the sectors laid end to end, so
-    d, up and lo are (sectors * n, 1) complex columns, and up, lo are 0
-    where one sector ends and the next begins. The result goes into one
-    of two buffers made here, in turn, and an input other than the last
-    result is first copied into that result's buffer: a result stays
-    valid until the next apply, which may take it as its input. Both
-    buffers carry a zero row at each end, so the neighbour rows x[i+1]
-    and x[i-1] are fixed views of them.
+    The rows are packed (sectors, m, k) states. The float64 view of a
+    C-contiguous row holds each amplitude's real and imaginary parts side
+    by side, so power(j) is one batched real matmul over the sectors,
+    from row j - 1's float64 view into row j's.
     """
-    rows = shape[0] * shape[1]
-    pads = np.zeros((2, rows + 2, shape[2]), dtype=complex)
-    bufs = [(p[1:-1].reshape(shape), p[1:-1], p[2:], p[:-2]) for p in pads]
-    tmp = np.empty((rows, shape[2]), dtype=complex)
-    last = 0
+    buf = np.empty((len(bounds),) + shape, dtype=complex)
+    f = [b.view(np.float64) for b in buf]
 
-    def apply(x: np.ndarray, scale: complex) -> np.ndarray:
-        nonlocal last
-        x3, xs, xn, xp = bufs[last]
-        if x is not x3:
-            np.copyto(x3, x)
-        last ^= 1
-        y3, y = bufs[last][:2]
-        np.multiply(d, xs, out=y)
-        y += np.multiply(up, xn, out=tmp)
-        y += np.multiply(lo, xp, out=tmp)
-        y *= scale
-        return y3
-    return apply
+    def power(j: int) -> None:
+        np.matmul(blocks, f[j - 1], out=f[j])
+    return _Powers(buf, lambda b: b, power, bounds)
+
+
+def _band_operator(up: np.ndarray, lo: np.ndarray, shape: tuple,
+                   bounds: list) -> _Powers:
+    """A = T for the tridiagonal T with T[i, i+1] = up[i], T[i, i-1] =
+    lo[i] and the diagonal that load(d) sets.
+
+    The rows are packed (sectors, n, k) states; T, read off tridiagonal
+    parity blocks, runs along the sectors laid end to end, so d, up and
+    lo are (sectors * n, 1) complex columns, and up, lo are 0 where one
+    sector ends and the next begins. Each row carries a zero line at
+    either end, so its neighbour lines x[i+1] and x[i-1] are fixed views,
+    and power(j) is five ufunc calls.
+    """
+    lines = shape[0] * shape[1]
+    buf = np.zeros((len(bounds), lines + 2, shape[2]), dtype=complex)
+    mid, nxt, prv = ([b[s] for b in buf] for s in (slice(1, -1), slice(2, None),
+                                                   slice(None, -2)))
+    tmp = np.empty((lines, shape[2]), dtype=complex)
+    diag = None
+
+    def load(d: np.ndarray) -> None:
+        nonlocal diag
+        diag = d
+
+    def power(j: int) -> None:
+        y, i = mid[j], j - 1
+        np.multiply(diag, mid[i], out=y)
+        np.multiply(up, nxt[i], out=tmp)
+        np.add(y, tmp, out=y)
+        np.multiply(lo, prv[i], out=tmp)
+        np.add(y, tmp, out=y)
+    op = _Powers(buf, lambda b: b[1:-1].reshape(shape), power, bounds)
+    op.load = load
+    return op
+
+
+def _dense_operator(shape: tuple, bounds: list) -> _Powers:
+    """A = the dense product-basis matrix that load(m) sets, on unpacked
+    rows of the given shape."""
+    buf = np.empty((len(bounds),) + shape, dtype=complex)
+    rows = list(buf)
+    m = None
+
+    def load(a: np.ndarray) -> None:
+        nonlocal m
+        m = a
+
+    def power(j: int) -> None:
+        np.matmul(m, rows[j - 1], out=rows[j])
+    op = _Powers(buf, lambda b: b, power, bounds)
+    op.load = load
+    return op
 
 
 def _modulation(parts: _Blocks, t):
@@ -703,100 +737,163 @@ def _packing(parts: _Blocks, v0: np.ndarray):
 
 
 def _mixer(h: Callable[[float], np.ndarray], t_check: float, v0: np.ndarray,
-           chunks: Iterable[np.ndarray], weights: np.ndarray, expmv: Callable):
-    """(ops, into, back): the plan of one propagation of v0 under h.
+           chunks: Iterable[np.ndarray], weights: np.ndarray, dt: float,
+           expmv: Callable, stop: np.ndarray):
+    """(ops, into, back): the plan of one propagation of v0 under h, in
+    steps of dt.
 
     The propagation runs steps in order and each step's operators in
     order; chunks yields the node times of runs of consecutive steps as
     (steps, n) arrays, and operator j of a step with node times ts is
-    sum_l weights[j, l] H(ts[l]), weights an (operators, n) array. Each
-    next(ops) loads the next operator. An operator whose weight row sums
-    to a nonzero value loads as apply(x, scale) = scale * (operator) @ x,
-    valid until the next apply is loaded; one whose row sums to zero, in
-    which h0 cancels, loads as turn(x, t) = exp(-i t (operator)) x, valid
-    until the next turn is loaded. into packs v0, or an array of its
-    shape with no amplitude outside v0's, into the propagation basis, and
-    back unpacks one into the product basis.
+    dt sum_l weights[j, l] H(ts[l]), weights an (operators, n) array:
+    every operator comes prescaled by the step. Each next(ops) loads the
+    next operator. One whose weight row sums to a nonzero value loads as
+    a _Powers of it, valid until the next load, whose power(j) is one
+    bare apply. One whose row sums to zero, in which h0 cancels, is a
+    turn: the n-th, K_n, loads as turn(x) = e^{iK_n} e^{-iK_{n-1}} x,
+    K_{-1} = 0, so a propagation carries its state twisted by e^{iK} of
+    the last turn loaded, and one turn per step moves it on to the next
+    (for a lab provider one phase, exp(i (K_n - K_{n-1}))).
+    into packs v0, or an array of its shape with no amplitude outside
+    v0's, into the propagation basis; back unwinds e^{-iK} of the last
+    turn loaded from a packed state and unpacks it into the product
+    basis (the dense fallback unwinds the state itself, see _dense_plan).
+    Each operator's Taylor stop is stop (one entry per stack row)
+    times v0's squared norm, that of its smallest stack member.
 
     A lab provider, of one drive's parts or a stack, its parts taken by
     _checked_parts (a wrapper's checked against h(t_check)), is
-    h0 + sin(omega_d t - phi) D on real parity blocks, D diagonal, so operator j is
-    c0 h0 + c1 D: c0 the weight row's sum, one value for every apply's
-    row (1 for the Magnus step's mean generator and for RK4), or zero for
-    a turn's, and c1 = sum_l weights[j, l] sin(omega_d ts[l] - phi),
-    formed a chunk at a time as the propagation reaches it, per occupied
-    sector, and as one number when those sectors share phi. So c0 h0 is
-    premixed once per propagation, an apply's load only rewrites the
-    diagonal, in place, from c1, and a turn is the elementwise phase
-    exp(-i t c1 D). into and back come from _packing, so a sector that
+    h0 + sin(omega_d t - phi) D on real parity blocks, D diagonal, so
+    operator j is dt (c0 h0 + c1 D): c0 the weight row's sum, one value
+    for every apply's row (1 for the Magnus step's mean generator and for
+    RK4), or zero for a turn's, and c1 = sum_l weights[j, l]
+    sin(omega_d ts[l] - phi), per occupied sector, or one number when
+    those sectors share phi. So dt c0 h0 is premixed once per
+    propagation, and a chunk of steps forms, at once, the diagonals
+    dt (c0 diag(h0) + c1 D) its applies load and the phases its turns
+    multiply by; a load then only points the kernel at, or copies in,
+    its diagonal. into and back come from _packing, so a sector that
     parity keeps at zero is never propagated. Tridiagonal premixed blocks
     (one qubit's parity chains) apply as three complex bands, others as
-    one batched real matmul. When the occupied sectors span several
-    stack members, the apply carries the offset at which each begins in
-    the float64 view of a packed state (apply.members), from which expmv
-    takes each member's norm. Any other callable falls back to one dense
-    mixed matrix per operator in the product basis, unpacked, and a turn
-    of it is expmv(apply, t, x) = exp(-i t A) x of its apply.
-
-    A propagation has one apply, and it owns the only two result
-    buffers, made here: a result stays valid until the next apply, which
-    may take it as its input.
+    one batched real matmul. Any other callable falls back to one dense
+    matrix per operator in the product basis, unpacked (_dense_plan).
     """
-    turns = (weights.sum(axis=1) == 0).tolist()
+    turns = weights.sum(axis=1) == 0
     parts = _checked_parts(h, t_check)
     if parts is None:
-        def dense_ops():
-            for nodes in chunks:
-                for ts in nodes:
-                    for ws, is_turn in zip(weights, turns):
-                        m = sum(w * h(t) for t, w in zip(ts, ws) if w)
-                        apply = lambda x, scale, m=m: scale * (m @ x)
-                        yield (lambda x, t, a=apply: expmv(a, t, x)) if is_turn else apply
-        return dense_ops(), np.copy, np.copy
-    sectors, shape, into, back = _packing(parts, v0)
-    blocks = weights[turns.index(False)].sum() * parts.h0[sectors]
-    drive = parts.diag[sectors][..., None]
-    twist = -1j * drive
-    phase = np.empty_like(twist)
-    kappa = 0.0
+        return _dense_plan(h, v0, chunks, weights, turns, dt, expmv, stop)
+    sectors, shape, into, unpack = _packing(parts, v0)
+    p0 = into(v0)
+    firsts = np.flatnonzero(np.diff(parts.member[sectors], prepend=-1))
+    bounds = (min(np.add.reduceat(np.sum(p0.real ** 2 + p0.imag ** 2, axis=(1, 2)),
+                                  firsts)) * stop).tolist()
+    blocks = (dt * weights[~turns][0].sum()) * parts.h0[sectors]
+    d0 = np.diagonal(blocks, 0, 1, 2).flatten()
+    drive = parts.diag[sectors]
     # one coefficient per load when the occupied sectors share phi, else
-    # one per sector, shaped to broadcast over (sectors, m, 1)
+    # one per sector; a phase exp(i q D) takes the exponential of D's few
+    # distinct values only (found without np.unique, whose sort would add
+    # a quarter MiB of library pages to every run)
     shared = bool(np.all(parts.phi[sectors] == parts.phi[sectors[0]]))
     pick = sectors[:1] if shared else sectors
+    seen: dict = {}
+    at = np.array([seen.setdefault(d, len(seen)) for d in drive.ravel().tolist()])
+    at, vals = at.reshape(drive.shape), np.array(list(seen))
+    by = np.arange(len(sectors))[:, None] * (not shared)
 
-    def turn(x: np.ndarray, t: float) -> np.ndarray:
-        np.multiply(twist, t * kappa, out=phase)
-        return x * np.exp(phase, out=phase)
+    def phases(q: np.ndarray) -> np.ndarray:
+        """exp(i q D) for coefficients q (..., len(pick)), as (..., sectors, m, 1)."""
+        return np.exp(1j * q[..., None] * vals)[..., by, at][..., None]
 
     if np.any(np.triu(blocks, 2)) or np.any(np.tril(blocks, -2)):
-        diag = blocks.reshape(len(sectors), -1)[:, ::shape[1] + 1, None]
-        apply = _block_operator(blocks, shape)
+        op = _block_operator(blocks, shape, bounds)
+        op.load = functools.partial(np.copyto,
+                                    blocks.reshape(len(sectors), -1)[:, ::shape[1] + 1])
+
+        def lines(d):
+            return d.reshape((-1,) + drive.shape)
     else:
-        bands = np.zeros((3,) + shape[:2], dtype=complex)
-        bands[0] = np.diagonal(blocks, 0, 1, 2)
-        bands[1, :, :-1] = np.diagonal(blocks, 1, 1, 2)
-        bands[2, :, 1:] = np.diagonal(blocks, -1, 1, 2)
-        diag, drive = bands[0][..., None], drive.astype(complex)
-        apply = _band_operator(*bands.reshape(3, -1, 1), shape)
-    d0 = diag.copy()
-    cuts = (np.flatnonzero(np.diff(parts.member[sectors])) + 1).tolist()
-    apply.members = 2 * shape[1] * shape[2] * np.array([0] + cuts) if cuts else None
+        bands = np.zeros((2,) + shape[:2], dtype=complex)
+        bands[0, :, :-1] = np.diagonal(blocks, 1, 1, 2)
+        bands[1, :, 1:] = np.diagonal(blocks, -1, 1, 2)
+        op = _band_operator(*bands.reshape(2, -1, 1), shape, bounds)
+
+        def lines(d):
+            return d.astype(complex)[..., None]
+    phase = last = None
+
+    def turn(x: np.ndarray) -> np.ndarray:
+        return np.multiply(x, phase, out=op.rows[0])
 
     def ops():
-        nonlocal kappa
+        nonlocal phase, last
+        k = np.zeros((1, len(pick)))
         for nodes in chunks:
             s = _modulation(parts, nodes)[..., pick]  # (steps, n, len(pick))
-            c1 = sum(s[:, l, None] * weights[:, l, None] for l in range(weights.shape[1]))
-            cs = c1.ravel().tolist() if shared else c1.reshape(-1, len(pick), 1, 1)
-            for c, is_turn in zip(cs, itertools.cycle(turns)):
+            c = dt * sum(s[:, l, None] * weights[:, l, None] for l in range(weights.shape[1]))
+            ks = c[:, turns].reshape(-1, len(pick))
+            twists = zip(ks, phases(np.diff(ks, axis=0, prepend=k)))
+            k = ks[-1:] if len(ks) else k
+            q = c[:, ~turns].reshape(-1, len(pick), 1)
+            loads = iter(lines(d0 + (q * drive).reshape(len(q), -1)))
+            for is_turn in turns.tolist() * len(nodes):
                 if is_turn:
-                    kappa = c
+                    last, phase = next(twists)
                     yield turn
                 else:
-                    np.multiply(drive, c, out=diag)
-                    np.add(diag, d0, out=diag)
-                    yield apply
+                    op.load(next(loads))
+                    yield op
+
+    def back(p: np.ndarray) -> np.ndarray:
+        return unpack(p if last is None else p * phases(-last))
     return ops(), into, back
+
+
+def _dense_plan(h: Callable[[float], np.ndarray], v0: np.ndarray,
+                chunks: Iterable[np.ndarray], weights: np.ndarray, turns: np.ndarray,
+                dt: float, expmv: Callable, stop: np.ndarray):
+    """_mixer's plan for a provider without parts: one dense matrix per
+    operator, dt sum_l weights[j, l] h(ts[l]), on unpacked states.
+
+    Applies load into one _Powers, turns into another: a turn is
+    exponentials by expmv, and its K_n do not commute, so turn(x) =
+    e^{iK_n} e^{-iK_{n-1}} x takes two of them. back unwinds e^{-iK_n}
+    in place, so that the next turn takes only e^{iK_{n+1}}, and returns
+    a copy.
+    """
+    bounds = (np.vdot(v0, v0).real * stop).tolist()
+    main, turner = (_dense_operator(v0.shape, bounds) for _ in range(2))
+    last = None  # K of the twist the propagated state carries
+
+    def exp(m: np.ndarray, x: np.ndarray) -> np.ndarray:
+        turner.load(m)
+        return expmv(turner, x)
+
+    def turn(m: np.ndarray, x: np.ndarray) -> np.ndarray:
+        nonlocal last
+        if last is not None:
+            x = exp(last, x)
+        last = m
+        return exp(-m, x)
+
+    def ops():
+        for nodes in chunks:
+            for ts in nodes:
+                for ws, is_turn in zip(weights, turns.tolist()):
+                    m = dt * sum(w * h(t) for t, w in zip(ts, ws) if w)
+                    if is_turn:
+                        yield functools.partial(turn, m)
+                    else:
+                        main.load(m)
+                        yield main
+
+    def back(p: np.ndarray) -> np.ndarray:
+        nonlocal last
+        if last is not None:
+            np.copyto(p, exp(last, p))
+            last = None
+        return p.copy()
+    return ops(), np.copy, back
 
 
 def hamiltonian_fn(params: SystemParams, drive: DriveParams, frame: str,

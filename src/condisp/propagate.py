@@ -13,36 +13,44 @@ sqrt(3)/6) dt. The commutator is not formed: a step applies
 
 whose exponent is the Magnus one up to O(dt K^2) = O(dt^5). For a lab
 provider, H_2 - H_1 is a multiple of the diagonal drive D, so e^{+-iK}
-are elementwise phases. The exponential acts through an adaptive Taylor
-product, which never leaves the unit sphere beyond roundoff; so the
-series stops once a term's squared norm falls below 1e-32 of the
-input's, taken once per exponential (of the smallest member's, for a
-stack). model._mixer plans each propagation once, from its initial
-state, and reads its step schedule _PLAN_CHUNK steps at a time: node
-times, then the modulation sin(omega_d t - phi) at all of them, from
-which it forms each step's Hbar and K. Lab providers (model._LabProvider),
-whose generator is h0 + sin(omega_d t - phi) D, are never evaluated: they
-are propagated from the parts they carry, and only a wrapper that carries
-a provider's parts is evaluated, once per propagation (once per
-experiment for the cat and the gate, which propagate providers built
-from the parts they take), to check them.
-Their static part is premixed once, so loading the next Hbar
-rewrites only the diagonal of the propagation's one operator, in place,
-and each Taylor term is an apply into one of its two buffers. At either
-qubit count the generator is a real block per parity sector; the
-propagation carries only the blocks the initial state occupies (the
-parity keeps the rest at zero) and applies them as three bands where
-they are tridiagonal (one qubit's parity chains), else by one batched
-real matmul (two qubits). A stack of lab parts (model._stack) lays
-their parity sectors end to end, so the same kernels propagate all its
-members at once, one apply per Taylor term. Both experiments meet in
-the middle by one identity: the lab generator is real and symmetric and
-each step is symmetric in its nodes, so a propagation over [0, t] under
-the time mirror H(t - tau) (model._mirrored) is the transpose of the
-one under H. The cat experiment stacks its parts with their mirror and
-so takes two of its steps per propagation; the gate propagates its four
-columns over half the period under the drive, which is its own mirror
-at the gate presets, or under the stack of the drive and its mirror. The
+are elementwise phases that commute: a propagation carries its state
+twisted, w_n = e^{+iK_{n-1}} v_n, makes one turn e^{i(K_n - K_{n-1})}
+per step, and unwinds e^{-iK} only where a state leaves it, at each
+sample (a dense fallback, whose K_n do not commute, keeps two turns a
+step). Every operator comes prescaled by its step, A = dt Hbar, and
+the exponential is an adaptive Taylor series on a power stack that the
+operator owns: each term is one bare apply p_k = A p_{k-1} into the
+next row, plus its stop test, and the exponential is one combination
+of the rows by (-i)^k / k! (a stack that runs out of rows is folded
+into a partial sum). The Taylor product never leaves the unit sphere
+beyond roundoff, so the series stops once a term's squared norm falls
+below 1e-32 of the initial state's, taken once per propagation (of the
+smallest member's, for a stack). model._mixer plans each propagation
+once, from its initial state, and reads its step schedule _PLAN_CHUNK
+steps at a time: node times, then the modulation sin(omega_d t - phi)
+at all of them, from which it forms the chunk's diagonals and turn
+phases at once. Lab providers (model._LabProvider), whose generator is
+h0 + sin(omega_d t - phi) D, are never evaluated: they are propagated
+from the parts they carry, and only a wrapper that carries a provider's
+parts is evaluated, once per propagation (once per experiment for the
+cat and the gate, which propagate providers built from the parts they
+take), to check them. Their static part is premixed once, as dt h0, so
+loading the next step only points the operator at its diagonal, or
+copies it in. At either qubit count the generator is a real block per
+parity sector; the propagation carries only the blocks the initial
+state occupies (the parity keeps the rest at zero) and applies them as
+three bands where they are tridiagonal (one qubit's parity chains),
+else by one batched real matmul (two qubits). A stack of lab parts
+(model._stack) lays their parity sectors end to end, so the same
+kernels propagate all its members at once, one apply per Taylor term.
+Both experiments meet in the middle by one identity: the lab generator
+is real and symmetric and each step is symmetric in its nodes, so a
+propagation over [0, t] under the time mirror H(t - tau)
+(model._mirrored) is the transpose of the one under H. The cat
+experiment stacks its parts with their mirror and so takes two of its
+steps per propagation; the gate propagates its four columns over half
+the period under the drive, which is its own mirror at the gate
+presets, or under the stack of the drive and its mirror. The
 effective conditional-displacement model is never propagated:
 fidelity_trace builds its states in closed form from coherent
 amplitudes. A classical RK4 stepper is kept as an independent
@@ -96,9 +104,11 @@ _STEP_FRACTION = 2.0 * math.pi / 50.0  # hard ceiling: dt * omega_max
 _TAYLOR_RTOL = 1e-16
 _TAYLOR_MAX_TERMS = 200
 _UNITARITY_TOL = 1e-7
-# Steps whose node times and coefficients a propagation forms at once, so
-# that planning memory does not grow with the step count.
-_PLAN_CHUNK = 4096
+# Steps whose node times, diagonals and turn phases a propagation forms
+# at once, a row per step: on the k = 6 cat at Fock 128, 16 steps ran
+# level with 64, which held 0.7 MiB more in those rows, and 8 made an op
+# about 4 % slower through the forming's call overhead.
+_PLAN_CHUNK = 16
 # Integer cells below this magnitude have at most 12 digits, so %d writes
 # them as %.12g does.
 _INT_LIMIT = 10**12
@@ -191,36 +201,59 @@ class FidelityTrace:
 _GAUSS_NODES = (0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0)
 _TWIST = math.sqrt(3.0) / 12.0
 
+# Rows of an operator's Taylor power stack: p_0 and up to 15 powers, more
+# than an exponential at the default step takes (9 to 10 on average on
+# the gate and the cat); one that needs more folds the stack. _COEFFS[j] = (-i)^j / j! combines
+# row j into the exponential, and _STOP[j] = (1e-16 j!)^2 stops the
+# series at row j, relative to the squared norm of the initial state.
+_TAYLOR_ROWS = 16
+_COEFFS = np.cumprod([1.0] + [-1j / j for j in range(1, _TAYLOR_ROWS)])
+_STOP = _TAYLOR_RTOL ** 2 / np.abs(_COEFFS) ** 2
+_HEADS = [_COEFFS[:j + 1] for j in range(_TAYLOR_ROWS)]
 
-def _expmv(apply, dt: float, v: np.ndarray) -> np.ndarray:
-    """exp(-i h dt) @ v by the Taylor product, apply(x, scale) = scale * h @ x.
 
-    The series stops at the first term with ||term||^2 <= 1e-32 ||v||^2,
-    a relative 1e-16 tail; ||v||^2 is taken once, since the Taylor
-    product is unitary to roundoff. When v holds several stack members
-    (apply.members, the offsets at which each begins in the float64 view
-    of v, see model._mixer), ||v||^2 is the smallest member's, all of them
-    summed by one reduction, so that every member's own term passes its
-    own stop, and the series runs at least as far for each member as it
-    would for that member alone. A term is held only until the apply has
-    made the next one from it, as model._mixer's buffer rule allows.
-    Converges for any dt but is only accurate (and cheap) for dt * ||h||
-    of order one or below, which the step ceiling guarantees.
+def _expmv(op, x: np.ndarray) -> np.ndarray:
+    """exp(-i A) @ x by the Taylor series, A the operator op has loaded
+    (a model._Powers, prescaled by its step: dt Hbar, or a turn's K).
+
+    x goes into row 0 of op's power stack, unless it is there already,
+    and each term writes p_k = A p_{k-1} into row k, one bare apply. The
+    series stops at the first k with ||p_k||^2 <= op.bounds[k] =
+    1e-32 (k!)^2 v^2, that is at a term (-i)^k p_k / k! of squared norm
+    at most 1e-32 v^2, a relative 1e-16 tail: v^2 is the squared norm of
+    the propagation's initial state (of its smallest stack member, so
+    that each member's own term passes its own stop), taken once, since
+    the Taylor product is unitary to roundoff. The exponential is then
+    one combination of the rows by the coefficients (-i)^j / j!, into
+    op.out, and is returned as op.result, valid until op's next
+    exponential. When the rows run out, all but the last are folded into
+    a partial sum, and the last, scaled to its term t_b, becomes row 0,
+    from which the series goes on with the coefficients (-i)^j b!/(b+j)!.
+    Converges for any step but is only accurate (and cheap) for ||A|| of
+    order one or below, which the step ceiling guarantees.
     """
-    out = v.astype(complex, copy=True)
-    term = out
-    starts = getattr(apply, "members", None)
-    if starts is None:
-        tol = _TAYLOR_RTOL ** 2 * np.vdot(out, out).real
-    else:
-        w = out.view(np.float64).ravel()
-        tol = _TAYLOR_RTOL ** 2 * min(np.add.reduceat(w * w, starts).tolist())
-    scale = -1j * dt
+    rows, flat, power, bounds = op.rows, op.flat, op.power, op.bounds
+    if x is not rows[0]:
+        np.copyto(rows[0], x)
+    heads, total, j, depth = _HEADS, None, 0, len(rows)
     for k in range(1, _TAYLOR_MAX_TERMS + 1):
-        term = apply(term, scale / k)
-        out += term
-        if np.vdot(term, term).real <= tol:
-            return out
+        j += 1
+        if j == depth:
+            j -= 1
+            coeffs = heads[j]
+            part = coeffs[:j] @ op.stack[:j]
+            total = part if total is None else total + part
+            np.multiply(op.stack[j], coeffs[j], out=op.stack[0])
+            coeffs = np.cumprod([1.0] + [-1j / (k - 1 + i) for i in range(1, depth)])
+            heads = [coeffs[:i + 1] for i in range(depth)]
+            bounds = (op.bounds[0] / np.abs(coeffs) ** 2).tolist()
+            j = 1
+        power(j)
+        if flat[j] @ flat[j] <= bounds[j]:
+            np.dot(heads[j], op.heads[j], out=op.out)
+            if total is not None:
+                op.out += total
+            return op.result
     raise PropagationAccuracyError(
         f"matrix-exponential series did not converge in {_TAYLOR_MAX_TERMS} "
         "terms; the step is far too large for this generator"
@@ -236,30 +269,36 @@ _SCHEMES = {
 }
 
 
-def _m4_step(ops, dt: float, v: np.ndarray) -> np.ndarray:
-    """One fourth-order Magnus step, e^{-iK} exp(-i dt Hbar) e^{+iK} v.
+def _m4_step(ops, w: np.ndarray) -> np.ndarray:
+    """One fourth-order Magnus step on the twisted state w = e^{+iK_{n-1}} v.
 
-    The first load is the twist's turn(x, t) = exp(-i t K / dt) x, the
-    second the mean generator Hbar = (H_1 + H_2)/2, whose load leaves the
-    turn valid. Conjugating exp(-i dt Hbar) by e^{-iK} adds
-    -dt [K, Hbar] = (sqrt(3)/12) dt^2 [H_1, H_2] to its exponent, which
-    makes it the classical fourth-order Magnus exponent up to O(dt K^2) =
-    O(dt^5).
+    The first load is the turn e^{i(K_n - K_{n-1})}, K = dt (sqrt(3)/12)
+    (H_2 - H_1), the second the prescaled mean generator dt Hbar, Hbar =
+    (H_1 + H_2)/2. The step returns exp(-i dt Hbar) e^{+iK_n} v, which is
+    e^{+iK_n} times the step e^{-iK_n} exp(-i dt Hbar) e^{+iK_n} v: the
+    twist stays on until the next step's turn or the plan's back unwinds
+    it. Conjugating exp(-i dt Hbar) by e^{-iK} adds -dt [K, Hbar] =
+    (sqrt(3)/12) dt^2 [H_1, H_2] to its exponent, which makes it the
+    classical fourth-order Magnus exponent up to O(dt K^2) = O(dt^5).
     """
     turn = next(ops)
-    v = _expmv(next(ops), dt, turn(v, -dt))
-    return turn(v, dt)
+    return _expmv(next(ops), turn(w))
 
 
-def _rk4_step(ops, dt: float, v: np.ndarray) -> np.ndarray:
-    """One classical RK4 step. An apply's result is valid only until the
-    next apply, so k1..k3 are copied."""
-    k1 = next(ops)(v, -1j).copy()
-    hm = next(ops)
-    k2 = hm(v + (0.5 * dt) * k1, -1j).copy()
-    k3 = hm(v + (0.5 * dt) * k2, -1j).copy()
-    k4 = next(ops)(v + dt * k3, -1j)
-    return v + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+def _rk4_step(ops, v: np.ndarray) -> np.ndarray:
+    """One classical RK4 step, its slopes -i A x taken from the prescaled
+    operators A = dt H at the step's nodes."""
+    def slope(op, x):
+        np.copyto(op.rows[0], x)
+        op.power(1)
+        return -1j * op.rows[1]
+
+    k1 = slope(next(ops), v)
+    op = next(ops)
+    k2 = slope(op, v + 0.5 * k1)
+    k3 = slope(op, v + 0.5 * k2)
+    k4 = slope(next(ops), v + k3)
+    return v + (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
 
 
 def _sample_grid(t_end: float, dt: float, n_samples: int):
@@ -274,30 +313,40 @@ def _run(h: HamiltonianProvider, v0: np.ndarray, times: np.ndarray,
          n_sub: int, method: str, norm_gate: bool) -> list[np.ndarray]:
     """States at every sample time, n_sub steps per sample interval.
 
-    model._mixer plans the propagation once, from the parity sectors v0
-    occupies, and reads the step schedule, node times then the
-    operators' modulation coefficients, _PLAN_CHUNK steps at a time as
-    the propagation reaches them.
+    Every step takes dt = times[-1] / (n_sub (len(times) - 1)), the k-th
+    of an interval starting at times[i] + k dt. model._mixer plans the
+    propagation once, from the parity sectors v0 occupies, and reads the
+    step schedule, node times then the operators' modulation
+    coefficients, _PLAN_CHUNK steps at a time as the propagation reaches
+    them. The state stays twisted between steps; the plan's back unwinds
+    it where a sample leaves. A Taylor series that does not converge
+    raises PropagationAccuracyError naming its step and the time the step
+    starts at.
     """
     fracs, weights = _SCHEMES[method]
-    dts = np.diff(times) / n_sub
-    steps = len(dts) * n_sub
+    steps = (len(times) - 1) * n_sub
+    dt = float(times[-1]) / steps
 
     def node_chunks():
         for k in range(0, steps, _PLAN_CHUNK):
             i, j = np.divmod(np.arange(k, min(k + _PLAN_CHUNK, steps)), n_sub)
-            starts = times[i] + j * dts[i]
-            yield starts[:, None] + np.multiply.outer(dts[i], fracs)
+            starts = times[i] + j * dt
+            yield starts[:, None] + np.multiply(dt, fracs)
 
     v0 = np.asarray(v0, dtype=complex)
-    ops, into, back = _mixer(h, float(times[-1]), v0, node_chunks(), np.array(weights),
-                             _expmv)
+    ops, into, back = _mixer(h, float(times[-1]), v0, node_chunks(), np.array(weights), dt,
+                             _expmv, _STOP)
     step = _m4_step if method == "piecewise-exponential" else _rk4_step
     v = into(v0)
     out = [back(v)]
-    for i, dt in enumerate(dts):
-        for _ in range(n_sub):
-            v = step(ops, dt, v)
+    for i in range(len(times) - 1):
+        for j in range(n_sub):
+            try:
+                v = step(ops, v)
+            except PropagationAccuracyError as exc:
+                n, t = i * n_sub + j + 1, float(times[i] + j * dt)
+                raise PropagationAccuracyError(f"{exc} (step {n}, t = {t:g})",
+                                               step=n, time=t) from None
         if norm_gate:
             drift = abs(np.linalg.norm(v) - 1.0)
             if drift > NORM_TOL:

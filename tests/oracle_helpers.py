@@ -3,12 +3,14 @@
 Everything here reconstructs reference physics from scratch (explicit
 matrix assembly, finite differences) rather than calling back into the
 library paths under test; reference_expmv keeps the earlier Taylor loop
-to compare the library's against.
+and reference_m4 the Magnus step with both of its turns, to compare the
+library's against.
 """
 
 from __future__ import annotations
 
 import numpy as np
+import scipy.linalg
 import scipy.special
 
 from condisp import DriveParams, HilbertLayout, SystemParams
@@ -74,21 +76,53 @@ def exact_effective_states(params: SystemParams, drive: DriveParams,
     return np.exp(1j * params.omega_r * n * t) * in_frame
 
 
-def reference_expmv(apply, dt: float, v: np.ndarray) -> tuple[np.ndarray, int]:
-    """exp(-i h dt) @ v by the Taylor product, and the number of terms.
+def reference_expmv(apply, v: np.ndarray, members=None) -> tuple[np.ndarray, int]:
+    """exp(-i A) @ v by the Taylor product, apply(x) = A @ x, and the
+    number of terms.
 
-    The earlier loop: it stops once ||term||^2 <= 1e-32 ||partial sum||^2,
-    both squared norms taken afresh at every term, and raises
-    RuntimeError after 200 terms.
+    The earlier loop: term_k = (-i / k) A term_{k-1}, added to the
+    partial sum as it goes; it stops once ||term||^2 <= 1e-32 ||partial
+    sum||^2, both squared norms taken afresh at every term, and raises
+    RuntimeError after 200 terms. members, slices of v's flat view, makes
+    the partial sum's squared norm that of its smallest member.
     """
     out = v.astype(complex, copy=True)
     term = out
+    parts = [slice(None)] if members is None else members
     for k in range(1, 201):
-        term = apply(term, -1j * dt / k)
+        term = (-1j / k) * apply(term)
         out += term
-        if np.vdot(term, term).real <= 1e-32 * np.vdot(out, out).real:
+        flat = out.reshape(-1)
+        scale = min(np.vdot(flat[m], flat[m]).real for m in parts)
+        if np.vdot(term, term).real <= 1e-32 * scale:
             return out, k
     raise RuntimeError("Taylor series did not converge in 200 terms")
+
+
+def reference_m4(h, v0: np.ndarray, times: np.ndarray, n_sub: int) -> list[np.ndarray]:
+    """States at the sample times by the fourth-order Magnus step with both
+    of its turns, e^{-iK} exp(-i dt Hbar) e^{+iK}, on dense matrices.
+
+    Hbar = (H_1 + H_2)/2 and K = (sqrt(3)/12) dt (H_2 - H_1) at the Gauss
+    nodes t + (1/2 -+ sqrt(3)/6) dt; the exponential is reference_expmv's
+    and the turns SciPy's expm. Every step takes dt = times[-1] / (n_sub
+    (len(times) - 1)), the j-th of a sample interval starting at
+    times[i] + j dt, as the library's schedule does.
+    """
+    nodes = np.array([0.5 - np.sqrt(3.0) / 6.0, 0.5 + np.sqrt(3.0) / 6.0])
+    dt = float(times[-1]) / (n_sub * (len(times) - 1))
+    v = np.asarray(v0, dtype=complex)
+    out = [v.copy()]
+    for t in times[:-1]:
+        for j in range(n_sub):
+            h1, h2 = (h(s) for s in t + j * dt + dt * nodes)
+            k = np.sqrt(3.0) / 12.0 * dt * (h2 - h1)
+            a = 0.5 * dt * (h1 + h2)
+            v = scipy.linalg.expm(1j * k) @ v
+            v = reference_expmv(lambda x: a @ x, v)[0]
+            v = scipy.linalg.expm(-1j * k) @ v
+        out.append(v.copy())
+    return out
 
 
 def max_expansion_residual(

@@ -400,9 +400,9 @@ class TestGateMeetsInTheMiddle:
         exponential or from its last, the 212th at eta = 3."""
         expmv, calls = propagate._expmv, []
 
-        def scaled(apply, dt, v):
+        def scaled(op, v):
             calls.append(None)
-            out = expmv(apply, dt, v)
+            out = expmv(op, v)
             return 1.001 * out if len(calls) > first_bad else out
 
         monkeypatch.setattr(propagate, "_expmv", scaled)

@@ -16,10 +16,14 @@ Key oracles:
   does, also when they carry only the parity sectors and columns the
   initial state occupies; the blocks alone pick the kernel,
 * forming the step schedule in chunks must change no node time and no
-  output bit,
-* the Taylor loop must take as many terms as the earlier two-vdot loop
-  and agree with it, and the apply's buffers must never overwrite a
-  result before its next call,
+  output bit, though the twist a propagation carries crosses chunk and
+  sample boundaries, and the one turn per step must agree with a
+  stepper that makes both turns of every step,
+* the Taylor series on the power stack must take as many terms as the
+  earlier loop and agree with it, also when it folds the stack and on a
+  stack of members of unequal norm; a loaded operator's powers must be
+  the dense ones, and an exponential's result must live apart from the
+  rows it reads,
 * the closed-form effective states of fidelity_trace must match the exact
   solution of the effective model and a propagation of it,
 * evolving in the lab frame and rotating afterwards must agree with
@@ -64,6 +68,37 @@ def _static_provider(mat: np.ndarray, layout: HilbertLayout, wmax: float):
     fn.layout = layout
     fn.omega_max = wmax
     return fn
+
+
+def _plan(fn, v0: np.ndarray, nodes, weights, dt: float = 1.0):
+    """model._mixer's plan of one propagation of v0 under fn: steps of dt
+    with the given node times, operators by the given weight rows."""
+    return _mixer(fn, 0.0, v0, [np.array(nodes, dtype=float)],
+                  np.array(weights, dtype=float), dt, _expmv, propagate._STOP)
+
+
+def _apply(op, x: np.ndarray) -> np.ndarray:
+    """A @ x for a loaded operator A: x into row 0 of its stack, one power."""
+    np.copyto(op.rows[0], x)
+    op.power(1)
+    return op.rows[1]
+
+
+def _exponential(op, x: np.ndarray) -> tuple[np.ndarray, int]:
+    """_expmv(op, x), copied, and the number of Taylor terms it took."""
+    terms = 0
+    power = op.power
+
+    def counted(j: int) -> None:
+        nonlocal terms
+        terms += 1
+        power(j)
+
+    op.power = counted
+    try:
+        return _expmv(op, x).copy(), terms
+    finally:
+        op.power = power
 
 
 class TestEvolutionConfig:
@@ -113,10 +148,10 @@ class TestCoefficientForm:
         shape = (lay.dim,) if cols is None else (lay.dim, cols)
         x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         for t in (0.0, 0.37, 2.9):
-            ops, into, back = _mixer(fn, t, x, [np.array([[t]])], np.ones((1, 1)), _expmv)
-            got = back(next(ops)(into(x), 1.0))
+            ops, into, back = _plan(fn, x, [[t]], [[1.0]], dt=0.7)
+            got = back(_apply(next(ops), into(x)))
             assert got.shape == x.shape
-            assert np.max(np.abs(got - fn(t) @ x)) <= 1e-13
+            assert np.max(np.abs(got - 0.7 * fn(t) @ x)) <= 1e-13
 
     def test_wrapper_that_changes_h_is_refused(self):
         """functools.wraps copies the parts onto a wrapper; a wrapper
@@ -288,8 +323,13 @@ def _lab_provider(n_qubits: int, fock_dim: int):
 
 
 class TestTaylorLoop:
-    """_expmv against the earlier two-vdot loop of oracle_helpers, on every
-    exponential of small cat-, gate- and trace-like propagations."""
+    """_expmv against the earlier loop of oracle_helpers: the same number of
+    terms and results within 1e-13, on every exponential of small cat-,
+    gate- and trace-like propagations, also with a three-row power stack,
+    which every exponential of three or more terms folds; on one
+    exponential that folds the full stack; and on a two-member stack
+    whose members' norms differ by 1e3, against the earlier loop's stop
+    on the smaller member."""
 
     @staticmethod
     def _propagate(workload: str) -> None:
@@ -307,21 +347,22 @@ class TestTaylorLoop:
         else:
             fidelity_trace(p, d, basis_state(lay, "gg", 0), 0.2 * np.pi, cfg)
 
-    @pytest.mark.parametrize("workload", ["cat", "gate", "trace"])
-    def test_same_terms_as_reference_loop(self, workload, monkeypatch):
+    @staticmethod
+    def _against_reference(op, x: np.ndarray, members=None):
+        """(terms, the reference's terms, largest difference) of one
+        exponential, and its result."""
+        x0 = np.array(x)  # a fold rewrites row 0, where x may live
+        got, terms = _exponential(op, x)
+        ref, ref_terms = oracle_helpers.reference_expmv(lambda y: _apply(op, y).copy(),
+                                                        x0, members)
+        return (terms, ref_terms, float(np.max(np.abs(got - ref)))), got
+
+    def _spied(self, workload: str, monkeypatch) -> list:
         seen = []
 
-        def spy(apply, dt, v):
-            terms = 0
-
-            def counted(x, scale):
-                nonlocal terms
-                terms += 1
-                return apply(x, scale)
-
-            got = _expmv(counted, dt, v)
-            ref, ref_terms = oracle_helpers.reference_expmv(apply, dt, v)
-            seen.append((terms, ref_terms, float(np.max(np.abs(got - ref)))))
+        def spy(op, x):
+            result, got = self._against_reference(op, x)
+            seen.append(result)
             return got
 
         monkeypatch.setattr(propagate, "_expmv", spy)
@@ -329,30 +370,89 @@ class TestTaylorLoop:
         assert len(seen) >= 40
         assert [n for n, _, _ in seen] == [n for _, n, _ in seen]
         assert max(err for _, _, err in seen) <= 1e-13
+        return seen
+
+    @pytest.mark.parametrize("workload", ["cat", "gate", "trace"])
+    def test_same_terms_as_reference_loop(self, workload, monkeypatch):
+        self._spied(workload, monkeypatch)
+
+    @pytest.mark.parametrize("workload", ["cat", "gate", "trace"])
+    def test_three_row_stack_folds(self, workload, monkeypatch):
+        monkeypatch.setattr(propagate, "_STOP", propagate._STOP[:3])
+        assert max(n for n, _, _ in self._spied(workload, monkeypatch)) > 6
+
+    def test_fold_of_the_full_stack(self):
+        """At a step far above the ceiling an exponential takes more terms
+        than the stack has rows, so it folds the stack, twice."""
+        fn = _lab_provider(1, 16)
+        rng = np.random.default_rng(7)
+        x = rng.standard_normal(fn.layout.dim) + 1j * rng.standard_normal(fn.layout.dim)
+        x /= np.linalg.norm(x)
+        ops, into, back = _plan(fn, x, [[0.3]], [[1.0]], dt=0.4)
+        op = next(ops)
+        (terms, ref_terms, err), _ = self._against_reference(op, into(x))
+        assert terms == ref_terms > 2 * (len(op.rows) - 1)
+        assert err <= 1e-13
+
+    def test_two_members_stop_on_the_smaller(self):
+        """A unit member next to one of norm 1e-3, at four times the step
+        ceiling: the series runs until the smaller member's own terms pass
+        its stop, two terms past the earlier loop's stop on the whole
+        stack."""
+        fn = _lab_provider(1, 8)
+        pair = model._LabProvider(model._stack([fn.parts, fn.parts]), fn.omega_max)
+        v0 = np.concatenate([basis_state(fn.layout, "g", 0).vec,
+                             1e-3 * basis_state(fn.layout, "e", 7).vec])
+        dt = 4 * 2 * np.pi / (50 * fn.omega_max)
+        ops, into, back = _plan(pair, v0, [[0.3]], [[1.0]], dt)
+        x = into(v0)
+        assert x.shape == (2, 8, 1)  # one chain of each member
+        op = next(ops)
+        (terms, ref_terms, err), _ = self._against_reference(
+            op, x, members=[slice(0, 8), slice(8, 16)])
+        whole = oracle_helpers.reference_expmv(lambda y: _apply(op, y).copy(), x)[1]
+        assert terms == ref_terms >= whole + 2
+        assert err <= 1e-13
 
     def test_nonconvergence_raises(self):
         fn = _lab_provider(1, 8)
         v0 = basis_state(fn.layout, "g", 3).vec
-        ops, into, _ = _mixer(fn, 0.0, v0, [np.zeros((1, 1))], np.ones((1, 1)), _expmv)
+        ops, into, _ = _plan(fn, v0, [[0.0]], [[1.0]], dt=20.0)
         with pytest.raises(PropagationAccuracyError, match="did not converge in 200 terms"):
-            _expmv(next(ops), 20.0, into(v0))
+            _expmv(next(ops), into(v0))
+
+    def test_nonconvergence_names_step_and_time(self):
+        """A generator that jumps to 300 at t = 3.2 breaks the series in
+        the first step whose later node passes it: step 7, which starts
+        at t = 3, the second step of the second sample interval."""
+        lay = HilbertLayout(1, 4)
+
+        def h(t: float) -> np.ndarray:
+            return 300.0 * (t >= 3.2) * np.eye(lay.dim, dtype=complex)
+
+        h.layout, h.omega_max = lay, 1e-3
+        psi0 = basis_state(lay, "g", 0)
+        with pytest.raises(PropagationAccuracyError,
+                           match=r"did not converge .* \(step 7, t = 3\)") as exc:
+            evolve(h, psi0, 5.0, EvolutionConfig(dt=0.5), n_samples=2)
+        assert (exc.value.step, exc.value.time) == (7, 3.0)
 
 
 class TestBufferedApply:
-    """A propagation's one apply writes its results into two buffers of its
-    own, in turn: a result fed back to it survives that call (the Taylor
-    loop's pattern), a foreign input is never written, and the RK4 step
-    copies what it holds across applies."""
+    """A loaded operator owns its power stack: power(j) writes A p_{j-1}
+    into row j, A = dt sum_l w_l H(t_l) prescaled by the step; an
+    exponential's result lives apart from the rows, and a foreign input
+    is never written. RK4 takes its slopes from the same rows."""
 
     @staticmethod
-    def _setup(n_qubits: int, layout: str, nodes, weights):
+    def _setup(n_qubits: int, layout: str, nodes, weights, dt: float):
         fn = _lab_provider(n_qubits, 8)
         rng = np.random.default_rng(11)
         shape = (fn.layout.dim,) if layout == "vector" else (fn.layout.dim, 4)
         x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         if layout == "F":
             x = np.asfortranarray(x)
-        ops, into, back = _mixer(fn, 0.3, x, [np.array(nodes)], np.array(weights), _expmv)
+        ops, into, back = _plan(fn, x, nodes, weights, dt)
         return fn, ops, into, back, x
 
     @pytest.mark.parametrize("n_qubits", [1, 2])
@@ -361,8 +461,8 @@ class TestBufferedApply:
         t, dt = 0.3, 0.05
         fracs, weights = propagate._SCHEMES["rk4"]
         fn, ops, into, back, x = self._setup(
-            n_qubits, layout, [[t + f * dt for f in fracs]], weights)
-        got = back(propagate._rk4_step(ops, dt, into(x)))
+            n_qubits, layout, [[t + f * dt for f in fracs]], weights, dt)
+        got = back(propagate._rk4_step(ops, into(x)))
         k1 = -1j * (fn(t) @ x)
         k2 = -1j * (fn(t + 0.5 * dt) @ (x + 0.5 * dt * k1))
         k3 = -1j * (fn(t + 0.5 * dt) @ (x + 0.5 * dt * k2))
@@ -374,32 +474,26 @@ class TestBufferedApply:
     @pytest.mark.parametrize("n_qubits", [1, 2])
     @pytest.mark.parametrize("layout", ["vector", "C", "F"])
     def test_taylor_pattern(self, n_qubits, layout):
-        ts, ws = (0.1, 0.4), (0.125, 0.375)  # a premix by the row's sum, 1/2
-        fn, ops, into, back, x = self._setup(n_qubits, layout, [ts, (0.9, 0.2)], [ws])
-        dense = ws[0] * fn(ts[0]) + ws[1] * fn(ts[1])
-        first = next(ops)
-        term = into(x)
-        prev = None
-        for k in range(1, 6):
-            arg = back(term)
-            term = first(term, 0.5 / k)
-            assert np.max(np.abs(back(term) - (0.5 / k) * (dense @ arg))) <= 1e-13
-            if prev is not None:  # fed back to the apply, valid through that call
-                assert np.array_equal(prev[0], prev[1])
-            prev = (term, term.copy())
+        ts, ws, dt = (0.1, 0.4), (0.125, 0.375), 0.2  # a premix by the row's sum, 1/2
+        fn, ops, into, back, x = self._setup(n_qubits, layout, [ts, (0.9, 0.2)], [ws], dt)
+        dense = dt * (ws[0] * fn(ts[0]) + ws[1] * fn(ts[1]))
+        op = next(ops)
+        np.copyto(op.rows[0], into(x))
+        for j in range(1, len(op.rows)):
+            op.power(j)
+            want = dense @ back(op.rows[j - 1])
+            assert np.max(np.abs(back(op.rows[j]) - want)) <= 1e-13 * np.max(np.abs(want))
+        result = _expmv(op, into(x))
+        assert not any(np.shares_memory(result, row) for row in op.rows)
         foreign = into(x)
         kept = foreign.copy()
-        term = first(foreign, 1.0)
-        assert not np.shares_memory(term, foreign)
+        _expmv(op, foreign)
         assert np.array_equal(foreign, kept)
         # the next load rewrites the same operator in place
         later = next(ops)
-        assert later is first
-        arg = back(term)
-        other = later(term, 1.0)
-        assert not np.shares_memory(other, term)
-        dense = ws[0] * fn(0.9) + ws[1] * fn(0.2)
-        assert np.max(np.abs(back(other) - dense @ arg)) <= 1e-13
+        assert later is op
+        dense = dt * (ws[0] * fn(0.9) + ws[1] * fn(0.2))
+        assert np.max(np.abs(back(_apply(later, into(x))) - dense @ x)) <= 1e-13
 
 
 class TestPackedPlan:
@@ -420,7 +514,7 @@ class TestPackedPlan:
 
     @staticmethod
     def _packed_shape(fn, v0):
-        _, into, _ = _mixer(fn, 0.0, v0, [np.zeros((1, 1))], np.ones((1, 1)), _expmv)
+        _, into, _ = _plan(fn, v0, [[0.0]], [[1.0]])
         return into(v0).shape
 
     @staticmethod
@@ -617,49 +711,52 @@ class TestStackedPropagation:
             alone = evolve_columns(member, v0[part], 1.3, EvolutionConfig())
             assert np.max(np.abs(got[part] - alone)) <= 1e-12
 
-    def test_taylor_stop_per_member(self, monkeypatch):
+    def test_taylor_stop_per_member(self):
         """Next to a unit member, a member of norm 1e-3 takes at least as
         many Taylor terms as it takes alone, and gives the same result."""
-        terms = []
-        band = model._band_operator
-
-        def counting(*args):
-            apply = band(*args)
-
-            def counted(x, scale):
-                terms[-1] += 1
-                return apply(x, scale)
-            return counted
-
-        monkeypatch.setattr(model, "_band_operator", counting)
         h = self._provider(1, 3.0)
         dt = 2 * np.pi / (50 * h.omega_max)
         unit = basis_state(h.layout, "g", 0).vec
         small = 1e-3 * basis_state(h.layout, "e", 7).vec  # more terms than |g,0>
 
         def exponential(fn, v0):
-            terms.append(0)
-            ops, into, back = _mixer(fn, 0.0, v0, [np.array([[0.3]])], np.ones((1, 1)),
-                                     _expmv)
-            return back(_expmv(next(ops), dt, into(v0)))
+            ops, into, back = _plan(fn, v0, [[0.3]], [[1.0]], dt)
+            p, terms = _exponential(next(ops), into(v0))
+            return back(p), terms
 
-        alone = [exponential(h, v) for v in (unit, small)]
-        stacked = exponential(self._stack([h, h]), np.concatenate([unit, small]))
-        (n_unit, n_small), n_stacked = terms[:2], terms[2]
+        (a_unit, n_unit), (a_small, n_small) = (exponential(h, v) for v in (unit, small))
+        stacked, n_stacked = exponential(self._stack([h, h]), np.concatenate([unit, small]))
         assert n_unit < n_small <= n_stacked
         dim = h.layout.dim
-        assert np.max(np.abs(stacked[:dim] - alone[0])) <= 1e-15
-        assert np.max(np.abs(stacked[dim:] - alone[1])) <= 1e-18
+        assert np.max(np.abs(stacked[:dim] - a_unit)) <= 1e-15
+        assert np.max(np.abs(stacked[dim:] - a_small)) <= 1e-18
+
+
+def _chunk_case(case: str):
+    """(provider, v0) of a sampled lab propagation: one qubit, two qubits,
+    or the stack of a one-qubit drive and its mirror over [0, 1], with an
+    initial state in each of its members."""
+    if case == "mirror stack":
+        h = _lab_provider(1, 6)
+        pair = model._LabProvider(model._stack([h.parts, model._mirrored(h.parts, 1.0)]),
+                                  h.omega_max)
+        return pair, np.concatenate([basis_state(h.layout, "g", 0).vec,
+                                     basis_state(h.layout, "e", 2).vec]) / np.sqrt(2.0)
+    n_qubits = 1 if case == "one qubit" else 2
+    h = _lab_provider(n_qubits, 6)
+    return h, basis_state(h.layout, "g" * n_qubits, 0).vec
 
 
 class TestPlanChunks:
-    """A propagation forms its node times and modulation coefficients
-    propagate._PLAN_CHUNK steps at a time; the chunking changes no node
-    time and no output bit."""
+    """A propagation forms its node times, the diagonals its applies load
+    and the phases its turns multiply by propagate._PLAN_CHUNK steps at a
+    time; the chunking changes no node time and no output bit, though
+    the twist a Magnus propagation carries crosses chunk and sample
+    boundaries."""
 
     @staticmethod
-    def _spied(n_qubits: int, method: str, chunk: int, monkeypatch):
-        fn = _lab_provider(n_qubits, 6)
+    def _spied(case: str, method: str, chunk: int, monkeypatch):
+        h, v0 = _chunk_case(case)
         seen = []
         modulation = model._modulation
 
@@ -667,35 +764,65 @@ class TestPlanChunks:
             seen.append(np.array(t, dtype=float))
             return modulation(parts, t)
 
+        cfg = EvolutionConfig(method=method)
+        times, n_sub = propagate._sample_grid(1.0, cfg.resolve_dt(h.omega_max), 3)
         with monkeypatch.context() as m:
             m.setattr(model, "_modulation", spy)
             m.setattr(propagate, "_PLAN_CHUNK", chunk)
-            psi0 = basis_state(fn.layout, "g" * n_qubits, 0)
-            traj = evolve(fn, psi0, 3.0, EvolutionConfig(method=method), n_samples=3)
-        # the provider is hamiltonian_fn's own, so its H(t) is never formed:
+            states = propagate._run(h, v0, times, n_sub, method, norm_gate=True)
+        # the provider is a _LabProvider, so its H(t) is never formed:
         # every call is a chunk's node times
         assert all(t.ndim for t in seen)
-        return np.array([s.vec for s in traj.states]), seen
+        return np.array(states), seen, times, n_sub
+
+    def _check(self, case: str, method: str, chunks, monkeypatch) -> None:
+        whole, one, times, n_sub = self._spied(case, method, 10**9, monkeypatch)
+        assert len(one) == 1 and n_sub % 7 and n_sub > 7
+        for chunk in chunks:
+            states, nodes, _, _ = self._spied(case, method, chunk, monkeypatch)
+            assert len(nodes) > 3
+            assert all(len(t) <= chunk for t in nodes)
+            assert np.array_equal(np.concatenate(nodes), one[0])
+            assert np.array_equal(states, whole)
+        # elementwise the node times of the schedule laid out whole, every
+        # step dt long
+        dt = times[-1] / (n_sub * (len(times) - 1))
+        starts = times[:-1, None] + np.arange(n_sub) * dt
+        ref = starts[..., None] + dt * np.array(propagate._SCHEMES[method][0])
+        assert np.array_equal(one[0], ref.reshape(one[0].shape))
 
     @pytest.mark.parametrize("n_qubits", [1, 2])
     @pytest.mark.parametrize("method", ["piecewise-exponential", "rk4"])
     def test_chunks_change_no_bit(self, n_qubits, method, monkeypatch):
-        fracs = propagate._SCHEMES[method][0]
-        states, nodes = self._spied(n_qubits, method, 7, monkeypatch)
-        assert len(nodes) > 3
-        assert all(len(t) <= 7 for t in nodes)
-        whole, one = self._spied(n_qubits, method, 10**9, monkeypatch)
-        assert len(one) == 1
-        assert np.array_equal(np.concatenate(nodes), one[0])
-        assert np.array_equal(states, whole)
-        # elementwise the node times of the schedule laid out whole
-        cfg = EvolutionConfig(method=method)
-        dt = cfg.resolve_dt(_lab_provider(n_qubits, 6).omega_max)
-        times, n_sub = propagate._sample_grid(3.0, dt, 3)
-        dts = np.diff(times) / n_sub
-        starts = times[:-1, None] + np.arange(n_sub) * dts[:, None]
-        ref = starts[..., None] + np.multiply.outer(dts, fracs)[:, None, :]
-        assert np.array_equal(one[0], ref.reshape(-1, len(fracs)))
+        chunks = range(1, 8) if method == "piecewise-exponential" else [7]
+        self._check("one qubit" if n_qubits == 1 else "two qubits", method, chunks,
+                    monkeypatch)
+
+    def test_mirror_stack_chunks_change_no_bit(self, monkeypatch):
+        self._check("mirror stack", "piecewise-exponential", range(1, 8), monkeypatch)
+
+
+class TestMergedTurns:
+    """A Magnus propagation of a lab provider makes one turn per step,
+    e^{i(K_n - K_{n-1})}, and unwinds e^{-iK} where a sample leaves; it
+    agrees with oracle_helpers' stepper, which makes both turns of every
+    step, and a dense fallback, which makes two turns a step, agrees
+    with both."""
+
+    @pytest.mark.parametrize("case", ["one qubit", "two qubits", "mirror stack"])
+    def test_matches_two_turn_reference(self, case):
+        h, v0 = _chunk_case(case)
+        times, n_sub = propagate._sample_grid(1.0, EvolutionConfig().resolve_dt(h.omega_max), 3)
+        ref = oracle_helpers.reference_m4(h, v0, times, n_sub)
+
+        def dense(t: float) -> np.ndarray:  # no parts: the dense fallback
+            return h(t)
+
+        for fn in (h, dense):
+            got = propagate._run(fn, v0, times, n_sub, "piecewise-exponential",
+                                 norm_gate=True)
+            assert len(got) == len(ref) == 4
+            assert max(np.max(np.abs(a - b)) for a, b in zip(got, ref)) <= 1e-13
 
 
 class TestEvolveStatic:
@@ -847,8 +974,8 @@ class TestMagnusStep:
         for i in range(3):
             dt = 2 * np.pi / (50 * fn.omega_max) / 2**i
             ts = [0.4 + f * dt for f in fracs]
-            ops, into, back = _mixer(fn, 0.4, x, [np.array([ts])], np.array(weights), _expmv)
-            got = back(propagate._m4_step(ops, dt, into(x)))
+            ops, into, back = _plan(fn, x, [ts], weights, dt)
+            got = back(propagate._m4_step(ops, into(x)))
             h1, h2 = fn(ts[0]), fn(ts[1])
             exponent = -0.5j * dt * (h1 + h2) + np.sqrt(3) / 12 * dt**2 * (h1 @ h2 - h2 @ h1)
             errs.append(np.linalg.norm(got - expm(exponent) @ x))
@@ -875,9 +1002,9 @@ class TestMagnusStep:
         calls = []
         expmv = propagate._expmv
 
-        def counted(apply, dt, v):
-            calls.append(dt)
-            return expmv(apply, dt, v)
+        def counted(op, v):
+            calls.append(op)
+            return expmv(op, v)
 
         monkeypatch.setattr(propagate, "_expmv", counted)
         fn = _lab_provider(n_qubits, 8)
