@@ -5,6 +5,10 @@ resonator: builds the driven Hamiltonian in the lab, rotating, and
 effective frames, propagates the time-dependent Schrodinger equation, and
 runs the headline experiments (effective-model fidelity traces, the
 conditional-displacement phase gate, Schrodinger-cat generation).
+
+The propagators (evolve, evolve_columns, propagator) take a lab provider,
+hamiltonian_fn(..., "lab-driven", ...), or a wrapper that carries its
+parts; the rotating and effective providers are single-time builders.
 """
 __version__ = "0.1.0"
 

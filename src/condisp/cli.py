@@ -17,7 +17,6 @@ import argparse
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -394,6 +393,8 @@ def _run_sweep(cfg) -> int:
     if workers == 1:
         values = [_sweep_point(job) for job in jobs]
     else:
+        # imported here, so that no other command pays for the pool's import
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             values = list(pool.map(_sweep_point, jobs, chunksize=1))
 

@@ -24,7 +24,7 @@ conditional displacement
 All frequencies are in units of omega_r. The driven lab generator is
 carried as data: a _LabProvider holds its parity-block parts (_Blocks),
 from which it assembles H(t), and _mirrored and _stack map parts to
-parts.
+parts. It is the only provider the propagators take.
 """
 from __future__ import annotations
 
@@ -588,24 +588,6 @@ def _band_operator(up: np.ndarray, lo: np.ndarray, shape: tuple,
     return op
 
 
-def _dense_operator(shape: tuple, bounds: list) -> _Powers:
-    """A = the dense product-basis matrix that load(m) sets, on unpacked
-    rows of the given shape."""
-    buf = np.empty((len(bounds),) + shape, dtype=complex)
-    rows = list(buf)
-    m = None
-
-    def load(a: np.ndarray) -> None:
-        nonlocal m
-        m = a
-
-    def power(j: int) -> None:
-        np.matmul(m, rows[j - 1], out=rows[j])
-    op = _Powers(buf, lambda b: b, power, bounds)
-    op.load = load
-    return op
-
-
 def _modulation(parts: _Blocks, t):
     """sin(omega_d t - phi), D's coefficient, on each sector (the last
     axis) at a time or an array of times."""
@@ -639,8 +621,8 @@ class _LabProvider:
         return _assemble_parts((1.0, _modulation(self.parts, t)), self.parts)
 
 
-def _checked_parts(h: Callable[[float], np.ndarray], t: float) -> _Blocks | None:
-    """The _Blocks of a lab provider, or None.
+def _checked_parts(h: Callable[[float], np.ndarray], t: float) -> _Blocks:
+    """The _Blocks of a lab provider, the only kind the propagators take.
 
     A caller that applies the parts never calls h itself. A _LabProvider
     assembles H(t) from its own parts, so they are taken as they are, h
@@ -648,13 +630,18 @@ def _checked_parts(h: Callable[[float], np.ndarray], t: float) -> _Blocks | None
     that copies a provider's attributes (as functools.wraps does), is
     evaluated once, at t, and must return the parts assembled there in
     the product basis; one that changes what it returns raises ValueError
-    instead of being propagated as the provider it wraps.
+    instead of being propagated as the provider it wraps. Any other
+    callable, such as the rotating or effective provider, raises
+    ValueError naming its type.
     """
     if isinstance(h, _LabProvider):
         return h.parts
     parts = getattr(h, "parts", None)
-    if parts is None:
-        return None
+    if not isinstance(parts, _Blocks):
+        raise ValueError(
+            "the propagators take a lab-driven provider of hamiltonian_fn, or a "
+            f"wrapper that carries its parts, not a {type(h).__qualname__}"
+        )
     dense = np.asarray(h(t))
     scale = max(1.0, float(np.max(np.abs(dense))))
     diff = float(np.max(np.abs(dense - _assemble_parts((1.0, _modulation(parts, t)), parts))))
@@ -736,11 +723,10 @@ def _packing(parts: _Blocks, v0: np.ndarray):
     return sectors, shape, into, back
 
 
-def _mixer(h: Callable[[float], np.ndarray], t_check: float, v0: np.ndarray,
-           chunks: Iterable[np.ndarray], weights: np.ndarray, dt: float,
-           expmv: Callable, stop: np.ndarray):
-    """(ops, into, back): the plan of one propagation of v0 under h, in
-    steps of dt.
+def _mixer(parts: _Blocks, v0: np.ndarray, chunks: Iterable[np.ndarray],
+           weights: np.ndarray, dt: float, stop: np.ndarray):
+    """(ops, into, back): the plan of one propagation of v0 under the lab
+    parts (of one drive or a stack), in steps of dt.
 
     The propagation runs steps in order and each step's operators in
     order; chunks yields the node times of runs of consecutive steps as
@@ -750,38 +736,31 @@ def _mixer(h: Callable[[float], np.ndarray], t_check: float, v0: np.ndarray,
     next operator. One whose weight row sums to a nonzero value loads as
     a _Powers of it, valid until the next load, whose power(j) is one
     bare apply. One whose row sums to zero, in which h0 cancels, is a
-    turn: the n-th, K_n, loads as turn(x) = e^{iK_n} e^{-iK_{n-1}} x,
-    K_{-1} = 0, so a propagation carries its state twisted by e^{iK} of
-    the last turn loaded, and one turn per step moves it on to the next
-    (for a lab provider one phase, exp(i (K_n - K_{n-1}))).
-    into packs v0, or an array of its shape with no amplitude outside
-    v0's, into the propagation basis; back unwinds e^{-iK} of the last
-    turn loaded from a packed state and unpacks it into the product
-    basis (the dense fallback unwinds the state itself, see _dense_plan).
-    Each operator's Taylor stop is stop (one entry per stack row)
-    times v0's squared norm, that of its smallest stack member.
+    turn: the n-th, K_n, loads as the phase turn(x) = exp(i (K_n -
+    K_{n-1})) x, K_{-1} = 0, so a propagation carries its state twisted
+    by e^{iK} of the last turn loaded, and one turn per step moves it on
+    to the next. into packs v0, or an array of its shape with no
+    amplitude outside v0's, into the propagation basis; back unwinds
+    e^{-iK} of the last turn loaded from a packed state and unpacks it
+    into the product basis. Each operator's Taylor stop is stop (one
+    entry per stack row) times v0's squared norm, that of its smallest
+    stack member.
 
-    A lab provider, of one drive's parts or a stack, its parts taken by
-    _checked_parts (a wrapper's checked against h(t_check)), is
-    h0 + sin(omega_d t - phi) D on real parity blocks, D diagonal, so
-    operator j is dt (c0 h0 + c1 D): c0 the weight row's sum, one value
-    for every apply's row (1 for the Magnus step's mean generator and for
-    RK4), or zero for a turn's, and c1 = sum_l weights[j, l]
-    sin(omega_d ts[l] - phi), per occupied sector, or one number when
-    those sectors share phi. So dt c0 h0 is premixed once per
+    The parts are h0 + sin(omega_d t - phi) D on real parity blocks, D
+    diagonal, so operator j is dt (c0 h0 + c1 D): c0 the weight row's
+    sum, one value for every apply's row (1 for the Magnus step's mean
+    generator and for RK4), or zero for a turn's, and c1 = sum_l
+    weights[j, l] sin(omega_d ts[l] - phi), per occupied sector, or one
+    number when those sectors share phi. So dt c0 h0 is premixed once per
     propagation, and a chunk of steps forms, at once, the diagonals
     dt (c0 diag(h0) + c1 D) its applies load and the phases its turns
     multiply by; a load then only points the kernel at, or copies in,
     its diagonal. into and back come from _packing, so a sector that
     parity keeps at zero is never propagated. Tridiagonal premixed blocks
     (one qubit's parity chains) apply as three complex bands, others as
-    one batched real matmul. Any other callable falls back to one dense
-    matrix per operator in the product basis, unpacked (_dense_plan).
+    one batched real matmul.
     """
     turns = weights.sum(axis=1) == 0
-    parts = _checked_parts(h, t_check)
-    if parts is None:
-        return _dense_plan(h, v0, chunks, weights, turns, dt, expmv, stop)
     sectors, shape, into, unpack = _packing(parts, v0)
     p0 = into(v0)
     firsts = np.flatnonzero(np.diff(parts.member[sectors], prepend=-1))
@@ -849,59 +828,13 @@ def _mixer(h: Callable[[float], np.ndarray], t_check: float, v0: np.ndarray,
     return ops(), into, back
 
 
-def _dense_plan(h: Callable[[float], np.ndarray], v0: np.ndarray,
-                chunks: Iterable[np.ndarray], weights: np.ndarray, turns: np.ndarray,
-                dt: float, expmv: Callable, stop: np.ndarray):
-    """_mixer's plan for a provider without parts: one dense matrix per
-    operator, dt sum_l weights[j, l] h(ts[l]), on unpacked states.
-
-    Applies load into one _Powers, turns into another: a turn is
-    exponentials by expmv, and its K_n do not commute, so turn(x) =
-    e^{iK_n} e^{-iK_{n-1}} x takes two of them. back unwinds e^{-iK_n}
-    in place, so that the next turn takes only e^{iK_{n+1}}, and returns
-    a copy.
-    """
-    bounds = (np.vdot(v0, v0).real * stop).tolist()
-    main, turner = (_dense_operator(v0.shape, bounds) for _ in range(2))
-    last = None  # K of the twist the propagated state carries
-
-    def exp(m: np.ndarray, x: np.ndarray) -> np.ndarray:
-        turner.load(m)
-        return expmv(turner, x)
-
-    def turn(m: np.ndarray, x: np.ndarray) -> np.ndarray:
-        nonlocal last
-        if last is not None:
-            x = exp(last, x)
-        last = m
-        return exp(-m, x)
-
-    def ops():
-        for nodes in chunks:
-            for ts in nodes:
-                for ws, is_turn in zip(weights, turns.tolist()):
-                    m = dt * sum(w * h(t) for t, w in zip(ts, ws) if w)
-                    if is_turn:
-                        yield functools.partial(turn, m)
-                    else:
-                        main.load(m)
-                        yield main
-
-    def back(p: np.ndarray) -> np.ndarray:
-        nonlocal last
-        if last is not None:
-            np.copyto(p, exp(last, p))
-            last = None
-        return p.copy()
-    return ops(), np.copy, back
-
-
 def hamiltonian_fn(params: SystemParams, drive: DriveParams, frame: str,
                    layout: HilbertLayout,
                    l_max: int = _DEFAULT_L_MAX) -> Callable[[float], np.ndarray]:
     """Time-to-matrix provider for the chosen frame, static parts prebuilt.
 
-    Returns a plain-ndarray callable fit for the propagators. The public
+    Only the lab-driven provider is fit for the propagators (evolve,
+    evolve_columns, propagator), which refuse any other. The public
     single-time builders are thin Operator wrappers over it.
 
     The lab-driven provider is a _LabProvider: its parts, the _Blocks of
@@ -910,11 +843,11 @@ def hamiltonian_fn(params: SystemParams, drive: DriveParams, frame: str,
     drive's omega_d and phi), with omega_max and the layout. fn(t)
     assembles the dense product-basis H(t) from those parts, so the
     propagators, through _mixer, take the parts without evaluating fn and
-    never form H(t). The rotating provider sums its sideband series as
-    arrays (_rotating_terms); it and the effective provider are dense:
-    fn(t) = e^{i omega_r t} W + h.c. for the effective frame,
-    W = sum_m g_eff,m a^dag sigma_x^m. The effective evolution itself
-    has a closed form and is not propagated here.
+    never form H(t). The rotating and effective providers are dense
+    single-time builders: the rotating one sums its sideband series as
+    arrays (_rotating_terms), and the effective one is fn(t) =
+    e^{i omega_r t} W + h.c., W = sum_m g_eff,m a^dag sigma_x^m. The
+    effective evolution itself has a closed form and is not propagated.
     """
     _check_pair(params, drive, layout)
     if frame not in FRAMES:
@@ -942,7 +875,4 @@ def hamiltonian_fn(params: SystemParams, drive: DriveParams, frame: str,
             h = complex(math.cos(wr * t), math.sin(wr * t)) * w
             return h + h.conj().T
 
-    # let the propagators pick a default step and size-gate a given one
-    fn.omega_max = omega_max(params, drive, frame)
-    fn.layout = layout
     return fn

@@ -11,26 +11,27 @@ sqrt(3)/6) dt. The commutator is not formed: a step applies
 
     e^{-iK} exp(-i dt Hbar) e^{+iK},    K = (sqrt(3)/12) dt (H_2 - H_1),
 
-whose exponent is the Magnus one up to O(dt K^2) = O(dt^5). For a lab
-provider, H_2 - H_1 is a multiple of the diagonal drive D, so e^{+-iK}
-are elementwise phases that commute: a propagation carries its state
-twisted, w_n = e^{+iK_{n-1}} v_n, makes one turn e^{i(K_n - K_{n-1})}
-per step, and unwinds e^{-iK} only where a state leaves it, at each
-sample (a dense fallback, whose K_n do not commute, keeps two turns a
-step). Every operator comes prescaled by its step, A = dt Hbar, and
-the exponential is an adaptive Taylor series on a power stack that the
-operator owns: each term is one bare apply p_k = A p_{k-1} into the
-next row, plus its stop test, and the exponential is one combination
-of the rows by (-i)^k / k! (a stack that runs out of rows is folded
-into a partial sum). The Taylor product never leaves the unit sphere
-beyond roundoff, so the series stops once a term's squared norm falls
-below 1e-32 of the initial state's, taken once per propagation (of the
-smallest member's, for a stack). model._mixer plans each propagation
-once, from its initial state, and reads its step schedule _PLAN_CHUNK
-steps at a time: node times, then the modulation sin(omega_d t - phi)
+whose exponent is the Magnus one up to O(dt K^2) = O(dt^5). The
+propagators take only lab providers (model._LabProvider), whose
+generator is h0 + sin(omega_d t - phi) D, or a wrapper that carries a
+provider's parts, and refuse any other callable. H_2 - H_1 is then a
+multiple of the diagonal drive D, so e^{+-iK} are elementwise phases
+that commute: a propagation carries its state twisted, w_n =
+e^{+iK_{n-1}} v_n, makes one turn e^{i(K_n - K_{n-1})} per step, and
+unwinds e^{-iK} only where a state leaves it, at each sample. Every
+operator comes prescaled by its step, A = dt Hbar, and the exponential
+is an adaptive Taylor series on a power stack that the operator owns:
+each term is one bare apply p_k = A p_{k-1} into the next row, plus its
+stop test, and the exponential is one combination of the rows by
+(-i)^k / k! (a stack that runs out of rows is folded into a partial
+sum). The Taylor product never leaves the unit sphere beyond roundoff,
+so the series stops once a term's squared norm falls below 1e-32 of
+the initial state's, taken once per propagation (of the smallest
+member's, for a stack). model._mixer plans each propagation once, from
+its initial state, and reads its step schedule _PLAN_CHUNK steps at a
+time: node times, then the modulation sin(omega_d t - phi)
 at all of them, from which it forms the chunk's diagonals and turn
-phases at once. Lab providers (model._LabProvider), whose generator is
-h0 + sin(omega_d t - phi) D, are never evaluated: they are propagated
+phases at once. Lab providers are never evaluated: they are propagated
 from the parts they carry, and only a wrapper that carries a provider's
 parts is evaluated, once per propagation (once per experiment for the
 cat and the gate, which propagate providers built from the parts they
@@ -63,13 +64,14 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .hilbert import Ket, Operator, HilbertLayout, NORM_TOL, coherent_amplitudes
+from .hilbert import Ket, Operator, NORM_TOL, coherent_amplitudes
 from .model import (DriveParams, SystemParams, beta_phi, effective_couplings,
-                    frame_phases, hamiltonian_fn, _mixer, _require_quadrature)
+                    frame_phases, hamiltonian_fn, _Blocks, _checked_parts,
+                    _LabProvider, _mixer, _require_quadrature)
 
 __all__ = [
     "DEFAULT_STEPS_PER_PERIOD",
@@ -113,8 +115,6 @@ _PLAN_CHUNK = 16
 # them as %.12g does.
 _INT_LIMIT = 10**12
 
-HamiltonianProvider = Callable[[float], np.ndarray]
-
 
 class PropagationAccuracyError(RuntimeError):
     """Propagation left its accuracy budget (norm drift, step too coarse)."""
@@ -155,10 +155,7 @@ class EvolutionConfig:
                 )
             return self.dt
         if omega_max is None:
-            raise ValueError(
-                "dt is required: provider carries no omega_max attribute "
-                "to derive a default from"
-            )
+            raise ValueError("dt is required without an omega_max to derive a default from")
         steps = (DEFAULT_STEPS_PER_PERIOD if self.method == "piecewise-exponential"
                  else _RK4_STEPS_PER_PERIOD)
         return 2.0 * math.pi / omega_max / steps
@@ -214,7 +211,7 @@ _HEADS = [_COEFFS[:j + 1] for j in range(_TAYLOR_ROWS)]
 
 def _expmv(op, x: np.ndarray) -> np.ndarray:
     """exp(-i A) @ x by the Taylor series, A the operator op has loaded
-    (a model._Powers, prescaled by its step: dt Hbar, or a turn's K).
+    (a model._Powers, prescaled by its step: dt Hbar).
 
     x goes into row 0 of op's power stack, unless it is there already,
     and each term writes p_k = A p_{k-1} into row k, one bare apply. The
@@ -309,9 +306,10 @@ def _sample_grid(t_end: float, dt: float, n_samples: int):
     return times, n_sub
 
 
-def _run(h: HamiltonianProvider, v0: np.ndarray, times: np.ndarray,
+def _run(parts: _Blocks, v0: np.ndarray, times: np.ndarray,
          n_sub: int, method: str, norm_gate: bool) -> list[np.ndarray]:
-    """States at every sample time, n_sub steps per sample interval.
+    """States at every sample time under the lab parts, n_sub steps per
+    sample interval.
 
     Every step takes dt = times[-1] / (n_sub (len(times) - 1)), the k-th
     of an interval starting at times[i] + k dt. model._mixer plans the
@@ -334,8 +332,7 @@ def _run(h: HamiltonianProvider, v0: np.ndarray, times: np.ndarray,
             yield starts[:, None] + np.multiply(dt, fracs)
 
     v0 = np.asarray(v0, dtype=complex)
-    ops, into, back = _mixer(h, float(times[-1]), v0, node_chunks(), np.array(weights), dt,
-                             _expmv, _STOP)
+    ops, into, back = _mixer(parts, v0, node_chunks(), np.array(weights), dt, _STOP)
     step = _m4_step if method == "piecewise-exponential" else _rk4_step
     v = into(v0)
     out = [back(v)]
@@ -359,53 +356,62 @@ def _run(h: HamiltonianProvider, v0: np.ndarray, times: np.ndarray,
     return out
 
 
-def evolve(h: HamiltonianProvider, psi0: Ket, t_end: float,
+def evolve(h: _LabProvider, psi0: Ket, t_end: float,
            cfg: EvolutionConfig, n_samples: int = 100) -> Trajectory:
     """Integrate the Schrodinger equation from psi0 to t_end.
 
-    h maps a time to a Hermitian ndarray; providers from hamiltonian_fn
-    carry their own frequency scale, which sets the default step. The
-    trajectory is sampled at n_samples uniform intervals (plus t=0), and
-    the norm is checked at every sample; drift beyond 1e-6 raises
-    PropagationAccuracyError naming the offending sample.
+    h is a lab-driven provider of hamiltonian_fn, or a wrapper that
+    carries its parts; any other callable raises ValueError. Its own
+    frequency scale sets the default step. The trajectory is sampled at
+    n_samples uniform intervals (plus t=0), and the norm is checked at
+    every sample; drift beyond 1e-6 raises PropagationAccuracyError
+    naming the offending sample.
     """
     if not (math.isfinite(t_end) and t_end >= 0):
         raise ValueError(f"t_end must be >= 0, got {t_end}")
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
-    layout = getattr(h, "layout", psi0.layout)
-    if layout != psi0.layout:
+    parts = _checked_parts(h, t_end)
+    if h.layout != psi0.layout:
         raise ValueError("provider layout does not match the initial state")
     if abs(psi0.norm() - 1.0) > NORM_TOL:
         raise ValueError("initial state must be normalized")
     if t_end == 0.0:
         times = np.zeros(1)
         return Trajectory(times, (psi0,), np.array([psi0.norm()]))
-    dt = cfg.resolve_dt(getattr(h, "omega_max", None))
+    dt = cfg.resolve_dt(h.omega_max)
     times, n_sub = _sample_grid(t_end, dt, n_samples)
-    vecs = _run(h, psi0.vec, times, n_sub, cfg.method, norm_gate=True)
-    states = tuple(Ket(layout, v) for v in vecs)
+    vecs = _run(parts, psi0.vec, times, n_sub, cfg.method, norm_gate=True)
+    states = tuple(Ket(psi0.layout, v) for v in vecs)
     norms = np.array([s.norm() for s in states])
     return Trajectory(times, states, norms)
 
 
-def evolve_columns(h: HamiltonianProvider, v0: np.ndarray, t_end: float,
+def evolve_columns(h: _LabProvider, v0: np.ndarray, t_end: float,
                    cfg: EvolutionConfig) -> np.ndarray:
     """Propagate a (dim, k) block of columns (or one vector) to t_end.
 
-    This is how the gate and cat experiments propagate the subspace they
-    need without paying for the full propagator. No samples are
-    kept; instead the overlaps of the columns must be preserved, and a
-    drift of max |C^dag C - V0^dag V0| beyond 1e-6 raises
-    PropagationAccuracyError naming t_end.
+    h is a lab-driven provider of hamiltonian_fn, a stack of lab parts,
+    or a wrapper that carries a provider's parts; any other callable
+    raises ValueError. This is how the gate and cat experiments
+    propagate the subspace they need without paying for the full
+    propagator. No samples are kept; instead the overlaps of the columns
+    must be preserved, and a drift of max |C^dag C - V0^dag V0| beyond
+    1e-6 raises PropagationAccuracyError naming t_end.
     """
     if not (math.isfinite(t_end) and t_end >= 0):
         raise ValueError(f"t_end must be >= 0, got {t_end}")
+    return _columns(h, _checked_parts(h, t_end), v0, t_end, cfg)
+
+
+def _columns(h: _LabProvider, parts: _Blocks, v0: np.ndarray, t_end: float,
+             cfg: EvolutionConfig) -> np.ndarray:
+    """evolve_columns under h's checked parts."""
     if t_end == 0.0:
         return v0.astype(complex, copy=True)
-    dt = cfg.resolve_dt(getattr(h, "omega_max", None))
+    dt = cfg.resolve_dt(h.omega_max)
     times, n_sub = _sample_grid(t_end, dt, 1)
-    out = _run(h, v0, times, n_sub, cfg.method, norm_gate=False)[-1]
+    out = _run(parts, v0, times, n_sub, cfg.method, norm_gate=False)[-1]
     c, c0 = out.reshape(len(out), -1), v0.reshape(len(v0), -1)
     drift = float(np.max(np.abs(c.conj().T @ c - c0.conj().T @ c0)))
     if drift > NORM_TOL:
@@ -416,17 +422,22 @@ def evolve_columns(h: HamiltonianProvider, v0: np.ndarray, t_end: float,
     return out
 
 
-def propagator(h: HamiltonianProvider, t_end: float, cfg: EvolutionConfig,
-               layout: HilbertLayout | None = None) -> Operator:
-    """Full time-ordered propagator at t_end as an Operator.
+def propagator(h: _LabProvider, t_end: float, cfg: EvolutionConfig) -> Operator:
+    """Full time-ordered propagator at t_end as an Operator on h's layout.
 
-    Checked unitary within 1e-7 before returning; a coarse RK4 run that
-    has drifted fails here rather than feeding silent garbage downstream.
+    h is a lab-driven provider of hamiltonian_fn, or a wrapper that
+    carries its parts; any other callable, and a stack, which has no
+    layout, raises ValueError. Checked unitary within 1e-7 before
+    returning; a coarse RK4 run that has drifted fails here rather than
+    feeding silent garbage downstream.
     """
-    layout = layout or getattr(h, "layout", None)
+    if not (math.isfinite(t_end) and t_end >= 0):
+        raise ValueError(f"t_end must be >= 0, got {t_end}")
+    parts = _checked_parts(h, t_end)
+    layout = h.layout
     if layout is None:
-        raise ValueError("layout is required for providers without one attached")
-    u = evolve_columns(h, np.eye(layout.dim, dtype=complex), t_end, cfg)
+        raise ValueError("propagator needs a provider of one layout, not a stack")
+    u = _columns(h, parts, np.eye(layout.dim, dtype=complex), t_end, cfg)
     err = np.max(np.abs(u.conj().T @ u - np.eye(layout.dim)))
     if err > _UNITARITY_TOL:
         raise PropagationAccuracyError(
@@ -490,7 +501,8 @@ def fidelity_trace(params: SystemParams, drive: DriveParams, psi0: Ket,
     h_lab = hamiltonian_fn(params, drive, "lab-driven", layout)
     times, n_sub = _sample_grid(t_end, cfg.resolve_dt(h_lab.omega_max), n_samples)
     eff = _effective_states(params, drive, psi0, times)
-    lab = np.array(_run(h_lab, psi0.vec, times, n_sub, cfg.method, norm_gate=True))
+    parts = _checked_parts(h_lab, t_end)
+    lab = np.array(_run(parts, psi0.vec, times, n_sub, cfg.method, norm_gate=True))
     # <U^dag lab | eff> = <lab | U eff>, U the frame transform
     eff *= frame_phases(times, params, drive, layout)
     fids = np.abs(np.einsum("ti,ti->t", lab.conj(), eff)) ** 2

@@ -2,9 +2,10 @@
 
 Everything here reconstructs reference physics from scratch (explicit
 matrix assembly, finite differences) rather than calling back into the
-library paths under test; reference_expmv keeps the earlier Taylor loop
-and reference_m4 the Magnus step with both of its turns, to compare the
-library's against.
+library paths under test; reference_expmv keeps the earlier Taylor loop,
+and reference_m4 (the Magnus step with both of its turns) and
+reference_rk4 step dense H(t) matrices, to compare the library's
+structured lab propagation against.
 """
 
 from __future__ import annotations
@@ -121,6 +122,30 @@ def reference_m4(h, v0: np.ndarray, times: np.ndarray, n_sub: int) -> list[np.nd
             v = scipy.linalg.expm(1j * k) @ v
             v = reference_expmv(lambda x: a @ x, v)[0]
             v = scipy.linalg.expm(-1j * k) @ v
+        out.append(v.copy())
+    return out
+
+
+def reference_rk4(h, v0: np.ndarray, times: np.ndarray, n_sub: int) -> list[np.ndarray]:
+    """States at the sample times by classical RK4 on dense matrices.
+
+    A step from t takes its slopes k = -i dt h(s) x at s = t, t + dt/2
+    (twice) and t + dt, and moves v to v + (k1 + 2 k2 + 2 k3 + k4)/6. Every
+    step takes dt = times[-1] / (n_sub (len(times) - 1)), the j-th of a
+    sample interval starting at times[i] + j dt, as reference_m4's
+    schedule does.
+    """
+    dt = float(times[-1]) / (n_sub * (len(times) - 1))
+    v = np.asarray(v0, dtype=complex)
+    out = [v.copy()]
+    for t in times[:-1]:
+        for j in range(n_sub):
+            h1, h2, h3 = (h(s) for s in t + j * dt + dt * np.array([0.0, 0.5, 1.0]))
+            k1 = -1j * dt * (h1 @ v)
+            k2 = -1j * dt * (h2 @ (v + 0.5 * k1))
+            k3 = -1j * dt * (h2 @ (v + 0.5 * k2))
+            k4 = -1j * dt * (h3 @ (v + k3))
+            v = v + (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
         out.append(v.copy())
     return out
 

@@ -7,6 +7,11 @@ here runs at reduced cutoffs so the whole module stays fast.
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -443,6 +448,16 @@ class TestSweepCommand:
         assert main(args + ["--workers", "1", "--out", str(a)]) == 0
         assert main(args + ["--workers", "2", "--out", str(b)]) == 0
         assert _data_rows(a / "sweep.csv") == _data_rows(b / "sweep.csv")
+
+    def test_pool_is_not_imported_with_the_cli(self):
+        """Only a sweep with more than one worker imports the process pool,
+        so no other command pays for it."""
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        probe = "import sys, condisp.cli; print('concurrent.futures.process' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        assert out.strip() == "False"
 
     def test_two_axes(self, tmp_path):
         code = main(

@@ -1,8 +1,9 @@
 """Unit tests for the analytic conditional-displacement gate.
 
-The load-bearing oracle is analytic_unitary vs the numerical propagator of
-the effective Hamiltonian (which also fixes the sign convention of the
-collective axis relative to opposite-sign couplings). Makhlin invariants
+The load-bearing oracle is analytic_unitary vs the exact evolution of the
+truncated effective Hamiltonian, column by column (which also fixes the
+sign convention of the collective axis relative to opposite-sign
+couplings). Makhlin invariants
 are checked against an explicitly assembled CNOT.
 """
 
@@ -13,6 +14,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import oracle_helpers
 from condisp import DriveParams, HilbertLayout, SystemParams, model, propagate
 from condisp.gate import (
     GateAngle,
@@ -27,8 +29,7 @@ from condisp.gate import (
 )
 from condisp.model import effective_couplings, frame_phases, hamiltonian_fn
 from condisp.numerics import bessel_j
-from condisp.propagate import (EvolutionConfig, PropagationAccuracyError, evolve_columns,
-                               propagator)
+from condisp.propagate import EvolutionConfig, PropagationAccuracyError, evolve_columns
 
 TWO_PI = 2 * np.pi
 
@@ -138,20 +139,26 @@ class TestAnalyticUnitary:
             cols.extend(q * layout.fock_dim + n for n in range(n_max + 1))
         return np.array(cols)
 
+    @staticmethod
+    def _exact_columns(p, d, lay: HilbertLayout, cols: np.ndarray, times) -> np.ndarray:
+        """Columns cols of the exact effective-model propagator at each
+        time, (times, dim, len(cols)), from oracle_helpers."""
+        eye = np.eye(lay.dim, dtype=complex)
+        return np.stack([oracle_helpers.exact_effective_states(p, d, lay, eye[:, c], times)
+                         for c in cols], axis=-1)
+
     def test_matches_effective_propagator(self):
-        """Displacement/phase closed form vs direct numerical integration
-        of the effective Hamiltonian with opposite-sign couplings."""
+        """Displacement/phase closed form vs the exact evolution of the
+        effective Hamiltonian with opposite-sign couplings."""
         lay = HilbertLayout(2, 16)
         p = SystemParams(omega_q=3.0, g=0.2)
         d = DriveParams.from_alpha((1.20242, -1.20242), 3.0)
         ratio = effective_couplings(p, d)[0] / p.omega_r
-        fn = hamiltonian_fn(p, d, "effective", lay)
-        cfg = EvolutionConfig()
         cols = self._low_fock_columns(lay, 2)
-        for t in (0.37 * TWO_PI, 0.81 * TWO_PI, TWO_PI):
-            u_num = propagator(fn, t, cfg).mat
+        times = (0.37 * TWO_PI, 0.81 * TWO_PI, TWO_PI)
+        for t, u_num in zip(times, self._exact_columns(p, d, lay, cols, times)):
             u_ana = analytic_unitary(ratio, t, lay).mat
-            assert np.max(np.abs(u_num[:, cols] - u_ana[:, cols])) <= 1e-6
+            assert np.max(np.abs(u_num - u_ana[:, cols])) <= 1e-6
 
     def test_single_qubit_variant(self):
         """One qubit: generator is sigma_x, branch displacement +-beta."""
@@ -159,11 +166,10 @@ class TestAnalyticUnitary:
         p = SystemParams(omega_q=3.0, g=0.2, n_qubits=1)
         d = DriveParams.from_alpha((1.832,), 3.0)
         ratio = effective_couplings(p, d)[0] / p.omega_r
-        fn = hamiltonian_fn(p, d, "effective", lay)
-        u_num = propagator(fn, 0.6 * TWO_PI, EvolutionConfig()).mat
-        u_ana = analytic_unitary(ratio, 0.6 * TWO_PI, lay).mat
         cols = self._low_fock_columns(lay, 3)
-        assert np.max(np.abs(u_num[:, cols] - u_ana[:, cols])) <= 1e-6
+        u_num = self._exact_columns(p, d, lay, cols, [0.6 * TWO_PI])[0]
+        u_ana = analytic_unitary(ratio, 0.6 * TWO_PI, lay).mat
+        assert np.max(np.abs(u_num - u_ana[:, cols])) <= 1e-6
 
     def test_truncation_rejection(self):
         lay = HilbertLayout(2, 8)

@@ -12,9 +12,12 @@ Key oracles:
   each step must take exactly one Taylor exponential,
 * the coefficient-form apply must equal the dense H(t) matvec, and the
   band kernel (one qubit's tridiagonal parity chains) and the batched
-  matmul (two qubits' parity blocks) must propagate as the dense fallback
-  does, also when they carry only the parity sectors and columns the
-  initial state occupies; the blocks alone pick the kernel,
+  matmul (two qubits' parity blocks) must propagate as oracle_helpers'
+  dense Magnus and RK4 steppers do, also when they carry only the parity
+  sectors and columns the initial state occupies; the blocks alone pick
+  the kernel,
+* the propagators take only a lab provider, or a wrapper that carries
+  its parts, and refuse any other callable by type,
 * forming the step schedule in chunks must change no node time and no
   output bit, though the twist a propagation carries crosses chunk and
   sample boundaries, and the one turn per step must agree with a
@@ -25,9 +28,9 @@ Key oracles:
   the dense ones, and an exponential's result must live apart from the
   rows it reads,
 * the closed-form effective states of fidelity_trace must match the exact
-  solution of the effective model and a propagation of it,
+  solution of the effective model,
 * evolving in the lab frame and rotating afterwards must agree with
-  evolving directly under the rotating-frame Hamiltonian.
+  SciPy's DOP853 integration of the rotating-frame Hamiltonian.
 """
 
 from __future__ import annotations
@@ -45,7 +48,7 @@ import oracle_helpers
 from condisp import DriveParams, HilbertLayout, SystemParams, model, propagate
 from condisp.cat import cat_fidelity_experiment
 from condisp.gate import gate_columns
-from condisp.hilbert import Ket, basis_state
+from condisp.hilbert import Ket, basis_state, ladder, pauli_on
 from condisp.model import _mixer, frame_phases, hamiltonian_fn
 from condisp.propagate import (
     DEFAULT_STEPS_PER_PERIOD,
@@ -61,20 +64,46 @@ from condisp.propagate import (
 )
 
 
-def _static_provider(mat: np.ndarray, layout: HilbertLayout, wmax: float):
-    def fn(t: float) -> np.ndarray:
-        return mat
+def _lab_provider(n_qubits: int, fock_dim: int):
+    lay = HilbertLayout(n_qubits, fock_dim)
+    alpha = (1.832,) if n_qubits == 1 else (1.20242, -1.20242)
+    p = SystemParams(omega_q=3.0, g=0.2, n_qubits=n_qubits)
+    return hamiltonian_fn(p, DriveParams.from_alpha(alpha, 3.0), "lab-driven", lay)
 
-    fn.layout = layout
-    fn.omega_max = wmax
-    return fn
+
+def _static_provider(layout: HilbertLayout):
+    """The one-qubit lab provider at g = 0 and alpha = 0, whose H = omega_r
+    n + (omega_q/2) sigma_z is static and diagonal, and that diagonal,
+    built from the ladder and Pauli operators."""
+    p = SystemParams(omega_q=3.0, g=0.0, n_qubits=1)
+    fn = hamiltonian_fn(p, DriveParams.from_alpha((0.0,), 3.0), "lab-driven", layout)
+    a = ladder(layout).mat
+    sz = pauli_on(0, "z", layout).mat
+    return fn, (a.conj().T @ a).diagonal().real + 1.5 * sz.diagonal().real
+
+
+def _skewed(fn, size: float = 0.05):
+    """fn with a real antisymmetric band size (superdiagonal - subdiagonal)
+    added to each parity block of h0: a non-Hermitian generator, whose
+    propagation drifts in norm."""
+    m = fn.parts.h0.shape[1]
+    skew = size * (np.eye(m, k=1) - np.eye(m, k=-1))
+    return replace(fn, parts=replace(fn.parts, h0=fn.parts.h0 + skew))
+
+
+def _reference(stepper, fn, v0: np.ndarray, t_end: float, cfg: EvolutionConfig,
+               n_samples: int = 1) -> list[np.ndarray]:
+    """oracle_helpers' dense stepper on evolve's schedule for cfg."""
+    times, n_sub = propagate._sample_grid(t_end, cfg.resolve_dt(fn.omega_max), n_samples)
+    return stepper(fn, v0, times, n_sub)
 
 
 def _plan(fn, v0: np.ndarray, nodes, weights, dt: float = 1.0):
-    """model._mixer's plan of one propagation of v0 under fn: steps of dt
-    with the given node times, operators by the given weight rows."""
-    return _mixer(fn, 0.0, v0, [np.array(nodes, dtype=float)],
-                  np.array(weights, dtype=float), dt, _expmv, propagate._STOP)
+    """model._mixer's plan of one propagation of v0 under fn's parts:
+    steps of dt with the given node times, operators by the given weight
+    rows."""
+    return _mixer(fn.parts, v0, [np.array(nodes, dtype=float)],
+                  np.array(weights, dtype=float), dt, propagate._STOP)
 
 
 def _apply(op, x: np.ndarray) -> np.ndarray:
@@ -135,7 +164,7 @@ class TestEvolutionConfig:
 
 
 class TestCoefficientForm:
-    @pytest.mark.parametrize("frame", ["lab-driven", "effective"])
+    @pytest.mark.parametrize("frame", ["lab-driven"])
     @pytest.mark.parametrize("n_qubits", [1, 2])
     @pytest.mark.parametrize("cols", [None, 4])
     def test_apply_matches_dense_matvec(self, frame, n_qubits, cols):
@@ -222,6 +251,36 @@ class TestCoefficientForm:
         for x, y in zip(got.states, want.states):
             assert np.array_equal(x.vec, y.vec)
 
+    @pytest.mark.parametrize("entry", ["evolve", "evolve_columns", "propagator"])
+    @pytest.mark.parametrize("kind", ["plain", "rotating", "effective"])
+    def test_other_providers_are_refused(self, kind, entry):
+        """Only a lab provider, or a wrapper that carries its parts, is
+        propagated: a plain function and the rotating and effective
+        providers are refused by one ValueError that names their type."""
+        lab = _lab_provider(1, 8)
+        if kind == "plain":
+            def fn(t: float) -> np.ndarray:
+                return lab(t)
+        else:
+            p = SystemParams(omega_q=3.0, g=0.2, n_qubits=1)
+            fn = hamiltonian_fn(p, DriveParams.from_alpha((1.832,), 3.0), kind, lab.layout)
+        psi0 = basis_state(lab.layout, "g", 0)
+        run = {"evolve": lambda: evolve(fn, psi0, 1.0, EvolutionConfig(), 2),
+               "evolve_columns": lambda: evolve_columns(fn, psi0.vec, 1.0, EvolutionConfig()),
+               "propagator": lambda: propagator(fn, 1.0, EvolutionConfig())}[entry]
+        with pytest.raises(ValueError, match="lab-driven provider .* not a function$"):
+            run()
+
+    def test_propagator_refuses_a_stack(self):
+        """A stack propagates as columns, but has no layout to make an
+        Operator on."""
+        fn = _lab_provider(1, 8)
+        pair = model._LabProvider(model._stack([fn.parts, fn.parts]), fn.omega_max)
+        assert evolve_columns(pair, np.eye(2 * fn.layout.dim)[:, :2], 1.0,
+                              EvolutionConfig()).shape == (2 * fn.layout.dim, 2)
+        with pytest.raises(ValueError, match="not a stack"):
+            propagator(pair, 1.0, EvolutionConfig())
+
     @pytest.mark.parametrize("method", sorted(propagate._SCHEMES))
     def test_operator_weight_rows_share_one_sum(self, method):
         """_mixer premixes the static part once per propagation, scaled by
@@ -233,42 +292,37 @@ class TestCoefficientForm:
 
 
 class TestChainPath:
-    """One-qubit providers propagate along their parity chains; the same
-    provider behind a plain lambda takes the dense fallback."""
+    """One-qubit providers propagate along their parity chains, as
+    oracle_helpers' dense Magnus stepper does."""
 
     @staticmethod
-    def _pair(frame):
-        lay = HilbertLayout(1, 12)
-        p = SystemParams(omega_q=3.0, g=0.2, n_qubits=1)
-        fn = hamiltonian_fn(p, DriveParams.from_alpha((1.832,), 3.0), frame, lay)
-        def dense(t: float) -> np.ndarray:  # no parts: the dense fallback
-            return fn(t)
-
-        dense.layout, dense.omega_max = lay, fn.omega_max
-        return fn, dense
+    def _provider():
+        return _lab_provider(1, 12)
 
     @pytest.mark.parametrize("frame", ["lab-driven"])
     def test_evolve_matches_dense_fallback(self, frame):
-        fn, dense = self._pair(frame)
+        fn = self._provider()
+        cfg = EvolutionConfig()
         psi0 = basis_state(fn.layout, "g", 1)
-        a = evolve(fn, psi0, 2.0, EvolutionConfig(), n_samples=5)
-        b = evolve(dense, psi0, 2.0, EvolutionConfig(), n_samples=5)
-        assert len(a.states) == len(b.states) == 6
-        for x, y in zip(a.states, b.states):
-            assert np.max(np.abs(x.vec - y.vec)) <= 1e-12
+        a = evolve(fn, psi0, 2.0, cfg, n_samples=5)
+        ref = _reference(oracle_helpers.reference_m4, fn, psi0.vec, 2.0, cfg, 5)
+        assert len(a.states) == len(ref) == 6
+        for x, y in zip(a.states, ref):
+            assert np.max(np.abs(x.vec - y)) <= 1e-12
 
     @pytest.mark.parametrize("frame", ["lab-driven"])
     def test_columns_and_propagator_match_dense_fallback(self, frame):
-        fn, dense = self._pair(frame)
+        fn = self._provider()
         cfg = EvolutionConfig()
-        v0 = np.eye(fn.layout.dim, dtype=complex)[:, [0, 5, 13]]
-        cols = evolve_columns(fn, v0, 1.7, cfg)
-        assert np.max(np.abs(cols - evolve_columns(dense, v0, 1.7, cfg))) <= 1e-12
+        eye = np.eye(fn.layout.dim, dtype=complex)
+        u_ref = _reference(oracle_helpers.reference_m4, fn, eye, 1.7, cfg)[-1]
+        cols = evolve_columns(fn, eye[:, [0, 5, 13]], 1.7, cfg)
+        assert np.max(np.abs(cols - u_ref[:, [0, 5, 13]])) <= 1e-12
         u = propagator(fn, 1.7, cfg).mat
-        assert np.max(np.abs(u - propagator(dense, 1.7, cfg).mat)) <= 1e-12
+        assert np.max(np.abs(u - u_ref)) <= 1e-12
 
     def test_rk4_matches_magnus(self):
-        fn, _ = self._pair("lab-driven")
+        fn = self._provider()
         psi0 = basis_state(fn.layout, "g", 0)
         a = evolve(fn, psi0, 2 * np.pi, EvolutionConfig(), 4)
         b = evolve(fn, psi0, 2 * np.pi, EvolutionConfig(method="rk4"), 4)
@@ -276,50 +330,40 @@ class TestChainPath:
 
 
 class TestParityBlockPath:
-    """The two-qubit lab provider propagates as two real parity blocks; the
-    same provider behind a plain function takes the dense fallback."""
+    """The two-qubit lab provider propagates as two real parity blocks, as
+    oracle_helpers' dense Magnus stepper does."""
 
     @staticmethod
-    def _pair():
+    def _provider():
         lay = HilbertLayout(2, 6)
         p = SystemParams(omega_q=3.0, g=0.5)
-        fn = hamiltonian_fn(p, DriveParams.from_alpha((1.20242, -1.20242), 3.0),
-                            "lab-driven", lay)
-        def dense(t: float) -> np.ndarray:  # no parts: the dense fallback
-            return fn(t)
-
-        dense.layout, dense.omega_max = lay, fn.omega_max
-        return fn, dense
+        return hamiltonian_fn(p, DriveParams.from_alpha((1.20242, -1.20242), 3.0),
+                              "lab-driven", lay)
 
     def test_evolve_columns_and_propagator_match_dense_fallback(self):
-        fn, dense = self._pair()
+        fn = self._provider()
         cfg = EvolutionConfig()
         psi0 = basis_state(fn.layout, "gg", 1)
         a = evolve(fn, psi0, 2.0, cfg, n_samples=5)
-        b = evolve(dense, psi0, 2.0, cfg, n_samples=5)
-        assert len(a.states) == len(b.states) == 6
-        for x, y in zip(a.states, b.states):
-            assert np.max(np.abs(x.vec - y.vec)) <= 1e-12
+        ref = _reference(oracle_helpers.reference_m4, fn, psi0.vec, 2.0, cfg, 5)
+        assert len(a.states) == len(ref) == 6
+        for x, y in zip(a.states, ref):
+            assert np.max(np.abs(x.vec - y)) <= 1e-12
         # a column block in Fortran order
-        v0 = np.asfortranarray(np.eye(fn.layout.dim, dtype=complex)[:, [0, 6, 13, 19]])
+        eye = np.eye(fn.layout.dim, dtype=complex)
+        u_ref = _reference(oracle_helpers.reference_m4, fn, eye, 1.7, cfg)[-1]
+        v0 = np.asfortranarray(eye[:, [0, 6, 13, 19]])
         cols = evolve_columns(fn, v0, 1.7, cfg)
-        assert np.max(np.abs(cols - evolve_columns(dense, v0, 1.7, cfg))) <= 1e-12
+        assert np.max(np.abs(cols - u_ref[:, [0, 6, 13, 19]])) <= 1e-12
         u = propagator(fn, 1.7, cfg).mat
-        assert np.max(np.abs(u - propagator(dense, 1.7, cfg).mat)) <= 1e-12
+        assert np.max(np.abs(u - u_ref)) <= 1e-12
 
     def test_rk4_matches_magnus(self):
-        fn, _ = self._pair()
+        fn = self._provider()
         psi0 = basis_state(fn.layout, "gg", 0)
         a = evolve(fn, psi0, 2 * np.pi, EvolutionConfig(), 4)
         b = evolve(fn, psi0, 2 * np.pi, EvolutionConfig(method="rk4"), 4)
         assert np.max(np.abs(a.final.vec - b.final.vec)) <= 1e-6
-
-
-def _lab_provider(n_qubits: int, fock_dim: int):
-    lay = HilbertLayout(n_qubits, fock_dim)
-    alpha = (1.832,) if n_qubits == 1 else (1.20242, -1.20242)
-    p = SystemParams(omega_q=3.0, g=0.2, n_qubits=n_qubits)
-    return hamiltonian_fn(p, DriveParams.from_alpha(alpha, 3.0), "lab-driven", lay)
 
 
 class TestTaylorLoop:
@@ -422,16 +466,19 @@ class TestTaylorLoop:
             _expmv(next(ops), into(v0))
 
     def test_nonconvergence_names_step_and_time(self):
-        """A generator that jumps to 300 at t = 3.2 breaks the series in
-        the first step whose later node passes it: step 7, which starts
-        at t = 3, the second step of the second sample interval."""
-        lay = HilbertLayout(1, 4)
-
-        def h(t: float) -> np.ndarray:
-            return 300.0 * (t >= 3.2) * np.eye(lay.dim, dtype=complex)
-
-        h.layout, h.omega_max = lay, 1e-3
-        psi0 = basis_state(lay, "g", 0)
+        """A provider scaled far past its stated omega_max, H(t) = 320 (1 +
+        sin(t/2 - phi)) D, D = diag(+-1), whose mean generator is least at
+        t = 1.25 and grows about quadratically away from it: dt |Hbar| is
+        at most 20 on the steps of the first sample interval, whose norm
+        gate passes, and 74 at step 7, which starts at t = 3, the second
+        step of the second sample interval, past what 200 Taylor terms
+        sum."""
+        fn = _lab_provider(1, 4)
+        d = 320.0 * np.sign(fn.parts.diag)
+        h = replace(fn, omega_max=1e-3, parts=replace(
+            fn.parts, h0=np.stack([np.diag(x) for x in d]), diag=d, omega_d=0.5,
+            phi=np.full(2, 0.5 * 1.25 + np.pi / 2)))
+        psi0 = basis_state(fn.layout, "g", 0)
         with pytest.raises(PropagationAccuracyError,
                            match=r"did not converge .* \(step 7, t = 3\)") as exc:
             evolve(h, psi0, 5.0, EvolutionConfig(dt=0.5), n_samples=2)
@@ -499,18 +546,8 @@ class TestBufferedApply:
 class TestPackedPlan:
     """A propagation carries only the parity sectors its initial state
     occupies, and of a column block only each sector's live columns; it
-    must agree with the dense fallback, which does not pack, and leave the
-    unoccupied sector exactly zero."""
-
-    @staticmethod
-    def _pair(n_qubits: int):
-        fn = _lab_provider(n_qubits, 8)
-
-        def dense(t: float) -> np.ndarray:  # no parts: the dense fallback
-            return fn(t)
-
-        dense.layout, dense.omega_max = fn.layout, fn.omega_max
-        return fn, dense
+    must agree with oracle_helpers' dense steppers, which do not pack, and
+    leave the unoccupied sector exactly zero."""
 
     @staticmethod
     def _packed_shape(fn, v0):
@@ -524,72 +561,70 @@ class TestPackedPlan:
 
     @pytest.mark.parametrize("label", ["g", "e"])
     def test_one_qubit_state_in_one_chain(self, label):
-        fn, dense = self._pair(1)
+        fn = _lab_provider(1, 8)
         psi0 = basis_state(fn.layout, label, 0)
         live = 0 if label == "g" else 1  # |g,0> starts chain 0, |e,0> chain 1
         assert self._packed_shape(fn, psi0.vec) == (1, 8, 1)
         a = evolve(fn, psi0, 2.0, EvolutionConfig(), n_samples=5)
-        b = evolve(dense, psi0, 2.0, EvolutionConfig(), n_samples=5)
-        for x, y in zip(a.states, b.states):
-            assert np.max(np.abs(x.vec - y.vec)) <= 1e-12
+        ref = _reference(oracle_helpers.reference_m4, fn, psi0.vec, 2.0, EvolutionConfig(), 5)
+        for x, y in zip(a.states, ref):
+            assert np.max(np.abs(x.vec - y)) <= 1e-12
             assert not np.any(x.vec[self._sector(fn, 1 - live)])
         assert np.max(np.abs(a.final.vec[self._sector(fn, live)])) > 0.1
 
-    def test_two_qubit_vacuum_trace(self, monkeypatch):
-        fn, _ = self._pair(2)
-        psi0 = basis_state(fn.layout, "gg", 0)
+    def test_two_qubit_vacuum_trace(self):
+        """fidelity_trace's packed lab leg against a trace built the same
+        way from oracle_helpers' dense Magnus states."""
+        fn = _lab_provider(2, 8)
+        lay = fn.layout
+        psi0 = basis_state(lay, "gg", 0)
         assert self._packed_shape(fn, psi0.vec) == (1, 16, 1)
         p = SystemParams(omega_q=3.0, g=0.2)
         d = DriveParams.from_alpha((1.20242, -1.20242), 3.0)
         packed = fidelity_trace(p, d, psi0, 0.5 * np.pi, EvolutionConfig(), 20)
-
-        def unpacked(*args):
-            lab = hamiltonian_fn(*args)
-
-            def h(t: float) -> np.ndarray:  # no parts: the dense fallback
-                return lab(t)
-
-            h.layout, h.omega_max = lab.layout, lab.omega_max
-            return h
-
-        monkeypatch.setattr(propagate, "hamiltonian_fn", unpacked)
-        ref = fidelity_trace(p, d, psi0, 0.5 * np.pi, EvolutionConfig(), 20)
-        assert np.max(np.abs(packed.fidelities - ref.fidelities)) <= 1e-12
+        times, n_sub = propagate._sample_grid(
+            0.5 * np.pi, EvolutionConfig().resolve_dt(fn.omega_max), 20)
+        lab = np.array(oracle_helpers.reference_m4(fn, psi0.vec, times, n_sub))
+        eff = _effective_states(p, d, psi0, times) * frame_phases(times, p, d, lay)
+        ref = np.abs(np.einsum("ti,ti->t", lab.conj(), eff)) ** 2
+        assert np.max(np.abs(packed.fidelities - ref)) <= 1e-12
         traj = evolve(fn, psi0, 1.0, EvolutionConfig(), n_samples=3)
         for state in traj.states:
             assert not np.any(state.vec[self._sector(fn, 1)])
 
     @pytest.mark.parametrize("n_qubits", [1, 2])
     def test_superposition_in_both_sectors(self, n_qubits):
-        fn, dense = self._pair(n_qubits)
+        fn = _lab_provider(n_qubits, 8)
         lay = fn.layout
         a_lbl, b_lbl = ("g", "e") if n_qubits == 1 else ("gg", "eg")
         psi0 = Ket(lay, (basis_state(lay, a_lbl, 0).vec
                          + 1j * basis_state(lay, b_lbl, 0).vec) / np.sqrt(2.0))
         assert self._packed_shape(fn, psi0.vec) == (2, lay.dim // 2, 1)
         a = evolve(fn, psi0, 2.0, EvolutionConfig(), n_samples=4)
-        b = evolve(dense, psi0, 2.0, EvolutionConfig(), n_samples=4)
-        for x, y in zip(a.states, b.states):
-            assert np.max(np.abs(x.vec - y.vec)) <= 1e-12
+        ref = _reference(oracle_helpers.reference_m4, fn, psi0.vec, 2.0, EvolutionConfig(), 4)
+        for x, y in zip(a.states, ref):
+            assert np.max(np.abs(x.vec - y)) <= 1e-12
 
     @pytest.mark.parametrize("method", ["piecewise-exponential", "rk4"])
     def test_columns_with_unequal_live_counts(self, method):
         """Even parity holds three live columns (|ee,0>, |gg,0> and half of
         a superposition), odd parity two (|eg,0> and the other half)."""
-        fn, dense = self._pair(2)
+        fn = _lab_provider(2, 8)
         lay = fn.layout
         ket = {q: basis_state(lay, q, 0).vec for q in ("ee", "eg", "gg")}
         v0 = np.stack([ket["ee"], ket["eg"], ket["gg"],
                        (ket["gg"] - ket["eg"]) / np.sqrt(2.0)], axis=1)
         assert self._packed_shape(fn, v0) == (2, lay.dim // 2, 3)
         cfg = EvolutionConfig(method=method)
+        stepper = (oracle_helpers.reference_m4 if method == "piecewise-exponential"
+                   else oracle_helpers.reference_rk4)
         cols = evolve_columns(fn, v0, 1.3, cfg)
-        assert np.max(np.abs(cols - evolve_columns(dense, v0, 1.3, cfg))) <= 1e-12
+        assert np.max(np.abs(cols - _reference(stepper, fn, v0, 1.3, cfg)[-1])) <= 1e-12
         for j, s in ((0, 1), (1, 0), (2, 1)):  # each basis column stays in its sector
             assert not np.any(cols[self._sector(fn, s), j])
 
     def test_gate_columns_pack_two_per_block(self):
-        fn, _ = self._pair(2)
+        fn = _lab_provider(2, 8)
         nf = fn.layout.fock_dim
         v0 = np.zeros((fn.layout.dim, 4), dtype=complex)
         v0[np.arange(4) * nf, np.arange(4)] = 1.0
@@ -597,13 +632,13 @@ class TestPackedPlan:
 
     @pytest.mark.parametrize("n_qubits", [1, 2])
     def test_rk4_run(self, n_qubits):
-        fn, dense = self._pair(n_qubits)
+        fn = _lab_provider(n_qubits, 8)
         psi0 = basis_state(fn.layout, "g" * n_qubits, 0)
         cfg = EvolutionConfig(method="rk4")
         a = evolve(fn, psi0, 1.0, cfg, n_samples=3)
-        b = evolve(dense, psi0, 1.0, cfg, n_samples=3)
-        for x, y in zip(a.states, b.states):
-            assert np.max(np.abs(x.vec - y.vec)) <= 1e-12
+        ref = _reference(oracle_helpers.reference_rk4, fn, psi0.vec, 1.0, cfg, 3)
+        for x, y in zip(a.states, ref):
+            assert np.max(np.abs(x.vec - y)) <= 1e-12
             assert not np.any(x.vec[self._sector(fn, 1)])
 
 
@@ -769,7 +804,7 @@ class TestPlanChunks:
         with monkeypatch.context() as m:
             m.setattr(model, "_modulation", spy)
             m.setattr(propagate, "_PLAN_CHUNK", chunk)
-            states = propagate._run(h, v0, times, n_sub, method, norm_gate=True)
+            states = propagate._run(h.parts, v0, times, n_sub, method, norm_gate=True)
         # the provider is a _LabProvider, so its H(t) is never formed:
         # every call is a chunk's node times
         assert all(t.ndim for t in seen)
@@ -805,53 +840,43 @@ class TestPlanChunks:
 class TestMergedTurns:
     """A Magnus propagation of a lab provider makes one turn per step,
     e^{i(K_n - K_{n-1})}, and unwinds e^{-iK} where a sample leaves; it
-    agrees with oracle_helpers' stepper, which makes both turns of every
-    step, and a dense fallback, which makes two turns a step, agrees
-    with both."""
+    agrees with oracle_helpers' dense stepper, which makes both turns of
+    every step."""
 
     @pytest.mark.parametrize("case", ["one qubit", "two qubits", "mirror stack"])
     def test_matches_two_turn_reference(self, case):
         h, v0 = _chunk_case(case)
         times, n_sub = propagate._sample_grid(1.0, EvolutionConfig().resolve_dt(h.omega_max), 3)
         ref = oracle_helpers.reference_m4(h, v0, times, n_sub)
-
-        def dense(t: float) -> np.ndarray:  # no parts: the dense fallback
-            return h(t)
-
-        for fn in (h, dense):
-            got = propagate._run(fn, v0, times, n_sub, "piecewise-exponential",
-                                 norm_gate=True)
-            assert len(got) == len(ref) == 4
-            assert max(np.max(np.abs(a - b)) for a, b in zip(got, ref)) <= 1e-13
+        got = propagate._run(h.parts, v0, times, n_sub, "piecewise-exponential",
+                             norm_gate=True)
+        assert len(got) == len(ref) == 4
+        assert max(np.max(np.abs(a - b)) for a, b in zip(got, ref)) <= 1e-13
 
 
 class TestEvolveStatic:
     def test_stationary_number_state_phase(self, single_layout):
-        """H = omega_r n: |g,1> only picks up exp(-i omega_r t)."""
-        nf = single_layout.fock_dim
-        num = np.kron(np.eye(2), np.diag(np.arange(nf, dtype=float))).astype(complex)
-        fn = _static_provider(num, single_layout, wmax=float(nf))
+        """At g = 0 and alpha = 0, H = omega_r n + (omega_q/2) sigma_z:
+        |g,1> only picks up exp(-i (omega_r - omega_q/2) t)."""
+        fn, energies = _static_provider(single_layout)
         psi0 = basis_state(single_layout, "g", 1)
         t_end = 2.1
         traj = evolve(fn, psi0, t_end, EvolutionConfig(), n_samples=12)
         assert np.max(np.abs(traj.norms - 1.0)) <= 1e-9
-        expected = np.exp(-1j * t_end) * psi0.vec
+        assert energies[single_layout.index("g", 1)] == -0.5
+        expected = np.exp(0.5j * t_end) * psi0.vec
         assert np.max(np.abs(traj.final.vec - expected)) <= 1e-9
 
     def test_zero_time_returns_initial(self, single_layout):
-        fn = _static_provider(
-            np.zeros((single_layout.dim,) * 2, dtype=complex), single_layout, 1.0
-        )
+        fn, _ = _static_provider(single_layout)
         traj = evolve(fn, basis_state(single_layout, "g", 0), 0.0, EvolutionConfig())
         assert len(traj.states) == 1
         assert traj.final.vec[single_layout.index("g", 0)] == 1.0
 
     def test_rejects_unnormalized_initial_state(self, single_layout):
-        fn = _static_provider(
-            np.zeros((single_layout.dim,) * 2, dtype=complex), single_layout, 1.0
-        )
+        fn, _ = _static_provider(single_layout)
         bad = Ket(single_layout, 0.5 * basis_state(single_layout, "g", 0).vec)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="normalized"):
             evolve(fn, bad, 1.0, EvolutionConfig())
 
 
@@ -945,15 +970,16 @@ class TestEvolveDriven:
         half = evolve(fn, psi0, t_end, EvolutionConfig(dt=dt / 2), n_samples=4)
         assert np.linalg.norm(full.final.vec - half.final.vec) <= 1e-6
 
-    def test_norm_gate_raises_with_step_info(self, single_layout):
+    def test_norm_gate_raises_with_step_info(self):
         # A (deliberately) non-Hermitian generator makes the norm drift;
         # the integrator must refuse and report where.
-        mat = -0.05j * np.eye(single_layout.dim, dtype=complex)
-        fn = _static_provider(mat, single_layout, wmax=10.0)
-        psi0 = basis_state(single_layout, "g", 0)
-        with pytest.raises(PropagationAccuracyError) as exc:
+        fn = _skewed(_lab_provider(1, 8))
+        psi0 = basis_state(fn.layout, "g", 0)
+        with pytest.raises(PropagationAccuracyError, match="norm drifted .* sample 1, t = 0.5"
+                           ) as exc:
             evolve(fn, psi0, 5.0, EvolutionConfig(), n_samples=10)
         assert exc.value.time is not None
+        assert (exc.value.step, exc.value.time) == (1, 0.5)
 
 
 class TestMagnusStep:
@@ -1016,10 +1042,9 @@ class TestMagnusStep:
 
 
 class TestEvolveColumns:
-    def test_overlap_drift_raises_with_time(self, single_layout):
-        mat = -0.05j * np.eye(single_layout.dim, dtype=complex)
-        fn = _static_provider(mat, single_layout, wmax=10.0)
-        v0 = np.eye(single_layout.dim, dtype=complex)[:, :2]
+    def test_overlap_drift_raises_with_time(self):
+        fn = _skewed(_lab_provider(1, 8))
+        v0 = np.eye(fn.layout.dim, dtype=complex)[:, :2]
         with pytest.raises(PropagationAccuracyError, match="t = 5") as exc:
             evolve_columns(fn, v0, 5.0, EvolutionConfig())
         assert exc.value.time == 5.0
@@ -1027,11 +1052,13 @@ class TestEvolveColumns:
 
 class TestPropagator:
     def test_zero_hamiltonian_gives_identity(self, single_layout):
-        fn = _static_provider(
-            np.zeros((single_layout.dim,) * 2, dtype=complex), single_layout, 1.0
-        )
+        """At g = 0 and alpha = 0 the propagator is the exact diagonal
+        e^{-i E t}, E = omega_r n + (omega_q/2) sigma_z: in the frame that
+        removes it, the identity."""
+        fn, energies = _static_provider(single_layout)
         u = propagator(fn, 3.0, EvolutionConfig(dt=0.01))
-        assert np.max(np.abs(u.mat - np.eye(single_layout.dim))) <= 1e-12
+        unwound = np.exp(3.0j * energies)[:, None] * u.mat
+        assert np.max(np.abs(unwound - np.eye(single_layout.dim))) <= 1e-12
 
     def test_linearity_matches_evolve(self):
         lay = HilbertLayout(1, 6)
@@ -1064,11 +1091,9 @@ class TestPropagator:
         t1, t2 = 0.3 * period, 0.7 * period
         cfg = EvolutionConfig(dt=dt)
 
-        def shifted(t: float) -> np.ndarray:
-            return fn(t + t1)
-
-        shifted.layout = lay
-        shifted.omega_max = fn.omega_max
+        # H(t + t1): sin(omega_d (t + t1) - phi) = sin(omega_d t - (phi - omega_d t1))
+        shifted = replace(fn, parts=replace(fn.parts, phi=fn.parts.phi - d.omega_d * t1))
+        assert np.max(np.abs(shifted(0.4) - fn(0.4 + t1))) <= 1e-12
         u_full = propagator(fn, t1 + t2, cfg).mat
         u1 = propagator(fn, t1, cfg).mat
         u2 = propagator(shifted, t2, cfg).mat
@@ -1089,8 +1114,9 @@ class TestPropagator:
 
 class TestFrameConsistency:
     def test_lab_then_rotate_equals_rotating_evolution(self):
-        """Evolve in the lab frame, rotate the result; compare against a
-        direct rotating-frame evolution of the same state."""
+        """Evolve in the lab frame, rotate the result; compare against
+        SciPy's DOP853 integration of the same state under the
+        rotating-frame Hamiltonian."""
         lay = HilbertLayout(2, 8)
         p = SystemParams(omega_q=3.0, g=0.2)
         d = DriveParams.from_alpha((1.20242, -1.20242), 3.0)
@@ -1100,7 +1126,8 @@ class TestFrameConsistency:
         rot = hamiltonian_fn(p, d, "rotating", lay)
         lab_final = evolve(lab, psi0, t_end, EvolutionConfig(), 4).final.vec
         rotated = np.conj(frame_phases(t_end, p, d, lay)) * lab_final
-        rot_final = evolve(rot, psi0, t_end, EvolutionConfig(), 4).final.vec
+        rot_final = solve_ivp(lambda t, y: -1j * (rot(t) @ y), (0.0, t_end), psi0.vec,
+                              method="DOP853", rtol=1e-10, atol=1e-12).y[:, -1]
         assert np.linalg.norm(rotated - rot_final) <= 1e-6
 
 
@@ -1151,8 +1178,7 @@ class TestFidelityTrace:
 
 class TestClosedFormEffective:
     """fidelity_trace builds the effective states in closed form; they must
-    match the exact solution of the effective model and a propagation of
-    the effective provider (the dense fallback)."""
+    match the exact solution of the effective model."""
 
     @staticmethod
     def _case(n_qubits: int, fock: int, g: float):
@@ -1171,15 +1197,6 @@ class TestClosedFormEffective:
         exact = oracle_helpers.exact_effective_states(p, d, lay, psi0.vec, times)
         assert np.max(np.abs(exact - closed)) <= 1e-12
 
-    @pytest.mark.parametrize("n_qubits,fock,g", [(2, 32, 0.2), (1, 32, 0.2)])
-    def test_matches_propagated_effective_model(self, n_qubits, fock, g):
-        lay, p, d, psi0 = self._case(n_qubits, fock, g)
-        h = hamiltonian_fn(p, d, "effective", lay)
-        traj = evolve(h, psi0, 2 * np.pi, EvolutionConfig(), n_samples=500)
-        closed = _effective_states(p, d, psi0, traj.times)
-        assert closed.shape == (501, lay.dim)
-        assert np.max(np.abs(np.array([s.vec for s in traj.states]) - closed)) <= 1e-9
-
     def test_qubit_superposition_and_unequal_couplings(self):
         """Every sigma_x branch carries its own weight and rate."""
         lay = HilbertLayout(2, 16)
@@ -1190,10 +1207,10 @@ class TestClosedFormEffective:
         vec = np.zeros(lay.dim, dtype=complex)
         vec[::lay.fock_dim] = q / np.linalg.norm(q)
         psi0 = Ket(lay, vec)
-        h = hamiltonian_fn(p, d, "effective", lay)
-        traj = evolve(h, psi0, np.pi, EvolutionConfig(), n_samples=250)
-        closed = _effective_states(p, d, psi0, traj.times)
-        assert np.max(np.abs(np.array([s.vec for s in traj.states]) - closed)) <= 1e-9
+        times = np.linspace(0.0, np.pi, 251)
+        exact = oracle_helpers.exact_effective_states(p, d, lay, psi0.vec, times)
+        closed = _effective_states(p, d, psi0, times)
+        assert np.max(np.abs(exact - closed)) <= 1e-9
 
     def test_rejects_excited_resonator(self):
         p = SystemParams(omega_q=3.0, g=0.2)
