@@ -274,7 +274,7 @@ def _run_gate(cfg, per_trial: bool) -> int:
     print(f"stderr = {stderr:.12g}")
     if per_trial:
         path = _out_path(cfg, f"gate-fidelity-trials-seed{cfg['gate.seed']}.csv")
-        _write_csv(path, _header_lines(cfg), "trial,fidelity", enumerate(fids))
+        _write_csv(path, _header_lines(cfg), "trial,fidelity", (range(len(fids)), fids))
         print(f"wrote {path}")
     return 0
 
@@ -299,7 +299,7 @@ def _run_cat(cfg) -> int:
     path = _out_path(cfg, f"cat-state-k{k}.csv")
     odd = np.zeros(layout.fock_dim) if dec.odd_state is None else dec.odd_state
     _write_csv(path, _header_lines(cfg) + summary, "n,p_even_n,p_odd_n",
-               zip(range(layout.fock_dim), abs(dec.even_state) ** 2, abs(odd) ** 2))
+               (range(layout.fock_dim), abs(dec.even_state) ** 2, abs(odd) ** 2))
     print(f"wrote {path}")
     return 0
 
@@ -416,7 +416,7 @@ def _run_sweep(cfg) -> int:
     trend_line = f"trend: {metric} is {trend}" \
         + (f" along {axis_keys[0]}" if len(axes) == 1 else "")
     _write_csv(path, _header_lines(cfg) + [trend_line], ",".join(axis_keys + [metric]),
-               ([v for _, v in overrides] + [value] for overrides, value in zip(grid, values)))
+               [[overrides[i][1] for overrides in grid] for i in range(len(axes))] + [values])
     print(f"points = {len(values)}")
     print(trend_line)
     print(f"wrote {path}")

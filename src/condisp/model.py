@@ -517,10 +517,13 @@ class _Powers:
 
     Row j of the stack holds p_j = A p_{j-1} once power(j) has run, p_0
     being what the caller writes into row 0; rows[j] is that row as a
-    packed state and flat[j] as one float64 vector, for its norm. stack
+    packed state and flat[j] as one float64 vector, for its norm, and
+    lhs[j], rhs[j] are that vector as a (1, n) and an (n, 1) matrix, so
+    one matmul over a run of them takes the run's squared norms. stack
     holds the rows flat, one per line, and heads[j] its first j + 1
     lines, for combining them into out, whose packed state is result.
-    bounds[j] is the Taylor stop on row j's squared norm (see
+    bounds[j] is the Taylor stop on row j's squared norm, and degree the
+    number of terms the last exponential took, 0 before the first (see
     propagate._expmv). buf is the stack in the kernel's own layout, and
     state maps one of its rows (or a row-shaped array) to a packed state.
     """
@@ -529,7 +532,9 @@ class _Powers:
                  bounds: list) -> None:
         self.stack = buf.reshape(len(buf), -1)
         self.heads = [self.stack[:j + 1] for j in range(len(buf))]
-        self.flat = [line.view(np.float64) for line in self.stack]
+        flat = self.stack.view(np.float64)
+        self.flat, self.lhs, self.rhs = list(flat), flat[:, None], flat[..., None]
+        self.degree = 0
         self.rows = [state(b) for b in buf]
         self.out = np.zeros_like(self.stack[0])
         self.result = state(self.out.reshape(buf.shape[1:]))

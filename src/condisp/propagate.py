@@ -21,17 +21,19 @@ e^{+iK_{n-1}} v_n, makes one turn e^{i(K_n - K_{n-1})} per step, and
 unwinds e^{-iK} only where a state leaves it, at each sample. Every
 operator comes prescaled by its step, A = dt Hbar, and the exponential
 is an adaptive Taylor series on a power stack that the operator owns:
-each term is one bare apply p_k = A p_{k-1} into the next row, plus its
-stop test, and the exponential is one combination of the rows by
-(-i)^k / k! (a stack that runs out of rows is folded into a partial
-sum). The Taylor product never leaves the unit sphere beyond roundoff,
-so the series stops once a term's squared norm falls below 1e-32 of
-the initial state's, taken once per propagation (of the smallest
-member's, for a stack). model._mixer plans each propagation once, from
-its initial state, and reads its step schedule _PLAN_CHUNK steps at a
-time: node times, then the modulation sin(omega_d t - phi)
-at all of them, from which it forms the chunk's diagonals and turn
-phases at once. Lab providers are never evaluated: they are propagated
+each term is one bare apply p_k = A p_{k-1} into the next row, and the
+exponential is one combination of the rows by (-i)^k / k! (a stack
+that runs out of rows is folded into a partial sum). The Taylor product
+never leaves the unit sphere beyond roundoff, so the series stops once
+a term's squared norm falls below 1e-32 of the initial state's, taken
+once per propagation (of the smallest member's, for a stack). An
+exponential almost always stops where its operator's last one did, so
+it applies that many terms untested and checks them by one batched
+norm, going on term by term only if none passes. model._mixer plans
+each propagation once, from its initial state, and reads its step
+schedule _PLAN_CHUNK steps at a time: node times, then the modulation
+sin(omega_d t - phi) at all of them, from which it forms the chunk's
+diagonals and turn phases at once. Lab providers are never evaluated: they are propagated
 from the parts they carry, and only a wrapper that carries a provider's
 parts is evaluated, once per propagation (once per experiment for the
 cat and the gate, which propagate providers built from the parts they
@@ -111,9 +113,6 @@ _UNITARITY_TOL = 1e-7
 # level with 64, which held 0.7 MiB more in those rows, and 8 made an op
 # about 4 % slower through the forming's call overhead.
 _PLAN_CHUNK = 16
-# Integer cells below this magnitude have at most 12 digits, so %d writes
-# them as %.12g does.
-_INT_LIMIT = 10**12
 
 
 class PropagationAccuracyError(RuntimeError):
@@ -145,17 +144,15 @@ class EvolutionConfig:
         if self.method not in METHODS:
             raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
 
-    def resolve_dt(self, omega_max: float | None) -> float:
+    def resolve_dt(self, omega_max: float) -> float:
         if self.dt is not None:
-            if omega_max is not None and self.dt > _STEP_FRACTION / omega_max * (1 + 1e-12):
+            if self.dt > _STEP_FRACTION / omega_max * (1 + 1e-12):
                 raise ValueError(
                     f"dt = {self.dt:g} exceeds the step ceiling "
                     f"{_STEP_FRACTION / omega_max:g} = 2pi/(50 omega_max), "
                     f"omega_max = {omega_max:g}"
                 )
             return self.dt
-        if omega_max is None:
-            raise ValueError("dt is required without an omega_max to derive a default from")
         steps = (DEFAULT_STEPS_PER_PERIOD if self.method == "piecewise-exponential"
                  else _RK4_STEPS_PER_PERIOD)
         return 2.0 * math.pi / omega_max / steps
@@ -220,8 +217,15 @@ def _expmv(op, x: np.ndarray) -> np.ndarray:
     at most 1e-32 v^2, a relative 1e-16 tail: v^2 is the squared norm of
     the propagation's initial state (of its smallest stack member, so
     that each member's own term passes its own stop), taken once, since
-    the Taylor product is unitary to roundoff. The exponential is then
-    one combination of the rows by the coefficients (-i)^j / j!, into
+    the Taylor product is unitary to roundoff. Consecutive exponentials
+    of a propagation almost always stop at the same k, so the first m
+    terms, m = op.degree (where op's last exponential stopped) up to the
+    stack's last row, are applied without a test, and their squared
+    norms taken by one matmul, which gives each the bits of its own dot
+    product: the series stops at the first of them that passes, and the
+    rows past it are never combined. If none does, the series goes on
+    from term m + 1, one test per term. The exponential is then one
+    combination of the rows by the coefficients (-i)^j / j!, into
     op.out, and is returned as op.result, valid until op's next
     exponential. When the rows run out, all but the last are folded into
     a partial sum, and the last, scaled to its term t_b, becomes row 0,
@@ -232,29 +236,39 @@ def _expmv(op, x: np.ndarray) -> np.ndarray:
     rows, flat, power, bounds = op.rows, op.flat, op.power, op.bounds
     if x is not rows[0]:
         np.copyto(rows[0], x)
-    heads, total, j, depth = _HEADS, None, 0, len(rows)
-    for k in range(1, _TAYLOR_MAX_TERMS + 1):
-        j += 1
-        if j == depth:
-            j -= 1
-            coeffs = heads[j]
-            part = coeffs[:j] @ op.stack[:j]
-            total = part if total is None else total + part
-            np.multiply(op.stack[j], coeffs[j], out=op.stack[0])
-            coeffs = np.cumprod([1.0] + [-1j / (k - 1 + i) for i in range(1, depth)])
-            heads = [coeffs[:i + 1] for i in range(depth)]
-            bounds = (op.bounds[0] / np.abs(coeffs) ** 2).tolist()
-            j = 1
+    heads, total, depth = _HEADS, None, len(rows)
+    m = min(op.degree, depth - 1)
+    for j in range(1, m + 1):
         power(j)
-        if flat[j] @ flat[j] <= bounds[j]:
-            np.dot(heads[j], op.heads[j], out=op.out)
-            if total is not None:
-                op.out += total
-            return op.result
-    raise PropagationAccuracyError(
-        f"matrix-exponential series did not converge in {_TAYLOR_MAX_TERMS} "
-        "terms; the step is far too large for this generator"
-    )
+    norms = np.matmul(op.lhs[1:m + 1], op.rhs[1:m + 1]).ravel().tolist()
+    j = k = next((i for i, s in enumerate(norms, 1) if s <= bounds[i]), 0)
+    if not k:
+        j = m
+        for k in range(m + 1, _TAYLOR_MAX_TERMS + 1):
+            j += 1
+            if j == depth:
+                j -= 1
+                coeffs = heads[j]
+                part = coeffs[:j] @ op.stack[:j]
+                total = part if total is None else total + part
+                np.multiply(op.stack[j], coeffs[j], out=op.stack[0])
+                coeffs = np.cumprod([1.0] + [-1j / (k - 1 + i) for i in range(1, depth)])
+                heads = [coeffs[:i + 1] for i in range(depth)]
+                bounds = (op.bounds[0] / np.abs(coeffs) ** 2).tolist()
+                j = 1
+            power(j)
+            if flat[j] @ flat[j] <= bounds[j]:
+                break
+        else:
+            raise PropagationAccuracyError(
+                f"matrix-exponential series did not converge in {_TAYLOR_MAX_TERMS} "
+                "terms; the step is far too large for this generator"
+            )
+    op.degree = k
+    np.dot(heads[j], op.heads[j], out=op.out)
+    if total is not None:
+        op.out += total
+    return op.result
 
 
 # Each stepper's nodes, as fractions of the step, and its operators, as
@@ -509,31 +523,25 @@ def fidelity_trace(params: SystemParams, drive: DriveParams, psi0: Ket,
     return FidelityTrace(times, fids, params.omega_r)
 
 
-def _write_csv(path, comments: Sequence[str], header: str, rows) -> None:
-    """Comment lines (each behind '# '), a column header, then the rows
-    with every cell at 12 significant digits, formatted by one %.
+def _write_csv(path, comments: Sequence[str], header: str, columns: Sequence) -> None:
+    """Comment lines (each behind '# '), a column header, then the rows of
+    the equal-length columns, each a range, a list or a 1-D array, with
+    every cell at 12 significant digits, formatted by one %.
 
-    A column whose every cell is an integer of magnitude below 1e12 is
-    formatted by %d, which writes it as %.12g does, at less cost.
+    The cells are drawn row by row into one tuple through zip, which
+    reuses its row tuple, so a write keeps nothing per row but the cells
+    and sets off no garbage collection. A range within +-1e12 is
+    formatted by %d, which writes its cells, of at most 12 digits, as
+    %.12g does, at less cost.
     """
-    rows = list(rows)
-    width = header.count(",") + 1
-    cells = tuple(itertools.chain.from_iterable(rows))
-    fmt = ",".join("%d" if _small_ints(cells[i::width]) else "%.12g"
-                   for i in range(width)) + "\n"
+    cells = tuple(itertools.chain.from_iterable(zip(
+        *(c.tolist() if isinstance(c, np.ndarray) else c for c in columns), strict=True)))
+    fmt = ",".join("%d" if isinstance(c, range) and (not c or max(abs(c[0]), abs(c[-1])) < 10**12)
+                   else "%.12g" for c in columns) + "\n"
     text = "".join([f"# {line}\n" for line in comments] + [header + "\n"]) \
-        + fmt * len(rows) % cells
+        + fmt * len(columns[0]) % cells
     with open(path, "w", encoding="utf-8", newline="\n") as f:
         f.write(text)
-
-
-def _small_ints(cells: tuple) -> bool:
-    """True if cells is not empty and every cell is an int (or a NumPy
-    integer) with |n| < 1e12; the first cell's type decides a float
-    column at once."""
-    return bool(cells) and isinstance(cells[0], (int, np.integer)) \
-        and all(issubclass(t, (int, np.integer)) for t in set(map(type, cells))) \
-        and -_INT_LIMIT < min(cells) and max(cells) < _INT_LIMIT
 
 
 def write_trace_csv(trace: FidelityTrace, path, comments: Sequence[str] = ()) -> None:
@@ -541,5 +549,4 @@ def write_trace_csv(trace: FidelityTrace, path, comments: Sequence[str] = ()) ->
 
     Comment lines (without the leading '#') go above the header.
     """
-    _write_csv(path, comments, "t_over_Tr,fidelity",
-               zip(trace.t_over_period, trace.fidelities))
+    _write_csv(path, comments, "t_over_Tr,fidelity", (trace.t_over_period, trace.fidelities))

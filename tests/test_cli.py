@@ -7,6 +7,7 @@ here runs at reduced cutoffs so the whole module stays fast.
 
 from __future__ import annotations
 
+import gc
 import os
 import subprocess
 import sys
@@ -322,15 +323,16 @@ class TestGateCommand:
 
 class TestCsvWriter:
     def test_matches_per_cell_format(self, tmp_path):
-        """One-shot formatting writes the bytes of the per-row
-        ",".join(f"{v:.12g}") it replaced."""
+        """One-shot formatting of a list, an array and a list column writes
+        the bytes of the per-row ",".join(f"{v:.12g}") it replaced."""
         values = [0.0, -0.0, 1.0, -2.5, 1e-5, -1e-5, 1.23456789012345e-7, 1e12,
                   -1e12, 123456789012.5, 1e15, 6.02214076e23, np.pi, -np.e,
                   np.float64(0.994743715588123), np.float64(-1e-300), np.inf, np.nan]
         rows = [(i, v, -i) for i, v in enumerate(values)]
         rows += [(10**12, 7, -3), (np.int64(42), 0.5, 2**53)]
+        first, middle, last = (list(c) for c in zip(*rows))
         path = tmp_path / "w.csv"
-        _write_csv(path, ["a = 1", "b"], "i,v,j", rows)
+        _write_csv(path, ["a = 1", "b"], "i,v,j", [first, np.array(middle), last])
         oracle = "# a = 1\n# b\ni,v,j\n" + "".join(
             ",".join(f"{v:.12g}" for v in row) + "\n" for row in rows)
         assert path.read_bytes() == oracle.encode("utf-8")
@@ -342,6 +344,20 @@ class TestCsvWriter:
         return "".join([f"# {line}\n" for line in comments] + [header + "\n"]
                        + [fmt % tuple(row) for row in rows]).encode("utf-8")
 
+    @staticmethod
+    def _written(tmp_path, monkeypatch, args) -> list:
+        """(path, comments, header, columns) of every file main(args) writes."""
+        written = []
+
+        def spy(path, comments, header, columns, real=_write_csv):
+            real(path, comments, header, columns)
+            written.append((path, comments, header, columns))
+
+        monkeypatch.setattr(propagate, "_write_csv", spy)
+        monkeypatch.setattr(cli, "_write_csv", spy)
+        assert main(args + ["--out", str(tmp_path)]) == 0
+        return written
+
     @pytest.mark.parametrize("args", [
         ["validate-effective", "--fock-dim", "8", "--periods", "0.05"],
         ["gate-fidelity", "--fock-dim", "8", "--trials", "300", "--per-trial"],
@@ -350,32 +366,40 @@ class TestCsvWriter:
          "--axis", "system.g", "0.1", "0.2", "3"],
         ["sweep", "--metric", "mean-f1", "--fock-dim", "8", "--periods", "0.05",
          "--axis", "system.g", "0.2", "0.2", "1"],  # one row
+        ["gate-fidelity", "--trials", "20000", "--seed", "1", "--per-trial"],  # the benchmark's
     ])
     def test_subcommand_csvs_match_per_row_format(self, tmp_path, monkeypatch, args):
-        written = []
-
-        def spy(path, comments, header, rows, real=_write_csv):
-            rows = list(rows)
-            real(path, comments, header, rows)
-            written.append((path, self._per_row(comments, header, rows), len(rows)))
-
-        monkeypatch.setattr(propagate, "_write_csv", spy)
-        monkeypatch.setattr(cli, "_write_csv", spy)
-        assert main(args + ["--out", str(tmp_path)]) == 0
-        [(path, expected, n_rows)] = written
-        assert (n_rows == 1) == (args[-3:] == ["0.2", "0.2", "1"])
+        [(path, comments, header, columns)] = self._written(tmp_path, monkeypatch, args)
+        rows = list(zip(*columns))
+        assert (len(rows) == 1) == (args[-3:] == ["0.2", "0.2", "1"])
         with open(path, "rb") as f:
-            assert f.read() == expected
+            assert f.read() == self._per_row(comments, header, rows)
+
+    def test_gate_file_collects_no_garbage(self, tmp_path, monkeypatch):
+        """Writing the benchmark's 20,000-row gate file sets off at most one
+        generation-0 garbage collection (the allocations before it may
+        have brought the next one near); the per-row writer's row tuples
+        set off two dozen."""
+        args = ["gate-fidelity", "--trials", "20000", "--seed", "1", "--per-trial"]
+        [(path, comments, header, columns)] = self._written(tmp_path, monkeypatch, args)
+        assert len(columns[0]) == 20000
+        before = gc.get_stats()[0]["collections"]
+        _write_csv(path, comments, header, columns)
+        assert gc.get_stats()[0]["collections"] - before <= 1
 
 
 def test_integer_columns_write_as_general_format(tmp_path):
-    """A column of small ints is written by %d, which must give the bytes of
-    %.12g; a float, a bool or a large int among the cells keeps the
-    column on %.12g, so no cell is truncated to an integer."""
-    rows = [(0, 1, 3, True, -7), (1, 2.5, 4, False, 10**12), (2, 3, np.int64(-5), 1, 8)]
-    _write_csv(tmp_path / "w.csv", [], "a,b,c,d,e", rows)
-    oracle = "a,b,c,d,e\n" + "".join(",".join(f"{v:.12g}" for v in row) + "\n"
-                                      for row in rows)
+    """A range within +-1e12 is written by %d, which must give the bytes of
+    %.12g; a range that reaches 1e12 and every other column, of ints,
+    bools or NumPy integers, keep %.12g, so no cell is truncated to an
+    integer."""
+    columns = [range(3), [1, 2.5, 3], [3, 4, np.int64(-5)], [True, False, 1],
+               [-7, 10**12, 8], range(10**12 - 2, 10**12 + 1), range(-10**12, 3 - 10**12),
+               np.array([-5, 2**40, 9], dtype=np.int64), range(-1, 2)]
+    _write_csv(tmp_path / "w.csv", [], "a,b,c,d,e,f,g,h,i", columns)
+    oracle = "a,b,c,d,e,f,g,h,i\n" + "".join(",".join(f"{v:.12g}" for v in row) + "\n"
+                                              for row in zip(*columns))
+    assert "1e+12" in oracle and "-1e+12" in oracle
     assert (tmp_path / "w.csv").read_bytes() == oracle.encode("utf-8")
 
 

@@ -24,9 +24,12 @@ Key oracles:
   stepper that makes both turns of every step,
 * the Taylor series on the power stack must take as many terms as the
   earlier loop and agree with it, also when it folds the stack and on a
-  stack of members of unequal norm; a loaded operator's powers must be
-  the dense ones, and an exponential's result must live apart from the
-  rows it reads,
+  stack of members of unequal norm; an exponential that applies its
+  operator's last degree untested must have the bits of one that tests
+  every term, where the degree holds, drops, rises or folds, and its
+  batched norms the bits of each row's dot product; a loaded operator's
+  powers must be the dense ones, and an exponential's result must live
+  apart from the rows it reads,
 * the closed-form effective states of fidelity_trace must match the exact
   solution of the effective model,
 * evolving in the lab frame and rotating afterwards must agree with
@@ -113,19 +116,21 @@ def _apply(op, x: np.ndarray) -> np.ndarray:
     return op.rows[1]
 
 
-def _exponential(op, x: np.ndarray) -> tuple[np.ndarray, int]:
-    """_expmv(op, x), copied, and the number of Taylor terms it took."""
-    terms = 0
+def _exponential(op, x: np.ndarray) -> tuple[np.ndarray, int, int]:
+    """_expmv(op, x), copied, the Taylor degree it combined (the degree the
+    operator carries to its next exponential) and the powers it applied,
+    which exceed the degree by the rows of a batch past its stop."""
+    applies = 0
     power = op.power
 
     def counted(j: int) -> None:
-        nonlocal terms
-        terms += 1
+        nonlocal applies
+        applies += 1
         power(j)
 
     op.power = counted
     try:
-        return _expmv(op, x).copy(), terms
+        return _expmv(op, x).copy(), op.degree, applies
     finally:
         op.power = power
 
@@ -157,10 +162,6 @@ class TestEvolutionConfig:
         cfg = EvolutionConfig(dt=1.5 * ceiling)
         with pytest.raises(ValueError):
             cfg.resolve_dt(4.0)
-
-    def test_resolve_requires_some_scale(self):
-        with pytest.raises(ValueError):
-            EvolutionConfig().resolve_dt(None)
 
 
 class TestCoefficientForm:
@@ -373,7 +374,13 @@ class TestTaylorLoop:
     which every exponential of three or more terms folds; on one
     exponential that folds the full stack; and on a two-member stack
     whose members' norms differ by 1e3, against the earlier loop's stop
-    on the smaller member."""
+    on the smaller member. An exponential applies the degree its
+    operator's last one took without a test and checks those rows by one
+    batched norm, which must give each row the bits of its own dot
+    product; the result must have the bits of an exponential that tests
+    every term, on every exponential of those propagations and where the
+    degree drops, rises, or folds after the batch, and the powers applied
+    past the combined degree must stay under 1 % of the terms."""
 
     @staticmethod
     def _propagate(workload: str) -> None:
@@ -393,13 +400,24 @@ class TestTaylorLoop:
 
     @staticmethod
     def _against_reference(op, x: np.ndarray, members=None):
-        """(terms, the reference's terms, largest difference) of one
-        exponential, and its result."""
-        x0 = np.array(x)  # a fold rewrites row 0, where x may live
-        got, terms = _exponential(op, x)
+        """(degree, the reference's terms, largest difference, powers
+        applied) of one exponential, and its result, which must have the
+        bits of the same operator's with no degree carried; the batched
+        squared norms of the rows it wrote must have their dot products'
+        bits."""
+        x0, carried = np.array(x), op.degree  # a fold rewrites row 0, where x may live
+        op.degree = 0
+        each, each_degree, each_applies = _exponential(op, x0)
+        assert each_applies == each_degree
+        op.degree = carried
+        got, degree, applies = _exponential(op, x0)
+        assert degree == each_degree and np.array_equal(got, each)
+        rows = min(applies, len(op.rows) - 1) + 1
+        batched = np.matmul(op.lhs[1:rows], op.rhs[1:rows]).ravel()
+        assert np.array_equal(batched, [f @ f for f in op.flat[1:rows]])
         ref, ref_terms = oracle_helpers.reference_expmv(lambda y: _apply(op, y).copy(),
                                                         x0, members)
-        return (terms, ref_terms, float(np.max(np.abs(got - ref)))), got
+        return (degree, ref_terms, float(np.max(np.abs(got - ref))), applies), got
 
     def _spied(self, workload: str, monkeypatch) -> list:
         seen = []
@@ -412,18 +430,20 @@ class TestTaylorLoop:
         monkeypatch.setattr(propagate, "_expmv", spy)
         self._propagate(workload)
         assert len(seen) >= 40
-        assert [n for n, _, _ in seen] == [n for _, n, _ in seen]
-        assert max(err for _, _, err in seen) <= 1e-13
+        assert [n for n, *_ in seen] == [n for _, n, *_ in seen]
+        assert max(err for _, _, err, _ in seen) <= 1e-13
         return seen
 
     @pytest.mark.parametrize("workload", ["cat", "gate", "trace"])
     def test_same_terms_as_reference_loop(self, workload, monkeypatch):
-        self._spied(workload, monkeypatch)
+        seen = self._spied(workload, monkeypatch)
+        terms, applies = (sum(r[i] for r in seen) for i in (0, 3))
+        assert applies - terms < 0.01 * terms
 
     @pytest.mark.parametrize("workload", ["cat", "gate", "trace"])
     def test_three_row_stack_folds(self, workload, monkeypatch):
         monkeypatch.setattr(propagate, "_STOP", propagate._STOP[:3])
-        assert max(n for n, _, _ in self._spied(workload, monkeypatch)) > 6
+        assert max(n for n, *_ in self._spied(workload, monkeypatch)) > 6
 
     def test_fold_of_the_full_stack(self):
         """At a step far above the ceiling an exponential takes more terms
@@ -434,15 +454,45 @@ class TestTaylorLoop:
         x /= np.linalg.norm(x)
         ops, into, back = _plan(fn, x, [[0.3]], [[1.0]], dt=0.4)
         op = next(ops)
-        (terms, ref_terms, err), _ = self._against_reference(op, into(x))
+        (terms, ref_terms, err, _), _ = self._against_reference(op, into(x))
         assert terms == ref_terms > 2 * (len(op.rows) - 1)
         assert err <= 1e-13
+
+    @pytest.mark.parametrize("case", ["drop", "rise", "fold"])
+    def test_carried_degree(self, case, monkeypatch):
+        """Two exponentials of one operator, on x and 1e-3 x (the degree
+        drops), on 1e-3 x and x (it rises), or both on x with a three-row
+        stack (the batch fails and the stack folds): the second has the
+        bits of a fresh operator's, and agrees with the reference (whose
+        stop, relative to its own partial sum, takes more terms on 1e-3 x
+        than the stop relative to the propagation's initial state)."""
+        if case == "fold":
+            monkeypatch.setattr(propagate, "_STOP", propagate._STOP[:3])
+        fn = _lab_provider(1, 16)
+        rng = np.random.default_rng(7)
+        x = rng.standard_normal(fn.layout.dim) + 1j * rng.standard_normal(fn.layout.dim)
+        x /= np.linalg.norm(x)
+        first, second = {"drop": (x, 1e-3 * x), "rise": (1e-3 * x, x), "fold": (x, x)}[case]
+        dt = 2 * np.pi / (50 * fn.omega_max)
+        ops, into, _ = _plan(fn, x, [[0.3]], [[1.0]], dt)
+        op = next(ops)
+        carried = _exponential(op, into(first))[1]
+        (terms, ref_terms, err, applies), got = self._against_reference(op, into(second))
+        ops, into, _ = _plan(fn, x, [[0.3]], [[1.0]], dt)
+        assert np.array_equal(got, _exponential(next(ops), into(second))[0])
+        assert err <= 1e-13
+        if case == "drop":
+            assert applies == carried > terms
+        elif case == "rise":
+            assert applies == terms > carried
+        else:
+            assert applies == terms == ref_terms == carried > len(op.rows) - 1
 
     def test_two_members_stop_on_the_smaller(self):
         """A unit member next to one of norm 1e-3, at four times the step
         ceiling: the series runs until the smaller member's own terms pass
         its stop, two terms past the earlier loop's stop on the whole
-        stack."""
+        stack, on a fresh operator and again on its batch."""
         fn = _lab_provider(1, 8)
         pair = model._LabProvider(model._stack([fn.parts, fn.parts]), fn.omega_max)
         v0 = np.concatenate([basis_state(fn.layout, "g", 0).vec,
@@ -452,11 +502,12 @@ class TestTaylorLoop:
         x = into(v0)
         assert x.shape == (2, 8, 1)  # one chain of each member
         op = next(ops)
-        (terms, ref_terms, err), _ = self._against_reference(
-            op, x, members=[slice(0, 8), slice(8, 16)])
         whole = oracle_helpers.reference_expmv(lambda y: _apply(op, y).copy(), x)[1]
-        assert terms == ref_terms >= whole + 2
-        assert err <= 1e-13
+        for _ in range(2):
+            (terms, ref_terms, err, applies), _ = self._against_reference(
+                op, x, members=[slice(0, 8), slice(8, 16)])
+            assert applies == terms == ref_terms >= whole + 2
+            assert err <= 1e-13
 
     def test_nonconvergence_raises(self):
         fn = _lab_provider(1, 8)
@@ -756,7 +807,7 @@ class TestStackedPropagation:
 
         def exponential(fn, v0):
             ops, into, back = _plan(fn, v0, [[0.3]], [[1.0]], dt)
-            p, terms = _exponential(next(ops), into(v0))
+            p, terms, _ = _exponential(next(ops), into(v0))
             return back(p), terms
 
         (a_unit, n_unit), (a_small, n_small) = (exponential(h, v) for v in (unit, small))
