@@ -14,6 +14,7 @@ and nothing timestamps itself.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -93,7 +94,6 @@ _SCHEMA = {
     "drive.omega_d": (_parse_opt_float, None),
     "drive.phi": (_parse_float, math.pi / 2),
     "evolution.dt": (_parse_opt_float, None),
-    "evolution.method": (_choice("piecewise-exponential", "rk4"), "piecewise-exponential"),
     "trace.periods": (_parse_float, 1.0),
     "gate.trials": (_parse_int, 50),
     "gate.seed": (_parse_int, 7),
@@ -211,7 +211,7 @@ def _build(cfg):
     try:
         drive = DriveParams.from_alpha(alphas, omega_d, cfg["drive.phi"])
         layout = HilbertLayout(n_qubits=nq, fock_dim=cfg["system.fock_dim"])
-        evo = EvolutionConfig(dt=cfg["evolution.dt"], method=cfg["evolution.method"])
+        evo = EvolutionConfig(dt=cfg["evolution.dt"])
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     return params, drive, layout, evo
@@ -390,6 +390,8 @@ def _run_sweep(cfg) -> int:
     workers = cfg["sweep.workers"]
     if workers < 1:
         raise ConfigError(f"sweep.workers: must be >= 1, got {workers}")
+    # the pool forks every worker at once: no more than the points or the CPUs
+    workers = min(workers, len(jobs), os.cpu_count() or 1)
     if workers == 1:
         values = [_sweep_point(job) for job in jobs]
     else:
@@ -523,10 +525,10 @@ def _add_run_flags(sub: argparse.ArgumentParser) -> None:
     _flag(sub, "--omega-d", "drive.omega_d", type=float,
           help="modulation frequency (default: resonant)")
     _flag(sub, "--phi", "drive.phi", type=float, help="modulation phase (default pi/2)")
-    _flag(sub, "--method", "evolution.method", choices=["piecewise-exponential", "rk4"])
     _flag(sub, "--n-qubits", "system.n_qubits", type=int, choices=[1, 2])
 
 
+@functools.cache  # built once: each build leaves about 500 objects in cycles
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="condisp",

@@ -247,8 +247,8 @@ def gate_fidelity_trials(params: SystemParams, drive: DriveParams,
     Trial states are Gaussian-random qubit amplitudes (normalized) with
     the resonator in vacuum. Pass the 4 x 4 matrix from gate_columns as
     columns to reuse one propagation across seeds; it is recomputed here
-    otherwise. What
-    _trial_ratio refuses raises ValueError before anything is propagated.
+    otherwise. What _trial_ratio refuses raises ValueError before anything
+    is propagated.
     """
     ratio = _trial_ratio(params, drive, n_trials)
     if layout is None:

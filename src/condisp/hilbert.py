@@ -38,8 +38,8 @@ __all__ = [
     "fidelity",
 ]
 
-# Norm slack for states entering fidelity. Matches the trajectory norm gate;
-# the RK4 cross-check integrator drifts past 1e-9 on long runs.
+# Norm slack for states entering fidelity and the propagators' norm and overlap
+# guards: acceptance criterion 8's drift bound, far above Magnus roundoff (1e-15).
 NORM_TOL = 1e-6
 
 _PAULI = {

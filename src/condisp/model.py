@@ -664,8 +664,8 @@ def _mirrored(parts: _Blocks, t: float) -> _Blocks:
 
     sin(omega_d (t - tau) - phi) = sin(omega_d tau - (omega_d t - phi -
     pi)), so only phi changes; h0, D and the parity order are shared. H
-    is real and symmetric, and each step (Magnus or RK4) is symmetric in
-    its nodes, so a step under the mirror is the transpose of the step
+    is real and symmetric, and each Magnus step is symmetric in its
+    nodes, so a step under the mirror is the transpose of the step
     under H at the reflected nodes, and the mirror's propagation is the
     transpose of the forward one, to roundoff (Blanes, Casas, Oteo & Ros,
     Phys. Rep. 470, 151 (2009)). Its adjoint is the conjugate of the
@@ -728,50 +728,50 @@ def _packing(parts: _Blocks, v0: np.ndarray):
     return sectors, shape, into, back
 
 
-def _mixer(parts: _Blocks, v0: np.ndarray, chunks: Iterable[np.ndarray],
-           weights: np.ndarray, dt: float, stop: np.ndarray):
-    """(ops, into, back): the plan of one propagation of v0 under the lab
-    parts (of one drive or a stack), in steps of dt.
+# The Magnus step's twist K = _TWIST dt (H_2 - H_1) (see propagate._m4_step).
+_TWIST = math.sqrt(3.0) / 12.0
 
-    The propagation runs steps in order and each step's operators in
-    order; chunks yields the node times of runs of consecutive steps as
-    (steps, n) arrays, and operator j of a step with node times ts is
-    dt sum_l weights[j, l] H(ts[l]), weights an (operators, n) array:
-    every operator comes prescaled by the step. Each next(ops) loads the
-    next operator. One whose weight row sums to a nonzero value loads as
-    a _Powers of it, valid until the next load, whose power(j) is one
-    bare apply. One whose row sums to zero, in which h0 cancels, is a
-    turn: the n-th, K_n, loads as the phase turn(x) = exp(i (K_n -
-    K_{n-1})) x, K_{-1} = 0, so a propagation carries its state twisted
-    by e^{iK} of the last turn loaded, and one turn per step moves it on
-    to the next. into packs v0, or an array of its shape with no
-    amplitude outside v0's, into the propagation basis; back unwinds
-    e^{-iK} of the last turn loaded from a packed state and unpacks it
-    into the product basis. Each operator's Taylor stop is stop (one
+
+def _mixer(parts: _Blocks, v0: np.ndarray, chunks: Iterable[np.ndarray],
+           dt: float, stop: np.ndarray):
+    """(ops, into, back): the plan of one propagation of v0 under the lab
+    parts (of one drive or a stack), in fourth-order Magnus steps of dt.
+
+    chunks yields the node times of runs of consecutive steps as (steps,
+    2) arrays, each step's two Gauss nodes t_1, t_2. Each next(ops) loads
+    the next step and returns its (turn, op). The turn is the phase
+    turn(x) = exp(i (K_n - K_{n-1})) x, K_n = dt (sqrt(3)/12) (H(t_2) -
+    H(t_1)) of step n, K_{-1} = 0, so a propagation carries its state
+    twisted by e^{iK} of the last step loaded. op is a _Powers of the
+    prescaled mean generator dt (H(t_1) + H(t_2))/2, valid until the next
+    load, whose power(j) is one bare apply. into packs v0, or an array of
+    its shape with no amplitude outside v0's, into the propagation basis;
+    back unwinds e^{-iK} of the last step loaded from a packed state and
+    unpacks it into the product basis. Each op's Taylor stop is stop (one
     entry per stack row) times v0's squared norm, that of its smallest
     stack member.
 
-    The parts are h0 + sin(omega_d t - phi) D on real parity blocks, D
-    diagonal, so operator j is dt (c0 h0 + c1 D): c0 the weight row's
-    sum, one value for every apply's row (1 for the Magnus step's mean
-    generator and for RK4), or zero for a turn's, and c1 = sum_l
-    weights[j, l] sin(omega_d ts[l] - phi), per occupied sector, or one
-    number when those sectors share phi. So dt c0 h0 is premixed once per
-    propagation, and a chunk of steps forms, at once, the diagonals
-    dt (c0 diag(h0) + c1 D) its applies load and the phases its turns
-    multiply by; a load then only points the kernel at, or copies in,
-    its diagonal. into and back come from _packing, so a sector that
-    parity keeps at zero is never propagated. Tridiagonal premixed blocks
-    (one qubit's parity chains) apply as three complex bands, others as
-    one batched real matmul.
+    The parts are h0 + s(t) D on real parity blocks, s(t) = sin(omega_d t
+    - phi), D diagonal, so K_n = q D, q = dt (sqrt(3)/12) (s(t_2) -
+    s(t_1)), and the mean generator is dt h0 + c D, c = dt (s(t_1)/2 +
+    s(t_2)/2), with q and c one number per step when the occupied sectors
+    share phi, else one per sector. So dt h0 is premixed once per
+    propagation, and a chunk of steps forms, at once, the diagonals dt
+    diag(h0) + c D its ops load and the phases its turns multiply by; a
+    load then only points the kernel at, or copies in, its diagonal. into
+    and back come from _packing, so a sector that parity keeps at zero is
+    never propagated. Tridiagonal premixed blocks (one qubit's parity
+    chains) apply as three complex bands, others as one batched real
+    matmul.
     """
-    turns = weights.sum(axis=1) == 0
     sectors, shape, into, unpack = _packing(parts, v0)
     p0 = into(v0)
     firsts = np.flatnonzero(np.diff(parts.member[sectors], prepend=-1))
     bounds = (min(np.add.reduceat(np.sum(p0.real ** 2 + p0.imag ** 2, axis=(1, 2)),
                                   firsts)) * stop).tolist()
-    blocks = (dt * weights[~turns][0].sum()) * parts.h0[sectors]
+    # an np.float64 multiplier: a Python float takes another path through
+    # NumPy, which maps about half a MiB more of its pages into a cat run
+    blocks = np.float64(dt) * parts.h0[sectors]
     d0 = np.diagonal(blocks, 0, 1, 2).flatten()
     drive = parts.diag[sectors]
     # one coefficient per load when the occupied sectors share phi, else
@@ -813,20 +813,15 @@ def _mixer(parts: _Blocks, v0: np.ndarray, chunks: Iterable[np.ndarray],
         nonlocal phase, last
         k = np.zeros((1, len(pick)))
         for nodes in chunks:
-            s = _modulation(parts, nodes)[..., pick]  # (steps, n, len(pick))
-            c = dt * sum(s[:, l, None] * weights[:, l, None] for l in range(weights.shape[1]))
-            ks = c[:, turns].reshape(-1, len(pick))
+            s = _modulation(parts, nodes)[..., pick]  # (steps, 2, len(pick))
+            ks = dt * (s[:, 1] * _TWIST - s[:, 0] * _TWIST)
             twists = zip(ks, phases(np.diff(ks, axis=0, prepend=k)))
             k = ks[-1:] if len(ks) else k
-            q = c[:, ~turns].reshape(-1, len(pick), 1)
-            loads = iter(lines(d0 + (q * drive).reshape(len(q), -1)))
-            for is_turn in turns.tolist() * len(nodes):
-                if is_turn:
-                    last, phase = next(twists)
-                    yield turn
-                else:
-                    op.load(next(loads))
-                    yield op
+            c = dt * (s[:, 0] * 0.5 + s[:, 1] * 0.5)
+            loads = lines(d0 + (c[..., None] * drive).reshape(len(c), -1))
+            for (last, phase), d in zip(twists, loads):
+                op.load(d)
+                yield turn, op
 
     def back(p: np.ndarray) -> np.ndarray:
         return unpack(p if last is None else p * phases(-last))

@@ -1,7 +1,7 @@
 """Time-dependent Schrodinger propagation and effective-vs-exact traces.
 
-The workhorse is a fourth-order Magnus stepper with one exponential per
-step. Its exponent is the classical fourth-order Magnus one (Blanes,
+Every propagation runs one fourth-order Magnus stepper, one exponential
+per step. Its exponent is the classical fourth-order Magnus one (Blanes,
 Casas, Oteo & Ros, Phys. Rep. 470, 151 (2009)),
 
     -i dt Hbar + (sqrt(3)/12) dt^2 [H_1, H_2],    Hbar = (H_1 + H_2)/2,
@@ -56,10 +56,7 @@ the period under the drive, which is its own mirror at the gate
 presets, or under the stack of the drive and its mirror. The
 effective conditional-displacement model is never propagated:
 fidelity_trace builds its states in closed form from coherent
-amplitudes. A classical RK4 stepper is kept as an independent
-cross-check, on the same kind of schedule at its own finer default step;
-it is not norm-preserving, which is exactly why it makes a useful
-disagreement detector.
+amplitudes.
 """
 from __future__ import annotations
 
@@ -88,8 +85,6 @@ __all__ = [
     "write_trace_csv",
 ]
 
-METHODS = ("piecewise-exponential", "rk4")
-
 # Magnus steps per shortest Hamiltonian period. Final-state error (2-norm)
 # of the k = 6 cat experiment at Fock 128 against a 400-step run:
 #     50 -> 2.3e-8, 64 -> 8.8e-9, 80 -> 3.6e-9, 100 -> 1.5e-9,
@@ -97,9 +92,6 @@ METHODS = ("piecewise-exponential", "rk4")
 # the default step under the ceiling (50 per period) and criterion 8's
 # step-halving distance at 2.1e-9, bound 1e-6.
 DEFAULT_STEPS_PER_PERIOD = 64
-# RK4 steps per shortest period. RK4 is only the cross-check, and at 64
-# steps it would sit within 2x of that check's 1e-6 bound.
-_RK4_STEPS_PER_PERIOD = 800
 # Samples per resonator period in fidelity traces, enough to resolve the
 # fast dressing oscillations.
 SAMPLES_PER_PERIOD = 500
@@ -127,22 +119,18 @@ class PropagationAccuracyError(RuntimeError):
 
 @dataclass(frozen=True)
 class EvolutionConfig:
-    """How to integrate: step size and stepper.
+    """The step size of the fourth-order Magnus stepper.
 
     dt is in units of 1/omega_r; None derives (2 pi / omega_max) divided
-    by DEFAULT_STEPS_PER_PERIOD (800 for rk4) from the provider's own
-    frequency scale.
+    by DEFAULT_STEPS_PER_PERIOD from the provider's own frequency scale.
     An explicit dt above 2 pi / (50 omega_max) is rejected outright.
     """
 
     dt: float | None = None
-    method: str = "piecewise-exponential"
 
     def __post_init__(self) -> None:
         if self.dt is not None and not (math.isfinite(self.dt) and self.dt > 0):
             raise ValueError(f"dt must be positive, got {self.dt}")
-        if self.method not in METHODS:
-            raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
 
     def resolve_dt(self, omega_max: float) -> float:
         if self.dt is not None:
@@ -153,9 +141,7 @@ class EvolutionConfig:
                     f"omega_max = {omega_max:g}"
                 )
             return self.dt
-        steps = (DEFAULT_STEPS_PER_PERIOD if self.method == "piecewise-exponential"
-                 else _RK4_STEPS_PER_PERIOD)
-        return 2.0 * math.pi / omega_max / steps
+        return 2.0 * math.pi / omega_max / DEFAULT_STEPS_PER_PERIOD
 
 
 @dataclass(frozen=True)
@@ -190,10 +176,8 @@ class FidelityTrace:
         return float(np.mean(self.fidelities))
 
 
-# Gauss nodes of the fourth-order Magnus step, and the weight of its twist
-# K = dt (sqrt(3)/12) (H_2 - H_1) on the later node.
+# Gauss nodes of the fourth-order Magnus step, as fractions of the step.
 _GAUSS_NODES = (0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0)
-_TWIST = math.sqrt(3.0) / 12.0
 
 # Rows of an operator's Taylor power stack: p_0 and up to 15 powers, more
 # than an exponential at the default step takes (9 to 10 on average on
@@ -271,45 +255,20 @@ def _expmv(op, x: np.ndarray) -> np.ndarray:
     return op.result
 
 
-# Each stepper's nodes, as fractions of the step, and its operators, as
-# weights over those nodes, in the order a step loads them. A row whose
-# weights sum to zero loads as a turn (see model._mixer).
-_SCHEMES = {
-    "piecewise-exponential": (_GAUSS_NODES, ((-_TWIST, _TWIST), (0.5, 0.5))),
-    "rk4": ((0.0, 0.5, 1.0), ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))),
-}
-
-
 def _m4_step(ops, w: np.ndarray) -> np.ndarray:
     """One fourth-order Magnus step on the twisted state w = e^{+iK_{n-1}} v.
 
-    The first load is the turn e^{i(K_n - K_{n-1})}, K = dt (sqrt(3)/12)
-    (H_2 - H_1), the second the prescaled mean generator dt Hbar, Hbar =
-    (H_1 + H_2)/2. The step returns exp(-i dt Hbar) e^{+iK_n} v, which is
-    e^{+iK_n} times the step e^{-iK_n} exp(-i dt Hbar) e^{+iK_n} v: the
-    twist stays on until the next step's turn or the plan's back unwinds
-    it. Conjugating exp(-i dt Hbar) by e^{-iK} adds -dt [K, Hbar] =
-    (sqrt(3)/12) dt^2 [H_1, H_2] to its exponent, which makes it the
+    next(ops) loads the step's turn e^{i(K_n - K_{n-1})}, K = dt
+    (sqrt(3)/12) (H_2 - H_1), and its prescaled mean generator dt Hbar,
+    Hbar = (H_1 + H_2)/2 (see model._mixer). The step returns exp(-i dt
+    Hbar) e^{+iK_n} v = e^{+iK_n} (e^{-iK_n} exp(-i dt Hbar) e^{+iK_n} v):
+    the twist stays on until the next step's turn or the plan's back
+    unwinds it. Conjugating exp(-i dt Hbar) by e^{-iK} adds -dt [K, Hbar]
+    = (sqrt(3)/12) dt^2 [H_1, H_2] to its exponent, which makes it the
     classical fourth-order Magnus exponent up to O(dt K^2) = O(dt^5).
     """
-    turn = next(ops)
-    return _expmv(next(ops), turn(w))
-
-
-def _rk4_step(ops, v: np.ndarray) -> np.ndarray:
-    """One classical RK4 step, its slopes -i A x taken from the prescaled
-    operators A = dt H at the step's nodes."""
-    def slope(op, x):
-        np.copyto(op.rows[0], x)
-        op.power(1)
-        return -1j * op.rows[1]
-
-    k1 = slope(next(ops), v)
-    op = next(ops)
-    k2 = slope(op, v + 0.5 * k1)
-    k3 = slope(op, v + 0.5 * k2)
-    k4 = slope(next(ops), v + k3)
-    return v + (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
+    turn, op = next(ops)
+    return _expmv(op, turn(w))
 
 
 def _sample_grid(t_end: float, dt: float, n_samples: int):
@@ -321,7 +280,7 @@ def _sample_grid(t_end: float, dt: float, n_samples: int):
 
 
 def _run(parts: _Blocks, v0: np.ndarray, times: np.ndarray,
-         n_sub: int, method: str, norm_gate: bool) -> list[np.ndarray]:
+         n_sub: int, norm_gate: bool) -> list[np.ndarray]:
     """States at every sample time under the lab parts, n_sub steps per
     sample interval.
 
@@ -335,7 +294,6 @@ def _run(parts: _Blocks, v0: np.ndarray, times: np.ndarray,
     raises PropagationAccuracyError naming its step and the time the step
     starts at.
     """
-    fracs, weights = _SCHEMES[method]
     steps = (len(times) - 1) * n_sub
     dt = float(times[-1]) / steps
 
@@ -343,17 +301,16 @@ def _run(parts: _Blocks, v0: np.ndarray, times: np.ndarray,
         for k in range(0, steps, _PLAN_CHUNK):
             i, j = np.divmod(np.arange(k, min(k + _PLAN_CHUNK, steps)), n_sub)
             starts = times[i] + j * dt
-            yield starts[:, None] + np.multiply(dt, fracs)
+            yield starts[:, None] + np.multiply(dt, _GAUSS_NODES)
 
     v0 = np.asarray(v0, dtype=complex)
-    ops, into, back = _mixer(parts, v0, node_chunks(), np.array(weights), dt, _STOP)
-    step = _m4_step if method == "piecewise-exponential" else _rk4_step
+    ops, into, back = _mixer(parts, v0, node_chunks(), dt, _STOP)
     v = into(v0)
     out = [back(v)]
     for i in range(len(times) - 1):
         for j in range(n_sub):
             try:
-                v = step(ops, v)
+                v = _m4_step(ops, v)
             except PropagationAccuracyError as exc:
                 n, t = i * n_sub + j + 1, float(times[i] + j * dt)
                 raise PropagationAccuracyError(f"{exc} (step {n}, t = {t:g})",
@@ -395,7 +352,7 @@ def evolve(h: _LabProvider, psi0: Ket, t_end: float,
         return Trajectory(times, (psi0,), np.array([psi0.norm()]))
     dt = cfg.resolve_dt(h.omega_max)
     times, n_sub = _sample_grid(t_end, dt, n_samples)
-    vecs = _run(parts, psi0.vec, times, n_sub, cfg.method, norm_gate=True)
+    vecs = _run(parts, psi0.vec, times, n_sub, norm_gate=True)
     states = tuple(Ket(psi0.layout, v) for v in vecs)
     norms = np.array([s.norm() for s in states])
     return Trajectory(times, states, norms)
@@ -425,7 +382,7 @@ def _columns(h: _LabProvider, parts: _Blocks, v0: np.ndarray, t_end: float,
         return v0.astype(complex, copy=True)
     dt = cfg.resolve_dt(h.omega_max)
     times, n_sub = _sample_grid(t_end, dt, 1)
-    out = _run(parts, v0, times, n_sub, cfg.method, norm_gate=False)[-1]
+    out = _run(parts, v0, times, n_sub, norm_gate=False)[-1]
     c, c0 = out.reshape(len(out), -1), v0.reshape(len(v0), -1)
     drift = float(np.max(np.abs(c.conj().T @ c - c0.conj().T @ c0)))
     if drift > NORM_TOL:
@@ -442,7 +399,7 @@ def propagator(h: _LabProvider, t_end: float, cfg: EvolutionConfig) -> Operator:
     h is a lab-driven provider of hamiltonian_fn, or a wrapper that
     carries its parts; any other callable, and a stack, which has no
     layout, raises ValueError. Checked unitary within 1e-7 before
-    returning; a coarse RK4 run that has drifted fails here rather than
+    returning; a propagation that has drifted fails here rather than
     feeding silent garbage downstream.
     """
     if not (math.isfinite(t_end) and t_end >= 0):
@@ -516,7 +473,7 @@ def fidelity_trace(params: SystemParams, drive: DriveParams, psi0: Ket,
     times, n_sub = _sample_grid(t_end, cfg.resolve_dt(h_lab.omega_max), n_samples)
     eff = _effective_states(params, drive, psi0, times)
     parts = _checked_parts(h_lab, t_end)
-    lab = np.array(_run(parts, psi0.vec, times, n_sub, cfg.method, norm_gate=True))
+    lab = np.array(_run(parts, psi0.vec, times, n_sub, norm_gate=True))
     # <U^dag lab | eff> = <lab | U eff>, U the frame transform
     eff *= frame_phases(times, params, drive, layout)
     fids = np.abs(np.einsum("ti,ti->t", lab.conj(), eff)) ** 2

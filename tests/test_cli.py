@@ -151,7 +151,7 @@ class TestBadInvocations:
     def test_config_file_error_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
         for line in ("system.not_a_key = 1", "evolution.frame = lab-driven",
-                     "output.format = csv"):
+                     "output.format = csv", "evolution.method = rk4"):
             bad.write_text(line + "\n")
             code = main(["bessel", "--order", "0", "--x", "1.0", "--config", str(bad)])
             assert code == 2
@@ -197,6 +197,12 @@ class TestBadInvocations:
         with pytest.raises(SystemExit) as exc:
             main(["bessel", "--order", "0", "--x", "1.0", "--seed", "5"])
         assert exc.value.code == 2
+
+    def test_method_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["cat-state", "--method", "rk4", "--fock-dim", "8"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --method rk4" in capsys.readouterr().err
 
     def test_config_experiment_conflict_rejected(self, tmp_path, capsys):
         cfgfile = tmp_path / "gate.cfg"
@@ -245,7 +251,8 @@ class TestValidateEffectiveCommand:
         assert any("condisp" in ln for ln in header)  # version stamp
         assert any("system.g = 0.2" in ln for ln in header)  # config echo
         assert any("validity" in ln for ln in header)
-        assert not any("evolution.frame" in ln or "output.format" in ln for ln in header)
+        assert not any(key in ln for ln in header
+                       for key in ("evolution.frame", "output.format", "evolution.method"))
         rows = _data_rows(out_file)
         assert rows[0] == "t_over_Tr,fidelity"
         # 0.2 periods at 500 samples/period plus the t=0 sample.
@@ -388,6 +395,28 @@ class TestCsvWriter:
         assert gc.get_stats()[0]["collections"] - before <= 1
 
 
+@pytest.mark.parametrize("args", [["bessel", "--order", "1", "--x", "1.832"],
+                                  ["cat-state", "--fock-dim", "16", "--steps", "1"]],
+                         ids=["bessel", "cat-state"])
+def test_main_leaves_no_cycles(tmp_path, capsys, args):
+    """main builds its parser once, so after a warm-up call a call leaves
+    nothing for the cyclic collector; a parser built per call left about
+    500 objects in cycles."""
+    if args[0] != "bessel":
+        args = args + ["--out", str(tmp_path)]
+    assert main(args) == 0
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        assert main(args) == 0
+        assert gc.collect() == 0
+        left = [type(o).__name__ for o in gc.garbage]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+    assert not left, left[:10]
+
+
 def test_integer_columns_write_as_general_format(tmp_path):
     """A range within +-1e12 is written by %d, which must give the bytes of
     %.12g; a range that reaches 1e12 and every other column, of ints,
@@ -475,13 +504,47 @@ class TestSweepCommand:
 
     def test_pool_is_not_imported_with_the_cli(self):
         """Only a sweep with more than one worker imports the process pool,
-        so no other command pays for it."""
+        so no other command pays for it; and the package is pure NumPy at
+        run time, so it imports no SciPy."""
         src = str(Path(cli.__file__).resolve().parents[1])
         env = {**os.environ, "PYTHONPATH": src}
-        probe = "import sys, condisp.cli; print('concurrent.futures.process' in sys.modules)"
+        probe = ("import sys, condisp, condisp.cli; "
+                 "print('concurrent.futures.process' in sys.modules, 'scipy' in sys.modules)")
         out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                              capture_output=True, text=True).stdout
-        assert out.strip() == "False"
+        assert out.strip() == "False False"
+
+    @pytest.mark.parametrize("workers, points, cpus, pool", [
+        ("5000", 2, 64, 2), ("5000", 5, 3, 3), ("2", 5, 64, 2), ("5000", 2, None, None),
+    ])
+    def test_pool_is_capped(self, tmp_path, monkeypatch, workers, points, cpus, pool):
+        """The pool forks all its workers at once, so it gets no more than
+        the grid's points or the CPUs (one, if their count is unknown, which
+        runs the grid in this process)."""
+        import concurrent.futures
+
+        sizes = []
+
+        class Recorder:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            @staticmethod
+            def map(fn, jobs, chunksize=1):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorder)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        args = self.BASE + ["--axis", "system.g", "0.1", "0.2", str(points)]
+        assert main(args + ["--workers", workers, "--out", str(tmp_path)]) == 0
+        assert sizes == ([] if pool is None else [pool])
+        assert len(_data_rows(tmp_path / "sweep.csv")) == 1 + points
 
     def test_two_axes(self, tmp_path):
         code = main(

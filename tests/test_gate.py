@@ -338,8 +338,6 @@ class TestGateMeetsInTheMiddle:
         "eta3-424-steps": (3.0, 3.0, EvolutionConfig(dt=TWO_PI / 424)),
         "eta3.5": (3.5, 3.5, EvolutionConfig()),
         "off-resonant": (3.0, 2.7, EvolutionConfig()),
-        "rk4-eta3": (3.0, 3.0, EvolutionConfig(method="rk4")),
-        "rk4-eta3.5": (3.5, 3.5, EvolutionConfig(method="rk4")),
     }
 
     @staticmethod

@@ -13,9 +13,10 @@ Key oracles:
 * the coefficient-form apply must equal the dense H(t) matvec, and the
   band kernel (one qubit's tridiagonal parity chains) and the batched
   matmul (two qubits' parity blocks) must propagate as oracle_helpers'
-  dense Magnus and RK4 steppers do, also when they carry only the parity
-  sectors and columns the initial state occupies; the blocks alone pick
-  the kernel,
+  dense Magnus stepper does, also when they carry only the parity
+  sectors and columns the initial state occupies, and land within 1e-6
+  of its dense RK4 stepper at 800 steps per period; the blocks alone
+  pick the kernel,
 * the propagators take only a lab provider, or a wrapper that carries
   its parts, and refuse any other callable by type,
 * forming the step schedule in chunks must change no node time and no
@@ -101,12 +102,31 @@ def _reference(stepper, fn, v0: np.ndarray, t_end: float, cfg: EvolutionConfig,
     return stepper(fn, v0, times, n_sub)
 
 
-def _plan(fn, v0: np.ndarray, nodes, weights, dt: float = 1.0):
+def _rk4_distance(fn, psi0: Ket, t_end: float) -> float:
+    """Largest |difference| between the final states of evolve at its
+    default step and of oracle_helpers' dense RK4 stepper at 800 steps per
+    shortest period, each sampled 4 times over [0, t_end]."""
+    a = evolve(fn, psi0, t_end, EvolutionConfig(), 4).final.vec
+    rk4 = EvolutionConfig(dt=2 * np.pi / fn.omega_max / 800)
+    b = _reference(oracle_helpers.reference_rk4, fn, psi0.vec, t_end, rk4, 4)[-1]
+    return float(np.max(np.abs(a - b)))
+
+
+def _plan(fn, v0: np.ndarray, nodes, dt: float = 1.0):
     """model._mixer's plan of one propagation of v0 under fn's parts:
-    steps of dt with the given node times, operators by the given weight
-    rows."""
-    return _mixer(fn.parts, v0, [np.array(nodes, dtype=float)],
-                  np.array(weights, dtype=float), dt, propagate._STOP)
+    Magnus steps of dt at the given node pairs (t_1, t_2)."""
+    return _mixer(fn.parts, v0, [np.array(nodes, dtype=float)], dt, propagate._STOP)
+
+
+def _operator(fn, v0: np.ndarray, t: float, dt: float = 1.0):
+    """(op, into, back) of a plan of v0 under fn's parts that has loaded
+    one operator, dt H(t), from the node pair (t, t), whose turn is
+    exactly exp(0) = 1."""
+    ops, into, back = _plan(fn, v0, [(t, t)], dt)
+    turn, op = next(ops)
+    x = into(v0)
+    assert np.array_equal(turn(x), x)
+    return op, into, back
 
 
 def _apply(op, x: np.ndarray) -> np.ndarray:
@@ -138,8 +158,6 @@ def _exponential(op, x: np.ndarray) -> tuple[np.ndarray, int, int]:
 class TestEvolutionConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
-            EvolutionConfig(method="euler")
-        with pytest.raises(ValueError):
             EvolutionConfig(dt=-0.1)
         with pytest.raises(ValueError):
             EvolutionConfig(dt=0.0)
@@ -149,8 +167,6 @@ class TestEvolutionConfig:
         wmax = 4.0
         dt = cfg.resolve_dt(wmax)
         assert dt == pytest.approx(2 * np.pi / wmax / DEFAULT_STEPS_PER_PERIOD)
-        rk4 = EvolutionConfig(method="rk4").resolve_dt(wmax)
-        assert rk4 == pytest.approx(2 * np.pi / wmax / 800)
 
     def test_resolve_explicit_dt_within_ceiling(self):
         ceiling = 2 * np.pi / (50 * 4.0)
@@ -178,8 +194,8 @@ class TestCoefficientForm:
         shape = (lay.dim,) if cols is None else (lay.dim, cols)
         x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         for t in (0.0, 0.37, 2.9):
-            ops, into, back = _plan(fn, x, [[t]], [[1.0]], dt=0.7)
-            got = back(_apply(next(ops), into(x)))
+            op, into, back = _operator(fn, x, t, dt=0.7)
+            got = back(_apply(op, into(x)))
             assert got.shape == x.shape
             assert np.max(np.abs(got - 0.7 * fn(t) @ x)) <= 1e-13
 
@@ -282,15 +298,6 @@ class TestCoefficientForm:
         with pytest.raises(ValueError, match="not a stack"):
             propagator(pair, 1.0, EvolutionConfig())
 
-    @pytest.mark.parametrize("method", sorted(propagate._SCHEMES))
-    def test_operator_weight_rows_share_one_sum(self, method):
-        """_mixer premixes the static part once per propagation, scaled by
-        the first apply's weight sum, so every apply's must equal it; a
-        turn's row sums to exactly zero."""
-        sums = np.array(propagate._SCHEMES[method][1]).sum(axis=1)
-        applies = sums[sums != 0]
-        assert len(applies) and np.all(applies == applies[0])
-
 
 class TestChainPath:
     """One-qubit providers propagate along their parity chains, as
@@ -324,10 +331,7 @@ class TestChainPath:
 
     def test_rk4_matches_magnus(self):
         fn = self._provider()
-        psi0 = basis_state(fn.layout, "g", 0)
-        a = evolve(fn, psi0, 2 * np.pi, EvolutionConfig(), 4)
-        b = evolve(fn, psi0, 2 * np.pi, EvolutionConfig(method="rk4"), 4)
-        assert np.max(np.abs(a.final.vec - b.final.vec)) <= 1e-6
+        assert _rk4_distance(fn, basis_state(fn.layout, "g", 0), 2 * np.pi) <= 1e-6
 
 
 class TestParityBlockPath:
@@ -361,10 +365,7 @@ class TestParityBlockPath:
 
     def test_rk4_matches_magnus(self):
         fn = self._provider()
-        psi0 = basis_state(fn.layout, "gg", 0)
-        a = evolve(fn, psi0, 2 * np.pi, EvolutionConfig(), 4)
-        b = evolve(fn, psi0, 2 * np.pi, EvolutionConfig(method="rk4"), 4)
-        assert np.max(np.abs(a.final.vec - b.final.vec)) <= 1e-6
+        assert _rk4_distance(fn, basis_state(fn.layout, "gg", 0), 2 * np.pi) <= 1e-6
 
 
 class TestTaylorLoop:
@@ -452,8 +453,7 @@ class TestTaylorLoop:
         rng = np.random.default_rng(7)
         x = rng.standard_normal(fn.layout.dim) + 1j * rng.standard_normal(fn.layout.dim)
         x /= np.linalg.norm(x)
-        ops, into, back = _plan(fn, x, [[0.3]], [[1.0]], dt=0.4)
-        op = next(ops)
+        op, into, back = _operator(fn, x, 0.3, dt=0.4)
         (terms, ref_terms, err, _), _ = self._against_reference(op, into(x))
         assert terms == ref_terms > 2 * (len(op.rows) - 1)
         assert err <= 1e-13
@@ -474,12 +474,11 @@ class TestTaylorLoop:
         x /= np.linalg.norm(x)
         first, second = {"drop": (x, 1e-3 * x), "rise": (1e-3 * x, x), "fold": (x, x)}[case]
         dt = 2 * np.pi / (50 * fn.omega_max)
-        ops, into, _ = _plan(fn, x, [[0.3]], [[1.0]], dt)
-        op = next(ops)
+        op, into, _ = _operator(fn, x, 0.3, dt)
         carried = _exponential(op, into(first))[1]
         (terms, ref_terms, err, applies), got = self._against_reference(op, into(second))
-        ops, into, _ = _plan(fn, x, [[0.3]], [[1.0]], dt)
-        assert np.array_equal(got, _exponential(next(ops), into(second))[0])
+        fresh, into, _ = _operator(fn, x, 0.3, dt)
+        assert np.array_equal(got, _exponential(fresh, into(second))[0])
         assert err <= 1e-13
         if case == "drop":
             assert applies == carried > terms
@@ -498,10 +497,9 @@ class TestTaylorLoop:
         v0 = np.concatenate([basis_state(fn.layout, "g", 0).vec,
                              1e-3 * basis_state(fn.layout, "e", 7).vec])
         dt = 4 * 2 * np.pi / (50 * fn.omega_max)
-        ops, into, back = _plan(pair, v0, [[0.3]], [[1.0]], dt)
+        op, into, back = _operator(pair, v0, 0.3, dt)
         x = into(v0)
         assert x.shape == (2, 8, 1)  # one chain of each member
-        op = next(ops)
         whole = oracle_helpers.reference_expmv(lambda y: _apply(op, y).copy(), x)[1]
         for _ in range(2):
             (terms, ref_terms, err, applies), _ = self._against_reference(
@@ -512,9 +510,9 @@ class TestTaylorLoop:
     def test_nonconvergence_raises(self):
         fn = _lab_provider(1, 8)
         v0 = basis_state(fn.layout, "g", 3).vec
-        ops, into, _ = _plan(fn, v0, [[0.0]], [[1.0]], dt=20.0)
+        op, into, _ = _operator(fn, v0, 0.0, dt=20.0)
         with pytest.raises(PropagationAccuracyError, match="did not converge in 200 terms"):
-            _expmv(next(ops), into(v0))
+            _expmv(op, into(v0))
 
     def test_nonconvergence_names_step_and_time(self):
         """A provider scaled far past its stated omega_max, H(t) = 320 (1 +
@@ -538,49 +536,35 @@ class TestTaylorLoop:
 
 class TestBufferedApply:
     """A loaded operator owns its power stack: power(j) writes A p_{j-1}
-    into row j, A = dt sum_l w_l H(t_l) prescaled by the step; an
+    into row j, A = dt (H(t_1) + H(t_2))/2 prescaled by the step; an
     exponential's result lives apart from the rows, and a foreign input
-    is never written. RK4 takes its slopes from the same rows."""
+    is never written."""
 
     @staticmethod
-    def _setup(n_qubits: int, layout: str, nodes, weights, dt: float):
+    def _setup(n_qubits: int, layout: str, nodes, dt: float):
         fn = _lab_provider(n_qubits, 8)
         rng = np.random.default_rng(11)
         shape = (fn.layout.dim,) if layout == "vector" else (fn.layout.dim, 4)
         x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         if layout == "F":
             x = np.asfortranarray(x)
-        ops, into, back = _plan(fn, x, nodes, weights, dt)
-        return fn, ops, into, back, x
-
-    @pytest.mark.parametrize("n_qubits", [1, 2])
-    @pytest.mark.parametrize("layout", ["vector", "C", "F"])
-    def test_rk4_pattern(self, n_qubits, layout):
-        t, dt = 0.3, 0.05
-        fracs, weights = propagate._SCHEMES["rk4"]
-        fn, ops, into, back, x = self._setup(
-            n_qubits, layout, [[t + f * dt for f in fracs]], weights, dt)
-        got = back(propagate._rk4_step(ops, into(x)))
-        k1 = -1j * (fn(t) @ x)
-        k2 = -1j * (fn(t + 0.5 * dt) @ (x + 0.5 * dt * k1))
-        k3 = -1j * (fn(t + 0.5 * dt) @ (x + 0.5 * dt * k2))
-        k4 = -1j * (fn(t + dt) @ (x + dt * k3))
-        ref = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        assert got.shape == x.shape
-        assert np.max(np.abs(got - ref)) <= 1e-13
+        ops, into, _ = _plan(fn, x, nodes, dt)
+        # the plan's back would unwind the twist of the steps' turns
+        unpack = model._packing(fn.parts, x)[3]
+        return fn, ops, into, unpack, x
 
     @pytest.mark.parametrize("n_qubits", [1, 2])
     @pytest.mark.parametrize("layout", ["vector", "C", "F"])
     def test_taylor_pattern(self, n_qubits, layout):
-        ts, ws, dt = (0.1, 0.4), (0.125, 0.375), 0.2  # a premix by the row's sum, 1/2
-        fn, ops, into, back, x = self._setup(n_qubits, layout, [ts, (0.9, 0.2)], [ws], dt)
-        dense = dt * (ws[0] * fn(ts[0]) + ws[1] * fn(ts[1]))
-        op = next(ops)
+        ts, dt = (0.1, 0.4), 0.2
+        fn, ops, into, unpack, x = self._setup(n_qubits, layout, [ts, (0.9, 0.2)], dt)
+        dense = 0.5 * dt * (fn(ts[0]) + fn(ts[1]))
+        _, op = next(ops)
         np.copyto(op.rows[0], into(x))
         for j in range(1, len(op.rows)):
             op.power(j)
-            want = dense @ back(op.rows[j - 1])
-            assert np.max(np.abs(back(op.rows[j]) - want)) <= 1e-13 * np.max(np.abs(want))
+            want = dense @ unpack(op.rows[j - 1])
+            assert np.max(np.abs(unpack(op.rows[j]) - want)) <= 1e-13 * np.max(np.abs(want))
         result = _expmv(op, into(x))
         assert not any(np.shares_memory(result, row) for row in op.rows)
         foreign = into(x)
@@ -588,21 +572,21 @@ class TestBufferedApply:
         _expmv(op, foreign)
         assert np.array_equal(foreign, kept)
         # the next load rewrites the same operator in place
-        later = next(ops)
+        _, later = next(ops)
         assert later is op
-        dense = dt * (ws[0] * fn(0.9) + ws[1] * fn(0.2))
-        assert np.max(np.abs(back(_apply(later, into(x))) - dense @ x)) <= 1e-13
+        dense = 0.5 * dt * (fn(0.9) + fn(0.2))
+        assert np.max(np.abs(unpack(_apply(later, into(x))) - dense @ x)) <= 1e-13
 
 
 class TestPackedPlan:
     """A propagation carries only the parity sectors its initial state
     occupies, and of a column block only each sector's live columns; it
-    must agree with oracle_helpers' dense steppers, which do not pack, and
-    leave the unoccupied sector exactly zero."""
+    must agree with oracle_helpers' dense Magnus stepper, which does not
+    pack, and leave the unoccupied sector exactly zero."""
 
     @staticmethod
     def _packed_shape(fn, v0):
-        _, into, _ = _plan(fn, v0, [[0.0]], [[1.0]])
+        _, into, _ = _plan(fn, v0, [(0.0, 0.0)])
         return into(v0).shape
 
     @staticmethod
@@ -656,8 +640,7 @@ class TestPackedPlan:
         for x, y in zip(a.states, ref):
             assert np.max(np.abs(x.vec - y)) <= 1e-12
 
-    @pytest.mark.parametrize("method", ["piecewise-exponential", "rk4"])
-    def test_columns_with_unequal_live_counts(self, method):
+    def test_columns_with_unequal_live_counts(self):
         """Even parity holds three live columns (|ee,0>, |gg,0> and half of
         a superposition), odd parity two (|eg,0> and the other half)."""
         fn = _lab_provider(2, 8)
@@ -666,11 +649,10 @@ class TestPackedPlan:
         v0 = np.stack([ket["ee"], ket["eg"], ket["gg"],
                        (ket["gg"] - ket["eg"]) / np.sqrt(2.0)], axis=1)
         assert self._packed_shape(fn, v0) == (2, lay.dim // 2, 3)
-        cfg = EvolutionConfig(method=method)
-        stepper = (oracle_helpers.reference_m4 if method == "piecewise-exponential"
-                   else oracle_helpers.reference_rk4)
+        cfg = EvolutionConfig()
         cols = evolve_columns(fn, v0, 1.3, cfg)
-        assert np.max(np.abs(cols - _reference(stepper, fn, v0, 1.3, cfg)[-1])) <= 1e-12
+        ref = _reference(oracle_helpers.reference_m4, fn, v0, 1.3, cfg)[-1]
+        assert np.max(np.abs(cols - ref)) <= 1e-12
         for j, s in ((0, 1), (1, 0), (2, 1)):  # each basis column stays in its sector
             assert not np.any(cols[self._sector(fn, s), j])
 
@@ -680,17 +662,6 @@ class TestPackedPlan:
         v0 = np.zeros((fn.layout.dim, 4), dtype=complex)
         v0[np.arange(4) * nf, np.arange(4)] = 1.0
         assert self._packed_shape(fn, v0) == (2, fn.layout.dim // 2, 2)
-
-    @pytest.mark.parametrize("n_qubits", [1, 2])
-    def test_rk4_run(self, n_qubits):
-        fn = _lab_provider(n_qubits, 8)
-        psi0 = basis_state(fn.layout, "g" * n_qubits, 0)
-        cfg = EvolutionConfig(method="rk4")
-        a = evolve(fn, psi0, 1.0, cfg, n_samples=3)
-        ref = _reference(oracle_helpers.reference_rk4, fn, psi0.vec, 1.0, cfg, 3)
-        for x, y in zip(a.states, ref):
-            assert np.max(np.abs(x.vec - y)) <= 1e-12
-            assert not np.any(x.vec[self._sector(fn, 1)])
 
 
 class TestKernelChoice:
@@ -748,19 +719,15 @@ class TestStackedPropagation:
     @given(n_qubits=st.integers(1, 2), fock_dim=st.integers(4, 10),
            eta=st.floats(2.05, 4.0, exclude_min=True),
            phi=st.floats(0.0, 2 * np.pi, exclude_max=True),
-           detuning=st.sampled_from([1.0, 0.9, 1.13]), t=st.floats(0.05, 2 * np.pi),
-           method=st.sampled_from(["piecewise-exponential", "rk4"]))
-    def test_mirror_is_the_transpose(self, n_qubits, fock_dim, eta, phi, detuning, t,
-                                     method):
+           detuning=st.sampled_from([1.0, 0.9, 1.13]), t=st.floats(0.05, 2 * np.pi))
+    def test_mirror_is_the_transpose(self, n_qubits, fock_dim, eta, phi, detuning, t):
         """The identity's propagation under the mirror H(t - tau) is the
-        transpose of its propagation under H, at any phi and omega_d, for
-        either stepper. The identity holds to roundoff at any step, so the
-        Magnus step sits at the ceiling and RK4 only fine enough for the
-        overlap guard."""
+        transpose of its propagation under H, at any phi and omega_d. The
+        identity holds to roundoff at any step, so the step sits at the
+        ceiling."""
         h = self._provider(n_qubits, eta, fock_dim=fock_dim, omega_d=detuning * eta, phi=phi)
         mirror = replace(h, parts=model._mirrored(h.parts, t))
-        per_period = 50 if method == "piecewise-exponential" else 400
-        cfg = EvolutionConfig(dt=2 * np.pi / (per_period * h.omega_max), method=method)
+        cfg = EvolutionConfig(dt=2 * np.pi / (50 * h.omega_max))
         eye = np.eye(h.layout.dim, dtype=complex)
         u = evolve_columns(h, eye, t, cfg)
         assert np.max(np.abs(evolve_columns(mirror, eye, t, cfg) - u.T)) <= 1e-12
@@ -806,8 +773,8 @@ class TestStackedPropagation:
         small = 1e-3 * basis_state(h.layout, "e", 7).vec  # more terms than |g,0>
 
         def exponential(fn, v0):
-            ops, into, back = _plan(fn, v0, [[0.3]], [[1.0]], dt)
-            p, terms, _ = _exponential(next(ops), into(v0))
+            op, into, back = _operator(fn, v0, 0.3, dt)
+            p, terms, _ = _exponential(op, into(v0))
             return back(p), terms
 
         (a_unit, n_unit), (a_small, n_small) = (exponential(h, v) for v in (unit, small))
@@ -841,7 +808,7 @@ class TestPlanChunks:
     boundaries."""
 
     @staticmethod
-    def _spied(case: str, method: str, chunk: int, monkeypatch):
+    def _spied(case: str, chunk: int, monkeypatch):
         h, v0 = _chunk_case(case)
         seen = []
         modulation = model._modulation
@@ -850,22 +817,21 @@ class TestPlanChunks:
             seen.append(np.array(t, dtype=float))
             return modulation(parts, t)
 
-        cfg = EvolutionConfig(method=method)
-        times, n_sub = propagate._sample_grid(1.0, cfg.resolve_dt(h.omega_max), 3)
+        times, n_sub = propagate._sample_grid(1.0, EvolutionConfig().resolve_dt(h.omega_max), 3)
         with monkeypatch.context() as m:
             m.setattr(model, "_modulation", spy)
             m.setattr(propagate, "_PLAN_CHUNK", chunk)
-            states = propagate._run(h.parts, v0, times, n_sub, method, norm_gate=True)
+            states = propagate._run(h.parts, v0, times, n_sub, norm_gate=True)
         # the provider is a _LabProvider, so its H(t) is never formed:
         # every call is a chunk's node times
         assert all(t.ndim for t in seen)
         return np.array(states), seen, times, n_sub
 
-    def _check(self, case: str, method: str, chunks, monkeypatch) -> None:
-        whole, one, times, n_sub = self._spied(case, method, 10**9, monkeypatch)
+    def _check(self, case: str, monkeypatch) -> None:
+        whole, one, times, n_sub = self._spied(case, 10**9, monkeypatch)
         assert len(one) == 1 and n_sub % 7 and n_sub > 7
-        for chunk in chunks:
-            states, nodes, _, _ = self._spied(case, method, chunk, monkeypatch)
+        for chunk in range(1, 8):
+            states, nodes, _, _ = self._spied(case, chunk, monkeypatch)
             assert len(nodes) > 3
             assert all(len(t) <= chunk for t in nodes)
             assert np.array_equal(np.concatenate(nodes), one[0])
@@ -874,18 +840,15 @@ class TestPlanChunks:
         # step dt long
         dt = times[-1] / (n_sub * (len(times) - 1))
         starts = times[:-1, None] + np.arange(n_sub) * dt
-        ref = starts[..., None] + dt * np.array(propagate._SCHEMES[method][0])
+        ref = starts[..., None] + dt * np.array(propagate._GAUSS_NODES)
         assert np.array_equal(one[0], ref.reshape(one[0].shape))
 
     @pytest.mark.parametrize("n_qubits", [1, 2])
-    @pytest.mark.parametrize("method", ["piecewise-exponential", "rk4"])
-    def test_chunks_change_no_bit(self, n_qubits, method, monkeypatch):
-        chunks = range(1, 8) if method == "piecewise-exponential" else [7]
-        self._check("one qubit" if n_qubits == 1 else "two qubits", method, chunks,
-                    monkeypatch)
+    def test_chunks_change_no_bit(self, n_qubits, monkeypatch):
+        self._check("one qubit" if n_qubits == 1 else "two qubits", monkeypatch)
 
     def test_mirror_stack_chunks_change_no_bit(self, monkeypatch):
-        self._check("mirror stack", "piecewise-exponential", range(1, 8), monkeypatch)
+        self._check("mirror stack", monkeypatch)
 
 
 class TestMergedTurns:
@@ -899,8 +862,7 @@ class TestMergedTurns:
         h, v0 = _chunk_case(case)
         times, n_sub = propagate._sample_grid(1.0, EvolutionConfig().resolve_dt(h.omega_max), 3)
         ref = oracle_helpers.reference_m4(h, v0, times, n_sub)
-        got = propagate._run(h.parts, v0, times, n_sub, "piecewise-exponential",
-                             norm_gate=True)
+        got = propagate._run(h.parts, v0, times, n_sub, norm_gate=True)
         assert len(got) == len(ref) == 4
         assert max(np.max(np.abs(a - b)) for a, b in zip(got, ref)) <= 1e-13
 
@@ -971,16 +933,13 @@ class TestEvolveDriven:
         assert np.max(np.abs(coarse.final.vec - fine.final.vec)) <= 1e-6
 
     def test_rk4_cross_check(self):
-        """Both steppers must land on the same state."""
+        """The Magnus propagation and the dense RK4 oracle must land on the
+        same state."""
         lay = HilbertLayout(2, 8)
         p = SystemParams(omega_q=3.0, g=0.2)
         d = DriveParams.from_alpha((1.20242, -1.20242), 3.0)
         fn = hamiltonian_fn(p, d, "lab-driven", lay)
-        psi0 = basis_state(lay, "gg", 0)
-        t_end = 2 * np.pi
-        a = evolve(fn, psi0, t_end, EvolutionConfig(method="piecewise-exponential"), 4)
-        b = evolve(fn, psi0, t_end, EvolutionConfig(method="rk4"), 4)
-        assert np.max(np.abs(a.final.vec - b.final.vec)) <= 1e-6
+        assert _rk4_distance(fn, basis_state(lay, "gg", 0), 2 * np.pi) <= 1e-6
 
     def test_fourth_order_convergence(self):
         """Self-convergence over dt, dt/2, dt/4 at the step ceiling: the
@@ -1034,7 +993,7 @@ class TestEvolveDriven:
 
 
 class TestMagnusStep:
-    """The piecewise-exponential step e^{-iK} exp(-i dt Hbar) e^{+iK}:
+    """The Magnus step e^{-iK} exp(-i dt Hbar) e^{+iK}:
     fourth-order Magnus to O(dt^5) per step, fourth order over a
     propagation, one Taylor exponential per step."""
 
@@ -1043,15 +1002,14 @@ class TestMagnusStep:
         """The difference from expm(-i dt Hbar + (sqrt(3)/12) dt^2 [H_1, H_2])
         shrinks about 32x per halving of dt."""
         fn = _lab_provider(n_qubits, 8)
-        fracs, weights = propagate._SCHEMES["piecewise-exponential"]
         rng = np.random.default_rng(5)
         x = rng.standard_normal(fn.layout.dim) + 1j * rng.standard_normal(fn.layout.dim)
         x /= np.linalg.norm(x)
         errs = []
         for i in range(3):
             dt = 2 * np.pi / (50 * fn.omega_max) / 2**i
-            ts = [0.4 + f * dt for f in fracs]
-            ops, into, back = _plan(fn, x, [ts], weights, dt)
+            ts = [0.4 + f * dt for f in propagate._GAUSS_NODES]
+            ops, into, back = _plan(fn, x, [ts], dt)
             got = back(propagate._m4_step(ops, into(x)))
             h1, h2 = fn(ts[0]), fn(ts[1])
             exponent = -0.5j * dt * (h1 + h2) + np.sqrt(3) / 12 * dt**2 * (h1 @ h2 - h2 @ h1)
