@@ -6,9 +6,12 @@ effective frames, propagates the time-dependent Schrodinger equation, and
 runs the headline experiments (effective-model fidelity traces, the
 conditional-displacement phase gate, Schrodinger-cat generation).
 
-The propagators (evolve, evolve_columns, propagator) take a lab provider,
+condisp.model holds the physics and the lab generator's data; the
+propagators of condisp.propagate (evolve, evolve_columns, propagator)
+plan and take every Magnus step. They take the lab provider,
 hamiltonian_fn(..., "lab-driven", ...), or a wrapper that carries its
-parts; the rotating and effective providers are single-time builders.
+parts; the rotating and effective frames have single-time builders
+(rotating_frame_hamiltonian, effective_hamiltonian) only.
 """
 __version__ = "0.1.0"
 
@@ -19,7 +22,7 @@ from .model import (SystemParams, DriveParams, ValidityCondition,
                     ValidityReport, lab_hamiltonian, driven_hamiltonian,
                     frame_transform, frame_phases, rotating_frame_hamiltonian,
                     effective_hamiltonian, effective_couplings,
-                    validity_report, hamiltonian_fn, omega_max)
+                    validity_report, hamiltonian_fn)
 from .propagate import (EvolutionConfig, Trajectory, FidelityTrace,
                         PropagationAccuracyError, evolve, propagator,
                         fidelity_trace, write_trace_csv)
@@ -37,7 +40,7 @@ __all__ = [
     "SystemParams", "DriveParams", "ValidityCondition", "ValidityReport",
     "lab_hamiltonian", "driven_hamiltonian", "frame_transform",
     "frame_phases", "rotating_frame_hamiltonian", "effective_hamiltonian",
-    "effective_couplings", "validity_report", "hamiltonian_fn", "omega_max",
+    "effective_couplings", "validity_report", "hamiltonian_fn",
     "EvolutionConfig", "Trajectory", "FidelityTrace",
     "PropagationAccuracyError", "evolve", "propagator", "fidelity_trace",
     "write_trace_csv",

@@ -10,10 +10,7 @@ the parity exp(i pi (n + sum_m (1 + sigma_z^m)/2)) splits it into two
 real blocks of dim/2, each sector sorted by photon number, so one
 qubit's blocks are the tridiagonal chains |g,0>, |e,1>, |g,2>, ... and
 |e,0>, |g,1>, |e,2>, .... Each block is built on its own sector's
-indices (_embed with an index list), without a dim x dim matrix. A
-propagation carries only the blocks its initial state occupies, packed
-from the product basis at the start and scattered back into zeros at
-every kept sample.
+indices (_embed with an index list), without a dim x dim matrix.
 """
 from __future__ import annotations
 

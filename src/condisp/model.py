@@ -24,14 +24,15 @@ conditional displacement
 All frequencies are in units of omega_r. The driven lab generator is
 carried as data: a _LabProvider holds its parity-block parts (_Blocks),
 from which it assembles H(t), and _mirrored and _stack map parts to
-parts. It is the only provider the propagators take.
+parts. It is the only provider the propagators take; condisp.propagate
+owns the step and its plan, and the other frames have builders at one
+time only.
 """
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Iterable
+from typing import Callable
 
 import numpy as np
 
@@ -53,11 +54,7 @@ __all__ = [
     "beta_phi",
     "validity_report",
     "hamiltonian_fn",
-    "omega_max",
-    "FRAMES",
 ]
-
-FRAMES = ("lab-driven", "rotating", "effective")
 
 # Sideband-to-coupling ratio treated as "well separated" in validity checks.
 _MARGIN_MIN = 10.0
@@ -65,8 +62,6 @@ _EQUALITY_TOL = 1e-9
 # Window around the J_0 zero that counts as cancelling the flip-flop term.
 _FLIPFLOP_ZERO = 2.40483
 _FLIPFLOP_TOL = 1e-3
-
-_DEFAULT_L_MAX = 20
 
 
 @dataclass(frozen=True)
@@ -104,9 +99,13 @@ class SystemParams:
         if not (math.isfinite(self.g) and self.g >= 0):
             raise ValueError(f"g must be >= 0, got {self.g}")
         if self.d_coupling is None:
-            object.__setattr__(self, "d_coupling", self.g**2 / self.omega_r)
-        elif not math.isfinite(self.d_coupling):
-            raise ValueError("d_coupling must be finite")
+            try:
+                object.__setattr__(self, "d_coupling", self.g**2 / self.omega_r)
+            except OverflowError:  # g**2 past the float range
+                raise ValueError(f"g = {self.g:g} is too large: g^2 overflows") from None
+        if not math.isfinite(self.d_coupling):
+            raise ValueError(f"d_coupling must be finite, got {self.d_coupling} "
+                             f"(g = {self.g:g})")
 
     @property
     def eta(self) -> float:
@@ -298,16 +297,9 @@ def _rotating_terms(params: SystemParams, drive: DriveParams,
     return tuple(np.array(c) for c in zip(*terms))
 
 
-def _rotating_matrix_at(terms, omega_d: float, phi: float, t: float) -> np.ndarray:
-    mats, pref, det, rows = terms
-    series = rows @ np.cos(np.arange(rows.shape[1]) * (omega_d * t - phi))
-    h = np.tensordot(pref * np.exp(1j * det * t) * series, mats, axes=1)
-    return h + h.conj().T
-
-
 def rotating_frame_hamiltonian(params: SystemParams, drive: DriveParams, t: float,
                                layout: HilbertLayout,
-                               l_max: int = _DEFAULT_L_MAX) -> Operator:
+                               l_max: int = 20) -> Operator:
     """Interaction-picture Hamiltonian as a truncated sideband expansion.
 
     The frame transform leaves four coupling families, each dressed by a
@@ -323,8 +315,13 @@ def rotating_frame_hamiltonian(params: SystemParams, drive: DriveParams, t: floa
     l_max = 20 reproduces the closed form to better than 1e-9 for
     modulation indices up to 2.
     """
-    return Operator(layout,
-                    hamiltonian_fn(params, drive, "rotating", layout, l_max)(t))
+    _check_pair(params, drive, layout)
+    if not isinstance(l_max, int) or l_max < 8:
+        raise ValueError(f"l_max must be an int >= 8, got {l_max}")
+    mats, pref, det, rows = _rotating_terms(params, drive, layout, l_max)
+    series = rows @ np.cos(np.arange(l_max + 1) * (drive.omega_d * t - drive.phi))
+    h = np.tensordot(pref * np.exp(1j * det * t) * series, mats, axes=1)
+    return Operator(layout, h + h.conj().T)
 
 
 def effective_couplings(params: SystemParams, drive: DriveParams) -> tuple[float, ...]:
@@ -355,9 +352,16 @@ def effective_hamiltonian(params: SystemParams, drive: DriveParams, t: float,
     Valid on the modulation resonance omega_q = omega_d with phi = pi/2;
     phi is enforced here because the closed form simply does not hold away
     from it. The remaining validity conditions are reported, not enforced:
-    see validity_report.
+    see validity_report. H_eff(t) = e^{i omega_r t} W + h.c., W = sum_m
+    g_eff,m a^dag sigma_x^m.
     """
-    return Operator(layout, hamiltonian_fn(params, drive, "effective", layout)(t))
+    _check_pair(params, drive, layout)
+    _require_quadrature(drive, "effective model")
+    ad = _annihilation(layout.fock_dim).T
+    w = sum(geff * _embed(layout, {m: _PAULI["x"]}, ad)
+            for m, geff in enumerate(effective_couplings(params, drive)))
+    h = complex(math.cos(params.omega_r * t), math.sin(params.omega_r * t)) * w
+    return Operator(layout, h + h.conj().T)
 
 
 @dataclass(frozen=True)
@@ -449,27 +453,6 @@ def validity_report(params: SystemParams, drive: DriveParams) -> ValidityReport:
     return ValidityReport(eta, tuple(conds))
 
 
-def omega_max(params: SystemParams, drive: DriveParams, frame: str) -> float:
-    """Largest frequency scale present in the chosen frame's generator.
-
-    Used to set the integrator step. For the driven lab frame this is the
-    peak instantaneous splitting omega_q + max epsilon; for the rotating
-    frame it bounds the fastest dressed phase, and for the effective frame
-    the resonator rotation plus the conditional-displacement rate.
-    """
-    if frame not in FRAMES:
-        raise ValueError(f"frame must be one of {FRAMES}, got {frame!r}")
-    if frame == "lab-driven":
-        return params.omega_q + max(abs(e) for e in drive.epsilon)
-    if frame == "rotating":
-        swing = 2.0 * max(abs(a) for a in drive.alpha) * drive.omega_d
-        return max(abs(params.omega_r - params.omega_q),
-                   params.omega_r + params.omega_q,
-                   2.0 * params.omega_q) + swing
-    geff = effective_couplings(params, drive)
-    return params.omega_r + 2.0 * sum(abs(x) for x in geff)
-
-
 @dataclass(frozen=True, eq=False)
 class _Blocks:
     """The lab generator as real parity blocks, of one drive or a stack.
@@ -510,87 +493,6 @@ def _lab_blocks(params: SystemParams, drive: DriveParams,
     diag = sum(0.5 * e * s for e, s in zip(drive.epsilon, sz))
     return _Blocks(h.real.copy(), diag[order].reshape(2, -1), order,
                    drive.omega_d, np.full(2, drive.phi), np.zeros(2, dtype=int))
-
-
-class _Powers:
-    """A loaded operator A and the power stack it owns.
-
-    Row j of the stack holds p_j = A p_{j-1} once power(j) has run, p_0
-    being what the caller writes into row 0; rows[j] is that row as a
-    packed state and flat[j] as one float64 vector, for its norm, and
-    lhs[j], rhs[j] are that vector as a (1, n) and an (n, 1) matrix, so
-    one matmul over a run of them takes the run's squared norms. stack
-    holds the rows flat, one per line, and heads[j] its first j + 1
-    lines, for combining them into out, whose packed state is result.
-    bounds[j] is the Taylor stop on row j's squared norm, and degree the
-    number of terms the last exponential took, 0 before the first (see
-    propagate._expmv). buf is the stack in the kernel's own layout, and
-    state maps one of its rows (or a row-shaped array) to a packed state.
-    """
-
-    def __init__(self, buf: np.ndarray, state: Callable, power: Callable,
-                 bounds: list) -> None:
-        self.stack = buf.reshape(len(buf), -1)
-        self.heads = [self.stack[:j + 1] for j in range(len(buf))]
-        flat = self.stack.view(np.float64)
-        self.flat, self.lhs, self.rhs = list(flat), flat[:, None], flat[..., None]
-        self.degree = 0
-        self.rows = [state(b) for b in buf]
-        self.out = np.zeros_like(self.stack[0])
-        self.result = state(self.out.reshape(buf.shape[1:]))
-        self.power = power
-        self.bounds = bounds
-
-
-def _block_operator(blocks: np.ndarray, shape: tuple, bounds: list) -> _Powers:
-    """A = B for the real parity blocks B, (sectors, m, m).
-
-    The rows are packed (sectors, m, k) states. The float64 view of a
-    C-contiguous row holds each amplitude's real and imaginary parts side
-    by side, so power(j) is one batched real matmul over the sectors,
-    from row j - 1's float64 view into row j's.
-    """
-    buf = np.empty((len(bounds),) + shape, dtype=complex)
-    f = [b.view(np.float64) for b in buf]
-
-    def power(j: int) -> None:
-        np.matmul(blocks, f[j - 1], out=f[j])
-    return _Powers(buf, lambda b: b, power, bounds)
-
-
-def _band_operator(up: np.ndarray, lo: np.ndarray, shape: tuple,
-                   bounds: list) -> _Powers:
-    """A = T for the tridiagonal T with T[i, i+1] = up[i], T[i, i-1] =
-    lo[i] and the diagonal that load(d) sets.
-
-    The rows are packed (sectors, n, k) states; T, read off tridiagonal
-    parity blocks, runs along the sectors laid end to end, so d, up and
-    lo are (sectors * n, 1) complex columns, and up, lo are 0 where one
-    sector ends and the next begins. Each row carries a zero line at
-    either end, so its neighbour lines x[i+1] and x[i-1] are fixed views,
-    and power(j) is five ufunc calls.
-    """
-    lines = shape[0] * shape[1]
-    buf = np.zeros((len(bounds), lines + 2, shape[2]), dtype=complex)
-    mid, nxt, prv = ([b[s] for b in buf] for s in (slice(1, -1), slice(2, None),
-                                                   slice(None, -2)))
-    tmp = np.empty((lines, shape[2]), dtype=complex)
-    diag = None
-
-    def load(d: np.ndarray) -> None:
-        nonlocal diag
-        diag = d
-
-    def power(j: int) -> None:
-        y, i = mid[j], j - 1
-        np.multiply(diag, mid[i], out=y)
-        np.multiply(up, nxt[i], out=tmp)
-        np.add(y, tmp, out=y)
-        np.multiply(lo, prv[i], out=tmp)
-        np.add(y, tmp, out=y)
-    op = _Powers(buf, lambda b: b[1:-1].reshape(shape), power, bounds)
-    op.load = load
-    return op
 
 
 def _modulation(parts: _Blocks, t):
@@ -636,8 +538,7 @@ def _checked_parts(h: Callable[[float], np.ndarray], t: float) -> _Blocks:
     evaluated once, at t, and must return the parts assembled there in
     the product basis; one that changes what it returns raises ValueError
     instead of being propagated as the provider it wraps. Any other
-    callable, such as the rotating or effective provider, raises
-    ValueError naming its type.
+    callable raises ValueError naming its type.
     """
     if isinstance(h, _LabProvider):
         return h.parts
@@ -696,183 +597,22 @@ def _stack(members: list[_Blocks]) -> _Blocks:
         np.concatenate([p.member + f for p, f in zip(members, firsts)]))
 
 
-def _packing(parts: _Blocks, v0: np.ndarray):
-    """(sectors, shape, into, back): the parity sectors v0 occupies.
-
-    parts.order lists the product-basis indices of its sectors, in equal
-    runs. into keeps only the sectors v0 (a state or a (dim, k) column
-    block) occupies and, of each, only the columns v0 occupies there,
-    padded with zero columns to the widest sector: a (sectors, m, columns)
-    array. back scatters such an array into zeros in the product basis.
-    """
-    runs = parts.order.reshape(len(parts.h0), -1)
-    cols = v0.reshape(len(v0), -1)
-    live = [np.flatnonzero(np.any(cols[run], axis=0)) for run in runs]
-    sectors = [s for s in range(len(runs)) if len(live[s])] or [0]
-    shape = (len(sectors), runs.shape[1], max(len(live[s]) for s in sectors))
-    cuts = [(i, np.ix_(runs[s], live[s]), len(live[s])) for i, s in enumerate(sectors)]
-
-    def into(x: np.ndarray) -> np.ndarray:
-        p = np.zeros(shape, dtype=complex)
-        x = x.reshape(len(x), -1)
-        for i, rows_cols, k in cuts:
-            p[i, :, :k] = x[rows_cols]
-        return p
-
-    def back(p: np.ndarray) -> np.ndarray:
-        out = np.zeros(v0.shape, dtype=complex)
-        flat = out.reshape(len(out), -1)
-        for i, rows_cols, k in cuts:
-            flat[rows_cols] = p[i, :, :k]
-        return out
-    return sectors, shape, into, back
-
-
-# The Magnus step's twist K = _TWIST dt (H_2 - H_1) (see propagate._m4_step).
-_TWIST = math.sqrt(3.0) / 12.0
-
-
-def _mixer(parts: _Blocks, v0: np.ndarray, chunks: Iterable[np.ndarray],
-           dt: float, stop: np.ndarray):
-    """(ops, into, back): the plan of one propagation of v0 under the lab
-    parts (of one drive or a stack), in fourth-order Magnus steps of dt.
-
-    chunks yields the node times of runs of consecutive steps as (steps,
-    2) arrays, each step's two Gauss nodes t_1, t_2. Each next(ops) loads
-    the next step and returns its (turn, op). The turn is the phase
-    turn(x) = exp(i (K_n - K_{n-1})) x, K_n = dt (sqrt(3)/12) (H(t_2) -
-    H(t_1)) of step n, K_{-1} = 0, so a propagation carries its state
-    twisted by e^{iK} of the last step loaded. op is a _Powers of the
-    prescaled mean generator dt (H(t_1) + H(t_2))/2, valid until the next
-    load, whose power(j) is one bare apply. into packs v0, or an array of
-    its shape with no amplitude outside v0's, into the propagation basis;
-    back unwinds e^{-iK} of the last step loaded from a packed state and
-    unpacks it into the product basis. Each op's Taylor stop is stop (one
-    entry per stack row) times v0's squared norm, that of its smallest
-    stack member.
-
-    The parts are h0 + s(t) D on real parity blocks, s(t) = sin(omega_d t
-    - phi), D diagonal, so K_n = q D, q = dt (sqrt(3)/12) (s(t_2) -
-    s(t_1)), and the mean generator is dt h0 + c D, c = dt (s(t_1)/2 +
-    s(t_2)/2), with q and c one number per step when the occupied sectors
-    share phi, else one per sector. So dt h0 is premixed once per
-    propagation, and a chunk of steps forms, at once, the diagonals dt
-    diag(h0) + c D its ops load and the phases its turns multiply by; a
-    load then only points the kernel at, or copies in, its diagonal. into
-    and back come from _packing, so a sector that parity keeps at zero is
-    never propagated. Tridiagonal premixed blocks (one qubit's parity
-    chains) apply as three complex bands, others as one batched real
-    matmul.
-    """
-    sectors, shape, into, unpack = _packing(parts, v0)
-    p0 = into(v0)
-    firsts = np.flatnonzero(np.diff(parts.member[sectors], prepend=-1))
-    bounds = (min(np.add.reduceat(np.sum(p0.real ** 2 + p0.imag ** 2, axis=(1, 2)),
-                                  firsts)) * stop).tolist()
-    # an np.float64 multiplier: a Python float takes another path through
-    # NumPy, which maps about half a MiB more of its pages into a cat run
-    blocks = np.float64(dt) * parts.h0[sectors]
-    d0 = np.diagonal(blocks, 0, 1, 2).flatten()
-    drive = parts.diag[sectors]
-    # one coefficient per load when the occupied sectors share phi, else
-    # one per sector; a phase exp(i q D) takes the exponential of D's few
-    # distinct values only (found without np.unique, whose sort would add
-    # a quarter MiB of library pages to every run)
-    shared = bool(np.all(parts.phi[sectors] == parts.phi[sectors[0]]))
-    pick = sectors[:1] if shared else sectors
-    seen: dict = {}
-    at = np.array([seen.setdefault(d, len(seen)) for d in drive.ravel().tolist()])
-    at, vals = at.reshape(drive.shape), np.array(list(seen))
-    by = np.arange(len(sectors))[:, None] * (not shared)
-
-    def phases(q: np.ndarray) -> np.ndarray:
-        """exp(i q D) for coefficients q (..., len(pick)), as (..., sectors, m, 1)."""
-        return np.exp(1j * q[..., None] * vals)[..., by, at][..., None]
-
-    if np.any(np.triu(blocks, 2)) or np.any(np.tril(blocks, -2)):
-        op = _block_operator(blocks, shape, bounds)
-        op.load = functools.partial(np.copyto,
-                                    blocks.reshape(len(sectors), -1)[:, ::shape[1] + 1])
-
-        def lines(d):
-            return d.reshape((-1,) + drive.shape)
-    else:
-        bands = np.zeros((2,) + shape[:2], dtype=complex)
-        bands[0, :, :-1] = np.diagonal(blocks, 1, 1, 2)
-        bands[1, :, 1:] = np.diagonal(blocks, -1, 1, 2)
-        op = _band_operator(*bands.reshape(2, -1, 1), shape, bounds)
-
-        def lines(d):
-            return d.astype(complex)[..., None]
-    phase = last = None
-
-    def turn(x: np.ndarray) -> np.ndarray:
-        return np.multiply(x, phase, out=op.rows[0])
-
-    def ops():
-        nonlocal phase, last
-        k = np.zeros((1, len(pick)))
-        for nodes in chunks:
-            s = _modulation(parts, nodes)[..., pick]  # (steps, 2, len(pick))
-            ks = dt * (s[:, 1] * _TWIST - s[:, 0] * _TWIST)
-            twists = zip(ks, phases(np.diff(ks, axis=0, prepend=k)))
-            k = ks[-1:] if len(ks) else k
-            c = dt * (s[:, 0] * 0.5 + s[:, 1] * 0.5)
-            loads = lines(d0 + (c[..., None] * drive).reshape(len(c), -1))
-            for (last, phase), d in zip(twists, loads):
-                op.load(d)
-                yield turn, op
-
-    def back(p: np.ndarray) -> np.ndarray:
-        return unpack(p if last is None else p * phases(-last))
-    return ops(), into, back
-
-
 def hamiltonian_fn(params: SystemParams, drive: DriveParams, frame: str,
-                   layout: HilbertLayout,
-                   l_max: int = _DEFAULT_L_MAX) -> Callable[[float], np.ndarray]:
-    """Time-to-matrix provider for the chosen frame, static parts prebuilt.
+                   layout: HilbertLayout) -> _LabProvider:
+    """The lab-driven provider, which the propagators take; frame must be
+    "lab-driven" (the other frames have single-time builders only).
 
-    Only the lab-driven provider is fit for the propagators (evolve,
-    evolve_columns, propagator), which refuse any other. The public
-    single-time builders are thin Operator wrappers over it.
-
-    The lab-driven provider is a _LabProvider: its parts, the _Blocks of
-    H(t) = h0 + sin(omega_d t - phi) D at either qubit count, built once
-    (_lab_matrix on each parity sector's indices, D's diagonal, and the
-    drive's omega_d and phi), with omega_max and the layout. fn(t)
-    assembles the dense product-basis H(t) from those parts, so the
-    propagators, through _mixer, take the parts without evaluating fn and
-    never form H(t). The rotating and effective providers are dense
-    single-time builders: the rotating one sums its sideband series as
-    arrays (_rotating_terms), and the effective one is fn(t) =
-    e^{i omega_r t} W + h.c., W = sum_m g_eff,m a^dag sigma_x^m. The
-    effective evolution itself has a closed form and is not propagated.
+    It is a _LabProvider: its parts, the _Blocks of H(t) = h0 + sin(omega_d
+    t - phi) D at either qubit count, built once, with the layout and the
+    step scale omega_max = omega_q + max |epsilon_m|, the peak splitting.
+    fn(t) assembles the dense H(t) from the parts, which the propagators
+    take without evaluating fn.
     """
+    if frame != "lab-driven":
+        raise ValueError(
+            f"hamiltonian_fn builds only the lab-driven provider, not {frame!r}; "
+            "rotating_frame_hamiltonian and effective_hamiltonian build the "
+            "other frames at one time")
     _check_pair(params, drive, layout)
-    if frame not in FRAMES:
-        raise ValueError(f"frame must be one of {FRAMES}, got {frame!r}")
-    if frame == "lab-driven":
-        return _LabProvider(_lab_blocks(params, drive, layout),
-                            omega_max(params, drive, frame), layout)
-    if frame == "rotating":
-        if not isinstance(l_max, int) or l_max < 8:
-            raise ValueError(f"l_max must be an int >= 8, got {l_max}")
-        terms = _rotating_terms(params, drive, layout, l_max)
-        wd, phi = drive.omega_d, drive.phi
-
-        def fn(t: float) -> np.ndarray:
-            return _rotating_matrix_at(terms, wd, phi, t)
-
-    else:
-        _require_quadrature(drive, "effective model")
-        ad = _annihilation(layout.fock_dim).T
-        w = sum(geff * _embed(layout, {m: _PAULI["x"]}, ad)
-                for m, geff in enumerate(effective_couplings(params, drive)))
-        wr = params.omega_r
-
-        def fn(t: float) -> np.ndarray:
-            h = complex(math.cos(wr * t), math.sin(wr * t)) * w
-            return h + h.conj().T
-
-    return fn
+    return _LabProvider(_lab_blocks(params, drive, layout),
+                        params.omega_q + max(abs(e) for e in drive.epsilon), layout)

@@ -29,8 +29,9 @@ a term's squared norm falls below 1e-32 of the initial state's, taken
 once per propagation (of the smallest member's, for a stack). An
 exponential almost always stops where its operator's last one did, so
 it applies that many terms untested and checks them by one batched
-norm, going on term by term only if none passes. model._mixer plans
-each propagation once, from its initial state, and reads its step
+norm, going on term by term only if none passes. This module owns the
+step and its plan; model supplies only the lab generator's parts. _mixer
+plans each propagation once, from its initial state, and reads its step
 schedule _PLAN_CHUNK steps at a time: node times, then the modulation
 sin(omega_d t - phi) at all of them, from which it forms the chunk's
 diagonals and turn phases at once. Lab providers are never evaluated: they are propagated
@@ -60,17 +61,18 @@ amplitudes.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from .hilbert import Ket, Operator, NORM_TOL, coherent_amplitudes
 from .model import (DriveParams, SystemParams, beta_phi, effective_couplings,
                     frame_phases, hamiltonian_fn, _Blocks, _checked_parts,
-                    _LabProvider, _mixer, _require_quadrature)
+                    _LabProvider, _modulation, _require_quadrature)
 
 __all__ = [
     "DEFAULT_STEPS_PER_PERIOD",
@@ -176,8 +178,10 @@ class FidelityTrace:
         return float(np.mean(self.fidelities))
 
 
-# Gauss nodes of the fourth-order Magnus step, as fractions of the step.
+# Gauss nodes of the fourth-order Magnus step, as fractions of the step,
+# and its twist K = _TWIST dt (H_2 - H_1).
 _GAUSS_NODES = (0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0)
+_TWIST = math.sqrt(3.0) / 12.0
 
 # Rows of an operator's Taylor power stack: p_0 and up to 15 powers, more
 # than an exponential at the default step takes (9 to 10 on average on
@@ -190,9 +194,214 @@ _STOP = _TAYLOR_RTOL ** 2 / np.abs(_COEFFS) ** 2
 _HEADS = [_COEFFS[:j + 1] for j in range(_TAYLOR_ROWS)]
 
 
+class _Powers:
+    """A loaded operator A and the power stack it owns.
+
+    Row j of the stack holds p_j = A p_{j-1} once power(j) has run, p_0
+    being what the caller writes into row 0; rows[j] is that row as a
+    packed state and flat[j] as one float64 vector, for its norm, and
+    lhs[j], rhs[j] are that vector as a (1, n) and an (n, 1) matrix, so
+    one matmul over a run of them takes the run's squared norms. stack
+    holds the rows flat, one per line, and heads[j] its first j + 1
+    lines, for combining them into out, whose packed state is result.
+    bounds[j] is the Taylor stop on row j's squared norm, and degree the
+    number of terms the last exponential took, 0 before the first (see
+    _expmv). buf is the stack in the kernel's own layout, and state maps
+    one of its rows (or a row-shaped array) to a packed state.
+    """
+
+    def __init__(self, buf: np.ndarray, state: Callable, power: Callable,
+                 bounds: list) -> None:
+        self.stack = buf.reshape(len(buf), -1)
+        self.heads = [self.stack[:j + 1] for j in range(len(buf))]
+        flat = self.stack.view(np.float64)
+        self.flat, self.lhs, self.rhs = list(flat), flat[:, None], flat[..., None]
+        self.degree = 0
+        self.rows = [state(b) for b in buf]
+        self.out = np.zeros_like(self.stack[0])
+        self.result = state(self.out.reshape(buf.shape[1:]))
+        self.power = power
+        self.bounds = bounds
+
+
+def _block_operator(blocks: np.ndarray, shape: tuple, bounds: list) -> _Powers:
+    """A = B for the real parity blocks B, (sectors, m, m).
+
+    The rows are packed (sectors, m, k) states. The float64 view of a
+    C-contiguous row holds each amplitude's real and imaginary parts side
+    by side, so power(j) is one batched real matmul over the sectors,
+    from row j - 1's float64 view into row j's.
+    """
+    buf = np.empty((len(bounds),) + shape, dtype=complex)
+    f = [b.view(np.float64) for b in buf]
+
+    def power(j: int) -> None:
+        np.matmul(blocks, f[j - 1], out=f[j])
+    return _Powers(buf, lambda b: b, power, bounds)
+
+
+def _band_operator(up: np.ndarray, lo: np.ndarray, shape: tuple,
+                   bounds: list) -> _Powers:
+    """A = T for the tridiagonal T with T[i, i+1] = up[i], T[i, i-1] =
+    lo[i] and the diagonal that load(d) sets.
+
+    The rows are packed (sectors, n, k) states; T, read off tridiagonal
+    parity blocks, runs along the sectors laid end to end, so d, up and
+    lo are (sectors * n, 1) complex columns, and up, lo are 0 where one
+    sector ends and the next begins. Each row carries a zero line at
+    either end, so its neighbour lines x[i+1] and x[i-1] are fixed views,
+    and power(j) is five ufunc calls.
+    """
+    lines = shape[0] * shape[1]
+    buf = np.zeros((len(bounds), lines + 2, shape[2]), dtype=complex)
+    mid, nxt, prv = ([b[s] for b in buf] for s in (slice(1, -1), slice(2, None),
+                                                   slice(None, -2)))
+    tmp = np.empty((lines, shape[2]), dtype=complex)
+    diag = None
+
+    def load(d: np.ndarray) -> None:
+        nonlocal diag
+        diag = d
+
+    def power(j: int) -> None:
+        y, i = mid[j], j - 1
+        np.multiply(diag, mid[i], out=y)
+        np.multiply(up, nxt[i], out=tmp)
+        np.add(y, tmp, out=y)
+        np.multiply(lo, prv[i], out=tmp)
+        np.add(y, tmp, out=y)
+    op = _Powers(buf, lambda b: b[1:-1].reshape(shape), power, bounds)
+    op.load = load
+    return op
+
+
+def _packing(parts: _Blocks, v0: np.ndarray):
+    """(sectors, shape, into, back): the parity sectors v0 occupies.
+
+    parts.order lists the product-basis indices of its sectors, in equal
+    runs. into keeps only the sectors v0 (a state or a (dim, k) column
+    block) occupies and, of each, only the columns v0 occupies there,
+    padded with zero columns to the widest sector: a (sectors, m, columns)
+    array. back scatters such an array into zeros in the product basis.
+    """
+    runs = parts.order.reshape(len(parts.h0), -1)
+    cols = v0.reshape(len(v0), -1)
+    live = [np.flatnonzero(np.any(cols[run], axis=0)) for run in runs]
+    sectors = [s for s in range(len(runs)) if len(live[s])] or [0]
+    shape = (len(sectors), runs.shape[1], max(len(live[s]) for s in sectors))
+    cuts = [(i, np.ix_(runs[s], live[s]), len(live[s])) for i, s in enumerate(sectors)]
+
+    def into(x: np.ndarray) -> np.ndarray:
+        p = np.zeros(shape, dtype=complex)
+        x = x.reshape(len(x), -1)
+        for i, rows_cols, k in cuts:
+            p[i, :, :k] = x[rows_cols]
+        return p
+
+    def back(p: np.ndarray) -> np.ndarray:
+        out = np.zeros(v0.shape, dtype=complex)
+        flat = out.reshape(len(out), -1)
+        for i, rows_cols, k in cuts:
+            flat[rows_cols] = p[i, :, :k]
+        return out
+    return sectors, shape, into, back
+
+
+def _mixer(parts: _Blocks, v0: np.ndarray, chunks: Iterable[np.ndarray], dt: float):
+    """(ops, into, back): the plan of one propagation of v0 under the lab
+    parts (of one drive or a stack), in fourth-order Magnus steps of dt.
+
+    chunks yields the node times of runs of consecutive steps as (steps,
+    2) arrays, each step's two Gauss nodes t_1, t_2. Each next(ops) loads
+    the next step and returns its (turn, op). The turn is the phase
+    turn(x) = exp(i (K_n - K_{n-1})) x, K_n = dt (sqrt(3)/12) (H(t_2) -
+    H(t_1)) of step n, K_{-1} = 0, so a propagation carries its state
+    twisted by e^{iK} of the last step loaded. op is a _Powers of the
+    prescaled mean generator dt (H(t_1) + H(t_2))/2, valid until the next
+    load, whose power(j) is one bare apply. into packs v0, or an array of
+    its shape with no amplitude outside v0's, into the propagation basis;
+    back unwinds e^{-iK} of the last step loaded from a packed state and
+    unpacks it into the product basis. Each op's Taylor stop is _STOP (one
+    entry per stack row) times v0's squared norm, that of its smallest
+    stack member.
+
+    The parts are h0 + s(t) D on real parity blocks, s(t) = sin(omega_d t
+    - phi), D diagonal, so K_n = q D, q = dt (sqrt(3)/12) (s(t_2) -
+    s(t_1)), and the mean generator is dt h0 + c D, c = dt (s(t_1)/2 +
+    s(t_2)/2), with q and c one number per occupied sector (sectors of one
+    phi get the same bits). So dt h0 is premixed once per propagation,
+    and a chunk of steps forms, at once, the diagonals dt diag(h0) + c D
+    its ops load and the phases its turns multiply by; a load then only
+    points the kernel at, or copies in, its diagonal. into
+    and back come from _packing, so a sector that parity keeps at zero is
+    never propagated. Tridiagonal premixed blocks (one qubit's parity
+    chains) apply as three complex bands, others as one batched real
+    matmul.
+    """
+    sectors, shape, into, unpack = _packing(parts, v0)
+    p0 = into(v0)
+    firsts = np.flatnonzero(np.diff(parts.member[sectors], prepend=-1))
+    bounds = (min(np.add.reduceat(np.sum(p0.real ** 2 + p0.imag ** 2, axis=(1, 2)),
+                                  firsts)) * _STOP).tolist()
+    # an np.float64 multiplier: a Python float takes another path through
+    # NumPy, which maps about half a MiB more of its pages into a cat run
+    blocks = np.float64(dt) * parts.h0[sectors]
+    d0 = np.diagonal(blocks, 0, 1, 2).flatten()
+    drive = parts.diag[sectors]
+    # a phase exp(i q D) takes the exponential of D's few distinct values
+    # only (found without np.unique, whose sort would add a quarter MiB of
+    # library pages to every run)
+    seen: dict = {}
+    at = np.array([seen.setdefault(d, len(seen)) for d in drive.ravel().tolist()])
+    at, vals = at.reshape(drive.shape), np.array(list(seen))
+    by = np.arange(len(sectors))[:, None]
+
+    def phases(q: np.ndarray) -> np.ndarray:
+        """exp(i q D) for coefficients q (..., sectors), as (..., sectors, m, 1)."""
+        return np.exp(1j * q[..., None] * vals)[..., by, at][..., None]
+
+    if np.any(np.triu(blocks, 2)) or np.any(np.tril(blocks, -2)):
+        op = _block_operator(blocks, shape, bounds)
+        op.load = functools.partial(np.copyto,
+                                    blocks.reshape(len(sectors), -1)[:, ::shape[1] + 1])
+
+        def lines(d):
+            return d.reshape((-1,) + drive.shape)
+    else:
+        bands = np.zeros((2,) + shape[:2], dtype=complex)
+        bands[0, :, :-1] = np.diagonal(blocks, 1, 1, 2)
+        bands[1, :, 1:] = np.diagonal(blocks, -1, 1, 2)
+        op = _band_operator(*bands.reshape(2, -1, 1), shape, bounds)
+
+        def lines(d):
+            return d.astype(complex)[..., None]
+    phase = last = None
+
+    def turn(x: np.ndarray) -> np.ndarray:
+        return np.multiply(x, phase, out=op.rows[0])
+
+    def ops():
+        nonlocal phase, last
+        k = np.zeros((1, len(sectors)))
+        for nodes in chunks:
+            s = _modulation(parts, nodes)[..., sectors]  # (steps, 2, sectors)
+            ks = dt * (s[:, 1] * _TWIST - s[:, 0] * _TWIST)
+            twists = zip(ks, phases(np.diff(ks, axis=0, prepend=k)))
+            k = ks[-1:] if len(ks) else k
+            c = dt * (s[:, 0] * 0.5 + s[:, 1] * 0.5)
+            loads = lines(d0 + (c[..., None] * drive).reshape(len(c), -1))
+            for (last, phase), d in zip(twists, loads):
+                op.load(d)
+                yield turn, op
+
+    def back(p: np.ndarray) -> np.ndarray:
+        return unpack(p if last is None else p * phases(-last))
+    return ops(), into, back
+
+
 def _expmv(op, x: np.ndarray) -> np.ndarray:
     """exp(-i A) @ x by the Taylor series, A the operator op has loaded
-    (a model._Powers, prescaled by its step: dt Hbar).
+    (a _Powers, prescaled by its step: dt Hbar).
 
     x goes into row 0 of op's power stack, unless it is there already,
     and each term writes p_k = A p_{k-1} into row k, one bare apply. The
@@ -255,24 +464,12 @@ def _expmv(op, x: np.ndarray) -> np.ndarray:
     return op.result
 
 
-def _m4_step(ops, w: np.ndarray) -> np.ndarray:
-    """One fourth-order Magnus step on the twisted state w = e^{+iK_{n-1}} v.
-
-    next(ops) loads the step's turn e^{i(K_n - K_{n-1})}, K = dt
-    (sqrt(3)/12) (H_2 - H_1), and its prescaled mean generator dt Hbar,
-    Hbar = (H_1 + H_2)/2 (see model._mixer). The step returns exp(-i dt
-    Hbar) e^{+iK_n} v = e^{+iK_n} (e^{-iK_n} exp(-i dt Hbar) e^{+iK_n} v):
-    the twist stays on until the next step's turn or the plan's back
-    unwinds it. Conjugating exp(-i dt Hbar) by e^{-iK} adds -dt [K, Hbar]
-    = (sqrt(3)/12) dt^2 [H_1, H_2] to its exponent, which makes it the
-    classical fourth-order Magnus exponent up to O(dt K^2) = O(dt^5).
-    """
-    turn, op = next(ops)
-    return _expmv(op, turn(w))
-
-
 def _sample_grid(t_end: float, dt: float, n_samples: int):
-    """Uniform sample times plus the substep count inside each interval."""
+    """Uniform sample times plus the substep count inside each interval;
+    ValueError, before anything is planned, past 2^62 steps (int64 indices)."""
+    if not t_end / dt < 2.0**62:
+        raise ValueError(f"dt = {dt:g} takes {t_end / dt:.3g} steps to t = {t_end:g}, "
+                         "more than the 2^62 a propagation can index")
     times = np.linspace(0.0, t_end, n_samples + 1)
     span = t_end / n_samples
     n_sub = max(1, math.ceil(span / dt - 1e-9))
@@ -285,14 +482,16 @@ def _run(parts: _Blocks, v0: np.ndarray, times: np.ndarray,
     sample interval.
 
     Every step takes dt = times[-1] / (n_sub (len(times) - 1)), the k-th
-    of an interval starting at times[i] + k dt. model._mixer plans the
+    of an interval starting at times[i] + k dt. _mixer plans the
     propagation once, from the parity sectors v0 occupies, and reads the
     step schedule, node times then the operators' modulation
     coefficients, _PLAN_CHUNK steps at a time as the propagation reaches
-    them. The state stays twisted between steps; the plan's back unwinds
-    it where a sample leaves. A Taylor series that does not converge
-    raises PropagationAccuracyError naming its step and the time the step
-    starts at.
+    them. A step turns the twisted state w = e^{+iK_{n-1}} v by
+    e^{i(K_n - K_{n-1})} and applies exp(-i dt Hbar), which gives e^{+iK_n}
+    (e^{-iK_n} exp(-i dt Hbar) e^{+iK_n} v), the Magnus step; the state
+    stays twisted until the plan's back unwinds it where a sample leaves.
+    A Taylor series that does not converge raises PropagationAccuracyError
+    naming its step and the time the step starts at.
     """
     steps = (len(times) - 1) * n_sub
     dt = float(times[-1]) / steps
@@ -304,13 +503,14 @@ def _run(parts: _Blocks, v0: np.ndarray, times: np.ndarray,
             yield starts[:, None] + np.multiply(dt, _GAUSS_NODES)
 
     v0 = np.asarray(v0, dtype=complex)
-    ops, into, back = _mixer(parts, v0, node_chunks(), dt, _STOP)
+    ops, into, back = _mixer(parts, v0, node_chunks(), dt)
     v = into(v0)
     out = [back(v)]
     for i in range(len(times) - 1):
         for j in range(n_sub):
+            turn, op = next(ops)
             try:
-                v = _m4_step(ops, v)
+                v = _expmv(op, turn(v))
             except PropagationAccuracyError as exc:
                 n, t = i * n_sub + j + 1, float(times[i] + j * dt)
                 raise PropagationAccuracyError(f"{exc} (step {n}, t = {t:g})",

@@ -5,7 +5,8 @@ matrix assembly, finite differences) rather than calling back into the
 library paths under test; reference_expmv keeps the earlier Taylor loop,
 and reference_m4 (the Magnus step with both of its turns) and
 reference_rk4 step dense H(t) matrices, to compare the library's
-structured lab propagation against.
+structured lab propagation against. Those two assemble a lab provider's
+dense h0 and D once (dense_generator) and form each H(t) as h0 + s(t) D.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import scipy.special
 from condisp import DriveParams, HilbertLayout, SystemParams
 from condisp.hilbert import ladder, pauli_on
 from condisp.model import (
+    _assemble_parts,
     driven_hamiltonian,
     frame_transform,
     rotating_frame_hamiltonian,
@@ -100,6 +102,20 @@ def reference_expmv(apply, v: np.ndarray, members=None) -> tuple[np.ndarray, int
     raise RuntimeError("Taylor series did not converge in 200 terms")
 
 
+def dense_generator(h):
+    """t -> H(t) of a lab provider h (of one drive or a stack), dense in
+    the product basis: h0 + sum_p sin(omega_d t - p) D_p, with h0 and one
+    D_p per distinct phi p of h's sectors assembled once."""
+    parts = h.parts
+    h0 = _assemble_parts((1.0, 0.0), parts)
+    phis = sorted(set(parts.phi.tolist()))
+    ds = [_assemble_parts((0.0, 1.0 * (parts.phi == p)), parts) for p in phis]
+
+    def at(t: float) -> np.ndarray:
+        return h0 + sum(np.sin(parts.omega_d * t - p) * d for p, d in zip(phis, ds))
+    return at
+
+
 def reference_m4(h, v0: np.ndarray, times: np.ndarray, n_sub: int) -> list[np.ndarray]:
     """States at the sample times by the fourth-order Magnus step with both
     of its turns, e^{-iK} exp(-i dt Hbar) e^{+iK}, on dense matrices.
@@ -108,8 +124,10 @@ def reference_m4(h, v0: np.ndarray, times: np.ndarray, n_sub: int) -> list[np.nd
     nodes t + (1/2 -+ sqrt(3)/6) dt; the exponential is reference_expmv's
     and the turns SciPy's expm. Every step takes dt = times[-1] / (n_sub
     (len(times) - 1)), the j-th of a sample interval starting at
-    times[i] + j dt, as the library's schedule does.
+    times[i] + j dt, as the library's schedule does. h is a lab provider,
+    whose H(t) dense_generator forms.
     """
+    h = dense_generator(h)
     nodes = np.array([0.5 - np.sqrt(3.0) / 6.0, 0.5 + np.sqrt(3.0) / 6.0])
     dt = float(times[-1]) / (n_sub * (len(times) - 1))
     v = np.asarray(v0, dtype=complex)
@@ -133,8 +151,9 @@ def reference_rk4(h, v0: np.ndarray, times: np.ndarray, n_sub: int) -> list[np.n
     (twice) and t + dt, and moves v to v + (k1 + 2 k2 + 2 k3 + k4)/6. Every
     step takes dt = times[-1] / (n_sub (len(times) - 1)), the j-th of a
     sample interval starting at times[i] + j dt, as reference_m4's
-    schedule does.
+    schedule does. h is a lab provider, whose H(t) dense_generator forms.
     """
+    h = dense_generator(h)
     dt = float(times[-1]) / (n_sub * (len(times) - 1))
     v = np.asarray(v0, dtype=complex)
     out = [v.copy()]

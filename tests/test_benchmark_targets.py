@@ -5,7 +5,9 @@ refactor that drops or renames one would only show up as an absent
 target in the benchmark's own, slower self-tests; here it fails the main
 suite. The tracer also wraps each provider hamiltonian_fn builds in a
 function that copies the provider's attributes; such a wrapper must still
-propagate as the provider does.
+propagate as the provider does. The benchmark's set-up build,
+perfbench/workloads.first_build, calls hamiltonian_fn by its positional
+shape; a change to that shape fails here too.
 """
 
 from __future__ import annotations
@@ -13,22 +15,40 @@ from __future__ import annotations
 import functools
 import importlib
 import importlib.util
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def _targets():
-    spec = importlib.util.spec_from_file_location("_perfbench_tracer", TRACER)
-    module = importlib.util.module_from_spec(spec)
+def _load(name: str):
+    """perfbench/<name>.py, loaded by path and registered, as its
+    dataclasses need."""
+    spec = importlib.util.spec_from_file_location(f"_perfbench_{name}",
+                                                  PERFBENCH / f"{name}.py")
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.TARGETS
+    return module
 
 
-@pytest.mark.parametrize("module, attr, span", _targets())
+WORKLOADS = _load("workloads")
+
+
+@pytest.mark.parametrize("name", WORKLOADS.NAMES)
+def test_first_build(name):
+    """Each workload's first H(t) build, as the benchmark's set-up makes it,
+    is the lab provider on the workload's layout."""
+    from condisp import model
+
+    w = WORKLOADS.get(name, "small")
+    h = WORKLOADS.first_build(w)
+    assert isinstance(h, model._LabProvider) and h.layout == WORKLOADS.model_args(w)[2]
+
+
+@pytest.mark.parametrize("module, attr, span", _load("tracer").TARGETS)
 def test_tracer_target_resolves(module, attr, span):
     assert callable(getattr(importlib.import_module(f"condisp.{module}"), attr, None)), \
         f"condisp.{module}.{attr} (span {span}) is gone"

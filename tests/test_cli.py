@@ -193,6 +193,23 @@ class TestBadInvocations:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("args, says", [
+        (["--g", "1e200", "--trials", "3"], "g = 1e+200 is too large"),
+        (["--dt", "1e-20", "--trials", "2"], "dt = 1e-20 takes 3.14e+20 steps"),
+        (["--dt", "1e-300", "--trials", "2"], "dt = 1e-300 takes 3.14e+300 steps"),
+    ])
+    def test_overflowing_values_exit_2(self, tmp_path, capsys, monkeypatch, args, says):
+        """A g whose square overflows, and a dt whose step count an int64
+        cannot index, end with one error line naming them, before any
+        propagation starts."""
+        def no_run(*args, **kwargs):
+            raise AssertionError("propagation started")
+
+        monkeypatch.setattr(propagate, "_run", no_run)
+        assert main(["gate-fidelity", "--fock-dim", "8", *args, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and says in err and err.count("\n") == 1
+
     def test_bessel_rejects_run_flags(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["bessel", "--order", "0", "--x", "1.0", "--seed", "5"])

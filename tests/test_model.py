@@ -25,7 +25,6 @@ import oracle_helpers
 from condisp import DriveParams, HilbertLayout, SystemParams, model
 from condisp.hilbert import basis_state, ladder, pauli_on
 from condisp.model import (
-    FRAMES,
     _assemble_parts,
     ValidityReport,
     driven_hamiltonian,
@@ -35,7 +34,6 @@ from condisp.model import (
     frame_transform,
     hamiltonian_fn,
     lab_hamiltonian,
-    omega_max,
     rotating_frame_hamiltonian,
     validity_report,
 )
@@ -57,6 +55,11 @@ class TestParams:
             SystemParams(omega_q=3.0, g=0.2, omega_r=0.0)
         with pytest.raises(ValueError):
             SystemParams(omega_q=3.0, g=0.2, n_qubits=3)
+        # g^2 past the float range, and g^2 / omega_r past it
+        with pytest.raises(ValueError, match=r"g = 1e\+200 is too large"):
+            SystemParams(omega_q=3.0, g=1e200)
+        with pytest.raises(ValueError, match=r"d_coupling must be finite, got inf"):
+            SystemParams(omega_q=3.0, g=1e150, omega_r=1e-10)
 
     def test_drive_from_alpha_round_trip(self):
         d = DriveParams.from_alpha((1.2, -0.7), 3.0)
@@ -548,47 +551,36 @@ class TestValidityReport:
 
 
 class TestProviders:
-    def test_omega_max_values(self, std_params, std_drive):
+    def test_omega_max_values(self, small_layout, std_params, std_drive):
+        """The lab provider's step scale is the peak splitting."""
         p, d = std_params, std_drive
         eps = max(abs(e) for e in d.epsilon)
-        assert omega_max(p, d, "lab-driven") == pytest.approx(p.omega_q + eps)
-        expected_rot = max(
-            abs(p.omega_r - p.omega_q), p.omega_r + p.omega_q, 2 * p.omega_q
-        ) + 2 * max(abs(a) for a in d.alpha) * d.omega_d
-        assert omega_max(p, d, "rotating") == pytest.approx(expected_rot)
-        geffs = effective_couplings(p, d)
-        assert omega_max(p, d, "effective") == pytest.approx(
-            p.omega_r + 2 * sum(abs(g) for g in geffs)
-        )
-        with pytest.raises(ValueError):
-            omega_max(p, d, "interaction")
+        fn = hamiltonian_fn(p, d, "lab-driven", small_layout)
+        assert fn.omega_max == pytest.approx(p.omega_q + eps)
 
     def test_hamiltonian_fn_attributes_and_values(
         self, small_layout, std_params, std_drive
     ):
-        for frame in FRAMES:
-            fn = hamiltonian_fn(std_params, std_drive, frame, small_layout)
-            if frame == "lab-driven":  # the propagators read these off it
-                assert fn.layout == small_layout
-                assert fn.omega_max == pytest.approx(
-                    omega_max(std_params, std_drive, frame)
-                )
-            else:  # a single-time builder, which the propagators refuse
-                assert not hasattr(fn, "layout") and not hasattr(fn, "omega_max")
-            h = fn(0.731)
+        """The lab provider carries what the propagators read off it; it and
+        the single-time builders of the other frames are Hermitian."""
+        fn = hamiltonian_fn(std_params, std_drive, "lab-driven", small_layout)
+        assert fn.layout == small_layout
+        for h in (fn(0.731),
+                  rotating_frame_hamiltonian(std_params, std_drive, 0.731, small_layout).mat,
+                  effective_hamiltonian(std_params, std_drive, 0.731, small_layout).mat):
             assert h.shape == (small_layout.dim, small_layout.dim)
             assert np.max(np.abs(h - h.conj().T)) <= 1e-10
 
     def test_provider_matches_builders(self, small_layout, std_params, std_drive):
         t = 1.17
-        pairs = [
-            ("lab-driven", driven_hamiltonian(std_params, std_drive, t, small_layout)),
-            (
-                "rotating",
-                rotating_frame_hamiltonian(std_params, std_drive, t, small_layout, l_max=20),
-            ),
-            ("effective", effective_hamiltonian(std_params, std_drive, t, small_layout)),
-        ]
-        for frame, ref in pairs:
-            fn = hamiltonian_fn(std_params, std_drive, frame, small_layout)
-            assert np.max(np.abs(fn(t) - ref.mat)) <= 1e-12
+        ref = driven_hamiltonian(std_params, std_drive, t, small_layout)
+        fn = hamiltonian_fn(std_params, std_drive, "lab-driven", small_layout)
+        assert np.max(np.abs(fn(t) - ref.mat)) <= 1e-12
+
+    @pytest.mark.parametrize("frame", ["rotating", "effective", "interaction"])
+    def test_other_frames_are_refused(self, small_layout, std_params, std_drive, frame):
+        """hamiltonian_fn builds only the lab provider, and names the
+        single-time builders of the other frames."""
+        with pytest.raises(ValueError, match=f"not '{frame}'; rotating_frame_hamiltonian "
+                                             "and effective_hamiltonian"):
+            hamiltonian_fn(std_params, std_drive, frame, small_layout)

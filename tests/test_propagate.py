@@ -53,11 +53,12 @@ from condisp import DriveParams, HilbertLayout, SystemParams, model, propagate
 from condisp.cat import cat_fidelity_experiment
 from condisp.gate import gate_columns
 from condisp.hilbert import Ket, basis_state, ladder, pauli_on
-from condisp.model import _mixer, frame_phases, hamiltonian_fn
+from condisp.model import frame_phases, hamiltonian_fn
 from condisp.propagate import (
     DEFAULT_STEPS_PER_PERIOD,
     _effective_states,
     _expmv,
+    _mixer,
     EvolutionConfig,
     PropagationAccuracyError,
     evolve,
@@ -113,9 +114,9 @@ def _rk4_distance(fn, psi0: Ket, t_end: float) -> float:
 
 
 def _plan(fn, v0: np.ndarray, nodes, dt: float = 1.0):
-    """model._mixer's plan of one propagation of v0 under fn's parts:
+    """propagate._mixer's plan of one propagation of v0 under fn's parts:
     Magnus steps of dt at the given node pairs (t_1, t_2)."""
-    return _mixer(fn.parts, v0, [np.array(nodes, dtype=float)], dt, propagate._STOP)
+    return _mixer(fn.parts, v0, [np.array(nodes, dtype=float)], dt)
 
 
 def _operator(fn, v0: np.ndarray, t: float, dt: float = 1.0):
@@ -272,15 +273,15 @@ class TestCoefficientForm:
     @pytest.mark.parametrize("kind", ["plain", "rotating", "effective"])
     def test_other_providers_are_refused(self, kind, entry):
         """Only a lab provider, or a wrapper that carries its parts, is
-        propagated: a plain function and the rotating and effective
-        providers are refused by one ValueError that names their type."""
+        propagated: a plain function of the lab, rotating-frame or
+        effective H(t) is refused by one ValueError that names its type."""
         lab = _lab_provider(1, 8)
-        if kind == "plain":
-            def fn(t: float) -> np.ndarray:
-                return lab(t)
-        else:
-            p = SystemParams(omega_q=3.0, g=0.2, n_qubits=1)
-            fn = hamiltonian_fn(p, DriveParams.from_alpha((1.832,), 3.0), kind, lab.layout)
+        p = SystemParams(omega_q=3.0, g=0.2, n_qubits=1)
+        d = DriveParams.from_alpha((1.832,), 3.0)
+        fn = {"plain": lambda t: lab(t),
+              "rotating": lambda t: model.rotating_frame_hamiltonian(p, d, t, lab.layout).mat,
+              "effective": lambda t: model.effective_hamiltonian(p, d, t, lab.layout).mat,
+              }[kind]
         psi0 = basis_state(lab.layout, "g", 0)
         run = {"evolve": lambda: evolve(fn, psi0, 1.0, EvolutionConfig(), 2),
                "evolve_columns": lambda: evolve_columns(fn, psi0.vec, 1.0, EvolutionConfig()),
@@ -550,7 +551,7 @@ class TestBufferedApply:
             x = np.asfortranarray(x)
         ops, into, _ = _plan(fn, x, nodes, dt)
         # the plan's back would unwind the twist of the steps' turns
-        unpack = model._packing(fn.parts, x)[3]
+        unpack = propagate._packing(fn.parts, x)[3]
         return fn, ops, into, unpack, x
 
     @pytest.mark.parametrize("n_qubits", [1, 2])
@@ -681,10 +682,10 @@ class TestKernelChoice:
         fn = _lab_provider(n_qubits, 8)
         psi0 = basis_state(fn.layout, "g" * n_qubits, 0)
         with monkeypatch.context() as m:
-            m.setattr(model, other, self._refuse)
+            m.setattr(propagate, other, self._refuse)
             a = evolve(fn, psi0, 1.0, EvolutionConfig(), 2)
         assert np.max(np.abs(a.final.vec - psi0.vec)) > 0.1
-        monkeypatch.setattr(model, kernel, self._refuse)
+        monkeypatch.setattr(propagate, kernel, self._refuse)
         with pytest.raises(AssertionError, match="kernel not expected"):
             evolve(fn, psi0, 1.0, EvolutionConfig(), 2)
 
@@ -756,7 +757,7 @@ class TestStackedPropagation:
         dim = h.layout.dim
         v0 = self._columns(len(members) * dim, 2, 5)
         v0[3 * dim:] = 0.0  # an empty member is left out of the plan, and stays empty
-        monkeypatch.setattr(model, other, TestKernelChoice._refuse)
+        monkeypatch.setattr(propagate, other, TestKernelChoice._refuse)
         got = evolve_columns(self._stack(members), v0, 1.3, EvolutionConfig())
         assert not np.any(got[3 * dim:])
         for i, member in enumerate(members[:3]):
@@ -811,7 +812,7 @@ class TestPlanChunks:
     def _spied(case: str, chunk: int, monkeypatch):
         h, v0 = _chunk_case(case)
         seen = []
-        modulation = model._modulation
+        modulation = propagate._modulation
 
         def spy(parts, t):
             seen.append(np.array(t, dtype=float))
@@ -819,7 +820,7 @@ class TestPlanChunks:
 
         times, n_sub = propagate._sample_grid(1.0, EvolutionConfig().resolve_dt(h.omega_max), 3)
         with monkeypatch.context() as m:
-            m.setattr(model, "_modulation", spy)
+            m.setattr(propagate, "_modulation", spy)
             m.setattr(propagate, "_PLAN_CHUNK", chunk)
             states = propagate._run(h.parts, v0, times, n_sub, norm_gate=True)
         # the provider is a _LabProvider, so its H(t) is never formed:
@@ -1010,7 +1011,8 @@ class TestMagnusStep:
             dt = 2 * np.pi / (50 * fn.omega_max) / 2**i
             ts = [0.4 + f * dt for f in propagate._GAUSS_NODES]
             ops, into, back = _plan(fn, x, [ts], dt)
-            got = back(propagate._m4_step(ops, into(x)))
+            turn, op = next(ops)
+            got = back(_expmv(op, turn(into(x))))
             h1, h2 = fn(ts[0]), fn(ts[1])
             exponent = -0.5j * dt * (h1 + h2) + np.sqrt(3) / 12 * dt**2 * (h1 @ h2 - h2 @ h1)
             errs.append(np.linalg.norm(got - expm(exponent) @ x))
@@ -1125,14 +1127,21 @@ class TestFrameConsistency:
     def test_lab_then_rotate_equals_rotating_evolution(self):
         """Evolve in the lab frame, rotate the result; compare against
         SciPy's DOP853 integration of the same state under the
-        rotating-frame Hamiltonian."""
+        rotating-frame Hamiltonian, summed from its sideband terms
+        (model._rotating_terms, built once)."""
         lay = HilbertLayout(2, 8)
         p = SystemParams(omega_q=3.0, g=0.2)
         d = DriveParams.from_alpha((1.20242, -1.20242), 3.0)
         psi0 = basis_state(lay, "gg", 0)
         t_end = 2 * np.pi / p.omega_r
         lab = hamiltonian_fn(p, d, "lab-driven", lay)
-        rot = hamiltonian_fn(p, d, "rotating", lay)
+        mats, pref, det, rows = model._rotating_terms(p, d, lay, 20)
+
+        def rot(t: float) -> np.ndarray:
+            series = rows @ np.cos(np.arange(21) * (d.omega_d * t - d.phi))
+            h = np.tensordot(pref * np.exp(1j * det * t) * series, mats, axes=1)
+            return h + h.conj().T
+
         lab_final = evolve(lab, psi0, t_end, EvolutionConfig(), 4).final.vec
         rotated = np.conj(frame_phases(t_end, p, d, lay)) * lab_final
         rot_final = solve_ivp(lambda t, y: -1j * (rot(t) @ y), (0.0, t_end), psi0.vec,
