@@ -8,10 +8,11 @@ conditional-displacement phase gate, Schrodinger-cat generation).
 
 condisp.model holds the physics and the lab generator's data; the
 propagators of condisp.propagate (evolve, evolve_columns, propagator)
-plan and take every Magnus step. They take the lab provider,
-hamiltonian_fn(..., "lab-driven", ...), or a wrapper that carries its
-parts; the rotating and effective frames have single-time builders
-(rotating_frame_hamiltonian, effective_hamiltonian) only.
+decide what they accept, and plan, take and guard every Magnus step.
+They take the lab provider, hamiltonian_fn(..., "lab-driven", ...), or
+a wrapper that carries its parts; the rotating and effective frames have
+single-time builders (rotating_frame_hamiltonian, effective_hamiltonian)
+only.
 """
 __version__ = "0.1.0"
 

@@ -10,15 +10,15 @@ amplifying the cat amplitude linearly in the step count.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .hilbert import NORM_TOL, HilbertLayout, Ket, basis_state, coherent_amplitudes
-from .model import (DriveParams, SystemParams, beta_phi, _checked_parts,
-                    effective_couplings, frame_phases, hamiltonian_fn, _LabProvider,
-                    _mirrored, _require_quadrature, _stack)
-from .propagate import EvolutionConfig, PropagationAccuracyError, evolve_columns
+from .model import (DriveParams, SystemParams, beta_phi, effective_couplings,
+                    frame_phases, hamiltonian_fn, _mirrored, _require_quadrature,
+                    _stack)
+from .propagate import EvolutionConfig, PropagationAccuracyError, _checked, evolve_columns
 
 __all__ = [
     "CatDecomposition",
@@ -165,9 +165,9 @@ def cat_fidelity_experiment(params: SystemParams, drive: DriveParams, k: int,
     propagations carries a forward step of |g,0> and a mirror step of z
     together, on the two-member stack of the lab parts and their mirror
     (model._stack), and an odd k adds one single forward step: ceil(k/2)
-    propagations in all, each on a model._LabProvider of parts taken
-    once. The analytic target assumes phi = pi/2, so any other
-    modulation phase is rejected. The target is built first, so a
+    propagations in all, of the provider propagate._checked checks once.
+    The analytic target assumes phi = pi/2, so any other modulation phase
+    is rejected. The target is built first, so a
     displacement beyond the truncation budget raises before anything is
     propagated; a norm drift of either half beyond 1e-6 raises
     PropagationAccuracyError naming k.
@@ -180,17 +180,16 @@ def cat_fidelity_experiment(params: SystemParams, drive: DriveParams, k: int,
     ratio = effective_couplings(params, drive)[0] / params.omega_r
     target = multi_step_cat(ratio, k, layout, params.omega_r)
     t0 = STEP_TIME_FACTOR / params.omega_r
-    h = hamiltonian_fn(params, drive, "lab-driven", layout)
-    parts = _checked_parts(h, t0)
+    h = _checked(hamiltonian_fn(params, drive, "lab-driven", layout), t0)
     back = np.conj(frame_phases(t0, params, drive, layout))
     fwd, bwd = basis_state(layout, "g", 0).vec, np.conj(target.vec)
     if k > 1:
-        pair = _LabProvider(_stack([parts, _mirrored(parts, t0)]), h.omega_max)
+        pair = replace(h, parts=_stack([h.parts, _mirrored(h.parts, t0)]), layout=None)
     for _ in range(k // 2):
         both = evolve_columns(pair, np.concatenate([fwd, back * bwd]), t0, cfg)
         fwd, bwd = back * both[:layout.dim], both[layout.dim:]
     if k % 2:
-        fwd = back * evolve_columns(_LabProvider(parts, h.omega_max, layout), fwd, t0, cfg)
+        fwd = back * evolve_columns(h, fwd, t0, cfg)
     for half, vec, norm, steps in (("forward", fwd, 1.0, k - k // 2),
                                    ("backward", bwd, np.linalg.norm(target.vec), k // 2)):
         drift = abs(float(np.linalg.norm(vec)) - norm)

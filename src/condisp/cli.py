@@ -512,7 +512,6 @@ def _flag(sub: argparse.ArgumentParser, flag: str, key: str, **kw) -> None:
 
 
 def _add_run_flags(sub: argparse.ArgumentParser) -> None:
-    _flag(sub, "--seed", "gate.seed", type=int, help="random seed (gate trials)")
     _flag(sub, "--out", "output.dir", metavar="DIR", help="output directory")
     _flag(sub, "--fock-dim", "system.fock_dim", type=int,
           help="resonator truncation dimension")
@@ -551,6 +550,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config(p)
     _add_run_flags(p)
     _flag(p, "--trials", "gate.trials", type=int, help="number of random trial states")
+    _flag(p, "--seed", "gate.seed", type=int, help="random seed of the trial states")
     p.add_argument("--per-trial", action="store_true",
                    help="also write a per-trial fidelity CSV")
     p.add_argument("--preset", choices=["gate-weak", "gate-strong"])
@@ -563,7 +563,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--preset", choices=["cat-1step", "cat-2step"])
 
     p = subs.add_parser("bessel", help="evaluate J_l(x) (debug aid)")
-    _add_config(p)
     p.add_argument("--order", type=int, required=True)
     p.add_argument("--x", type=float, required=True)
 
@@ -577,6 +576,7 @@ def build_parser() -> argparse.ArgumentParser:
     _flag(p, "--workers", "sweep.workers", type=int, help="parallel workers for grid points")
     _flag(p, "--steps", "cat.steps", type=int, help="cat steps (cat-fidelity metric)")
     _flag(p, "--trials", "gate.trials", type=int, help="gate trials (gate-fidelity metric)")
+    _flag(p, "--seed", "gate.seed", type=int, help="gate trial seed (gate-fidelity metric)")
     _flag(p, "--periods", "trace.periods", type=float, help="trace length for f1 metrics")
 
     return parser
@@ -587,7 +587,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.command == "bessel":
-            _load_layers(args, args.command)  # surface config diagnostics
             return _run_bessel(args.order, args.x)
         cfg, given = _load_layers(args, args.command)
         if args.command == "gate-fidelity" and args.per_trial:

@@ -21,16 +21,16 @@ columns over half the period only.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .hilbert import (HilbertLayout, Operator, _check_truncation,
                       _displacement_fock)
-from .model import (DriveParams, SystemParams, beta_phi, _checked_parts,
-                    effective_couplings, frame_phases, hamiltonian_fn, _LabProvider,
-                    _mirrored, _require_quadrature, _stack)
-from .propagate import EvolutionConfig, evolve_columns
+from .model import (DriveParams, SystemParams, beta_phi, effective_couplings,
+                    frame_phases, hamiltonian_fn, _mirrored, _require_quadrature,
+                    _stack)
+from .propagate import EvolutionConfig, _checked, evolve_columns
 
 __all__ = [
     "GateAngle",
@@ -206,8 +206,8 @@ def gate_columns(params: SystemParams, drive: DriveParams,
     multiple of 2 pi, as in every gate preset), P_m = P and one
     propagation of the four columns over half the period serves both
     sides; otherwise the drive and its mirror propagate them together as
-    a two-member stack (model._stack). The parts are taken once
-    (model._checked_parts), and each propagation keeps evolve_columns'
+    a two-member stack (model._stack). The provider is checked once
+    (propagate._checked), and each propagation keeps evolve_columns'
     overlap guard. The loop's largest branch displacement,
     max_s |2 G_s / omega_r| with G_s = sum_m s_m g_eff,m, must pass the
     truncation budget; ValueError otherwise, before anything is
@@ -223,15 +223,13 @@ def gate_columns(params: SystemParams, drive: DriveParams,
     v0 = np.zeros((dim, 4), dtype=complex)
     for q in range(4):
         v0[q * nf, q] = 1.0
-    h = hamiltonian_fn(params, drive, "lab-driven", layout)
-    parts = _checked_parts(h, t_gate)
-    mirror = _mirrored(parts, t_gate)
+    h = _checked(hamiltonian_fn(params, drive, "lab-driven", layout), t_gate)
+    mirror = _mirrored(h.parts, t_gate)
     if all(abs(math.remainder(a - b, 2.0 * math.pi)) <= _PHASE_TOL
-           for a, b in zip(mirror.phi, parts.phi)):
-        fwd = bwd = evolve_columns(_LabProvider(parts, h.omega_max, layout), v0,
-                                   t_gate / 2, cfg)
+           for a, b in zip(mirror.phi, h.parts.phi)):
+        fwd = bwd = evolve_columns(h, v0, t_gate / 2, cfg)
     else:
-        both = evolve_columns(_LabProvider(_stack([parts, mirror]), h.omega_max),
+        both = evolve_columns(replace(h, parts=_stack([h.parts, mirror]), layout=None),
                               np.concatenate([v0, v0]), t_gate / 2, cfg)
         fwd, bwd = both[:dim], both[dim:]
     b = np.conj(frame_phases(t_gate, params, drive, layout))[0::nf]

@@ -25,14 +25,13 @@ All frequencies are in units of omega_r. The driven lab generator is
 carried as data: a _LabProvider holds its parity-block parts (_Blocks),
 from which it assembles H(t), and _mirrored and _stack map parts to
 parts. It is the only provider the propagators take; condisp.propagate
-owns the step and its plan, and the other frames have builders at one
-time only.
+owns what they accept, the step and its plan, and the other frames have
+builders at one time only.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable
 
 import numpy as np
 
@@ -526,37 +525,6 @@ class _LabProvider:
 
     def __call__(self, t: float) -> np.ndarray:
         return _assemble_parts((1.0, _modulation(self.parts, t)), self.parts)
-
-
-def _checked_parts(h: Callable[[float], np.ndarray], t: float) -> _Blocks:
-    """The _Blocks of a lab provider, the only kind the propagators take.
-
-    A caller that applies the parts never calls h itself. A _LabProvider
-    assembles H(t) from its own parts, so they are taken as they are, h
-    unevaluated. Any other callable that carries parts, such as a wrapper
-    that copies a provider's attributes (as functools.wraps does), is
-    evaluated once, at t, and must return the parts assembled there in
-    the product basis; one that changes what it returns raises ValueError
-    instead of being propagated as the provider it wraps. Any other
-    callable raises ValueError naming its type.
-    """
-    if isinstance(h, _LabProvider):
-        return h.parts
-    parts = getattr(h, "parts", None)
-    if not isinstance(parts, _Blocks):
-        raise ValueError(
-            "the propagators take a lab-driven provider of hamiltonian_fn, or a "
-            f"wrapper that carries its parts, not a {type(h).__qualname__}"
-        )
-    dense = np.asarray(h(t))
-    scale = max(1.0, float(np.max(np.abs(dense))))
-    diff = float(np.max(np.abs(dense - _assemble_parts((1.0, _modulation(parts, t)), parts))))
-    if diff > 1e-12 * scale:
-        raise ValueError(
-            f"provider's H(t) differs from its coefficient form by {diff:.3e} "
-            f"at t = {t:g}"
-        )
-    return parts
 
 
 def _mirrored(parts: _Blocks, t: float) -> _Blocks:

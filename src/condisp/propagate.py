@@ -29,22 +29,26 @@ a term's squared norm falls below 1e-32 of the initial state's, taken
 once per propagation (of the smallest member's, for a stack). An
 exponential almost always stops where its operator's last one did, so
 it applies that many terms untested and checks them by one batched
-norm, going on term by term only if none passes. This module owns the
-step and its plan; model supplies only the lab generator's parts. _mixer
-plans each propagation once, from its initial state, and reads its step
-schedule _PLAN_CHUNK steps at a time: node times, then the modulation
-sin(omega_d t - phi) at all of them, from which it forms the chunk's
-diagonals and turn phases at once. Lab providers are never evaluated: they are propagated
-from the parts they carry, and only a wrapper that carries a provider's
-parts is evaluated, once per propagation (once per experiment for the
-cat and the gate, which propagate providers built from the parts they
-take), to check them. Their static part is premixed once, as dt h0, so
-loading the next step only points the operator at its diagonal, or
-copies it in. At either qubit count the generator is a real block per
-parity sector; the propagation carries only the blocks the initial
-state occupies (the parity keeps the rest at zero) and applies them as
-three bands where they are tridiagonal (one qubit's parity chains),
-else by one batched real matmul (two qubits). A stack of lab parts
+norm, going on term by term only if none passes. This module owns what
+the propagators accept, the step and its plan; model supplies only the
+lab generator's parts. _checked takes a provider once: a lab provider
+is never evaluated, it is propagated from the parts it carries, and a
+wrapper that carries a provider's parts is evaluated once, to check
+them, and becomes the lab provider of its parts (once per propagation
+for the public propagators, once per experiment for fidelity_trace, the
+cat and the gate). Every propagation then runs through _run, which
+checks every sample for drift of its norm, or of its columns'
+overlaps, one way. _mixer plans each propagation once, from its initial
+state, and reads its step schedule _PLAN_CHUNK steps at a time: node
+times, then the modulation sin(omega_d t - phi) at all of them, from
+which it forms the chunk's diagonals and turn phases at once. The
+static part is premixed once, as dt h0, so loading the next step only
+points the operator at its diagonal, or copies it in. At either qubit
+count the generator is a real block per parity sector; the propagation
+carries only the blocks the initial state occupies (the parity keeps
+the rest at zero) and applies them as three bands where they are
+tridiagonal (one qubit's parity chains), else by one batched real matmul
+(two qubits). A stack of lab parts
 (model._stack) lays their parity sectors end to end, so the same
 kernels propagate all its members at once, one apply per Taylor term.
 Both experiments meet in the middle by one identity: the lab generator
@@ -71,8 +75,8 @@ import numpy as np
 
 from .hilbert import Ket, Operator, NORM_TOL, coherent_amplitudes
 from .model import (DriveParams, SystemParams, beta_phi, effective_couplings,
-                    frame_phases, hamiltonian_fn, _Blocks, _checked_parts,
-                    _LabProvider, _modulation, _require_quadrature)
+                    frame_phases, hamiltonian_fn, _Blocks, _LabProvider, _modulation,
+                    _require_quadrature)
 
 __all__ = [
     "DEFAULT_STEPS_PER_PERIOD",
@@ -102,6 +106,9 @@ _STEP_FRACTION = 2.0 * math.pi / 50.0  # hard ceiling: dt * omega_max
 _TAYLOR_RTOL = 1e-16
 _TAYLOR_MAX_TERMS = 200
 _UNITARITY_TOL = 1e-7
+# Steps one propagation may take: at about 50 us per Magnus step on the
+# gate and the cat, 10^9 of them run for over 13 hours.
+_MAX_STEPS = 10**9
 # Steps whose node times, diagonals and turn phases a propagation forms
 # at once, a row per step: on the k = 6 cat at Fock 128, 16 steps ran
 # level with 64, which held 0.7 MiB more in those rows, and 8 made an op
@@ -466,18 +473,17 @@ def _expmv(op, x: np.ndarray) -> np.ndarray:
 
 def _sample_grid(t_end: float, dt: float, n_samples: int):
     """Uniform sample times plus the substep count inside each interval;
-    ValueError, before anything is planned, past 2^62 steps (int64 indices)."""
-    if not t_end / dt < 2.0**62:
-        raise ValueError(f"dt = {dt:g} takes {t_end / dt:.3g} steps to t = {t_end:g}, "
-                         "more than the 2^62 a propagation can index")
-    times = np.linspace(0.0, t_end, n_samples + 1)
-    span = t_end / n_samples
-    n_sub = max(1, math.ceil(span / dt - 1e-9))
-    return times, n_sub
+    ValueError, before anything is planned, past _MAX_STEPS steps."""
+    n_sub = max(1, math.ceil(min(t_end / n_samples / dt, _MAX_STEPS + 1) - 1e-9))
+    steps = max(t_end / dt, n_sub * n_samples)
+    if steps > _MAX_STEPS:
+        raise ValueError(f"dt = {dt:g} takes {steps:.3g} steps to t = {t_end:g}, "
+                         f"more than the {_MAX_STEPS:.0e} a propagation may take")
+    return np.linspace(0.0, t_end, n_samples + 1), n_sub
 
 
 def _run(parts: _Blocks, v0: np.ndarray, times: np.ndarray,
-         n_sub: int, norm_gate: bool) -> list[np.ndarray]:
+         n_sub: int) -> list[np.ndarray]:
     """States at every sample time under the lab parts, n_sub steps per
     sample interval.
 
@@ -490,8 +496,11 @@ def _run(parts: _Blocks, v0: np.ndarray, times: np.ndarray,
     e^{i(K_n - K_{n-1})} and applies exp(-i dt Hbar), which gives e^{+iK_n}
     (e^{-iK_n} exp(-i dt Hbar) e^{+iK_n} v), the Magnus step; the state
     stays twisted until the plan's back unwinds it where a sample leaves.
-    A Taylor series that does not converge raises PropagationAccuracyError
-    naming its step and the time the step starts at.
+    Every sample C is checked against v0 = C0 (a state or a column block)
+    by max |C^dag C - C0^dag C0|, the drift of a state's squared norm or of
+    a block's overlaps; beyond NORM_TOL, and for a Taylor series that
+    does not converge, PropagationAccuracyError names the sample (or the
+    step) and its time.
     """
     steps = (len(times) - 1) * n_sub
     dt = float(times[-1]) / steps
@@ -503,6 +512,8 @@ def _run(parts: _Blocks, v0: np.ndarray, times: np.ndarray,
             yield starts[:, None] + np.multiply(dt, _GAUSS_NODES)
 
     v0 = np.asarray(v0, dtype=complex)
+    c0 = v0.reshape(len(v0), -1)
+    gram0 = c0.conj().T @ c0
     ops, into, back = _mixer(parts, v0, node_chunks(), dt)
     v = into(v0)
     out = [back(v)]
@@ -515,16 +526,63 @@ def _run(parts: _Blocks, v0: np.ndarray, times: np.ndarray,
                 n, t = i * n_sub + j + 1, float(times[i] + j * dt)
                 raise PropagationAccuracyError(f"{exc} (step {n}, t = {t:g})",
                                                step=n, time=t) from None
-        if norm_gate:
-            drift = abs(np.linalg.norm(v) - 1.0)
-            if drift > NORM_TOL:
-                raise PropagationAccuracyError(
-                    f"norm drifted by {drift:.3e} (budget {NORM_TOL:g}) at "
-                    f"sample {i + 1}, t = {times[i + 1]:g}",
-                    step=i + 1, time=float(times[i + 1]),
-                )
-        out.append(back(v))
+        x = back(v)
+        c = x.reshape(len(x), -1)
+        drift = float(np.max(np.abs(c.conj().T @ c - gram0)))
+        if drift > NORM_TOL:
+            t = float(times[i + 1])
+            raise PropagationAccuracyError(
+                f"norm drifted by {drift:.3e} (max |C^dag C - C0^dag C0|, budget "
+                f"{NORM_TOL:g}) at sample {i + 1}, t = {t:g}", step=i + 1, time=t)
+        out.append(x)
     return out
+
+
+def _checked(h: _LabProvider, t: float) -> _LabProvider:
+    """The lab provider h is or carries, the only kind the propagators take.
+
+    t, the end of the propagation, must be finite and >= 0 (ValueError,
+    before h is evaluated). A _LabProvider comes back as it is,
+    unevaluated. Any other callable that carries parts, such as a wrapper
+    that copies a provider's attributes (as functools.wraps does), is
+    evaluated once, at t, and must return its parts assembled there in
+    the product basis; it comes back as the _LabProvider of its parts,
+    omega_max and layout. One whose H(t) differs raises ValueError instead
+    of being propagated as the provider it wraps, and any other callable
+    raises ValueError naming its type.
+    """
+    if not (math.isfinite(t) and t >= 0):
+        raise ValueError(f"t_end must be >= 0, got {t}")
+    if isinstance(h, _LabProvider):
+        return h
+    parts = getattr(h, "parts", None)
+    if not isinstance(parts, _Blocks):
+        raise ValueError(
+            "the propagators take a lab-driven provider of hamiltonian_fn, or a "
+            f"wrapper that carries its parts, not a {type(h).__qualname__}"
+        )
+    lab = _LabProvider(parts, h.omega_max, h.layout)
+    dense = np.asarray(h(t))
+    scale = max(1.0, float(np.max(np.abs(dense))))
+    diff = float(np.max(np.abs(dense - lab(t))))
+    if diff > 1e-12 * scale:
+        raise ValueError(
+            f"provider's H(t) differs from its coefficient form by {diff:.3e} "
+            f"at t = {t:g}"
+        )
+    return lab
+
+
+def _propagate(h: _LabProvider, v0: np.ndarray, t_end: float, cfg: EvolutionConfig,
+               n_samples: int = 1) -> tuple[np.ndarray, list[np.ndarray]]:
+    """(times, states): v0 propagated under the checked provider h over
+    n_samples uniform intervals of [0, t_end], at the step cfg resolves
+    from h's own frequency scale, each sample guarded by _run. At t_end =
+    0 that is v0 alone, copied."""
+    if t_end == 0.0:
+        return np.zeros(1), [np.array(v0, dtype=complex)]
+    times, n_sub = _sample_grid(t_end, cfg.resolve_dt(h.omega_max), n_samples)
+    return times, _run(h.parts, v0, times, n_sub)
 
 
 def evolve(h: _LabProvider, psi0: Ket, t_end: float,
@@ -535,24 +593,17 @@ def evolve(h: _LabProvider, psi0: Ket, t_end: float,
     carries its parts; any other callable raises ValueError. Its own
     frequency scale sets the default step. The trajectory is sampled at
     n_samples uniform intervals (plus t=0), and the norm is checked at
-    every sample; drift beyond 1e-6 raises PropagationAccuracyError
-    naming the offending sample.
+    every sample; a squared norm that drifts beyond 1e-6 raises
+    PropagationAccuracyError naming the offending sample.
     """
-    if not (math.isfinite(t_end) and t_end >= 0):
-        raise ValueError(f"t_end must be >= 0, got {t_end}")
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
-    parts = _checked_parts(h, t_end)
+    h = _checked(h, t_end)
     if h.layout != psi0.layout:
         raise ValueError("provider layout does not match the initial state")
     if abs(psi0.norm() - 1.0) > NORM_TOL:
         raise ValueError("initial state must be normalized")
-    if t_end == 0.0:
-        times = np.zeros(1)
-        return Trajectory(times, (psi0,), np.array([psi0.norm()]))
-    dt = cfg.resolve_dt(h.omega_max)
-    times, n_sub = _sample_grid(t_end, dt, n_samples)
-    vecs = _run(parts, psi0.vec, times, n_sub, norm_gate=True)
+    times, vecs = _propagate(h, psi0.vec, t_end, cfg, n_samples)
     states = tuple(Ket(psi0.layout, v) for v in vecs)
     norms = np.array([s.norm() for s in states])
     return Trajectory(times, states, norms)
@@ -566,31 +617,12 @@ def evolve_columns(h: _LabProvider, v0: np.ndarray, t_end: float,
     or a wrapper that carries a provider's parts; any other callable
     raises ValueError. This is how the gate and cat experiments
     propagate the subspace they need without paying for the full
-    propagator. No samples are kept; instead the overlaps of the columns
-    must be preserved, and a drift of max |C^dag C - V0^dag V0| beyond
-    1e-6 raises PropagationAccuracyError naming t_end.
+    propagator. No samples are kept but the one at t_end, where the
+    overlaps of the columns must be preserved: a drift of max |C^dag C -
+    V0^dag V0| beyond 1e-6 raises PropagationAccuracyError naming sample 1
+    and t_end.
     """
-    if not (math.isfinite(t_end) and t_end >= 0):
-        raise ValueError(f"t_end must be >= 0, got {t_end}")
-    return _columns(h, _checked_parts(h, t_end), v0, t_end, cfg)
-
-
-def _columns(h: _LabProvider, parts: _Blocks, v0: np.ndarray, t_end: float,
-             cfg: EvolutionConfig) -> np.ndarray:
-    """evolve_columns under h's checked parts."""
-    if t_end == 0.0:
-        return v0.astype(complex, copy=True)
-    dt = cfg.resolve_dt(h.omega_max)
-    times, n_sub = _sample_grid(t_end, dt, 1)
-    out = _run(parts, v0, times, n_sub, norm_gate=False)[-1]
-    c, c0 = out.reshape(len(out), -1), v0.reshape(len(v0), -1)
-    drift = float(np.max(np.abs(c.conj().T @ c - c0.conj().T @ c0)))
-    if drift > NORM_TOL:
-        raise PropagationAccuracyError(
-            f"column overlaps drifted by {drift:.3e} (budget {NORM_TOL:g}) "
-            f"at t = {t_end:g}", time=float(t_end),
-        )
-    return out
+    return _propagate(_checked(h, t_end), v0, t_end, cfg)[1][-1]
 
 
 def propagator(h: _LabProvider, t_end: float, cfg: EvolutionConfig) -> Operator:
@@ -602,20 +634,17 @@ def propagator(h: _LabProvider, t_end: float, cfg: EvolutionConfig) -> Operator:
     returning; a propagation that has drifted fails here rather than
     feeding silent garbage downstream.
     """
-    if not (math.isfinite(t_end) and t_end >= 0):
-        raise ValueError(f"t_end must be >= 0, got {t_end}")
-    parts = _checked_parts(h, t_end)
-    layout = h.layout
-    if layout is None:
+    h = _checked(h, t_end)
+    if h.layout is None:
         raise ValueError("propagator needs a provider of one layout, not a stack")
-    u = _columns(h, parts, np.eye(layout.dim, dtype=complex), t_end, cfg)
-    err = np.max(np.abs(u.conj().T @ u - np.eye(layout.dim)))
+    u = _propagate(h, np.eye(h.layout.dim, dtype=complex), t_end, cfg)[1][-1]
+    err = np.max(np.abs(u.conj().T @ u - np.eye(h.layout.dim)))
     if err > _UNITARITY_TOL:
         raise PropagationAccuracyError(
             f"propagator lost unitarity: max |U^dag U - I| = {err:.3e} "
             f"(budget {_UNITARITY_TOL:g})"
         )
-    return Operator(layout, u)
+    return Operator(h.layout, u)
 
 
 def _effective_states(params: SystemParams, drive: DriveParams, psi0: Ket,
@@ -669,11 +698,10 @@ def fidelity_trace(params: SystemParams, drive: DriveParams, psi0: Ket,
     elif n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
 
-    h_lab = hamiltonian_fn(params, drive, "lab-driven", layout)
-    times, n_sub = _sample_grid(t_end, cfg.resolve_dt(h_lab.omega_max), n_samples)
+    h = _checked(hamiltonian_fn(params, drive, "lab-driven", layout), t_end)
+    times, n_sub = _sample_grid(t_end, cfg.resolve_dt(h.omega_max), n_samples)
     eff = _effective_states(params, drive, psi0, times)
-    parts = _checked_parts(h_lab, t_end)
-    lab = np.array(_run(parts, psi0.vec, times, n_sub, norm_gate=True))
+    lab = np.array(_run(h.parts, psi0.vec, times, n_sub))
     # <U^dag lab | eff> = <lab | U eff>, U the frame transform
     eff *= frame_phases(times, params, drive, layout)
     fids = np.abs(np.einsum("ti,ti->t", lab.conj(), eff)) ** 2

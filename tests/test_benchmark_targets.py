@@ -3,7 +3,8 @@
 perfbench/tracer.py lists them in TARGETS as (module, attribute, span). A
 refactor that drops or renames one would only show up as an absent
 target in the benchmark's own, slower self-tests; here it fails the main
-suite. The tracer also wraps each provider hamiltonian_fn builds in a
+suite, as does one that moves a call where the tracer no longer sees it.
+The tracer also wraps each provider hamiltonian_fn builds in a
 function that copies the provider's attributes; such a wrapper must still
 propagate as the provider does. The benchmark's set-up build,
 perfbench/workloads.first_build, calls hamiltonian_fn by its positional
@@ -35,6 +36,7 @@ def _load(name: str):
 
 
 WORKLOADS = _load("workloads")
+TRACER = _load("tracer")
 
 
 @pytest.mark.parametrize("name", WORKLOADS.NAMES)
@@ -48,10 +50,29 @@ def test_first_build(name):
     assert isinstance(h, model._LabProvider) and h.layout == WORKLOADS.model_args(w)[2]
 
 
-@pytest.mark.parametrize("module, attr, span", _load("tracer").TARGETS)
+@pytest.mark.parametrize("module, attr, span", TRACER.TARGETS)
 def test_tracer_target_resolves(module, attr, span):
     assert callable(getattr(importlib.import_module(f"condisp.{module}"), attr, None)), \
         f"condisp.{module}.{attr} (span {span}) is gone"
+
+
+@pytest.mark.parametrize("name, propagation", [("gate", "propagate.evolve_columns"),
+                                               ("cat", "propagate.evolve_columns"),
+                                               ("trace", "propagate.fidelity_trace")])
+def test_tracer_reaches_condisp(name, propagation, tmp_path, capsys):
+    """A small op run as the benchmark runs it, through Tracer.run_op on
+    cli.run, records its build, frame phases and propagation spans, and
+    evaluates the wrapped provider once, to check its parts."""
+    from condisp import cat, cli, gate, model, propagate
+
+    tracer = TRACER.Tracer(str(tmp_path))
+    modules = {"cat": cat, "cli": cli, "gate": gate, "model": model, "propagate": propagate}
+    cfg = WORKLOADS.resolved_config(WORKLOADS.get(name, "small"), str(tmp_path))
+    assert tracer.run_op(3, modules, cli.run, cfg) == 0
+    names = [s[1] for s in tracer.spans]
+    assert tracer.absent == [] and {s[5] for s in tracer.spans} == {3}
+    assert {"model.build", "model.frame_phases", propagation} <= set(names)
+    assert names.count("model.h_eval") == 1
 
 
 def _tracer_wrapper(provider, calls: list):

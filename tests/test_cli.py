@@ -153,7 +153,7 @@ class TestBadInvocations:
         for line in ("system.not_a_key = 1", "evolution.frame = lab-driven",
                      "output.format = csv", "evolution.method = rk4"):
             bad.write_text(line + "\n")
-            code = main(["bessel", "--order", "0", "--x", "1.0", "--config", str(bad)])
+            code = main(["cat-state", "--fock-dim", "8", "--config", str(bad)])
             assert code == 2
             assert "error: line 1: unknown key" in capsys.readouterr().err
 
@@ -167,8 +167,9 @@ class TestBadInvocations:
         ["gate-fidelity", "--phi", "0", "--trials", "200", "--fock-dim", "16"],
         # the gate loop's |2 G_s|^2 = 16 r^2 = 0.996, past Fock 4's 4/9
         ["gate-fidelity", "--g", "0.5", "--fock-dim", "4"],
-        # petabytes of samples or trials, which NumPy refuses at once
+        # 5e14 steps, past the 10^9 a propagation may take
         ["validate-effective", "--periods", "1e12", "--fock-dim", "8"],
+        # petabytes of trials, which NumPy refuses at once
         ["gate-fidelity", "--trials", "1000000000000000", "--fock-dim", "8"],
     ])
     def test_library_errors_exit_2(self, tmp_path, capsys, args):
@@ -197,11 +198,13 @@ class TestBadInvocations:
         (["--g", "1e200", "--trials", "3"], "g = 1e+200 is too large"),
         (["--dt", "1e-20", "--trials", "2"], "dt = 1e-20 takes 3.14e+20 steps"),
         (["--dt", "1e-300", "--trials", "2"], "dt = 1e-300 takes 3.14e+300 steps"),
+        # 3e15 steps, which would run for millennia
+        (["--dt", "1e-15", "--trials", "2"], "dt = 1e-15 takes 3.14e+15 steps"),
     ])
     def test_overflowing_values_exit_2(self, tmp_path, capsys, monkeypatch, args, says):
-        """A g whose square overflows, and a dt whose step count an int64
-        cannot index, end with one error line naming them, before any
-        propagation starts."""
+        """A g whose square overflows, and a dt that takes more than the
+        10^9 steps a propagation may take, end with one error line naming
+        them, before any propagation starts."""
         def no_run(*args, **kwargs):
             raise AssertionError("propagation started")
 
@@ -214,6 +217,19 @@ class TestBadInvocations:
         with pytest.raises(SystemExit) as exc:
             main(["bessel", "--order", "0", "--x", "1.0", "--seed", "5"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("args", [
+        ["validate-effective", "--fock-dim", "8", "--seed", "5"],
+        ["cat-state", "--fock-dim", "8", "--seed", "5"],
+        ["bessel", "--order", "0", "--x", "1.0", "--config", "any.cfg"],
+    ])
+    def test_unread_flags_are_refused(self, capsys, args):
+        """Only gate-fidelity and sweep read the seed, and bessel reads no
+        config; argparse refuses those flags elsewhere."""
+        with pytest.raises(SystemExit) as exc:
+            main(args)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {args[-2]} {args[-1]}" in capsys.readouterr().err
 
     def test_method_flag_is_gone(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -641,10 +657,11 @@ class TestSweepCommand:
         assert err.count("\n") == 1 and "Traceback" not in err
 
     def test_unallocatable_point_named_by_coordinates(self, tmp_path, capsys):
-        # 5e14 samples per trace: petabytes, which NumPy refuses at once
+        # 1e15 gate trials: petabytes of fidelities, which NumPy refuses at once
         code = main(
-            ["sweep", "--metric", "mean-f1", "--periods", "1e12", "--fock-dim", "8",
-             "--axis", "system.g", "0.1", "0.2", "2", "--out", str(tmp_path)]
+            ["sweep", "--metric", "gate-fidelity", "--trials", "1000000000000000",
+             "--fock-dim", "8", "--axis", "system.g", "0.1", "0.2", "2",
+             "--out", str(tmp_path)]
         )
         assert code == 2
         err = capsys.readouterr().err

@@ -399,8 +399,8 @@ class TestGateMeetsInTheMiddle:
 
     @pytest.mark.parametrize("eta, first_bad", [(3.0, 0), (3.0, 211), (3.5, 0)])
     def test_corrupted_propagation_names_its_time(self, eta, first_bad, monkeypatch):
-        """Exponentials that scale their result break evolve_columns'
-        overlap guard in the half-period propagation, from its first
+        """Exponentials that scale their result break the overlap guard of
+        the half-period propagation's one sample, from its first
         exponential or from its last, the 212th at eta = 3."""
         expmv, calls = propagate._expmv, []
 
@@ -411,8 +411,9 @@ class TestGateMeetsInTheMiddle:
 
         monkeypatch.setattr(propagate, "_expmv", scaled)
         p, d, lay = self._setup(eta, eta)
-        with pytest.raises(PropagationAccuracyError, match="column overlaps drifted") as exc:
+        with pytest.raises(PropagationAccuracyError, match="norm drifted") as exc:
             gate_columns(p, d, EvolutionConfig(), lay)
         assert len(calls) == self.FORMS[eta][1] // 2
         t = TWO_PI / 2
-        assert exc.value.time == t and f"at t = {t:g}" in str(exc.value)
+        assert (exc.value.step, exc.value.time) == (1, t)
+        assert f"at sample 1, t = {t:g}" in str(exc.value)

@@ -215,6 +215,22 @@ class TestCoefficientForm:
         with pytest.raises(ValueError, match="coefficient form .* t = 1"):
             evolve(shifted, psi0, 1.0, EvolutionConfig(), 2)
 
+    def test_checked_unwraps_once(self):
+        """_checked returns a lab provider as it is and a wrapper as the
+        _LabProvider it carries, evaluated once; a bad t_end is refused
+        before the wrapper is evaluated."""
+        fn = _lab_provider(1, 8)
+        calls = []
+        wrapper = functools.wraps(fn)(lambda t: calls.append(t) or fn(t))
+        assert propagate._checked(fn, 1.0) is fn
+        lab = propagate._checked(wrapper, 1.0)
+        assert type(lab) is model._LabProvider and calls == [1.0]
+        assert (lab.parts, lab.omega_max, lab.layout) == (fn.parts, fn.omega_max, fn.layout)
+        for t_end in (-1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="t_end must be >= 0"):
+                evolve_columns(wrapper, np.eye(fn.layout.dim)[:, :1], t_end, EvolutionConfig())
+        assert calls == [1.0]
+
     def test_own_provider_is_not_evaluated(self, monkeypatch):
         """A provider that hamiltonian_fn made assembles H(t) from its own
         parts, so propagating it assembles no dense H(t); a wrapper is
@@ -822,7 +838,7 @@ class TestPlanChunks:
         with monkeypatch.context() as m:
             m.setattr(propagate, "_modulation", spy)
             m.setattr(propagate, "_PLAN_CHUNK", chunk)
-            states = propagate._run(h.parts, v0, times, n_sub, norm_gate=True)
+            states = propagate._run(h.parts, v0, times, n_sub)
         # the provider is a _LabProvider, so its H(t) is never formed:
         # every call is a chunk's node times
         assert all(t.ndim for t in seen)
@@ -863,7 +879,7 @@ class TestMergedTurns:
         h, v0 = _chunk_case(case)
         times, n_sub = propagate._sample_grid(1.0, EvolutionConfig().resolve_dt(h.omega_max), 3)
         ref = oracle_helpers.reference_m4(h, v0, times, n_sub)
-        got = propagate._run(h.parts, v0, times, n_sub, norm_gate=True)
+        got = propagate._run(h.parts, v0, times, n_sub)
         assert len(got) == len(ref) == 4
         assert max(np.max(np.abs(a - b)) for a, b in zip(got, ref)) <= 1e-13
 
@@ -1059,6 +1075,33 @@ class TestEvolveColumns:
         with pytest.raises(PropagationAccuracyError, match="t = 5") as exc:
             evolve_columns(fn, v0, 5.0, EvolutionConfig())
         assert exc.value.time == 5.0
+
+
+class TestDriftGuard:
+    """Every propagation passes one guard in _run: a sample whose max
+    |C^dag C - C0^dag C0| drifts past 1e-6 raises PropagationAccuracyError
+    naming the sample and its time, in its message and its step and time."""
+
+    @pytest.mark.parametrize("entry", ["evolve", "evolve_columns", "propagator",
+                                       "gate_columns"])
+    def test_names_its_sample(self, entry, monkeypatch):
+        expmv = propagate._expmv
+        monkeypatch.setattr(propagate, "_expmv", lambda op, v: 1.001 * expmv(op, v))
+        fn, cfg = _lab_provider(2, 4), EvolutionConfig()
+        psi0 = basis_state(fn.layout, "gg", 0)
+        p = SystemParams(omega_q=3.0, g=0.2)
+        d = DriveParams.from_alpha((1.20242, -1.20242), 3.0)
+        run, t = {
+            "evolve": (lambda: evolve(fn, psi0, 1.0, cfg, 4), 0.25),
+            "evolve_columns": (lambda: evolve_columns(fn, np.eye(fn.layout.dim)[:, :3],
+                                                      1.0, cfg), 1.0),
+            "propagator": (lambda: propagator(fn, 1.0, cfg), 1.0),
+            "gate_columns": (lambda: gate_columns(p, d, cfg, fn.layout), np.pi),
+        }[entry]
+        with pytest.raises(PropagationAccuracyError, match="norm drifted") as exc:
+            run()
+        assert (exc.value.step, exc.value.time) == (1, t)
+        assert f"at sample 1, t = {t:g}" in str(exc.value)
 
 
 class TestPropagator:
