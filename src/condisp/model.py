@@ -468,6 +468,9 @@ class _Blocks:
     diag[b] the diagonal of D on it, phi[b] its modulation phase,
     member[b] its member, and order[i] the product-basis index of parity
     position i; a stack's product basis is its members' laid end to end.
+    fock_dim is the resonator cutoff: a sector holds m / fock_dim rows per
+    Fock level (1 at one qubit, 2 at two), so its first w levels are its
+    first w m / fock_dim rows.
     """
 
     h0: np.ndarray      # (sectors, m, m) real
@@ -476,6 +479,7 @@ class _Blocks:
     omega_d: float
     phi: np.ndarray     # (sectors,)
     member: np.ndarray  # (sectors,) int
+    fock_dim: int
 
 
 def _lab_blocks(params: SystemParams, drive: DriveParams,
@@ -491,7 +495,8 @@ def _lab_blocks(params: SystemParams, drive: DriveParams,
         raise ValueError("lab generator is not real within the two parity blocks")
     diag = sum(0.5 * e * s for e, s in zip(drive.epsilon, sz))
     return _Blocks(h.real.copy(), diag[order].reshape(2, -1), order,
-                   drive.omega_d, np.full(2, drive.phi), np.zeros(2, dtype=int))
+                   drive.omega_d, np.full(2, drive.phi), np.zeros(2, dtype=int),
+                   layout.fock_dim)
 
 
 def _modulation(parts: _Blocks, t):
@@ -551,10 +556,11 @@ def _stack(members: list[_Blocks]) -> _Blocks:
     member index, so a state of the stacked basis propagates each
     member's part as that member propagates it alone, in the same band
     and block kernels, with one apply per Taylor term for all members.
-    The members must share the sector size and omega_d.
+    The members must share the Fock cutoff, the sector size and omega_d.
     """
-    if len({(p.h0.shape[1], p.omega_d) for p in members}) != 1:
-        raise ValueError("stacked providers must share the sector size and omega_d")
+    if len({(p.h0.shape[1], p.fock_dim, p.omega_d) for p in members}) != 1:
+        raise ValueError("stacked providers must share the Fock cutoff, the "
+                         "sector size and omega_d")
     rows = np.cumsum([0] + [len(p.order) for p in members])
     firsts = np.cumsum([0] + [p.member.max() + 1 for p in members])
     return _Blocks(
@@ -562,7 +568,7 @@ def _stack(members: list[_Blocks]) -> _Blocks:
         np.concatenate([p.diag for p in members]),
         np.concatenate([p.order + r for p, r in zip(members, rows)]), members[0].omega_d,
         np.concatenate([p.phi for p in members]),
-        np.concatenate([p.member + f for p, f in zip(members, firsts)]))
+        np.concatenate([p.member + f for p, f in zip(members, firsts)]), members[0].fock_dim)
 
 
 def hamiltonian_fn(params: SystemParams, drive: DriveParams, frame: str,

@@ -38,7 +38,7 @@ them, and becomes the lab provider of its parts (once per propagation
 for the public propagators, once per experiment for fidelity_trace, the
 cat and the gate). Every propagation then runs through _run, which
 checks every sample for drift of its norm, or of its columns'
-overlaps, one way. _mixer plans each propagation once, from its initial
+overlaps, one way. _mixer plans each propagation from its initial
 state, and reads its step schedule _PLAN_CHUNK steps at a time: node
 times, then the modulation sin(omega_d t - phi) at all of them, from
 which it forms the chunk's diagonals and turn phases at once. The
@@ -51,6 +51,39 @@ tridiagonal (one qubit's parity chains), else by one batched real matmul
 (two qubits). A stack of lab parts
 (model._stack) lays their parity sectors end to end, so the same
 kernels propagate all its members at once, one apply per Taylor term.
+
+Of those blocks a propagation carries only its Fock window, the first w
+levels, which are the first w m / fock_dim rows of every sector since
+each sector runs by photon number: the levels on which its initial
+state's tail holds more than the Taylor stop, 1e-32 v^2, plus a guard
+band of _GUARD = _TAYLOR_ROWS levels, rounded up to whole bands. The
+generator couples level n only to n -+ 1 and a Taylor term is one
+apply, so a term of degree j < _GUARD carries amplitude from below the
+band no higher than the band. _run checks the band's squared norm
+against the stop at each _PLAN_CHUNK boundary and at each sample, and
+once it passes, plans the rest of the propagation afresh, from the
+state there, on a window at least one band wider, with its own
+operator and power stack. A window that reaches the cutoff runs the
+unwindowed loop and checks nothing; inside _top_level_record, the top
+level's largest population over the samples is recorded, for the CLI's
+truncation warning. The amplitude a window can drop
+is bounded as follows. Let A be the step's prescaled operator on the
+full space, A_w = P A P on the window, E_k(X) = sum_{j<=k} (-iX)^j / j!
+an exponential of degree k < _GUARD (every one that does not fold the
+stack: k <= _TAYLOR_ROWS - 1), and x = x_in + g a step's input, g its
+part on the band. A^j x_in and A_w^j x_in agree for j <= k, since
+neither reaches the top level, so the step drops |E_k(A) x - E_k(A_w)
+x| <= |E_k(A) g| + |E_k(A_w) g| <= 2 e^a |g|, a = dt |Hbar| on the
+levels below w + _GUARD. The twist and the steps are unitary to
+roundoff, so the drops add: a propagation of N steps drops at most
+2 e^a sum_n |g_n| of amplitude. The checks hold |g|^2 <= 1e-32 v^2 at
+every chunk boundary and sample; while the band stays that small, the
+bound is 2 e^a N 1e-16 v, for the k = 6 cat at Fock 128 (N = 272 steps
+a propagation, a of about 1) some 1.5e-13 v, against the drift budget
+of 1e-6. A band that passes the stop between two checks, at most
+_PLAN_CHUNK steps apart, is caught at the next, and enters the sum
+with what it held in between.
+
 Both experiments meet in the middle by one identity: the lab generator
 is real and symmetric and each step is symmetric in its nodes, so a
 propagation over [0, t] under the time mirror H(t - tau)
@@ -65,6 +98,8 @@ amplitudes.
 """
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import functools
 import itertools
 import math
@@ -199,6 +234,27 @@ _TAYLOR_ROWS = 16
 _COEFFS = np.cumprod([1.0] + [-1j / j for j in range(1, _TAYLOR_ROWS)])
 _STOP = _TAYLOR_RTOL ** 2 / np.abs(_COEFFS) ** 2
 _HEADS = [_COEFFS[:j + 1] for j in range(_TAYLOR_ROWS)]
+# Fock levels of the guard band on top of a propagation's window (see
+# _mixer): more than the terms an exponential takes without folding its
+# power stack, so no such term carries amplitude from below the band out
+# of the window.
+_GUARD = _TAYLOR_ROWS
+
+# The open record of _top_level_record, if any, that _run writes into.
+_TOP_LEVEL: contextvars.ContextVar = contextvars.ContextVar("top_level", default=None)
+
+
+@contextlib.contextmanager
+def _top_level_record():
+    """A with block whose propagations record, in the one-element list it
+    yields, the largest population a column of their samples held on the
+    top Fock level (see _run); 0 until one does."""
+    record = [0.0]
+    token = _TOP_LEVEL.set(record)
+    try:
+        yield record
+    finally:
+        _TOP_LEVEL.reset(token)
 
 
 class _Powers:
@@ -282,21 +338,26 @@ def _band_operator(up: np.ndarray, lo: np.ndarray, shape: tuple,
     return op
 
 
-def _packing(parts: _Blocks, v0: np.ndarray):
-    """(sectors, shape, into, back): the parity sectors v0 occupies.
+def _packing(parts: _Blocks, v0: np.ndarray, rows: int):
+    """(sectors, shape, into, back): the first rows rows (the Fock window)
+    of the parity sectors v0 occupies.
 
     parts.order lists the product-basis indices of its sectors, in equal
-    runs. into keeps only the sectors v0 (a state or a (dim, k) column
-    block) occupies and, of each, only the columns v0 occupies there,
-    padded with zero columns to the widest sector: a (sectors, m, columns)
-    array. back scatters such an array into zeros in the product basis.
+    runs, each by photon number, so a run's first rows rows are its
+    levels below rows / (rows per level). into keeps only the sectors v0
+    (a state or a (dim, k) column block) occupies and, of each, only the
+    columns v0 occupies there, padded with zero columns to the widest
+    sector, and of those only the window's rows: a (sectors, rows,
+    columns) array. back scatters such an array into zeros in the product
+    basis, or into out, an array of v0's shape that holds zeros.
     """
     runs = parts.order.reshape(len(parts.h0), -1)
     cols = v0.reshape(len(v0), -1)
     live = [np.flatnonzero(np.any(cols[run], axis=0)) for run in runs]
     sectors = [s for s in range(len(runs)) if len(live[s])] or [0]
-    shape = (len(sectors), runs.shape[1], max(len(live[s]) for s in sectors))
-    cuts = [(i, np.ix_(runs[s], live[s]), len(live[s])) for i, s in enumerate(sectors)]
+    shape = (len(sectors), rows, max(len(live[s]) for s in sectors))
+    cuts = [(i, np.ix_(runs[s][:rows], live[s]), len(live[s]))
+            for i, s in enumerate(sectors)]
 
     def into(x: np.ndarray) -> np.ndarray:
         p = np.zeros(shape, dtype=complex)
@@ -305,8 +366,9 @@ def _packing(parts: _Blocks, v0: np.ndarray):
             p[i, :, :k] = x[rows_cols]
         return p
 
-    def back(p: np.ndarray) -> np.ndarray:
-        out = np.zeros(v0.shape, dtype=complex)
+    def back(p: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        if out is None:
+            out = np.zeros(v0.shape, dtype=complex)
         flat = out.reshape(len(out), -1)
         for i, rows_cols, k in cuts:
             flat[rows_cols] = p[i, :, :k]
@@ -314,9 +376,27 @@ def _packing(parts: _Blocks, v0: np.ndarray):
     return sectors, shape, into, back
 
 
-def _mixer(parts: _Blocks, v0: np.ndarray, chunks: Iterable[np.ndarray], dt: float):
-    """(ops, into, back): the plan of one propagation of v0 under the lab
-    parts (of one drive or a stack), in fourth-order Magnus steps of dt.
+def _window(parts: _Blocks, v0: np.ndarray) -> int:
+    """The Fock levels a propagation of v0 starts on: the lowest level w0
+    at and above which v0's squared norm, summed over its sectors and
+    columns, is at most the Taylor stop 1e-32 v^2 (v^2 that of v0's
+    smallest nonzero member), plus the _GUARD levels of the guard band,
+    rounded up to whole bands (so a window that grows, grows by at least
+    one band) and capped at parts.fock_dim."""
+    x = v0.reshape(len(v0), -1)
+    sq = np.sum(x.real ** 2 + x.imag ** 2, axis=1)[parts.order]
+    sq = sq.reshape(len(parts.h0), parts.fock_dim, -1).sum(axis=2)  # (sectors, levels)
+    norms = np.add.reduceat(sq.sum(axis=1), np.flatnonzero(np.diff(parts.member, prepend=-1)))
+    stop = _STOP[0] * np.min(norms, initial=np.inf, where=norms > 0)
+    w0 = np.count_nonzero(np.cumsum(sq.sum(axis=0)[::-1]) > stop)
+    return min(parts.fock_dim, -(-(int(w0) + _GUARD) // _GUARD) * _GUARD)
+
+
+def _mixer(parts: _Blocks, v0: np.ndarray, chunks: Iterable[np.ndarray], dt: float,
+           widens: _Powers | None = None):
+    """(ops, into, back, watch): the plan of one propagation of v0 under
+    the lab parts (of one drive or a stack), in fourth-order Magnus steps
+    of dt, on v0's Fock window.
 
     chunks yields the node times of runs of consecutive steps as (steps,
     2) arrays, each step's two Gauss nodes t_1, t_2. Each next(ops) loads
@@ -328,9 +408,22 @@ def _mixer(parts: _Blocks, v0: np.ndarray, chunks: Iterable[np.ndarray], dt: flo
     load, whose power(j) is one bare apply. into packs v0, or an array of
     its shape with no amplitude outside v0's, into the propagation basis;
     back unwinds e^{-iK} of the last step loaded from a packed state and
-    unpacks it into the product basis. Each op's Taylor stop is _STOP (one
+    unpacks it into the product basis (into out, zeros of v0's shape, if
+    given). Each op's Taylor stop is _STOP (one
     entry per stack row) times v0's squared norm, that of its smallest
     stack member.
+
+    The window is v0's (_window): its first w Fock levels, the first w
+    m / fock_dim rows of each sector, whose top _GUARD levels are the
+    guard band. The generator is restricted to it, a hard wall at level
+    w. watch(p) checks a packed state p of the plan: on a window short of
+    the cutoff it is true once the band's squared norm passes the stop
+    1e-32 v^2, and ops checks the state op.result holds the same way
+    before it forms each chunk but the first, and ends there if the band
+    has passed. A plan that widens the operator of a plan so ended (or
+    watched true) starts on v0's window, but at least one band above that
+    plan's, and keeps its Taylor stops. At the full cutoff neither
+    checks, and watch is always false.
 
     The parts are h0 + s(t) D on real parity blocks, s(t) = sin(omega_d t
     - phi), D diagonal, so K_n = q D, q = dt (sqrt(3)/12) (s(t_2) -
@@ -345,16 +438,21 @@ def _mixer(parts: _Blocks, v0: np.ndarray, chunks: Iterable[np.ndarray], dt: flo
     chains) apply as three complex bands, others as one batched real
     matmul.
     """
-    sectors, shape, into, unpack = _packing(parts, v0)
+    per = parts.h0.shape[1] // parts.fock_dim  # rows per Fock level
+    levels = _window(parts, v0)
+    if widens is not None:
+        levels = min(parts.fock_dim, max(levels, widens.rows[0].shape[1] // per + _GUARD))
+    sectors, shape, into, unpack = _packing(parts, v0, levels * per)
+    rows = shape[1]
     p0 = into(v0)
     firsts = np.flatnonzero(np.diff(parts.member[sectors], prepend=-1))
-    bounds = (min(np.add.reduceat(np.sum(p0.real ** 2 + p0.imag ** 2, axis=(1, 2)),
-                                  firsts)) * _STOP).tolist()
+    bounds = widens.bounds if widens is not None else (min(np.add.reduceat(
+        np.sum(p0.real ** 2 + p0.imag ** 2, axis=(1, 2)), firsts)) * _STOP).tolist()
     # an np.float64 multiplier: a Python float takes another path through
     # NumPy, which maps about half a MiB more of its pages into a cat run
-    blocks = np.float64(dt) * parts.h0[sectors]
+    blocks = np.float64(dt) * parts.h0[sectors, :rows, :rows]
     d0 = np.diagonal(blocks, 0, 1, 2).flatten()
-    drive = parts.diag[sectors]
+    drive = parts.diag[sectors, :rows]
     # a phase exp(i q D) takes the exponential of D's few distinct values
     # only (found without np.unique, whose sort would add a quarter MiB of
     # library pages to every run)
@@ -384,6 +482,22 @@ def _mixer(parts: _Blocks, v0: np.ndarray, chunks: Iterable[np.ndarray], dt: flo
             return d.astype(complex)[..., None]
     phase = last = None
 
+    if levels < parts.fock_dim:
+        band = slice(rows - _GUARD * per, rows)
+
+        def watch(p: np.ndarray) -> bool:
+            b = p[:, band]
+            return np.vdot(b, b).real > bounds[0]
+
+        def watched(chunks):
+            for n, nodes in enumerate(chunks):
+                if n and watch(op.result):
+                    return
+                yield nodes
+        chunks = watched(chunks)
+    else:
+        watch = _unwatched
+
     def turn(x: np.ndarray) -> np.ndarray:
         return np.multiply(x, phase, out=op.rows[0])
 
@@ -401,9 +515,14 @@ def _mixer(parts: _Blocks, v0: np.ndarray, chunks: Iterable[np.ndarray], dt: flo
                 op.load(d)
                 yield turn, op
 
-    def back(p: np.ndarray) -> np.ndarray:
-        return unpack(p if last is None else p * phases(-last))
-    return ops(), into, back
+    def back(p: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        return unpack(p if last is None else p * phases(-last), out)
+    return ops(), into, back, watch
+
+
+def _unwatched(p: np.ndarray) -> bool:
+    """The watch of a plan at the full cutoff: nothing to check."""
+    return False
 
 
 def _expmv(op, x: np.ndarray) -> np.ndarray:
@@ -483,50 +602,71 @@ def _sample_grid(t_end: float, dt: float, n_samples: int):
 
 
 def _run(parts: _Blocks, v0: np.ndarray, times: np.ndarray,
-         n_sub: int) -> list[np.ndarray]:
+         n_sub: int) -> np.ndarray:
     """States at every sample time under the lab parts, n_sub steps per
     sample interval.
 
     Every step takes dt = times[-1] / (n_sub (len(times) - 1)), the k-th
     of an interval starting at times[i] + k dt. _mixer plans the
-    propagation once, from the parity sectors v0 occupies, and reads the
-    step schedule, node times then the operators' modulation
-    coefficients, _PLAN_CHUNK steps at a time as the propagation reaches
-    them. A step turns the twisted state w = e^{+iK_{n-1}} v by
-    e^{i(K_n - K_{n-1})} and applies exp(-i dt Hbar), which gives e^{+iK_n}
-    (e^{-iK_n} exp(-i dt Hbar) e^{+iK_n} v), the Magnus step; the state
-    stays twisted until the plan's back unwinds it where a sample leaves.
+    propagation from the parity sectors and the Fock window v0 occupies,
+    and reads the step schedule, node times then the operators'
+    modulation coefficients, _PLAN_CHUNK steps at a time as the
+    propagation reaches them. Short of the cutoff, the plan's guard band
+    is checked at each chunk boundary (where the plan's ops end) and at
+    each sample (by its watch) but the last; once its squared norm
+    passes the Taylor stop, the rest of the propagation is planned
+    afresh from the state there, unwound to the product basis, on a
+    window at least one band wider and with the same Taylor stops. At
+    the cutoff nothing is checked. A step turns the twisted state w =
+    e^{+iK_{n-1}} v by e^{i(K_n - K_{n-1})} and applies exp(-i dt Hbar),
+    which gives e^{+iK_n} (e^{-iK_n} exp(-i dt Hbar) e^{+iK_n} v), the
+    Magnus step; the state stays twisted until the plan's back unwinds it
+    where a sample leaves, into its row of one array of the samples.
     Every sample C is checked against v0 = C0 (a state or a column block)
     by max |C^dag C - C0^dag C0|, the drift of a state's squared norm or of
     a block's overlaps; beyond NORM_TOL, and for a Taylor series that
     does not converge, PropagationAccuracyError names the sample (or the
-    step) and its time.
+    step) and its time. Inside _top_level_record, the largest squared
+    norm a column of the samples holds on the top Fock level (its
+    population there, for a normalised column, summed over the members
+    of a stack; exactly 0 while the window is short of the cutoff) is
+    recorded.
     """
     steps = (len(times) - 1) * n_sub
     dt = float(times[-1]) / steps
 
-    def node_chunks():
-        for k in range(0, steps, _PLAN_CHUNK):
+    def node_chunks(start: int):
+        for k in range(start, steps, _PLAN_CHUNK):
             i, j = np.divmod(np.arange(k, min(k + _PLAN_CHUNK, steps)), n_sub)
             starts = times[i] + j * dt
             yield starts[:, None] + np.multiply(dt, _GAUSS_NODES)
 
+    def widened(x: np.ndarray, n: int):
+        """A plan of x, the state after n steps, that widens op's window."""
+        ops, into, back, watch = _mixer(parts, x, node_chunks(n), dt, op)
+        return ops, into, back, watch, into(x)
+
     v0 = np.asarray(v0, dtype=complex)
     c0 = v0.reshape(len(v0), -1)
     gram0 = c0.conj().T @ c0
-    ops, into, back = _mixer(parts, v0, node_chunks(), dt)
+    ops, into, back, watch = _mixer(parts, v0, node_chunks(0), dt)
     v = into(v0)
-    out = [back(v)]
+    out = np.zeros((len(times),) + v0.shape, dtype=complex)
+    back(v, out[0])
     for i in range(len(times) - 1):
         for j in range(n_sub):
-            turn, op = next(ops)
+            try:
+                turn, op = next(ops)
+            except StopIteration:  # a chunk boundary where the guard band passed
+                ops, into, back, watch, v = widened(back(v), i * n_sub + j)
+                turn, op = next(ops)
             try:
                 v = _expmv(op, turn(v))
             except PropagationAccuracyError as exc:
                 n, t = i * n_sub + j + 1, float(times[i] + j * dt)
                 raise PropagationAccuracyError(f"{exc} (step {n}, t = {t:g})",
                                                step=n, time=t) from None
-        x = back(v)
+        x = back(v, out[i + 1])
         c = x.reshape(len(x), -1)
         drift = float(np.max(np.abs(c.conj().T @ c - gram0)))
         if drift > NORM_TOL:
@@ -534,7 +674,13 @@ def _run(parts: _Blocks, v0: np.ndarray, times: np.ndarray,
             raise PropagationAccuracyError(
                 f"norm drifted by {drift:.3e} (max |C^dag C - C0^dag C0|, budget "
                 f"{NORM_TOL:g}) at sample {i + 1}, t = {t:g}", step=i + 1, time=t)
-        out.append(x)
+        if watch(v) and i + 2 < len(times):
+            ops, into, back, watch, v = widened(x, (i + 1) * n_sub)
+    record = _TOP_LEVEL.get()
+    if record is not None:
+        top = out.reshape(len(out), -1, parts.fock_dim, c0.shape[1])[:, :, -1]
+        record[0] = max(record[0], float(np.max(np.sum(top.real ** 2 + top.imag ** 2,
+                                                       axis=1))))
     return out
 
 
@@ -701,7 +847,7 @@ def fidelity_trace(params: SystemParams, drive: DriveParams, psi0: Ket,
     h = _checked(hamiltonian_fn(params, drive, "lab-driven", layout), t_end)
     times, n_sub = _sample_grid(t_end, cfg.resolve_dt(h.omega_max), n_samples)
     eff = _effective_states(params, drive, psi0, times)
-    lab = np.array(_run(h.parts, psi0.vec, times, n_sub))
+    lab = _run(h.parts, psi0.vec, times, n_sub)
     # <U^dag lab | eff> = <lab | U eff>, U the frame transform
     eff *= frame_phases(times, params, drive, layout)
     fids = np.abs(np.einsum("ti,ti->t", lab.conj(), eff)) ** 2

@@ -360,6 +360,30 @@ class TestGateCommand:
         assert texts[0] == texts[1]
         assert texts[0].count(b"\n") > 300
 
+    @pytest.mark.parametrize("fock_dim, top", [(12, "7.9e-06"), (32, None)])
+    def test_truncation_warning(self, tmp_path, capsys, monkeypatch, fock_dim, top):
+        """gate-strong puts a population of 7.9e-6 on the top level at Fock
+        12, and 7.3e-19 at 32: one warning on stderr at 12, none at 32, and
+        neither stdout nor the CSV bytes change."""
+        args = ["gate-fidelity", "--preset", "gate-strong", "--fock-dim", str(fock_dim),
+                "--per-trial", "--out", str(tmp_path)]
+        runs = []
+        for limit in (cli._TRUNCATION_WARN, float("inf")):
+            monkeypatch.setattr(cli, "_TRUNCATION_WARN", limit)
+            assert main(args) == 0
+            runs.append((capsys.readouterr(),
+                         (tmp_path / "gate-fidelity-trials-seed7.csv").read_bytes()))
+        (warned, csv), (quiet, quiet_csv) = runs
+        assert warned.out == quiet.out and csv == quiet_csv and not quiet.err
+        want = "0.786181668484" if fock_dim == 12 else "0.786175258878"
+        assert f"mean_fidelity = {want}\n" in warned.out
+        if top is None:
+            assert not warned.err
+        else:
+            assert warned.err.startswith(f"warning: the top Fock level held a population "
+                                         f"of up to {top} (above 1e-12)")
+            assert warned.err.count("\n") == 1
+
 
 class TestCsvWriter:
     def test_matches_per_cell_format(self, tmp_path):
@@ -491,6 +515,14 @@ class TestSweepCommand:
     BASE = [
         "sweep", "--metric", "mean-f1", "--fock-dim", "8", "--periods", "0.05",
     ]
+
+    def test_sweep_warns_once_for_its_points(self, tmp_path, capsys):
+        """Both points of a gate sweep at Fock 12 truncate: one warning."""
+        code = main(["sweep", "--metric", "gate-fidelity", "--fock-dim", "12", "--trials", "5",
+                     "--axis", "system.g", "0.45", "0.5", "2", "--out", str(tmp_path)])
+        assert code == 0
+        err = capsys.readouterr().err
+        assert err.startswith("warning: the top Fock level") and err.count("\n") == 1
 
     def test_single_point_sweep_matches_direct_metric(self, tmp_path, capsys):
         code = main(

@@ -31,6 +31,9 @@ Key oracles:
   batched norms the bits of each row's dot product; a loaded operator's
   powers must be the dense ones, and an exponential's result must live
   apart from the rows it reads,
+* a propagation on its Fock window must agree within 1e-13 with one on
+  the full cutoff, and a window that starts too small must grow before
+  it drops anything that oracle_helpers' dense Magnus stepper keeps,
 * the closed-form effective states of fidelity_trace must match the exact
   solution of the effective model,
 * evolving in the lab frame and rotating afterwards must agree with
@@ -114,9 +117,10 @@ def _rk4_distance(fn, psi0: Ket, t_end: float) -> float:
 
 
 def _plan(fn, v0: np.ndarray, nodes, dt: float = 1.0):
-    """propagate._mixer's plan of one propagation of v0 under fn's parts:
-    Magnus steps of dt at the given node pairs (t_1, t_2)."""
-    return _mixer(fn.parts, v0, [np.array(nodes, dtype=float)], dt)
+    """(ops, into, back) of propagate._mixer's plan of one propagation of
+    v0 under fn's parts: Magnus steps of dt at the given node pairs (t_1,
+    t_2)."""
+    return _mixer(fn.parts, v0, [np.array(nodes, dtype=float)], dt)[:3]
 
 
 def _operator(fn, v0: np.ndarray, t: float, dt: float = 1.0):
@@ -567,7 +571,7 @@ class TestBufferedApply:
             x = np.asfortranarray(x)
         ops, into, _ = _plan(fn, x, nodes, dt)
         # the plan's back would unwind the twist of the steps' turns
-        unpack = propagate._packing(fn.parts, x)[3]
+        unpack = propagate._packing(fn.parts, x, fn.parts.h0.shape[1])[3]
         return fn, ops, into, unpack, x
 
     @pytest.mark.parametrize("n_qubits", [1, 2])
@@ -684,7 +688,8 @@ class TestPackedPlan:
 class TestKernelChoice:
     """The premixed sector blocks pick the apply kernel: one qubit's
     tridiagonal chains run on three bands, two qubits' blocks on the batched
-    real matmul. Each run makes the other kernel raise, and then its own."""
+    real matmul, at the full cutoff and on a shorter Fock window. Each run
+    makes the other kernel raise, and then its own."""
 
     @staticmethod
     def _refuse(*args):
@@ -695,12 +700,21 @@ class TestKernelChoice:
         (2, "_block_operator", "_band_operator"),
     ])
     def test_kernel_follows_the_blocks(self, n_qubits, kernel, other, monkeypatch):
-        fn = _lab_provider(n_qubits, 8)
-        psi0 = basis_state(fn.layout, "g" * n_qubits, 0)
-        with monkeypatch.context() as m:
-            m.setattr(propagate, other, self._refuse)
-            a = evolve(fn, psi0, 1.0, EvolutionConfig(), 2)
-        assert np.max(np.abs(a.final.vec - psi0.vec)) > 0.1
+        real = getattr(propagate, kernel)
+        for fock_dim in (8, 40):
+            fn = _lab_provider(n_qubits, fock_dim)
+            psi0 = basis_state(fn.layout, "g" * n_qubits, 0)
+            shapes = []
+            with monkeypatch.context() as m:
+                m.setattr(propagate, other, self._refuse)
+                m.setattr(propagate, kernel, lambda *a: shapes.append(a[-2]) or real(*a))
+                a = evolve(fn, psi0, 1.0, EvolutionConfig(), 2)
+            assert np.max(np.abs(a.final.vec - psi0.vec)) > 0.1
+            # the vacuum's first window: its first level and the guard band,
+            # rounded up to whole bands, each level a row per sector at one
+            # qubit, two at two; all of Fock 8, part of Fock 40
+            levels = min(fock_dim, 2 * propagate._GUARD)
+            assert shapes[0][1] == levels * 2 ** (n_qubits - 1)
         monkeypatch.setattr(propagate, kernel, self._refuse)
         with pytest.raises(AssertionError, match="kernel not expected"):
             evolve(fn, psi0, 1.0, EvolutionConfig(), 2)
@@ -882,6 +896,99 @@ class TestMergedTurns:
         got = propagate._run(h.parts, v0, times, n_sub)
         assert len(got) == len(ref) == 4
         assert max(np.max(np.abs(a - b)) for a, b in zip(got, ref)) <= 1e-13
+
+
+def _window_case(case: str):
+    """(provider, v0) of a lab propagation at a cutoff above its first Fock
+    window, except for the state with amplitude on the top level."""
+    h = _lab_provider(2 if case == "two qubits" else 1, 40 if case == "two qubits" else 48)
+    ket = functools.partial(basis_state, h.layout)
+    if case == "mirror stack":
+        pair = model._LabProvider(model._stack([h.parts, model._mirrored(h.parts, 2.0)]),
+                                  h.omega_max)
+        return pair, np.concatenate([ket("g", 0).vec, ket("e", 2).vec]) / np.sqrt(2.0)
+    if case == "empty sector":  # |g,0> and |e,1> share a parity chain
+        return h, np.stack([ket("g", 0).vec, ket("e", 1).vec], axis=1)
+    if case == "top level":
+        return h, (ket("g", 0).vec + 1e-3 * ket("e", 47).vec) / np.sqrt(1.0 + 1e-6)
+    return h, ket("g" * h.layout.n_qubits, 0).vec
+
+
+def _windows(monkeypatch) -> list:
+    """The (window rows, full rows) per sector of every plan propagate
+    packs from here on."""
+    seen = []
+    packing = propagate._packing
+
+    def spy(parts, v0, rows):
+        seen.append((rows, parts.h0.shape[1]))
+        return packing(parts, v0, rows)
+
+    monkeypatch.setattr(propagate, "_packing", spy)
+    return seen
+
+
+class TestFockWindow:
+    """A propagation carries only the Fock levels below its window, the
+    initial state's occupied levels plus a guard band, and widens it
+    before the band holds more than the Taylor stop: its results are the
+    full cutoff's within 1e-13, and a window that starts too small grows
+    before anything leaks."""
+
+    @pytest.mark.parametrize("n_samples", [1, 9])
+    @pytest.mark.parametrize("case", ["one qubit", "two qubits", "mirror stack",
+                                      "empty sector", "top level"])
+    def test_window_changes_no_result(self, case, n_samples, monkeypatch):
+        h, v0 = _window_case(case)
+        times, n_sub = propagate._sample_grid(2.0, EvolutionConfig().resolve_dt(h.omega_max),
+                                              n_samples)
+        seen = _windows(monkeypatch)
+        windowed = propagate._run(h.parts, v0, times, n_sub)
+        rows, full = seen[0]
+        assert (rows == full) == (case == "top level")
+        plans = len(seen)
+        monkeypatch.setattr(propagate, "_GUARD", 10**6)  # every window is the cutoff
+        whole = propagate._run(h.parts, v0, times, n_sub)
+        assert [r for r, _ in seen[plans:]] == [full]
+        assert len(windowed) == len(whole) == n_samples + 1
+        assert max(np.max(np.abs(a - b)) for a, b in zip(windowed, whole)) <= 1e-13
+
+    def test_cat_runs_on_a_window(self, monkeypatch):
+        """The k = 6 cat at Fock 128 propagates every step on a window
+        shorter than the cutoff."""
+        shapes = []
+        band = propagate._band_operator
+        monkeypatch.setattr(propagate, "_band_operator",
+                            lambda *a: shapes.append(a[-2]) or band(*a))
+        p = SystemParams(omega_q=3.0, g=0.2, n_qubits=1)
+        fid = cat_fidelity_experiment(p, DriveParams.from_alpha((1.832,), 3.0), 6,
+                                      EvolutionConfig(), HilbertLayout(1, 128))
+        assert abs(fid - 0.820056560635) <= 1e-12
+        assert len(shapes) >= 3 and all(s[1] < 128 for s in shapes)
+
+    @pytest.mark.parametrize("n_samples", [3, 40])
+    def test_grows_before_it_leaks(self, n_samples, monkeypatch):
+        """The vacuum under g = 2, displaced over half a period to |beta|^2
+        of about 5, outgrows the window it starts on, the first 32 levels:
+        a run on that window would drop amplitude above 1e-8, but the run
+        grows it, at chunk boundaries inside its sample intervals (3
+        samples) or at samples (40), and matches the dense Magnus stepper
+        on the full space."""
+        lay = HilbertLayout(1, 64)
+        h = hamiltonian_fn(SystemParams(omega_q=3.0, g=2.0, n_qubits=1),
+                           DriveParams.from_alpha((1.832,), 3.0), "lab-driven", lay)
+        v0 = basis_state(lay, "g", 0).vec
+        times, n_sub = propagate._sample_grid(np.pi, EvolutionConfig().resolve_dt(h.omega_max),
+                                              n_samples)
+        assert (n_sub > 3 * propagate._PLAN_CHUNK) == (n_samples == 3)
+        seen = _windows(monkeypatch)
+        got = propagate._run(h.parts, v0, times, n_sub)
+        ref = oracle_helpers.reference_m4(h, v0, times, n_sub)
+        assert max(np.max(np.abs(a - b)) for a, b in zip(got, ref)) <= 1e-12
+        rows = [r for r, _ in seen]
+        assert rows[0] == 2 * propagate._GUARD and rows == sorted(rows) and rows[-1] > rows[0]
+        above = np.arange(lay.dim) % lay.fock_dim >= rows[0]
+        assert max(np.max(np.abs(x[above])) for x in ref) > 1e-8
 
 
 class TestEvolveStatic:
