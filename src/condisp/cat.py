@@ -22,27 +22,15 @@ from .propagate import EvolutionConfig, PropagationAccuracyError, _checked, evol
 
 __all__ = [
     "CatDecomposition",
-    "cat_state",
     "decompose_cat",
     "multi_step_cat",
     "cat_fidelity_experiment",
-    "branch_probabilities",
 ]
 
 # Branch probability below which the odd branch is treated as absent.
 _DEGENERATE_P = 1e-12
 
 STEP_TIME_FACTOR = math.pi  # one step lasts pi / omega_r
-
-
-def branch_probabilities(beta: complex) -> tuple[float, float]:
-    """(p_even, p_odd) for measuring the qubit of an ideal cat state.
-
-    p_l = (1 + (-1)^l e^{-2|beta|^2}) / 2; at beta = 0 the odd branch
-    vanishes and at large |beta| both tend to 1/2.
-    """
-    w = math.exp(-2.0 * abs(beta) ** 2)
-    return 0.5 * (1.0 + w), 0.5 * (1.0 - w)
 
 
 @dataclass(frozen=True)
@@ -77,17 +65,6 @@ def _cat_ket(beta: complex, phase: float, layout: HilbertLayout) -> Ket:
     vec[:layout.fock_dim] = half * (1.0 - parity) * plus   # qubit |e>
     vec[layout.fock_dim:] = half * (1.0 + parity) * plus   # qubit |g>
     return Ket(layout, vec)
-
-
-def cat_state(g_eff_ratio: float, t: float, layout: HilbertLayout,
-              omega_r: float = 1.0) -> Ket:
-    """Analytic entangled state grown from |g> (x) |0_c>.
-
-    e^{i Phi(t)} / 2 * [ |e>(|beta> - |-beta>) + |g>(|beta> + |-beta>) ]
-    with beta(t), Phi(t) from the closed-form displacement loop, built
-    directly from coherent amplitudes.
-    """
-    return _cat_ket(*beta_phi(g_eff_ratio, t, omega_r), layout)
 
 
 def decompose_cat(psi: Ket) -> CatDecomposition:
@@ -136,7 +113,7 @@ def multi_step_cat(g_eff_ratio: float, k: int, layout: HilbertLayout,
     The displacements share the sigma_x axis, so branch amplitudes add:
     after k steps the branches sit at +- k beta(t0) = +- 2 k g_eff / omega_r
     with phase k Phi(t0), t0 = pi / omega_r. Built from coherent
-    amplitudes, as cat_state is.
+    amplitudes; k = 1 is the entangled state of one half period.
     """
     if not isinstance(k, int) or k < 1:
         raise ValueError(f"k must be a positive integer, got {k!r}")

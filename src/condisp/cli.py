@@ -188,9 +188,24 @@ def _format_value(v) -> str:
 
 
 def format_config(cfg: dict) -> str:
-    """Render a config as text that parse_config maps back to it."""
+    """Render a config as text that parse_config maps back to it (run
+    refuses a config whose values would not read back)."""
     lines = [f"{key} = {_format_value(cfg[key])}" for key in _SCHEMA if key in cfg]
     return "\n".join(lines) + "\n"
+
+
+def _check_echo(cfg) -> None:
+    """Refuse a config that its echo in a result file's header would not
+    map back to, such as a value holding a '#' or a line break."""
+    for key in _SCHEMA:
+        line = f"{key} = {_format_value(cfg[key])}"
+        try:
+            back = parse_config(line) if len(line.splitlines()) == 1 else {}
+        except ConfigError:
+            back = {}
+        if key not in back or back[key] != cfg[key]:
+            raise ConfigError(f"{key}: the value {cfg[key]!r} does not read back from "
+                              f"its echo {line!r} in the result header")
 
 
 def _build(cfg):
@@ -254,9 +269,7 @@ def _warn_truncation(top: float) -> None:
 
 
 def _out_path(cfg, name: str) -> str:
-    out_dir = cfg["output.dir"]
-    os.makedirs(out_dir, exist_ok=True)
-    return os.path.join(out_dir, name)
+    return os.path.join(cfg["output.dir"], name)
 
 
 def _run_validate(cfg) -> int:
@@ -450,6 +463,12 @@ def run(cfg: dict) -> int:
     missing = [k for k in _SCHEMA if k not in cfg]
     if missing:
         raise ConfigError(f"config is missing keys: {', '.join(missing)}")
+    _check_echo(cfg)
+    try:  # before the experiment, which may run for long
+        os.makedirs(cfg["output.dir"], exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"output.dir: cannot create {cfg['output.dir']!r}: "
+                          f"{exc.strerror or exc}") from None
     experiment = cfg["experiment"]
     if experiment == "sweep":  # a sweep warns for its grid's points
         return _run_sweep(cfg)
@@ -630,6 +649,9 @@ def main(argv=None) -> int:
         return 2
     except MemoryError as exc:  # a size too large to allocate
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
+        return 2
+    except OSError as exc:  # a result file that cannot be written
+        print(f"error: {exc}", file=sys.stderr)
         return 2
 
 

@@ -21,7 +21,7 @@ columns over half the period only.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
@@ -33,11 +33,8 @@ from .model import (DriveParams, SystemParams, beta_phi, effective_couplings,
 from .propagate import EvolutionConfig, _checked, evolve_columns
 
 __all__ = [
-    "GateAngle",
-    "AnalyticGate",
     "beta_phi",
     "analytic_unitary",
-    "analytic_gate",
     "phase_gate_matrix",
     "makhlin_invariants",
     "gate_columns",
@@ -45,7 +42,6 @@ __all__ = [
     "average_gate_fidelity",
 ]
 
-_ANGLE_TOL = 1e-12
 _UNITARY_TOL = 1e-8
 # Largest difference, in radians modulo 2 pi, between the mirror's and the
 # drive's modulation phases that gate_columns takes as equal: the roundoff
@@ -56,32 +52,6 @@ _PHASE_TOL = 1e-13
 _TRIAL_BLOCK = 1024
 
 _SX = np.array([[0.0, 1.0], [1.0, 0.0]])
-
-
-@dataclass(frozen=True)
-class GateAngle:
-    """Controlled-phase angle and the coupling ratio that produces it."""
-
-    theta: float
-    g_eff_ratio: float
-
-    def __post_init__(self) -> None:
-        expected = 4.0 * math.pi * self.g_eff_ratio**2
-        if abs(self.theta - expected) > _ANGLE_TOL:
-            raise ValueError(
-                f"theta = {self.theta!r} does not satisfy theta = 4 pi r^2 "
-                f"for r = {self.g_eff_ratio!r} (expected {expected!r})"
-            )
-
-    @classmethod
-    def from_ratio(cls, g_eff_ratio: float) -> "GateAngle":
-        return cls(4.0 * math.pi * g_eff_ratio**2, g_eff_ratio)
-
-    @classmethod
-    def from_theta(cls, theta: float) -> "GateAngle":
-        if theta < 0:
-            raise ValueError(f"theta must be >= 0, got {theta}")
-        return cls(theta, math.sqrt(theta / (4.0 * math.pi)))
 
 
 def _axis_generator(layout: HilbertLayout) -> np.ndarray:
@@ -130,28 +100,6 @@ def phase_gate_matrix(theta: float) -> np.ndarray:
         [-1j * s, 0, 0, c],
     ], dtype=complex)
     return complex(math.cos(theta), math.sin(theta)) * m
-
-
-@dataclass(frozen=True)
-class AnalyticGate:
-    """Closed-loop summary: residual displacement, phase, qubit action."""
-
-    beta: complex
-    phase: float
-    qubit_matrix: np.ndarray
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "qubit_matrix",
-                           np.array(self.qubit_matrix, dtype=complex))
-        self.qubit_matrix.setflags(write=False)
-
-
-def analytic_gate(g_eff_ratio: float, omega_r: float = 1.0) -> AnalyticGate:
-    """Gate summary at the loop-closing time T = 2 pi / omega_r."""
-    t_gate = 2.0 * math.pi / omega_r
-    beta, phase = beta_phi(g_eff_ratio, t_gate, omega_r)
-    theta = GateAngle.from_ratio(g_eff_ratio).theta  # = 2 * phase
-    return AnalyticGate(beta, phase, phase_gate_matrix(theta))
 
 
 # Magic basis: sigma_x (x) sigma_x conjugation turns into transposition.
@@ -253,7 +201,7 @@ def gate_fidelity_trials(params: SystemParams, drive: DriveParams,
         layout = HilbertLayout(n_qubits=2, fock_dim=32)
     if columns is None:
         columns = gate_columns(params, drive, cfg, layout)
-    ideal_q = analytic_gate(ratio).qubit_matrix
+    ideal_q = phase_gate_matrix(4.0 * math.pi * ratio**2)  # theta = 2 Phi(T)
     # ideal state is (qubit action) (x) |0_c>, so the overlap is the
     # quadratic form amp^dag G amp on the 4 x 4 gate matrix
     g = ideal_q.conj().T @ columns

@@ -43,7 +43,6 @@ __all__ = [
     "DriveParams",
     "ValidityCondition",
     "ValidityReport",
-    "lab_hamiltonian",
     "driven_hamiltonian",
     "frame_transform",
     "frame_phases",
@@ -203,13 +202,6 @@ def _lab_matrix(params: SystemParams, layout: HilbertLayout,
     return h
 
 
-def lab_hamiltonian(params: SystemParams, layout: HilbertLayout) -> Operator:
-    """Static Hamiltonian of the coupled qubit(s) and resonator."""
-    if params.n_qubits != layout.n_qubits:
-        raise ValueError("params/layout qubit count mismatch")
-    return Operator(layout, _lab_matrix(params, layout, np.arange(layout.dim)[None])[0])
-
-
 def _sigma_z(layout: HilbertLayout) -> np.ndarray:
     """sigma_z^m per product-basis state, one row per qubit m; qubit m is
     (|e>, |g>) = (+1, -1)."""
@@ -219,7 +211,8 @@ def _sigma_z(layout: HilbertLayout) -> np.ndarray:
 
 def driven_hamiltonian(params: SystemParams, drive: DriveParams, t: float,
                        layout: HilbertLayout) -> Operator:
-    """Lab Hamiltonian with the modulated qubit splittings at time t."""
+    """Lab Hamiltonian with the modulated qubit splittings at time t; at
+    zero modulation, the static Hamiltonian."""
     return Operator(layout, hamiltonian_fn(params, drive, "lab-driven", layout)(t))
 
 

@@ -108,7 +108,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .hilbert import Ket, Operator, NORM_TOL, coherent_amplitudes
+from .hilbert import Ket, NORM_TOL, coherent_amplitudes
 from .model import (DriveParams, SystemParams, beta_phi, effective_couplings,
                     frame_phases, hamiltonian_fn, _Blocks, _LabProvider, _modulation,
                     _require_quadrature)
@@ -121,7 +121,7 @@ __all__ = [
     "FidelityTrace",
     "PropagationAccuracyError",
     "evolve",
-    "propagator",
+    "evolve_columns",
     "fidelity_trace",
     "write_trace_csv",
 ]
@@ -140,7 +140,6 @@ SAMPLES_PER_PERIOD = 500
 _STEP_FRACTION = 2.0 * math.pi / 50.0  # hard ceiling: dt * omega_max
 _TAYLOR_RTOL = 1e-16
 _TAYLOR_MAX_TERMS = 200
-_UNITARITY_TOL = 1e-7
 # Steps one propagation may take: at about 50 us per Magnus step on the
 # gate and the cat, 10^9 of them run for over 13 hours.
 _MAX_STEPS = 10**9
@@ -762,35 +761,13 @@ def evolve_columns(h: _LabProvider, v0: np.ndarray, t_end: float,
     h is a lab-driven provider of hamiltonian_fn, a stack of lab parts,
     or a wrapper that carries a provider's parts; any other callable
     raises ValueError. This is how the gate and cat experiments
-    propagate the subspace they need without paying for the full
-    propagator. No samples are kept but the one at t_end, where the
+    propagate the subspace they need; the dim columns of the identity
+    give the full propagator. No samples are kept but the one at t_end, where the
     overlaps of the columns must be preserved: a drift of max |C^dag C -
     V0^dag V0| beyond 1e-6 raises PropagationAccuracyError naming sample 1
     and t_end.
     """
     return _propagate(_checked(h, t_end), v0, t_end, cfg)[1][-1]
-
-
-def propagator(h: _LabProvider, t_end: float, cfg: EvolutionConfig) -> Operator:
-    """Full time-ordered propagator at t_end as an Operator on h's layout.
-
-    h is a lab-driven provider of hamiltonian_fn, or a wrapper that
-    carries its parts; any other callable, and a stack, which has no
-    layout, raises ValueError. Checked unitary within 1e-7 before
-    returning; a propagation that has drifted fails here rather than
-    feeding silent garbage downstream.
-    """
-    h = _checked(h, t_end)
-    if h.layout is None:
-        raise ValueError("propagator needs a provider of one layout, not a stack")
-    u = _propagate(h, np.eye(h.layout.dim, dtype=complex), t_end, cfg)[1][-1]
-    err = np.max(np.abs(u.conj().T @ u - np.eye(h.layout.dim)))
-    if err > _UNITARITY_TOL:
-        raise PropagationAccuracyError(
-            f"propagator lost unitarity: max |U^dag U - I| = {err:.3e} "
-            f"(budget {_UNITARITY_TOL:g})"
-        )
-    return Operator(h.layout, u)
 
 
 def _effective_states(params: SystemParams, drive: DriveParams, psi0: Ket,

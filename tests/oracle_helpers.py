@@ -1,9 +1,9 @@
 """Independent oracles shared by the unit and acceptance suites.
 
 Everything here reconstructs reference physics from scratch (explicit
-matrix assembly, finite differences) rather than calling back into the
-library paths under test; reference_expmv keeps the earlier Taylor loop,
-and reference_m4 (the Magnus step with both of its turns) and
+matrix assembly by np.kron, finite differences) rather than calling
+back into the library paths under test; reference_expmv keeps the
+earlier Taylor loop, and reference_m4 (the Magnus step with both of its turns) and
 reference_rk4 step dense H(t) matrices, to compare the library's
 structured lab propagation against. Those two assemble a lab provider's
 dense h0 and D once (dense_generator) and form each H(t) as h0 + s(t) D.
@@ -11,12 +11,13 @@ dense h0 and D once (dense_generator) and form each H(t) as h0 + s(t) D.
 
 from __future__ import annotations
 
+from functools import reduce
+
 import numpy as np
 import scipy.linalg
 import scipy.special
 
 from condisp import DriveParams, HilbertLayout, SystemParams
-from condisp.hilbert import ladder, pauli_on
 from condisp.model import (
     _assemble_parts,
     driven_hamiltonian,
@@ -25,15 +26,43 @@ from condisp.model import (
 )
 
 
+_PAULI = {
+    "x": [[0, 1], [1, 0]],
+    "y": [[0, -1j], [1j, 0]],
+    "z": [[1, 0], [0, -1]],
+    "+": [[0, 1], [0, 0]],  # |e><g|
+    "-": [[0, 0], [1, 0]],  # |g><e|
+}
+
+
+def pauli_on(m: int, axis: str, layout: HilbertLayout) -> np.ndarray:
+    """Pauli operator on qubit m (0-based), dense on the full space by
+    np.kron, in the qubit basis (|e>, |g>); axis is one of 'x', 'y', 'z',
+    '+' (|g> to |e>) and '-'."""
+    if not 0 <= m < layout.n_qubits:
+        raise ValueError(f"qubit index {m} outside layout with {layout.n_qubits} qubit(s)")
+    if axis not in _PAULI:
+        raise ValueError(f"axis must be one of {sorted(_PAULI)}, got {axis!r}")
+    factors = [np.eye(2)] * layout.n_qubits + [np.eye(layout.fock_dim)]
+    factors[m] = np.array(_PAULI[axis], dtype=complex)
+    return reduce(np.kron, factors)
+
+
+def ladder(layout: HilbertLayout) -> np.ndarray:
+    """Resonator annihilation operator a, identity on the qubits, dense."""
+    a = np.diag(np.sqrt(np.arange(1.0, layout.fock_dim)), k=1)
+    return np.kron(np.eye(2 ** layout.n_qubits), a).astype(complex)
+
+
 def closed_form_rotating(
     params: SystemParams, drive: DriveParams, layout: HilbertLayout, t: float
 ) -> np.ndarray:
     """Rotating-frame Hamiltonian assembled directly with exact
     exp(+-i alpha cos(theta)) phase factors (no sideband expansion)."""
-    a = ladder(layout).mat
+    a = ladder(layout)
     ad = a.conj().T
-    sp = [pauli_on(m, "+", layout).mat for m in range(layout.n_qubits)]
-    sm = [pauli_on(m, "-", layout).mat for m in range(layout.n_qubits)]
+    sp = [pauli_on(m, "+", layout) for m in range(layout.n_qubits)]
+    sm = [pauli_on(m, "-", layout) for m in range(layout.n_qubits)]
     al = drive.alpha
     th = drive.omega_d * t - drive.phi
     d_minus = params.omega_r - params.omega_q
@@ -69,8 +98,8 @@ def exact_effective_states(params: SystemParams, drive: DriveParams,
     and psi(t) = e^{i omega_r N t} e^{-i (H_eff(0) + omega_r N) t} psi0,
     from one eigendecomposition.
     """
-    a = ladder(layout).mat
-    w = sum(params.g * scipy.special.jv(1, alpha) * (a.conj().T @ pauli_on(m, "x", layout).mat)
+    a = ladder(layout)
+    w = sum(params.g * scipy.special.jv(1, alpha) * (a.conj().T @ pauli_on(m, "x", layout))
             for m, alpha in enumerate(drive.alpha))
     n = (a.conj().T @ a).diagonal().real
     e, v = np.linalg.eigh(w + w.conj().T + params.omega_r * np.diag(n))

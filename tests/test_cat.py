@@ -1,7 +1,8 @@
 """Unit tests for conditional-displacement cat states.
 
-cat_state and multi_step_cat are built directly from coherent amplitudes
-while analytic_unitary goes through the displacement operator;
+The cat states (_cat_ket at any time, multi_step_cat at whole steps) are
+built directly from coherent amplitudes while analytic_unitary goes
+through the displacement operator;
 dual-route agreement is the main internal oracle. Reduced-qubit purity
 has a closed form from coherent overlaps that the numerical partial
 trace must reproduce.
@@ -15,14 +16,13 @@ import pytest
 from condisp import DriveParams, HilbertLayout, SystemParams
 from condisp.cat import (
     STEP_TIME_FACTOR,
-    branch_probabilities,
+    _cat_ket,
     cat_fidelity_experiment,
-    cat_state,
     decompose_cat,
     multi_step_cat,
 )
-from condisp.gate import analytic_unitary
-from condisp.hilbert import Ket, basis_state, coherent_amplitudes, fidelity
+from condisp.gate import analytic_unitary, beta_phi
+from condisp.hilbert import Ket, basis_state, coherent_amplitudes
 from condisp.model import effective_couplings, frame_phases, hamiltonian_fn
 from condisp.propagate import (DEFAULT_STEPS_PER_PERIOD, EvolutionConfig,
                                PropagationAccuracyError, evolve_columns)
@@ -31,38 +31,46 @@ CAT_LAYOUT = HilbertLayout(n_qubits=1, fock_dim=24)
 T0 = np.pi  # one step at omega_r = 1
 
 
+def cat_at(g_eff_ratio, t, layout=CAT_LAYOUT):
+    """The closed-form entangled state at time t, grown from |g> (x) |0_c>."""
+    return _cat_ket(*beta_phi(g_eff_ratio, t), layout)
+
+
 class TestBranchProbabilities:
+    """Measuring the qubit of a cat finds |g> with p_even = (1 + e^{-2|beta|^2})/2."""
+
     def test_formula(self):
-        p_even, p_odd = branch_probabilities(0.233)
-        w = np.exp(-2 * 0.233**2)
-        assert p_even == pytest.approx(0.5 * (1 + w), abs=1e-15)
-        assert p_odd == pytest.approx(0.5 * (1 - w), abs=1e-15)
+        for r in (0.02, 0.1164, 0.3):
+            dec = decompose_cat(multi_step_cat(r, 1, CAT_LAYOUT))
+            w = np.exp(-2 * abs(dec.beta) ** 2)
+            assert dec.p_even == pytest.approx(0.5 * (1 + w), abs=1e-12)
+            assert dec.p_odd == pytest.approx(0.5 * (1 - w), abs=1e-12)
 
     def test_limits(self):
-        assert branch_probabilities(0.0) == (1.0, 0.0)
-        p_even, p_odd = branch_probabilities(4.0)
-        assert p_even == pytest.approx(0.5, abs=1e-10)
-        assert p_odd == pytest.approx(0.5, abs=1e-10)
+        dec = decompose_cat(basis_state(CAT_LAYOUT, "g", 0))
+        assert (dec.p_even, dec.p_odd) == (1.0, 0.0)
+        # |beta| = 4: both branches at 1/2
+        dec = decompose_cat(multi_step_cat(1.0, 2, HilbertLayout(1, 160)))
+        assert abs(dec.beta) == pytest.approx(4.0, abs=1e-9)
+        assert dec.p_even == pytest.approx(0.5, abs=1e-10)
+        assert dec.p_odd == pytest.approx(0.5, abs=1e-10)
 
 
 class TestCatState:
     def test_t0_is_initial_state(self):
-        psi = cat_state(0.1164, 0.0, CAT_LAYOUT)
-        assert fidelity(psi, basis_state(CAT_LAYOUT, "g", 0)) == pytest.approx(
-            1.0, abs=1e-12
-        )
+        psi = cat_at(0.1164, 0.0, CAT_LAYOUT)
+        assert abs(np.vdot(psi.vec, basis_state(CAT_LAYOUT, "g", 0).vec)) ** 2 \
+            == pytest.approx(1.0, abs=1e-12)
 
     def test_matches_operator_route(self):
         """Coherent-amplitude construction vs displacement-operator power."""
         for t in (0.3 * T0, T0, 1.7 * T0):
-            direct = cat_state(0.1164, t, CAT_LAYOUT)
-            via_op = analytic_unitary(0.1164, t, CAT_LAYOUT) @ basis_state(
-                CAT_LAYOUT, "g", 0
-            )
-            assert np.max(np.abs(direct.vec - via_op.vec)) <= 1e-9
+            direct = cat_at(0.1164, t, CAT_LAYOUT)
+            via_op = analytic_unitary(0.1164, t, CAT_LAYOUT).mat[:, CAT_LAYOUT.index("g", 0)]
+            assert np.max(np.abs(direct.vec - via_op)) <= 1e-9
 
     def test_half_period_branch_amplitude(self):
-        psi = cat_state(0.1164, T0, CAT_LAYOUT)
+        psi = cat_at(0.1164, T0, CAT_LAYOUT)
         dec = decompose_cat(psi)
         assert dec.beta == pytest.approx(2 * 0.1164, abs=1e-9)
         assert abs(dec.beta) == pytest.approx(0.233, abs=0.002)
@@ -70,9 +78,7 @@ class TestCatState:
     def test_reduced_qubit_purity_closed_form(self):
         """tr(rho_q^2) = (1 + e^{-4|beta|^2}) / 2 vs numerical partial trace."""
         for t in (0.4 * T0, T0):
-            psi = cat_state(0.1164, t, CAT_LAYOUT)
-            from condisp.gate import beta_phi
-
+            psi = cat_at(0.1164, t, CAT_LAYOUT)
             beta, _ = beta_phi(0.1164, t)
             block = psi.vec.reshape(2, CAT_LAYOUT.fock_dim)
             rho_q = block @ block.conj().T
@@ -84,16 +90,16 @@ class TestCatState:
     def test_truncation_rejection(self):
         small = HilbertLayout(1, 8)
         with pytest.raises(ValueError):
-            cat_state(0.8, T0, small)
+            cat_at(0.8, T0, small)
 
     def test_requires_single_qubit(self):
         with pytest.raises(ValueError):
-            cat_state(0.1, T0, HilbertLayout(2, 8))
+            cat_at(0.1, T0, HilbertLayout(2, 8))
 
 
 class TestDecomposeCat:
     def test_invariants_on_analytic_state(self):
-        psi = cat_state(0.1164, T0, CAT_LAYOUT)
+        psi = cat_at(0.1164, T0, CAT_LAYOUT)
         dec = decompose_cat(psi)
         assert dec.p_even + dec.p_odd == pytest.approx(1.0, abs=1e-10)
         w = np.exp(-2 * abs(dec.beta) ** 2)
@@ -105,18 +111,18 @@ class TestDecomposeCat:
         assert not dec.degenerate
 
     def test_probabilities_match_formula(self):
-        psi = cat_state(0.1164, T0, CAT_LAYOUT)
+        psi = cat_at(0.1164, T0, CAT_LAYOUT)
         dec = decompose_cat(psi)
-        p_even, p_odd = branch_probabilities(dec.beta)
-        assert dec.p_even == pytest.approx(p_even, abs=1e-10)
-        assert dec.p_odd == pytest.approx(p_odd, abs=1e-10)
+        w = np.exp(-2 * abs(dec.beta) ** 2)
+        assert dec.p_even == pytest.approx(0.5 * (1 + w), abs=1e-10)
+        assert dec.p_odd == pytest.approx(0.5 * (1 - w), abs=1e-10)
         # Direct formula evaluation at the nominal displacement 0.233.
         assert dec.p_even == pytest.approx(
             0.5 * (1 + np.exp(-2 * 0.233**2)), abs=1e-3
         )
 
     def test_branches_are_coherent_superpositions(self):
-        psi = cat_state(0.1164, T0, CAT_LAYOUT)
+        psi = cat_at(0.1164, T0, CAT_LAYOUT)
         dec = decompose_cat(psi)
         plus = coherent_amplitudes(dec.beta, CAT_LAYOUT.fock_dim)
         minus = coherent_amplitudes(-dec.beta, CAT_LAYOUT.fock_dim)
@@ -129,13 +135,13 @@ class TestDecomposeCat:
         assert abs(np.vdot(odd_ref, dec.odd_state)) == pytest.approx(1.0, abs=1e-6)
 
     def test_parity_purity(self):
-        psi = cat_state(0.15, T0, CAT_LAYOUT)
+        psi = cat_at(0.15, T0, CAT_LAYOUT)
         dec = decompose_cat(psi)
         assert np.max(np.abs(dec.even_state[1::2])) <= 1e-8
         assert np.max(np.abs(dec.odd_state[0::2])) <= 1e-8
 
     def test_degenerate_at_zero_displacement(self):
-        psi = cat_state(0.1164, 0.0, CAT_LAYOUT)
+        psi = cat_at(0.1164, 0.0, CAT_LAYOUT)
         dec = decompose_cat(psi)
         assert dec.degenerate
         assert dec.p_even == pytest.approx(1.0, abs=1e-12)
@@ -147,7 +153,7 @@ class TestDecomposeCat:
     def test_measurement_basis_phases_leave_probabilities(self):
         """sigma_z and number-operator phases (a frame rotation of the
         measurement basis) change neither probabilities nor |beta|."""
-        psi = cat_state(0.1164, T0, CAT_LAYOUT)
+        psi = cat_at(0.1164, T0, CAT_LAYOUT)
         nf = CAT_LAYOUT.fock_dim
         ref = decompose_cat(psi)
         phases = np.exp(-1j * (0.7 * np.arange(nf) + 1.3))
@@ -167,19 +173,19 @@ class TestDecomposeCat:
 class TestMultiStepCat:
     def test_single_step_equals_cat_state(self):
         one = multi_step_cat(0.1164, 1, CAT_LAYOUT)
-        ref = cat_state(0.1164, T0, CAT_LAYOUT)
+        ref = cat_at(0.1164, T0, CAT_LAYOUT)
         assert np.max(np.abs(one.vec - ref.vec)) <= 1e-9
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_matches_operator_power(self, k):
         """The closed form equals k applications of the analytic evolution
         operator over half a period."""
-        u = analytic_unitary(0.1164, T0, CAT_LAYOUT)
-        psi = basis_state(CAT_LAYOUT, "g", 0)
+        u = analytic_unitary(0.1164, T0, CAT_LAYOUT).mat
+        psi = basis_state(CAT_LAYOUT, "g", 0).vec
         for _ in range(k):
             psi = u @ psi
         got = multi_step_cat(0.1164, k, CAT_LAYOUT)
-        assert np.max(np.abs(got.vec - psi.vec)) <= 1e-9
+        assert np.max(np.abs(got.vec - psi)) <= 1e-9
 
     def test_two_step_amplitude(self):
         two = multi_step_cat(0.1164, 2, CAT_LAYOUT)

@@ -31,6 +31,10 @@ from condisp.cli import (
 from condisp.propagate import _write_csv
 
 
+def _never_called(*args, **kwargs):
+    raise AssertionError("the experiment ran")
+
+
 def _data_rows(path) -> list[str]:
     return [
         ln for ln in path.read_text().splitlines() if ln and not ln.startswith("#")
@@ -68,6 +72,24 @@ class TestConfigFormat:
     def test_missing_equals_rejected(self):
         with pytest.raises(ConfigError, match="line 1"):
             parse_config("system.g 0.3\n")
+
+    @pytest.mark.parametrize("name", sorted(PRESETS))
+    def test_every_preset_echo_reads_back(self, name):
+        args = build_parser().parse_args([PRESETS[name]["experiment"], "--preset", name])
+        cfg, _ = cli._load_layers(args, args.command)
+        assert parse_config(format_config(cfg)) == cfg
+        cli._check_echo(cfg)
+
+    @pytest.mark.parametrize("out", ["a#b", "a\nb"])
+    def test_value_that_does_not_read_back_is_refused(self, tmp_path, capsys,
+                                                      monkeypatch, out):
+        """output.dir = a#b would echo as a, and a line break would end the
+        echo's line: refused before anything runs or is written."""
+        monkeypatch.setattr(cli, "cat_fidelity_experiment", _never_called)
+        assert main(["cat-state", "--fock-dim", "16", "--out", str(tmp_path / out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: output.dir: the value ") and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
 
     def test_auto_sentinel_round_trips(self):
         # Derived-by-default values are held as None and echoed as "auto".
@@ -212,6 +234,27 @@ class TestBadInvocations:
         assert main(["gate-fidelity", "--fock-dim", "8", *args, "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and says in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize("where", ["a file", "under a file", "empty"])
+    def test_unusable_out_fails_before_running(self, tmp_path, capsys, monkeypatch, where):
+        """An --out that cannot be made a directory ends with one error line
+        and status 2 before the experiment starts."""
+        monkeypatch.setattr(cli, "cat_fidelity_experiment", _never_called)
+        (tmp_path / "f").write_text("")
+        out = {"a file": tmp_path / "f", "under a file": tmp_path / "f" / "sub",
+               "empty": ""}[where]
+        assert main(["cat-state", "--fock-dim", "16", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: output.dir: cannot create ") and err.count("\n") == 1
+
+    def test_unwritable_result_file_exits_2(self, tmp_path, capsys, monkeypatch):
+        def refuse(path, *args):
+            raise PermissionError(13, "Permission denied", path)
+
+        monkeypatch.setattr(cli, "_write_csv", refuse)
+        assert main(["cat-state", "--fock-dim", "16", "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: [Errno 13] Permission denied: ") and err.count("\n") == 1
 
     def test_bessel_rejects_run_flags(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -17,8 +17,6 @@ import pytest
 import oracle_helpers
 from condisp import DriveParams, HilbertLayout, SystemParams, model, propagate
 from condisp.gate import (
-    GateAngle,
-    analytic_gate,
     analytic_unitary,
     average_gate_fidelity,
     beta_phi,
@@ -35,18 +33,18 @@ TWO_PI = 2 * np.pi
 
 
 class TestGateAngle:
+    """The controlled-phase angle theta = 4 pi r^2, r = g_eff / omega_r, is
+    twice the phase the closed loop accumulates, Phi(T) = 2 pi r^2."""
+
     def test_relation_enforced(self):
-        GateAngle(theta=np.pi / 4, g_eff_ratio=0.25)
-        with pytest.raises(ValueError):
-            GateAngle(theta=np.pi / 4, g_eff_ratio=0.3)
+        for r in (0.1, 0.25, 0.0997, 0.2493):
+            beta, phase = beta_phi(r, TWO_PI)
+            assert abs(beta) <= 1e-12
+            assert 2 * phase == pytest.approx(4 * np.pi * r**2, abs=1e-12)
 
     def test_named_values(self):
-        assert GateAngle.from_ratio(0.25).theta == pytest.approx(np.pi / 4, abs=1e-12)
-        assert GateAngle.from_ratio(0.1).theta == pytest.approx(np.pi / 25, abs=1e-12)
-
-    def test_round_trip(self):
-        ga = GateAngle.from_theta(np.pi / 25)
-        assert ga.g_eff_ratio == pytest.approx(0.1, abs=1e-12)
+        assert 2 * beta_phi(0.25, TWO_PI)[1] == pytest.approx(np.pi / 4, abs=1e-12)
+        assert 2 * beta_phi(0.1, TWO_PI)[1] == pytest.approx(np.pi / 25, abs=1e-12)
 
     def test_reference_coupling_consistency(self):
         # g = 0.2, modulation index 1.20242: the sideband-weighted coupling
@@ -119,10 +117,12 @@ class TestAnalyticUnitary:
         assert np.max(np.abs(u - product)) <= 1e-8
 
     def test_gate_object_matches(self):
-        gate = analytic_gate(0.25)
-        assert abs(gate.beta) <= 1e-12
-        assert gate.phase == pytest.approx(2 * np.pi * 0.0625, abs=1e-12)
-        assert np.max(np.abs(gate.qubit_matrix - phase_gate_matrix(np.pi / 4))) <= 1e-10
+        """At T the loop closes on the phase gate of theta = 2 Phi(T)."""
+        beta, phase = beta_phi(0.25, TWO_PI)
+        assert abs(beta) <= 1e-12
+        assert phase == pytest.approx(2 * np.pi * 0.0625, abs=1e-12)
+        assert np.max(np.abs(phase_gate_matrix(2 * phase) - phase_gate_matrix(np.pi / 4))) \
+            <= 1e-10
 
     @staticmethod
     def _low_fock_columns(layout: HilbertLayout, n_max: int) -> np.ndarray:
@@ -256,7 +256,8 @@ class TestGateFidelity:
         cols = gate_columns(p, d, cfg, lay)
         n_trials = 1100
         trials = gate_fidelity_trials(p, d, n_trials, 5, cfg, layout=lay, columns=cols)
-        ideal = analytic_gate(effective_couplings(p, d)[0] / p.omega_r).qubit_matrix
+        ideal = phase_gate_matrix(2 * beta_phi(effective_couplings(p, d)[0] / p.omega_r,
+                                               TWO_PI)[1])
         rng = np.random.default_rng(5)
         expected = np.empty(n_trials)
         for i in range(n_trials):

@@ -8,20 +8,20 @@ import numpy as np
 import pytest
 import scipy.special
 
+import oracle_helpers
 from condisp.hilbert import (
+    _PAULI,
     HilbertLayout,
     Ket,
     Operator,
+    _annihilation,
+    _check_truncation,
+    _displacement_fock,
+    _embed,
     basis_state,
-    coherent,
     coherent_amplitudes,
-    displacement,
-    fidelity,
-    identity,
-    ladder,
-    pauli_on,
 )
-
+from condisp.model import _sigma_z
 
 class TestLayout:
     def test_dims(self):
@@ -73,99 +73,85 @@ class TestKetOperator:
         with pytest.raises(ValueError):
             Ket(small_layout, bad)
 
-    def test_normalized_and_overlap(self, small_layout):
-        g0 = basis_state(small_layout, "gg", 0)
-        e0 = basis_state(small_layout, "eg", 0)
-        sup = Ket(small_layout, g0.vec + e0.vec).normalized()
-        assert sup.norm() == pytest.approx(1.0, abs=1e-15)
-        assert sup.overlap(g0) == pytest.approx(1 / math.sqrt(2), abs=1e-15)
-        with pytest.raises(ValueError):
-            Ket(small_layout, np.zeros(small_layout.dim, dtype=complex)).normalized()
-
-    def test_overlap_layout_mismatch(self, small_layout, single_layout):
-        with pytest.raises(ValueError):
-            basis_state(small_layout, "gg", 0).overlap(
-                basis_state(single_layout, "g", 0)
-            )
-
     def test_operator_algebra(self, small_layout):
-        sx = pauli_on(0, "x", small_layout)
-        sz = pauli_on(0, "z", small_layout)
-        assert sx.is_hermitian()
-        assert (sx @ sx).mat == pytest.approx(np.eye(small_layout.dim))
-        anticomm = sx @ sz + sz @ sx
-        assert np.max(np.abs(anticomm.mat)) <= 1e-14
-        assert ((2.0 * sx) - (sx + sx)).mat == pytest.approx(
-            np.zeros((small_layout.dim,) * 2)
-        )
-        assert sx.dag().mat == pytest.approx(sx.mat)
+        """The embedded Paulis obey the Pauli algebra."""
+        sx = _embed(small_layout, {0: _PAULI["x"]}, None)
+        sp = _embed(small_layout, {0: _PAULI["+"]}, None)
+        sm = _embed(small_layout, {0: _PAULI["-"]}, None)
+        sz = sp @ sm - sm @ sp
+        eye = np.eye(small_layout.dim)
+        assert np.array_equal(sx, sx.conj().T) and np.array_equal(sx, sp + sm)
+        assert np.array_equal(sx @ sx, eye) and np.array_equal(sp @ sm + sm @ sp, eye)
+        assert np.max(np.abs(sx @ sz + sz @ sx)) == 0.0
 
     def test_operator_layout_mismatch(self, small_layout, single_layout):
-        with pytest.raises(ValueError):
-            pauli_on(0, "x", small_layout) @ pauli_on(0, "x", single_layout)
+        with pytest.raises(ValueError, match="does not match layout dim"):
+            Operator(small_layout, np.eye(single_layout.dim))
+        with pytest.raises(ValueError, match="non-finite"):
+            Operator(single_layout, np.full((single_layout.dim,) * 2, np.inf))
 
     def test_pauli_embedding_commutes_across_qubits(self, small_layout):
-        a = pauli_on(0, "x", small_layout)
-        b = pauli_on(1, "z", small_layout)
-        comm = a @ b - b @ a
-        assert np.max(np.abs(comm.mat)) <= 1e-14
+        a = _embed(small_layout, {0: _PAULI["x"]}, None)
+        b = _embed(small_layout, {1: _PAULI["+"] @ _PAULI["-"]}, None)
+        assert np.max(np.abs(a @ b - b @ a)) == 0.0
 
     def test_pauli_validation(self, small_layout, single_layout):
+        """The test oracle's Paulis refuse a qubit or an axis that is not there."""
         with pytest.raises(ValueError):
-            pauli_on(1, "x", single_layout)
+            oracle_helpers.pauli_on(1, "x", single_layout)
         with pytest.raises(ValueError):
-            pauli_on(0, "q", small_layout)
+            oracle_helpers.pauli_on(0, "q", small_layout)
 
     def test_sigma_z_sign_convention(self, small_layout):
-        # |e> is the +1 eigenstate of sigma_z.
-        sz = pauli_on(0, "z", small_layout)
-        e0 = basis_state(small_layout, "eg", 0)
-        g0 = basis_state(small_layout, "gg", 0)
-        assert (sz @ e0).overlap(e0).real == pytest.approx(1.0)
-        assert (sz @ g0).overlap(g0).real == pytest.approx(-1.0)
+        # |e> is the +1 eigenstate of sigma_z, in the library and the oracle.
+        sz = oracle_helpers.pauli_on(0, "z", small_layout)
+        assert np.array_equal(sz.diagonal().real, _sigma_z(small_layout)[0])
+        e0 = basis_state(small_layout, "eg", 0).vec
+        g0 = basis_state(small_layout, "gg", 0).vec
+        assert np.vdot(e0, sz @ e0).real == pytest.approx(1.0)
+        assert np.vdot(g0, sz @ g0).real == pytest.approx(-1.0)
 
     def test_raising_operator_direction(self, small_layout):
-        sp = pauli_on(0, "+", small_layout)
-        g0 = basis_state(small_layout, "gg", 0)
-        e0 = basis_state(small_layout, "eg", 0)
-        assert (sp @ g0).overlap(e0) == pytest.approx(1.0)
-        assert np.max(np.abs((sp @ e0).vec)) == 0.0
+        for sp in (_embed(small_layout, {0: _PAULI["+"]}, None),
+                   oracle_helpers.pauli_on(0, "+", small_layout)):
+            g0 = basis_state(small_layout, "gg", 0).vec
+            e0 = basis_state(small_layout, "eg", 0).vec
+            assert np.array_equal(sp @ g0, e0)
+            assert np.max(np.abs(sp @ e0)) == 0.0
 
 
 class TestResonatorOperators:
     def test_ladder_commutator(self, small_layout):
-        a = ladder(small_layout)
-        comm = (a @ a.dag() - a.dag() @ a).mat
-        # [a, a^dag] = 1 everywhere except the truncation corner.
         nf = small_layout.fock_dim
+        a = _embed(small_layout, {}, _annihilation(nf))
+        assert np.array_equal(a, oracle_helpers.ladder(small_layout))
+        comm = a @ a.conj().T - a.conj().T @ a
+        # [a, a^dag] = 1 everywhere except the truncation corner.
         diag = np.diag(comm).reshape(4, nf)
         assert diag[:, :-1] == pytest.approx(np.ones((4, nf - 1)))
         assert diag[:, -1] == pytest.approx((1 - nf) * np.ones(4))
 
     def test_number_expectation(self, small_layout):
-        a = ladder(small_layout)
-        k = basis_state(small_layout, "gg", 3)
-        n_op = a.dag() @ a
-        assert (n_op @ k).overlap(k).real == pytest.approx(3.0, abs=1e-14)
+        a = _embed(small_layout, {}, _annihilation(small_layout.fock_dim))
+        k = basis_state(small_layout, "gg", 3).vec
+        assert np.vdot(k, a.conj().T @ a @ k).real == pytest.approx(3.0, abs=1e-14)
 
     def test_displacement_unitary(self, small_layout):
-        d = displacement(0.4 + 0.2j, small_layout)
-        eye = identity(small_layout).mat
-        assert np.max(np.abs((d.dag() @ d).mat - eye)) <= 1e-9
+        d = _displacement_fock(0.4 + 0.2j, small_layout.fock_dim)
+        assert np.max(np.abs(d.conj().T @ d - np.eye(small_layout.fock_dim))) <= 1e-9
 
     def test_displaced_vacuum_is_coherent(self):
-        lay = HilbertLayout(1, 24)
         beta = 0.9 - 0.3j
-        disp = displacement(beta, lay) @ basis_state(lay, "g", 0)
-        coh = coherent(beta, lay)
-        # coherent() places amplitudes on the |g> qubit sector.
-        assert fidelity(disp, coh) == pytest.approx(1.0, abs=1e-10)
+        disp = _displacement_fock(beta, 24)[:, 0]
+        assert abs(np.vdot(disp, coherent_amplitudes(beta, 24))) ** 2 == pytest.approx(
+            1.0, abs=1e-10)
 
     def test_displacement_truncation_guard(self, small_layout):
         # |beta|^2 > fock_dim / 9 must be rejected.
         beta = math.sqrt(small_layout.fock_dim / 9.0) * 1.05
-        with pytest.raises(ValueError):
-            displacement(beta, small_layout)
+        with pytest.raises(ValueError, match="exceeds fock_dim/9"):
+            _check_truncation(beta, small_layout.fock_dim)
+        _check_truncation(beta / 1.05, small_layout.fock_dim)
 
     def test_coherent_amplitudes_poisson(self):
         beta = 0.7 + 0.1j
@@ -199,35 +185,3 @@ class TestResonatorOperators:
         # one entry past |beta|^2 <= fock_dim/9 rejects the whole array
         with pytest.raises(ValueError, match="exceeds fock_dim/9"):
             coherent_amplitudes(np.array([0.1, 1.0 + 0.1j]), 9)
-
-
-class TestFidelity:
-    def test_self_and_orthogonal(self, small_layout):
-        g0 = basis_state(small_layout, "gg", 0)
-        e0 = basis_state(small_layout, "eg", 0)
-        assert fidelity(g0, g0) == pytest.approx(1.0)
-        assert fidelity(g0, e0) == pytest.approx(0.0)
-
-    def test_symmetry(self, small_layout, rng):
-        v1 = rng.standard_normal(small_layout.dim) + 1j * rng.standard_normal(
-            small_layout.dim
-        )
-        v2 = rng.standard_normal(small_layout.dim) + 1j * rng.standard_normal(
-            small_layout.dim
-        )
-        k1 = Ket(small_layout, v1).normalized()
-        k2 = Ket(small_layout, v2).normalized()
-        assert fidelity(k1, k2) == pytest.approx(fidelity(k2, k1), abs=1e-14)
-
-    def test_rejects_unnormalized(self, small_layout):
-        g0 = basis_state(small_layout, "gg", 0)
-        half = Ket(small_layout, 0.5 * g0.vec)
-        with pytest.raises(ValueError):
-            fidelity(half, g0)
-
-    def test_rejects_layout_mismatch(self, small_layout, single_layout):
-        with pytest.raises(ValueError):
-            fidelity(
-                basis_state(small_layout, "gg", 0),
-                basis_state(single_layout, "g", 0),
-            )

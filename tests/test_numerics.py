@@ -13,11 +13,10 @@ import scipy.special
 
 from condisp.numerics import (
     MAX_BESSEL_ORDER,
-    argmax_j1,
     bessel_j,
     expm_skew_hermitian,
-    first_zero_j0,
 )
+from condisp.model import _FLIPFLOP_TOL, _FLIPFLOP_ZERO
 
 
 class TestBesselJ:
@@ -96,22 +95,19 @@ class TestBesselJ:
 
 
 class TestRootFinding:
-    def test_both_bisections_keep_their_floats(self):
-        """first_zero_j0 and argmax_j1 share one bisection, bit for bit
-        the two loops it replaced."""
-        assert first_zero_j0() == 2.4048255576957724
-        assert argmax_j1() == 1.8411837813406593
+    """The paper's anchor points, located by SciPy, on bessel_j."""
 
     def test_first_zero_j0(self):
-        root = first_zero_j0()
-        assert root == pytest.approx(2.404825557695773, abs=1e-8)
-        assert abs(bessel_j(0, root)) < 1e-10
-        # Agrees with the conventional 5-decimal value.
-        assert root == pytest.approx(2.40483, abs=5e-6)
+        root = scipy.special.jn_zeros(0, 1)[0]
+        assert bessel_j(0, root - 1e-6) > 0.0 > bessel_j(0, root + 1e-6)
+        assert abs(bessel_j(0, root)) < 1e-15
+        # validity_report's flip-flop zero, the conventional 5-decimal value
+        assert _FLIPFLOP_ZERO == pytest.approx(root, abs=5e-6)
+        assert abs(bessel_j(0, _FLIPFLOP_ZERO)) < _FLIPFLOP_TOL
 
     def test_argmax_j1(self):
-        peak = argmax_j1()
-        assert peak == pytest.approx(1.8411837813406593, abs=1e-6)
+        peak = scipy.special.jnp_zeros(1, 1)[0]
+        assert peak == pytest.approx(1.8411837813406593, abs=1e-12)
         # Local-maximum property.
         assert bessel_j(1, peak) >= bessel_j(1, peak - 1e-3)
         assert bessel_j(1, peak) >= bessel_j(1, peak + 1e-3)

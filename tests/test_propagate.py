@@ -55,7 +55,7 @@ import oracle_helpers
 from condisp import DriveParams, HilbertLayout, SystemParams, model, propagate
 from condisp.cat import cat_fidelity_experiment
 from condisp.gate import gate_columns
-from condisp.hilbert import Ket, basis_state, ladder, pauli_on
+from condisp.hilbert import Ket, basis_state
 from condisp.model import frame_phases, hamiltonian_fn
 from condisp.propagate import (
     DEFAULT_STEPS_PER_PERIOD,
@@ -67,7 +67,6 @@ from condisp.propagate import (
     evolve,
     evolve_columns,
     fidelity_trace,
-    propagator,
     write_trace_csv,
 )
 
@@ -85,9 +84,17 @@ def _static_provider(layout: HilbertLayout):
     built from the ladder and Pauli operators."""
     p = SystemParams(omega_q=3.0, g=0.0, n_qubits=1)
     fn = hamiltonian_fn(p, DriveParams.from_alpha((0.0,), 3.0), "lab-driven", layout)
-    a = ladder(layout).mat
-    sz = pauli_on(0, "z", layout).mat
+    a = oracle_helpers.ladder(layout)
+    sz = oracle_helpers.pauli_on(0, "z", layout)
     return fn, (a.conj().T @ a).diagonal().real + 1.5 * sz.diagonal().real
+
+
+def _propagator(fn, t_end: float, cfg: EvolutionConfig) -> np.ndarray:
+    """The full propagator of fn at t_end, the columns of the identity,
+    checked unitary within 1e-7."""
+    u = evolve_columns(fn, np.eye(fn.layout.dim, dtype=complex), t_end, cfg)
+    assert np.max(np.abs(u.conj().T @ u - np.eye(fn.layout.dim))) <= 1e-7
+    return u
 
 
 def _skewed(fn, size: float = 0.05):
@@ -305,19 +312,10 @@ class TestCoefficientForm:
         psi0 = basis_state(lab.layout, "g", 0)
         run = {"evolve": lambda: evolve(fn, psi0, 1.0, EvolutionConfig(), 2),
                "evolve_columns": lambda: evolve_columns(fn, psi0.vec, 1.0, EvolutionConfig()),
-               "propagator": lambda: propagator(fn, 1.0, EvolutionConfig())}[entry]
+               "propagator": lambda: evolve_columns(fn, np.eye(lab.layout.dim), 1.0,
+                                                    EvolutionConfig())}[entry]
         with pytest.raises(ValueError, match="lab-driven provider .* not a function$"):
             run()
-
-    def test_propagator_refuses_a_stack(self):
-        """A stack propagates as columns, but has no layout to make an
-        Operator on."""
-        fn = _lab_provider(1, 8)
-        pair = model._LabProvider(model._stack([fn.parts, fn.parts]), fn.omega_max)
-        assert evolve_columns(pair, np.eye(2 * fn.layout.dim)[:, :2], 1.0,
-                              EvolutionConfig()).shape == (2 * fn.layout.dim, 2)
-        with pytest.raises(ValueError, match="not a stack"):
-            propagator(pair, 1.0, EvolutionConfig())
 
 
 class TestChainPath:
@@ -347,7 +345,7 @@ class TestChainPath:
         u_ref = _reference(oracle_helpers.reference_m4, fn, eye, 1.7, cfg)[-1]
         cols = evolve_columns(fn, eye[:, [0, 5, 13]], 1.7, cfg)
         assert np.max(np.abs(cols - u_ref[:, [0, 5, 13]])) <= 1e-12
-        u = propagator(fn, 1.7, cfg).mat
+        u = _propagator(fn, 1.7, cfg)
         assert np.max(np.abs(u - u_ref)) <= 1e-12
 
     def test_rk4_matches_magnus(self):
@@ -381,7 +379,7 @@ class TestParityBlockPath:
         v0 = np.asfortranarray(eye[:, [0, 6, 13, 19]])
         cols = evolve_columns(fn, v0, 1.7, cfg)
         assert np.max(np.abs(cols - u_ref[:, [0, 6, 13, 19]])) <= 1e-12
-        u = propagator(fn, 1.7, cfg).mat
+        u = _propagator(fn, 1.7, cfg)
         assert np.max(np.abs(u - u_ref)) <= 1e-12
 
     def test_rk4_matches_magnus(self):
@@ -1202,7 +1200,7 @@ class TestDriftGuard:
             "evolve": (lambda: evolve(fn, psi0, 1.0, cfg, 4), 0.25),
             "evolve_columns": (lambda: evolve_columns(fn, np.eye(fn.layout.dim)[:, :3],
                                                       1.0, cfg), 1.0),
-            "propagator": (lambda: propagator(fn, 1.0, cfg), 1.0),
+            "propagator": (lambda: evolve_columns(fn, np.eye(fn.layout.dim), 1.0, cfg), 1.0),
             "gate_columns": (lambda: gate_columns(p, d, cfg, fn.layout), np.pi),
         }[entry]
         with pytest.raises(PropagationAccuracyError, match="norm drifted") as exc:
@@ -1217,8 +1215,8 @@ class TestPropagator:
         e^{-i E t}, E = omega_r n + (omega_q/2) sigma_z: in the frame that
         removes it, the identity."""
         fn, energies = _static_provider(single_layout)
-        u = propagator(fn, 3.0, EvolutionConfig(dt=0.01))
-        unwound = np.exp(3.0j * energies)[:, None] * u.mat
+        u = _propagator(fn, 3.0, EvolutionConfig(dt=0.01))
+        unwound = np.exp(3.0j * energies)[:, None] * u
         assert np.max(np.abs(unwound - np.eye(single_layout.dim))) <= 1e-12
 
     def test_linearity_matches_evolve(self):
@@ -1228,17 +1226,17 @@ class TestPropagator:
         fn = hamiltonian_fn(p, d, "lab-driven", lay)
         t_end = 1.3
         cfg = EvolutionConfig()
-        u = propagator(fn, t_end, cfg)
+        u = _propagator(fn, t_end, cfg)
         psi0 = basis_state(lay, "g", 2)
         traj = evolve(fn, psi0, t_end, cfg, n_samples=2)
-        assert np.max(np.abs(u.mat @ psi0.vec - traj.final.vec)) <= 1e-9
+        assert np.max(np.abs(u @ psi0.vec - traj.final.vec)) <= 1e-9
 
     def test_unitarity(self):
         lay = HilbertLayout(2, 6)
         p = SystemParams(omega_q=3.0, g=0.2)
         d = DriveParams.from_alpha((1.20242, -1.20242), 3.0)
         fn = hamiltonian_fn(p, d, "lab-driven", lay)
-        u = propagator(fn, 2.0, EvolutionConfig()).mat
+        u = evolve_columns(fn, np.eye(lay.dim, dtype=complex), 2.0, EvolutionConfig())
         assert np.max(np.abs(u.conj().T @ u - np.eye(lay.dim))) <= 1e-7
 
     def test_composition(self):
@@ -1255,9 +1253,9 @@ class TestPropagator:
         # H(t + t1): sin(omega_d (t + t1) - phi) = sin(omega_d t - (phi - omega_d t1))
         shifted = replace(fn, parts=replace(fn.parts, phi=fn.parts.phi - d.omega_d * t1))
         assert np.max(np.abs(shifted(0.4) - fn(0.4 + t1))) <= 1e-12
-        u_full = propagator(fn, t1 + t2, cfg).mat
-        u1 = propagator(fn, t1, cfg).mat
-        u2 = propagator(shifted, t2, cfg).mat
+        u_full = _propagator(fn, t1 + t2, cfg)
+        u1 = _propagator(fn, t1, cfg)
+        u2 = _propagator(shifted, t2, cfg)
         assert np.max(np.abs(u2 @ u1 - u_full)) <= 1e-7
 
     def test_evolve_columns_matches_propagator_columns(self):
@@ -1269,7 +1267,7 @@ class TestPropagator:
         t_end = 0.9
         v0 = np.eye(lay.dim, dtype=complex)[:, :3]
         cols = evolve_columns(fn, v0, t_end, cfg)
-        u = propagator(fn, t_end, cfg).mat
+        u = _propagator(fn, t_end, cfg)
         assert np.max(np.abs(cols - u[:, :3])) <= 1e-9
 
 
