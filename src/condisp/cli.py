@@ -290,7 +290,7 @@ def _run_gate(cfg, per_trial: bool) -> int:
     if cfg["system.n_qubits"] != 2:
         raise ConfigError("system.n_qubits: gate-fidelity needs 2 qubits")
     params, drive, layout, evo = _build(cfg)
-    _trial_ratio(params, drive, cfg["gate.trials"])  # refuse before propagating
+    _trial_ratio(params, drive, cfg["gate.trials"], cfg["gate.seed"])  # before propagating
     columns = gate_columns(params, drive, evo, layout)
     fids = gate_fidelity_trials(params, drive, cfg["gate.trials"],
                                 cfg["gate.seed"], evo, layout, columns=columns)

@@ -196,7 +196,7 @@ def gate_fidelity_trials(params: SystemParams, drive: DriveParams,
     otherwise. What _trial_ratio refuses raises ValueError before anything
     is propagated.
     """
-    ratio = _trial_ratio(params, drive, n_trials)
+    ratio = _trial_ratio(params, drive, n_trials, seed)
     if layout is None:
         layout = HilbertLayout(n_qubits=2, fock_dim=32)
     if columns is None:
@@ -217,13 +217,17 @@ def gate_fidelity_trials(params: SystemParams, drive: DriveParams,
     return fids
 
 
-def _trial_ratio(params: SystemParams, drive: DriveParams, n_trials: int) -> float:
+def _trial_ratio(params: SystemParams, drive: DriveParams, n_trials: int,
+                 seed: int) -> float:
     """g_eff/omega_r of the closed form the trials are scored against; raises
     ValueError, before any propagation, off phi = pi/2, for couplings that
-    are not two opposite ones, or for fewer than one trial."""
+    are not two opposite ones, for fewer than one trial, or for a negative
+    seed, which NumPy's generator refuses."""
     _require_quadrature(drive, "the gate experiment")
     if n_trials < 1:
         raise ValueError(f"n_trials must be >= 1, got {n_trials}")
+    if seed < 0:
+        raise ValueError(f"gate.seed: must be >= 0, got {seed}")
     g_eff = effective_couplings(params, drive)
     if len(g_eff) != 2 or abs(sum(g_eff)) > 1e-8 * max(params.g, 1e-300):
         raise ValueError(

@@ -831,25 +831,225 @@ def fidelity_trace(params: SystemParams, drive: DriveParams, psi0: Ket,
     return FidelityTrace(times, fids, params.omega_r)
 
 
+# Rows of a CSV formatted at once: at two columns a block's arrays hold
+# 4,096 cells, 32 KiB each. Blocks of 4,096 rows wrote the gate's 20,000
+# rows about a quarter slower, and raised the gate benchmark's peak RSS
+# by 0.8 MiB; 1,024 rows ran level with 2,048.
+_CSV_BLOCK = 2048
+# Half-width of the band around a rounding tie in which a cell is left to
+# Python: 16 times the largest error of its scaled mantissa, 2^-14.
+_TIE = 2.0 ** -10
+
+
+@functools.cache
+def _cell_tables():
+    """The CSV cell formatter's lookup tables, built on its first call, by
+    the kinds of operation the formatter runs anyway (each new kind pages
+    in more of NumPy, which the benchmark's peak RSS counts):
+
+    - quads[j]: the four zero-padded ASCII digits of j < 10^4 as one
+      little-endian word;
+    - trailing[j]: the trailing zeros among those four digits (4 for 0);
+    - quads[10^4] = quads[1000] and trailing[10^4] = -10, so that a
+      mantissa rounded up to 10^12 prints as 10^11 one exponent up
+      (its code moves on by 12 - (4 + 4 - 10) = 13 + 1);
+    - up[i], down[i]: the exact power of ten by which a cell of decimal
+      exponent e = i - 12 is multiplied (-11 <= e <= 11) or divided
+      (12 <= e <= 33), 1 otherwise;
+    - masks[13 (X + 12) + sig, r]: for a cell of exponent X with sig
+      significant digits, the bytes of its words 0 and 1 kept from the
+      digits (r = 0, 1), of words 0 to 2 kept from the digits shifted a
+      byte (r = 2 to 4), and its fixed characters in words 0 to 2 (r = 5
+      to 7): the zeros before the digits, the '.' and the exponent.
+      X + 12 = 0 holds zero, printed at X = 0.
+    """
+    pairs = np.frombuffer(b"".join(b"%02d\0\0\0\0\0\0" % i for i in range(100)), "<u8")
+    pair_zeros = np.array([2] + [i % 10 == 0 for i in range(1, 100)], np.intp)
+    j = np.arange(10001.0)
+    j[-1] = 1000
+    hi = np.floor(j / 100)
+    lo = (j - hi * 100).astype(np.intp)
+    hi = hi.astype(np.intp)
+    quads = pairs[hi] | (pairs[lo] << np.uint64(16))
+    trailing = pair_zeros[lo] + np.where(lo == 0, pair_zeros[hi], 0)
+    trailing[-1] = -10
+    tens = np.array([float(10**k) for k in range(1, 23)])  # exact
+    up, down = np.ones(47), np.ones(47)
+    up[1:23] = tens[::-1]
+    down[24:46] = tens
+    x = np.arange(-12, 36)[:, None]
+    x[0] = 0
+    sig = np.arange(13)
+    sci = (x < -4) | (x > 11)
+    dot = np.where(sci, 5, 5 + x)  # the stream position the '.' precedes
+    start = np.where(sci, 4, 4 + np.minimum(x, 0))
+    digits, whole = 4 - start + sig, dot - start
+    end = start + np.where(digits > whole, digits + 1, whole)
+    masks = np.zeros((8, 48, 13), np.uint64)
+    for c in range(17):  # body byte c
+        word, shift = divmod(8 * c, 64)
+        kept = (start <= c) & (c < end) & (c != dot)
+        digit = kept & (np.where(c > dot, c - 1, c) >= 4)  # its stream position
+        for row, char, where in ((word, 255, digit & (c < dot)),
+                                 (word + 2, 255, digit & (c > dot)),
+                                 (word + 5, 48, kept & ~digit),
+                                 (word + 5, 46, (c == dot) & (end > dot))):
+            if where.any():
+                masks[row] |= np.where(where, np.uint64(char << shift), 0)
+    exponent = np.array([int.from_bytes(b"\0e%+03d" % v, "little") for v in range(-12, 36)],
+                        np.uint64)
+    masks[7] |= np.where(sci, exponent[:, None], 0)  # bytes 17 to 20
+    return quads, trailing, up, down, np.ascontiguousarray(masks.reshape(8, 48 * 13).T)
+
+
+def _python_cells(values) -> list[str]:
+    """The per-cell fallback of the CSV formatter."""
+    return ["%.12g" % v for v in values]
+
+
+def _as_floats(column) -> np.ndarray | None:
+    """A CSV column's cells as float64, the conversion % makes, or None for
+    a column NumPy holds as objects (ints beyond int64, strings, None),
+    whose cells all go to _python_cells."""
+    if isinstance(column, range) and max(abs(column.start), abs(column.stop)) < 2**62:
+        # np.asarray would iterate the range in Python
+        return np.arange(column.start, column.stop, column.step).astype(np.float64)
+    a = np.asarray(column)
+    return a.astype(np.float64, copy=False) if a.ndim == 1 and a.dtype.kind in "biuf" else None
+
+
+def _format_cells(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write each float64 x[i] but its sign into out[i], three uint64
+    words, as %.12g writes it, with every other byte 0; returns the mask
+    of the cells it wrote, the rest being left to _python_cells
+    (_write_csv says which and why). The 24 bytes of a cell: bytes 0 to
+    16 the body, bytes 17 to 20 'e+dd' or 'e-dd' in scientific notation;
+    the caller puts its separator in byte 21 and the next cell's '-' in
+    byte 23. The body shows the stream "0000" + the 12 mantissa digits
+    with a '.' inserted before stream position 5 + X (fixed notation) or
+    5 (scientific), from the zeros a fixed cell below 1 needs to the last
+    significant digit or to the decimal point, whichever is further. Its
+    digits are the mantissa's digit words where one mask keeps them and
+    the same words shifted a byte where a second does; a third holds its
+    zeros, '.' and exponent. All three are looked up by exponent and
+    significant digits. Call it under np.errstate: log10(0) and inf - inf
+    may be formed.
+    """
+    quads, trailing, up, down, masks = _cell_tables()
+    a = np.abs(x)
+    e = np.fmin(np.fmax(np.floor(np.log10(a)), -12.0), 34.0).astype(np.intp)
+    e += 12
+    y = a * up[e]
+    y /= down[e]
+    m = np.rint(y)
+    fast = (y >= 1e11) | (y == 0)
+    fast &= m <= 1e12
+    fast &= np.abs(y - m) < 0.5 - _TIE
+    np.fmin(m, 1e12, out=m)  # also takes nan and inf into the tables' range
+    t = np.floor(m / 1e4)
+    hi = np.floor(m / 1e8)
+    lo = (m - t * 1e4).astype(np.intp)
+    mid = (t - hi * 1e4).astype(np.intp)
+    hi = hi.astype(np.intp)
+    zeros = trailing[lo] + np.where(lo == 0, trailing[mid] + np.where(mid == 0, trailing[hi], 0), 0)
+    code = e * 13 + 12 - zeros
+    keep0, keep1, shift0, shift1, shift2, fix0, fix1, fix2 = masks.take(code, axis=0).T
+    s0 = quads[hi] << np.uint64(32)  # the stream's words, its first four zeros left 0
+    s1 = quads[lo] << np.uint64(32)
+    s1 |= quads[mid]
+    np.bitwise_and(s0, keep0, out=out[:, 0])
+    shift0 &= s0 << np.uint64(8)
+    out[:, 0] |= shift0 | fix0
+    np.bitwise_and(s1, keep1, out=out[:, 1])
+    shift1 &= (s1 << np.uint64(8)) | (s0 >> np.uint64(56))
+    out[:, 1] |= shift1 | fix1
+    shift2 &= s1 >> np.uint64(56)
+    np.bitwise_or(shift2, fix2, out=out[:, 2])
+    return fast
+
+
+def _csv_rows(columns: Sequence) -> list[bytes]:
+    """The rows of the equal-length columns, each a range, a list or a 1-D
+    array, cells separated by ',' and each row ending in '\\n', every cell
+    as _write_csv describes, as one bytes object per _CSV_BLOCK rows
+    (joining them would hold the file twice). Each cell's bytes are
+    written with 0 in every unused position, and a block's rows are
+    joined by deleting those zeros (bytes.translate).
+    """
+    n = len(columns[0])
+    if any(len(c) != n for c in columns):
+        raise ValueError(f"CSV columns have unequal lengths {[len(c) for c in columns]}")
+    floats = [_as_floats(c) for c in columns]
+    k = len(columns)
+    x = np.empty((min(n, _CSV_BLOCK), k))
+    words = np.empty(1 + 3 * x.size, np.uint64)  # a word for the first '-', then the cells
+    separators = np.full(k, ord(","), np.uint64)
+    separators[-1] = ord("\n")
+    separators <<= np.uint64(40)  # byte 21 of a cell
+    blocks = []
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for lo in range(0, n, _CSV_BLOCK):
+            rows = min(n - lo, _CSV_BLOCK)
+            for j, column in enumerate(floats):
+                x[:rows, j] = np.nan if column is None else column[lo:lo + rows]
+            values, size = x[:rows].reshape(-1), 3 * rows * k
+            cells = words[1:1 + size].reshape(-1, 3)
+            fast = _format_cells(values, cells)
+            slow = np.flatnonzero(~fast).tolist()
+            if slow:
+                text = _python_cells([values[i] if floats[i % k] is not None
+                                      else columns[i % k][lo + i // k] for i in slow])
+                cells.view(np.uint8)[slow, :21] = np.array(
+                    [t.encode() for t in text], "S21").view(np.uint8).reshape(-1, 21)
+            cells.reshape(rows, k, 3)[:, :, 2] |= separators
+            words[0] = 0
+            words[:size:3] |= np.where(fast & np.signbit(values), np.uint64(0x2D << 56), 0)
+            blocks.append(words[:1 + size].tobytes().translate(None, b"\0"))
+    return blocks
+
+
 def _write_csv(path, comments: Sequence[str], header: str, columns: Sequence) -> None:
     """Comment lines (each behind '# '), a column header, then the rows of
-    the equal-length columns, each a range, a list or a 1-D array, with
-    every cell at 12 significant digits, formatted by one %.
+    the equal-length columns, each a range, a list or a 1-D array, every
+    cell as '%.12g' % v writes it (a range within +-1e12 as '%d' % i, the
+    same bytes). All bytes are formatted before the file is opened, so a
+    write that fails while formatting leaves no file behind.
 
-    The cells are drawn row by row into one tuple through zip, which
-    reuses its row tuple, so a write keeps nothing per row but the cells
-    and sets off no garbage collection. A range within +-1e12 is
-    formatted by %d, which writes its cells, of at most 12 digits, as
-    %.12g does, at less cost.
+    The cells are formatted in NumPy (_csv_rows, _format_cells) from
+    float64, the conversion % makes. A cell leaves that path for
+    _python_cells, '%.12g' % v on its own, unless it is exact there, by
+    this argument. For a = |x| and e = floor(log10 a) (clipped; log10 may
+    be one off near a power of ten), y = a 10^(11 - e) is formed by one
+    multiplication or division with an exact power of ten (10^k is a
+    double for k <= 22, so -11 <= e <= 33). The computed y' then carries
+    one rounding, |y' - y| <= ulp(y')/2 <= 2^-14 for y' < 2^40 (1.1e12).
+    The cell stays if 10^11 <= y', m = rint(y') <= 10^12 and |y' - m| <
+    1/2 - _TIE, _TIE = 2^-10. Then y lies more than 2^-10 - 2^-14 from a
+    tie, so m is y rounded to an integer as % rounds it (half to even on
+    the exact binary value, which differs only at a tie), and m at
+    exponent e prints the cell, as follows:
+    - 10^11 <= y < 10^12 - 1/2: e is a's exponent and m its 12 digits;
+    - m = 10^12, because y rounds up past 12 digits, or because log10
+      gave e one too small (y < 10^12 + 1/2 + 2^-14, so y/10 rounds to
+      10^11 at e + 1): either way % prints 10^11 at e + 1, as the tables
+      print m = 10^12;
+    - y < 10^11 <= y', because log10 gave e one too large: y > 10^11 -
+      2^-14, so 10 y rounds up to 10^12 at e - 1, which % prints as
+      10^11 at e, and m = 10^11.
+    The band is a margin: rounding is monotonic and every half-integer
+    below 2^40 is a double, so y' never crosses the tie y is nearest;
+    with _TIE = 0 (but y' = m + 1/2 still left out) the path would stay
+    exact. So a cell falls back if y' < 10^11, in the band around a tie,
+    below 1e-11 or from 1e34 up, or if it is inf or nan; zero takes the
+    fast path. Every cell in fixed notation (exponent -4 to 11) outside
+    the band takes it. A column NumPy holds as objects (ints beyond
+    int64, strings) falls back whole.
     """
-    cells = tuple(itertools.chain.from_iterable(zip(
-        *(c.tolist() if isinstance(c, np.ndarray) else c for c in columns), strict=True)))
-    fmt = ",".join("%d" if isinstance(c, range) and (not c or max(abs(c[0]), abs(c[-1])) < 10**12)
-                   else "%.12g" for c in columns) + "\n"
-    text = "".join([f"# {line}\n" for line in comments] + [header + "\n"]) \
-        + fmt * len(columns[0]) % cells
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write(text)
+    head = "".join([f"# {line}\n" for line in comments] + [header + "\n"]).encode("utf-8")
+    rows = _csv_rows(columns)
+    with open(path, "wb") as f:
+        f.write(head)
+        f.writelines(rows)
 
 
 def write_trace_csv(trace: FidelityTrace, path, comments: Sequence[str] = ()) -> None:

@@ -7,10 +7,13 @@ earlier Taylor loop, and reference_m4 (the Magnus step with both of its turns) a
 reference_rk4 step dense H(t) matrices, to compare the library's
 structured lab propagation against. Those two assemble a lab provider's
 dense h0 and D once (dense_generator) and form each H(t) as h0 + s(t) D.
+percent_csv keeps the CSV writer's earlier form, one % over every cell,
+to compare its NumPy formatter against.
 """
 
 from __future__ import annotations
 
+import itertools
 from functools import reduce
 
 import numpy as np
@@ -239,3 +242,15 @@ def max_generator_residual(
         ref = rotating_frame_hamiltonian(params, drive, t, layout, l_max=20).mat
         worst = max(worst, float(np.max(np.abs(gen - ref))))
     return worst
+
+
+def percent_csv(comments, header: str, columns) -> bytes:
+    """The whole file the CSV writer wrote before it formatted its cells in
+    NumPy: one % over every cell, %d for a range within +-1e12 and %.12g
+    for every other cell, arrays through tolist."""
+    cells = tuple(itertools.chain.from_iterable(zip(
+        *(c.tolist() if isinstance(c, np.ndarray) else c for c in columns), strict=True)))
+    fmt = ",".join("%d" if isinstance(c, range) and (not c or max(abs(c[0]), abs(c[-1])) < 10**12)
+                   else "%.12g" for c in columns) + "\n"
+    return ("".join([f"# {line}\n" for line in comments] + [header + "\n"])
+            + fmt * len(columns[0]) % cells).encode("utf-8")

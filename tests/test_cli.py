@@ -216,6 +216,22 @@ class TestBadInvocations:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("args", [
+        ["gate-fidelity", "--seed", "-1", "--trials", "10"],
+        ["sweep", "--metric", "gate-fidelity", "--seed", "-1",
+         "--axis", "system.g", "0.1", "0.2", "2"],
+    ])
+    def test_negative_seed_refused_before_propagating(self, tmp_path, capsys, monkeypatch,
+                                                      args):
+        """NumPy's generator refuses a negative seed with a message that
+        names no key; the gate refuses it first, naming gate.seed."""
+        monkeypatch.setattr(cli, "gate_columns", _never_called)
+        monkeypatch.setattr("condisp.gate.gate_columns", _never_called)
+        assert main(args + ["--fock-dim", "8", "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "gate.seed: must be >= 0, got -1" in err
+
     @pytest.mark.parametrize("args, says", [
         (["--g", "1e200", "--trials", "3"], "g = 1e+200 is too large"),
         (["--dt", "1e-20", "--trials", "2"], "dt = 1e-20 takes 3.14e+20 steps"),

@@ -283,6 +283,13 @@ class TestGateFidelity:
         with pytest.raises(ValueError):
             gate_fidelity_trials(p, d, 0, 1, EvolutionConfig(), layout=HilbertLayout(2, 8))
 
+    def test_rejects_negative_seed_before_propagating(self, monkeypatch):
+        monkeypatch.setattr("condisp.gate.gate_columns", lambda *a, **k: pytest.fail("ran"))
+        p = SystemParams(omega_q=3.0, g=0.2)
+        d = DriveParams.from_alpha((1.20242, -1.20242), 3.0)
+        with pytest.raises(ValueError, match="gate.seed: must be >= 0, got -3"):
+            gate_fidelity_trials(p, d, 2, -3, EvolutionConfig(), layout=HilbertLayout(2, 8))
+
     def test_rejects_non_opposite_couplings(self):
         p = SystemParams(omega_q=3.0, g=0.2)
         d = DriveParams.from_alpha((1.2, 1.2), 3.0)
