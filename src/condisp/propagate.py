@@ -20,37 +20,34 @@ that commute: a propagation carries its state twisted, w_n =
 e^{+iK_{n-1}} v_n, makes one turn e^{i(K_n - K_{n-1})} per step, and
 unwinds e^{-iK} only where a state leaves it, at each sample. Every
 operator comes prescaled by its step, A = dt Hbar, and the exponential
-is an adaptive Taylor series on a power stack that the operator owns:
-each term is one bare apply p_k = A p_{k-1} into the next row, and the
-exponential is one combination of the rows by (-i)^k / k! (a stack
-that runs out of rows is folded into a partial sum). The Taylor product
-never leaves the unit sphere beyond roundoff, so the series stops once
-a term's squared norm falls below 1e-32 of the initial state's, taken
-once per propagation (of the smallest member's, for a stack). An
-exponential almost always stops where its operator's last one did, so
-it applies that many terms untested and checks them by one batched
-norm, going on term by term only if none passes. This module owns what
-the propagators accept, the step and its plan; model supplies only the
-lab generator's parts. _checked takes a provider once: a lab provider
-is never evaluated, it is propagated from the parts it carries, and a
-wrapper that carries a provider's parts is evaluated once, to check
-them, and becomes the lab provider of its parts (once per propagation
-for the public propagators, once per experiment for fidelity_trace, the
-cat and the gate). Every propagation then runs through _run, which
-checks every sample for drift of its norm, or of its columns'
-overlaps, one way. _mixer plans each propagation from its initial
-state, and reads its step schedule _PLAN_CHUNK steps at a time: node
-times, then the modulation sin(omega_d t - phi) at all of them, from
-which it forms the chunk's diagonals and turn phases at once. The
-static part is premixed once, as dt h0, so loading the next step only
-points the operator at its diagonal, or copies it in. At either qubit
-count the generator is a real block per parity sector; the propagation
-carries only the blocks the initial state occupies (the parity keeps
-the rest at zero) and applies them as three bands where they are
-tridiagonal (one qubit's parity chains), else by one batched real matmul
-(two qubits). A stack of lab parts
-(model._stack) lays their parity sectors end to end, so the same
-kernels propagate all its members at once, one apply per Taylor term.
+is an adaptive Taylor series (Al-Mohy & Higham, SIAM J. Sci. Comput. 33,
+488 (2011)) on a power stack that the operator owns: each term is one
+bare apply p_k = A p_{k-1} into the next row, on views its kernel binds
+once per plan, and the exponential is one combination of the rows by
+(-i)^k / k! (a stack that runs out of rows is folded into a partial
+sum). The Taylor product never leaves the unit sphere beyond roundoff,
+so the series stops once a term's squared norm falls below 1e-32 of the
+initial state's, taken once per propagation (of the smallest member's,
+for a stack). An exponential almost always stops where its operator's
+last one did, so it applies that many terms in one kernel call, checks
+them by one batched norm, and goes on term by term only if none passes.
+This module owns what the propagators accept, the step and its plan;
+model supplies only the lab generator's parts. _checked takes a
+provider once, and every propagation then runs through _run, which
+checks every sample for drift of its norm, or of its columns' overlaps,
+one way. _mixer plans each propagation from its initial state, and
+reads its step schedule _PLAN_CHUNK steps at a time: node times, then
+the modulation sin(omega_d t - phi) at all of them, from which it forms
+the chunk's diagonals and turn phases at once. The static part is
+premixed once, as dt h0, so loading the next step only points the
+operator at its diagonal, or copies it in. At either qubit count the
+generator is a real block per parity sector; the propagation carries
+only the blocks the initial state occupies (the parity keeps the rest
+at zero) and applies them as three bands where they are tridiagonal
+(one qubit's parity chains), else by one batched real matmul (two
+qubits). A stack of lab parts (model._stack) lays their parity sectors
+end to end, so the same kernels propagate all its members at once, one
+apply per Taylor term.
 
 Of those blocks a propagation carries only its Fock window, the first w
 levels, which are the first w m / fock_dim rows of every sector since
@@ -259,31 +256,34 @@ def _top_level_record():
 class _Powers:
     """A loaded operator A and the power stack it owns.
 
-    Row j of the stack holds p_j = A p_{j-1} once power(j) has run, p_0
-    being what the caller writes into row 0; rows[j] is that row as a
-    packed state and flat[j] as one float64 vector, for its norm, and
-    lhs[j], rhs[j] are that vector as a (1, n) and an (n, 1) matrix, so
-    one matmul over a run of them takes the run's squared norms. stack
-    holds the rows flat, one per line, and heads[j] its first j + 1
-    lines, for combining them into out, whose packed state is result.
-    bounds[j] is the Taylor stop on row j's squared norm, and degree the
-    number of terms the last exponential took, 0 before the first (see
-    _expmv). buf is the stack in the kernel's own layout, and state maps
-    one of its rows (or a row-shaped array) to a packed state.
+    Row j of the stack holds p_j = A p_{j-1} once term j has run, p_0
+    being what the caller writes into row 0. powers(m, j=1) runs terms j
+    to m in one call, term j on terms[j], row j's output view and row j -
+    1's input views, which the kernel binds once. rows[j] is row j as a
+    packed state and flat[j] as one float64 vector; norms[m] holds rows 1
+    to m's vectors as (1, n) and as (n, 1) matrices, and one matmul's
+    output for their squared norms, as (m, 1, 1) and flat. stack holds
+    the rows flat, one per line, and heads[j] its first j + 1 lines, for
+    combining them into out, whose packed state is result. bounds[j] is
+    the Taylor stop on row j's squared norm, and degree the number of
+    terms the last exponential took, 0 before the first (see _expmv). buf
+    is the stack in the kernel's own layout, and state maps one of its
+    rows (or a row-shaped array) to a packed state.
     """
 
-    def __init__(self, buf: np.ndarray, state: Callable, power: Callable,
-                 bounds: list) -> None:
+    def __init__(self, buf: np.ndarray, state: Callable, powers: Callable,
+                 terms: list, bounds: list) -> None:
         self.stack = buf.reshape(len(buf), -1)
         self.heads = [self.stack[:j + 1] for j in range(len(buf))]
         flat = self.stack.view(np.float64)
-        self.flat, self.lhs, self.rhs = list(flat), flat[:, None], flat[..., None]
+        self.flat, lhs, rhs = list(flat), flat[:, None], flat[..., None]
+        self.norms = [(lhs[1:len(n) + 1], rhs[1:len(n) + 1], n[:, None, None], n)
+                      for n in map(np.empty, range(len(buf)))]
         self.degree = 0
         self.rows = [state(b) for b in buf]
         self.out = np.zeros_like(self.stack[0])
         self.result = state(self.out.reshape(buf.shape[1:]))
-        self.power = power
-        self.bounds = bounds
+        self.powers, self.terms, self.bounds = powers, terms, bounds
 
 
 def _block_operator(blocks: np.ndarray, shape: tuple, bounds: list) -> _Powers:
@@ -291,15 +291,17 @@ def _block_operator(blocks: np.ndarray, shape: tuple, bounds: list) -> _Powers:
 
     The rows are packed (sectors, m, k) states. The float64 view of a
     C-contiguous row holds each amplitude's real and imaginary parts side
-    by side, so power(j) is one batched real matmul over the sectors,
-    from row j - 1's float64 view into row j's.
+    by side, so term j is one batched real matmul over the sectors, from
+    row j - 1's float64 view into row j's, both bound once.
     """
     buf = np.empty((len(bounds),) + shape, dtype=complex)
     f = [b.view(np.float64) for b in buf]
+    terms = [()] + [(y, x) for y, x in zip(f[1:], f)]
 
-    def power(j: int) -> None:
-        np.matmul(blocks, f[j - 1], out=f[j])
-    return _Powers(buf, lambda b: b, power, bounds)
+    def powers(m: int, j: int = 1, matmul=np.matmul) -> None:
+        for y, x in terms[j:m + 1]:
+            matmul(blocks, x, y)
+    return _Powers(buf, lambda b: b, powers, terms, bounds)
 
 
 def _band_operator(up: np.ndarray, lo: np.ndarray, shape: tuple,
@@ -311,13 +313,13 @@ def _band_operator(up: np.ndarray, lo: np.ndarray, shape: tuple,
     parity blocks, runs along the sectors laid end to end, so d, up and
     lo are (sectors * n, 1) complex columns, and up, lo are 0 where one
     sector ends and the next begins. Each row carries a zero line at
-    either end, so its neighbour lines x[i+1] and x[i-1] are fixed views,
-    and power(j) is five ufunc calls.
+    either end, so term j binds fixed views once, row j's lines y and row
+    j - 1's x, x[i+1] and x[i-1], and is five ufunc calls, y = (d x + up
+    x[i+1]) + lo x[i-1], their outputs passed by position.
     """
     lines = shape[0] * shape[1]
     buf = np.zeros((len(bounds), lines + 2, shape[2]), dtype=complex)
-    mid, nxt, prv = ([b[s] for b in buf] for s in (slice(1, -1), slice(2, None),
-                                                   slice(None, -2)))
+    terms = [()] + [(y[1:-1], x[1:-1], x[2:], x[:-2]) for y, x in zip(buf[1:], buf)]
     tmp = np.empty((lines, shape[2]), dtype=complex)
     diag = None
 
@@ -325,14 +327,15 @@ def _band_operator(up: np.ndarray, lo: np.ndarray, shape: tuple,
         nonlocal diag
         diag = d
 
-    def power(j: int) -> None:
-        y, i = mid[j], j - 1
-        np.multiply(diag, mid[i], out=y)
-        np.multiply(up, nxt[i], out=tmp)
-        np.add(y, tmp, out=y)
-        np.multiply(lo, prv[i], out=tmp)
-        np.add(y, tmp, out=y)
-    op = _Powers(buf, lambda b: b[1:-1].reshape(shape), power, bounds)
+    def powers(m: int, j: int = 1, mul=np.multiply, add=np.add) -> None:
+        d = diag
+        for y, x, nx, px in terms[j:m + 1]:
+            mul(d, x, y)
+            mul(up, nx, tmp)
+            add(y, tmp, y)
+            mul(lo, px, tmp)
+            add(y, tmp, y)
+    op = _Powers(buf, lambda b: b[1:-1].reshape(shape), powers, terms, bounds)
     op.load = load
     return op
 
@@ -400,42 +403,33 @@ def _mixer(parts: _Blocks, v0: np.ndarray, chunks: Iterable[np.ndarray], dt: flo
     chunks yields the node times of runs of consecutive steps as (steps,
     2) arrays, each step's two Gauss nodes t_1, t_2. Each next(ops) loads
     the next step and returns its (turn, op). The turn is the phase
-    turn(x) = exp(i (K_n - K_{n-1})) x, K_n = dt (sqrt(3)/12) (H(t_2) -
-    H(t_1)) of step n, K_{-1} = 0, so a propagation carries its state
-    twisted by e^{iK} of the last step loaded. op is a _Powers of the
-    prescaled mean generator dt (H(t_1) + H(t_2))/2, valid until the next
-    load, whose power(j) is one bare apply. into packs v0, or an array of
-    its shape with no amplitude outside v0's, into the propagation basis;
-    back unwinds e^{-iK} of the last step loaded from a packed state and
-    unpacks it into the product basis (into out, zeros of v0's shape, if
-    given). Each op's Taylor stop is _STOP (one
-    entry per stack row) times v0's squared norm, that of its smallest
-    stack member.
+    turn(x) = exp(i (K_n - K_{n-1})) x into op's row 0, K_n = dt
+    (sqrt(3)/12) (H(t_2) - H(t_1)) of step n, K_{-1} = 0, so a
+    propagation carries its state twisted by e^{iK} of the last step
+    loaded. op is a _Powers of the prescaled mean generator dt (H(t_1) +
+    H(t_2))/2, valid until the next load. into packs v0, or an array of
+    its shape with no amplitude outside v0's, into the propagation basis
+    (_packing); back unwinds e^{-iK} of the last step loaded from a
+    packed state and unpacks it into the product basis (into out, zeros
+    of v0's shape, if given). Each op's Taylor stop is _STOP (one entry
+    per stack row) times v0's squared norm, that of its smallest member.
 
-    The window is v0's (_window): its first w Fock levels, the first w
-    m / fock_dim rows of each sector, whose top _GUARD levels are the
-    guard band. The generator is restricted to it, a hard wall at level
-    w. watch(p) checks a packed state p of the plan: on a window short of
+    The window is v0's (_window), whose top _GUARD levels are the guard
+    band; the generator is restricted to it, a hard wall at level w.
+    watch(p) checks a packed state p of the plan: on a window short of
     the cutoff it is true once the band's squared norm passes the stop
-    1e-32 v^2, and ops checks the state op.result holds the same way
-    before it forms each chunk but the first, and ends there if the band
-    has passed. A plan that widens the operator of a plan so ended (or
-    watched true) starts on v0's window, but at least one band above that
-    plan's, and keeps its Taylor stops. At the full cutoff neither
-    checks, and watch is always false.
+    1e-32 v^2, and ops checks op.result the same way before it forms
+    each chunk but the first, and ends there if the band has passed. A
+    plan that widens the operator of a plan so ended (or watched true)
+    starts on v0's window, but at least one band above that plan's, and
+    keeps its Taylor stops. At the full cutoff watch is always false.
 
-    The parts are h0 + s(t) D on real parity blocks, s(t) = sin(omega_d t
-    - phi), D diagonal, so K_n = q D, q = dt (sqrt(3)/12) (s(t_2) -
-    s(t_1)), and the mean generator is dt h0 + c D, c = dt (s(t_1)/2 +
-    s(t_2)/2), with q and c one number per occupied sector (sectors of one
-    phi get the same bits). So dt h0 is premixed once per propagation,
-    and a chunk of steps forms, at once, the diagonals dt diag(h0) + c D
-    its ops load and the phases its turns multiply by; a load then only
-    points the kernel at, or copies in, its diagonal. into
-    and back come from _packing, so a sector that parity keeps at zero is
-    never propagated. Tridiagonal premixed blocks (one qubit's parity
-    chains) apply as three complex bands, others as one batched real
-    matmul.
+    The parts are h0 + s(t) D, s(t) = sin(omega_d t - phi), D diagonal,
+    so K_n = q D, q = dt (sqrt(3)/12) (s(t_2) - s(t_1)), and the mean
+    generator is dt h0 + c D, c = dt (s(t_1)/2 + s(t_2)/2), with q and c
+    one number per occupied sector (sectors of one phi get the same
+    bits). A chunk forms at once the diagonals dt diag(h0) + c D its ops
+    load and the phases its turns multiply by.
     """
     per = parts.h0.shape[1] // parts.fock_dim  # rows per Fock level
     levels = _window(parts, v0)
@@ -495,10 +489,11 @@ def _mixer(parts: _Blocks, v0: np.ndarray, chunks: Iterable[np.ndarray], dt: flo
                 yield nodes
         chunks = watched(chunks)
     else:
-        watch = _unwatched
+        def watch(p: np.ndarray) -> bool:  # at the full cutoff nothing is checked
+            return False
 
-    def turn(x: np.ndarray) -> np.ndarray:
-        return np.multiply(x, phase, out=op.rows[0])
+    def turn(x: np.ndarray, row=op.rows[0], multiply=np.multiply) -> np.ndarray:
+        return multiply(x, phase, row)
 
     def ops():
         nonlocal phase, last
@@ -519,11 +514,6 @@ def _mixer(parts: _Blocks, v0: np.ndarray, chunks: Iterable[np.ndarray], dt: flo
     return ops(), into, back, watch
 
 
-def _unwatched(p: np.ndarray) -> bool:
-    """The watch of a plan at the full cutoff: nothing to check."""
-    return False
-
-
 def _expmv(op, x: np.ndarray) -> np.ndarray:
     """exp(-i A) @ x by the Taylor series, A the operator op has loaded
     (a _Powers, prescaled by its step: dt Hbar).
@@ -538,29 +528,32 @@ def _expmv(op, x: np.ndarray) -> np.ndarray:
     the Taylor product is unitary to roundoff. Consecutive exponentials
     of a propagation almost always stop at the same k, so the first m
     terms, m = op.degree (where op's last exponential stopped) up to the
-    stack's last row, are applied without a test, and their squared
-    norms taken by one matmul, which gives each the bits of its own dot
-    product: the series stops at the first of them that passes, and the
-    rows past it are never combined. If none does, the series goes on
-    from term m + 1, one test per term. The exponential is then one
-    combination of the rows by the coefficients (-i)^j / j!, into
-    op.out, and is returned as op.result, valid until op's next
-    exponential. When the rows run out, all but the last are folded into
-    a partial sum, and the last, scaled to its term t_b, becomes row 0,
-    from which the series goes on with the coefficients (-i)^j b!/(b+j)!.
-    Converges for any step but is only accurate (and cheap) for ||A|| of
-    order one or below, which the step ceiling guarantees.
+    stack's last row, are applied untested by one op.powers(m), and
+    their squared norms taken by one matmul on op.norms[m], which gives
+    each the bits of its own dot product: the series stops at the first
+    of them that passes, and the rows past it are never combined. If
+    none does, it goes on from term m + 1, one test per term. The
+    exponential is then one combination of the rows by the coefficients
+    (-i)^j / j!, into op.out, and is returned as op.result, valid until
+    op's next exponential. When the rows run out, all but the last are
+    folded into a partial sum, and the last, scaled to its term t_b,
+    becomes row 0, from which the series goes on with the coefficients
+    (-i)^j b!/(b+j)!. Converges for any step but is only accurate (and
+    cheap) for ||A|| of order one or below, as the step ceiling ensures.
     """
-    rows, flat, power, bounds = op.rows, op.flat, op.power, op.bounds
+    rows, flat, powers, bounds = op.rows, op.flat, op.powers, op.bounds
     if x is not rows[0]:
         np.copyto(rows[0], x)
     heads, total, depth = _HEADS, None, len(rows)
     m = min(op.degree, depth - 1)
-    for j in range(1, m + 1):
-        power(j)
-    norms = np.matmul(op.lhs[1:m + 1], op.rhs[1:m + 1]).ravel().tolist()
-    j = k = next((i for i, s in enumerate(norms, 1) if s <= bounds[i]), 0)
-    if not k:
+    powers(m)
+    lhs, rhs, out, norms = op.norms[m]
+    np.matmul(lhs, rhs, out)
+    for k, s in enumerate(norms.tolist(), 1):
+        if s <= bounds[k]:
+            j = k
+            break
+    else:
         j = m
         for k in range(m + 1, _TAYLOR_MAX_TERMS + 1):
             j += 1
@@ -574,16 +567,15 @@ def _expmv(op, x: np.ndarray) -> np.ndarray:
                 heads = [coeffs[:i + 1] for i in range(depth)]
                 bounds = (op.bounds[0] / np.abs(coeffs) ** 2).tolist()
                 j = 1
-            power(j)
+            powers(j, j)
             if flat[j] @ flat[j] <= bounds[j]:
                 break
         else:
             raise PropagationAccuracyError(
                 f"matrix-exponential series did not converge in {_TAYLOR_MAX_TERMS} "
-                "terms; the step is far too large for this generator"
-            )
+                "terms; the step is far too large for this generator")
     op.degree = k
-    np.dot(heads[j], op.heads[j], out=op.out)
+    np.dot(heads[j], op.heads[j], op.out)
     if total is not None:
         op.out += total
     return op.result
@@ -837,7 +829,7 @@ def fidelity_trace(params: SystemParams, drive: DriveParams, psi0: Ket,
 # by 0.8 MiB; 1,024 rows ran level with 2,048.
 _CSV_BLOCK = 2048
 # Half-width of the band around a rounding tie in which a cell is left to
-# Python: 16 times the largest error of its scaled mantissa, 2^-14.
+# Python: over 5 times the largest error of its scaled mantissa, 3 2^-14.
 _TIE = 2.0 ** -10
 
 
@@ -845,23 +837,26 @@ _TIE = 2.0 ** -10
 def _cell_tables():
     """The CSV cell formatter's lookup tables, built on its first call, by
     the kinds of operation the formatter runs anyway (each new kind pages
-    in more of NumPy, which the benchmark's peak RSS counts):
+    in more of NumPy, which the benchmark's peak RSS counts). A cell of
+    decimal exponent X has row r = X + 298, clipped to 0 to 607 (row 0
+    holds zero, printed at X = 0), and code 13 r + sig, sig its
+    significant digits:
 
-    - quads[j]: the four zero-padded ASCII digits of j < 10^4 as one
-      little-endian word;
+    - quads[j]: the four zero-padded ASCII digits of j < 10^4, one word;
     - trailing[j]: the trailing zeros among those four digits (4 for 0);
     - quads[10^4] = quads[1000] and trailing[10^4] = -10, so that a
       mantissa rounded up to 10^12 prints as 10^11 one exponent up
       (its code moves on by 12 - (4 + 4 - 10) = 13 + 1);
-    - up[i], down[i]: the exact power of ten by which a cell of decimal
-      exponent e = i - 12 is multiplied (-11 <= e <= 11) or divided
-      (12 <= e <= 33), 1 otherwise;
-    - masks[13 (X + 12) + sig, r]: for a cell of exponent X with sig
-      significant digits, the bytes of its words 0 and 1 kept from the
-      digits (r = 0, 1), of words 0 to 2 kept from the digits shifted a
-      byte (r = 2 to 4), and its fixed characters in words 0 to 2 (r = 5
-      to 7): the zeros before the digits, the '.' and the exponent.
-      X + 12 = 0 holds zero, printed at X = 0.
+    - up[r], down[r]: the double nearest the power of ten (exact up to
+      10^22) by which rows 1 to 606 are multiplied (X <= 11) or divided;
+    - layouts[code]: 13 (min(max(X, -5), 12) + 5) + sig, the same for
+      every exponent printed in scientific notation (outside -4 to 11);
+    - masks[layout, w]: the bytes of words 0 and 1 kept from the digits
+      (w = 0, 1), of words 0 to 2 kept from the digits shifted a byte (w
+      = 2 to 4), and the fixed characters in words 0 and 1 (w = 5, 6):
+      the zeros before the digits and the '.';
+    - ends[code]: the fixed characters in word 2, with the exponent 'e+dd'
+      or 'e-ddd' in bytes 17 to 21 in scientific notation.
     """
     pairs = np.frombuffer(b"".join(b"%02d\0\0\0\0\0\0" % i for i in range(100)), "<u8")
     pair_zeros = np.array([2] + [i % 10 == 0 for i in range(1, 100)], np.intp)
@@ -873,19 +868,18 @@ def _cell_tables():
     quads = pairs[hi] | (pairs[lo] << np.uint64(16))
     trailing = pair_zeros[lo] + np.where(lo == 0, pair_zeros[hi], 0)
     trailing[-1] = -10
-    tens = np.array([float(10**k) for k in range(1, 23)])  # exact
-    up, down = np.ones(47), np.ones(47)
-    up[1:23] = tens[::-1]
-    down[24:46] = tens
-    x = np.arange(-12, 36)[:, None]
-    x[0] = 0
+    tens = np.array([float(10**k) for k in range(1, 309)])  # each correctly rounded
+    up, down = np.ones(609), np.ones(609)
+    up[1:309] = tens[::-1]
+    down[310:607] = tens[:297]
+    x = np.arange(-5, 13)[:, None]
     sig = np.arange(13)
     sci = (x < -4) | (x > 11)
     dot = np.where(sci, 5, 5 + x)  # the stream position the '.' precedes
     start = np.where(sci, 4, 4 + np.minimum(x, 0))
     digits, whole = 4 - start + sig, dot - start
     end = start + np.where(digits > whole, digits + 1, whole)
-    masks = np.zeros((8, 48, 13), np.uint64)
+    masks = np.zeros((8, 18, 13), np.uint64)
     for c in range(17):  # body byte c
         word, shift = divmod(8 * c, 64)
         kept = (start <= c) & (c < end) & (c != dot)
@@ -896,10 +890,14 @@ def _cell_tables():
                                  (word + 5, 46, (c == dot) & (end > dot))):
             if where.any():
                 masks[row] |= np.where(where, np.uint64(char << shift), 0)
-    exponent = np.array([int.from_bytes(b"\0e%+03d" % v, "little") for v in range(-12, 36)],
-                        np.uint64)
-    masks[7] |= np.where(sci, exponent[:, None], 0)  # bytes 17 to 20
-    return quads, trailing, up, down, np.ascontiguousarray(masks.reshape(8, 48 * 13).T)
+    x = np.arange(-298, 311)
+    x[0] = 0
+    layouts = (np.where(x < -5, -5, np.minimum(x, 12))[:, None] * 13 + sig).ravel() + 65
+    exponent = np.array([int.from_bytes(b"\0e%+03d" % v, "little") for v in x], np.uint64)
+    ends = masks[7].ravel()[layouts].reshape(-1, 13)
+    ends |= np.where((x < -4) | (x > 11), exponent, 0)[:, None]
+    return (quads, trailing, up, down, layouts,
+            np.ascontiguousarray(masks[:7].reshape(7, -1).T), ends.ravel())
 
 
 def _python_cells(values) -> list[str]:
@@ -923,8 +921,8 @@ def _format_cells(x: np.ndarray, out: np.ndarray) -> np.ndarray:
     words, as %.12g writes it, with every other byte 0; returns the mask
     of the cells it wrote, the rest being left to _python_cells
     (_write_csv says which and why). The 24 bytes of a cell: bytes 0 to
-    16 the body, bytes 17 to 20 'e+dd' or 'e-dd' in scientific notation;
-    the caller puts its separator in byte 21 and the next cell's '-' in
+    16 the body, bytes 17 to 21 'e+dd' to 'e-ddd' in scientific notation;
+    the caller puts its separator in byte 22 and the next cell's '-' in
     byte 23. The body shows the stream "0000" + the 12 mantissa digits
     with a '.' inserted before stream position 5 + X (fixed notation) or
     5 (scientific), from the zeros a fixed cell below 1 needs to the last
@@ -932,13 +930,13 @@ def _format_cells(x: np.ndarray, out: np.ndarray) -> np.ndarray:
     digits are the mantissa's digit words where one mask keeps them and
     the same words shifted a byte where a second does; a third holds its
     zeros, '.' and exponent. All three are looked up by exponent and
-    significant digits. Call it under np.errstate: log10(0) and inf - inf
-    may be formed.
+    significant digits (_cell_tables). Call it under np.errstate: log10(0)
+    and inf - inf may be formed.
     """
-    quads, trailing, up, down, masks = _cell_tables()
+    quads, trailing, up, down, layouts, masks, ends = _cell_tables()
     a = np.abs(x)
-    e = np.fmin(np.fmax(np.floor(np.log10(a)), -12.0), 34.0).astype(np.intp)
-    e += 12
+    e = np.fmin(np.fmax(np.floor(np.log10(a)), -298.0), 309.0).astype(np.intp)
+    e += 298
     y = a * up[e]
     y /= down[e]
     m = np.rint(y)
@@ -953,7 +951,7 @@ def _format_cells(x: np.ndarray, out: np.ndarray) -> np.ndarray:
     hi = hi.astype(np.intp)
     zeros = trailing[lo] + np.where(lo == 0, trailing[mid] + np.where(mid == 0, trailing[hi], 0), 0)
     code = e * 13 + 12 - zeros
-    keep0, keep1, shift0, shift1, shift2, fix0, fix1, fix2 = masks.take(code, axis=0).T
+    keep0, keep1, shift0, shift1, shift2, fix0, fix1 = masks.take(layouts.take(code), axis=0).T
     s0 = quads[hi] << np.uint64(32)  # the stream's words, its first four zeros left 0
     s1 = quads[lo] << np.uint64(32)
     s1 |= quads[mid]
@@ -964,7 +962,7 @@ def _format_cells(x: np.ndarray, out: np.ndarray) -> np.ndarray:
     shift1 &= (s1 << np.uint64(8)) | (s0 >> np.uint64(56))
     out[:, 1] |= shift1 | fix1
     shift2 &= s1 >> np.uint64(56)
-    np.bitwise_or(shift2, fix2, out=out[:, 2])
+    np.bitwise_or(shift2, ends.take(code), out=out[:, 2])
     return fast
 
 
@@ -985,7 +983,7 @@ def _csv_rows(columns: Sequence) -> list[bytes]:
     words = np.empty(1 + 3 * x.size, np.uint64)  # a word for the first '-', then the cells
     separators = np.full(k, ord(","), np.uint64)
     separators[-1] = ord("\n")
-    separators <<= np.uint64(40)  # byte 21 of a cell
+    separators <<= np.uint64(48)  # byte 22 of a cell
     blocks = []
     with np.errstate(divide="ignore", invalid="ignore"):
         for lo in range(0, n, _CSV_BLOCK):
@@ -999,8 +997,8 @@ def _csv_rows(columns: Sequence) -> list[bytes]:
             if slow:
                 text = _python_cells([values[i] if floats[i % k] is not None
                                       else columns[i % k][lo + i // k] for i in slow])
-                cells.view(np.uint8)[slow, :21] = np.array(
-                    [t.encode() for t in text], "S21").view(np.uint8).reshape(-1, 21)
+                cells.view(np.uint8)[slow, :22] = np.array(
+                    [t.encode() for t in text], "S22").view(np.uint8).reshape(-1, 22)
             cells.reshape(rows, k, 3)[:, :, 2] |= separators
             words[0] = 0
             words[:size:3] |= np.where(fast & np.signbit(values), np.uint64(0x2D << 56), 0)
@@ -1020,27 +1018,29 @@ def _write_csv(path, comments: Sequence[str], header: str, columns: Sequence) ->
     _python_cells, '%.12g' % v on its own, unless it is exact there, by
     this argument. For a = |x| and e = floor(log10 a) (clipped; log10 may
     be one off near a power of ten), y = a 10^(11 - e) is formed by one
-    multiplication or division with an exact power of ten (10^k is a
-    double for k <= 22, so -11 <= e <= 33). The computed y' then carries
-    one rounding, |y' - y| <= ulp(y')/2 <= 2^-14 for y' < 2^40 (1.1e12).
-    The cell stays if 10^11 <= y', m = rint(y') <= 10^12 and |y' - m| <
-    1/2 - _TIE, _TIE = 2^-10. Then y lies more than 2^-10 - 2^-14 from a
+    multiplication or division with the double nearest 10^k, k = |11 -
+    e| <= 308 (so -297 <= e <= 308), exact for k <= 22 and otherwise
+    within a relative 2^-53. The computed y' then carries at most two
+    roundings, the power's and the product's: for y, y' < 1.05e12 < 2^40,
+    |y' - y| < 1.0001 y 2^-53 + ulp(y')/2 < 2^-13 + 2^-14 = 3 2^-14. The
+    cell stays if 10^11 <= y', m = rint(y') <= 10^12 and |y' - m| < 1/2
+    - _TIE, _TIE = 2^-10. Then y lies more than 2^-10 - 3 2^-14 from a
     tie, so m is y rounded to an integer as % rounds it (half to even on
     the exact binary value, which differs only at a tie), and m at
     exponent e prints the cell, as follows:
     - 10^11 <= y < 10^12 - 1/2: e is a's exponent and m its 12 digits;
     - m = 10^12, because y rounds up past 12 digits, or because log10
-      gave e one too small (y < 10^12 + 1/2 + 2^-14, so y/10 rounds to
+      gave e one too small (y < 10^12 + 1/2 + 3 2^-14, so y/10 rounds to
       10^11 at e + 1): either way % prints 10^11 at e + 1, as the tables
       print m = 10^12;
     - y < 10^11 <= y', because log10 gave e one too large: y > 10^11 -
-      2^-14, so 10 y rounds up to 10^12 at e - 1, which % prints as
+      3 2^-14, so 10 y rounds up to 10^12 at e - 1, which % prints as
       10^11 at e, and m = 10^11.
-    The band is a margin: rounding is monotonic and every half-integer
-    below 2^40 is a double, so y' never crosses the tie y is nearest;
-    with _TIE = 0 (but y' = m + 1/2 still left out) the path would stay
-    exact. So a cell falls back if y' < 10^11, in the band around a tie,
-    below 1e-11 or from 1e34 up, or if it is inf or nan; zero takes the
+    With an exact power the band is a margin: rounding is monotonic and
+    every half-integer below 2^40 is a double, so y' never crosses the
+    tie y is nearest. A rounded power can move y' across it, by less
+    than 3 2^-14 < _TIE. So a cell falls back if y' < 10^11, in the band
+    around a tie, below 1e-297, or if it is inf or nan; zero takes the
     fast path. Every cell in fixed notation (exponent -4 to 11) outside
     the band takes it. A column NumPy holds as objects (ints beyond
     int64, strings) falls back whole.

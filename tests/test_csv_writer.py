@@ -37,7 +37,7 @@ def _tie(d: int, k: int) -> float:
 
 
 # ties, or either of their neighbouring doubles, mostly at the exponents
-# the NumPy path formats (1e-11 to 1e34)
+# whose power of ten the NumPy path holds exactly (1e-11 to 1e34)
 _TIES = st.builds(lambda d, k, sign, side: sign * _near(_tie(d, k), side),
                   st.integers(10**11, 10**12 - 1),
                   st.one_of(st.integers(-23, 21), st.integers(-335, 295)), _SIGN, _SIDE)
@@ -108,6 +108,17 @@ def test_ties_and_their_neighbours():
     assert _rows([column]) == _cells([column])
 
 
+def test_ties_scaled_by_rounded_powers():
+    """Ties at the exponents whose power of ten is not a double (below
+    -11 and above 33), where the scaled mantissa carries two roundings."""
+    rng = np.random.default_rng(5)
+    k = np.concatenate([rng.integers(-309, -23, 1500), rng.integers(22, 297, 1500)])
+    ties = np.array([_tie(d, k) for d, k in zip(rng.integers(10**11, 10**12, 3000).tolist(),
+                                                k.tolist())])
+    column = np.concatenate([ties, np.nextafter(ties, 0), -np.nextafter(ties, np.inf)])
+    assert _rows([column]) == _cells([column])
+
+
 @pytest.mark.parametrize("block", [1, 3, 7])
 def test_block_size_does_not_change_the_bytes(monkeypatch, block):
     columns = [range(-4, 13), np.linspace(-1e-6, 1e13, 17), [0.5] * 8 + [np.nan, 2**70] + [-1] * 7]
@@ -152,7 +163,8 @@ def _fallbacks(monkeypatch, columns) -> int:
 @pytest.mark.parametrize("args, which", [
     (["gate-fidelity", "--fock-dim", "8", "--trials", "500", "--per-trial"], [1]),
     (["validate-effective", "--fock-dim", "8", "--periods", "0.5"], [0, 1]),
-], ids=["gate fidelities", "trace"])
+    (["cat-state", "--steps", "6", "--fock-dim", "128"], [0, 1, 2]),
+], ids=["gate fidelities", "trace", "cat"])
 def test_fast_path_takes_nearly_every_cell(tmp_path, monkeypatch, args, which):
     """At most 1 % of a real output's cells go to Python, so a formatter
     that sent every cell there fails here and not only in the benchmark."""

@@ -142,29 +142,29 @@ def _operator(fn, v0: np.ndarray, t: float, dt: float = 1.0):
 
 
 def _apply(op, x: np.ndarray) -> np.ndarray:
-    """A @ x for a loaded operator A: x into row 0 of its stack, one power."""
+    """A @ x for a loaded operator A: x into row 0 of its stack, one term."""
     np.copyto(op.rows[0], x)
-    op.power(1)
+    op.powers(1)
     return op.rows[1]
 
 
 def _exponential(op, x: np.ndarray) -> tuple[np.ndarray, int, int]:
     """_expmv(op, x), copied, the Taylor degree it combined (the degree the
-    operator carries to its next exponential) and the powers it applied,
-    which exceed the degree by the rows of a batch past its stop."""
+    operator carries to its next exponential) and the terms its kernel
+    applied, which exceed the degree by the rows of a batch past its stop."""
     applies = 0
-    power = op.power
+    powers = op.powers
 
-    def counted(j: int) -> None:
+    def counted(m: int, j: int = 1) -> None:
         nonlocal applies
-        applies += 1
-        power(j)
+        applies += max(0, m - j + 1)
+        powers(m, j)
 
-    op.power = counted
+    op.powers = counted
     try:
         return _expmv(op, x).copy(), op.degree, applies
     finally:
-        op.power = power
+        op.powers = powers
 
 
 class TestEvolutionConfig:
@@ -433,7 +433,8 @@ class TestTaylorLoop:
         got, degree, applies = _exponential(op, x0)
         assert degree == each_degree and np.array_equal(got, each)
         rows = min(applies, len(op.rows) - 1) + 1
-        batched = np.matmul(op.lhs[1:rows], op.rhs[1:rows]).ravel()
+        lhs, rhs, out, batched = op.norms[rows - 1]
+        np.matmul(lhs, rhs, out)
         assert np.array_equal(batched, [f @ f for f in op.flat[1:rows]])
         ref, ref_terms = oracle_helpers.reference_expmv(lambda y: _apply(op, y).copy(),
                                                         x0, members)
@@ -554,7 +555,7 @@ class TestTaylorLoop:
 
 
 class TestBufferedApply:
-    """A loaded operator owns its power stack: power(j) writes A p_{j-1}
+    """A loaded operator owns its power stack: term j writes A p_{j-1}
     into row j, A = dt (H(t_1) + H(t_2))/2 prescaled by the step; an
     exponential's result lives apart from the rows, and a foreign input
     is never written."""
@@ -581,7 +582,7 @@ class TestBufferedApply:
         _, op = next(ops)
         np.copyto(op.rows[0], into(x))
         for j in range(1, len(op.rows)):
-            op.power(j)
+            op.powers(j, j)
             want = dense @ unpack(op.rows[j - 1])
             assert np.max(np.abs(unpack(op.rows[j]) - want)) <= 1e-13 * np.max(np.abs(want))
         result = _expmv(op, into(x))
@@ -595,6 +596,64 @@ class TestBufferedApply:
         assert later is op
         dense = 0.5 * dt * (fn(0.9) + fn(0.2))
         assert np.max(np.abs(unpack(_apply(later, into(x))) - dense @ x)) <= 1e-13
+
+
+class TestBoundKernels:
+    """Each kernel binds its Taylor terms' views once: one term,
+    powers(j, j), and a batch, powers(m), write exactly the bits of the
+    arithmetic they stand for, (d x + up x[i+1]) + lo x[i-1] on the bands
+    and np.matmul(blocks, x) on the blocks, and every view bound into a
+    term is a view of its stack row."""
+
+    @staticmethod
+    def _kernel(kind: str, n_qubits: int):
+        """(op, the term's arithmetic on a packed row) of a kernel on the
+        premixed blocks dt h0 of a lab provider (their three bands, for
+        the band kernel), with three columns per sector."""
+        fn = _lab_provider(n_qubits, 8)
+        blocks = (2 * np.pi / (64 * fn.omega_max)) * fn.parts.h0
+        sectors, m = blocks.shape[:2]
+        shape, bounds = (sectors, m, 3), list(propagate._STOP)
+        if kind == "block":
+            return (propagate._block_operator(blocks, shape, bounds),
+                    lambda x: np.matmul(blocks, x.view(np.float64)).view(complex))
+        bands = np.zeros((2, sectors, m), dtype=complex)
+        bands[0, :, :-1] = np.diagonal(blocks, 1, 1, 2)
+        bands[1, :, 1:] = np.diagonal(blocks, -1, 1, 2)
+        up, lo = bands.reshape(2, -1, 1)
+        d = np.diagonal(blocks, 0, 1, 2).reshape(-1, 1) + 0.01j
+        op = propagate._band_operator(up, lo, shape, bounds)
+        op.load(d)
+
+        def band(x):
+            x = np.concatenate([np.zeros((1, 3)), x.reshape(-1, 3), np.zeros((1, 3))])
+            return ((d * x[1:-1] + up * x[2:]) + lo * x[:-2]).reshape(shape)
+        return op, band
+
+    @pytest.mark.parametrize("n_qubits", [1, 2])
+    @pytest.mark.parametrize("kind", ["band", "block"])
+    def test_terms_keep_their_bits(self, kind, n_qubits):
+        op, term = self._kernel(kind, n_qubits)
+        rng = np.random.default_rng(13)
+        x = rng.standard_normal(op.rows[0].shape) + 1j * rng.standard_normal(op.rows[0].shape)
+        np.copyto(op.rows[0], x)
+        op.powers(len(op.rows) - 1)
+        batch = [r.copy() for r in op.rows]
+        assert np.max(np.abs(batch[-1])) > 0
+        for j in range(1, len(op.rows)):
+            assert np.array_equal(batch[j], term(batch[j - 1]))
+            op.rows[j][...] = np.nan
+            op.powers(j, j)
+            assert np.array_equal(op.rows[j], batch[j])
+
+    @pytest.mark.parametrize("n_qubits", [1, 2])
+    @pytest.mark.parametrize("kind", ["band", "block"])
+    def test_bound_views_share_their_rows(self, kind, n_qubits):
+        op, _ = self._kernel(kind, n_qubits)
+        assert len(op.terms) == len(op.rows)
+        for j, (y, *inputs) in enumerate(op.terms[1:], 1):
+            assert np.shares_memory(y, op.stack[j])
+            assert all(np.shares_memory(x, op.stack[j - 1]) for x in inputs)
 
 
 class TestPackedPlan:
