@@ -14,6 +14,7 @@ and nothing timestamps itself.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import math
 import os
@@ -272,8 +273,7 @@ def _out_path(cfg, name: str) -> str:
     return os.path.join(cfg["output.dir"], name)
 
 
-def _run_validate(cfg) -> int:
-    params, drive, layout, evo = _build(cfg)
+def _run_validate(cfg, params, drive, layout, evo) -> int:
     psi0 = basis_state(layout, "g" * layout.n_qubits, 0)
     t_end = cfg["trace.periods"] * 2.0 * math.pi / params.omega_r
     trace = fidelity_trace(params, drive, psi0, t_end, evo)
@@ -286,10 +286,9 @@ def _run_validate(cfg) -> int:
     return 0
 
 
-def _run_gate(cfg, per_trial: bool) -> int:
+def _run_gate(cfg, params, drive, layout, evo, per_trial: bool) -> int:
     if cfg["system.n_qubits"] != 2:
         raise ConfigError("system.n_qubits: gate-fidelity needs 2 qubits")
-    params, drive, layout, evo = _build(cfg)
     _trial_ratio(params, drive, cfg["gate.trials"], cfg["gate.seed"])  # before propagating
     columns = gate_columns(params, drive, evo, layout)
     fids = gate_fidelity_trials(params, drive, cfg["gate.trials"],
@@ -307,10 +306,9 @@ def _run_gate(cfg, per_trial: bool) -> int:
     return 0
 
 
-def _run_cat(cfg) -> int:
+def _run_cat(cfg, params, drive, layout, evo) -> int:
     if cfg["system.n_qubits"] != 1:
         raise ConfigError("system.n_qubits: cat-state needs 1 qubit")
-    params, drive, layout, evo = _build(cfg)
     k = cfg["cat.steps"]
     if k < 1:
         raise ConfigError(f"cat.steps: must be >= 1, got {k}")
@@ -357,21 +355,28 @@ def _metric_value(cfg) -> float:
     return cat_fidelity_experiment(params, drive, cfg["cat.steps"], evo, layout)
 
 
-def _sweep_point(job) -> tuple[float, float]:
-    """_metric_value for one (overrides, config) grid point, and the top
-    Fock level's largest population its propagations sampled at their full
-    cutoff; a library error, or a size too large to allocate, is re-raised
-    with the point's coordinates in front (top level: worker-picklable)."""
-    overrides, point = job
+@contextlib.contextmanager
+def _at_point(overrides):
+    """A with block whose library error, or size too large to allocate, is
+    re-raised with the grid point's coordinates in front."""
     try:
-        with _top_level_record() as top:
-            value = _metric_value(point)
-        return value, top[0]
+        yield
     except (ValueError, PropagationAccuracyError, MemoryError) as exc:
         where = ", ".join(f"{key}={value:.12g}" for key, value in overrides)
         err = next(e for e in (PropagationAccuracyError, MemoryError, ValueError)
                    if isinstance(exc, e))
         raise err(f"sweep point {where}: {exc}") from exc
+
+
+def _sweep_point(job) -> tuple[float, float]:
+    """_metric_value for one (overrides, config) grid point, and the top
+    Fock level's largest population its propagations sampled at their full
+    cutoff; its errors are re-raised by _at_point (top level:
+    worker-picklable)."""
+    overrides, point = job
+    with _at_point(overrides), _top_level_record() as top:
+        value = _metric_value(point)
+    return value, top[0]
 
 
 def _sweep_axes(cfg):
@@ -410,12 +415,10 @@ def _run_sweep(cfg) -> int:
         (k1, v1), (k2, v2) = axes
         grid = [((k1, float(a)), (k2, float(b))) for a in v1 for b in v2]
 
-    jobs = []
-    for overrides in grid:
-        point = dict(cfg)
-        for key, value in overrides:
-            point[key] = value
-        jobs.append((overrides, point))
+    jobs = [(overrides, {**cfg, **dict(overrides)}) for overrides in grid]
+    for overrides, point in jobs:  # refuse a point the model rejects before warning
+        with _at_point(overrides):
+            _build(point)
     _warn_eta(point["system.eta"] for _, point in jobs)
 
     workers = cfg["sweep.workers"]
@@ -472,14 +475,15 @@ def run(cfg: dict) -> int:
     experiment = cfg["experiment"]
     if experiment == "sweep":  # a sweep warns for its grid's points
         return _run_sweep(cfg)
+    built = _build(cfg)  # refuses a config the model rejects before its eta warns
     _warn_eta([cfg["system.eta"]])
     with _top_level_record() as top:
         if experiment == "validate-effective":
-            status = _run_validate(cfg)
+            status = _run_validate(cfg, *built)
         elif experiment == "gate-fidelity":
-            status = _run_gate(cfg, per_trial=cfg.get("_per_trial", False))
+            status = _run_gate(cfg, *built, per_trial=cfg.get("_per_trial", False))
         elif experiment == "cat-state":
-            status = _run_cat(cfg)
+            status = _run_cat(cfg, *built)
         else:
             raise ConfigError(f"experiment: {experiment!r} is not runnable via run()")
     _warn_truncation(top[0])

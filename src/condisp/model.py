@@ -378,16 +378,6 @@ class ValidityReport:
     eta: float
     conditions: tuple[ValidityCondition, ...]
 
-    @property
-    def all_satisfied(self) -> bool:
-        return all(c.satisfied for c in self.conditions)
-
-    def __getitem__(self, name: str) -> ValidityCondition:
-        for c in self.conditions:
-            if c.name == name:
-                return c
-        raise KeyError(name)
-
 
 def validity_report(params: SystemParams, drive: DriveParams) -> ValidityReport:
     """Check every assumption behind the effective Hamiltonian.

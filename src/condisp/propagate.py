@@ -378,20 +378,20 @@ def _packing(parts: _Blocks, v0: np.ndarray, rows: int):
     return sectors, shape, into, back
 
 
-def _window(parts: _Blocks, v0: np.ndarray) -> int:
-    """The Fock levels a propagation of v0 starts on: the lowest level w0
+def _window(parts: _Blocks, v0: np.ndarray) -> tuple[int, float]:
+    """(levels, v^2): v^2 the squared norm of v0's smallest nonzero member,
+    and the Fock levels a propagation of v0 starts on, the lowest level w0
     at and above which v0's squared norm, summed over its sectors and
-    columns, is at most the Taylor stop 1e-32 v^2 (v^2 that of v0's
-    smallest nonzero member), plus the _GUARD levels of the guard band,
-    rounded up to whole bands (so a window that grows, grows by at least
-    one band) and capped at parts.fock_dim."""
+    columns, is at most the Taylor stop 1e-32 v^2, plus the _GUARD levels
+    of the guard band, rounded up to whole bands (so a window that grows,
+    grows by at least one band) and capped at parts.fock_dim."""
     x = v0.reshape(len(v0), -1)
     sq = np.sum(x.real ** 2 + x.imag ** 2, axis=1)[parts.order]
     sq = sq.reshape(len(parts.h0), parts.fock_dim, -1).sum(axis=2)  # (sectors, levels)
     norms = np.add.reduceat(sq.sum(axis=1), np.flatnonzero(np.diff(parts.member, prepend=-1)))
-    stop = _STOP[0] * np.min(norms, initial=np.inf, where=norms > 0)
-    w0 = np.count_nonzero(np.cumsum(sq.sum(axis=0)[::-1]) > stop)
-    return min(parts.fock_dim, -(-(int(w0) + _GUARD) // _GUARD) * _GUARD)
+    v2 = np.min(norms, initial=np.inf, where=norms > 0)
+    w0 = np.count_nonzero(np.cumsum(sq.sum(axis=0)[::-1]) > _STOP[0] * v2)
+    return min(parts.fock_dim, -(-(int(w0) + _GUARD) // _GUARD) * _GUARD), v2
 
 
 def _mixer(parts: _Blocks, v0: np.ndarray, chunks: Iterable[np.ndarray], dt: float,
@@ -412,17 +412,16 @@ def _mixer(parts: _Blocks, v0: np.ndarray, chunks: Iterable[np.ndarray], dt: flo
     (_packing); back unwinds e^{-iK} of the last step loaded from a
     packed state and unpacks it into the product basis (into out, zeros
     of v0's shape, if given). Each op's Taylor stop is _STOP (one entry
-    per stack row) times v0's squared norm, that of its smallest member.
+    per stack row) times _window's v^2.
 
     The window is v0's (_window), whose top _GUARD levels are the guard
     band; the generator is restricted to it, a hard wall at level w.
     watch(p) checks a packed state p of the plan: on a window short of
     the cutoff it is true once the band's squared norm passes the stop
-    1e-32 v^2, and ops checks op.result the same way before it forms
-    each chunk but the first, and ends there if the band has passed. A
-    plan that widens the operator of a plan so ended (or watched true)
-    starts on v0's window, but at least one band above that plan's, and
-    keeps its Taylor stops. At the full cutoff watch is always false.
+    1e-32 v^2; at the full cutoff it is always false. A plan that widens
+    the operator of another (whose watch _run saw true) starts on v0's
+    window, but at least one band above that plan's, and keeps its
+    Taylor stops.
 
     The parts are h0 + s(t) D, s(t) = sin(omega_d t - phi), D diagonal,
     so K_n = q D, q = dt (sqrt(3)/12) (s(t_2) - s(t_1)), and the mean
@@ -432,15 +431,12 @@ def _mixer(parts: _Blocks, v0: np.ndarray, chunks: Iterable[np.ndarray], dt: flo
     load and the phases its turns multiply by.
     """
     per = parts.h0.shape[1] // parts.fock_dim  # rows per Fock level
-    levels = _window(parts, v0)
+    levels, v2 = _window(parts, v0)
     if widens is not None:
         levels = min(parts.fock_dim, max(levels, widens.rows[0].shape[1] // per + _GUARD))
     sectors, shape, into, unpack = _packing(parts, v0, levels * per)
     rows = shape[1]
-    p0 = into(v0)
-    firsts = np.flatnonzero(np.diff(parts.member[sectors], prepend=-1))
-    bounds = widens.bounds if widens is not None else (min(np.add.reduceat(
-        np.sum(p0.real ** 2 + p0.imag ** 2, axis=(1, 2)), firsts)) * _STOP).tolist()
+    bounds = widens.bounds if widens is not None else (v2 * _STOP).tolist()
     # an np.float64 multiplier: a Python float takes another path through
     # NumPy, which maps about half a MiB more of its pages into a cat run
     blocks = np.float64(dt) * parts.h0[sectors, :rows, :rows]
@@ -475,22 +471,11 @@ def _mixer(parts: _Blocks, v0: np.ndarray, chunks: Iterable[np.ndarray], dt: flo
             return d.astype(complex)[..., None]
     phase = last = None
 
-    if levels < parts.fock_dim:
-        band = slice(rows - _GUARD * per, rows)
-
-        def watch(p: np.ndarray) -> bool:
-            b = p[:, band]
-            return np.vdot(b, b).real > bounds[0]
-
-        def watched(chunks):
-            for n, nodes in enumerate(chunks):
-                if n and watch(op.result):
-                    return
-                yield nodes
-        chunks = watched(chunks)
-    else:
-        def watch(p: np.ndarray) -> bool:  # at the full cutoff nothing is checked
+    def watch(p: np.ndarray) -> bool:
+        if levels == parts.fock_dim:  # at the full cutoff nothing is checked
             return False
+        b = p[:, rows - _GUARD * per:]
+        return np.vdot(b, b).real > bounds[0]
 
     def turn(x: np.ndarray, row=op.rows[0], multiply=np.multiply) -> np.ndarray:
         return multiply(x, phase, row)
@@ -602,17 +587,17 @@ def _run(parts: _Blocks, v0: np.ndarray, times: np.ndarray,
     propagation from the parity sectors and the Fock window v0 occupies,
     and reads the step schedule, node times then the operators'
     modulation coefficients, _PLAN_CHUNK steps at a time as the
-    propagation reaches them. Short of the cutoff, the plan's guard band
-    is checked at each chunk boundary (where the plan's ops end) and at
-    each sample (by its watch) but the last; once its squared norm
-    passes the Taylor stop, the rest of the propagation is planned
-    afresh from the state there, unwound to the product basis, on a
-    window at least one band wider and with the same Taylor stops. At
-    the cutoff nothing is checked. A step turns the twisted state w =
-    e^{+iK_{n-1}} v by e^{i(K_n - K_{n-1})} and applies exp(-i dt Hbar),
-    which gives e^{+iK_n} (e^{-iK_n} exp(-i dt Hbar) e^{+iK_n} v), the
-    Magnus step; the state stays twisted until the plan's back unwinds it
-    where a sample leaves, into its row of one array of the samples.
+    propagation reaches them. Short of the cutoff, the plan's watch checks
+    its guard band before the first step of each of its chunks and sample
+    intervals, but its own first step; once the band passes the Taylor
+    stop, the rest of the propagation is planned afresh from the state
+    there, unwound to the product basis, on a window at least one band
+    wider and with the same Taylor stops. At the cutoff nothing is
+    checked. A step turns the twisted state w = e^{+iK_{n-1}} v by
+    e^{i(K_n - K_{n-1})} and applies exp(-i dt Hbar), which gives
+    e^{+iK_n} (e^{-iK_n} exp(-i dt Hbar) e^{+iK_n} v), the Magnus step;
+    the state stays twisted until the plan's back unwinds it where a
+    sample leaves, into its row of one array of the samples.
     Every sample C is checked against v0 = C0 (a state or a column block)
     by max |C^dag C - C0^dag C0|, the drift of a state's squared norm or of
     a block's overlaps; beyond NORM_TOL, and for a Taylor series that
@@ -632,11 +617,6 @@ def _run(parts: _Blocks, v0: np.ndarray, times: np.ndarray,
             starts = times[i] + j * dt
             yield starts[:, None] + np.multiply(dt, _GAUSS_NODES)
 
-    def widened(x: np.ndarray, n: int):
-        """A plan of x, the state after n steps, that widens op's window."""
-        ops, into, back, watch = _mixer(parts, x, node_chunks(n), dt, op)
-        return ops, into, back, watch, into(x)
-
     v0 = np.asarray(v0, dtype=complex)
     c0 = v0.reshape(len(v0), -1)
     gram0 = c0.conj().T @ c0
@@ -644,19 +624,21 @@ def _run(parts: _Blocks, v0: np.ndarray, times: np.ndarray,
     v = into(v0)
     out = np.zeros((len(times),) + v0.shape, dtype=complex)
     back(v, out[0])
+    start = 0  # the current plan's first step
     for i in range(len(times) - 1):
         for j in range(n_sub):
-            try:
-                turn, op = next(ops)
-            except StopIteration:  # a chunk boundary where the guard band passed
-                ops, into, back, watch, v = widened(back(v), i * n_sub + j)
-                turn, op = next(ops)
+            n = i * n_sub + j
+            if n != start and (j == 0 or (n - start) % _PLAN_CHUNK == 0) and watch(v):
+                x = back(v)  # the band passed: widen the window from here
+                ops, into, back, watch = _mixer(parts, x, node_chunks(n), dt, op)
+                v, start = into(x), n
+            turn, op = next(ops)
             try:
                 v = _expmv(op, turn(v))
             except PropagationAccuracyError as exc:
-                n, t = i * n_sub + j + 1, float(times[i] + j * dt)
-                raise PropagationAccuracyError(f"{exc} (step {n}, t = {t:g})",
-                                               step=n, time=t) from None
+                t = float(times[i] + j * dt)
+                raise PropagationAccuracyError(f"{exc} (step {n + 1}, t = {t:g})",
+                                               step=n + 1, time=t) from None
         x = back(v, out[i + 1])
         c = x.reshape(len(x), -1)
         drift = float(np.max(np.abs(c.conj().T @ c - gram0)))
@@ -665,8 +647,6 @@ def _run(parts: _Blocks, v0: np.ndarray, times: np.ndarray,
             raise PropagationAccuracyError(
                 f"norm drifted by {drift:.3e} (max |C^dag C - C0^dag C0|, budget "
                 f"{NORM_TOL:g}) at sample {i + 1}, t = {t:g}", step=i + 1, time=t)
-        if watch(v) and i + 2 < len(times):
-            ops, into, back, watch, v = widened(x, (i + 1) * n_sub)
     record = _TOP_LEVEL.get()
     if record is not None:
         top = out.reshape(len(out), -1, parts.fock_dim, c0.shape[1])[:, :, -1]
@@ -905,15 +885,14 @@ def _python_cells(values) -> list[str]:
     return ["%.12g" % v for v in values]
 
 
-def _as_floats(column) -> np.ndarray | None:
-    """A CSV column's cells as float64, the conversion % makes, or None for
-    a column NumPy holds as objects (ints beyond int64, strings, None),
-    whose cells all go to _python_cells."""
+def _as_floats(column) -> np.ndarray:
+    """A CSV column's cells as float64, the conversion % makes (also for
+    ints beyond int64); a string cell raises ValueError, and None reads
+    as nan."""
     if isinstance(column, range) and max(abs(column.start), abs(column.stop)) < 2**62:
         # np.asarray would iterate the range in Python
         return np.arange(column.start, column.stop, column.step).astype(np.float64)
-    a = np.asarray(column)
-    return a.astype(np.float64, copy=False) if a.ndim == 1 and a.dtype.kind in "biuf" else None
+    return np.asarray(column, dtype=np.float64)
 
 
 def _format_cells(x: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -989,14 +968,13 @@ def _csv_rows(columns: Sequence) -> list[bytes]:
         for lo in range(0, n, _CSV_BLOCK):
             rows = min(n - lo, _CSV_BLOCK)
             for j, column in enumerate(floats):
-                x[:rows, j] = np.nan if column is None else column[lo:lo + rows]
+                x[:rows, j] = column[lo:lo + rows]
             values, size = x[:rows].reshape(-1), 3 * rows * k
             cells = words[1:1 + size].reshape(-1, 3)
             fast = _format_cells(values, cells)
             slow = np.flatnonzero(~fast).tolist()
             if slow:
-                text = _python_cells([values[i] if floats[i % k] is not None
-                                      else columns[i % k][lo + i // k] for i in slow])
+                text = _python_cells(values[slow])
                 cells.view(np.uint8)[slow, :22] = np.array(
                     [t.encode() for t in text], "S22").view(np.uint8).reshape(-1, 22)
             cells.reshape(rows, k, 3)[:, :, 2] |= separators
@@ -1008,10 +986,11 @@ def _csv_rows(columns: Sequence) -> list[bytes]:
 
 def _write_csv(path, comments: Sequence[str], header: str, columns: Sequence) -> None:
     """Comment lines (each behind '# '), a column header, then the rows of
-    the equal-length columns, each a range, a list or a 1-D array, every
-    cell as '%.12g' % v writes it (a range within +-1e12 as '%d' % i, the
-    same bytes). All bytes are formatted before the file is opened, so a
-    write that fails while formatting leaves no file behind.
+    the equal-length columns, each a range, or a list or 1-D array of
+    numbers, every cell as '%.12g' % v writes it (a range within +-1e12
+    as '%d' % i, the same bytes). All bytes are formatted before the file
+    is opened, so a write that fails while formatting leaves no file
+    behind.
 
     The cells are formatted in NumPy (_csv_rows, _format_cells) from
     float64, the conversion % makes. A cell leaves that path for
@@ -1042,8 +1021,8 @@ def _write_csv(path, comments: Sequence[str], header: str, columns: Sequence) ->
     than 3 2^-14 < _TIE. So a cell falls back if y' < 10^11, in the band
     around a tie, below 1e-297, or if it is inf or nan; zero takes the
     fast path. Every cell in fixed notation (exponent -4 to 11) outside
-    the band takes it. A column NumPy holds as objects (ints beyond
-    int64, strings) falls back whole.
+    the band takes it. A string cell raises ValueError before the file is
+    opened.
     """
     head = "".join([f"# {line}\n" for line in comments] + [header + "\n"]).encode("utf-8")
     rows = _csv_rows(columns)

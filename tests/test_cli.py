@@ -200,6 +200,19 @@ class TestBadInvocations:
         assert err.startswith("error: ") and "Traceback" not in err
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("args, says", [
+        (["gate-fidelity", "--eta", "0"], "system: omega_q must be positive, got 0.0"),
+        (["validate-effective", "--eta", "-1"], "system: omega_q must be positive, got -1.0"),
+        (["cat-state", "--eta", "0"], "system: omega_q must be positive, got 0.0"),
+        (["sweep", "--axis", "system.eta", "-1", "3", "3"],
+         "sweep point system.eta=-1: system: omega_q must be positive, got -1.0"),
+    ])
+    def test_nonpositive_eta_refused_without_warning(self, tmp_path, capsys, args, says):
+        """An eta <= 0, of the run or of any sweep point, is refused before
+        the low-eta warning, which would say that the run proceeds."""
+        assert main(args + ["--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == f"error: {says}\n"
+
     @pytest.mark.parametrize("args", [
         ["gate-fidelity", "--phi", "0"],
         ["gate-fidelity", "--alpha2", "0.5"],

@@ -204,3 +204,11 @@ def test_failed_write_leaves_nothing_behind(tmp_path, monkeypatch, name, existin
         assert path.read_bytes() == b"kept\n"
     else:
         assert not path.exists()
+
+
+def test_a_column_of_strings_is_refused(tmp_path):
+    """The writer formats numbers only: a string cell raises before the
+    file is opened."""
+    with pytest.raises(ValueError, match="could not convert string to float"):
+        _write_csv(tmp_path / "w.csv", [], "a,b", [range(2), [1.0, "x"]])
+    assert not (tmp_path / "w.csv").exists()

@@ -1048,6 +1048,66 @@ class TestFockWindow:
         assert max(np.max(np.abs(x[above])) for x in ref) > 1e-8
 
 
+def _plan_starts(monkeypatch) -> list:
+    """The (steps taken before it, window levels) of every plan propagate
+    packs from here on, steps counted over every propagation."""
+    starts, steps = [], [0]
+    packing, expmv = propagate._packing, propagate._expmv
+
+    def packed(parts, v0, rows):
+        starts.append((steps[0], rows * parts.fock_dim // parts.h0.shape[1]))
+        return packing(parts, v0, rows)
+
+    def counted(op, x):
+        steps[0] += 1
+        return expmv(op, x)
+
+    monkeypatch.setattr(propagate, "_packing", packed)
+    monkeypatch.setattr(propagate, "_expmv", counted)
+    return starts
+
+
+class TestPlanStarts:
+    """A window widens at the step where its guard band is first seen past
+    the Taylor stop, and a band is looked at on the first step of each
+    _PLAN_CHUNK run of a plan and of each sample interval, never on a
+    plan's own first step: the step each plan starts at, and its window."""
+
+    def test_cat(self, monkeypatch):
+        """The k = 6 cat at Fock 128: one plan per propagation of 272
+        steps, and the last widens at a chunk check, 80 steps in."""
+        starts = _plan_starts(monkeypatch)
+        cat_fidelity_experiment(SystemParams(omega_q=3.0, g=0.2, n_qubits=1),
+                                DriveParams.from_alpha((1.832,), 3.0), 6,
+                                EvolutionConfig(), HilbertLayout(1, 128))
+        assert starts == [(0, 64), (272, 64), (544, 64), (624, 80)]
+
+    def test_trace(self, monkeypatch):
+        """A period of the two-qubit trace at g = 0.5, Fock 64: the first
+        window widens at a sample, 22 steps in, at 500 samples a period."""
+        lay = HilbertLayout(2, 64)
+        starts = _plan_starts(monkeypatch)
+        fidelity_trace(SystemParams(omega_q=3.0, g=0.5, n_qubits=2),
+                       DriveParams.from_alpha((1.20242, -1.20242), 3.0),
+                       basis_state(lay, "gg", 0), 2 * np.pi, EvolutionConfig())
+        assert starts == [(0, 32), (22, 48), (101, 64)]
+
+    @pytest.mark.parametrize("n_samples, expected", [
+        (3, [(0, 32), (16, 48), (64, 64)]),   # 91 steps a sample: chunk checks
+        (40, [(0, 32), (14, 48), (56, 64)]),  # 7 steps a sample: sample checks
+    ])
+    def test_growth(self, n_samples, expected, monkeypatch):
+        """TestFockWindow's growing vacuum under g = 2."""
+        lay = HilbertLayout(1, 64)
+        h = hamiltonian_fn(SystemParams(omega_q=3.0, g=2.0, n_qubits=1),
+                           DriveParams.from_alpha((1.832,), 3.0), "lab-driven", lay)
+        times, n_sub = propagate._sample_grid(np.pi, EvolutionConfig().resolve_dt(h.omega_max),
+                                              n_samples)
+        starts = _plan_starts(monkeypatch)
+        propagate._run(h.parts, basis_state(lay, "g", 0).vec, times, n_sub)
+        assert starts == expected
+
+
 class TestEvolveStatic:
     def test_stationary_number_state_phase(self, single_layout):
         """At g = 0 and alpha = 0, H = omega_r n + (omega_q/2) sigma_z:
