@@ -23,8 +23,8 @@ from .model import (SystemParams, DriveParams, ValidityCondition,
                     effective_hamiltonian, effective_couplings,
                     validity_report, hamiltonian_fn)
 from .propagate import (EvolutionConfig, Trajectory, FidelityTrace,
-                        PropagationAccuracyError, evolve, evolve_columns,
-                        fidelity_trace, write_trace_csv)
+                        PropagationAccuracyError, evolve, evolve_columns, fidelity_trace)
+from .output import write_trace_csv
 from .gate import (beta_phi, analytic_unitary, phase_gate_matrix,
                    makhlin_invariants, gate_columns, gate_fidelity_trials,
                    average_gate_fidelity)

@@ -2,33 +2,32 @@
 
 Everything is driven by a flat dotted-key config (system.g, drive.alpha1,
 ...) that can come from a file, a named preset, or command-line flags, in
-that order of precedence. Each result file starts with a comment block
-that echoes the fully resolved config (so runs are reproducible from
-their own output), the tool version, and the validity margins of the
-effective model at the run's parameters.
-
-Outputs are deterministic byte-for-byte for a fixed config, seed, and
-version: numbers are written with %.12g, rows are ordered by grid index,
-and nothing timestamps itself.
+that order of precedence. _build turns a config into model objects once
+per run and once per sweep grid point, refusing every value the run
+cannot use before anything warns or propagates; the result file's header
+(condisp.output, which echoes the resolved config), the experiment and
+the sweep metric all take the objects it built.
 """
 from __future__ import annotations
 
 import argparse
 import contextlib
 import functools
+import itertools
 import math
 import os
 import sys
+from typing import NamedTuple
 
 import numpy as np
 
 from . import __version__
 from .hilbert import HilbertLayout, basis_state
-from .model import (DriveParams, SystemParams, effective_couplings,
-                    validity_report)
+from .model import DriveParams, SystemParams, effective_couplings
 from .numerics import bessel_j
+from .output import _header_lines, _write_csv
 from .propagate import (EvolutionConfig, PropagationAccuracyError, _top_level_record,
-                        _write_csv, fidelity_trace, write_trace_csv)
+                        fidelity_trace)
 from .gate import _trial_ratio, gate_columns, gate_fidelity_trials
 from .cat import cat_fidelity_experiment, decompose_cat, multi_step_cat
 
@@ -46,6 +45,8 @@ _AUTO = "auto"  # sentinel for derived-unless-overridden values
 # fidelity by 6.4e-6 and 1.3e-7 against Fock 32), so above 1e-12 the last
 # of their 12 significant digits may depend on the cutoff.
 _TRUNCATION_WARN = 1e-12
+# The qubit count an experiment or sweep metric needs, where it needs one.
+_QUBITS = {"gate-fidelity": 2, "cat-state": 1, "cat-fidelity": 1}
 
 
 class ConfigError(ValueError):
@@ -209,8 +210,18 @@ def _check_echo(cfg) -> None:
                               f"its echo {line!r} in the result header")
 
 
-def _build(cfg):
-    """Resolve a config into model objects (params, drive, layout, evo)."""
+class _Run(NamedTuple):
+    """A config and the model objects _build made of it (picklable)."""
+    cfg: dict
+    params: SystemParams
+    drive: DriveParams
+    layout: HilbertLayout
+    evo: EvolutionConfig
+
+
+def _build(cfg) -> _Run:
+    """Resolve a config into model objects, refusing every value that the
+    experiment or sweep metric cannot use without propagating."""
     nq = cfg["system.n_qubits"]
     omega_r = cfg["system.omega_r"]
     omega_q = cfg["system.eta"] * omega_r
@@ -236,20 +247,19 @@ def _build(cfg):
         evo = EvolutionConfig(dt=cfg["evolution.dt"])
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    return params, drive, layout, evo
-
-
-def _header_lines(cfg) -> list[str]:
-    """Comment block: version, resolved config, validity margins."""
-    lines = [f"condisp {__version__}"]
-    lines += format_config(cfg).rstrip("\n").split("\n")
-    params, drive, _, _ = _build(cfg)
-    report = validity_report(params, drive)
-    lines.append(f"validity: eta = {report.eta:.12g}")
-    for c in report.conditions:
-        state = "satisfied" if c.satisfied else "VIOLATED"
-        lines.append(f"validity: {c.name} {state} margin = {c.margin:.6g}")
-    return lines
+    task = cfg["experiment"]
+    if task == "sweep":
+        if cfg["sweep.workers"] < 1:
+            raise ConfigError(f"sweep.workers: must be >= 1, got {cfg['sweep.workers']}")
+        task = cfg["sweep.metric"]
+    need = _QUBITS.get(task)
+    if need is not None and nq != need:
+        raise ConfigError(f"system.n_qubits: {task} needs {need} qubit{'s' * (need > 1)}")
+    if task == "gate-fidelity":
+        _trial_ratio(params, drive, cfg["gate.trials"], cfg["gate.seed"])
+    elif need == 1 and cfg["cat.steps"] < 1:
+        raise ConfigError(f"cat.steps: must be >= 1, got {cfg['cat.steps']}")
+    return _Run(cfg, params, drive, layout, evo)
 
 
 def _warn_eta(etas) -> None:
@@ -269,49 +279,37 @@ def _warn_truncation(top: float) -> None:
               file=sys.stderr)
 
 
-def _out_path(cfg, name: str) -> str:
-    return os.path.join(cfg["output.dir"], name)
-
-
-def _run_validate(cfg, params, drive, layout, evo) -> int:
+def _trace(cfg, params, drive, layout, evo):
+    """The exact-vs-effective trace from the ground state over trace.periods."""
     psi0 = basis_state(layout, "g" * layout.n_qubits, 0)
     t_end = cfg["trace.periods"] * 2.0 * math.pi / params.omega_r
-    trace = fidelity_trace(params, drive, psi0, t_end, evo)
+    return fidelity_trace(params, drive, psi0, t_end, evo)
+
+
+# Each experiment returns its stdout lines and its result file, if it
+# writes one: (name, comment lines below the header block, column header,
+# columns); run prints and writes them.
+
+def _run_validate(cfg, params, drive, layout, evo):
+    trace = _trace(cfg, params, drive, layout, evo)
     name = f"validate-effective-eta{cfg['system.eta']:g}-g{cfg['system.g']:g}.csv"
-    path = _out_path(cfg, name)
-    write_trace_csv(trace, path, comments=_header_lines(cfg))
-    print(f"min_F1 = {trace.min():.12g}")
-    print(f"mean_F1 = {trace.mean():.12g}")
-    print(f"wrote {path}")
-    return 0
+    return ([f"min_F1 = {trace.min():.12g}", f"mean_F1 = {trace.mean():.12g}"],
+            (name, [], "t_over_Tr,fidelity", (trace.t_over_period, trace.fidelities)))
 
 
-def _run_gate(cfg, params, drive, layout, evo, per_trial: bool) -> int:
-    if cfg["system.n_qubits"] != 2:
-        raise ConfigError("system.n_qubits: gate-fidelity needs 2 qubits")
-    _trial_ratio(params, drive, cfg["gate.trials"], cfg["gate.seed"])  # before propagating
+def _run_gate(cfg, params, drive, layout, evo, per_trial: bool):
     columns = gate_columns(params, drive, evo, layout)
     fids = gate_fidelity_trials(params, drive, cfg["gate.trials"],
                                 cfg["gate.seed"], evo, layout, columns=columns)
-    mean = float(np.mean(fids))
     stderr = float(np.std(fids, ddof=1) / math.sqrt(len(fids))) if len(fids) > 1 else 0.0
-    print(f"trials = {len(fids)}")
-    print(f"seed = {cfg['gate.seed']}")
-    print(f"mean_fidelity = {mean:.12g}")
-    print(f"stderr = {stderr:.12g}")
-    if per_trial:
-        path = _out_path(cfg, f"gate-fidelity-trials-seed{cfg['gate.seed']}.csv")
-        _write_csv(path, _header_lines(cfg), "trial,fidelity", (range(len(fids)), fids))
-        print(f"wrote {path}")
-    return 0
+    printed = [f"trials = {len(fids)}", f"seed = {cfg['gate.seed']}",
+               f"mean_fidelity = {float(np.mean(fids)):.12g}", f"stderr = {stderr:.12g}"]
+    name = f"gate-fidelity-trials-seed{cfg['gate.seed']}.csv"
+    return printed, (name, [], "trial,fidelity", (range(len(fids)), fids)) if per_trial else None
 
 
-def _run_cat(cfg, params, drive, layout, evo) -> int:
-    if cfg["system.n_qubits"] != 1:
-        raise ConfigError("system.n_qubits: cat-state needs 1 qubit")
+def _run_cat(cfg, params, drive, layout, evo):
     k = cfg["cat.steps"]
-    if k < 1:
-        raise ConfigError(f"cat.steps: must be >= 1, got {k}")
     # fidelity measures how close the full evolution lands on the target;
     # amplitude and probabilities characterize the target itself
     fid = cat_fidelity_experiment(params, drive, k, evo, layout)
@@ -320,38 +318,23 @@ def _run_cat(cfg, params, drive, layout, evo) -> int:
 
     summary = [f"branch_amplitude = {abs(dec.beta):.12g}", f"p_even = {dec.p_even:.12g}",
                f"p_odd = {dec.p_odd:.12g}", f"fidelity = {fid:.12g}"]
-    print(f"steps = {k}")
-    print("\n".join(summary))
-    path = _out_path(cfg, f"cat-state-k{k}.csv")
     odd = np.zeros(layout.fock_dim) if dec.odd_state is None else dec.odd_state
-    _write_csv(path, _header_lines(cfg) + summary, "n,p_even_n,p_odd_n",
-               (range(layout.fock_dim), abs(dec.even_state) ** 2, abs(odd) ** 2))
-    print(f"wrote {path}")
-    return 0
+    columns = (range(layout.fock_dim), abs(dec.even_state) ** 2, abs(odd) ** 2)
+    name = f"cat-state-k{k}.csv"
+    return [f"steps = {k}", *summary], (name, summary, "n,p_even_n,p_odd_n", columns)
 
 
-def _run_bessel(order: int, x: float) -> int:
-    print(f"{bessel_j(order, x):.15g}")
-    return 0
-
-
-def _metric_value(cfg) -> float:
-    """Scalar metric for one sweep grid point (top level: worker-picklable)."""
-    params, drive, layout, evo = _build(cfg)
+def _metric_value(run: _Run) -> float:
+    """Scalar metric for one sweep grid point's built run (top level:
+    worker-picklable)."""
+    cfg, params, drive, layout, evo = run
     metric = cfg["sweep.metric"]
     if metric in ("min-f1", "mean-f1"):
-        psi0 = basis_state(layout, "g" * layout.n_qubits, 0)
-        t_end = cfg["trace.periods"] * 2.0 * math.pi / params.omega_r
-        trace = fidelity_trace(params, drive, psi0, t_end, evo)
+        trace = _trace(*run)
         return trace.min() if metric == "min-f1" else trace.mean()
     if metric == "gate-fidelity":
-        if cfg["system.n_qubits"] != 2:
-            raise ConfigError("sweep.metric: gate-fidelity needs system.n_qubits = 2")
-        fids = gate_fidelity_trials(params, drive, cfg["gate.trials"],
-                                    cfg["gate.seed"], evo, layout)
-        return float(np.mean(fids))
-    if cfg["system.n_qubits"] != 1:
-        raise ConfigError("sweep.metric: cat-fidelity needs system.n_qubits = 1")
+        return float(np.mean(gate_fidelity_trials(params, drive, cfg["gate.trials"],
+                                                  cfg["gate.seed"], evo, layout)))
     return cat_fidelity_experiment(params, drive, cfg["cat.steps"], evo, layout)
 
 
@@ -369,13 +352,12 @@ def _at_point(overrides):
 
 
 def _sweep_point(job) -> tuple[float, float]:
-    """_metric_value for one (overrides, config) grid point, and the top
-    Fock level's largest population its propagations sampled at their full
-    cutoff; its errors are re-raised by _at_point (top level:
-    worker-picklable)."""
-    overrides, point = job
+    """_metric_value for one (overrides, run) grid point, and the top Fock
+    level's largest population its propagations sampled at their full
+    cutoff; _at_point re-raises its errors (top level: worker-picklable)."""
+    overrides, run = job
     with _at_point(overrides), _top_level_record() as top:
-        value = _metric_value(point)
+        value = _metric_value(run)
     return value, top[0]
 
 
@@ -406,26 +388,19 @@ def _sweep_axes(cfg):
     return [(key, np.linspace(start, stop, points)) for key, start, stop, points in axes]
 
 
-def _run_sweep(cfg) -> int:
-    axes = _sweep_axes(cfg)
-    if len(axes) == 1:
-        key, values = axes[0]
-        grid = [((key, float(v)),) for v in values]
-    else:
-        (k1, v1), (k2, v2) = axes
-        grid = [((k1, float(a)), (k2, float(b))) for a in v1 for b in v2]
-
-    jobs = [(overrides, {**cfg, **dict(overrides)}) for overrides in grid]
-    for overrides, point in jobs:  # refuse a point the model rejects before warning
+def _run_sweep(cfg):
+    """A sweep's stdout lines and result file, and the top Fock level's
+    largest population over its points."""
+    axes = _sweep_axes(cfg)  # the grid runs row-major: the first axis varies slowest
+    grid = list(itertools.product(*[[(key, float(v)) for v in values] for key, values in axes]))
+    jobs = []
+    for overrides in grid:  # every point built, or refused, before the warning
         with _at_point(overrides):
-            _build(point)
-    _warn_eta(point["system.eta"] for _, point in jobs)
+            jobs.append((overrides, _build({**cfg, **dict(overrides)})))
+    _warn_eta(run.cfg["system.eta"] for _, run in jobs)
 
-    workers = cfg["sweep.workers"]
-    if workers < 1:
-        raise ConfigError(f"sweep.workers: must be >= 1, got {workers}")
     # the pool forks every worker at once: no more than the points or the CPUs
-    workers = min(workers, len(jobs), os.cpu_count() or 1)
+    workers = min(cfg["sweep.workers"], len(jobs), os.cpu_count() or 1)
     if workers == 1:
         points = [_sweep_point(job) for job in jobs]
     else:
@@ -434,31 +409,20 @@ def _run_sweep(cfg) -> int:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             points = list(pool.map(_sweep_point, jobs, chunksize=1))
     values = [value for value, _ in points]
-    _warn_truncation(max(top for _, top in points))
-
     metric = cfg["sweep.metric"]
     trend = "n/a"
     if len(axes) == 1 and len(values) > 1:
         diffs = np.diff(values)
-        if np.all(diffs <= 1e-12) and np.all(diffs >= -1e-12):
-            trend = "constant"
-        elif np.all(diffs <= 1e-12):
-            trend = "non-increasing"
-        elif np.all(diffs >= -1e-12):
-            trend = "non-decreasing"
-        else:
-            trend = "mixed"
-
-    path = _out_path(cfg, "sweep.csv")
+        down, up = np.all(diffs <= 1e-12), np.all(diffs >= -1e-12)
+        trend = ("constant" if down and up else "non-increasing" if down
+                 else "non-decreasing" if up else "mixed")
     axis_keys = [k for k, _ in axes]
     trend_line = f"trend: {metric} is {trend}" \
         + (f" along {axis_keys[0]}" if len(axes) == 1 else "")
-    _write_csv(path, _header_lines(cfg) + [trend_line], ",".join(axis_keys + [metric]),
-               [[overrides[i][1] for overrides in grid] for i in range(len(axes))] + [values])
-    print(f"points = {len(values)}")
-    print(trend_line)
-    print(f"wrote {path}")
-    return 0
+    columns = [[v for _, v in axis] for axis in zip(*grid)] + [values]
+    return ([f"points = {len(values)}", trend_line],
+            ("sweep.csv", [trend_line], ",".join(axis_keys + [metric]), columns),
+            max(top for _, top in points))
 
 
 def run(cfg: dict) -> int:
@@ -473,21 +437,30 @@ def run(cfg: dict) -> int:
         raise ConfigError(f"output.dir: cannot create {cfg['output.dir']!r}: "
                           f"{exc.strerror or exc}") from None
     experiment = cfg["experiment"]
-    if experiment == "sweep":  # a sweep warns for its grid's points
-        return _run_sweep(cfg)
-    built = _build(cfg)  # refuses a config the model rejects before its eta warns
-    _warn_eta([cfg["system.eta"]])
-    with _top_level_record() as top:
-        if experiment == "validate-effective":
-            status = _run_validate(cfg, *built)
-        elif experiment == "gate-fidelity":
-            status = _run_gate(cfg, *built, per_trial=cfg.get("_per_trial", False))
-        elif experiment == "cat-state":
-            status = _run_cat(cfg, *built)
-        else:
-            raise ConfigError(f"experiment: {experiment!r} is not runnable via run()")
-    _warn_truncation(top[0])
-    return status
+    built = _build(cfg)  # the run's one build, before anything warns or propagates
+    if experiment == "sweep":  # a sweep builds, warns for and records each grid point
+        printed, result, top = _run_sweep(cfg)
+    else:
+        _warn_eta([cfg["system.eta"]])
+        with _top_level_record() as record:
+            if experiment == "validate-effective":
+                printed, result = _run_validate(*built)
+            elif experiment == "gate-fidelity":
+                printed, result = _run_gate(*built, per_trial=cfg.get("_per_trial", False))
+            elif experiment == "cat-state":
+                printed, result = _run_cat(*built)
+            else:
+                raise ConfigError(f"experiment: {experiment!r} is not runnable via run()")
+        top = record[0]
+    print("\n".join(printed))
+    if result is not None:
+        name, comments, header, columns = result
+        path = os.path.join(cfg["output.dir"], name)
+        comments = _header_lines(format_config(cfg), built.params, built.drive) + comments
+        _write_csv(path, comments, header, columns)
+        print(f"wrote {path}")
+    _warn_truncation(top)
+    return 0
 
 
 def _merge_cli(cfg, args) -> set:
@@ -633,7 +606,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.command == "bessel":
-            return _run_bessel(args.order, args.x)
+            print(f"{bessel_j(args.order, args.x):.15g}")
+            return 0
         cfg, given = _load_layers(args, args.command)
         if args.command == "gate-fidelity" and args.per_trial:
             cfg["_per_trial"] = True
@@ -648,14 +622,11 @@ def main(argv=None) -> int:
                 status |= run(sub_cfg)
             return status
         return run(cfg)
-    except (ValueError, PropagationAccuracyError) as exc:  # ConfigError included
+    except (ValueError, PropagationAccuracyError, OSError) as exc:  # OSError: an unwritable file
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError as exc:  # a size too large to allocate
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
-        return 2
-    except OSError as exc:  # a result file that cannot be written
-        print(f"error: {exc}", file=sys.stderr)
         return 2
 
 

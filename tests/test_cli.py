@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from condisp import cli, propagate
+from condisp import cli, output, propagate
 from condisp.cli import (
     MAX_GRID_POINTS,
     PRESETS,
@@ -28,7 +28,7 @@ from condisp.cli import (
     main,
     parse_config,
 )
-from condisp.propagate import _write_csv
+from condisp.output import _write_csv
 
 
 def _never_called(*args, **kwargs):
@@ -206,12 +206,33 @@ class TestBadInvocations:
         (["cat-state", "--eta", "0"], "system: omega_q must be positive, got 0.0"),
         (["sweep", "--axis", "system.eta", "-1", "3", "3"],
          "sweep point system.eta=-1: system: omega_q must be positive, got -1.0"),
-    ])
-    def test_nonpositive_eta_refused_without_warning(self, tmp_path, capsys, args, says):
-        """An eta <= 0, of the run or of any sweep point, is refused before
-        the low-eta warning, which would say that the run proceeds."""
+        (["gate-fidelity", "--eta", "1.5", "--n-qubits", "1"],
+         "system.n_qubits: gate-fidelity needs 2 qubits"),
+        (["gate-fidelity", "--eta", "1.5", "--trials", "0"], "n_trials must be >= 1, got 0"),
+        (["cat-state", "--eta", "1.5", "--steps", "0"], "cat.steps: must be >= 1, got 0"),
+        (["sweep", "--workers", "0", "--axis", "system.eta", "1.5", "1.8", "2"],
+         "sweep.workers: must be >= 1, got 0"),
+    ], ids=["gate-eta-0", "validate-eta--1", "cat-eta-0", "sweep-eta--1", "gate-1-qubit",
+            "gate-0-trials", "cat-0-steps", "sweep-0-workers"])
+    def test_refusals_come_without_the_eta_warning(self, tmp_path, capsys, args, says):
+        """A config the run cannot use, an eta <= 0 or a value that the
+        experiment, sweep metric or sweep refuses, of the run or of any sweep
+        point, ends with one error line and no low-eta warning, which would
+        say that the run proceeds."""
         assert main(args + ["--out", str(tmp_path)]) == 2
         assert capsys.readouterr().err == f"error: {says}\n"
+
+    def test_unusable_sweep_base_is_refused_before_any_point(self, tmp_path, capsys,
+                                                               monkeypatch):
+        """A sweep's header echoes its base config, so a base that does not
+        build is refused before the first point runs, even where the swept
+        axis overrides the offending value."""
+        monkeypatch.setattr(cli, "_metric_value", _never_called)
+        args = ["sweep", "--g", "-1", "--axis", "system.g", "0.1", "0.2", "4",
+                "--fock-dim", "16", "--periods", "1", "--out", str(tmp_path)]
+        assert main(args) == 2
+        assert capsys.readouterr().err == "error: system: g must be >= 0, got -1.0\n"
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("args", [
         ["gate-fidelity", "--phi", "0"],
@@ -315,6 +336,28 @@ class TestBadInvocations:
         code = main(["cat-state", "--config", str(cfgfile), "--fock-dim", "8"])
         assert code == 2
         assert "experiment" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args, builds", [
+    (["validate-effective", "--fock-dim", "8", "--periods", "0.05"], 1),
+    (["gate-fidelity", "--fock-dim", "8", "--trials", "5", "--per-trial"], 1),
+    (["cat-state", "--fock-dim", "16"], 1),
+    (["sweep", "--fock-dim", "8", "--periods", "0.05", "--workers", "1",
+      "--axis", "system.g", "0.1", "0.2", "3"], 4),
+], ids=["validate-effective", "gate-fidelity", "cat-state", "sweep-3-points"])
+def test_one_build_per_run(tmp_path, monkeypatch, args, builds):
+    """_build turns the config into model objects once per run, and once
+    more per sweep grid point; the header, the experiment and the metric
+    take the objects it built."""
+    calls = []
+
+    def spy(cfg, real=cli._build):
+        calls.append(cfg)
+        return real(cfg)
+
+    monkeypatch.setattr(cli, "_build", spy)
+    assert main(args + ["--out", str(tmp_path)]) == 0
+    assert len(calls) == builds
 
 
 class TestBesselCommand:
@@ -489,7 +532,7 @@ class TestCsvWriter:
             real(path, comments, header, columns)
             written.append((path, comments, header, columns))
 
-        monkeypatch.setattr(propagate, "_write_csv", spy)
+        monkeypatch.setattr(output, "_write_csv", spy)
         monkeypatch.setattr(cli, "_write_csv", spy)
         assert main(args + ["--out", str(tmp_path)]) == 0
         return written

@@ -1,8 +1,8 @@
 """The CSV writer's NumPy cell formatter against Python's %.
 
-Every CLI CSV goes through propagate._write_csv, which formats its cells
+Every CLI CSV goes through output._write_csv, which formats its cells
 in NumPy and leaves only the cells it cannot prove exact to a per-cell
-'%.12g' (propagate._python_cells). These tests pin every cell to
+'%.12g' (output._python_cells). These tests pin every cell to
 '%.12g' % v, or '%d' % i for a range, and whole files to the writer's
 earlier one-% form (oracle_helpers.percent_csv); they keep the fallback
 rare on real outputs, and check that a write that fails while formatting
@@ -18,9 +18,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracle_helpers
-from condisp import cli, propagate
+from condisp import cli, output
 from condisp.cli import main
-from condisp.propagate import _csv_rows, _write_csv
+from condisp.output import _csv_rows, _write_csv
 
 _SIGN = st.sampled_from([-1.0, 1.0])
 _SIDE = st.sampled_from([-np.inf, 0.0, np.inf])  # 0: the value itself
@@ -123,7 +123,7 @@ def test_ties_scaled_by_rounded_powers():
 def test_block_size_does_not_change_the_bytes(monkeypatch, block):
     columns = [range(-4, 13), np.linspace(-1e-6, 1e13, 17), [0.5] * 8 + [np.nan, 2**70] + [-1] * 7]
     whole = b"".join(_csv_rows(columns))
-    monkeypatch.setattr(propagate, "_CSV_BLOCK", block)
+    monkeypatch.setattr(output, "_CSV_BLOCK", block)
     assert b"".join(_csv_rows(columns)) == whole
 
 
@@ -141,7 +141,7 @@ def _written(tmp_path, monkeypatch, args) -> list:
         real(path, comments, header, columns)
         written.append(columns)
 
-    monkeypatch.setattr(propagate, "_write_csv", spy)
+    monkeypatch.setattr(output, "_write_csv", spy)
     monkeypatch.setattr(cli, "_write_csv", spy)
     assert main(args + ["--out", str(tmp_path)]) == 0
     return written
@@ -151,11 +151,11 @@ def _fallbacks(monkeypatch, columns) -> int:
     """Cells of the columns that _csv_rows leaves to Python."""
     count = [0]
 
-    def spy(values, real=propagate._python_cells):
+    def spy(values, real=output._python_cells):
         count[0] += len(values)
         return real(values)
 
-    monkeypatch.setattr(propagate, "_python_cells", spy)
+    monkeypatch.setattr(output, "_python_cells", spy)
     _csv_rows(columns)
     return count[0]
 
@@ -176,7 +176,7 @@ def test_fast_path_takes_nearly_every_cell(tmp_path, monkeypatch, args, which):
 
 
 def _fail_second_block(monkeypatch, name):
-    real = getattr(propagate, name)
+    real = getattr(output, name)
     calls = []
 
     def fail(*args):
@@ -185,7 +185,7 @@ def _fail_second_block(monkeypatch, name):
             raise MemoryError("the second block")
         return real(*args)
 
-    monkeypatch.setattr(propagate, name, fail)
+    monkeypatch.setattr(output, name, fail)
 
 
 @pytest.mark.parametrize("name", ["_format_cells", "_python_cells"])
@@ -197,7 +197,7 @@ def test_failed_write_leaves_nothing_behind(tmp_path, monkeypatch, name, existin
     if existing:
         path.write_bytes(b"kept\n")
     _fail_second_block(monkeypatch, name)
-    monkeypatch.setattr(propagate, "_CSV_BLOCK", 4)
+    monkeypatch.setattr(output, "_CSV_BLOCK", 4)
     with pytest.raises(MemoryError, match="second block"):  # every block falls back
         _write_csv(path, ["c"], "a,b", (range(10), [np.nan] * 10))
     if existing:

@@ -11,7 +11,7 @@ import pytest
 
 import condisp
 
-MODULES = ("numerics", "hilbert", "model", "propagate", "gate", "cat", "cli")
+MODULES = ("numerics", "hilbert", "model", "propagate", "output", "gate", "cat", "cli")
 
 
 @pytest.mark.parametrize("name", MODULES)
