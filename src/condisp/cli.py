@@ -220,8 +220,8 @@ class _Run(NamedTuple):
 
 
 def _build(cfg) -> _Run:
-    """Resolve a config into model objects, refusing every value that the
-    experiment or sweep metric cannot use without propagating."""
+    """Resolve a config into model objects, refusing a qubit count, cat.steps,
+    gate trial setting or sweep.workers that its experiment or metric cannot use."""
     nq = cfg["system.n_qubits"]
     omega_r = cfg["system.omega_r"]
     omega_q = cfg["system.eta"] * omega_r

@@ -1,8 +1,9 @@
 """The CSV writer's NumPy cell formatter against Python's %.
 
-Every CLI CSV goes through output._write_csv, which formats its cells
-in NumPy and leaves only the cells it cannot prove exact to a per-cell
-'%.12g' (output._python_cells). These tests pin every cell to
+Every CLI CSV goes through condisp.output._write_csv, the one module
+that holds what a run writes. It formats the cells in NumPy and leaves
+only those it cannot prove exact to a per-cell '%.12g'
+(output._python_cells). These tests pin every cell to
 '%.12g' % v, or '%d' % i for a range, and whole files to the writer's
 earlier one-% form (oracle_helpers.percent_csv); they keep the fallback
 rare on real outputs, and check that a write that fails while formatting
