@@ -2,7 +2,8 @@
 
 Everything is driven by a flat dotted-key config (system.g, drive.alpha1,
 ...) that can come from a file, a named preset, or command-line flags, in
-that order of precedence. _build turns a config into model objects once
+that order of precedence; one parser per key reads its value, from a
+file or a flag alike. _build turns a config into model objects once
 per run and once per sweep grid point, refusing every value the run
 cannot use before anything warns or propagates; the result file's header
 (condisp.output, which echoes the resolved config), the experiment and
@@ -23,7 +24,7 @@ import numpy as np
 
 from . import __version__
 from .hilbert import HilbertLayout, basis_state
-from .model import DriveParams, SystemParams, effective_couplings
+from .model import DriveParams, SystemParams, effective_couplings, _require_quadrature
 from .numerics import bessel_j
 from .output import _header_lines, _write_csv
 from .propagate import (EvolutionConfig, PropagationAccuracyError, _top_level_record,
@@ -151,6 +152,37 @@ PRESETS = {
     },
 }
 
+# Each config-backed flag: its config key, whose _SCHEMA parser reads the
+# flag's text as it reads the key's value in a config file, and its help.
+_FLAGS = {
+    "--out": ("output.dir", "output directory"),
+    "--fock-dim": ("system.fock_dim", "resonator truncation dimension"),
+    "--dt": ("evolution.dt", "integrator step, units 1/omega_r (default auto)"),
+    "--eta": ("system.eta", "omega_q / omega_r"),
+    "--g": ("system.g", "coupling in units of omega_r"),
+    "--alpha": ("drive.alpha1", "modulation index of qubit 1"),
+    "--alpha2": ("drive.alpha2", "modulation index of qubit 2 (default auto: -alpha)"),
+    "--omega-d": ("drive.omega_d", "modulation frequency (default auto: resonant)"),
+    "--phi": ("drive.phi", "modulation phase; every experiment needs pi/2, the default"),
+    "--n-qubits": ("system.n_qubits", "1 or 2"),
+    "--periods": ("trace.periods", "trace length in resonator periods"),
+    "--trials": ("gate.trials", "number of random gate trial states"),
+    "--seed": ("gate.seed", "random seed of the gate trial states"),
+    "--steps": ("cat.steps", "number of half-period cat steps"),
+    "--metric": ("sweep.metric", ", ".join(METRICS)),
+    "--workers": ("sweep.workers", "parallel workers for grid points"),
+}
+_RUN_FLAGS = ("--out", "--fock-dim", "--dt", "--eta", "--g", "--alpha", "--alpha2",
+              "--omega-d", "--phi", "--n-qubits")
+# Each experiment subcommand: its help, and the flags it reads besides _RUN_FLAGS.
+_COMMANDS = {
+    "validate-effective": ("exact-vs-effective fidelity trace over time", ("--periods",)),
+    "gate-fidelity": ("average fidelity of the two-qubit phase gate", ("--trials", "--seed")),
+    "cat-state": ("conditional-displacement cat state experiment", ("--steps",)),
+    "sweep": ("scan a metric over 1 or 2 parameters",
+              ("--metric", "--workers", "--steps", "--trials", "--seed", "--periods")),
+}
+
 
 def default_config() -> dict:
     return {key: default for key, (_, default) in _SCHEMA.items()}
@@ -220,8 +252,9 @@ class _Run(NamedTuple):
 
 
 def _build(cfg) -> _Run:
-    """Resolve a config into model objects, refusing a qubit count, cat.steps,
-    gate trial setting or sweep.workers that its experiment or metric cannot use."""
+    """Resolve a config into model objects, refusing a phase, qubit count,
+    cat.steps, gate trial setting or sweep.workers that its experiment or
+    metric cannot use."""
     nq = cfg["system.n_qubits"]
     omega_r = cfg["system.omega_r"]
     omega_q = cfg["system.eta"] * omega_r
@@ -252,6 +285,7 @@ def _build(cfg) -> _Run:
         if cfg["sweep.workers"] < 1:
             raise ConfigError(f"sweep.workers: must be >= 1, got {cfg['sweep.workers']}")
         task = cfg["sweep.metric"]
+    _require_quadrature(drive, f"drive.phi: {task}")  # every experiment and metric needs it
     need = _QUBITS.get(task)
     if need is not None and nq != need:
         raise ConfigError(f"system.n_qubits: {task} needs {need} qubit{'s' * (need > 1)}")
@@ -464,10 +498,12 @@ def run(cfg: dict) -> int:
 
 
 def _merge_cli(cfg, args) -> set:
-    """Apply CLI flag overrides onto the config dict; each config-backed
-    flag stores under its dotted key. Returns the keys the flags set."""
-    flags = {key: getattr(args, key) for key in _SCHEMA
-             if getattr(args, key, None) is not None}
+    """Apply CLI flag overrides onto the config dict: each config-backed
+    flag stores its text under its dotted key, which the key's _SCHEMA
+    parser reads here, as parse_config reads a config file's value.
+    Returns the keys the flags set."""
+    flags = {key: _SCHEMA[key][0](key, raw) for key in _SCHEMA
+             if (raw := getattr(args, key, None)) is not None}
     cfg.update(flags)
     return set(flags)
 
@@ -482,15 +518,8 @@ def _load_layers(args, experiment: str) -> tuple[dict, set]:
         # `cat-state` invocation should run without extra flags.
         cfg["system.n_qubits"] = 1
     preset = getattr(args, "preset", None)
-    if preset is not None:
-        if preset not in PRESETS:
-            raise ConfigError(
-                f"preset: unknown preset {preset!r} (have {', '.join(sorted(PRESETS))})")
-        overrides = PRESETS[preset]
-        if overrides["experiment"] != experiment:
-            raise ConfigError(
-                f"preset: {preset!r} belongs to experiment {overrides['experiment']!r}")
-        cfg.update(overrides)
+    if preset is not None:  # argparse offers each subcommand its own presets only
+        cfg.update(PRESETS[preset])
     given = set()
     config_path = getattr(args, "config", None)
     if config_path is not None:
@@ -519,33 +548,6 @@ def _load_layers(args, experiment: str) -> tuple[dict, set]:
     return cfg, given
 
 
-def _add_config(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--config", metavar="PATH", help="config file of key = value lines")
-
-
-def _flag(sub: argparse.ArgumentParser, flag: str, key: str, **kw) -> None:
-    """A config-backed flag stored under its dotted key; --help keeps argparse's metavar."""
-    if "choices" not in kw:
-        kw.setdefault("metavar", flag[2:].replace("-", "_").upper())
-    sub.add_argument(flag, dest=key, **kw)
-
-
-def _add_run_flags(sub: argparse.ArgumentParser) -> None:
-    _flag(sub, "--out", "output.dir", metavar="DIR", help="output directory")
-    _flag(sub, "--fock-dim", "system.fock_dim", type=int,
-          help="resonator truncation dimension")
-    _flag(sub, "--dt", "evolution.dt", type=float, help="integrator step, units 1/omega_r")
-    _flag(sub, "--eta", "system.eta", type=float, help="omega_q / omega_r")
-    _flag(sub, "--g", "system.g", type=float, help="coupling in units of omega_r")
-    _flag(sub, "--alpha", "drive.alpha1", type=float, help="modulation index of qubit 1")
-    _flag(sub, "--alpha2", "drive.alpha2", type=float,
-          help="modulation index of qubit 2 (default -alpha)")
-    _flag(sub, "--omega-d", "drive.omega_d", type=float,
-          help="modulation frequency (default: resonant)")
-    _flag(sub, "--phi", "drive.phi", type=float, help="modulation phase (default pi/2)")
-    _flag(sub, "--n-qubits", "system.n_qubits", type=int, choices=[1, 2])
-
-
 @functools.cache  # built once: each build leaves about 500 objects in cycles
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -555,49 +557,24 @@ def build_parser() -> argparse.ArgumentParser:
                     "experiments on modulated qubits in a resonator.")
     parser.add_argument("--version", action="version", version=f"condisp {__version__}")
     subs = parser.add_subparsers(dest="command", required=True)
-
-    p = subs.add_parser("validate-effective",
-                        help="exact-vs-effective fidelity trace over time")
-    _add_config(p)
-    _add_run_flags(p)
-    _flag(p, "--periods", "trace.periods", type=float,
-          help="trace length in resonator periods")
-    p.add_argument("--preset", choices=["effective-validation", "validity-breakdown"])
-
-    p = subs.add_parser("gate-fidelity",
-                        help="average fidelity of the two-qubit phase gate")
-    _add_config(p)
-    _add_run_flags(p)
-    _flag(p, "--trials", "gate.trials", type=int, help="number of random trial states")
-    _flag(p, "--seed", "gate.seed", type=int, help="random seed of the trial states")
-    p.add_argument("--per-trial", action="store_true",
-                   help="also write a per-trial fidelity CSV")
-    p.add_argument("--preset", choices=["gate-weak", "gate-strong"])
-
-    p = subs.add_parser("cat-state",
-                        help="conditional-displacement cat state experiment")
-    _add_config(p)
-    _add_run_flags(p)
-    _flag(p, "--steps", "cat.steps", type=int, help="number of half-period steps")
-    p.add_argument("--preset", choices=["cat-1step", "cat-2step"])
-
+    for command, (text, flags) in _COMMANDS.items():
+        p = subs.add_parser(command, help=text)
+        p.add_argument("--config", metavar="PATH", help="config file of key = value lines")
+        for flag in _RUN_FLAGS + flags:  # raw text, which _merge_cli parses
+            key, about = _FLAGS[flag]
+            p.add_argument(flag, dest=key, metavar=flag[2:].replace("-", "_").upper(),
+                           help=f"{key}: {about}")
+        presets = [name for name, preset in PRESETS.items() if preset["experiment"] == command]
+        if presets:
+            p.add_argument("--preset", choices=presets)
+    subs.choices["gate-fidelity"].add_argument(
+        "--per-trial", action="store_true", help="also write a per-trial fidelity CSV")
+    subs.choices["sweep"].add_argument(
+        "--axis", nargs=4, action="append", metavar=("KEY", "START", "STOP", "POINTS"),
+        help="swept parameter, e.g. --axis system.g 0.05 0.5 10")
     p = subs.add_parser("bessel", help="evaluate J_l(x) (debug aid)")
     p.add_argument("--order", type=int, required=True)
     p.add_argument("--x", type=float, required=True)
-
-    p = subs.add_parser("sweep", help="scan a metric over 1 or 2 parameters")
-    _add_config(p)
-    _add_run_flags(p)
-    _flag(p, "--metric", "sweep.metric", choices=list(METRICS))
-    p.add_argument("--axis", nargs=4, action="append",
-                   metavar=("KEY", "START", "STOP", "POINTS"),
-                   help="swept parameter, e.g. --axis system.g 0.05 0.5 10")
-    _flag(p, "--workers", "sweep.workers", type=int, help="parallel workers for grid points")
-    _flag(p, "--steps", "cat.steps", type=int, help="cat steps (cat-fidelity metric)")
-    _flag(p, "--trials", "gate.trials", type=int, help="gate trials (gate-fidelity metric)")
-    _flag(p, "--seed", "gate.seed", type=int, help="gate trial seed (gate-fidelity metric)")
-    _flag(p, "--periods", "trace.periods", type=float, help="trace length for f1 metrics")
-
     return parser
 
 

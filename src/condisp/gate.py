@@ -225,7 +225,7 @@ def _trial_ratio(params: SystemParams, drive: DriveParams, n_trials: int,
     seed, which NumPy's generator refuses."""
     _require_quadrature(drive, "the gate experiment")
     if n_trials < 1:
-        raise ValueError(f"n_trials must be >= 1, got {n_trials}")
+        raise ValueError(f"gate.trials: must be >= 1, got {n_trials}")
     if seed < 0:
         raise ValueError(f"gate.seed: must be >= 0, got {seed}")
     g_eff = effective_couplings(params, drive)

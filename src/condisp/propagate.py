@@ -55,7 +55,7 @@ each sector runs by photon number: the levels on which its initial
 state's tail holds more than the Taylor stop, 1e-32 v^2, plus a guard
 band of _GUARD = _TAYLOR_ROWS levels, rounded up to whole bands. The
 generator couples level n only to n -+ 1 and a Taylor term is one
-apply, so a term of degree j < _GUARD carries amplitude from below the
+apply, so a term of degree j <= _GUARD carries amplitude from below the
 band no higher than the band. _run checks the band's squared norm
 against the stop at each _PLAN_CHUNK boundary and at each sample, and
 once it passes, plans the rest of the propagation afresh, from the
@@ -66,12 +66,18 @@ level's largest population over the samples is recorded, for the CLI's
 truncation warning. The amplitude a window can drop
 is bounded as follows. Let A be the step's prescaled operator on the
 full space, A_w = P A P on the window, E_k(X) = sum_{j<=k} (-iX)^j / j!
-an exponential of degree k < _GUARD (every one that does not fold the
-stack: k <= _TAYLOR_ROWS - 1), and x = x_in + g a step's input, g its
-part on the band. A^j x_in and A_w^j x_in agree for j <= k, since
-neither reaches the top level, so the step drops |E_k(A) x - E_k(A_w)
-x| <= |E_k(A) g| + |E_k(A_w) g| <= 2 e^a |g|, a = dt |Hbar| on the
-levels below w + _GUARD. The twist and the steps are unitary to
+an exponential of degree k <= _GUARD, and x = x_in + g a step's input,
+g its part on the band. That covers every exponential that does not
+fold the stack (k <= _TAYLOR_ROWS - 1), and one that folds it once and
+stops at its next term (k = _GUARD), since a fold regroups the sum but
+not its terms: half a period of the k = 22 cat at Fock 384 and the
+step ceiling takes 213 such folds on its window. It does not cover an
+exponential of higher degree, such as the windowed ones of degree 18
+to 22 that cat-state takes at Fock 512, 30 steps and the step
+ceiling. A^j x_in and A_w^j x_in agree for j <= k, since A^{j-1} x_in
+stays below the window's top level, so the step drops |E_k(A) x -
+E_k(A_w) x| <= |E_k(A) g| + |E_k(A_w) g| <= 2 e^a |g|, a = dt |Hbar|
+on the levels below w + _GUARD. The twist and the steps are unitary to
 roundoff, so the drops add: a propagation of N steps drops at most
 2 e^a sum_n |g_n| of amplitude. The checks hold |g|^2 <= 1e-32 v^2 at
 every chunk boundary and sample; while the band stays that small, the
@@ -232,9 +238,8 @@ _COEFFS = np.cumprod([1.0] + [-1j / j for j in range(1, _TAYLOR_ROWS)])
 _STOP = _TAYLOR_RTOL ** 2 / np.abs(_COEFFS) ** 2
 _HEADS = [_COEFFS[:j + 1] for j in range(_TAYLOR_ROWS)]
 # Fock levels of the guard band on top of a propagation's window (see
-# _mixer): more than the terms an exponential takes without folding its
-# power stack, so no such term carries amplitude from below the band out
-# of the window.
+# _mixer): no Taylor term of degree up to _GUARD carries amplitude from
+# below the band out of the window.
 _GUARD = _TAYLOR_ROWS
 
 # The open record of _top_level_record, if any, that _run writes into.
@@ -738,9 +743,16 @@ def evolve_columns(h: _LabProvider, v0: np.ndarray, t_end: float,
     give the full propagator. No samples are kept but the one at t_end, where the
     overlaps of the columns must be preserved: a drift of max |C^dag C -
     V0^dag V0| beyond 1e-6 raises PropagationAccuracyError naming sample 1
-    and t_end.
+    and t_end. A v0 whose first axis is not h's basis size (of its
+    members together, for a stack) raises ValueError before anything is
+    planned.
     """
-    return _propagate(_checked(h, t_end), v0, t_end, cfg)[1][-1]
+    h = _checked(h, t_end)
+    dim = len(h.parts.order)
+    if np.ndim(v0) not in (1, 2) or len(v0) != dim:
+        raise ValueError(f"v0 must be a vector or (dim, k) block of dim = {dim} rows, "
+                         f"got shape {np.shape(v0)}")
+    return _propagate(h, v0, t_end, cfg)[1][-1]
 
 
 def _effective_states(params: SystemParams, drive: DriveParams, psi0: Ket,

@@ -118,6 +118,53 @@ class TestFlags:
                     seen.add(action.dest)
         assert {"system.eta", "system.fock_dim", "output.dir", "sweep.workers"} <= seen
 
+    def test_each_subcommand_takes_its_flags(self):
+        """The option strings each subcommand accepts, and no others."""
+        run = ["--config", "--out", "--fock-dim", "--dt", "--eta", "--g", "--alpha",
+               "--alpha2", "--omega-d", "--phi", "--n-qubits", "-h", "--help"]
+        expected = {
+            "validate-effective": run + ["--periods", "--preset"],
+            "gate-fidelity": run + ["--trials", "--seed", "--per-trial", "--preset"],
+            "cat-state": run + ["--steps", "--preset"],
+            "sweep": run + ["--metric", "--workers", "--steps", "--trials", "--seed",
+                            "--periods", "--axis"],
+            "bessel": ["--order", "--x", "-h", "--help"],
+        }
+        subs = next(a for a in build_parser()._actions if a.dest == "command").choices
+        assert sorted(subs) == sorted(expected)
+        for name, sub in subs.items():
+            got = [s for action in sub._actions for s in action.option_strings]
+            assert sorted(got) == sorted(expected[name]), name
+
+    @pytest.mark.parametrize("args, says", [
+        (["gate-fidelity", "--fock-dim", "x"], "system.fock_dim: expected an integer, got 'x'"),
+        (["gate-fidelity", "--trials", "1.5"], "gate.trials: expected an integer, got '1.5'"),
+        (["gate-fidelity", "--eta", "nan"], "system.eta: must be finite, got 'nan'"),
+        (["validate-effective", "--n-qubits", "3"], "system: n_qubits must be 1 or 2, got 3"),
+        (["sweep", "--metric", "foo", "--axis", "system.g", "0.1", "0.2", "2"],
+         "sweep.metric: must be one of min-f1, mean-f1, gate-fidelity, cat-fidelity; "
+         "got 'foo'"),
+    ], ids=["fock-dim-x", "trials-1.5", "eta-nan", "n-qubits-3", "metric-foo"])
+    def test_bad_flag_value_names_its_key(self, tmp_path, capsys, args, says):
+        """A flag's text is read by its config key's parser, so a malformed
+        value ends with the one error line a config file's would."""
+        assert main(args + ["--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == f"error: {says}\n"
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("flag", ["--dt", "--alpha2", "--omega-d"])
+    def test_auto_flag_is_the_default(self, tmp_path, flag):
+        """A flag takes auto as its key does in a config file: the same
+        bytes as leaving the flag out."""
+        args = ["validate-effective", "--fock-dim", "8", "--periods", "0.05",
+                "--out", str(tmp_path)]
+        path = tmp_path / "validate-effective-eta3-g0.2.csv"
+        assert main(args) == 0
+        default = path.read_bytes()
+        path.unlink()
+        assert main(args + [flag, "auto"]) == 0
+        assert path.read_bytes() == default
+
     def test_preset_pair_yields_to_an_explicit_eta(self, tmp_path):
         out = tmp_path / "out"
         args = ["validate-effective", "--preset", "effective-validation",
@@ -208,12 +255,20 @@ class TestBadInvocations:
          "sweep point system.eta=-1: system: omega_q must be positive, got -1.0"),
         (["gate-fidelity", "--eta", "1.5", "--n-qubits", "1"],
          "system.n_qubits: gate-fidelity needs 2 qubits"),
-        (["gate-fidelity", "--eta", "1.5", "--trials", "0"], "n_trials must be >= 1, got 0"),
+        (["gate-fidelity", "--eta", "1.5", "--trials", "0"], "gate.trials: must be >= 1, got 0"),
         (["cat-state", "--eta", "1.5", "--steps", "0"], "cat.steps: must be >= 1, got 0"),
         (["sweep", "--workers", "0", "--axis", "system.eta", "1.5", "1.8", "2"],
          "sweep.workers: must be >= 1, got 0"),
+        (["cat-state", "--eta", "1.5", "--phi", "1", "--fock-dim", "16"],
+         "drive.phi: cat-state requires phi = pi/2, got phi = 1.0"),
+        (["validate-effective", "--eta", "1.5", "--phi", "1", "--fock-dim", "8"],
+         "drive.phi: validate-effective requires phi = pi/2, got phi = 1.0"),
+        (["sweep", "--metric", "mean-f1", "--phi", "1", "--axis", "system.eta", "1.5", "1.8",
+          "2", "--fock-dim", "8", "--periods", "0.1"],
+         "drive.phi: mean-f1 requires phi = pi/2, got phi = 1.0"),
     ], ids=["gate-eta-0", "validate-eta--1", "cat-eta-0", "sweep-eta--1", "gate-1-qubit",
-            "gate-0-trials", "cat-0-steps", "sweep-0-workers"])
+            "gate-0-trials", "cat-0-steps", "sweep-0-workers", "cat-phi-1", "validate-phi-1",
+            "sweep-phi-1"])
     def test_refusals_come_without_the_eta_warning(self, tmp_path, capsys, args, says):
         """A config the run cannot use, an eta <= 0 or a value that the
         experiment, sweep metric or sweep refuses, of the run or of any sweep

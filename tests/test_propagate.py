@@ -53,7 +53,7 @@ from scipy.linalg import expm
 
 import oracle_helpers
 from condisp import DriveParams, HilbertLayout, SystemParams, model, propagate
-from condisp.cat import cat_fidelity_experiment
+from condisp.cat import cat_fidelity_experiment, multi_step_cat
 from condisp.gate import gate_columns
 from condisp.hilbert import Ket, basis_state
 from condisp.model import frame_phases, hamiltonian_fn
@@ -1023,6 +1023,32 @@ class TestFockWindow:
         assert abs(fid - 0.820056560635) <= 1e-12
         assert len(shapes) >= 3 and all(s[1] < 128 for s in shapes)
 
+    def test_stack_folds_on_a_window(self, monkeypatch):
+        """Half a period of the k = 22 cat at Fock 384, at the step ceiling,
+        takes exponentials that fold the power stack on a window short of
+        the cutoff, of degree _GUARD, and still agrees with the full
+        cutoff within 1e-13."""
+        h = _lab_provider(1, 384)  # omega_r = 1
+        p = SystemParams(omega_q=3.0, g=0.2, n_qubits=1)
+        ratio = model.effective_couplings(p, DriveParams.from_alpha((1.832,), 3.0))[0]
+        v0 = multi_step_cat(ratio, 22, h.layout).vec
+        times, n_sub = propagate._sample_grid(np.pi, 2 * np.pi / (50 * h.omega_max), 1)
+        folded = []  # the rows of each exponential that folded its stack
+        expmv = propagate._expmv
+
+        def spy(op, x):
+            y = expmv(op, x)
+            if op.degree >= propagate._TAYLOR_ROWS:
+                folded.append(op.rows[0].shape[1])
+            return y
+
+        monkeypatch.setattr(propagate, "_expmv", spy)
+        windowed = propagate._run(h.parts, v0, times, n_sub)
+        assert any(rows < h.parts.h0.shape[1] for rows in folded)
+        monkeypatch.setattr(propagate, "_GUARD", 10**6)  # every window is the cutoff
+        whole = propagate._run(h.parts, v0, times, n_sub)
+        assert max(np.max(np.abs(a - b)) for a, b in zip(windowed, whole)) <= 1e-13
+
     @pytest.mark.parametrize("n_samples", [3, 40])
     def test_grows_before_it_leaks(self, n_samples, monkeypatch):
         """The vacuum under g = 2, displaced over half a period to |beta|^2
@@ -1293,6 +1319,28 @@ class TestMagnusStep:
 
 
 class TestEvolveColumns:
+    @pytest.mark.parametrize("shape, pad", [((20, 1), 0.0), ((1, 32), 0.0), ((40, 1), 0.0),
+                                            ((40, 1), 1.0), ((32, 1), "stack")],
+                             ids=["short", "transposed", "zero-padded", "padded", "stack"])
+    def test_wrong_first_axis_refused_before_planning(self, shape, pad, monkeypatch):
+        """A block whose first axis is not the basis size, 32 at one qubit
+        and Fock 16 (64 for a stack of two), is refused before _mixer
+        plans anything: too short, transposed, padded with zeros, padded
+        with amplitude, or one member's size for a stack."""
+        def never(*args, **kwargs):
+            raise AssertionError("planned")
+
+        fn = _lab_provider(1, 16)
+        if pad == "stack":
+            fn = model._LabProvider(model._stack([fn.parts, model._mirrored(fn.parts, 2.0)]),
+                                    fn.omega_max)
+            pad = 0.0
+        v0 = np.full(shape, pad, dtype=complex)
+        v0[0, 0] = 1.0
+        monkeypatch.setattr(propagate, "_mixer", never)
+        with pytest.raises(ValueError, match=rf"got shape \({shape[0]}, {shape[1]}\)"):
+            evolve_columns(fn, v0, 1.0, EvolutionConfig())
+
     def test_overlap_drift_raises_with_time(self):
         fn = _skewed(_lab_provider(1, 8))
         v0 = np.eye(fn.layout.dim, dtype=complex)[:, :2]
